@@ -6,8 +6,8 @@ use dynp_des::SimTime;
 use dynp_metrics::Objective;
 use dynp_obs::{TraceClass, TraceEvent, Tracer};
 use dynp_rms::{
-    PlanTiming, Planner, Policy, QueueChange, ReferencePlanner, ReplanReason, RmsState, Schedule,
-    Scheduler, SchedulerSnapshot,
+    PlanTiming, Planner, Policy, QueueChange, ReferencePlanner, ReplanReason, RetainedCounts,
+    RmsState, Schedule, Scheduler, SchedulerSnapshot, RETAIN_MIN_DEPTH,
 };
 use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
@@ -174,8 +174,13 @@ pub struct SelfTuningScheduler {
     orders: Vec<Vec<Job>>,
     /// How far into the state's queue change log the orders are synced.
     log_cursor: usize,
+    /// Per policy: how many leading jobs of its order the last
+    /// `sync_orders` left untouched (0 once any job left the queue) —
+    /// what the planner's retained plans may keep.
+    first_changed: Vec<usize>,
     /// Per-policy schedule of the current step (parallel to
-    /// `config.policies`); reused across steps.
+    /// `config.policies`); reused across steps. Unused while the queue
+    /// is deep enough for the planner to retain the schedules itself.
     plan_schedules: Vec<Schedule>,
     /// Per-policy objective score of the current step.
     plan_scores: Vec<f64>,
@@ -215,6 +220,7 @@ impl SelfTuningScheduler {
             queue_buf: Vec::new(),
             orders: vec![Vec::new(); n],
             log_cursor: 0,
+            first_changed: vec![0; n],
             plan_schedules: vec![Schedule::default(); n],
             plan_scores: vec![0.0; n],
             plan_timings: vec![PlanTiming::default(); n],
@@ -253,6 +259,17 @@ impl SelfTuningScheduler {
     /// equivalence tests check the incremental engine against.
     pub fn set_reference_mode(&mut self, on: bool) {
         self.reference_mode = on;
+        // Reference steps do not sync the orders, so what the next
+        // incremental step learns about the queue is not relative to the
+        // retained plans.
+        self.planner.drop_retained();
+    }
+
+    /// How often the planner's suffix path ran (see
+    /// [`Planner::plan_retained_batch`]).
+    #[doc(hidden)]
+    pub fn retained_counts(&self) -> RetainedCounts {
+        self.planner.retained_counts()
     }
 
     /// Brings the per-policy sorted queue views in sync with the RMS
@@ -260,7 +277,8 @@ impl SelfTuningScheduler {
     /// log: newly submitted jobs are binary-inserted into every policy
     /// order, jobs that started are binary-search removed. Cost is
     /// O(changes × policies × queue) per event instead of a full
-    /// O(policies × queue log queue) copy-and-re-sort.
+    /// O(policies × queue log queue) copy-and-re-sort. Leaves in
+    /// `first_changed` the length of each order's untouched prefix.
     ///
     /// # Panics
     /// Panics if the state's log is shorter than the cursor — the
@@ -272,22 +290,35 @@ impl SelfTuningScheduler {
             self.log_cursor <= log.len(),
             "scheduler observed a different RmsState: queue log shrank"
         );
+        for (first, order) in self.first_changed.iter_mut().zip(&self.orders) {
+            *first = order.len();
+        }
         for change in &log[self.log_cursor..] {
+            let slots = self
+                .config
+                .policies
+                .iter()
+                .zip(&mut self.orders)
+                .zip(&mut self.first_changed);
             match change {
                 QueueChange::Entered(job) => {
-                    for (policy, order) in self.config.policies.iter().zip(&mut self.orders) {
+                    for ((policy, order), first) in slots {
                         let pos = order
                             .binary_search_by(|probe| policy.cmp_jobs(probe, job))
                             .unwrap_err();
                         order.insert(pos, *job);
+                        *first = (*first).min(pos);
                     }
                 }
                 QueueChange::Left(job) => {
-                    for (policy, order) in self.config.policies.iter().zip(&mut self.orders) {
+                    for ((policy, order), first) in slots {
                         let pos = order
                             .binary_search_by(|probe| policy.cmp_jobs(probe, job))
                             .expect("departed job must be present in every policy order");
                         order.remove(pos);
+                        // A departure voids the retained plans outright
+                        // (their third guard), not just from `pos` on.
+                        *first = 0;
                     }
                 }
             }
@@ -391,6 +422,7 @@ impl SelfTuningScheduler {
         // (0.0) and the decision is whatever the decider does on uniform
         // scores — identical to the general path, without planning.
         if state.waiting().is_empty() {
+            self.planner.drop_retained();
             self.scores.clear();
             self.scores
                 .extend(self.config.policies.iter().map(|&p| (p, 0.0)));
@@ -439,14 +471,32 @@ impl SelfTuningScheduler {
         } else {
             1
         };
-        let workers_used = self.planner.plan_prepared_batch(
-            &self.orders,
-            &mut self.plan_schedules,
-            &mut self.plan_timings,
-            workers,
-        );
+        // A deep queue's schedules stay in the planner, which re-places
+        // only what this event changed; a shallow one is cheaper planned
+        // from scratch into `plan_schedules`.
+        let retain = state.waiting().len() >= RETAIN_MIN_DEPTH;
+        let workers_used = if retain {
+            self.planner.plan_retained_batch(
+                &self.orders,
+                &self.first_changed,
+                &mut self.plan_timings,
+                workers,
+            )
+        } else {
+            self.planner.plan_prepared_batch(
+                &self.orders,
+                &mut self.plan_schedules,
+                &mut self.plan_timings,
+                workers,
+            )
+        };
         for i in 0..self.config.policies.len() {
-            self.plan_scores[i] = self.config.objective.evaluate(&self.plan_schedules[i], now);
+            let schedule = if retain {
+                self.planner.retained_schedule(i)
+            } else {
+                &self.plan_schedules[i]
+            };
+            self.plan_scores[i] = self.config.objective.evaluate(schedule, now);
         }
         if self.tracer.wants(TraceClass::Span) {
             for (i, &policy) in self.config.policies.iter().enumerate() {
@@ -484,7 +534,11 @@ impl SelfTuningScheduler {
             .iter()
             .position(|&p| p == next)
             .expect("decider returned a non-candidate policy");
-        std::mem::take(&mut self.plan_schedules[idx])
+        if retain {
+            self.planner.retained_schedule(idx).clone()
+        } else {
+            std::mem::take(&mut self.plan_schedules[idx])
+        }
     }
 
     /// The pre-incremental step: re-sort every queue, rebuild every
@@ -554,8 +608,12 @@ impl Scheduler for SelfTuningScheduler {
     /// log (every policy comparator is a *total* order with an
     /// (submit, id) tail, so replaying the full log from cursor 0
     /// reproduces them bit-identically), and `restore` resets them so
-    /// the next `sync_orders` rebuilds from scratch. Planner internals
-    /// are caches rebuilt every event.
+    /// the next `sync_orders` rebuilds from scratch. Nor are the
+    /// planner's retained plans: they are a cache of what a full pass
+    /// over (state, now) computes, checked by comparison before every
+    /// reuse, and `restore` drops them — the first replan after a restore
+    /// plans every queue in full and is bit-identical to the suffix pass
+    /// the snapshotted scheduler would have taken.
     fn snapshot(&self) -> Option<SchedulerSnapshot> {
         let s = &self.stats;
         let mut words = vec![
@@ -600,6 +658,7 @@ impl Scheduler for SelfTuningScheduler {
             order.clear();
         }
         self.log_cursor = 0;
+        self.planner.drop_retained();
     }
 }
 

@@ -44,7 +44,9 @@ pub mod state;
 pub use admission::{AdmissionConfig, AdmissionController, RejectReason};
 pub use easy::EasyBackfillScheduler;
 pub use naive::NaiveProfile;
-pub use planner::{PlanTiming, Planner, ReferencePlanner, PARALLEL_MIN_DEPTH};
+pub use planner::{
+    PlanTiming, Planner, ReferencePlanner, RetainedCounts, PARALLEL_MIN_DEPTH, RETAIN_MIN_DEPTH,
+};
 pub use policy::Policy;
 pub use profile::Profile;
 pub use reservation::{RepairAction, Reservation, ReservationBook};

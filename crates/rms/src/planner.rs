@@ -7,6 +7,12 @@
 //! a later (lower-priority) job may slot into a gap *before* an earlier
 //! job's reservation, "backfilling is done implicitly" — no separate
 //! backfill pass exists, exactly as in planning-based systems like CCS.
+//!
+//! The paper's self-tuning step builds "a full schedule for every
+//! policy" at every event. [`Planner::plan_retained_batch`] produces
+//! those schedules without always rebuilding them: a submission changes
+//! one position of each policy order, and everything planned ahead of it
+//! on an unchanged base stays where it is.
 
 use crate::naive::NaiveProfile;
 use crate::profile::Profile;
@@ -20,19 +26,50 @@ use dynp_workload::Job;
 /// At every scheduling event the base profile — running-job reservations
 /// plus fixed reservation windows — is identical for every candidate
 /// policy; only the queue order differs. [`Planner::prepare`] builds
-/// that base once with an endpoint sweep, and each
-/// [`Planner::plan_prepared`] call restores the working profile to the
-/// prepared watermark with one `memcpy` before placing the queue. The
-/// dynP self-tuning step plans once per policy per event, so this turns
-/// P profile rebuilds per event into one build plus P cheap restores.
+/// that base once with an endpoint sweep, and each planning pass copies
+/// it into the policy's working profile with one `memcpy` before placing
+/// the queue. The dynP self-tuning step plans once per policy per event,
+/// so this turns P profile rebuilds per event into one build plus P
+/// cheap restores.
+///
+/// # Retained plans
+///
+/// [`Planner::plan_retained_batch`] goes one step further: it keeps each
+/// policy's working profile and schedule from one event to the next, and
+/// when the new base leaves them valid it re-places only the queue
+/// suffix behind the first changed position. The invariant a retained
+/// slot satisfies:
+///
+/// > a slot's profile equals the current base plus the rectangles of its
+/// > schedule, as a function on `[now, ∞)`.
+///
+/// Three comparisons guard it, and anything they do not establish takes
+/// the full pass (the event's [`ReplanReason`](crate::ReplanReason) is
+/// never consulted):
+///
+/// 1. the freshly prepared base is the same function on `[now, ∞)`,
+///    capacity included, as the base the slots were planned on — this
+///    alone rejects completions, early finishes, the pad of an overdue
+///    job, node faults, and reservation starts, ends and cancels;
+/// 2. the slot's first `k` entries are the first `k` jobs of the policy
+///    order, id by id, each planned at `start >= now` (an over-wide job
+///    skipped among them shifts the ids and fails the comparison);
+/// 3. no job left the queue since — the caller reports a departure as
+///    `k = 0`.
+///
+/// Given (1) and (2), a fresh pass would place those `k` jobs exactly
+/// where they are: by induction each sees the same function on
+/// `[now, ∞)`, its old answer was at or past `now`, and nothing earlier
+/// fitted then or fits now. The pass therefore releases the rectangles
+/// of entries `k..` in reverse, re-seeds the dominance memo from the
+/// kept entries (so the suffix scans start where a fresh pass's would)
+/// and places only `queue[k..]`.
 ///
 /// [`Planner::plan`] keeps the original one-shot signature (prepare +
 /// plan in one call) and produces bit-identical schedules to
 /// [`ReferencePlanner`], the retained from-scratch implementation.
 #[derive(Debug)]
 pub struct Planner {
-    /// Working profile each planning pass narrows.
-    profile: Profile,
     /// Shared base: running jobs + reservations as of `prepared_at`.
     base: Profile,
     /// Instant [`Planner::prepare`] was last called at.
@@ -42,13 +79,46 @@ pub struct Planner {
     spans: Vec<(SimTime, SimTime, u32)>,
     /// Scratch endpoint buffer for the sweep.
     events: Vec<(SimTime, i64)>,
-    /// Per-worker working profiles for [`Planner::plan_prepared_batch`],
-    /// persistent across events so the parallel path allocates nothing
-    /// steady-state.
-    work: Vec<Profile>,
+    /// Working state per queue of a batch (per candidate policy),
+    /// created on first use and persistent across events so planning
+    /// allocates nothing steady-state. Single-queue entry points use
+    /// slot 0.
+    slots: Vec<Slot>,
+    /// How many leading slots hold a plan retained by
+    /// [`Planner::plan_retained_batch`]; 0 after any other planning pass
+    /// (they use the slots' profiles as scratch).
+    retained: usize,
+    /// The base the retained plans were planned on, compared against
+    /// each new base. Created by the first retained pass.
+    retained_base: Option<Profile>,
     /// Observability tracer (disabled by default); [`Planner::prepare`]
     /// is measured as a `"prepare"` wall-clock span.
     tracer: dynp_obs::Tracer,
+}
+
+/// One queue's working profile, and the schedule its last retained pass
+/// left behind.
+#[derive(Debug)]
+struct Slot {
+    profile: Profile,
+    schedule: Schedule,
+    counts: RetainedCounts,
+}
+
+/// How often the suffix path ran, summed over policies — the property
+/// [`Planner::plan_retained_batch`] depends on. Diagnostic: tests assert
+/// the path is not vacuous, and CHANGES.md records the shares.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RetainedCounts {
+    /// Per-policy passes through [`Planner::plan_retained_batch`].
+    pub passes: u64,
+    /// Those that kept a prefix and re-placed only the suffix.
+    pub suffix_passes: u64,
+    /// Queue jobs those passes were handed.
+    pub jobs: u64,
+    /// Queue jobs the suffix passes kept in place instead of re-placing.
+    pub kept: u64,
 }
 
 /// Wall-clock observability of one per-policy planning pass inside
@@ -69,22 +139,129 @@ pub struct PlanTiming {
 /// queue depths and compare against this.
 pub const PARALLEL_MIN_DEPTH: usize = 512;
 
+/// Queue depth below which callers should plan with
+/// [`Planner::plan_prepared_batch`] rather than
+/// [`Planner::plan_retained_batch`]: comparing bases, checking the kept
+/// prefix and copying the winning schedule cost more than a pass over a
+/// few dozen jobs saves.
+pub const RETAIN_MIN_DEPTH: usize = 64;
+
 /// Padding added after a running job's estimated end when the estimate
 /// has already elapsed at planning time: the job still physically holds
 /// its processors until its completion *event* is processed, so the plan
 /// must not hand them out at the current instant.
 pub(crate) const RUNNING_PAD: SimDuration = SimDuration::from_millis(1);
 
+/// Places `queue` (already in policy order) job by job on `profile`,
+/// appending to `out`: each job gets the earliest feasible start
+/// ≥ max(now, submit).
+fn place(profile: &mut Profile, now: SimTime, queue: &[Job], out: &mut Schedule) {
+    out.entries.reserve(queue.len());
+    for job in queue {
+        // A job wider than the (possibly degraded) machine has no
+        // feasible start at any time: leave it out of the plan — it
+        // stays waiting until node repair restores enough capacity.
+        if job.width > profile.capacity() {
+            continue;
+        }
+        let earliest = now.max(job.submit);
+        let start = profile.allocate_earliest(earliest, job.estimate, job.width);
+        out.entries.push(PlannedJob { job: *job, start });
+    }
+}
+
+/// The from-scratch planning pass: restores `profile` to the `base`
+/// watermark and plans all of `queue` into `out`.
+fn plan_full(
+    base: &Profile,
+    profile: &mut Profile,
+    now: SimTime,
+    queue: &[Job],
+    out: &mut Schedule,
+) {
+    profile.restore_from(base);
+    out.entries.clear();
+    place(profile, now, queue, out);
+}
+
+/// Runs one planning pass, on the tracer's wall clock when span tracing
+/// is on.
+fn timed(tracer: &dynp_obs::Tracer, pass: impl FnOnce()) -> PlanTiming {
+    if !tracer.wants(dynp_obs::TraceClass::Span) {
+        pass();
+        return PlanTiming::default();
+    }
+    let start_ns = tracer.now_ns();
+    pass();
+    PlanTiming {
+        start_ns,
+        dur_ns: tracer.now_ns().saturating_sub(start_ns),
+    }
+}
+
+impl Slot {
+    fn new() -> Self {
+        Slot {
+            profile: Profile::new(1, SimTime::ZERO),
+            schedule: Schedule::default(),
+            counts: RetainedCounts::default(),
+        }
+    }
+
+    /// The per-policy planning pass: leaves in `schedule` the plan of
+    /// `queue` on `base`, and in `profile` the base narrowed by it. With
+    /// `keep > 0` the caller vouches that `profile` and `schedule` are a
+    /// retained plan on a base equal to `base` from `now` on, and that
+    /// `queue[..keep]` is unchanged since; the pass then keeps those
+    /// entries if it can. The result depends only on `(base, now,
+    /// queue)`, which is what makes the fan-out deterministic regardless
+    /// of worker assignment.
+    fn plan(&mut self, base: &Profile, now: SimTime, queue: &[Job], keep: usize) {
+        if keep > 0 && self.keep_prefix(now, queue, keep) {
+            place(&mut self.profile, now, &queue[keep..], &mut self.schedule);
+        } else {
+            plan_full(base, &mut self.profile, now, queue, &mut self.schedule);
+        }
+    }
+
+    /// Cuts the retained plan back to its first `keep` entries: releases
+    /// the rest in reverse, then checks the kept ones against the queue
+    /// (comparison 2 of the type docs) while replaying them into the
+    /// dominance memo. False when they do not match — the profile is
+    /// then partly released and only good for a full pass.
+    fn keep_prefix(&mut self, now: SimTime, queue: &[Job], keep: usize) -> bool {
+        let entries = &mut self.schedule.entries;
+        if keep > entries.len() || keep > queue.len() {
+            return false;
+        }
+        for e in entries[keep..].iter().rev() {
+            self.profile.release(e.start, e.job.estimate, e.job.width);
+        }
+        for (e, job) in entries[..keep].iter().zip(queue) {
+            if e.job.id != job.id || e.start < now {
+                return false;
+            }
+            self.profile
+                .remember_fit(now.max(job.submit), job.estimate, job.width, e.start);
+        }
+        entries.truncate(keep);
+        self.counts.suffix_passes += 1;
+        self.counts.kept += keep as u64;
+        true
+    }
+}
+
 impl Planner {
     /// Creates a planner.
     pub fn new() -> Self {
         Planner {
-            profile: Profile::new(1, SimTime::ZERO),
             base: Profile::new(1, SimTime::ZERO),
             prepared_at: SimTime::ZERO,
             spans: Vec::new(),
             events: Vec::new(),
-            work: Vec::new(),
+            slots: Vec::new(),
+            retained: 0,
+            retained_base: None,
             tracer: dynp_obs::Tracer::disabled(),
         }
     }
@@ -185,44 +362,72 @@ impl Planner {
     /// its entry buffer (the self-tuning step keeps one schedule per
     /// candidate policy alive across events).
     pub fn plan_prepared_into(&mut self, queue: &[Job], out: &mut Schedule) {
-        Self::plan_queue(&self.base, &mut self.profile, self.prepared_at, queue, out);
+        self.claim_scratch(1);
+        let scratch = &mut self.slots[0].profile;
+        plan_full(&self.base, scratch, self.prepared_at, queue, out);
     }
 
-    /// The per-policy planning pass: restores `profile` to the `base`
-    /// watermark and places `queue` (already in policy order) job by job.
-    /// A free function over explicit profiles so the batch fan-out can
-    /// run it on per-worker buffers; the result depends only on
-    /// `(base, now, queue)`, which is what makes the fan-out
-    /// deterministic regardless of worker assignment.
-    fn plan_queue(
-        base: &Profile,
-        profile: &mut Profile,
-        now: SimTime,
-        queue: &[Job],
-        out: &mut Schedule,
-    ) {
-        profile.restore_from(base);
-        out.entries.clear();
-        out.entries.reserve(queue.len());
-        for job in queue {
-            // A job wider than the (possibly degraded) machine has no
-            // feasible start at any time: leave it out of the plan — it
-            // stays waiting until node repair restores enough capacity.
-            if job.width > profile.capacity() {
-                continue;
-            }
-            let earliest = now.max(job.submit);
-            let start = profile.allocate_earliest(earliest, job.estimate, job.width);
-            out.entries.push(PlannedJob { job: *job, start });
+    /// Makes the first `n` slots' working profiles scratch for passes
+    /// that keep nothing: whatever plans the slots retained are dropped.
+    fn claim_scratch(&mut self, n: usize) {
+        self.grow_slots(n);
+        self.retained = 0;
+    }
+
+    fn grow_slots(&mut self, n: usize) {
+        while self.slots.len() < n {
+            self.slots.push(Slot::new());
         }
     }
 
-    /// Plans every queue in `queues` against the prepared base — the
-    /// per-policy fan-out of the self-tuning step. With `workers <= 1`
-    /// (or a single queue) this is exactly a [`Planner::plan_prepared_into`]
-    /// loop; otherwise the queues are split into contiguous runs across
-    /// `std::thread::scope` workers, each planning on its own persistent
-    /// working profile. Returns the worker count actually used.
+    /// Runs [`Slot::plan`] for queue `i` on slot `i`, sequentially or
+    /// split into contiguous runs across `std::thread::scope` workers.
+    /// `keep` is the per-queue prefix to try to keep (`None`: full
+    /// passes). Returns the worker count actually used.
+    fn run_passes(
+        &mut self,
+        queues: &[Vec<Job>],
+        keep: Option<&[usize]>,
+        timings: &mut [PlanTiming],
+        workers: usize,
+    ) -> usize {
+        let n = queues.len();
+        let (base, now, tracer) = (&self.base, self.prepared_at, &self.tracer);
+        let pass = |i: usize, slot: &mut Slot, timing: &mut PlanTiming| {
+            let keep = keep.map_or(0, |k| k[i]);
+            *timing = timed(tracer, || slot.plan(base, now, &queues[i], keep));
+        };
+        let slots = &mut self.slots[..n];
+        let workers = workers.clamp(1, n.max(1));
+        if workers <= 1 {
+            for (i, (slot, timing)) in slots.iter_mut().zip(timings).enumerate() {
+                pass(i, slot, timing);
+            }
+            return 1;
+        }
+        let per = n.div_ceil(workers);
+        std::thread::scope(|s| {
+            let runs = slots.chunks_mut(per).zip(timings.chunks_mut(per));
+            for (run, (slots, timings)) in runs.enumerate() {
+                let pass = &pass;
+                s.spawn(move || {
+                    for (j, (slot, timing)) in slots.iter_mut().zip(timings).enumerate() {
+                        pass(run * per + j, slot, timing);
+                    }
+                });
+            }
+        });
+        workers
+    }
+
+    /// Plans every queue in `queues` against the prepared base, from
+    /// scratch — the per-policy fan-out of the self-tuning step, and the
+    /// entry without retention. With `workers <= 1` (or a single queue)
+    /// this is exactly a [`Planner::plan_prepared_into`] loop on one
+    /// working profile; otherwise the queues are split into contiguous
+    /// runs across `std::thread::scope` workers, each pass narrowing its
+    /// own queue's working profile. Returns the worker count actually
+    /// used.
     ///
     /// Every queue's schedule depends only on the shared immutable base
     /// and its own queue order, and results land in the caller's `outs`
@@ -240,62 +445,94 @@ impl Planner {
         let n = queues.len();
         assert_eq!(n, outs.len(), "one output schedule per queue");
         assert_eq!(n, timings.len(), "one timing slot per queue");
-        let time_plans = self.tracer.wants(dynp_obs::TraceClass::Span);
-        let workers = workers.clamp(1, n.max(1));
-        if workers <= 1 {
-            for i in 0..n {
-                let start_ns = if time_plans { self.tracer.now_ns() } else { 0 };
-                self.plan_prepared_into(&queues[i], &mut outs[i]);
-                timings[i] = PlanTiming {
-                    start_ns,
-                    dur_ns: if time_plans {
-                        self.tracer.now_ns().saturating_sub(start_ns)
-                    } else {
-                        0
-                    },
-                };
+        if workers <= 1 || n <= 1 {
+            self.claim_scratch(1);
+            let scratch = &mut self.slots[0].profile;
+            let (base, now, tracer) = (&self.base, self.prepared_at, &self.tracer);
+            for ((queue, out), timing) in queues.iter().zip(outs).zip(timings) {
+                *timing = timed(tracer, || plan_full(base, scratch, now, queue, out));
             }
             return 1;
         }
-        while self.work.len() < workers {
-            self.work.push(Profile::new(1, SimTime::ZERO));
-        }
-        let base = &self.base;
-        let now = self.prepared_at;
-        let tracer = &self.tracer;
-        let per = n.div_ceil(workers);
-        std::thread::scope(|s| {
-            let mut outs_rest = outs;
-            let mut timings_rest = timings;
-            let mut work_rest = &mut self.work[..];
-            let mut idx = 0;
-            while idx < n {
-                let take = per.min(n - idx);
-                let (outs_chunk, r) = outs_rest.split_at_mut(take);
-                outs_rest = r;
-                let (tim_chunk, r) = timings_rest.split_at_mut(take);
-                timings_rest = r;
-                let (work_profile, r) = work_rest.split_first_mut().expect("worker profile");
-                work_rest = r;
-                let queue_chunk = &queues[idx..idx + take];
-                s.spawn(move || {
-                    for ((queue, out), tim) in queue_chunk.iter().zip(outs_chunk).zip(tim_chunk) {
-                        let start_ns = if time_plans { tracer.now_ns() } else { 0 };
-                        Self::plan_queue(base, work_profile, now, queue, out);
-                        *tim = PlanTiming {
-                            start_ns,
-                            dur_ns: if time_plans {
-                                tracer.now_ns().saturating_sub(start_ns)
-                            } else {
-                                0
-                            },
-                        };
-                    }
-                });
-                idx += take;
+        self.claim_scratch(n);
+        let lend = |slots: &mut [Slot], outs: &mut [Schedule]| {
+            for (slot, out) in slots.iter_mut().zip(outs) {
+                std::mem::swap(&mut slot.schedule, out);
             }
-        });
-        workers
+        };
+        // The passes fill the caller's buffers, lent to the slots.
+        lend(&mut self.slots, outs);
+        let used = self.run_passes(queues, None, timings, workers);
+        lend(&mut self.slots, outs);
+        used
+    }
+
+    /// Like [`Planner::plan_prepared_batch`], but the schedules stay in
+    /// the planner ([`Planner::retained_schedule`]) together with their
+    /// working profiles, and the next call re-places only what changed:
+    /// `first_changed[i]` is how many leading jobs of `queues[i]` are
+    /// the same, in the same order, as in the previous call's (0 when
+    /// unknown, or when any job left the queue). See the type docs for
+    /// the invariant and the comparisons that guard it; schedules are
+    /// bit-identical to [`Planner::plan_prepared_batch`]'s.
+    pub fn plan_retained_batch(
+        &mut self,
+        queues: &[Vec<Job>],
+        first_changed: &[usize],
+        timings: &mut [PlanTiming],
+        workers: usize,
+    ) -> usize {
+        let n = queues.len();
+        assert_eq!(n, first_changed.len(), "one kept-prefix length per queue");
+        assert_eq!(n, timings.len(), "one timing slot per queue");
+        self.grow_slots(n);
+        let now = self.prepared_at;
+        // Comparison 1 of the type docs, once for all slots.
+        let same_base = self.retained == n
+            && self
+                .retained_base
+                .as_ref()
+                .is_some_and(|planned_on| planned_on.same_from(&self.base, now));
+        let used = self.run_passes(queues, same_base.then_some(first_changed), timings, workers);
+        for (slot, queue) in self.slots.iter_mut().zip(queues) {
+            slot.counts.passes += 1;
+            slot.counts.jobs += queue.len() as u64;
+        }
+        if !same_base {
+            self.retained_base
+                .get_or_insert_with(|| Profile::new(1, SimTime::ZERO))
+                .restore_from(&self.base);
+        }
+        self.retained = n;
+        used
+    }
+
+    /// The schedule [`Planner::plan_retained_batch`] last planned for
+    /// queue `i`.
+    pub fn retained_schedule(&self, i: usize) -> &Schedule {
+        debug_assert!(i < self.retained, "no retained plan for queue {i}");
+        &self.slots[i].schedule
+    }
+
+    /// Forgets the retained plans: the next
+    /// [`Planner::plan_retained_batch`] plans every queue in full. For
+    /// callers whose `first_changed` bookkeeping lost track (a restored
+    /// snapshot, an event planned elsewhere).
+    pub fn drop_retained(&mut self) {
+        self.retained = 0;
+    }
+
+    /// Suffix-path counters summed over the policies.
+    #[doc(hidden)]
+    pub fn retained_counts(&self) -> RetainedCounts {
+        let mut sum = RetainedCounts::default();
+        for slot in &self.slots {
+            sum.passes += slot.counts.passes;
+            sum.suffix_passes += slot.counts.suffix_passes;
+            sum.jobs += slot.counts.jobs;
+            sum.kept += slot.counts.kept;
+        }
+        sum
     }
 
     /// Builds the full schedule for `queue` (already in policy order) at
@@ -644,6 +881,172 @@ mod tests {
         assert_eq!(p.plan_prepared(&q2).entries, out.entries);
     }
 
+    /// The three paper policies' orders of `jobs`.
+    fn policy_orders(jobs: &[Job]) -> Vec<Vec<Job>> {
+        Policy::BASIC
+            .iter()
+            .map(|p| {
+                let mut q = jobs.to_vec();
+                p.sort_queue(&mut q);
+                q
+            })
+            .collect()
+    }
+
+    /// Inserts `job` into every order the way the self-tuning scheduler
+    /// does, lowering each `first_changed` to the insertion point.
+    fn submit(orders: &mut [Vec<Job>], first_changed: &mut [usize], job: Job) {
+        for ((policy, order), first) in Policy::BASIC.iter().zip(orders).zip(first_changed) {
+            let pos = order
+                .binary_search_by(|probe| policy.cmp_jobs(probe, &job))
+                .unwrap_err();
+            order.insert(pos, job);
+            *first = (*first).min(pos);
+        }
+    }
+
+    /// Plans `orders` through the retained entry and checks every
+    /// schedule against a from-scratch plan of the same (base, queue).
+    fn assert_retained_matches_fresh(
+        p: &mut Planner,
+        orders: &[Vec<Job>],
+        first_changed: &[usize],
+        workers: usize,
+    ) {
+        let mut timings = vec![PlanTiming::default(); orders.len()];
+        p.plan_retained_batch(orders, first_changed, &mut timings, workers);
+        let mut fresh = Planner::new();
+        fresh.base.restore_from(&p.base);
+        fresh.prepared_at = p.prepared_at;
+        for (i, order) in orders.iter().enumerate() {
+            assert_eq!(
+                p.retained_schedule(i).entries,
+                fresh.plan_prepared(order).entries,
+                "queue {i} diverged from a fresh plan"
+            );
+        }
+    }
+
+    #[test]
+    fn a_submission_re_places_only_the_suffix_behind_it() {
+        // The machine is full until t=100, so every plan lies ahead of
+        // the submission instants below.
+        let running = [RunningJob {
+            job: j(99, 0, 4, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..12)
+            .map(|i| j(i, i as u64, 1 + i % 4, 20 + (i as u64 * 37) % 200))
+            .collect();
+        let mut orders = policy_orders(&jobs);
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
+        assert_eq!(p.retained_counts().suffix_passes, 0, "nothing to keep yet");
+
+        // A later submission on the same base: FCFS keeps all 12, and
+        // SJF and LJF between them keep 12 more (the new job splits the
+        // duration order; estimates are distinct).
+        let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+        submit(&mut orders, &mut first, j(12, 13, 2, 90));
+        p.prepare(4, t(13), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &first, 1);
+        let counts = p.retained_counts();
+        assert_eq!(counts.suffix_passes, 3);
+        assert_eq!(counts.kept, 24);
+
+        // Nothing changed at all: everything is kept, nothing is placed.
+        let first: Vec<usize> = orders.iter().map(Vec::len).collect();
+        p.prepare(4, t(13), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &first, 1);
+        assert_eq!(p.retained_counts().kept, 24 + 39);
+    }
+
+    #[test]
+    fn a_changed_base_takes_the_full_pass_whatever_the_caller_claims() {
+        let mut running = vec![RunningJob {
+            job: j(99, 0, 3, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..8).map(|i| j(i, 0, 2, 50 + i as u64)).collect();
+        let orders = policy_orders(&jobs);
+        let all: Vec<usize> = orders.iter().map(Vec::len).collect();
+        let mut p = Planner::new();
+        p.prepare(4, t(10), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        // The running job ends early: same queue, different base.
+        running.clear();
+        p.prepare(4, t(20), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        // Degraded capacity alone is a different base too.
+        p.prepare(3, t(20), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        // An overdue running job's pad moves with `now`.
+        running.push(RunningJob {
+            job: j(98, 0, 1, 5),
+            start: t(0),
+        });
+        p.prepare(4, t(30), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        p.prepare(4, t(31), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        assert_eq!(p.retained_counts().suffix_passes, 0);
+        // Same instant, same base: now the claim is taken up.
+        p.prepare(4, t(31), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        assert_eq!(p.retained_counts().suffix_passes, 3);
+    }
+
+    #[test]
+    fn kept_entries_must_match_the_queue_and_lie_ahead() {
+        // Width-4 job 0 is over-wide on a machine degraded to 3 and is
+        // skipped, so the entries run one ahead of the FCFS order: the
+        // id comparison refuses the prefix.
+        let jobs = [j(0, 0, 4, 100), j(1, 1, 2, 50), j(2, 2, 1, 70)];
+        let mut orders = policy_orders(&jobs);
+        let mut p = Planner::new();
+        p.prepare(3, t(5), &[], &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
+        let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+        submit(&mut orders, &mut first, j(3, 6, 1, 60));
+        p.prepare(3, t(5), &[], &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &first, 1);
+        // SJF keeps [1] and LJF keeps nothing ahead of the over-wide
+        // job; FCFS (over-wide job first) falls back.
+        assert_eq!(p.retained_counts().suffix_passes, 1);
+
+        // Entries planned before `now` (the caller never started them)
+        // are not kept either: the idle machine's base is the same
+        // function at every instant, the plans are not.
+        let orders = policy_orders(&jobs[1..]);
+        let all: Vec<usize> = orders.iter().map(Vec::len).collect();
+        let mut p = Planner::new();
+        p.prepare(4, t(5), &[], &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        p.prepare(4, t(6), &[], &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        assert_eq!(p.retained_counts().suffix_passes, 0);
+    }
+
+    #[test]
+    fn other_planning_passes_drop_the_retained_plans() {
+        let jobs: Vec<Job> = (0..6).map(|i| j(i, 0, 2, 50 + i as u64)).collect();
+        let orders = policy_orders(&jobs);
+        let all: Vec<usize> = orders.iter().map(Vec::len).collect();
+        let mut p = Planner::new();
+        p.prepare(4, t(0), &[], &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        // Slot 0's profile is this pass's scratch.
+        let _ = p.plan_prepared(&orders[1]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        assert_eq!(p.retained_counts().suffix_passes, 0);
+        p.drop_retained();
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        assert_eq!(p.retained_counts().suffix_passes, 0);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        assert_eq!(p.retained_counts().suffix_passes, 3);
+    }
+
     mod reservations {
         use super::*;
         use crate::reservation::ReservationBook;
@@ -862,6 +1265,64 @@ mod tests {
                 // The one-shot wrapper takes the same incremental path.
                 let wrapped = Planner::new().plan(machine, now, &running, &queue);
                 prop_assert_eq!(&wrapped.entries, &slow.entries);
+            }
+        }
+
+        /// The retained entry against from-scratch plans over a random
+        /// event stream: submissions (the suffix path), departures, time
+        /// passing, running jobs starting and ending, and capacity
+        /// dropping below some queue widths — with the caller's
+        /// `first_changed` kept the way the self-tuning scheduler keeps
+        /// it. Whatever the stream, every schedule equals a fresh plan.
+        #[test]
+        fn retained_plans_match_fresh_plans_over_any_event_stream(
+            events in proptest::collection::vec(
+                (0u8..10, 1u32..8, 1u64..400, 0u64..30),
+                1..60,
+            ),
+            workers in 1usize..4,
+        ) {
+            let mut now = 100u64;
+            let mut capacity = 8u32;
+            let mut running: Vec<RunningJob> = Vec::new();
+            let mut orders = policy_orders(&[]);
+            let mut next_id = 0u32;
+            let mut p = Planner::new();
+            for (kind, width, est, dt) in events {
+                let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+                match kind {
+                    // Submissions dominate, as in a burst.
+                    0..=4 => {
+                        submit(&mut orders, &mut first, j(next_id, now - dt.min(now), width, est));
+                        next_id += 1;
+                    }
+                    5 => now += dt,
+                    6 if !orders[0].is_empty() => {
+                        // A job leaves the queue (cancelled or started).
+                        let gone = orders[0][dt as usize % orders[0].len()];
+                        for order in &mut orders {
+                            order.retain(|q| q.id != gone.id);
+                        }
+                        first.fill(0);
+                        let used: u32 = running.iter().map(|r| r.job.width).sum();
+                        if kind == 6 && dt % 2 == 0 && used + gone.width <= 6 {
+                            running.push(RunningJob { job: gone, start: t(now) });
+                        }
+                    }
+                    7 if !running.is_empty() => {
+                        running.remove(dt as usize % running.len());
+                    }
+                    8 => capacity = if capacity == 8 { 6 } else { 8 },
+                    _ => {}
+                }
+                p.prepare(capacity, t(now), &running, &[]);
+                let mut timings = vec![PlanTiming::default(); orders.len()];
+                p.plan_retained_batch(&orders, &first, &mut timings, workers);
+                let mut reference = ReferencePlanner::new();
+                for (i, order) in orders.iter().enumerate() {
+                    let fresh = reference.plan(capacity, t(now), &running, order);
+                    prop_assert_eq!(&p.retained_schedule(i).entries, &fresh.entries);
+                }
             }
         }
     }

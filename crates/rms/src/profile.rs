@@ -53,6 +53,13 @@
 //! fits one chunk degenerates to the plain linear scan, so small
 //! profiles pay (almost) nothing for the index.
 //!
+//! [`Profile::release`] undoes an allocation: the same walk with the
+//! sign flipped, then the rectangle's two boundary points are coalesced
+//! away when they no longer change the function, and a chunk emptied
+//! that way hands its arena slot to a free list the next split draws
+//! from. The planner uses it to take back the tail of a retained plan
+//! and re-place only that (see `Planner::plan_retained_batch`).
+//!
 //! The linear-scan implementation this replaced is retained verbatim as
 //! [`NaiveProfile`](crate::naive::NaiveProfile) — the property-test
 //! oracle and the `ReferencePlanner`'s profile, so measured speedups
@@ -177,8 +184,15 @@ pub struct Profile {
     /// [`Profile::allocate_earliest`] query and its answer. Valid as a
     /// scan lower bound for any later query that dominates it, because
     /// allocation only narrows the profile (see `allocate_earliest`).
-    /// Cleared whenever the profile is rebuilt or restored.
+    /// Cleared whenever the profile is rebuilt, restored or widened by
+    /// [`Profile::release`].
     memo: [MemoSlot; 32],
+    /// False while every memo slot is empty, so back-to-back releases
+    /// clear the memo once, not once per rectangle.
+    memo_live: bool,
+    /// Arena slots of chunks a release emptied, handed out again before
+    /// the arena grows.
+    free_chunks: Vec<u32>,
 }
 
 impl Profile {
@@ -195,6 +209,8 @@ impl Profile {
             min_free: Vec::new(),
             max_free: Vec::new(),
             memo: [MEMO_EMPTY; 32],
+            memo_live: false,
+            free_chunks: Vec::new(),
         };
         p.init_single(capacity, origin);
         p
@@ -210,8 +226,9 @@ impl Profile {
     fn init_single(&mut self, capacity: u32, origin: SimTime) {
         self.capacity = capacity;
         self.n_points = 1;
-        self.memo = [MEMO_EMPTY; 32];
+        self.clear_memo();
         self.arena.clear();
+        self.free_chunks.clear();
         self.arena.push(Chunk::of(ProfilePoint {
             time: origin,
             free: capacity,
@@ -294,8 +311,7 @@ impl Profile {
                 ch.len += 1;
                 self.n_points += 1;
             } else {
-                let id = self.arena.len() as u32;
-                self.arena.push(Chunk::of(ProfilePoint { time, free }));
+                let id = self.store_chunk(Chunk::of(ProfilePoint { time, free }));
                 self.order.push(id);
                 self.first_time.push(time);
                 self.min_free.push(0);
@@ -327,9 +343,11 @@ impl Profile {
         self.min_free.extend_from_slice(&base.min_free);
         self.max_free.clear();
         self.max_free.extend_from_slice(&base.max_free);
+        self.free_chunks.clear();
+        self.free_chunks.extend_from_slice(&base.free_chunks);
         // The restored state has more capacity than this profile had
         // after its last pass, so memoised bounds no longer hold.
-        self.memo = [MEMO_EMPTY; 32];
+        self.clear_memo();
     }
 
     /// Total processors of the machine.
@@ -416,6 +434,28 @@ impl Profile {
         }
         self.min_free[c] = lo;
         self.max_free[c] = hi;
+    }
+
+    /// Stores `chunk` in the arena — in a slot a release emptied, if
+    /// there is one — and returns its arena index.
+    fn store_chunk(&mut self, chunk: Chunk) -> u32 {
+        match self.free_chunks.pop() {
+            Some(id) => {
+                self.arena[id as usize] = chunk;
+                id
+            }
+            None => {
+                self.arena.push(chunk);
+                self.arena.len() as u32 - 1
+            }
+        }
+    }
+
+    fn clear_memo(&mut self) {
+        if self.memo_live {
+            self.memo = [MEMO_EMPTY; 32];
+            self.memo_live = false;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -537,6 +577,28 @@ impl Profile {
         self.fit_pos(after, duration, width).2
     }
 
+    /// The profile as a step function on `[t, ∞)`: its value at `t`, then
+    /// every later instant the value changes at. Redundant break points
+    /// (allocation never coalesces) are dropped, so two profiles holding
+    /// the same function yield the same steps.
+    fn steps_from(&self, t: SimTime) -> impl Iterator<Item = ProfilePoint> + '_ {
+        let first = ProfilePoint {
+            time: t,
+            free: self.free_at(t),
+        };
+        let mut prev = None;
+        std::iter::once(first)
+            .chain(self.iter_points().filter(move |p| p.time > t))
+            .filter(move |p| prev.replace(p.free) != Some(p.free))
+    }
+
+    /// True when `self` and `other` have the same capacity and are the
+    /// same function of time on `[t, ∞)`, whatever their break-point
+    /// representations and whatever they hold before `t`.
+    pub(crate) fn same_from(&self, other: &Profile, t: SimTime) -> bool {
+        self.capacity == other.capacity && self.steps_from(t).eq(other.steps_from(t))
+    }
+
     // ------------------------------------------------------------------
     // Updates.
 
@@ -585,8 +647,7 @@ impl Profile {
         hi.frees[..CHUNK_CAP - HALF].copy_from_slice(&self.arena[id].frees[HALF..]);
         let hi_first = hi.times[0];
         self.arena[id].len = HALF as u32;
-        let new_id = self.arena.len() as u32;
-        self.arena.push(hi);
+        let new_id = self.store_chunk(hi);
         self.order.insert(c + 1, new_id);
         self.first_time.insert(c + 1, hi_first);
         self.min_free.insert(c + 1, 0);
@@ -595,24 +656,34 @@ impl Profile {
         self.refresh_summary(c + 1);
     }
 
-    /// Carves `width` processors out of `[start, end)`, given the
-    /// position `(c, i)` of the segment containing `start` (from
-    /// `fit_pos` or `seg_pos`). One forward walk: the bounding break
-    /// points are inserted as encountered, covered segments are
-    /// decremented, and chunk summaries refresh in place — a fully
-    /// covered chunk shifts its summary by `width` without rescanning
-    /// its points.
+    /// Carves `width` processors out of `[start, end)` — or, with
+    /// `RELEASE`, adds them back — given the position `(c, i)` of the
+    /// segment containing `start` (from `fit_pos` or `seg_pos`). One
+    /// forward walk: the bounding break points are inserted as
+    /// encountered, covered segments are shifted, and chunk summaries
+    /// refresh in place — a fully covered chunk shifts its summary by
+    /// `width` without rescanning its points. Returns the position of
+    /// the break point at `end`.
     ///
     /// # Panics
-    /// Panics if any covered segment has fewer than `width` free.
-    fn allocate_span(&mut self, c: usize, i: usize, start: SimTime, end: SimTime, width: u32) {
+    /// Panics if any covered segment has fewer than `width` free (or,
+    /// releasing, fewer than `width` reserved).
+    fn shift_span<const RELEASE: bool>(
+        &mut self,
+        c: usize,
+        i: usize,
+        start: SimTime,
+        end: SimTime,
+        width: u32,
+    ) -> (usize, usize) {
+        let capacity = self.capacity;
         let seg = self.chunk(c).point(i);
         debug_assert!(seg.time <= start, "position does not contain start");
         let (mut c, mut i) = if seg.time == start {
             (c, i)
         } else {
             // Split the segment: the new point keeps the segment's free
-            // value until the decrement loop below reaches it.
+            // value until the shift loop below reaches it.
             self.insert_point(
                 c,
                 i + 1,
@@ -626,8 +697,8 @@ impl Profile {
         // above may have left its summary stale, and the walk may cover
         // it only partially.
         let start_chunk = c;
-        // Pre-decrement free value of the last covered segment — the
-        // value the profile returns to when the reservation ends.
+        // Pre-shift free value of the last covered segment — the value
+        // the profile returns to where the rectangle ends.
         let mut prev_free = 0;
         loop {
             let ch = self.chunk_mut(c);
@@ -635,52 +706,66 @@ impl Profile {
             let entered_at = i;
             while i < len && ch.times[i] < end {
                 let f = ch.frees[i];
-                assert!(
-                    f >= width,
-                    "overcommit: segment at {:?} has {f} free, needs {width}",
-                    ch.times[i]
-                );
                 prev_free = f;
-                ch.frees[i] = f - width;
+                ch.frees[i] = if RELEASE {
+                    assert!(
+                        capacity - f >= width,
+                        "over-release: segment at {:?} has {f} of {capacity} free, returning {width}",
+                        ch.times[i]
+                    );
+                    f + width
+                } else {
+                    assert!(
+                        f >= width,
+                        "overcommit: segment at {:?} has {f} free, needs {width}",
+                        ch.times[i]
+                    );
+                    f - width
+                };
                 i += 1;
             }
             if i < len {
                 // A point at or past `end` stops the walk in this chunk.
-                if self.chunk(c).times[i] > end {
-                    let (c2, _) = self.insert_point(
-                        c,
-                        i,
-                        ProfilePoint {
-                            time: end,
-                            free: prev_free,
-                        },
-                    );
-                    self.refresh_summary(c2);
-                    if c2 != c {
-                        self.refresh_summary(c);
-                    }
-                } else {
+                if self.chunk(c).times[i] == end {
+                    self.refresh_summary(c);
+                    return (c, i);
+                }
+                let at = self.insert_point(
+                    c,
+                    i,
+                    ProfilePoint {
+                        time: end,
+                        free: prev_free,
+                    },
+                );
+                self.refresh_summary(at.0);
+                if at.0 != c {
                     self.refresh_summary(c);
                 }
-                return;
+                return at;
             }
             // Chunk consumed to its end.
             if entered_at == 0 && c != start_chunk {
                 // Fully covered and untouched by inserts: both summary
-                // extremes drop by exactly `width`.
-                self.min_free[c] -= width;
-                self.max_free[c] -= width;
+                // extremes move by exactly `width`.
+                if RELEASE {
+                    self.min_free[c] += width;
+                    self.max_free[c] += width;
+                } else {
+                    self.min_free[c] -= width;
+                    self.max_free[c] -= width;
+                }
             } else {
                 self.refresh_summary(c);
             }
             c += 1;
             if c == self.n_chunks() {
-                // Ran past the horizon: close the reservation with a new
-                // final point restoring the pre-decrement free value (the
+                // Ran past the horizon: close the rectangle with a new
+                // final point restoring the pre-shift free value (the
                 // full capacity, by the horizon invariant).
                 let lc = c - 1;
                 let li = self.chunk(lc).len as usize;
-                let (c2, _) = self.insert_point(
+                let at = self.insert_point(
                     lc,
                     li,
                     ProfilePoint {
@@ -688,17 +773,17 @@ impl Profile {
                         free: prev_free,
                     },
                 );
-                self.refresh_summary(c2);
-                if c2 != lc {
+                self.refresh_summary(at.0);
+                if at.0 != lc {
                     self.refresh_summary(lc);
                 }
-                return;
+                return at;
             }
             if self.first_time[c] >= end {
                 if self.first_time[c] > end {
                     // `end` falls in the gap before this chunk: the
                     // closing point becomes its new first point.
-                    let (c2, _) = self.insert_point(
+                    let at = self.insert_point(
                         c,
                         0,
                         ProfilePoint {
@@ -706,11 +791,52 @@ impl Profile {
                             free: prev_free,
                         },
                     );
-                    self.refresh_summary(c2);
+                    self.refresh_summary(at.0);
+                    return at;
                 }
-                return;
+                return (c, 0);
             }
             i = 0;
+        }
+    }
+
+    /// Removes the break point at `(c, i)` when it no longer changes the
+    /// function (same free value as its predecessor). A chunk emptied
+    /// this way leaves the order and its arena slot goes on the free
+    /// list.
+    fn coalesce(&mut self, c: usize, i: usize) {
+        let pred = if i > 0 {
+            self.chunk(c).frees[i - 1]
+        } else if c > 0 {
+            *self
+                .chunk(c - 1)
+                .frees()
+                .last()
+                .expect("chunks are never empty")
+        } else {
+            return; // the origin point has no predecessor
+        };
+        if pred != self.chunk(c).frees[i] {
+            return;
+        }
+        self.n_points -= 1;
+        let ch = self.chunk_mut(c);
+        let len = ch.len as usize;
+        if len == 1 {
+            self.free_chunks.push(self.order.remove(c));
+            self.first_time.remove(c);
+            self.min_free.remove(c);
+            self.max_free.remove(c);
+            return;
+        }
+        ch.times.copy_within(i + 1..len, i);
+        ch.frees.copy_within(i + 1..len, i);
+        ch.len -= 1;
+        if i == 0 {
+            // The removed value may have been the chunk's only copy: its
+            // twin sits in the previous chunk.
+            self.first_time[c] = ch.times[0];
+            self.refresh_summary(c);
         }
     }
 
@@ -728,7 +854,40 @@ impl Profile {
         assert!(start >= self.origin(), "allocation before profile origin");
         let end = start.saturating_add(duration);
         let (c, i) = self.seg_pos(start);
-        self.allocate_span(c, i, start, end, width);
+        self.shift_span::<false>(c, i, start, end, width);
+        self.assert_invariants();
+    }
+
+    /// Gives back a rectangle reserved by [`Profile::allocate`] or
+    /// [`Profile::allocate_earliest`] with the same arguments: the exact
+    /// inverse as a function of time. Break points the rectangle no
+    /// longer needs are coalesced away, so releasing in any order leaves
+    /// no trace of it. Widening invalidates the dominance memo, which is
+    /// cleared; `remember_fit` re-seeds it.
+    ///
+    /// # Panics
+    /// Panics if `width` processors are not reserved throughout the
+    /// rectangle or if `start` precedes the profile origin.
+    pub fn release(&mut self, start: SimTime, duration: SimDuration, width: u32) {
+        if duration.is_zero() || width == 0 {
+            return;
+        }
+        assert!(start >= self.origin(), "release before profile origin");
+        assert!(width <= self.capacity, "release wider than the machine");
+        self.clear_memo();
+        let end = start.saturating_add(duration);
+        let (mut c, mut i) = self.seg_pos(start);
+        let points = self.n_points;
+        let (ec, ei) = self.shift_span::<true>(c, i, start, end, width);
+        let inserted = self.n_points != points;
+        // `end` first: removing it leaves the earlier point in place.
+        self.coalesce(ec, ei);
+        if inserted {
+            // The walk had to add a boundary an earlier release took
+            // away, which may have moved the point at `start`.
+            (c, i) = self.seg_pos(start);
+        }
+        self.coalesce(c, i);
         self.assert_invariants();
     }
 
@@ -783,16 +942,38 @@ impl Profile {
         // already proved `[after, from)` fit-free for this (dominating)
         // query, and the scan just proved `[from, start)`, so the union
         // `[after, start)` is established.
-        self.memo[class] = MemoSlot {
+        self.remember_fit(after, duration, width, start);
+        let end = start.saturating_add(duration);
+        self.shift_span::<false>(c, i, start, end, width);
+        self.assert_invariants();
+        start
+    }
+
+    /// Records in the dominance memo that `allocate_earliest(after,
+    /// duration, width)` answered `answer` — what that call itself
+    /// records. After [`Profile::release`] cleared the memo, replaying
+    /// the placements still held, in their original order, leaves the
+    /// memo exactly as a fresh pass over them would have.
+    ///
+    /// The caller vouches that no `width × duration` fit starts in
+    /// `[after, answer)` on the profile as it is now.
+    pub(crate) fn remember_fit(
+        &mut self,
+        after: SimTime,
+        duration: SimDuration,
+        width: u32,
+        answer: SimTime,
+    ) {
+        if duration.is_zero() || width == 0 {
+            return;
+        }
+        self.memo[(31 - width.leading_zeros()) as usize] = MemoSlot {
             width,
             duration,
             after,
-            answer: start,
+            answer,
         };
-        let end = start.saturating_add(duration);
-        self.allocate_span(c, i, start, end, width);
-        self.assert_invariants();
-        start
+        self.memo_live = true;
     }
 
     /// Debug-build invariant check: strictly increasing times, free in
@@ -814,6 +995,11 @@ impl Profile {
                 pts.last().unwrap().free,
                 self.capacity,
                 "profile must end at full capacity"
+            );
+            assert_eq!(
+                self.arena.len(),
+                self.n_chunks() + self.free_chunks.len(),
+                "arena slot neither live nor free"
             );
             assert_eq!(self.first_time.len(), self.n_chunks());
             assert_eq!(self.min_free.len(), self.n_chunks());
@@ -1068,6 +1254,101 @@ mod tests {
         }
     }
 
+    /// The break points that change the function: what two
+    /// representations of one profile must agree on.
+    fn steps(points: &[ProfilePoint]) -> Vec<ProfilePoint> {
+        let mut out: Vec<ProfilePoint> = Vec::new();
+        for &p in points {
+            if out.last().map(|q| q.free) != Some(p.free) {
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn release_undoes_a_lone_rectangle() {
+        let mut p = Profile::new(10, t(0));
+        p.allocate(t(10), d(20), 4);
+        p.release(t(10), d(20), 4);
+        assert_eq!(p.to_points(), Profile::new(10, t(0)).to_points());
+        // Degenerate rectangles are no-ops, as in `allocate`.
+        p.release(t(10), SimDuration::ZERO, 4);
+        p.release(t(10), d(20), 0);
+        assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "over-release")]
+    fn release_panics_on_a_rectangle_that_was_never_reserved() {
+        let mut p = Profile::new(4, t(0));
+        p.allocate(t(0), d(10), 1);
+        p.release(t(0), d(10), 2);
+    }
+
+    #[test]
+    fn release_keeps_a_boundary_shared_with_another_rectangle() {
+        let mut p = Profile::new(10, t(0));
+        p.allocate(t(10), d(10), 3); // [10, 20)
+        p.allocate(t(20), d(10), 5); // [20, 30): shares the point at 20
+        p.release(t(20), d(10), 5);
+        assert_eq!(p.free_at(t(19)), 7);
+        assert_eq!(p.free_at(t(20)), 10, "the first rectangle still ends at 20");
+        assert_eq!(p.len(), 3);
+        p.release(t(10), d(10), 3);
+        assert_eq!(p.len(), 1);
+    }
+
+    #[test]
+    fn release_reinserts_a_boundary_an_earlier_release_coalesced_away() {
+        let mut p = Profile::new(10, t(0));
+        p.allocate(t(10), d(10), 3); // X = [10, 20)
+        p.allocate(t(20), d(10), 3); // Y = [20, 30): 20 stops changing the function
+        p.allocate(t(20), d(5), 2); //  Z = [20, 25): ... and changes it again
+        p.release(t(20), d(5), 2);
+        // Releasing Z took the point at 20 with it: X and Y now read as
+        // one rectangle [10, 30).
+        assert_eq!(
+            p.to_points().iter().map(|q| q.time).collect::<Vec<_>>(),
+            [t(0), t(10), t(30)]
+        );
+        // Y's start has no break point any more; the release splits there.
+        p.release(t(20), d(10), 3);
+        assert_eq!(p.free_at(t(19)), 7);
+        assert_eq!(p.free_at(t(20)), 10);
+        p.release(t(10), d(10), 3);
+        assert_eq!(p.len(), 1);
+    }
+
+    /// Releases that empty whole chunks hand their arena slots back, so
+    /// a profile cycled between deep and shallow never grows: the suffix
+    /// replanner does exactly this at every submission.
+    #[test]
+    fn emptied_chunks_are_reused_across_release_allocate_cycles() {
+        let capacity = 8;
+        let teeth = 80u64; // 160 points at the deepest: several chunks
+        let mut p = Profile::new(capacity, t(0));
+        for cycle in 0..10_000u64 {
+            // Vary how deep the comb is cut so emptied chunks differ.
+            let n = 1 + (cycle * 37) % teeth;
+            for k in 0..n {
+                p.allocate(t(20 * k), d(10), 7);
+            }
+            assert!(n < teeth || p.n_chunks() > 2, "deepest comb fits one chunk");
+            for k in (0..n).rev() {
+                p.release(t(20 * k), d(10), 7);
+            }
+            assert_eq!(p.len(), 1, "cycle {cycle} left points behind");
+            assert_eq!(p.n_chunks(), 1);
+        }
+        // The deepest cycle needs ~2 * teeth / (CHUNK_CAP / 2) chunks.
+        assert!(
+            p.arena.len() <= 2 * (2 * teeth as usize).div_ceil(CHUNK_CAP / 2),
+            "arena grew to {} slots",
+            p.arena.len()
+        );
+    }
+
     proptest! {
         /// Random allocate_earliest sequences never violate profile
         /// invariants and always place each reservation at a feasible,
@@ -1296,6 +1577,79 @@ mod tests {
             let mut oracle = NaiveProfile::new(1, t(3));
             oracle.rebuild_from_spans(capacity, t(origin), &spans, &mut scratch);
             prop_assert_eq!(p.to_points(), oracle.points().to_vec());
+        }
+
+        /// The undo primitive against the linear-scan oracle: place N
+        /// jobs, release the last M in reverse, and the profile must be
+        /// the function a fresh profile holding the first N - M is, give
+        /// the same `earliest_fit` answers, and — with the memo re-seeded
+        /// from the kept placements, as the suffix replanner does — place
+        /// further jobs exactly where the oracle does. The tight horizon
+        /// makes rectangles share boundaries; long sequences split chunks
+        /// and the release empties them again.
+        #[test]
+        fn release_restores_the_profile_of_the_kept_prefix(
+            jobs in proptest::collection::vec((1u32..17, 0u64..600, 1u64..400), 1..250),
+            keep_permille in 0usize..1001,
+            more in proptest::collection::vec((1u32..17, 0u64..600, 1u64..400), 0..40),
+            queries in proptest::collection::vec((1u32..17, 0u64..3_000, 1u64..400), 1..12),
+        ) {
+            let capacity = 16u32;
+            let mut p = Profile::new(capacity, t(0));
+            let starts: Vec<SimTime> = jobs
+                .iter()
+                .map(|&(w, after, dur)| p.allocate_earliest(t(after), d(dur), w))
+                .collect();
+            let keep = jobs.len() * keep_permille / 1000;
+            for (&(w, _, dur), &start) in jobs[keep..].iter().zip(&starts[keep..]).rev() {
+                p.release(start, d(dur), w);
+            }
+            let mut oracle = NaiveProfile::new(capacity, t(0));
+            for (&(w, after, dur), &start) in jobs[..keep].iter().zip(&starts) {
+                prop_assert_eq!(oracle.allocate_earliest(t(after), d(dur), w), start);
+                p.remember_fit(t(after), d(dur), w, start);
+            }
+            prop_assert_eq!(steps(&p.to_points()), steps(oracle.points()));
+            for &(w, after, dur) in &queries {
+                prop_assert_eq!(
+                    p.earliest_fit(t(after), d(dur), w),
+                    oracle.earliest_fit(t(after), d(dur), w)
+                );
+            }
+            for &(w, after, dur) in &more {
+                prop_assert_eq!(
+                    p.allocate_earliest(t(after), d(dur), w),
+                    oracle.allocate_earliest(t(after), d(dur), w)
+                );
+            }
+            prop_assert_eq!(steps(&p.to_points()), steps(oracle.points()));
+        }
+
+        /// `same_from` compares functions, not representations, and only
+        /// from the given instant on.
+        #[test]
+        fn same_from_ignores_history_and_redundant_points(
+            spans in proptest::collection::vec((1u32..5, 0u64..300, 1u64..200), 0..25),
+            cut in 0u64..400,
+        ) {
+            let capacity = 128u32; // room for every span at once
+            let mut whole = Profile::new(capacity, t(0));
+            let mut clipped = Profile::new(capacity, t(cut));
+            for &(w, start, dur) in &spans {
+                whole.allocate(t(start), d(dur), w);
+                // The same rectangle as seen from `cut`.
+                if start + dur > cut {
+                    let s = start.max(cut);
+                    clipped.allocate(t(s), d(start + dur - s), w);
+                }
+            }
+            prop_assert!(whole.same_from(&clipped, t(cut)));
+            prop_assert!(clipped.same_from(&whole, t(cut)));
+            // One more processor taken anywhere at or after `cut` shows.
+            let at = cut + 500;
+            clipped.allocate(t(at), d(1), 1);
+            prop_assert!(!whole.same_from(&clipped, t(cut)));
+            prop_assert!(whole.same_from(&clipped, t(at + 1)));
         }
     }
 }

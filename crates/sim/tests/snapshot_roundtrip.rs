@@ -8,12 +8,16 @@
 //! * **fingerprint stability** — the 128-bit state fingerprint is
 //!   identical before snapshot and after restore, and a re-snapshot
 //!   equals the original snapshot value (satellite of the Hash-clean
-//!   state refactor: no f64 sneaks onto the snapshot path).
+//!   state refactor: no f64 sneaks onto the snapshot path);
+//! * **retained plans are not state** — a restore taken while the dynP
+//!   planner holds plans retained from the previous event (a run of
+//!   submissions at a deep queue) resumes bit-identically although the
+//!   snapshot does not carry them.
 
-use dynp_core::DeciderKind;
+use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
 use dynp_obs::Tracer;
-use dynp_rms::{AdmissionConfig, Policy};
-use dynp_sim::{simulate_chaos, ChaosDriver, DetailedRun, SchedulerSpec};
+use dynp_rms::{AdmissionConfig, Policy, RETAIN_MIN_DEPTH};
+use dynp_sim::{simulate_chaos, ChaosDriver, DetailedRun, Event, SchedulerSpec};
 use dynp_workload::{
     kth, transform, FaultModel, FaultPlan, JobSet, ReservationModel, ReservationRequest,
 };
@@ -174,4 +178,67 @@ fn fingerprints_are_stable_across_snapshot_restore() {
         assert_eq!(driver.fingerprint(), before, "{}", spec.name());
         assert_eq!(driver.snapshot(), snap, "{}", spec.name());
     }
+}
+
+// The dynP planner keeps each policy's plan from one event to the next
+// and, on a submission that leaves the base profile as it was, re-places
+// only the queue suffix behind the new job. A snapshot does not capture
+// those plans: `restore` drops them and the next replan is a full pass.
+// Cut a burst (300 jobs arriving 200x faster than the trace) in the
+// middle of such a run of submissions, far above the retention cutoff,
+// where the uninterrupted scheduler goes on re-placing suffixes.
+#[test]
+fn restore_inside_a_retained_stretch_resumes_bit_identically() {
+    let set = transform::shrink(&kth().generate(300, 11), 0.005);
+    let plan = FaultPlan::none();
+    let dynp = || SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
+
+    let mut uninterrupted = dynp();
+    let baseline = simulate_chaos(
+        &set,
+        &mut uninterrupted,
+        &[],
+        AdmissionConfig::default(),
+        &plan,
+        Tracer::disabled(),
+    );
+    let suffix_passes = uninterrupted.retained_counts().suffix_passes;
+    assert!(suffix_passes > 100, "burst too shallow: {suffix_passes}");
+
+    let mut scheduler = dynp();
+    let mut driver = ChaosDriver::new(
+        &set,
+        &mut scheduler,
+        &[],
+        AdmissionConfig::default(),
+        &plan,
+        Tracer::disabled(),
+    );
+    // Stop between two arrivals, three arrivals into a run of them.
+    let mut arrivals_in_a_row = 0;
+    loop {
+        let (_, event) = driver.step().expect("the burst never got deep");
+        arrivals_in_a_row = match event {
+            Event::Arrive(_) => arrivals_in_a_row + 1,
+            _ => 0,
+        };
+        if arrivals_in_a_row >= 3
+            && driver.core().state().waiting().len() >= 2 * RETAIN_MIN_DEPTH
+            && matches!(driver.tied_events().first(), Some(Event::Arrive(_)))
+        {
+            break;
+        }
+    }
+    let snap = driver.snapshot();
+    let before = driver.fingerprint();
+    for _ in 0..25 {
+        driver.step();
+    }
+    driver.restore(&snap);
+    assert_eq!(driver.fingerprint(), before, "fingerprint must round-trip");
+    let resumed = driver.run_to_end();
+    assert_eq!(fp(&baseline), fp(&resumed));
+    assert_eq!(scheduler.stats, uninterrupted.stats);
+    // The resumed scheduler went back to re-placing suffixes.
+    assert!(scheduler.retained_counts().suffix_passes > 100);
 }

@@ -2,11 +2,14 @@
 //! the simulation. A trace-enabled run is bit-identical to a
 //! trace-disabled run on the same seed — same SLDwA, utilization, event
 //! count, decision/switch counters and reservation outcome — at every
-//! trace level, with and without a reservation stream.
+//! trace level, with and without a reservation stream — and it plans the
+//! same way: the planner's suffix path (retained per-policy plans at a
+//! deep queue) is taken exactly as often, and times one `PlanBuilt` per
+//! policy like the full pass does.
 
 use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
-use dynp_obs::{TraceLevel, Tracer};
-use dynp_rms::{AdmissionConfig, Policy};
+use dynp_obs::{TraceEvent, TraceLevel, Tracer};
+use dynp_rms::{AdmissionConfig, Policy, RetainedCounts, RETAIN_MIN_DEPTH};
 use dynp_sim::simulate_traced;
 use dynp_workload::{kth, transform, ReservationModel};
 use proptest::prelude::*;
@@ -23,6 +26,8 @@ struct Fingerprint {
     switches: u64,
     switched_to: [u64; Policy::COUNT],
     reservations: String,
+    /// Which planning path every per-policy pass took.
+    planner: RetainedCounts,
 }
 
 fn run(
@@ -32,7 +37,20 @@ fn run(
     with_res: bool,
     tracer: Tracer,
 ) -> Fingerprint {
-    let set = transform::shrink(&kth().generate(jobs, seed), 0.8);
+    run_at(seed, jobs, 0.8, decider, with_res, tracer)
+}
+
+/// [`run`] with the submission times scaled by `factor`: 0.8 is the
+/// paper's load (queues of tens), 0.005 a burst (queues of hundreds).
+fn run_at(
+    seed: u64,
+    jobs: usize,
+    factor: f64,
+    decider: DeciderKind,
+    with_res: bool,
+    tracer: Tracer,
+) -> Fingerprint {
+    let set = transform::shrink(&kth().generate(jobs, seed), factor);
     let requests = if with_res {
         ReservationModel::typical(0.15).generate(&set, seed ^ 0xA5A5)
     } else {
@@ -55,6 +73,7 @@ fn run(
         switches: scheduler.stats.switches,
         switched_to: scheduler.stats.switched_to,
         reservations: format!("{:?}", detail.reservations),
+        planner: scheduler.retained_counts(),
     }
 }
 
@@ -106,4 +125,35 @@ fn disabled_tracer_stays_empty_while_enabled_records() {
     run(7, 200, DeciderKind::Advanced, false, tracer.clone());
     let snapshot = tracer.snapshot();
     assert!(snapshot.records.len() > 200, "expected a rich trace");
+}
+
+/// A queue deep enough for the planner to retain its per-policy plans:
+/// the traced run takes the suffix path exactly where the untraced one
+/// does, and every retained pass — suffix or full — is timed as one
+/// `PlanBuilt` record, so the per-policy plan spans still sum to the
+/// planning wall time.
+#[test]
+fn traced_burst_takes_the_suffix_path_like_the_untraced_one() {
+    let burst = |tracer: Tracer| run_at(29, 300, 0.005, DeciderKind::Advanced, false, tracer);
+    let untraced = burst(Tracer::disabled());
+    assert!(
+        untraced.planner.suffix_passes > 100,
+        "burst too shallow: {:?}",
+        untraced.planner
+    );
+    for level in [TraceLevel::Spans, TraceLevel::All] {
+        let tracer = Tracer::enabled(level);
+        assert_eq!(burst(tracer.clone()), untraced, "{level:?}");
+        let snapshot = tracer.snapshot();
+        assert_eq!(snapshot.dropped, 0);
+        let deep_plans = snapshot
+            .records
+            .iter()
+            .filter(|r| {
+                matches!(r.event, TraceEvent::PlanBuilt { queue_depth, .. }
+                    if queue_depth as usize >= RETAIN_MIN_DEPTH)
+            })
+            .count();
+        assert_eq!(deep_plans as u64, untraced.planner.passes, "{level:?}");
+    }
 }

@@ -8,6 +8,7 @@
 //! trace models — and demand exact equality.
 
 use dynp_suite::prelude::*;
+use dynp_suite::rms::{Schedule, RETAIN_MIN_DEPTH};
 use dynp_suite::sim::simulate_with_reservations;
 use dynp_suite::workload::{traces, transform, FaultModel, FaultPlan};
 use proptest::prelude::*;
@@ -55,6 +56,7 @@ fn run_with(
     dynp_suite::core::SwitchStats,
     Policy,
     ReservationStats,
+    u64,
 ) {
     let mut s = scheduler_with(config, reference, threads);
     let d = simulate_with_reservations(set, &mut s, reqs, AdmissionConfig::default());
@@ -63,13 +65,20 @@ fn run_with(
         s.stats.clone(),
         s.active_policy(),
         d.reservations.stats,
+        s.retained_counts().suffix_passes,
     )
 }
 
-fn assert_equivalent_with(set: &JobSet, config: &DynPConfig, reqs: &[ReservationRequest]) {
-    let (m_ref, stats_ref, active_ref, res_ref) = run_with(set, config, true, reqs, 1);
+/// Returns the fewest per-policy passes that took the planner's suffix
+/// path in any of the incremental runs (0 on queues that stay under
+/// `RETAIN_MIN_DEPTH`).
+fn assert_equivalent_with(set: &JobSet, config: &DynPConfig, reqs: &[ReservationRequest]) -> u64 {
+    let (m_ref, stats_ref, active_ref, res_ref, _) = run_with(set, config, true, reqs, 1);
+    let mut suffix_passes = u64::MAX;
     for threads in THREAD_COUNTS {
-        let (m_inc, stats_inc, active_inc, res_inc) = run_with(set, config, false, reqs, threads);
+        let (m_inc, stats_inc, active_inc, res_inc, suffix) =
+            run_with(set, config, false, reqs, threads);
+        suffix_passes = suffix_passes.min(suffix);
         let ctx = format!(
             "{} / {:?} / {:?} / {} reservation requests / {threads} planner threads",
             set.name,
@@ -89,10 +98,11 @@ fn assert_equivalent_with(set: &JobSet, config: &DynPConfig, reqs: &[Reservation
         assert_eq!(stats_inc, stats_ref, "{ctx}");
         assert_eq!(active_inc, active_ref, "{ctx}");
     }
+    suffix_passes
 }
 
-fn assert_equivalent(set: &JobSet, config: &DynPConfig) {
-    assert_equivalent_with(set, config, &[]);
+fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> u64 {
+    assert_equivalent_with(set, config, &[])
 }
 
 proptest! {
@@ -279,7 +289,7 @@ fn incremental_run_is_deterministic() {
     let config = DynPConfig::paper(DeciderKind::Advanced);
     let once = |threads: usize| {
         let set = transform::shrink(&model.generate(300, 41), 0.8);
-        let (m, stats, active, _) = run_with(&set, &config, false, &[], threads);
+        let (m, stats, active, ..) = run_with(&set, &config, false, &[], threads);
         (m, stats, active)
     };
     let (m1, stats1, active1) = once(1);
@@ -291,4 +301,233 @@ fn incremental_run_is_deterministic() {
         assert_eq!(active1, active2);
     }
     assert!(stats1.decisions > 0);
+}
+
+/// A burst: KTH jobs arriving 200× faster than the trace, so the queue
+/// climbs through `RETAIN_MIN_DEPTH` into the hundreds and drains back
+/// through it. Most replans on the way up are submissions on an
+/// unchanged base — the planner's suffix path — and every one of them
+/// must leave the run bit-identical to the from-scratch reference.
+///
+/// 1 200 jobs in release builds (the CI equivalence legs). Under debug
+/// assertions every profile update re-checks the whole profile, which
+/// makes a pass cubic in the burst size — minutes at 1 200 — so debug
+/// builds run a 400-job burst, still well across the cutoff.
+#[test]
+fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
+    let (jobs, expect_suffix_passes) = if cfg!(debug_assertions) {
+        (400, 300)
+    } else {
+        (1_200, 1_000)
+    };
+    let set = transform::shrink(&traces::kth().generate(jobs, 53), 0.005);
+    for decider in [
+        DeciderKind::Advanced,
+        DeciderKind::Preferred {
+            policy: Policy::Sjf,
+            threshold: 0.0,
+        },
+    ] {
+        let suffix_passes = assert_equivalent(&set, &DynPConfig::paper(decider));
+        assert!(
+            suffix_passes > expect_suffix_passes,
+            "{decider:?}: the burst took the suffix path {suffix_passes} times"
+        );
+    }
+}
+
+/// One `RmsState` driven by hand, with the from-scratch reference
+/// scheduler and one incremental scheduler per fan-out worker count
+/// replanning side by side: every replan must give the same schedule,
+/// statistics and active policy from all of them. For the cases a
+/// simulation cannot be steered into on purpose.
+struct SideBySide {
+    state: RmsState,
+    reference: SelfTuningScheduler,
+    incremental: Vec<SelfTuningScheduler>,
+    next_id: u32,
+}
+
+/// Machine of the hand-built cases; `BLOCKER` of its processors are
+/// held by one long job, so no queue job wider than the rest can start.
+const MACHINE: u32 = 16;
+const BLOCKER: u32 = 12;
+
+impl SideBySide {
+    /// A machine with a 12-wide job running over `[0, blocker_secs)` and
+    /// `depth` queue jobs too wide to start beside it, submitted one per
+    /// second from t = 1 s: a standing queue above `RETAIN_MIN_DEPTH`
+    /// on a base that does not change.
+    fn with_standing_queue(config: &DynPConfig, blocker_secs: u64, depth: u32) -> Self {
+        let mut s = SideBySide {
+            state: RmsState::new(MACHINE),
+            reference: scheduler_with(config, true, 1),
+            incremental: THREAD_COUNTS
+                .iter()
+                .map(|&threads| scheduler_with(config, false, threads))
+                .collect(),
+            next_id: 0,
+        };
+        s.submit(0, BLOCKER, blocker_secs);
+        s.state.start(JobId(0), SimTime::ZERO);
+        s.replan(0, ReplanReason::Submission);
+        for i in 1..=depth {
+            // Three estimates only: SJF and LJF insert into runs of
+            // equal-estimate jobs, ordered by their (submit, id) tail.
+            s.submit(i as u64, 5 + i % 12, 100 * (1 + i as u64 % 3));
+        }
+        assert!(s.state.waiting().len() >= RETAIN_MIN_DEPTH);
+        s
+    }
+
+    /// Submits a new job at `now_s` and replans.
+    fn submit(&mut self, now_s: u64, width: u32, est_s: u64) -> Schedule {
+        self.state
+            .submit(job(self.next_id, now_s, width, est_s, est_s));
+        self.next_id += 1;
+        self.replan(now_s, ReplanReason::Submission)
+    }
+
+    fn replan(&mut self, now_s: u64, reason: ReplanReason) -> Schedule {
+        let now = SimTime::from_secs(now_s);
+        let want = self.reference.replan(&self.state, now, reason);
+        for (s, threads) in self.incremental.iter_mut().zip(THREAD_COUNTS) {
+            let got = s.replan(&self.state, now, reason);
+            let ctx = format!("t = {now_s} s, {reason:?}, {threads} planner threads");
+            assert_eq!(got.entries, want.entries, "{ctx}");
+            assert_eq!(s.stats, self.reference.stats, "{ctx}");
+            assert_eq!(s.active_policy(), self.reference.active_policy(), "{ctx}");
+        }
+        want
+    }
+
+    /// Per-policy passes that took the suffix path, in the incremental
+    /// scheduler that took the fewest.
+    fn suffix_passes(&self) -> u64 {
+        self.incremental
+            .iter()
+            .map(|s| s.retained_counts().suffix_passes)
+            .min()
+            .expect("one scheduler per thread count")
+    }
+}
+
+fn paper_config() -> DynPConfig {
+    DynPConfig::paper(DeciderKind::Advanced)
+}
+
+#[test]
+fn suffix_path_handles_equal_estimate_ties_at_the_insertion_point() {
+    let mut s = SideBySide::with_standing_queue(&paper_config(), 10_000, 80);
+    let before = s.suffix_passes();
+    // Same estimate as a third of the queue: the job lands at the end
+    // of its run of ties (time only moves on, so its (submit, id) tail
+    // sorts last) — in the middle of the SJF and LJF orders.
+    let plan = s.submit(90, 7, 200);
+    assert_eq!(plan.len(), 81);
+    s.submit(90, 7, 200);
+    s.submit(91, 9, 100);
+    assert_eq!(
+        s.suffix_passes() - before,
+        9,
+        "three policies, three events"
+    );
+}
+
+#[test]
+fn suffix_path_survives_a_cancelled_queue_job() {
+    let mut s = SideBySide::with_standing_queue(&paper_config(), 10_000, 80);
+    // A departure that never started: the base stays what it was, the
+    // plans ahead of the job do not.
+    s.state.withdraw(JobId(40));
+    let before = s.suffix_passes();
+    let plan = s.replan(85, ReplanReason::Submission);
+    assert!(plan.entries.iter().all(|e| e.job.id != JobId(40)));
+    assert_eq!(s.suffix_passes(), before, "a departure takes the full pass");
+    s.submit(86, 6, 300);
+    assert_eq!(s.suffix_passes() - before, 3);
+    // Cancelled and resubmitted between two replans.
+    let back = s.state.withdraw(JobId(41));
+    s.state.resubmit(back);
+    s.submit(87, 8, 100);
+    assert_eq!(s.suffix_passes() - before, 3);
+}
+
+#[test]
+fn suffix_path_skips_over_wide_jobs_under_degraded_capacity() {
+    let mut s = SideBySide::with_standing_queue(&paper_config(), 10_000, 80);
+    // Lose an idle node (the blocker holds nodes 0..12): the width-16
+    // queue jobs (i % 12 == 11) no longer fit the machine at any time.
+    assert_eq!(s.state.node_down(15), None);
+    let plan = s.replan(85, ReplanReason::Fault);
+    let over_wide = (1..=80).filter(|i| 5 + i % 12 == 16).count();
+    assert!(over_wide > 0);
+    assert_eq!(plan.len(), 80 - over_wide);
+    let before = s.suffix_passes();
+    // Schedules no longer run parallel to the orders; a kept prefix
+    // must end before the first skipped job or not be kept.
+    s.submit(86, 6, 300);
+    s.submit(86, 16, 100);
+    s.submit(87, 9, 200);
+    assert!(s.suffix_passes() > before);
+    s.state.node_up(15);
+    assert_eq!(s.replan(88, ReplanReason::Fault).len(), 83);
+}
+
+#[test]
+fn suffix_path_follows_the_clip_of_an_active_reservation() {
+    let mut s = SideBySide::with_standing_queue(&paper_config(), 10_000, 80);
+    // The idle processors, reserved over [100 s, 5 000 s).
+    s.state
+        .admit_reservation(SimTime::from_secs(100), SimDuration::from_secs(4_900), 4);
+    s.replan(85, ReplanReason::Reservation);
+    let before = s.suffix_passes();
+    // Ahead of its start the window is part of an unchanging base.
+    s.submit(90, 7, 100);
+    assert_eq!(s.suffix_passes() - before, 3);
+    // Once it runs, its clip `[now + pad, end)` moves with `now`.
+    s.submit(150, 7, 200);
+    s.submit(151, 7, 300);
+    assert_eq!(s.suffix_passes() - before, 3);
+    // ... except between two replans at one instant.
+    s.submit(151, 8, 100);
+    assert_eq!(s.suffix_passes() - before, 6);
+    assert!(s.state.cancel_reservation(0));
+    s.replan(152, ReplanReason::Reservation);
+    s.submit(153, 8, 200);
+    assert_eq!(s.suffix_passes() - before, 9);
+}
+
+#[test]
+fn suffix_path_follows_the_pad_of_an_overdue_running_job() {
+    // The blocker's estimate runs out at t = 100 s; until its completion
+    // event is handled it holds its processors for one pad past `now`.
+    let mut s = SideBySide::with_standing_queue(&paper_config(), 100, 80);
+    s.submit(99, 6, 100);
+    let before = s.suffix_passes();
+    s.submit(100, 6, 200); // the base now ends in a pad, not at t = 100 s
+    assert_eq!(s.suffix_passes(), before);
+    s.submit(100, 6, 300); // same instant, same pad
+    assert_eq!(s.suffix_passes() - before, 3);
+    s.state.complete(JobId(0), SimTime::from_secs(100));
+    let plan = s.replan(100, ReplanReason::Completion);
+    assert!(plan.due(SimTime::from_secs(100)).count() > 0);
+    assert_eq!(s.suffix_passes() - before, 3);
+}
+
+#[test]
+fn suffix_path_under_submissions_only_decisions() {
+    let mut config = paper_config();
+    config.decide_on = DecideOn::SubmissionsOnly;
+    let mut s = SideBySide::with_standing_queue(&config, 10_000, 80);
+    let before = s.suffix_passes();
+    s.submit(90, 7, 200);
+    assert_eq!(s.suffix_passes() - before, 3);
+    // Anything but a submission plans the active policy alone, on the
+    // planner's scratch profile: the retained plans are gone.
+    s.replan(91, ReplanReason::Completion);
+    s.submit(92, 7, 100);
+    assert_eq!(s.suffix_passes() - before, 3);
+    s.submit(93, 7, 300);
+    assert_eq!(s.suffix_passes() - before, 6);
 }
