@@ -22,9 +22,9 @@ fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Escapes a string for a JSON string literal (the labels we emit are
-/// `&'static str` identifiers, but the sink must not rely on that).
-fn push_str(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted, escaped JSON string literal — the
+/// one escaper behind the trace sinks and the `dynp-serve` reply lines.
+pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

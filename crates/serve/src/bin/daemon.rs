@@ -29,9 +29,9 @@
 //! stdout and exits 0.
 
 use dynp_serve::{
-    parse_request, parse_scheduler, read_journal_header, recover, render_reply, spawn, Command,
-    FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply, Request, ServiceConfig,
-    ServiceHandle, ServiceReport, SubmitError,
+    parse_request, parse_scheduler, read_journal_header, recover, render_reply, render_summary,
+    spawn, Command, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply, Request,
+    ServiceConfig, ServiceHandle, SubmitError,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -310,32 +310,6 @@ fn serve_stdin(handle: ServiceHandle, done: Arc<AtomicBool>) {
         handle.shutdown();
         done.store(true, Ordering::SeqCst);
     });
-}
-
-/// The end-of-session summary line. The `replay` bin prints the same
-/// shape from the journal alone, so the two can be diffed field by
-/// field (the CI crash-recovery job does exactly that).
-fn render_summary(report: &ServiceReport) -> String {
-    let fingerprint = match report.fingerprint {
-        Some(fp) => format!("\"{fp:032x}\""),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"accepted\":{},\"completed\":{},\"lost\":{},\"rejected_queue_full\":{},\
-         \"rejected_shutdown\":{},\"rejected_invalid\":{},\"rejected_user_quota\":{},\
-         \"cancelled\":{},\"events\":{},\"sldwa\":{:.6},\"fingerprint\":{}}}",
-        report.accepted,
-        report.run.completed.len(),
-        report.run.faults.lost,
-        report.rejected_queue_full,
-        report.rejected_shutdown,
-        report.rejected_invalid,
-        report.rejected_user_quota,
-        report.cancelled,
-        report.run.result.events,
-        report.run.result.metrics.sldwa,
-        fingerprint,
-    )
 }
 
 fn main() {

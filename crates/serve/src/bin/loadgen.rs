@@ -37,9 +37,9 @@
 //!
 //! The report — sustained throughput, p50/p99/p999 admission latency
 //! (overall and per user group), rejection rates by reason, and
-//! `speedup = achieved_eps / target_eps` (the open-loop health ratio
-//! the perf gate tracks) — is printed to stdout and written to `--out`
-//! (committed as `BENCH_service.json`).
+//! `speedup = achieved_eps / target_eps` (the open-loop health ratio,
+//! ~1.0 on any host that keeps up) — is printed to stdout and written
+//! to `--out`.
 
 use dynp_des::SimDuration;
 use dynp_metrics::LatencyHistogram;
@@ -84,7 +84,7 @@ usage: loadgen [--rate R1[,R2,…]] [--duration SECS] [--workers N]
                       (always|rotate|never, default always)
   --quota RATE:BURST  in-process daemon: per-user token bucket
                       (millitokens/sim-second : millitokens capacity)
-  --out PATH          write the JSON report here (e.g. BENCH_service.json)
+  --out PATH          write the JSON report here
   --connect SOCK      drive an external daemon over its Unix socket
                       (retries with exponential backoff while it starts)
   --timeout-ms N      with --connect: per-reply timeout in wall ms

@@ -13,7 +13,7 @@
 //! fingerprint — which is exactly what the CI crash-recovery job
 //! asserts by diffing the two lines.
 
-use dynp_serve::{parse_scheduler, read_journal, replay_records};
+use dynp_serve::{parse_scheduler, read_journal, render_summary, replay_records, ServiceReport};
 use std::path::PathBuf;
 
 const USAGE: &str = "\
@@ -71,22 +71,17 @@ fn main() {
             eprintln!("replay failed: {e}");
             std::process::exit(1);
         });
-    let fingerprint = match replay.fingerprint {
-        Some(fp) => format!("\"{fp:032x}\""),
-        None => "null".to_string(),
+    // Rejection counters are zero because rejected submissions are
+    // (deliberately) not journaled.
+    let report = ServiceReport {
+        run: replay.run,
+        accepted: replay.accepted,
+        rejected_queue_full: 0,
+        rejected_shutdown: 0,
+        rejected_invalid: 0,
+        rejected_user_quota: 0,
+        cancelled: replay.cancelled,
+        fingerprint: replay.fingerprint,
     };
-    // The same shape the daemon prints at drain; rejection counters are
-    // zero because rejected submissions are (deliberately) not journaled.
-    println!(
-        "{{\"accepted\":{},\"completed\":{},\"lost\":{},\"rejected_queue_full\":0,\
-         \"rejected_shutdown\":0,\"rejected_invalid\":0,\"rejected_user_quota\":0,\
-         \"cancelled\":{},\"events\":{},\"sldwa\":{:.6},\"fingerprint\":{}}}",
-        replay.accepted,
-        replay.run.completed.len(),
-        replay.run.faults.lost,
-        replay.cancelled,
-        replay.run.result.events,
-        replay.run.result.metrics.sldwa,
-        fingerprint,
-    );
+    println!("{}", render_summary(&report));
 }

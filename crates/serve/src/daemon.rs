@@ -514,7 +514,7 @@ impl Service {
     /// rotation/cadence-driven checkpoints.
     fn after_append(
         &mut self,
-        rotated: bool,
+        sealed_bytes: Option<u64>,
         core: &ShardCore,
         scheduler: &dyn Scheduler,
         src: &WallClockSource<Event, Command>,
@@ -522,18 +522,18 @@ impl Service {
         self.since_checkpoint += 1;
         let cadence_due = self.config.checkpoint_every > 0
             && self.since_checkpoint >= self.config.checkpoint_every;
-        if rotated {
+        if let Some(bytes) = sealed_bytes {
             if let Some(writer) = &self.journal {
                 self.config.tracer.record(
                     src.now(),
                     TraceEvent::JournalRotated {
                         segment: writer.segment(),
-                        bytes: 0,
+                        bytes,
                     },
                 );
             }
         }
-        if rotated || cadence_due {
+        if sealed_bytes.is_some() || cadence_due {
             self.checkpoint(core, scheduler, src.engine_snapshot(), src.min_external());
         }
     }
@@ -729,7 +729,7 @@ fn handle_command(
                         let appended = writer
                             .append_cancel(stamp, job)
                             .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-                        svc.after_append(appended.rotated, core, scheduler, src);
+                        svc.after_append(appended.sealed_bytes, core, scheduler, src);
                     }
                     true
                 }
@@ -789,12 +789,12 @@ fn admit(
     }
     let id = JobId(svc.jobs.len() as u32);
     let job = Job::new(id, now, spec.width, spec.estimate, spec.actual);
-    let mut rotated = false;
+    let mut sealed_bytes = None;
     if let Some(writer) = svc.journal.as_mut() {
         let appended = writer
             .append_submit(now, id.0, spec.user, job.width, job.estimate, job.actual)
             .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-        rotated = appended.rotated;
+        sealed_bytes = appended.sealed_bytes;
     }
     svc.jobs.push(job);
     svc.users.push(spec.user);
@@ -802,7 +802,7 @@ fn admit(
     core.handle(src, Event::Arrive(id), scheduler, &svc.jobs, &[], faults);
     svc.counters.accepted += 1;
     if svc.journal.is_some() {
-        svc.after_append(rotated, core, scheduler, src);
+        svc.after_append(sealed_bytes, core, scheduler, src);
     }
     Ok(Ticket {
         job: id.0,

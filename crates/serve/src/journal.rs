@@ -402,17 +402,13 @@ fn list_numbered(
     Ok(out)
 }
 
-/// The result of appending one record: its assigned sequence number and
-/// whether the append tripped a segment rotation (the daemon checkpoints
-/// at rotation points).
+/// The result of appending one record: whether the append tripped a
+/// segment rotation (the daemon checkpoints at rotation points).
 #[derive(Clone, Copy, Debug)]
 pub struct Appended {
-    /// Sequence number the record was journaled under.
-    pub seq: u64,
-    /// True when the append finished a segment and opened a new one.
-    pub rotated: bool,
-    /// Index of the segment the *next* record will land in.
-    pub segment: u32,
+    /// `Some(size in bytes of the sealed segment, header included)` when
+    /// the append finished a segment and opened a new one.
+    pub sealed_bytes: Option<u64>,
 }
 
 /// Appends records to a journal directory with rotation, an fsync
@@ -596,17 +592,12 @@ impl JournalWriter {
         }
         self.segment_bytes += frame.len() as u64;
         self.next_seq += 1;
-        let seq = rec.seq();
-        let mut rotated = false;
+        let mut sealed_bytes = None;
         if self.segment_bytes >= self.rotate_bytes {
+            sealed_bytes = Some(self.segment_bytes);
             self.rotate()?;
-            rotated = true;
         }
-        Ok(Appended {
-            seq,
-            rotated,
-            segment: self.segment,
-        })
+        Ok(Appended { sealed_bytes })
     }
 
     fn rotate(&mut self) -> Result<(), JournalError> {
@@ -1215,8 +1206,8 @@ mod tests {
             } else {
                 w.append(&submit(i, i * 10)).unwrap()
             };
-            assert_eq!(appended.seq, i);
-            if appended.rotated {
+            assert_eq!(w.next_seq(), i + 1);
+            if appended.sealed_bytes.is_some() {
                 rotations += 1;
             }
         }
@@ -1390,7 +1381,8 @@ mod tests {
     #[test]
     fn header_only_read_matches_the_full_read() {
         let dir = tmpdir("hdr");
-        let mut w = JournalWriter::create(&dir, 48, 250, "easy:4", FsyncPolicy::Never, 200).unwrap();
+        let mut w =
+            JournalWriter::create(&dir, 48, 250, "easy:4", FsyncPolicy::Never, 200).unwrap();
         for i in 0..10u64 {
             w.append(&submit(i, i)).unwrap();
         }

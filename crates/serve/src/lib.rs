@@ -30,7 +30,7 @@
 //! The `loadgen` bin drives a daemon with an open-loop workload —
 //! Zipfian user population, Poisson arrivals, multi-worker fan-out — and
 //! reports sustained throughput and admission-latency percentiles
-//! (p50/p99/p999), overall and per user, into `BENCH_service.json`.
+//! (p50/p99/p999), overall and per user.
 //! The `replay` bin re-derives a daemon summary from a journal alone
 //! (the CI crash-recovery job diffs the two).
 
@@ -52,7 +52,7 @@ pub use journal::{
     sweep_checkpoint_temps, FsyncPolicy, JournalDir, JournalError, JournalHeader, JournalRecord,
     JournalWriter,
 };
-pub use proto::{parse_request, render_reply, Request};
+pub use proto::{parse_request, render_reply, render_summary, Request};
 pub use session::{
     jobs_of_records, replay_records, replay_session, service_fingerprint, session_machine_size,
     session_scheduler, validate_replay_suffix, ReplayError, SessionReplay,
@@ -188,5 +188,59 @@ mod tests {
         drop(handle);
         let report = join.join().unwrap();
         assert_eq!(report.run.completed.len(), 1);
+    }
+
+    #[test]
+    fn summary_line_is_pinned() {
+        let (handle, join) = spawn(config()).unwrap();
+        handle.submit(spec(4, 1)).unwrap();
+        handle.shutdown();
+        let mut report = join.join().unwrap();
+        report.rejected_queue_full = 2;
+        report.rejected_shutdown = 3;
+        report.rejected_invalid = 4;
+        report.rejected_user_quota = 5;
+        report.cancelled = 6;
+        report.run.result.metrics.sldwa = 1.23456789;
+        report.fingerprint = Some(0xabc);
+        let expected = format!(
+            "{{\"accepted\":1,\"completed\":1,\"lost\":0,\"rejected_queue_full\":2,\
+             \"rejected_shutdown\":3,\"rejected_invalid\":4,\"rejected_user_quota\":5,\
+             \"cancelled\":6,\"events\":{},\"sldwa\":1.234568,\
+             \"fingerprint\":\"00000000000000000000000000000abc\"}}",
+            report.run.result.events
+        );
+        assert_eq!(render_summary(&report), expected);
+        report.fingerprint = None;
+        assert!(render_summary(&report).ends_with(",\"fingerprint\":null}"));
+    }
+
+    #[test]
+    fn rotate_trace_records_carry_the_sealed_segment_size() {
+        let dir = std::env::temp_dir().join(format!("dynp-serve-rotate-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut c = config();
+        c.journal = Some(dir.clone());
+        c.fsync = FsyncPolicy::Never;
+        c.rotate_bytes = 200;
+        c.tracer = dynp_obs::Tracer::enabled(dynp_obs::TraceLevel::Decisions);
+        let tracer = c.tracer.clone();
+        let (handle, join) = spawn(c).unwrap();
+        for _ in 0..20 {
+            handle.submit(spec(1, 1)).unwrap();
+        }
+        handle.shutdown();
+        join.join().unwrap();
+        let mut rotations = 0;
+        for rec in tracer.snapshot().records {
+            if let dynp_obs::TraceEvent::JournalRotated { segment, bytes } = rec.event {
+                // `segment` is the newly opened one; the sealed file,
+                // header included, is the one before it.
+                let sealed = journal::segment_path(&dir, segment - 1);
+                assert_eq!(bytes, std::fs::metadata(sealed).unwrap().len());
+                rotations += 1;
+            }
+        }
+        assert!(rotations >= 2, "tiny rotate_bytes must rotate: {rotations}");
     }
 }

@@ -28,9 +28,10 @@
 //! {"ok":true,"draining":true}
 //! ```
 
-use crate::api::{Reply, SubmitError, SubmitSpec};
+use crate::api::{Reply, ServiceReport, SubmitError, SubmitSpec};
 use dynp_des::SimDuration;
 use dynp_obs::parse::Json;
+use dynp_obs::sink;
 
 /// A parsed client request (the transport-free half of
 /// [`crate::api::Command`]).
@@ -92,23 +93,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     }
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders one reply line (no trailing newline).
 pub fn render_reply(reply: &Reply) -> String {
     match reply {
@@ -121,10 +105,12 @@ pub fn render_reply(reply: &Reply) -> String {
             "{{\"ok\":false,\"error\":\"overload\",\"reason\":\"{}\"}}",
             reason.label()
         ),
-        Reply::Rejected(SubmitError::Invalid(why)) => format!(
-            "{{\"ok\":false,\"error\":\"invalid\",\"reason\":\"{}\"}}",
-            escape(why)
-        ),
+        Reply::Rejected(SubmitError::Invalid(why)) => {
+            let mut out = String::from("{\"ok\":false,\"error\":\"invalid\",\"reason\":");
+            sink::push_str(&mut out, why);
+            out.push('}');
+            out
+        }
         Reply::Cancelled { job, found } => {
             format!("{{\"ok\":true,\"cancelled\":{job},\"found\":{found}}}")
         }
@@ -145,6 +131,34 @@ pub fn render_reply(reply: &Reply) -> String {
         ),
         Reply::Draining => "{\"ok\":true,\"draining\":true}".to_string(),
     }
+}
+
+/// Renders the end-of-session summary line (no trailing newline) the
+/// `daemon` bin prints at drain. The `replay` bin prints the same line
+/// from a journal alone — with the rejection counters at zero, because
+/// rejected submissions are deliberately not journaled — so the two can
+/// be diffed field by field.
+pub fn render_summary(report: &ServiceReport) -> String {
+    let fingerprint = match report.fingerprint {
+        Some(fp) => format!("\"{fp:032x}\""),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"accepted\":{},\"completed\":{},\"lost\":{},\"rejected_queue_full\":{},\
+         \"rejected_shutdown\":{},\"rejected_invalid\":{},\"rejected_user_quota\":{},\
+         \"cancelled\":{},\"events\":{},\"sldwa\":{:.6},\"fingerprint\":{}}}",
+        report.accepted,
+        report.run.completed.len(),
+        report.run.faults.lost,
+        report.rejected_queue_full,
+        report.rejected_shutdown,
+        report.rejected_invalid,
+        report.rejected_user_quota,
+        report.cancelled,
+        report.run.result.events,
+        report.run.result.metrics.sldwa,
+        fingerprint,
+    )
 }
 
 #[cfg(test)]
@@ -214,6 +228,7 @@ mod tests {
 
     #[test]
     fn reply_lines_parse_back() {
+        let reason = "width 0 \"quoted\" back\\slash\nnewline \u{1}control";
         let cases = vec![
             render_reply(&Reply::Accepted(Ticket {
                 job: 3,
@@ -222,9 +237,7 @@ mod tests {
             render_reply(&Reply::Rejected(SubmitError::Overload(
                 OverloadReason::QueueFull,
             ))),
-            render_reply(&Reply::Rejected(SubmitError::Invalid(
-                "width 0 \"quoted\"".into(),
-            ))),
+            render_reply(&Reply::Rejected(SubmitError::Invalid(reason.into()))),
             render_reply(&Reply::Cancelled {
                 job: 9,
                 found: true,
@@ -232,10 +245,14 @@ mod tests {
             render_reply(&Reply::Status(ServiceStatus::default())),
             render_reply(&Reply::Draining),
         ];
-        for line in cases {
-            let json = Json::parse(&line).unwrap_or_else(|e| panic!("bad JSON {line:?}: {e}"));
+        for line in &cases {
+            assert!(!line.contains('\n'), "a reply is one line: {line:?}");
+            let json = Json::parse(line).unwrap_or_else(|e| panic!("bad JSON {line:?}: {e}"));
             assert!(json.get("ok").is_some(), "no ok field in {line}");
         }
+        // The shared `dynp-obs` escaper round-trips through its parser.
+        let invalid = Json::parse(&cases[2]).unwrap();
+        assert_eq!(invalid.get("reason").and_then(Json::as_str), Some(reason));
         let accepted = render_reply(&Reply::Accepted(Ticket {
             job: 3,
             admitted_at: SimTime::from_millis(12_345),

@@ -157,7 +157,10 @@ impl CommonArgs {
                         .map_err(|_| "--workers expects an integer".to_string())?;
                 }
                 "--planner-threads" => {
-                    out.planner_threads = parse_planner_threads(&value("--planner-threads")?)?;
+                    let v = value("--planner-threads")?;
+                    out.planner_threads = v.parse().map_err(|_| {
+                        format!("--planner-threads expects a non-negative integer, got {v:?}")
+                    })?;
                 }
                 "--out" => {
                     out.out = Some(PathBuf::from(value("--out")?));
@@ -315,32 +318,6 @@ impl CommonArgs {
     }
 }
 
-/// Parses a `--planner-threads` value: a non-negative integer, where
-/// `0` means auto. The single parser behind [`CommonArgs`] and the raw
-/// argument lists of the bespoke binaries ([`planner_threads_arg`]).
-pub fn parse_planner_threads(value: &str) -> Result<usize, String> {
-    value
-        .parse()
-        .map_err(|_| format!("--planner-threads expects a non-negative integer, got {value:?}"))
-}
-
-/// Extracts and validates `--planner-threads` from a raw argument list,
-/// for binaries that don't parse through [`CommonArgs`]. Returns the
-/// configured count (`0` = auto, also the default when the flag is
-/// absent) *without* consulting the environment — feed the result to
-/// [`dynp_core::try_resolve_planner_threads`] for that.
-pub fn planner_threads_arg(args: &[String]) -> Result<usize, String> {
-    match args.iter().position(|a| a == "--planner-threads") {
-        None => Ok(0),
-        Some(i) => {
-            let value = args
-                .get(i + 1)
-                .ok_or_else(|| "--planner-threads needs a value".to_string())?;
-            parse_planner_threads(value)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,18 +369,6 @@ mod tests {
         assert_eq!(a.planner_threads, 4);
         assert!(parse(&["--planner-threads"]).is_err());
         assert!(parse(&["--planner-threads", "x"]).is_err());
-    }
-
-    #[test]
-    fn raw_planner_threads_helper_matches_the_flag() {
-        let raw = |args: &[&str]| {
-            planner_threads_arg(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
-        };
-        assert_eq!(raw(&[]), Ok(0));
-        assert_eq!(raw(&["--quick", "--planner-threads", "4"]), Ok(4));
-        assert_eq!(raw(&["--planner-threads", "0"]), Ok(0));
-        assert!(raw(&["--planner-threads"]).is_err());
-        assert!(raw(&["--planner-threads", "many"]).is_err());
     }
 
     #[test]
