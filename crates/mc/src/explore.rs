@@ -1,8 +1,8 @@
 //! The exploration engine: exhaustive DFS/BFS over event interleavings.
 //!
 //! A state is a full [`SimSnapshot`] of the chaos driver (RMS state,
-//! attempt counters, statistics, pending event queue with exact tie-break
-//! ranks, scheduler cross-event state). Branching happens only at
+//! attempt counters, statistics, event heap with exact tie-break ranks,
+//! feed cursors, scheduler cross-event state). Branching happens only at
 //! same-instant ties, and only over the orders the dependency resolver
 //! ([`crate::deps`]) cannot prove commutable. Revisits are pruned by a
 //! 128-bit fingerprint set, so the reachable state *graph* is walked, not

@@ -1,8 +1,11 @@
 //! Pluggable safety invariants, checked at every explored state.
 //!
 //! Each invariant is a pure predicate over the driver's observable state
-//! (RMS state, fault statistics, reservation report, pending event
-//! queue). A violation returns a human-readable detail string; the
+//! (RMS state, fault statistics, reservation report, and every event
+//! still to dispatch — [`ChaosDriver::pending_events`] merges the heap
+//! with the exogenous events the feed has not pushed yet, so a job that
+//! has not arrived counts as "pending" whichever side of the cursor its
+//! arrival sits on). A violation returns a human-readable detail string; the
 //! explorer attaches the event schedule that reached the state and hands
 //! both to the shrinker.
 

@@ -499,23 +499,26 @@ impl RmsState {
     /// (possibly degraded) machine at its promised width — the guarantee-
     /// preservation invariant the model checker asserts at every state.
     pub fn plan_reservation_repair(&self, now: SimTime) -> Vec<RepairAction> {
-        let capacity = self.plan_capacity();
         let pad_end = now.saturating_add(RUNNING_PAD);
+        // What the planner plans around: the part of a window from
+        // `pad_end` on. One clipped to nothing (ended, or ending inside
+        // the pad) is ignored by the planner and so by repair.
+        let clip_of = |r: &Reservation| r.start.max(pad_end);
+        let judged = |r: &Reservation| r.end() > clip_of(r);
+        if !self.reservations.all().iter().any(judged) {
+            // Nothing to validate: skip the trial profile. A fault trace
+            // calls this once per node loss, mostly on an empty book.
+            return Vec::new();
+        }
+        let capacity = self.plan_capacity();
         let mut profile = Profile::new(capacity, now);
         for run in &self.running {
             let end = run.estimated_end().max(pad_end);
             profile.allocate(now, end.saturating_since(now), run.job.width);
         }
         let mut actions = Vec::new();
-        for r in self.reservations.all() {
-            if !r.active_at(now) {
-                continue;
-            }
-            let clip = r.start.max(pad_end);
-            if r.end() <= clip {
-                // Clipped to nothing: the planner ignores it either way.
-                continue;
-            }
+        for r in self.reservations.all().iter().filter(|r| judged(r)) {
+            let clip = clip_of(r);
             let duration = r.end().saturating_since(clip);
             let mut fit = None;
             let mut w = r.width.min(capacity);
@@ -889,6 +892,34 @@ mod tests {
         let actions = s.repair_reservations(SimTime::from_secs(10));
         assert!(actions.is_empty());
         assert_eq!(s.reservation_slice()[0].width, 4);
+    }
+
+    #[test]
+    fn repair_of_a_book_with_nothing_to_judge_is_empty() {
+        // A degraded machine with a running job, so a trial profile
+        // would have something in it.
+        let mut s = RmsState::new(4);
+        s.submit(j(0, 0, 3, 100, 100));
+        s.start(JobId(0), SimTime::ZERO);
+        s.node_down(3);
+        // Empty book.
+        assert!(s.plan_reservation_repair(SimTime::from_secs(10)).is_empty());
+        // Expired-only book: one window ended at t=50 and was never
+        // pruned, another ends inside the running pad and is clipped to
+        // nothing. Neither fits beside the job, were it judged.
+        s.admit_reservation(SimTime::from_secs(20), SimDuration::from_secs(30), 4);
+        let now = SimTime::from_secs(60);
+        s.admit_reservation(now, RUNNING_PAD, 4);
+        assert_eq!(s.plan_reservation_repair(now), vec![]);
+        assert_eq!(s.reservation_slice().len(), 2);
+        // While they are live they are judged.
+        assert_eq!(
+            s.plan_reservation_repair(SimTime::from_secs(10)),
+            vec![
+                RepairAction::Revoked { id: 0 },
+                RepairAction::Revoked { id: 1 }
+            ]
+        );
     }
 
     #[test]

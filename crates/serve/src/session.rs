@@ -21,7 +21,7 @@ use crate::journal::{read_journal, JournalError, JournalRecord};
 use dynp_des::{Engine, EngineSnapshot, SimTime};
 use dynp_obs::Tracer;
 use dynp_rms::{AdmissionConfig, Scheduler};
-use dynp_sim::{DetailedRun, Event, SchedulerSpec, ShardCore, SimSnapshot};
+use dynp_sim::{DetailedRun, Event, FeedCursors, SchedulerSpec, ShardCore, SimSnapshot};
 use dynp_workload::{FaultPlan, Job, JobId};
 use std::fmt;
 use std::path::Path;
@@ -165,6 +165,9 @@ pub fn service_fingerprint(
             next_seq: 0,
             entries,
         },
+        // A service has no exogenous streams: every external is a
+        // journaled command.
+        feed: FeedCursors::default(),
         scheduler: scheduler_snap,
     };
     Some(snap.fingerprint())

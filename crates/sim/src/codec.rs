@@ -9,6 +9,10 @@
 //! "DYNPSNAP" | version u32 | payload len u32 | payload | crc32(payload)
 //! ```
 //!
+//! with `payload = core | engine | feed cursors | scheduler`. Version 1
+//! had no feed cursors — every exogenous event sat in the engine's heap —
+//! and still decodes, as "nothing left to feed".
+//!
 //! and [`decode_snapshot`] verifies the magic, the version, and the
 //! checksum before decoding a single payload field, so a torn or
 //! bit-rotted checkpoint is a typed [`CodecError`] — never a panic, and
@@ -21,6 +25,7 @@
 //! defined as *bit* identity with the never-killed run, not approximate
 //! equality.
 
+use crate::feed::FeedCursors;
 use crate::runner::{ReservationReport, SimSnapshot};
 use crate::shard::{CoreSnapshot, Event};
 use dynp_des::{
@@ -33,8 +38,9 @@ use dynp_workload::JobId;
 
 /// Magic prefix of a serialized [`SimSnapshot`].
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DYNPSNAP";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version. Version 2 added the feed cursors;
+/// version 1 is still read.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Appends one event, tag byte first.
 pub fn encode_event(ev: &Event, w: &mut ByteWriter) {
@@ -341,6 +347,9 @@ pub fn encode_snapshot(snap: &SimSnapshot) -> Vec<u8> {
     let mut payload = ByteWriter::new();
     encode_core(&snap.core, &mut payload);
     encode_engine(&snap.engine, &mut payload);
+    payload.u32(snap.feed.arrivals);
+    payload.u32(snap.feed.requests);
+    payload.u32(snap.feed.outages);
     snap.scheduler.encode_into(&mut payload);
     let payload = payload.into_bytes();
 
@@ -353,7 +362,10 @@ pub fn encode_snapshot(snap: &SimSnapshot) -> Vec<u8> {
 }
 
 /// Deserializes a snapshot written by [`encode_snapshot`], verifying the
-/// magic, version, and checksum before touching the payload.
+/// magic, version, and checksum before touching the payload. Whether the
+/// feed cursors fit the streams of the run they are restored into is
+/// [`ChaosDriver::try_restore`](crate::ChaosDriver::try_restore)'s check:
+/// the streams are the driver's inputs, not part of the snapshot.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.raw(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
@@ -361,7 +373,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
             what: "snapshot magic",
         });
     }
-    if r.u32()? != SNAPSHOT_VERSION {
+    let version = r.u32()?;
+    if !(1..=SNAPSHOT_VERSION).contains(&version) {
         return Err(CodecError::Invalid {
             what: "snapshot version",
         });
@@ -376,6 +389,15 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
     let mut p = ByteReader::new(payload);
     let core = decode_core(&mut p)?;
     let engine = decode_engine(&mut p)?;
+    let feed = if version == 1 {
+        FeedCursors::default()
+    } else {
+        FeedCursors {
+            arrivals: p.u32()?,
+            requests: p.u32()?,
+            outages: p.u32()?,
+        }
+    };
     let scheduler = SchedulerSnapshot::decode_from(&mut p)?;
     if !p.is_exhausted() {
         return Err(CodecError::Invalid {
@@ -385,6 +407,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
     Ok(SimSnapshot {
         core,
         engine,
+        feed,
         scheduler,
     })
 }

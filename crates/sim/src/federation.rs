@@ -48,18 +48,17 @@
 //!
 //! Arrivals are injected at barriers — after dynamic events from earlier
 //! epochs exist — via [`dynp_des::Engine::schedule_seeded`] with the
-//! job's dense
-//! global id as rank (reservation requests and outages take the rank
-//! ranges after, see [`ClusterShard::new`]). Seeded ranks sort below
-//! every dynamic sequence number at equal instants, reproducing exactly
-//! the tie-break order of the single-cluster driver's up-front seeding —
-//! which makes a 1-cluster federation run bit-identical to
-//! [`crate::simulate_chaos`].
+//! job's dense global id as rank. Reservation requests and outages take
+//! the rank ranges after and reach each shard's heap through the same
+//! feed as in the single-cluster driver (see [`ClusterShard::new`]).
+//! Seeded ranks sort below every dynamic sequence number at equal
+//! instants, so a 1-cluster federation dispatches exactly the sequence
+//! of [`crate::simulate_chaos`] and is bit-identical to it.
 
 use crate::runner::DetailedRun;
 use crate::shard::{ClusterShard, Event, ShardCore};
 use crate::spec::SchedulerSpec;
-use dynp_des::{SimDuration, SimTime, SEEDED_SEQ_LIMIT};
+use dynp_des::{SimDuration, SimTime};
 use dynp_metrics::{ClusterReport, FederatedMetrics};
 use dynp_obs::{TraceEvent, Tracer};
 use dynp_rms::AdmissionConfig;
@@ -418,15 +417,11 @@ pub fn run_federation(
 
     // Seeded FIFO ranks: arrivals take 0..n_jobs (their global ids),
     // then each cluster's reservation requests, then each cluster's
-    // outages (two ranks per outage) — the same relative order the
-    // single-cluster driver's up-front seeding produces.
+    // outages (two ranks per outage) — the same relative order as in the
+    // single-cluster driver. The last shard's feed checks that the total
+    // fits the seeded rank space.
     let n_jobs = jobs.len() as u64;
     let total_requests: u64 = specs.iter().map(|s| s.requests.len() as u64).sum();
-    let total_outages: u64 = specs.iter().map(|s| s.faults.outages.len() as u64).sum();
-    assert!(
-        n_jobs + total_requests + 2 * total_outages < SEEDED_SEQ_LIMIT,
-        "exogenous event count exceeds the seeded rank space"
-    );
 
     // Observation clocks start at the earliest exogenous instant of the
     // whole federation (matches the single-cluster driver's t0 when

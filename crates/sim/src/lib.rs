@@ -20,6 +20,7 @@ pub mod cli;
 pub mod codec;
 pub mod experiment;
 pub mod federation;
+mod feed;
 pub mod paper_ref;
 pub mod report;
 pub mod runner;
@@ -32,6 +33,7 @@ pub use experiment::{Cell, CellResult, Experiment, ExperimentResult, FaultLoad, 
 pub use federation::{
     run_federation, ClusterSpec, FederationConfig, FederationResult, LinkModel, RoutePolicy,
 };
+pub use feed::FeedCursors;
 pub use runner::{
     simulate, simulate_chaos, simulate_detailed, simulate_traced, simulate_with_reservations,
     ChaosDriver, DetailedRun, ReservationReport, RunObservations, RunResult, SimSnapshot,

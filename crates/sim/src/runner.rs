@@ -28,8 +28,9 @@
 //! [`FaultPlan::none`] the run is bit-identical to [`simulate_traced`] —
 //! all three entry points are the same driver loop.
 
+use crate::feed::{ExoFeed, FeedCursors, Streams};
 use crate::shard::{CoreSnapshot, Event, ShardCore};
-use dynp_des::{Engine, EngineSnapshot, SimTime};
+use dynp_des::{CodecError, Engine, EngineSnapshot, SimTime};
 use dynp_metrics::{FaultStats, ReservationStats, SimMetrics};
 use dynp_obs::Tracer;
 use dynp_rms::{
@@ -209,7 +210,9 @@ pub fn simulate_chaos(
 }
 
 /// A value snapshot of an entire single-cluster simulation: driver state,
-/// pending event queue, and the scheduler's cross-event state.
+/// the event heap, the positions of the exogenous feed, and the
+/// scheduler's cross-event state. The exogenous events still behind the
+/// feed's cursors are not copied — they are the driver's inputs.
 ///
 /// Restoring one into a [`ChaosDriver`] built from the same inputs
 /// reproduces the run bit-identically from that point — the foundation of
@@ -218,8 +221,10 @@ pub fn simulate_chaos(
 pub struct SimSnapshot {
     /// The [`ShardCore`] run state.
     pub core: CoreSnapshot,
-    /// Clock and pending events.
+    /// Clock and the events in the heap.
     pub engine: EngineSnapshot<Event>,
+    /// How much of each exogenous stream is not in the heap yet.
+    pub feed: FeedCursors,
     /// Scheduler cross-event state.
     pub scheduler: SchedulerSnapshot,
 }
@@ -259,13 +264,17 @@ pub struct ChaosDriver<'a> {
     faults: &'a FaultPlan,
     admission: AdmissionConfig,
     t0: SimTime,
+    feed: ExoFeed,
 }
 
 impl<'a> ChaosDriver<'a> {
-    /// Builds the driver and seeds every exogenous stream, exactly as the
-    /// historical `simulate_chaos` body did: arrivals first, then
-    /// reservation requests, then outages — the seeding order is the FIFO
-    /// tie-break order at equal instants.
+    /// Builds the driver over its three exogenous streams. Their events
+    /// are fed into the heap as they come due (see [`crate::feed`]) with
+    /// the tie-break ranks of the seeding order — arrivals first, so that
+    /// at equal instants a job enters the queue before a window is judged
+    /// against it; then reservation requests; then outages, `NodeDown`
+    /// before `NodeUp` per outage, so that a node repaired and failed
+    /// again at one instant comes up before it goes down.
     pub fn new(
         set: &'a JobSet,
         scheduler: &'a mut dyn Scheduler,
@@ -275,23 +284,16 @@ impl<'a> ChaosDriver<'a> {
         tracer: Tracer,
     ) -> ChaosDriver<'a> {
         scheduler.set_tracer(tracer.clone());
+        let streams = Streams {
+            arrivals: set.jobs(),
+            requests,
+            outages: &faults.outages,
+        };
+        let request_rank_base = set.len() as u64;
+        let outage_rank_base = request_rank_base + requests.len() as u64;
+        let mut feed = ExoFeed::new(streams, request_rank_base, outage_rank_base);
         let mut engine: Engine<Event> = Engine::new();
-        for job in set.jobs() {
-            engine.schedule_at(job.submit, Event::Arrive(job.id));
-        }
-        // Scheduled after the arrivals so that at equal instants a job
-        // enters the queue before a window is judged against it.
-        for (i, r) in requests.iter().enumerate() {
-            engine.schedule_at(r.submit, Event::ResRequest(i as u32));
-        }
-        // Outages are sorted by down_at, and a node's repair precedes its
-        // next failure, so same-instant NodeUp/NodeDown pairs on one node
-        // dispatch in FIFO (up-then-down) order and never double-fail a
-        // node.
-        for o in &faults.outages {
-            engine.schedule_at(o.down_at, Event::NodeDown(o.node));
-            engine.schedule_at(o.up_at, Event::NodeUp(o.node));
-        }
+        feed.feed(&mut engine, streams);
         // Observation clocks start at the first event of any stream — a
         // reservation request or a node failure may precede the first job
         // submission.
@@ -318,6 +320,15 @@ impl<'a> ChaosDriver<'a> {
             faults,
             admission,
             t0,
+            feed,
+        }
+    }
+
+    fn streams(&self) -> Streams<'a> {
+        Streams {
+            arrivals: self.set.jobs(),
+            requests: self.requests,
+            outages: &self.faults.outages,
         }
     }
 
@@ -327,6 +338,7 @@ impl<'a> ChaosDriver<'a> {
     /// Panics on the driver-bug terminal checks (job conservation,
     /// undrained queue, still-booked windows) — see [`simulate_chaos`].
     pub fn run_to_end(self) -> DetailedRun {
+        let streams = self.streams();
         let ChaosDriver {
             mut engine,
             mut core,
@@ -334,10 +346,12 @@ impl<'a> ChaosDriver<'a> {
             set,
             requests,
             faults,
+            mut feed,
             ..
         } = self;
         engine.run(|eng, event| {
-            core.handle(eng, event, &mut *scheduler, set.jobs(), requests, faults)
+            core.handle(eng, event, &mut *scheduler, set.jobs(), requests, faults);
+            feed.feed(eng, streams);
         });
         core.finish(
             &engine,
@@ -367,6 +381,8 @@ impl<'a> ChaosDriver<'a> {
             self.requests,
             self.faults,
         );
+        let streams = self.streams();
+        self.feed.feed(&mut self.engine, streams);
         Some((t, event))
     }
 
@@ -393,10 +409,15 @@ impl<'a> ChaosDriver<'a> {
         &self.core
     }
 
-    /// Pending `(time, seq, event)` entries in canonical dispatch order —
-    /// the model checker scans these for attempt-tag integrity.
+    /// Every event the run still has to dispatch, as `(time, seq, event)`
+    /// in canonical dispatch order: the heap's entries merged with the
+    /// exogenous events not fed yet. The model checker's conservation and
+    /// attempt-tag invariants scan these.
     pub fn pending_events(&self) -> Vec<(SimTime, u64, Event)> {
-        self.engine.snapshot().entries
+        let mut entries = self.engine.snapshot().entries;
+        entries.extend(self.feed.unfed(self.streams()));
+        entries.sort_by_key(|&(t, seq, _)| (t, seq));
+        entries
     }
 
     /// Captures the complete simulation state as a value.
@@ -413,16 +434,34 @@ impl<'a> ChaosDriver<'a> {
         SimSnapshot {
             core: self.core.snapshot(),
             engine: self.engine.snapshot(),
+            feed: self.feed.cursors(),
             scheduler,
         }
     }
 
     /// Restores state captured by [`ChaosDriver::snapshot`] on a driver
     /// built from the same inputs. The clock may move backward.
+    ///
+    /// # Panics
+    /// Panics where [`ChaosDriver::try_restore`] returns an error.
     pub fn restore(&mut self, snap: &SimSnapshot) {
+        self.try_restore(snap)
+            .expect("snapshot of a driver built from other inputs");
+    }
+
+    /// [`ChaosDriver::restore`] for a snapshot that was decoded from
+    /// bytes: the feed positions are checked against this driver's
+    /// streams before anything is touched.
+    ///
+    /// # Errors
+    /// A feed cursor that lies outside its stream.
+    pub fn try_restore(&mut self, snap: &SimSnapshot) -> Result<(), CodecError> {
+        let streams = self.streams();
+        self.feed.restore(snap.feed, streams)?;
         self.core.restore(&snap.core);
         self.engine.restore(&snap.engine);
         self.scheduler.restore(&snap.scheduler);
+        Ok(())
     }
 
     /// Fingerprint of the current state (see [`SimSnapshot::fingerprint`]).

@@ -22,16 +22,17 @@
 //!
 //! ## Seeded event ranks
 //!
-//! The single-cluster driver seeds every exogenous event (arrivals, then
-//! reservation requests, then outages) before the first dynamic event is
-//! scheduled, which gives them the lowest FIFO ranks at equal instants.
-//! The federation injects arrivals at epoch barriers — *after* dynamic
-//! events from earlier epochs exist — so it uses
-//! [`Engine::schedule_seeded`] with globally pre-assigned ranks (job
-//! arrivals get their dense global job index, requests and outages the
-//! ranks after) to reproduce exactly the tie-break order the up-front
-//! seeding produces.
+//! Exogenous events reach either engine through the one
+//! [`ExoFeed`](crate::feed), which pushes them with
+//! [`Engine::schedule_seeded`] as they come due. The ranks are those of
+//! seeding every stream up front — arrivals, then reservation requests,
+//! then outages — and sort below every dynamically scheduled event at an
+//! equal instant. A shard's feed carries requests and outages only, with
+//! the federation's globally pre-assigned rank bases; its arrivals are
+//! injected by the router at epoch barriers, ranked by the job's dense
+//! global index.
 
+use crate::feed::{ExoFeed, Streams};
 use crate::runner::{DetailedRun, ReservationReport, RunObservations, RunResult};
 use dynp_des::{Engine, EventClock, SimDuration, SimTime, TimeWeightedCount};
 use dynp_metrics::{FaultStats, SimMetrics};
@@ -783,13 +784,14 @@ pub(crate) struct ClusterShard {
     pub(crate) scheduler: Box<dyn Scheduler>,
     pub(crate) requests: Vec<ReservationRequest>,
     pub(crate) faults: FaultPlan,
+    feed: ExoFeed,
 }
 
 impl ClusterShard {
-    /// Builds a shard and seeds its reservation and outage streams with
+    /// Builds a shard whose reservation and outage streams are fed with
     /// the given seeded-rank bases (globally pre-assigned so equal-time
     /// ties break exactly as in the single-cluster driver). Job arrivals
-    /// are *not* seeded here — the router injects them at epoch barriers.
+    /// are *not* fed here — the router injects them at epoch barriers.
     pub(crate) fn new(
         core: ShardCore,
         mut scheduler: Box<dyn Scheduler>,
@@ -799,36 +801,21 @@ impl ClusterShard {
         outage_rank_base: u64,
     ) -> ClusterShard {
         scheduler.set_tracer(core.tracer.clone());
+        let streams = Streams {
+            arrivals: &[],
+            requests: &requests,
+            outages: &faults.outages,
+        };
+        let mut feed = ExoFeed::new(streams, request_rank_base, outage_rank_base);
         let mut engine: Engine<Event> = Engine::new();
-        for (i, r) in requests.iter().enumerate() {
-            engine.schedule_seeded(
-                r.submit,
-                request_rank_base + i as u64,
-                Event::ResRequest(i as u32),
-            );
-        }
-        // Outages are sorted by down_at, and a node's repair precedes its
-        // next failure, so same-instant NodeUp/NodeDown pairs on one node
-        // dispatch in FIFO (up-then-down) order and never double-fail a
-        // node. Two ranks per outage keep that pairwise order.
-        for (i, o) in faults.outages.iter().enumerate() {
-            engine.schedule_seeded(
-                o.down_at,
-                outage_rank_base + 2 * i as u64,
-                Event::NodeDown(o.node),
-            );
-            engine.schedule_seeded(
-                o.up_at,
-                outage_rank_base + 2 * i as u64 + 1,
-                Event::NodeUp(o.node),
-            );
-        }
+        feed.feed(&mut engine, streams);
         ClusterShard {
             engine,
             core,
             scheduler,
             requests,
             faults,
+            feed,
         }
     }
 
@@ -838,12 +825,21 @@ impl ClusterShard {
         let scheduler = &mut *self.scheduler;
         let requests = &self.requests;
         let faults = &self.faults;
+        let feed = &mut self.feed;
+        let streams = Streams {
+            arrivals: &[],
+            requests,
+            outages: &faults.outages,
+        };
         self.engine.run_until(horizon, |eng, event| {
-            core.handle(eng, event, scheduler, jobs, requests, faults)
+            core.handle(eng, event, scheduler, jobs, requests, faults);
+            feed.feed(eng, streams);
         });
     }
 
-    /// The timestamp of this shard's earliest pending event, if any.
+    /// The timestamp of this shard's earliest pending event, if any: the
+    /// feed keeps every stream event due by then in the heap, so this is
+    /// the shard's true next event and not just the heap's.
     pub(crate) fn peek_time(&self) -> Option<SimTime> {
         self.engine.peek_time()
     }

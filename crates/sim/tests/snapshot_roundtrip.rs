@@ -12,14 +12,24 @@
 //! * **retained plans are not state** — a restore taken while the dynP
 //!   planner holds plans retained from the previous event (a run of
 //!   submissions at a deep queue) resumes bit-identically although the
-//!   snapshot does not carry them.
+//!   snapshot does not carry them;
+//! * **the feed cursors are state** — a snapshot taken while arrivals,
+//!   requests and outages are all partly fed survives the byte codec and
+//!   resumes bit-identically; a version-1 snapshot written by the commit
+//!   before the feed (everything preloaded, no cursors) still decodes
+//!   and resumes; a cursor outside its stream is a typed error.
 
 use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
+use dynp_des::{CodecError, SimDuration, SimTime};
 use dynp_obs::Tracer;
 use dynp_rms::{AdmissionConfig, Policy, RETAIN_MIN_DEPTH};
-use dynp_sim::{simulate_chaos, ChaosDriver, DetailedRun, Event, SchedulerSpec};
+use dynp_sim::{
+    decode_snapshot, encode_snapshot, simulate_chaos, ChaosDriver, DetailedRun, Event, FeedCursors,
+    SchedulerSpec, SNAPSHOT_VERSION,
+};
 use dynp_workload::{
-    kth, transform, FaultModel, FaultPlan, JobSet, ReservationModel, ReservationRequest,
+    kth, transform, FaultKind, FaultModel, FaultPlan, Job, JobId, JobSet, NodeOutage,
+    ReservationModel, ReservationRequest,
 };
 use proptest::prelude::*;
 
@@ -241,4 +251,235 @@ fn restore_inside_a_retained_stretch_resumes_bit_identically() {
     assert_eq!(scheduler.stats, uninterrupted.stats);
     // The resumed scheduler went back to re-placing suffixes.
     assert!(scheduler.retained_counts().suffix_passes > 100);
+}
+
+/// The inputs `fixtures/snapshot_v1.hex` was taken from, six events into
+/// a dynP[advanced] run (t = 400 s), by the last commit that preloaded
+/// every exogenous event. At that instant two arrivals, one request and
+/// one whole outage are still in the future.
+fn v1_scenario() -> (JobSet, Vec<ReservationRequest>, FaultPlan) {
+    let secs = SimTime::from_secs;
+    let job = |id, submit, width, estimate, actual| {
+        Job::new(
+            JobId(id),
+            secs(submit),
+            width,
+            SimDuration::from_secs(estimate),
+            SimDuration::from_secs(actual),
+        )
+    };
+    let set = JobSet::new(
+        "v1",
+        4,
+        vec![
+            job(0, 0, 2, 500, 400),
+            job(1, 100, 3, 300, 300),
+            job(2, 200, 1, 900, 700),
+            job(3, 600, 2, 200, 100),
+            job(4, 900, 4, 100, 100),
+        ],
+    );
+    let request = |id, submit, start, width, cancel_at: Option<u64>| ReservationRequest {
+        id,
+        submit: secs(submit),
+        start: secs(start),
+        duration: SimDuration::from_secs(300),
+        width,
+        cancel_at: cancel_at.map(secs),
+    };
+    let requests = vec![
+        request(0, 50, 1_500, 2, None),
+        request(1, 700, 2_500, 4, Some(1_000)),
+    ];
+    let outage = |node, down, up| NodeOutage {
+        node,
+        down_at: secs(down),
+        up_at: secs(up),
+    };
+    let faults = FaultPlan {
+        outages: vec![outage(3, 150, 650), outage(0, 800, 3_000)],
+        job_faults: vec![(2, FaultKind::Crash { fraction: 0.5 })],
+        ..FaultPlan::none()
+    };
+    (set, requests, faults)
+}
+
+fn v1_fixture() -> Vec<u8> {
+    let hex: String = include_str!("fixtures/snapshot_v1.hex")
+        .split_whitespace()
+        .collect();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+        .collect()
+}
+
+// A version-1 snapshot holds every exogenous event in its heap and knows
+// no cursors. It decodes as "nothing left to feed", and a driver of this
+// commit restored from it finishes the run the old driver would have.
+#[test]
+fn version_1_snapshot_decodes_and_resumes() {
+    let (set, requests, plan) = v1_scenario();
+    let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
+    let bytes = v1_fixture();
+    assert_eq!(bytes[8..12], 1u32.to_le_bytes(), "fixture is version 1");
+    assert_ne!(SNAPSHOT_VERSION, 1);
+    let snap = decode_snapshot(&bytes).expect("version 1 still decodes");
+    assert_eq!(snap.feed, FeedCursors::default());
+    assert_eq!(snap.engine.now, SimTime::from_secs(400));
+    let future_arrivals = snap
+        .engine
+        .entries
+        .iter()
+        .filter(|(_, _, ev)| matches!(ev, Event::Arrive(_)))
+        .count();
+    assert_eq!(future_arrivals, 2, "a preloaded heap holds the future");
+
+    let mut baseline_s = spec.build();
+    let baseline = simulate_chaos(
+        &set,
+        baseline_s.as_mut(),
+        &requests,
+        AdmissionConfig::default(),
+        &plan,
+        Tracer::disabled(),
+    );
+
+    let mut scheduler = spec.build();
+    let mut driver = ChaosDriver::new(
+        &set,
+        scheduler.as_mut(),
+        &requests,
+        AdmissionConfig::default(),
+        &plan,
+        Tracer::disabled(),
+    );
+    // The same six events, so that what this commit's driver still has
+    // to dispatch can be compared with what the old heap held.
+    for _ in 0..6 {
+        driver.step();
+    }
+    let pending = |d: &ChaosDriver<'_>| -> Vec<(SimTime, Event)> {
+        d.pending_events()
+            .into_iter()
+            .map(|(t, _, ev)| (t, ev))
+            .collect()
+    };
+    let still_to_dispatch = pending(&driver);
+    assert_ne!(driver.snapshot().feed, FeedCursors::default());
+    driver.try_restore(&snap).expect("cursors at the end fit");
+    assert_eq!(pending(&driver), still_to_dispatch);
+    assert_eq!(driver.snapshot(), snap, "a restored v1 state is kept as is");
+    assert_eq!(fp(&driver.run_to_end()), fp(&baseline));
+}
+
+// Cut a run where all three cursors are mid-stream, push the snapshot
+// through the byte codec, run ahead, restore the decoded value: the
+// resumed run is the uninterrupted one.
+#[test]
+fn restore_with_every_cursor_mid_stream_resumes_bit_identically() {
+    let (set, requests, plan) = inputs(7, 80, 20_000.0, true);
+    let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
+    let mut baseline_s = spec.build();
+    let baseline = simulate_chaos(
+        &set,
+        baseline_s.as_mut(),
+        &requests,
+        AdmissionConfig::default(),
+        &plan,
+        Tracer::disabled(),
+    );
+
+    let mut scheduler = spec.build();
+    let mut driver = ChaosDriver::new(
+        &set,
+        scheduler.as_mut(),
+        &requests,
+        AdmissionConfig::default(),
+        &plan,
+        Tracer::disabled(),
+    );
+    let mid = |left: u32, len: usize| 0 < left && (left as usize) < len;
+    loop {
+        driver.step().expect("the streams never overlapped");
+        let c = driver.snapshot().feed;
+        if mid(c.arrivals, set.len())
+            && mid(c.requests, requests.len())
+            && mid(c.outages, plan.outages.len())
+        {
+            break;
+        }
+    }
+    let snap = driver.snapshot();
+    // Far fewer entries than events to come: the tails are not copied.
+    assert!(snap.engine.entries.len() < driver.pending_events().len() / 2);
+    let decoded = decode_snapshot(&encode_snapshot(&snap)).expect("own snapshot decodes");
+    assert_eq!(decoded, snap);
+    let before = driver.fingerprint();
+    for _ in 0..40 {
+        driver.step();
+    }
+    assert_ne!(driver.snapshot().feed, snap.feed, "running ahead must feed");
+    driver.try_restore(&decoded).expect("own cursors fit");
+    assert_eq!(driver.fingerprint(), before);
+    assert_eq!(fp(&driver.run_to_end()), fp(&baseline));
+}
+
+// A cursor that claims more unfed events than its stream holds — a
+// snapshot of some other run, or a tampered file with a fresh checksum —
+// is refused with a typed error before any state is touched.
+#[test]
+fn cursor_outside_its_stream_is_a_typed_error() {
+    let (set, requests, plan) = inputs(7, 80, 20_000.0, true);
+    let mut scheduler = SchedulerSpec::Static(Policy::Fcfs).build();
+    let mut driver = ChaosDriver::new(
+        &set,
+        scheduler.as_mut(),
+        &requests,
+        AdmissionConfig::default(),
+        &plan,
+        Tracer::disabled(),
+    );
+    for _ in 0..30 {
+        driver.step();
+    }
+    let good = driver.snapshot();
+    let before = driver.fingerprint();
+    let one_too_many = |len: usize| len as u32 + 1;
+    for (what, feed) in [
+        (
+            "arrival cursor",
+            FeedCursors {
+                arrivals: one_too_many(set.len()),
+                ..good.feed
+            },
+        ),
+        (
+            "request cursor",
+            FeedCursors {
+                requests: one_too_many(requests.len()),
+                ..good.feed
+            },
+        ),
+        (
+            "outage cursor",
+            FeedCursors {
+                outages: u32::MAX,
+                ..good.feed
+            },
+        ),
+    ] {
+        let bad = dynp_sim::SimSnapshot {
+            feed,
+            ..good.clone()
+        };
+        // The bytes alone cannot tell: the streams are not in them.
+        let decoded = decode_snapshot(&encode_snapshot(&bad)).expect("well-formed bytes");
+        assert_eq!(
+            driver.try_restore(&decoded),
+            Err(CodecError::Invalid { what })
+        );
+        assert_eq!(driver.fingerprint(), before, "{what}: state was touched");
+    }
+    driver.try_restore(&good).expect("the untampered snapshot");
 }

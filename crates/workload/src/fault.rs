@@ -28,6 +28,8 @@ use dynp_des::{SimDuration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One node-loss interval: the node is unavailable over `[down_at, up_at)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -264,16 +266,7 @@ impl FaultModel {
                 }
             }
             outages.sort_by_key(|o| (o.down_at, o.node));
-            // Capacity floor: drop outages that would take the last node;
-            // the planner's profile requires at least one processor.
-            let mut accepted: Vec<NodeOutage> = Vec::new();
-            for o in outages {
-                let active = accepted.iter().filter(|a| a.up_at > o.down_at).count() as u32;
-                if active + 1 < machine {
-                    accepted.push(o);
-                }
-            }
-            outages = accepted;
+            outages = capacity_floor(outages, machine);
         }
 
         let mut job_faults: Vec<(u32, FaultKind)> = Vec::new();
@@ -293,6 +286,28 @@ impl FaultModel {
             retry: self.retry,
         }
     }
+}
+
+/// The capacity floor: drops every outage that would take the last node
+/// (the planner's profile requires at least one processor). `outages` is
+/// sorted by `down_at`; an outage is kept iff fewer than `machine − 1` of
+/// the outages kept before it are still down when it starts.
+fn capacity_floor(outages: Vec<NodeOutage>, machine: u32) -> Vec<NodeOutage> {
+    // Repair instants of the kept outages still down at the current
+    // `down_at`, earliest first: `down_at` only grows, so an outage that
+    // has ended for one candidate has ended for every later one.
+    let mut down_until: BinaryHeap<Reverse<SimTime>> = BinaryHeap::new();
+    let mut accepted = Vec::with_capacity(outages.len());
+    for o in outages {
+        while down_until.peek().is_some_and(|up| up.0 <= o.down_at) {
+            down_until.pop();
+        }
+        if down_until.len() as u32 + 1 < machine {
+            down_until.push(Reverse(o.up_at));
+            accepted.push(o);
+        }
+    }
+    accepted
 }
 
 #[cfg(test)]
@@ -348,6 +363,33 @@ mod tests {
         let plan = m.generate(&s, 5);
         assert!(plan.max_concurrent_down() < s.machine_size);
         assert!(plan.max_concurrent_down() >= 1, "cap test needs pressure");
+    }
+
+    #[test]
+    fn capacity_floor_equals_its_quadratic_definition() {
+        // Three traces of the same brutal model laid over each other, so
+        // that the floor bites at the full machine size and, on a
+        // two-node machine, on almost every outage. The quadratic
+        // definition lives on here only.
+        let s = set();
+        let m = FaultModel::typical(4_000.0, 8_000.0, 0.0);
+        let mut raw = Vec::new();
+        for seed in [5u64, 6, 7] {
+            raw.extend(m.generate(&s, seed).outages);
+        }
+        raw.sort_by_key(|o| (o.down_at, o.node));
+        for machine in [s.machine_size, 2] {
+            let input = raw.clone();
+            let mut expected: Vec<NodeOutage> = Vec::new();
+            for o in &input {
+                let active = expected.iter().filter(|a| a.up_at > o.down_at).count() as u32;
+                if active + 1 < machine {
+                    expected.push(*o);
+                }
+            }
+            assert!(expected.len() < input.len(), "floor never bit");
+            assert_eq!(capacity_floor(input, machine), expected);
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! federation is the single-cluster chaos driver, bit for bit — the
 //! sharded path adds nothing but structure.
 
+mod common;
+
 use dynp_suite::obs::Tracer;
 use dynp_suite::prelude::*;
 use dynp_suite::sim::simulate_chaos;
@@ -208,6 +210,49 @@ fn assert_bit_identical(a: &FederationResult, b: &FederationResult) -> Result<()
         );
     }
     Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// One-cluster federation ≡ the chaos driver where ties are the rule
+    /// (`common::collisions`: every instant on a 100 s grid), for sorted
+    /// and unsorted streams. The shard feeds its requests and outages
+    /// through the same cursors as the driver while the router injects
+    /// the arrivals, and an epoch ends `Δ` after its first event: with
+    /// `Δ` = 30 s the horizon falls before the next stream event, with
+    /// 100 s exactly on it (the horizon is exclusive), with 250 s two
+    /// instants past it.
+    #[test]
+    fn one_cluster_federation_matches_simulate_chaos_at_any_epoch_width(
+        sorted in common::collisions(false),
+        unsorted in common::collisions(true),
+    ) {
+        for c in [sorted, unsorted] {
+            let mut scheduler = c.spec.build();
+            let plain = simulate_chaos(
+                &c.set,
+                &mut *scheduler,
+                &c.requests,
+                AdmissionConfig::default(),
+                &c.faults,
+                Tracer::disabled(),
+            );
+            for delta_secs in [30, 100, 250] {
+                let mut spec = ClusterSpec::new(c.set.machine_size, c.spec.clone());
+                spec.requests = c.requests.clone();
+                spec.faults = c.faults.clone();
+                let config = FederationConfig {
+                    link: LinkModel::Constant {
+                        latency: SimDuration::from_secs(delta_secs),
+                    },
+                    ..FederationConfig::default()
+                };
+                let fed = run_federation(&MultiClusterWorkload::single(&c.set), vec![spec], &config);
+                common::assert_same_run(&fed.clusters[0], &plain);
+            }
+        }
+    }
 }
 
 proptest! {
