@@ -27,9 +27,9 @@
 //! Two sink formats serialize a finished trace ([`sink`]):
 //!
 //! * **JSONL** — one self-describing JSON object per record, the
-//!   machine-readable audit log `trace_report` post-processes. A
-//!   hand-rolled parser ([`parse`]) reads it back (the workspace vendors
-//!   a no-op serde), and a round-trip test pins the format.
+//!   machine-readable audit log `trace_report` post-processes;
+//!   [`parse`] reads it back, and golden lines plus a round-trip test
+//!   over every kind pin the format.
 //! * **Chrome trace-event format** — load the file in `chrome://tracing`
 //!   (or <https://ui.perfetto.dev>) to see plan/decide/admission phases
 //!   as wall-clock spans with the simulation time attached to each.
@@ -37,6 +37,8 @@
 pub mod event;
 pub mod parse;
 pub mod sink;
+#[cfg(test)]
+mod testing;
 pub mod tracer;
 
 pub use event::{TraceClass, TraceEvent, TraceLevel, TraceRecord};

@@ -1,13 +1,18 @@
-//! A minimal JSON parser and the owned mirror types for reading a JSONL
-//! trace back in.
+//! A minimal JSON parser, and reading a JSONL trace back in.
 //!
-//! The workspace vendors a no-op serde, so deserialization is hand-rolled
-//! too: [`Json`] is a small recursive-descent parser covering exactly the
-//! JSON the sinks emit (and, as a bonus, anything standard JSON —
-//! `trace_report` also uses it to validate the Chrome trace), and
-//! [`parse_jsonl`] lifts lines into typed [`ParsedRecord`]s.
+//! [`Json`] is a small recursive-descent parser for standard JSON — the
+//! trace sinks' output, and the `dynp-serve` wire protocol, whose input
+//! is untrusted (nesting is bounded by [`MAX_DEPTH`]); [`parse_jsonl`]
+//! lifts trace lines into typed [`ParsedRecord`]s by walking each kind's
+//! declared field list ([`TraceEvent::read_fields`]).
 
+use crate::event::{Field, FieldReader, TraceEvent};
 use std::str::Chars;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so unbounded nesting in an untrusted line
+/// would overflow the stack; the sinks nest 3 deep and the wire protocol 1.
+pub const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -32,6 +37,7 @@ impl Json {
         let mut p = Parser {
             chars: text.chars(),
             peeked: None,
+            depth: 0,
         };
         let value = p.value()?;
         p.skip_ws();
@@ -97,6 +103,7 @@ impl Json {
 struct Parser<'a> {
     chars: Chars<'a>,
     peeked: Option<char>,
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -131,8 +138,8 @@ impl Parser<'_> {
     fn value(&mut self) -> Result<Json, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Json::Str(self.string()?)),
             Some('t') => self.literal("true", Json::Bool(true)),
             Some('f') => self.literal("false", Json::Bool(false)),
@@ -141,6 +148,16 @@ impl Parser<'_> {
             Some(c) => Err(format!("unexpected character '{c}'")),
             None => Err("unexpected end of input".into()),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
@@ -259,176 +276,11 @@ impl Parser<'_> {
     }
 }
 
-/// Owned mirror of [`TraceEvent`](crate::TraceEvent), as read back from
-/// JSONL (labels become `String`s).
-#[derive(Clone, Debug, PartialEq)]
-pub enum ParsedEvent {
-    /// Mirror of [`TraceEvent::SimEvent`](crate::TraceEvent::SimEvent).
-    SimEvent {
-        /// Driver event label.
-        kind: String,
-        /// Job or request id.
-        id: u64,
-    },
-    /// Mirror of [`TraceEvent::PlanBuilt`](crate::TraceEvent::PlanBuilt).
-    PlanBuilt {
-        /// Candidate policy name.
-        policy: String,
-        /// Waiting-queue depth at planning time.
-        queue_depth: u32,
-        /// Base-profile point count.
-        profile_points: u32,
-        /// Worker threads of the step's plan fan-out (1 = sequential;
-        /// also 1 for traces written before the field existed).
-        workers: u32,
-        /// Plan-construction wall time in nanoseconds.
-        dur_ns: u64,
-    },
-    /// Mirror of [`TraceEvent::Decision`](crate::TraceEvent::Decision).
-    Decision {
-        /// Policy active before the decision.
-        old: String,
-        /// Policy chosen.
-        verdict: String,
-        /// Decider rule that fired.
-        rule: String,
-        /// Per-policy scores (NaN where the sink wrote `null`).
-        scores: Vec<(String, f64)>,
-    },
-    /// Mirror of [`TraceEvent::PolicySwitch`](crate::TraceEvent::PolicySwitch).
-    PolicySwitch {
-        /// Policy switched away from.
-        from: String,
-        /// Policy switched to.
-        to: String,
-    },
-    /// Mirror of [`TraceEvent::AdmissionVerdict`](crate::TraceEvent::AdmissionVerdict).
-    AdmissionVerdict {
-        /// Request id.
-        request: u32,
-        /// `"admitted"` or a reject-reason label.
-        verdict: String,
-    },
-    /// Mirror of [`TraceEvent::BackfillMove`](crate::TraceEvent::BackfillMove).
-    BackfillMove {
-        /// Job that jumped ahead.
-        job: u32,
-        /// Its processor width.
-        width: u32,
-        /// Earlier-submitted jobs it overtook.
-        overtaken: u32,
-    },
-    /// Mirror of [`TraceEvent::Span`](crate::TraceEvent::Span).
-    Span {
-        /// Phase name.
-        name: String,
-        /// Wall-clock duration in nanoseconds.
-        dur_ns: u64,
-    },
-    /// Mirror of [`TraceEvent::NodeDown`](crate::TraceEvent::NodeDown).
-    NodeDown {
-        /// Node index that went down.
-        node: u32,
-    },
-    /// Mirror of [`TraceEvent::NodeUp`](crate::TraceEvent::NodeUp).
-    NodeUp {
-        /// Node index that came back.
-        node: u32,
-    },
-    /// Mirror of [`TraceEvent::JobFault`](crate::TraceEvent::JobFault).
-    JobFault {
-        /// The failed job.
-        job: u32,
-        /// Which attempt failed.
-        attempt: u32,
-        /// Failure cause label.
-        reason: String,
-    },
-    /// Mirror of [`TraceEvent::JobRetry`](crate::TraceEvent::JobRetry).
-    JobRetry {
-        /// The retried job.
-        job: u32,
-        /// The attempt that just failed.
-        attempt: u32,
-        /// Backoff delay in milliseconds.
-        delay_ms: u64,
-    },
-    /// Mirror of [`TraceEvent::JobLost`](crate::TraceEvent::JobLost).
-    JobLost {
-        /// The lost job.
-        job: u32,
-        /// Total attempts made.
-        attempts: u32,
-    },
-    /// Mirror of
-    /// [`TraceEvent::ReservationRepair`](crate::TraceEvent::ReservationRepair).
-    ReservationRepair {
-        /// Book id of the repaired window.
-        reservation: u32,
-        /// `"downgraded"` or `"revoked"`.
-        action: String,
-        /// Width after the repair (0 when revoked).
-        width: u32,
-    },
-    /// Mirror of [`TraceEvent::JobRouted`](crate::TraceEvent::JobRouted).
-    JobRouted {
-        /// The routed job (global dense id).
-        job: u32,
-        /// Cluster the job was submitted at.
-        from: u32,
-        /// Cluster the job was dispatched to.
-        to: u32,
-        /// Transfer latency paid (0 when routed locally), milliseconds.
-        transfer_ms: u64,
-    },
-    /// Mirror of
-    /// [`TraceEvent::MigrateDepart`](crate::TraceEvent::MigrateDepart).
-    MigrateDepart {
-        /// The migrating job (global dense id).
-        job: u32,
-        /// Origin cluster.
-        from: u32,
-        /// Destination cluster.
-        to: u32,
-    },
-    /// Mirror of
-    /// [`TraceEvent::MigrateArrive`](crate::TraceEvent::MigrateArrive).
-    MigrateArrive {
-        /// The migrated job (global dense id).
-        job: u32,
-        /// Origin cluster.
-        from: u32,
-        /// Destination cluster.
-        to: u32,
-    },
-}
+/// A [`TraceEvent`] as read back from JSONL: the same type with owned
+/// labels.
+pub type ParsedEvent = TraceEvent<String>;
 
-impl ParsedEvent {
-    /// The JSONL type tag this event was parsed from.
-    pub fn type_tag(&self) -> &'static str {
-        match self {
-            ParsedEvent::SimEvent { .. } => "sim_event",
-            ParsedEvent::PlanBuilt { .. } => "plan",
-            ParsedEvent::Decision { .. } => "decision",
-            ParsedEvent::PolicySwitch { .. } => "switch",
-            ParsedEvent::AdmissionVerdict { .. } => "admission",
-            ParsedEvent::BackfillMove { .. } => "backfill",
-            ParsedEvent::Span { .. } => "span",
-            ParsedEvent::NodeDown { .. } => "node_down",
-            ParsedEvent::NodeUp { .. } => "node_up",
-            ParsedEvent::JobFault { .. } => "job_fault",
-            ParsedEvent::JobRetry { .. } => "job_retry",
-            ParsedEvent::JobLost { .. } => "job_lost",
-            ParsedEvent::ReservationRepair { .. } => "res_repair",
-            ParsedEvent::JobRouted { .. } => "route",
-            ParsedEvent::MigrateDepart { .. } => "migrate_depart",
-            ParsedEvent::MigrateArrive { .. } => "migrate_arrive",
-        }
-    }
-}
-
-/// Owned mirror of [`TraceRecord`](crate::TraceRecord) as read back from
-/// JSONL.
+/// A [`TraceRecord`](crate::TraceRecord) as read back from JSONL.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ParsedRecord {
     /// Monotone sequence number.
@@ -441,21 +293,40 @@ pub struct ParsedRecord {
     pub event: ParsedEvent,
 }
 
-fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field '{key}'"))
-}
+/// Reads an event's fields out of a parsed JSONL object.
+struct JsonFields<'a>(&'a Json);
 
-fn field_u32(obj: &Json, key: &str) -> Result<u32, String> {
-    u32::try_from(field_u64(obj, key)?).map_err(|_| format!("field '{key}' out of u32 range"))
-}
+impl FieldReader<String> for JsonFields<'_> {
+    fn label(&mut self, field: &Field) -> Result<String, String> {
+        self.0
+            .get(field.key)
+            .and_then(Json::as_str)
+            .map(str::to_owned)
+            .ok_or_else(|| format!("missing or non-string field '{}'", field.key))
+    }
 
-fn field_str(obj: &Json, key: &str) -> Result<String, String> {
-    obj.get(key)
-        .and_then(Json::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| format!("missing or non-string field '{key}'"))
+    fn u64(&mut self, field: &Field) -> Result<u64, String> {
+        match (self.0.get(field.key), field.default) {
+            (None, Some(default)) => Ok(default.into()),
+            (value, _) => value
+                .and_then(Json::as_u64)
+                .ok_or_else(|| format!("missing or non-integer field '{}'", field.key)),
+        }
+    }
+
+    fn scores(&mut self, field: &Field) -> Result<Vec<(String, f64)>, String> {
+        self.0
+            .get(field.key)
+            .and_then(Json::as_object)
+            .ok_or_else(|| format!("missing '{}' object", field.key))?
+            .iter()
+            .map(|(policy, v)| {
+                v.as_f64()
+                    .map(|score| (policy.clone(), score))
+                    .ok_or_else(|| format!("non-numeric score for '{policy}'"))
+            })
+            .collect()
+    }
 }
 
 /// Parses one JSONL line into a [`ParsedRecord`]. Meta lines (`"type":
@@ -463,106 +334,18 @@ fn field_str(obj: &Json, key: &str) -> Result<String, String> {
 /// `Ok(None)`.
 pub fn parse_record(line: &str) -> Result<Option<ParsedRecord>, String> {
     let obj = Json::parse(line)?;
-    let tag = field_str(&obj, "type")?;
+    let mut fields = JsonFields(&obj);
+    let header = |key| Field { key, default: None };
+    let tag = fields.label(&header("type"))?;
     if tag == "meta" {
         return Ok(None);
     }
-    let event = match tag.as_str() {
-        "sim_event" => ParsedEvent::SimEvent {
-            kind: field_str(&obj, "kind")?,
-            id: field_u64(&obj, "id")?,
-        },
-        "plan" => ParsedEvent::PlanBuilt {
-            policy: field_str(&obj, "policy")?,
-            queue_depth: field_u32(&obj, "queue_depth")?,
-            profile_points: field_u32(&obj, "profile_points")?,
-            // Absent in traces from before the plan fan-out: sequential.
-            workers: field_u32(&obj, "workers").unwrap_or(1),
-            dur_ns: field_u64(&obj, "dur_ns")?,
-        },
-        "decision" => {
-            let scores = obj
-                .get("scores")
-                .and_then(Json::as_object)
-                .ok_or("missing 'scores' object")?
-                .iter()
-                .map(|(policy, v)| {
-                    v.as_f64()
-                        .map(|score| (policy.clone(), score))
-                        .ok_or_else(|| format!("non-numeric score for '{policy}'"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            ParsedEvent::Decision {
-                old: field_str(&obj, "old")?,
-                verdict: field_str(&obj, "verdict")?,
-                rule: field_str(&obj, "rule")?,
-                scores,
-            }
-        }
-        "switch" => ParsedEvent::PolicySwitch {
-            from: field_str(&obj, "from")?,
-            to: field_str(&obj, "to")?,
-        },
-        "admission" => ParsedEvent::AdmissionVerdict {
-            request: field_u32(&obj, "request")?,
-            verdict: field_str(&obj, "verdict")?,
-        },
-        "backfill" => ParsedEvent::BackfillMove {
-            job: field_u32(&obj, "job")?,
-            width: field_u32(&obj, "width")?,
-            overtaken: field_u32(&obj, "overtaken")?,
-        },
-        "span" => ParsedEvent::Span {
-            name: field_str(&obj, "name")?,
-            dur_ns: field_u64(&obj, "dur_ns")?,
-        },
-        "node_down" => ParsedEvent::NodeDown {
-            node: field_u32(&obj, "node")?,
-        },
-        "node_up" => ParsedEvent::NodeUp {
-            node: field_u32(&obj, "node")?,
-        },
-        "job_fault" => ParsedEvent::JobFault {
-            job: field_u32(&obj, "job")?,
-            attempt: field_u32(&obj, "attempt")?,
-            reason: field_str(&obj, "reason")?,
-        },
-        "job_retry" => ParsedEvent::JobRetry {
-            job: field_u32(&obj, "job")?,
-            attempt: field_u32(&obj, "attempt")?,
-            delay_ms: field_u64(&obj, "delay_ms")?,
-        },
-        "job_lost" => ParsedEvent::JobLost {
-            job: field_u32(&obj, "job")?,
-            attempts: field_u32(&obj, "attempts")?,
-        },
-        "res_repair" => ParsedEvent::ReservationRepair {
-            reservation: field_u32(&obj, "reservation")?,
-            action: field_str(&obj, "action")?,
-            width: field_u32(&obj, "width")?,
-        },
-        "route" => ParsedEvent::JobRouted {
-            job: field_u32(&obj, "job")?,
-            from: field_u32(&obj, "from")?,
-            to: field_u32(&obj, "to")?,
-            transfer_ms: field_u64(&obj, "transfer_ms")?,
-        },
-        "migrate_depart" => ParsedEvent::MigrateDepart {
-            job: field_u32(&obj, "job")?,
-            from: field_u32(&obj, "from")?,
-            to: field_u32(&obj, "to")?,
-        },
-        "migrate_arrive" => ParsedEvent::MigrateArrive {
-            job: field_u32(&obj, "job")?,
-            from: field_u32(&obj, "from")?,
-            to: field_u32(&obj, "to")?,
-        },
-        other => return Err(format!("unknown record type '{other}'")),
-    };
+    let event = TraceEvent::read_fields(&tag, &mut fields)?
+        .ok_or_else(|| format!("unknown record type '{tag}'"))?;
     Ok(Some(ParsedRecord {
-        seq: field_u64(&obj, "seq")?,
-        sim_ms: field_u64(&obj, "sim_ms")?,
-        wall_ns: field_u64(&obj, "wall_ns")?,
+        seq: fields.u64(&header("seq"))?,
+        sim_ms: fields.u64(&header("sim_ms"))?,
+        wall_ns: fields.u64(&header("wall_ns"))?,
         event,
     }))
 }
@@ -587,10 +370,21 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedRecord>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{TraceEvent, TraceRecord};
-    use crate::sink::render_jsonl;
-    use crate::tracer::TraceSnapshot;
+    use crate::event::TraceRecord;
+    use crate::sink::{render_jsonl, render_jsonl_line};
+    use crate::testing::{samples, GOLDEN_JSONL};
     use dynp_des::SimTime;
+    use proptest::prelude::*;
+
+    /// A parsed record as the record it was rendered from, labels owned.
+    fn reassemble(parsed: ParsedRecord) -> TraceRecord<String> {
+        TraceRecord {
+            seq: parsed.seq,
+            sim: SimTime::from_millis(parsed.sim_ms),
+            wall_ns: parsed.wall_ns,
+            event: parsed.event,
+        }
+    }
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -616,166 +410,48 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_every_event_kind() {
-        let events = vec![
-            TraceEvent::SimEvent {
-                kind: "arrive",
-                id: 17,
-            },
-            TraceEvent::PlanBuilt {
-                policy: "LJF",
-                queue_depth: 3,
-                profile_points: 12,
-                workers: 4,
-                dur_ns: 4_321,
-            },
-            TraceEvent::Decision {
-                old: "FCFS",
-                verdict: "SJF",
-                rule: "argmin",
-                scores: vec![("FCFS", 2.75), ("SJF", 1.0), ("LJF", 2.75)],
-            },
-            TraceEvent::PolicySwitch {
-                from: "FCFS",
-                to: "SJF",
-            },
-            TraceEvent::AdmissionVerdict {
-                request: 9,
-                verdict: "breaks-guarantee",
-            },
-            TraceEvent::BackfillMove {
-                job: 5,
-                width: 4,
-                overtaken: 2,
-            },
-            TraceEvent::Span {
-                name: "step",
-                dur_ns: 999,
-            },
-            TraceEvent::NodeDown { node: 3 },
-            TraceEvent::NodeUp { node: 3 },
-            TraceEvent::JobFault {
-                job: 7,
-                attempt: 2,
-                reason: "crash",
-            },
-            TraceEvent::JobRetry {
-                job: 7,
-                attempt: 2,
-                delay_ms: 600_000,
-            },
-            TraceEvent::JobLost {
-                job: 8,
-                attempts: 4,
-            },
-            TraceEvent::ReservationRepair {
-                reservation: 1,
-                action: "revoked",
-                width: 0,
-            },
-            TraceEvent::JobRouted {
-                job: 30,
-                from: 0,
-                to: 3,
-                transfer_ms: 2_000,
-            },
-            TraceEvent::MigrateDepart {
-                job: 31,
-                from: 2,
-                to: 0,
-            },
-            TraceEvent::MigrateArrive {
-                job: 31,
-                from: 2,
-                to: 0,
-            },
-        ];
-        let snapshot = TraceSnapshot {
-            records: events
-                .into_iter()
-                .enumerate()
-                .map(|(i, event)| TraceRecord {
-                    seq: i as u64,
-                    sim: SimTime::from_secs(10 + i as u64),
-                    wall_ns: 100 * i as u64,
-                    event,
-                })
-                .collect(),
-            dropped: 0,
-        };
-        let text = render_jsonl(&snapshot);
-        let parsed = parse_jsonl(&text).unwrap();
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        // The line that used to overflow the daemon's stack.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn every_kind_round_trips() {
+        let snapshot = samples();
+        let parsed = parse_jsonl(GOLDEN_JSONL).unwrap();
         assert_eq!(parsed.len(), snapshot.records.len());
-        for (parsed, original) in parsed.iter().zip(&snapshot.records) {
-            assert_eq!(parsed.seq, original.seq);
-            assert_eq!(parsed.sim_ms, original.sim.as_millis());
-            assert_eq!(parsed.wall_ns, original.wall_ns);
+        for (parsed, original) in parsed.into_iter().zip(&snapshot.records) {
             assert_eq!(parsed.event.type_tag(), original.event.type_tag());
-        }
-        // Spot-check a payload survived intact.
-        match &parsed[2].event {
-            ParsedEvent::Decision {
-                old,
-                verdict,
-                rule,
-                scores,
-            } => {
-                assert_eq!(old, "FCFS");
-                assert_eq!(verdict, "SJF");
-                assert_eq!(rule, "argmin");
-                assert_eq!(
-                    scores,
-                    &[
-                        ("FCFS".to_owned(), 2.75),
-                        ("SJF".to_owned(), 1.0),
-                        ("LJF".to_owned(), 2.75)
-                    ]
-                );
-            }
-            other => panic!("expected decision, got {other:?}"),
-        }
-        // And a fault payload.
-        match &parsed[9].event {
-            ParsedEvent::JobFault {
-                job,
-                attempt,
-                reason,
-            } => {
-                assert_eq!(*job, 7);
-                assert_eq!(*attempt, 2);
-                assert_eq!(reason, "crash");
-            }
-            other => panic!("expected job_fault, got {other:?}"),
+            assert_eq!(parsed.event.class(), original.event.class());
+            // Every value is in the line, so re-rendering what was read
+            // compares every field.
+            assert_eq!(
+                render_jsonl_line(&reassemble(parsed)),
+                render_jsonl_line(original)
+            );
         }
     }
 
     #[test]
     fn meta_lines_are_skipped() {
-        let mut snapshot = TraceSnapshot {
-            records: vec![TraceRecord {
-                seq: 8,
-                sim: SimTime::from_secs(1),
-                wall_ns: 5,
-                event: TraceEvent::PolicySwitch {
-                    from: "SJF",
-                    to: "LJF",
-                },
-            }],
-            dropped: 3,
-        };
+        let mut snapshot = samples();
+        snapshot.dropped = 3;
         let text = render_jsonl(&snapshot);
-        assert_eq!(text.lines().count(), 2);
-        let parsed = parse_jsonl(&text).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].seq, 8);
-        snapshot.dropped = 0;
-        assert_eq!(parse_jsonl(&render_jsonl(&snapshot)).unwrap().len(), 1);
+        assert_eq!(text.lines().count(), snapshot.records.len() + 1);
+        assert_eq!(parse_jsonl(&text).unwrap().len(), snapshot.records.len());
     }
 
     #[test]
     fn parse_errors_carry_line_numbers() {
         let err = parse_jsonl("{\"seq\":0,\"sim_ms\":0,\"wall_ns\":0,\"type\":\"span\",\"name\":\"x\",\"dur_ns\":1}\nnot json\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+        let err = parse_record(r#"{"seq":0,"sim_ms":0,"wall_ns":0,"type":"warp"}"#).unwrap_err();
+        assert_eq!(err, "unknown record type 'warp'");
     }
 
     #[test]
@@ -788,6 +464,104 @@ mod tests {
                 assert!(scores[0].1.is_nan());
             }
             other => panic!("expected decision, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn traces_from_before_the_fan_out_read_as_one_worker() {
+        let line = r#"{"seq":0,"sim_ms":0,"wall_ns":0,"type":"plan","policy":"SJF","queue_depth":4,"profile_points":9,"dur_ns":777}"#;
+        let rec = parse_record(line).unwrap().unwrap();
+        assert!(matches!(
+            rec.event,
+            ParsedEvent::PlanBuilt { workers: 1, .. }
+        ));
+        // Only `workers` has a default.
+        assert!(parse_record(&line.replace(",\"queue_depth\":4", "")).is_err());
+    }
+
+    /// Supplies field values from pre-drawn pools, cycling through them.
+    struct Pools {
+        labels: Vec<String>,
+        numbers: Vec<u64>,
+        scores: Vec<(String, f64)>,
+        next: usize,
+    }
+
+    impl Pools {
+        fn pick<T: Clone>(next: &mut usize, pool: &[T]) -> T {
+            *next += 1;
+            pool[*next % pool.len()].clone()
+        }
+    }
+
+    impl FieldReader<String> for Pools {
+        fn label(&mut self, _: &Field) -> Result<String, String> {
+            Ok(Self::pick(&mut self.next, &self.labels))
+        }
+        fn u64(&mut self, _: &Field) -> Result<u64, String> {
+            Ok(Self::pick(&mut self.next, &self.numbers))
+        }
+        fn u32(&mut self, field: &Field) -> Result<u32, String> {
+            Ok(self.u64(field)? as u32)
+        }
+        fn scores(&mut self, _: &Field) -> Result<Vec<(String, f64)>, String> {
+            Ok(self.scores.clone())
+        }
+    }
+
+    /// Labels that stress the escaper: quotes, backslashes, control
+    /// characters, JSON punctuation, non-BMP text.
+    fn label() -> impl Strategy<Value = String> {
+        const ALPHABET: [&str; 16] = [
+            "\"", "\\", "\n", "\r", "\t", "\u{0}", "\u{1b}", "\u{7f}", "{", "}", ":", ",", "é",
+            "\u{2028}", "𝄞", "SJF",
+        ];
+        proptest::collection::vec(0usize..ALPHABET.len(), 0..6)
+            .prop_map(|picks| picks.into_iter().map(|i| ALPHABET[i]).collect())
+    }
+
+    fn score() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            // Any bit pattern: subnormals, both zeros, infinities, NaNs.
+            (0u64..u64::MAX).prop_map(f64::from_bits),
+            -1e6f64..1e6,
+            Just(f64::INFINITY),
+            Just(f64::NAN),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_records_round_trip(
+            kind in 0usize..1000,
+            labels in proptest::collection::vec(label(), 1..5),
+            // JSON numbers are doubles: integers are exact up to 2^53.
+            numbers in proptest::collection::vec(0u64..(1 << 53) + 1, 1..8),
+            scores in proptest::collection::vec((label(), score()), 0..5),
+        ) {
+            let kinds = samples().records;
+            let tag = kinds[kind % kinds.len()].event.type_tag();
+            let mut pools = Pools { labels, numbers, scores, next: kind };
+            let header = Field { key: "", default: None };
+            let mut original = TraceRecord {
+                seq: pools.u64(&header).unwrap(),
+                sim: SimTime::from_millis(pools.u64(&header).unwrap()),
+                wall_ns: pools.u64(&header).unwrap(),
+                event: TraceEvent::read_fields(tag, &mut pools).unwrap().unwrap(),
+            };
+            let line = render_jsonl_line(&original);
+            prop_assert!(!line.contains('\n'), "a record is one line: {line:?}");
+            let parsed = reassemble(parse_record(&line).unwrap().unwrap());
+            // JSON has no non-finite number: the sink writes `null`, which
+            // reads back as NaN.
+            if let TraceEvent::Decision { scores, .. } = &mut original.event {
+                for score in scores.iter_mut().filter(|s| !s.1.is_finite()) {
+                    score.1 = f64::NAN;
+                }
+            }
+            // Debug prints a float's shortest round-trip form, so equal
+            // text means equal bits — and NaN, unlike ==, equals itself.
+            prop_assert_eq!(format!("{parsed:?}"), format!("{original:?}"));
         }
     }
 }

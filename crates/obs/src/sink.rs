@@ -1,14 +1,15 @@
 //! Trace sinks: JSONL (the machine-readable audit log) and the Chrome
 //! trace-event format (`chrome://tracing` / Perfetto-loadable spans).
 //!
-//! Both formats are written by hand — the workspace deliberately vendors
-//! a no-op serde — and the JSONL format is the contract
-//! [`crate::parse`] reads back (pinned by round-trip tests).
+//! Both render a record by walking its kind's declared field list
+//! ([`TraceEvent::write_fields`]); the JSONL format is the contract
+//! [`crate::parse`] reads back through the same list (pinned by golden
+//! lines and round-trip tests).
 
-use crate::event::{TraceEvent, TraceRecord};
+use crate::event::{FieldWriter, TraceRecord};
 use crate::tracer::TraceSnapshot;
 use std::fmt::Write as _;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 /// Writes an f64 as JSON: the shortest round-trip decimal, or `null` for
@@ -42,152 +43,45 @@ pub fn push_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Appends each field as `,"key":value`.
+struct JsonlFields<'a>(&'a mut String);
+
+impl<L: AsRef<str>> FieldWriter<L> for JsonlFields<'_> {
+    fn label(&mut self, key: &'static str, value: &L) {
+        let _ = write!(self.0, ",\"{key}\":");
+        push_str(self.0, value.as_ref());
+    }
+
+    fn u64(&mut self, key: &'static str, value: &u64) {
+        let _ = write!(self.0, ",\"{key}\":{value}");
+    }
+
+    fn scores(&mut self, key: &'static str, value: &[(L, f64)]) {
+        let _ = write!(self.0, ",\"{key}\":{{");
+        for (i, (policy, score)) in value.iter().enumerate() {
+            if i > 0 {
+                self.0.push(',');
+            }
+            push_str(self.0, policy.as_ref());
+            self.0.push(':');
+            push_f64(self.0, *score);
+        }
+        self.0.push('}');
+    }
+}
+
 /// Renders one record as a single JSONL line (no trailing newline).
-pub fn render_jsonl_line(rec: &TraceRecord) -> String {
+pub fn render_jsonl_line<L: AsRef<str>>(rec: &TraceRecord<L>) -> String {
     let mut out = String::with_capacity(128);
     let _ = write!(
         out,
-        "{{\"seq\":{},\"sim_ms\":{},\"wall_ns\":{},\"type\":",
+        "{{\"seq\":{},\"sim_ms\":{},\"wall_ns\":{},\"type\":\"{}\"",
         rec.seq,
         rec.sim.as_millis(),
-        rec.wall_ns
+        rec.wall_ns,
+        rec.event.type_tag()
     );
-    push_str(&mut out, rec.event.type_tag());
-    match &rec.event {
-        TraceEvent::SimEvent { kind, id } => {
-            out.push_str(",\"kind\":");
-            push_str(&mut out, kind);
-            let _ = write!(out, ",\"id\":{id}");
-        }
-        TraceEvent::PlanBuilt {
-            policy,
-            queue_depth,
-            profile_points,
-            workers,
-            dur_ns,
-        } => {
-            out.push_str(",\"policy\":");
-            push_str(&mut out, policy);
-            let _ = write!(
-                out,
-                ",\"queue_depth\":{queue_depth},\"profile_points\":{profile_points},\"workers\":{workers},\"dur_ns\":{dur_ns}"
-            );
-        }
-        TraceEvent::Decision {
-            old,
-            verdict,
-            rule,
-            scores,
-        } => {
-            out.push_str(",\"old\":");
-            push_str(&mut out, old);
-            out.push_str(",\"verdict\":");
-            push_str(&mut out, verdict);
-            out.push_str(",\"rule\":");
-            push_str(&mut out, rule);
-            out.push_str(",\"scores\":{");
-            for (i, (policy, score)) in scores.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                push_str(&mut out, policy);
-                out.push(':');
-                push_f64(&mut out, *score);
-            }
-            out.push('}');
-        }
-        TraceEvent::PolicySwitch { from, to } => {
-            out.push_str(",\"from\":");
-            push_str(&mut out, from);
-            out.push_str(",\"to\":");
-            push_str(&mut out, to);
-        }
-        TraceEvent::AdmissionVerdict { request, verdict } => {
-            let _ = write!(out, ",\"request\":{request},\"verdict\":");
-            push_str(&mut out, verdict);
-        }
-        TraceEvent::BackfillMove {
-            job,
-            width,
-            overtaken,
-        } => {
-            let _ = write!(
-                out,
-                ",\"job\":{job},\"width\":{width},\"overtaken\":{overtaken}"
-            );
-        }
-        TraceEvent::Span { name, dur_ns } => {
-            out.push_str(",\"name\":");
-            push_str(&mut out, name);
-            let _ = write!(out, ",\"dur_ns\":{dur_ns}");
-        }
-        TraceEvent::NodeDown { node } | TraceEvent::NodeUp { node } => {
-            let _ = write!(out, ",\"node\":{node}");
-        }
-        TraceEvent::JobFault {
-            job,
-            attempt,
-            reason,
-        } => {
-            let _ = write!(out, ",\"job\":{job},\"attempt\":{attempt},\"reason\":");
-            push_str(&mut out, reason);
-        }
-        TraceEvent::JobRetry {
-            job,
-            attempt,
-            delay_ms,
-        } => {
-            let _ = write!(
-                out,
-                ",\"job\":{job},\"attempt\":{attempt},\"delay_ms\":{delay_ms}"
-            );
-        }
-        TraceEvent::JobLost { job, attempts } => {
-            let _ = write!(out, ",\"job\":{job},\"attempts\":{attempts}");
-        }
-        TraceEvent::ReservationRepair {
-            reservation,
-            action,
-            width,
-        } => {
-            let _ = write!(out, ",\"reservation\":{reservation},\"action\":");
-            push_str(&mut out, action);
-            let _ = write!(out, ",\"width\":{width}");
-        }
-        TraceEvent::JobRouted {
-            job,
-            from,
-            to,
-            transfer_ms,
-        } => {
-            let _ = write!(
-                out,
-                ",\"job\":{job},\"from\":{from},\"to\":{to},\"transfer_ms\":{transfer_ms}"
-            );
-        }
-        TraceEvent::MigrateDepart { job, from, to }
-        | TraceEvent::MigrateArrive { job, from, to } => {
-            let _ = write!(out, ",\"job\":{job},\"from\":{from},\"to\":{to}");
-        }
-        TraceEvent::CheckpointWritten { journal_seq, bytes } => {
-            let _ = write!(out, ",\"journal_seq\":{journal_seq},\"bytes\":{bytes}");
-        }
-        TraceEvent::CheckpointLoaded {
-            journal_seq,
-            replayed,
-        } => {
-            let _ = write!(
-                out,
-                ",\"journal_seq\":{journal_seq},\"replayed\":{replayed}"
-            );
-        }
-        TraceEvent::JournalRotated { segment, bytes } => {
-            let _ = write!(out, ",\"segment\":{segment},\"bytes\":{bytes}");
-        }
-        TraceEvent::QuotaRejected { user, queue_depth } => {
-            let _ = write!(out, ",\"user\":{user},\"queue_depth\":{queue_depth}");
-        }
-    }
+    rec.event.write_fields(&mut JsonlFields(&mut out));
     out.push('}');
     out
 }
@@ -211,253 +105,106 @@ pub fn render_jsonl(snapshot: &TraceSnapshot) -> String {
     out
 }
 
-/// Writes the snapshot as JSONL to `path`.
-pub fn write_jsonl(snapshot: &TraceSnapshot, path: &Path) -> io::Result<()> {
+/// Writes `text` to `path`, creating the directories above it.
+fn write_text(path: &Path, text: &str) -> io::Result<()> {
     if let Some(dir) = path.parent() {
         if !dir.as_os_str().is_empty() {
             std::fs::create_dir_all(dir)?;
         }
     }
-    let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-    file.write_all(render_jsonl(snapshot).as_bytes())?;
-    file.flush()
+    std::fs::write(path, text)
+}
+
+/// Writes the snapshot as JSONL to `path`.
+pub fn write_jsonl(snapshot: &TraceSnapshot, path: &Path) -> io::Result<()> {
+    write_text(path, &render_jsonl(snapshot))
+}
+
+/// One Chrome event under construction: a field named in the kind's
+/// `name` template fills its slot, `dur_ns` becomes the duration, and
+/// every other field rides in `args` (the score vector stays in the
+/// JSONL audit log).
+struct ChromeFields {
+    name: String,
+    args: String,
+    dur_ns: Option<u64>,
+}
+
+impl ChromeFields {
+    fn place(&mut self, key: &str, text: &str, quoted: bool) {
+        let slot = format!("{{{key}}}");
+        if self.name.contains(&slot) {
+            self.name = self.name.replace(&slot, text);
+        } else if quoted {
+            let _ = write!(self.args, ",\"{key}\":");
+            push_str(&mut self.args, text);
+        } else {
+            let _ = write!(self.args, ",\"{key}\":{text}");
+        }
+    }
+}
+
+impl<L: AsRef<str>> FieldWriter<L> for ChromeFields {
+    fn label(&mut self, key: &'static str, value: &L) {
+        self.place(key, value.as_ref(), true);
+    }
+
+    fn u64(&mut self, key: &'static str, value: &u64) {
+        if key == "dur_ns" {
+            self.dur_ns = Some(*value);
+        } else {
+            self.place(key, &value.to_string(), false);
+        }
+    }
+
+    fn scores(&mut self, _key: &'static str, _value: &[(L, f64)]) {}
 }
 
 /// Renders the snapshot in the Chrome trace-event format: a JSON object
 /// with a `traceEvents` array, loadable in `chrome://tracing` or
 /// <https://ui.perfetto.dev>.
 ///
-/// Span-like records ([`TraceEvent::Span`], [`TraceEvent::PlanBuilt`])
-/// become complete (`"ph":"X"`) events on the wall-clock timeline with
-/// their duration; everything else becomes an instant (`"ph":"i"`)
-/// event. Timestamps are microseconds since tracer creation; the
-/// simulation time of each record rides along in `args.sim_ms` so the
-/// two clocks can be correlated.
+/// Span-like records (the kinds with a `dur_ns` field) become complete
+/// (`"ph":"X"`) events on the wall-clock timeline with their duration;
+/// everything else becomes an instant (`"ph":"i"`) event. Timestamps are
+/// microseconds since tracer creation; the simulation time of each
+/// record rides along in `args.sim_ms` so the two clocks can be
+/// correlated.
 pub fn render_chrome_trace(snapshot: &TraceSnapshot) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    let mut first = true;
-    for rec in &snapshot.records {
-        if !first {
+    for (i, rec) in snapshot.records.iter().enumerate() {
+        if i > 0 {
             out.push_str(",\n");
         }
-        first = false;
+        let kind = rec.event.kind();
+        let mut fields = ChromeFields {
+            name: kind.chrome_name.to_owned(),
+            args: String::new(),
+            dur_ns: None,
+        };
+        rec.event.write_fields(&mut fields);
+        out.push_str("{\"name\":");
+        push_str(&mut out, &fields.name);
+        let _ = write!(out, ",\"cat\":\"{}\"", kind.chrome_cat);
         let ts_us = rec.wall_ns as f64 / 1_000.0;
-        match &rec.event {
-            TraceEvent::Span { name, dur_ns } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"{name}\",\"cat\":\"phase\",\"ph\":\"X\",\"ts\":{ts_us},\
-                     \"dur\":{},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{}}}}}",
-                    *dur_ns as f64 / 1_000.0,
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::PlanBuilt {
-                policy,
-                queue_depth,
-                profile_points,
-                workers,
-                dur_ns,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"plan:{policy}\",\"cat\":\"plan\",\"ph\":\"X\",\"ts\":{ts_us},\
-                     \"dur\":{},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"queue_depth\":{queue_depth},\"profile_points\":{profile_points},\
-                     \"workers\":{workers}}}}}",
-                    *dur_ns as f64 / 1_000.0,
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::Decision {
-                old, verdict, rule, ..
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"decide\",\"cat\":\"decision\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"old\":\"{old}\",\"verdict\":\"{verdict}\",\"rule\":\"{rule}\"}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::PolicySwitch { from, to } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"switch {from}->{to}\",\"cat\":\"decision\",\"ph\":\"i\",\
-                     \"s\":\"g\",\"ts\":{ts_us},\"pid\":1,\"tid\":1,\
-                     \"args\":{{\"sim_ms\":{}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::AdmissionVerdict { request, verdict } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"admission:{verdict}\",\"cat\":\"admission\",\"ph\":\"i\",\
-                     \"s\":\"t\",\"ts\":{ts_us},\"pid\":1,\"tid\":1,\
-                     \"args\":{{\"sim_ms\":{},\"request\":{request}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::SimEvent { kind, id } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"event:{kind}\",\"cat\":\"dispatch\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\
-                     \"args\":{{\"sim_ms\":{},\"id\":{id}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::BackfillMove {
-                job,
-                width,
-                overtaken,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"backfill:j{job}\",\"cat\":\"dispatch\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"width\":{width},\"overtaken\":{overtaken}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::NodeDown { node } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"node_down:n{node}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\
-                     \"args\":{{\"sim_ms\":{},\"node\":{node}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::NodeUp { node } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"node_up:n{node}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\
-                     \"args\":{{\"sim_ms\":{},\"node\":{node}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::JobFault {
-                job,
-                attempt,
-                reason,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"fault:{reason}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"job\":{job},\"attempt\":{attempt}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::JobRetry {
-                job,
-                attempt,
-                delay_ms,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"retry:j{job}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"attempt\":{attempt},\"delay_ms\":{delay_ms}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::JobLost { job, attempts } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"lost:j{job}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"g\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"attempts\":{attempts}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::ReservationRepair {
-                reservation,
-                action,
-                width,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"repair:{action}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"reservation\":{reservation},\"width\":{width}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::JobRouted {
-                job,
-                from,
-                to,
-                transfer_ms,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"route:j{job}\",\"cat\":\"federation\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"from\":{from},\"to\":{to},\"transfer_ms\":{transfer_ms}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::MigrateDepart { job, from, to } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"migrate_depart:j{job}\",\"cat\":\"federation\",\"ph\":\"i\",\
-                     \"s\":\"t\",\"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"from\":{from},\"to\":{to}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::MigrateArrive { job, from, to } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"migrate_arrive:j{job}\",\"cat\":\"federation\",\"ph\":\"i\",\
-                     \"s\":\"t\",\"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"from\":{from},\"to\":{to}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::CheckpointWritten { journal_seq, bytes } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"checkpoint\",\"cat\":\"durability\",\"ph\":\"i\",\"s\":\"g\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"journal_seq\":{journal_seq},\"bytes\":{bytes}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::CheckpointLoaded {
-                journal_seq,
-                replayed,
-            } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"ckpt_load\",\"cat\":\"durability\",\"ph\":\"i\",\"s\":\"g\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"journal_seq\":{journal_seq},\"replayed\":{replayed}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::JournalRotated { segment, bytes } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"rotate:s{segment}\",\"cat\":\"durability\",\"ph\":\"i\",\
-                     \"s\":\"t\",\"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"bytes\":{bytes}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-            TraceEvent::QuotaRejected { user, queue_depth } => {
-                let _ = write!(
-                    out,
-                    "{{\"name\":\"quota:u{user}\",\"cat\":\"durability\",\"ph\":\"i\",\"s\":\"t\",\
-                     \"ts\":{ts_us},\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{},\
-                     \"queue_depth\":{queue_depth}}}}}",
-                    rec.sim.as_millis()
-                );
-            }
-        }
+        let _ = match fields.dur_ns {
+            Some(dur_ns) => write!(
+                out,
+                ",\"ph\":\"X\",\"ts\":{ts_us},\"dur\":{}",
+                dur_ns as f64 / 1_000.0
+            ),
+            None => write!(
+                out,
+                ",\"ph\":\"i\",\"s\":\"{}\",\"ts\":{ts_us}",
+                kind.chrome_scope
+            ),
+        };
+        let _ = write!(
+            out,
+            ",\"pid\":1,\"tid\":1,\"args\":{{\"sim_ms\":{}{}}}}}",
+            rec.sim.as_millis(),
+            fields.args
+        );
     }
     out.push_str("\n]}\n");
     out
@@ -465,214 +212,70 @@ pub fn render_chrome_trace(snapshot: &TraceSnapshot) -> String {
 
 /// Writes the snapshot as a Chrome trace to `path`.
 pub fn write_chrome_trace(snapshot: &TraceSnapshot, path: &Path) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir)?;
-        }
-    }
-    let mut file = io::BufWriter::new(std::fs::File::create(path)?);
-    file.write_all(render_chrome_trace(snapshot).as_bytes())?;
-    file.flush()
+    write_text(path, &render_chrome_trace(snapshot))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynp_des::SimTime;
-
-    fn rec(seq: u64, event: TraceEvent) -> TraceRecord {
-        TraceRecord {
-            seq,
-            sim: SimTime::from_secs(seq),
-            wall_ns: seq * 1_000,
-            event,
-        }
-    }
-
-    fn sample() -> TraceSnapshot {
-        TraceSnapshot {
-            records: vec![
-                rec(
-                    0,
-                    TraceEvent::SimEvent {
-                        kind: "arrive",
-                        id: 3,
-                    },
-                ),
-                rec(
-                    1,
-                    TraceEvent::PlanBuilt {
-                        policy: "SJF",
-                        queue_depth: 4,
-                        profile_points: 9,
-                        workers: 2,
-                        dur_ns: 777,
-                    },
-                ),
-                rec(
-                    2,
-                    TraceEvent::Decision {
-                        old: "FCFS",
-                        verdict: "SJF",
-                        rule: "argmin",
-                        scores: vec![("FCFS", 3.5), ("SJF", 1.25), ("LJF", 2.0)],
-                    },
-                ),
-                rec(
-                    3,
-                    TraceEvent::PolicySwitch {
-                        from: "FCFS",
-                        to: "SJF",
-                    },
-                ),
-                rec(
-                    4,
-                    TraceEvent::AdmissionVerdict {
-                        request: 2,
-                        verdict: "no-capacity",
-                    },
-                ),
-                rec(
-                    5,
-                    TraceEvent::BackfillMove {
-                        job: 11,
-                        width: 2,
-                        overtaken: 1,
-                    },
-                ),
-                rec(
-                    6,
-                    TraceEvent::Span {
-                        name: "step",
-                        dur_ns: 12_345,
-                    },
-                ),
-                rec(7, TraceEvent::NodeDown { node: 5 }),
-                rec(8, TraceEvent::NodeUp { node: 5 }),
-                rec(
-                    9,
-                    TraceEvent::JobFault {
-                        job: 11,
-                        attempt: 1,
-                        reason: "node-loss",
-                    },
-                ),
-                rec(
-                    10,
-                    TraceEvent::JobRetry {
-                        job: 11,
-                        attempt: 1,
-                        delay_ms: 300_000,
-                    },
-                ),
-                rec(
-                    11,
-                    TraceEvent::JobLost {
-                        job: 12,
-                        attempts: 4,
-                    },
-                ),
-                rec(
-                    12,
-                    TraceEvent::ReservationRepair {
-                        reservation: 3,
-                        action: "downgraded",
-                        width: 2,
-                    },
-                ),
-                rec(
-                    13,
-                    TraceEvent::JobRouted {
-                        job: 20,
-                        from: 0,
-                        to: 2,
-                        transfer_ms: 1_500,
-                    },
-                ),
-                rec(
-                    14,
-                    TraceEvent::MigrateDepart {
-                        job: 21,
-                        from: 1,
-                        to: 0,
-                    },
-                ),
-                rec(
-                    15,
-                    TraceEvent::MigrateArrive {
-                        job: 21,
-                        from: 1,
-                        to: 0,
-                    },
-                ),
-            ],
-            dropped: 0,
-        }
-    }
+    use crate::parse::Json;
+    use crate::testing::{samples, GOLDEN_JSONL};
 
     #[test]
-    fn jsonl_has_one_line_per_record() {
-        let text = render_jsonl(&sample());
-        assert_eq!(text.lines().count(), 16);
-        assert!(text.contains("\"type\":\"decision\""));
-        assert!(text.contains("\"scores\":{\"FCFS\":3.5,\"SJF\":1.25,\"LJF\":2}"));
-        assert!(text.contains("\"verdict\":\"no-capacity\""));
-        assert!(text.contains("\"type\":\"node_down\""));
-        assert!(text.contains("\"reason\":\"node-loss\""));
-        assert!(text.contains("\"delay_ms\":300000"));
-        assert!(text.contains("\"action\":\"downgraded\""));
+    fn jsonl_matches_the_golden_lines() {
+        assert_eq!(render_jsonl(&samples()), GOLDEN_JSONL);
     }
 
     #[test]
     fn dropped_records_announce_themselves() {
-        let mut snap = sample();
+        let mut snap = samples();
         snap.dropped = 42;
         let text = render_jsonl(&snap);
         assert!(text.starts_with("{\"seq\":null,\"type\":\"meta\",\"dropped\":42}"));
     }
 
     #[test]
-    fn chrome_trace_is_wellformed_and_has_spans() {
-        let text = render_chrome_trace(&sample());
-        assert!(text.starts_with("{\"displayTimeUnit\""));
-        assert!(text.trim_end().ends_with("]}"));
-        // Two span-like records → two complete events.
-        assert_eq!(text.matches("\"ph\":\"X\"").count(), 2);
-        // Everything else is an instant.
-        assert_eq!(text.matches("\"ph\":\"i\"").count(), 14);
-        assert!(text.contains("\"name\":\"plan:SJF\""));
-        assert!(text.contains("\"name\":\"switch FCFS->SJF\""));
-        assert!(text.contains("\"name\":\"node_down:n5\""));
-        assert!(text.contains("\"name\":\"fault:node-loss\""));
-        assert!(text.contains("\"name\":\"repair:downgraded\""));
-        assert!(text.contains("\"name\":\"route:j20\""));
-        assert!(text.contains("\"name\":\"migrate_depart:j21\""));
-        assert!(text.contains("\"name\":\"migrate_arrive:j21\""));
-        // Parses back as JSON (the parser doubles as a validator).
-        let parsed = crate::parse::Json::parse(&text).expect("chrome trace must be valid JSON");
+    fn chrome_trace_is_valid_json_with_one_event_per_record() {
+        let snap = samples();
+        let text = render_chrome_trace(&snap);
+        let parsed = Json::parse(&text).expect("chrome trace must be valid JSON");
         let events = parsed
             .get("traceEvents")
-            .and_then(crate::parse::Json::as_array)
+            .and_then(Json::as_array)
             .expect("traceEvents array");
-        assert_eq!(events.len(), 16);
+        assert_eq!(events.len(), snap.records.len());
+        for (event, rec) in events.iter().zip(&snap.records) {
+            // Span-like kinds are complete events, the rest instants.
+            let span_like = rec.event.class() == crate::TraceClass::Span;
+            let ph = event.get("ph").and_then(Json::as_str);
+            assert_eq!(ph, Some(if span_like { "X" } else { "i" }), "{event:?}");
+            assert_eq!(event.get("dur").is_some(), span_like);
+            let scope = event.get("s").and_then(Json::as_str);
+            assert_eq!(matches!(scope, Some("t" | "g")), !span_like, "{event:?}");
+            let sim_ms = event.get("args").and_then(|a| a.get("sim_ms"));
+            assert_eq!(sim_ms.and_then(Json::as_u64), Some(rec.sim.as_millis()));
+        }
+        // Template slots are filled from the fields; what a name does
+        // not use rides in args.
+        assert!(text.contains("\"name\":\"plan:SJF\""));
+        assert!(text.contains("\"name\":\"switch FCFS->SJF\""));
+        assert!(text.contains("\"name\":\"fault:node-loss\""));
+        assert!(text.contains("\"name\":\"migrate_arrive:j21\""));
+        assert!(text.contains("\"args\":{\"sim_ms\":4000,\"job\":11,\"attempt\":1}"));
+        assert!(text.contains("\"old\":\"FCFS\",\"verdict\":\"SJF\",\"rule\":\"argmin\""));
+        assert!(!text.contains("scores"));
     }
 
     #[test]
     fn non_finite_scores_become_null() {
-        let snap = TraceSnapshot {
-            records: vec![rec(
-                0,
-                TraceEvent::Decision {
-                    old: "FCFS",
-                    verdict: "FCFS",
-                    rule: "argmin",
-                    scores: vec![("FCFS", f64::INFINITY)],
-                },
-            )],
-            dropped: 0,
+        let mut snap = samples();
+        snap.records[2].event = crate::TraceEvent::Decision {
+            old: "FCFS",
+            verdict: "FCFS",
+            rule: "argmin",
+            scores: vec![("FCFS", f64::INFINITY)],
         };
-        let text = render_jsonl(&snap);
-        assert!(text.contains("\"FCFS\":null"));
+        assert!(render_jsonl(&snap).contains("\"FCFS\":null"));
     }
 
     #[test]
@@ -685,11 +288,11 @@ mod tests {
     #[test]
     fn file_sinks_write_both_formats() {
         let dir = std::env::temp_dir().join("dynp_obs_sink_test");
-        let snap = sample();
+        let snap = samples();
         write_jsonl(&snap, &dir.join("t.jsonl")).unwrap();
         write_chrome_trace(&snap, &dir.join("t.trace.json")).unwrap();
         let jsonl = std::fs::read_to_string(dir.join("t.jsonl")).unwrap();
-        assert_eq!(jsonl.lines().count(), 16);
+        assert_eq!(jsonl, GOLDEN_JSONL);
         let chrome = std::fs::read_to_string(dir.join("t.trace.json")).unwrap();
         assert!(chrome.contains("traceEvents"));
         let _ = std::fs::remove_dir_all(&dir);

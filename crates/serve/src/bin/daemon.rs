@@ -28,10 +28,11 @@
 //! virtual time, fsyncs the journal, prints a summary JSON line to
 //! stdout and exits 0.
 
+use dynp_serve::cli::{bail, Flags};
 use dynp_serve::{
-    parse_request, parse_scheduler, read_journal_header, recover, render_reply, render_summary,
-    spawn, Command, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply, Request,
-    ServiceConfig, ServiceHandle, SubmitError,
+    parse_request, parse_scheduler, read_journal_header, read_request_line, recover, render_reply,
+    render_summary, spawn, Command, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply,
+    Request, ServiceConfig, ServiceHandle, SubmitError,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -73,33 +74,6 @@ struct Args {
     drain: bool,
 }
 
-fn bail(why: &str) -> ! {
-    eprintln!("{why}\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> &'a str {
-    match it.next() {
-        Some(v) => v,
-        None => bail(&format!("{flag} needs a value")),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> T {
-    raw.parse()
-        .unwrap_or_else(|_| bail(&format!("{flag} needs a number, got {raw:?}")))
-}
-
-fn parse_quota(raw: &str) -> QuotaConfig {
-    let Some((rate, burst)) = raw.split_once(':') else {
-        bail(&format!("--quota needs RATE:BURST, got {raw:?}"));
-    };
-    QuotaConfig {
-        rate_mtok_per_sec: parse_num(rate, "--quota RATE"),
-        burst_mtok: parse_num(burst, "--quota BURST"),
-    }
-}
-
 fn parse_args() -> Args {
     let mut machine: Option<u32> = None;
     let mut scheduler: Option<String> = None;
@@ -114,31 +88,22 @@ fn parse_args() -> Args {
     let mut quota = QuotaConfig::disabled();
     let mut socket: Option<PathBuf> = None;
 
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--machine" => machine = Some(parse_num(next_value(&mut it, flag), flag)),
-            "--scheduler" => scheduler = Some(next_value(&mut it, flag).to_string()),
-            "--max-queue" => max_queue = parse_num(next_value(&mut it, flag), flag),
-            "--speedup" => speedup = Some(parse_num(next_value(&mut it, flag), flag)),
-            "--journal" => journal = Some(PathBuf::from(next_value(&mut it, flag))),
+            "--machine" => machine = Some(flags.num(&flag)),
+            "--scheduler" => scheduler = Some(flags.value(&flag)),
+            "--max-queue" => max_queue = flags.num(&flag),
+            "--speedup" => speedup = Some(flags.num(&flag)),
+            "--journal" => journal = Some(PathBuf::from(flags.value(&flag))),
             "--recover" => recover = true,
             "--drain" => drain = true,
-            "--fsync" => {
-                let raw = next_value(&mut it, flag);
-                fsync = FsyncPolicy::parse(raw)
-                    .unwrap_or_else(|| bail(&format!("unknown fsync policy {raw:?}")));
-            }
-            "--checkpoint-every" => checkpoint_every = parse_num(next_value(&mut it, flag), flag),
+            "--fsync" => fsync = flags.fsync(&flag),
+            "--checkpoint-every" => checkpoint_every = flags.num(&flag),
             "--compact" => compact = true,
-            "--quota" => quota = parse_quota(next_value(&mut it, flag)),
-            "--socket" => socket = Some(PathBuf::from(next_value(&mut it, flag))),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => bail(&format!("unknown flag {other:?}")),
+            "--quota" => quota = flags.quota(),
+            "--socket" => socket = Some(PathBuf::from(flags.value(&flag))),
+            other => flags.unknown(other),
         }
     }
 
@@ -149,7 +114,7 @@ fn parse_args() -> Args {
     // full journal read exactly once.
     if recover {
         let Some(dir) = &journal else {
-            bail("--recover needs --journal DIR");
+            bail(USAGE, "--recover needs --journal DIR");
         };
         match read_journal_header(dir) {
             Ok(header) => {
@@ -167,8 +132,8 @@ fn parse_args() -> Args {
         }
     }
 
-    let spec =
-        parse_scheduler(scheduler.as_deref().unwrap_or("dynp")).unwrap_or_else(|why| bail(&why));
+    let spec = parse_scheduler(scheduler.as_deref().unwrap_or("dynp"))
+        .unwrap_or_else(|why| bail(USAGE, &why));
     let mut config = ServiceConfig::new(machine.unwrap_or(128), spec);
     config.max_queue = max_queue;
     config.speedup = speedup.unwrap_or(1);
@@ -229,10 +194,15 @@ fn roundtrip(
     }
 }
 
+/// The reply line to a request that cannot be read as one.
+fn invalid(why: String) -> String {
+    render_reply(&Reply::Rejected(SubmitError::Invalid(why)))
+}
+
 /// Handles one request line and returns the reply line.
 fn handle_line(tx: &mpsc::Sender<Command>, line: &str, done: &AtomicBool) -> String {
     match parse_request(line) {
-        Err(why) => render_reply(&Reply::Rejected(SubmitError::Invalid(why))),
+        Err(why) => invalid(why),
         Ok(Request::Submit(spec)) => roundtrip(tx, |r| Command::Submit(spec, r)),
         Ok(Request::Cancel(job)) => roundtrip(tx, |r| Command::Cancel(job, r)),
         Ok(Request::Status) => roundtrip(tx, Command::Status),
@@ -243,22 +213,35 @@ fn handle_line(tx: &mpsc::Sender<Command>, line: &str, done: &AtomicBool) -> Str
     }
 }
 
-/// One socket connection: request lines in, reply lines out, in order.
+/// Pumps one transport: request lines in, reply lines out, in order,
+/// until end of input or a transport error. A line over the length
+/// bound is answered and ends the transport too — the rest of it is not
+/// worth reading — without disturbing the daemon or any other
+/// connection.
+fn serve_lines(
+    mut reader: impl BufRead,
+    mut writer: impl Write,
+    tx: &mpsc::Sender<Command>,
+    done: &AtomicBool,
+) {
+    loop {
+        let (reply, last) = match read_request_line(&mut reader) {
+            Ok(None) => return,
+            Ok(Some(line)) if line.trim().is_empty() => continue,
+            Ok(Some(line)) => (handle_line(tx, &line, done), false),
+            Err(e) => (invalid(e.to_string()), true),
+        };
+        let sent = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+        if sent.is_err() || last {
+            return;
+        }
+    }
+}
+
+/// One socket connection.
 fn serve_connection(stream: UnixStream, handle: ServiceHandle, done: Arc<AtomicBool>) {
-    let Ok(reader) = stream.try_clone() else {
-        return;
-    };
-    let tx = handle.sender();
-    let mut writer = stream;
-    for line in BufReader::new(reader).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = handle_line(&tx, &line, &done);
-        if writeln!(writer, "{reply}").is_err() {
-            break;
-        }
+    if let Ok(reader) = stream.try_clone() {
+        serve_lines(BufReader::new(reader), stream, &handle.sender(), &done);
     }
 }
 
@@ -290,22 +273,8 @@ fn serve_socket(path: PathBuf, handle: ServiceHandle, done: Arc<AtomicBool>) {
 
 fn serve_stdin(handle: ServiceHandle, done: Arc<AtomicBool>) {
     std::thread::spawn(move || {
-        let tx = handle.sender();
         let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            let reply = handle_line(&tx, &line, &done);
-            let mut out = std::io::stdout().lock();
-            if writeln!(out, "{reply}").and_then(|()| out.flush()).is_err() {
-                break;
-            }
-            if done.load(Ordering::SeqCst) {
-                return;
-            }
-        }
+        serve_lines(stdin.lock(), std::io::stdout(), &handle.sender(), &done);
         // EOF: the client hung up; drain and exit like a shutdown.
         handle.shutdown();
         done.store(true, Ordering::SeqCst);
@@ -373,4 +342,49 @@ fn main() {
     // Transport threads may still be blocked in reads; exiting the
     // process is the clean way out once the drain has finished.
     std::process::exit(0);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Runs `input` through one transport of a daemon that must never
+    /// hear of it, and returns the reply lines.
+    fn replies_to(input: Vec<u8>) -> Vec<String> {
+        let (tx, rx) = mpsc::channel();
+        let mut out = Vec::new();
+        serve_lines(&input[..], &mut out, &tx, &AtomicBool::new(false));
+        assert!(rx.try_recv().is_err(), "a bad line reached the daemon");
+        String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(str::to_owned)
+            .collect()
+    }
+
+    #[test]
+    fn a_deeply_nested_line_is_answered_and_the_transport_lives() {
+        let input = format!("{}\n\n{{\"cmd\":\"fly\"}}\n", "[".repeat(1_000));
+        let replies = replies_to(input.into_bytes());
+        assert_eq!(replies.len(), 2, "{replies:?}");
+        assert!(replies[0].contains("nesting"), "{}", replies[0]);
+        assert!(replies[1].contains("fly"), "{}", replies[1]);
+        for reply in replies {
+            assert!(reply.starts_with("{\"ok\":false,\"error\":\"invalid\",\"reason\":"));
+        }
+    }
+
+    #[test]
+    fn an_over_long_line_is_answered_and_ends_the_transport() {
+        for flood in [vec![b'['; 100_000], vec![0u8; 1 << 20]] {
+            let mut input = b"{\"cmd\":\"fly\"}\n".to_vec();
+            input.extend(flood);
+            input.extend(b"\n{\"cmd\":\"fly\"}\n");
+            let replies = replies_to(input);
+            assert_eq!(replies.len(), 2, "{replies:?}");
+            assert!(replies[0].contains("fly"), "{}", replies[0]);
+            assert!(replies[1].contains("\"error\":\"invalid\""));
+            assert!(replies[1].contains("longer than"), "{}", replies[1]);
+        }
+    }
 }

@@ -44,6 +44,7 @@
 use dynp_des::SimDuration;
 use dynp_metrics::LatencyHistogram;
 use dynp_obs::parse::Json;
+use dynp_serve::cli::{bail, Flags};
 use dynp_serve::{
     parse_scheduler, spawn, Command, FsyncPolicy, OverloadReason, QuotaConfig, Reply,
     ServiceConfig, SubmitError, SubmitSpec,
@@ -112,33 +113,6 @@ struct Args {
     shutdown_after: bool,
 }
 
-fn bail(why: &str) -> ! {
-    eprintln!("{why}\n{USAGE}");
-    std::process::exit(2);
-}
-
-fn next_value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> &'a str {
-    match it.next() {
-        Some(v) => v,
-        None => bail(&format!("{flag} needs a value")),
-    }
-}
-
-fn parse_num<T: std::str::FromStr>(raw: &str, flag: &str) -> T {
-    raw.parse()
-        .unwrap_or_else(|_| bail(&format!("{flag} needs a number, got {raw:?}")))
-}
-
-fn parse_quota(raw: &str) -> QuotaConfig {
-    let Some((rate, burst)) = raw.split_once(':') else {
-        bail(&format!("--quota needs RATE:BURST, got {raw:?}"));
-    };
-    QuotaConfig {
-        rate_mtok_per_sec: parse_num(rate, "--quota RATE"),
-        burst_mtok: parse_num(burst, "--quota BURST"),
-    }
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
         rates: vec![100.0, 200.0],
@@ -160,49 +134,41 @@ fn parse_args() -> Args {
         timeout_ms: 5000,
         shutdown_after: false,
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--rate" => {
-                args.rates = next_value(&mut it, flag)
+                args.rates = flags
+                    .value(&flag)
                     .split(',')
-                    .map(|r| parse_num(r, flag))
+                    .map(|r| flags.parse(r, &flag))
                     .collect();
             }
-            "--duration" => args.duration = parse_num(next_value(&mut it, flag), flag),
-            "--workers" => args.workers = parse_num(next_value(&mut it, flag), flag),
-            "--users" => args.users = parse_num(next_value(&mut it, flag), flag),
-            "--zipf" => args.zipf = parse_num(next_value(&mut it, flag), flag),
-            "--departure" => args.departure = parse_num(next_value(&mut it, flag), flag),
-            "--seed" => args.seed = parse_num(next_value(&mut it, flag), flag),
-            "--machine" => args.machine = parse_num(next_value(&mut it, flag), flag),
-            "--scheduler" => args.scheduler = next_value(&mut it, flag).to_string(),
-            "--max-queue" => args.max_queue = parse_num(next_value(&mut it, flag), flag),
-            "--speedup" => args.speedup = parse_num(next_value(&mut it, flag), flag),
-            "--journal" => args.journal = Some(PathBuf::from(next_value(&mut it, flag))),
-            "--fsync" => {
-                let raw = next_value(&mut it, flag);
-                args.fsync = FsyncPolicy::parse(raw)
-                    .unwrap_or_else(|| bail(&format!("unknown fsync policy {raw:?}")));
-            }
-            "--quota" => args.quota = parse_quota(next_value(&mut it, flag)),
-            "--out" => args.out = Some(PathBuf::from(next_value(&mut it, flag))),
-            "--connect" => args.connect = Some(PathBuf::from(next_value(&mut it, flag))),
-            "--timeout-ms" => args.timeout_ms = parse_num(next_value(&mut it, flag), flag),
+            "--duration" => args.duration = flags.num(&flag),
+            "--workers" => args.workers = flags.num(&flag),
+            "--users" => args.users = flags.num(&flag),
+            "--zipf" => args.zipf = flags.num(&flag),
+            "--departure" => args.departure = flags.num(&flag),
+            "--seed" => args.seed = flags.num(&flag),
+            "--machine" => args.machine = flags.num(&flag),
+            "--scheduler" => args.scheduler = flags.value(&flag),
+            "--max-queue" => args.max_queue = flags.num(&flag),
+            "--speedup" => args.speedup = flags.num(&flag),
+            "--journal" => args.journal = Some(PathBuf::from(flags.value(&flag))),
+            "--fsync" => args.fsync = flags.fsync(&flag),
+            "--quota" => args.quota = flags.quota(),
+            "--out" => args.out = Some(PathBuf::from(flags.value(&flag))),
+            "--connect" => args.connect = Some(PathBuf::from(flags.value(&flag))),
+            "--timeout-ms" => args.timeout_ms = flags.num(&flag),
             "--shutdown-after" => args.shutdown_after = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => bail(&format!("unknown flag {other:?}")),
+            other => flags.unknown(other),
         }
     }
     if args.rates.is_empty() || args.rates.iter().any(|r| *r <= 0.0) {
-        bail("--rate needs positive rates");
+        bail(USAGE, "--rate needs positive rates");
     }
     if args.workers == 0 || args.users == 0 {
-        bail("--workers and --users must be at least 1");
+        bail(USAGE, "--workers and --users must be at least 1");
     }
     args
 }
@@ -438,7 +404,7 @@ impl Row {
 /// Runs one rate step against an in-process daemon, draining it at the
 /// end so completion and loss counts are exact.
 fn run_inproc(args: &Args, rate: f64, journal: Option<PathBuf>) -> Row {
-    let spec = parse_scheduler(&args.scheduler).unwrap_or_else(|why| bail(&why));
+    let spec = parse_scheduler(&args.scheduler).unwrap_or_else(|why| bail(USAGE, &why));
     let mut config = ServiceConfig::new(args.machine, spec);
     config.max_queue = args.max_queue;
     config.speedup = args.speedup;
@@ -725,7 +691,7 @@ fn render_report(args: &Args, scheduler_name: &str, rows: &[Row]) -> String {
 fn main() {
     let args = parse_args();
     let scheduler_name = parse_scheduler(&args.scheduler)
-        .unwrap_or_else(|why| bail(&why))
+        .unwrap_or_else(|why| bail(USAGE, &why))
         .name();
     let mut rows = Vec::new();
     match &args.connect {

@@ -13,6 +13,7 @@
 //! fingerprint — which is exactly what the CI crash-recovery job
 //! asserts by diffing the two lines.
 
+use dynp_serve::cli::{bail, Flags};
 use dynp_serve::{parse_scheduler, read_journal, render_summary, replay_records, ServiceReport};
 use std::path::PathBuf;
 
@@ -23,35 +24,19 @@ usage: replay --journal DIR [--scheduler SPEC]
   --scheduler SPEC override the scheduler recipe recorded in the journal
                    header (FCFS|SJF|LJF|easy[:P]|dynp[...])";
 
-fn bail(why: &str) -> ! {
-    eprintln!("{why}\n{USAGE}");
-    std::process::exit(2);
-}
-
 fn main() {
     let mut journal: Option<PathBuf> = None;
     let mut scheduler: Option<String> = None;
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--journal" => match it.next() {
-                Some(v) => journal = Some(PathBuf::from(v)),
-                None => bail("--journal needs a value"),
-            },
-            "--scheduler" => match it.next() {
-                Some(v) => scheduler = Some(v.clone()),
-                None => bail("--scheduler needs a value"),
-            },
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => bail(&format!("unknown flag {other:?}")),
+            "--journal" => journal = Some(PathBuf::from(flags.value(&flag))),
+            "--scheduler" => scheduler = Some(flags.value(&flag)),
+            other => flags.unknown(other),
         }
     }
     let Some(dir) = journal else {
-        bail("--journal DIR is required");
+        bail(USAGE, "--journal DIR is required");
     };
     let journal = read_journal(&dir).unwrap_or_else(|e| {
         eprintln!("cannot read journal {}: {e}", dir.display());
@@ -65,7 +50,7 @@ fn main() {
         );
     }
     let spec = parse_scheduler(scheduler.as_deref().unwrap_or(&journal.scheduler))
-        .unwrap_or_else(|why| bail(&why));
+        .unwrap_or_else(|why| bail(USAGE, &why));
     let replay =
         replay_records(journal.machine_size, &journal.records, &spec).unwrap_or_else(|e| {
             eprintln!("replay failed: {e}");

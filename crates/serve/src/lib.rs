@@ -52,7 +52,7 @@ pub use journal::{
     sweep_checkpoint_temps, FsyncPolicy, JournalDir, JournalError, JournalHeader, JournalRecord,
     JournalWriter,
 };
-pub use proto::{parse_request, render_reply, render_summary, Request};
+pub use proto::{parse_request, read_request_line, render_reply, render_summary, Request};
 pub use session::{
     jobs_of_records, replay_records, replay_session, service_fingerprint, session_machine_size,
     session_scheduler, validate_replay_suffix, ReplayError, SessionReplay,
@@ -223,16 +223,30 @@ mod tests {
         c.journal = Some(dir.clone());
         c.fsync = FsyncPolicy::Never;
         c.rotate_bytes = 200;
+        // One submission refills per 1000 wall ms at this speedup.
+        c.quota = QuotaConfig {
+            rate_mtok_per_sec: 1,
+            burst_mtok: 20_000,
+        };
         c.tracer = dynp_obs::Tracer::enabled(dynp_obs::TraceLevel::Decisions);
         let tracer = c.tracer.clone();
-        let (handle, join) = spawn(c).unwrap();
+        let (handle, join) = spawn(c.clone()).unwrap();
         for _ in 0..20 {
             handle.submit(spec(1, 1)).unwrap();
         }
+        let shed = (0..30)
+            .filter(|_| handle.submit(spec(1, 1)).is_err())
+            .count();
+        assert!(shed > 0, "the spent bucket must shed user 0");
         handle.shutdown();
         join.join().unwrap();
+        let (handle, join) = recover(c).unwrap();
+        handle.shutdown();
+        join.join().unwrap();
+
+        let snapshot = tracer.snapshot();
         let mut rotations = 0;
-        for rec in tracer.snapshot().records {
+        for rec in &snapshot.records {
             if let dynp_obs::TraceEvent::JournalRotated { segment, bytes } = rec.event {
                 // `segment` is the newly opened one; the sealed file,
                 // header included, is the one before it.
@@ -242,5 +256,18 @@ mod tests {
             }
         }
         assert!(rotations >= 2, "tiny rotate_bytes must rotate: {rotations}");
+
+        // The daemon's own trace — every durability kind in it — reads
+        // back through the JSONL sink and parser.
+        let text = dynp_obs::render_jsonl(&snapshot);
+        let parsed = dynp_obs::parse_jsonl(&text).expect("service trace must parse");
+        assert_eq!(parsed.len(), snapshot.records.len());
+        for tag in ["checkpoint", "ckpt_load", "rotate", "quota"] {
+            assert!(
+                parsed.iter().any(|r| r.event.type_tag() == tag),
+                "no {tag} record in:\n{text}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

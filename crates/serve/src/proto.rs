@@ -1,10 +1,10 @@
 //! The newline-delimited JSON wire protocol.
 //!
-//! One JSON object per line in each direction; the codec is a thin,
-//! hand-rolled layer over the typed API (the workspace vendors a no-op
-//! serde, so wire formats are written out by hand and parsed with
-//! [`dynp_obs::parse::Json`], the same recursive-descent parser the
-//! trace tooling uses).
+//! One JSON object per line in each direction; the codec is a thin
+//! layer over the typed API, parsed with [`dynp_obs::parse::Json`] — the
+//! parser the trace tooling uses, which bounds nesting — and read
+//! through [`read_request_line`], which bounds length: a request line is
+//! untrusted input.
 //!
 //! Requests:
 //!
@@ -32,6 +32,34 @@ use crate::api::{Reply, ServiceReport, SubmitError, SubmitSpec};
 use dynp_des::SimDuration;
 use dynp_obs::parse::Json;
 use dynp_obs::sink;
+use std::io::{self, BufRead, Read};
+
+/// Longest request line a transport accepts, newline included (the
+/// longest legitimate request is under 200 bytes).
+pub const MAX_REQUEST_BYTES: usize = 4096;
+
+/// Reads the next request line, `None` at end of input. A line over
+/// [`MAX_REQUEST_BYTES`] is an `InvalidData` error after that many bytes,
+/// however long the line goes on; the caller answers it and drops the
+/// transport. Bytes that are not UTF-8 are replaced, so the line fails
+/// to parse instead of failing to read.
+pub fn read_request_line(reader: &mut impl BufRead) -> io::Result<Option<String>> {
+    let mut line = Vec::new();
+    reader
+        .by_ref()
+        .take(MAX_REQUEST_BYTES as u64)
+        .read_until(b'\n', &mut line)?;
+    if line.is_empty() {
+        return Ok(None);
+    }
+    if line.len() == MAX_REQUEST_BYTES && line.last() != Some(&b'\n') {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("request line longer than {MAX_REQUEST_BYTES} bytes"),
+        ));
+    }
+    Ok(Some(String::from_utf8_lossy(&line).into_owned()))
+}
 
 /// A parsed client request (the transport-free half of
 /// [`crate::api::Command`]).
@@ -224,6 +252,39 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"cancel"}"#)
             .unwrap_err()
             .contains("job"));
+    }
+
+    #[test]
+    fn deep_nesting_is_a_typed_error() {
+        let err = parse_request(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let nested = format!("{{\"cmd\":{}1{}}}", "[".repeat(500), "]".repeat(500));
+        assert!(parse_request(&nested).is_err());
+    }
+
+    #[test]
+    fn request_lines_are_bounded() {
+        let longest = "x".repeat(MAX_REQUEST_BYTES - 1);
+        let input = format!("{{\"cmd\":\"status\"}}\n\n{longest}\n\u{e9}\n");
+        let mut reader = io::Cursor::new([input.as_bytes(), &[0xff, b'\n', b'['][..]].concat());
+        let mut next = || read_request_line(&mut reader).unwrap();
+        assert_eq!(next().as_deref(), Some("{\"cmd\":\"status\"}\n"));
+        assert_eq!(next().as_deref(), Some("\n"));
+        assert_eq!(next().map(|l| l.len()), Some(MAX_REQUEST_BYTES));
+        assert_eq!(next().as_deref(), Some("\u{e9}\n"));
+        assert_eq!(next().as_deref(), Some("\u{fffd}\n"));
+        assert_eq!(next().as_deref(), Some("["), "a last line needs no newline");
+        assert_eq!(next(), None);
+
+        // One byte over, and a newline-free megabyte: refused after
+        // MAX_REQUEST_BYTES, the rest left unread.
+        let over = "x".repeat(MAX_REQUEST_BYTES) + "\n";
+        for input in [over, "[".repeat(1 << 20)] {
+            let mut reader = io::Cursor::new(input.into_bytes());
+            let err = read_request_line(&mut reader).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert_eq!(reader.position(), MAX_REQUEST_BYTES as u64);
+        }
     }
 
     #[test]
