@@ -9,10 +9,10 @@
 //!
 //! This crate provides that substrate from scratch:
 //!
-//! * [`profile`] — the free-capacity timeline over future time, the
-//!   capacity-indexed structure planners search for start-time slots in
-//!   O(log n) ([`naive`] retains the linear-scan variant as the
-//!   reference oracle);
+//! * [`profile`] — the free-capacity timeline over future time: two
+//!   flat vectors planners sweep for start-time slots, with a memo that
+//!   starts most sweeps at the plan's frontier ([`naive`] is the
+//!   independent memo-less oracle);
 //! * [`policy`] — the queue-ordering policies: FCFS, SJF, LJF (the
 //!   paper's three) plus SAF/LAF extensions;
 //! * [`schedule`] — a full schedule (planned start time for every waiting

@@ -1,15 +1,16 @@
-//! The flat-vector free-capacity profile: the linear-scan implementation
-//! the capacity-indexed [`Profile`](crate::Profile) replaced, retained
-//! verbatim for two jobs:
+//! The oracle free-capacity profile: one sorted vector of
+//! `(time, free)` points, scanned linearly, with no dominance memo, no
+//! fused fit sweep and no `release`. It shares no code with the
+//! production [`Profile`](crate::Profile) and exists for two jobs:
 //!
-//! * it is the profile of the `ReferencePlanner`, so the benchmarked
-//!   incremental-vs-reference speedups compare the indexed structure
-//!   against the real pre-index algorithm, not against a strawman;
-//! * it is the property-test oracle the indexed profile is checked
-//!   against operation by operation.
+//! * it is the property-test oracle [`Profile`](crate::Profile) is
+//!   checked against operation by operation;
+//! * it is the profile of the `ReferencePlanner`, which carries that
+//!   check through the whole scheduler (reference mode ≡ incremental)
+//!   and is what the benchmark's `rms.reference.*` rows measure.
 //!
-//! Same invariants as the indexed profile: strictly increasing times,
-//! `0 <= free <= capacity`, full capacity at the horizon.
+//! Same invariants as [`Profile`](crate::Profile): strictly increasing
+//! times, `0 <= free <= capacity`, full capacity at the horizon.
 
 use crate::profile::ProfilePoint;
 use dynp_des::{SimDuration, SimTime};
@@ -49,8 +50,8 @@ impl NaiveProfile {
     }
 
     /// Rebuilds the whole profile from `(start, end, width)` spans in one
-    /// endpoint sweep; see the indexed profile's `rebuild_from_spans` for
-    /// the contract (identical here).
+    /// endpoint sweep; see `Profile::rebuild_from_spans` for the contract
+    /// (identical here).
     ///
     /// # Panics
     /// Panics if the spans overcommit the machine at any instant or if

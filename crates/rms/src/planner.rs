@@ -312,10 +312,9 @@ impl Planner {
         self.prepared_at = now;
     }
 
-    /// Number of points in the prepared base profile — the size of the
-    /// structure every `earliest_fit` probe descends. Reported per plan
-    /// in trace events; queue depth × log(this) bounds a planning pass's
-    /// probe work.
+    /// Number of points in the prepared base profile — what every
+    /// per-policy pass copies before it places its first job, and where
+    /// every fit sweep starts. Reported per plan in trace events.
     pub fn base_points(&self) -> usize {
         self.base.len()
     }
@@ -582,15 +581,14 @@ impl Default for Planner {
 
 /// The retained from-scratch planner: rebuilds the whole profile with
 /// one allocate per running job and reservation on every call — exactly
-/// the algorithm [`Planner`] used before the shared-base refactor, on
-/// the retained linear-scan [`NaiveProfile`] it used at the time (so
-/// benchmarked speedups compare the capacity-indexed profile against
-/// the real pre-index code path, not against itself).
+/// the algorithm [`Planner`] used before the shared-base refactor — on
+/// [`NaiveProfile`], so it shares neither the sweep, the memo, the undo
+/// path nor the storage layout with the production planner.
 ///
 /// It exists as the correctness oracle (property tests assert its
-/// schedules are bit-identical to the incremental path's) and as the
-/// baseline the perf-trajectory harness measures speedups against. It is
-/// not used on any production path.
+/// schedules are bit-identical to the incremental path's) and as what
+/// the benchmark's `rms.reference.*` rows measure. It is not used on any
+/// production path.
 #[derive(Debug)]
 pub struct ReferencePlanner {
     profile: NaiveProfile,

@@ -5,76 +5,47 @@
 //! queries it with [`Profile::earliest_fit`] and narrows it with
 //! [`Profile::allocate`] / [`Profile::allocate_earliest`].
 //!
-//! # Capacity-indexed representation
+//! # Representation
 //!
-//! The break points are stored in fixed-size *chunks* (a paged sorted
-//! array). Three flat arrays, indexed by chunk position, summarise each
-//! chunk: its first point's time (`first_time`, the binary-search key)
-//! and the minimum / maximum `free` over its segments (`min_free` /
-//! `max_free`). [`Profile::earliest_fit`] answers "first instant ≥ t
-//! where `width` processors stay free for `duration`" with a fused
-//! two-state sweep: a single forward pass that alternates between
-//! *verifying* the current candidate start (scanning for a segment with
-//! `free < width` inside the window — if the window closes first, the
-//! candidate settles) and *seeking* the next segment with
-//! `free >= width` after a blocker (the next candidate). The summary
-//! arrays let either state skip a whole chunk in O(1): a verify skips
-//! chunks with `min_free >= width` (and settles as soon as
-//! `first_time >= end`), a seek skips chunks with `max_free < width`.
+//! Two parallel vectors in time order — `times[i]` is a break point,
+//! `frees[i]` the processors free from it to the next — and nothing else
+//! about the function. Struct-of-arrays because the fit sweep reads a
+//! free value at every step and a time only while it bounds a window,
+//! and because [`Profile::restore_from`], once per policy per event, is
+//! then two flat `memcpy`s.
 //!
-//! The summaries are deliberately plain arrays rather than a search
-//! tree: measured scan dynamics on planner workloads show verify/seek
-//! runs of only a handful of points (the profile alternates tight and
-//! free segments at exactly the widths being placed), so tree descents
-//! or finger structures cannot amortise — while a forward sweep over
-//! contiguous 4-byte entries lets hardware prefetch do the work, and
-//! every update stays O(1) per touched chunk.
+//! [`Profile::earliest_fit`] is one binary search for the segment
+//! containing `after`, then a single forward sweep that alternates
+//! *verifying* the candidate start (scanning its window for a segment
+//! with `free < width`; if the window closes first, the candidate
+//! settles) and *seeking* the next segment with `free >= width` behind a
+//! blocker (the next candidate). On planner workloads those runs are a
+//! handful of points long — the profile alternates tight and free
+//! segments at exactly the widths being placed — so a tree or a paged
+//! index has nothing to skip: a 64-point chunk index with min/max
+//! summaries used to sit here, and every smaller page size measured
+//! faster than the last, down to none (DESIGN §10 has the sweep). What
+//! does go sublinear is the query *stream*, through the dominance memo
+//! of [`Profile::allocate_earliest`].
 //!
-//! What *does* go sublinear is the query stream, via a **dominance
-//! memo** on [`Profile::allocate_earliest`] (see its doc comment):
-//! earliest-fit is monotone in width and duration, and a planning pass
-//! only narrows the profile, so the answer to a previous query is a
-//! sound scan lower bound for any later query it dominates. Policy
-//! passes sort by duration (SJF/LJF) or carry long runs of duplicate
-//! estimates, so most queries start their scan where the previous one
-//! answered instead of at `now` — turning the pass's quadratic rescans
-//! into near-linear work at deep queues.
+//! Updates reuse the fit's indices and `Vec::insert` the missing break
+//! points. List scheduling places most jobs at the frontier of the plan,
+//! so the shifted tail is short however deep the profile: measured to
+//! planner depth 4 096 and peak queue 3 492; a workload with 10⁵-deep
+//! queues owes a benchmark row before any paging returns behind this
+//! same API.
 //!
-//! The update path reuses the fit's position: [`Profile::allocate_earliest`]
-//! threads the (chunk, index) of the found segment straight into a
-//! single forward walk that inserts the two break points, decrements the
-//! covered segments, and refreshes summaries as it goes — a fully
-//! covered chunk shifts its summary by `width` without rescanning its
-//! points. Chunk splits append the upper half to the arena (no
-//! kilobyte-sized memmove of sibling chunks) and shift only the small
-//! per-chunk array entries. `restore_from` stays a flat `memcpy` of the
-//! chunk storage and summary arrays, preserving the shared-base-profile
-//! watermark-restore trick of the incremental planner. A profile that
-//! fits one chunk degenerates to the plain linear scan, so small
-//! profiles pay (almost) nothing for the index.
+//! [`NaiveProfile`](crate::naive::NaiveProfile) is the independent
+//! oracle: the same function kept array-of-structs with no memo, no
+//! fused sweep and no `release`, compared with this one operation by
+//! operation in the property tests below and through the whole scheduler
+//! by the `ReferencePlanner`. The earliest fit is unique, so the two
+//! agree bit for bit even where their probe orders differ.
 //!
-//! [`Profile::release`] undoes an allocation: the same walk with the
-//! sign flipped, then the rectangle's two boundary points are coalesced
-//! away when they no longer change the function, and a chunk emptied
-//! that way hands its arena slot to a free list the next split draws
-//! from. The planner uses it to take back the tail of a retained plan
-//! and re-place only that (see `Planner::plan_retained_batch`).
-//!
-//! The linear-scan implementation this replaced is retained verbatim as
-//! [`NaiveProfile`](crate::naive::NaiveProfile) — the property-test
-//! oracle and the `ReferencePlanner`'s profile, so measured speedups
-//! compare against the real pre-index algorithm. `earliest_fit`'s answer
-//! is the unique minimal feasible start, so the two implementations
-//! agree bit-for-bit even where their probe orders differ.
-//!
-//! Invariants (checked in debug builds and by property tests):
-//! * point times are strictly increasing;
-//! * `0 <= free <= capacity` everywhere;
-//! * the final point's free value equals the full capacity (every
-//!   reservation ends eventually);
-//! * every chunk holds at least one point; `first_time[c]` equals the
-//!   chunk's first point time, and `min_free[c]` / `max_free[c]` equal
-//!   the min/max free over its points.
+//! Invariants (checked in debug builds and by property tests): the two
+//! vectors have one length, at least 1; times increase strictly;
+//! `free <= capacity` everywhere; the final point's free value is the
+//! full capacity (every reservation ends eventually).
 
 use dynp_des::{SimDuration, SimTime};
 
@@ -88,55 +59,6 @@ pub struct ProfilePoint {
     pub free: u32,
 }
 
-/// Points per chunk: small enough that an in-chunk scan stays within a
-/// few cache lines, large enough that the summary arrays stay short.
-const CHUNK_CAP: usize = 64;
-
-/// One page of the point list, stored struct-of-arrays: the fit probes
-/// scan only free values (contiguous 4-byte lanes the compiler can
-/// vectorise) and touch a time only at a hit, instead of dragging
-/// 16-byte (time, free) pairs through the cache on every step. The
-/// chunk's capacity summary lives in the profile's flat `min_free` /
-/// `max_free` arrays, keyed by chunk *position*, so whole-chunk skips
-/// touch contiguous memory too.
-#[derive(Clone, Copy, Debug)]
-struct Chunk {
-    /// Number of valid entries in `times` / `frees`.
-    len: u32,
-    /// Break-point instants, strictly increasing.
-    times: [SimTime; CHUNK_CAP],
-    /// Free processors from the matching instant to the next.
-    frees: [u32; CHUNK_CAP],
-}
-
-impl Chunk {
-    fn of(pt: ProfilePoint) -> Self {
-        let mut ch = Chunk {
-            len: 1,
-            times: [SimTime::ZERO; CHUNK_CAP],
-            frees: [0; CHUNK_CAP],
-        };
-        ch.times[0] = pt.time;
-        ch.frees[0] = pt.free;
-        ch
-    }
-
-    fn times(&self) -> &[SimTime] {
-        &self.times[..self.len as usize]
-    }
-
-    fn frees(&self) -> &[u32] {
-        &self.frees[..self.len as usize]
-    }
-
-    fn point(&self, i: usize) -> ProfilePoint {
-        ProfilePoint {
-            time: self.times[i],
-            free: self.frees[i],
-        }
-    }
-}
-
 /// One entry of the per-width-class dominance memo (see
 /// [`Profile::allocate_earliest`]): the last query answered for the
 /// class, as the lower bound it proves for later, harder queries.
@@ -145,10 +67,9 @@ impl Chunk {
 struct MemoSlot {
     width: u32,
     duration: SimDuration,
-    /// Start of the interval the slot's scan proved free of fits: the
-    /// memo only says "no fit in `[after, answer)`", so it bounds later
-    /// queries constrained to start at or after `after`, not earlier
-    /// ones.
+    /// The slot only says "no fit in `[after, answer)`", so it bounds
+    /// later queries constrained to start at or after `after`, not
+    /// earlier ones.
     after: SimTime,
     answer: SimTime,
 }
@@ -160,39 +81,22 @@ const MEMO_EMPTY: MemoSlot = MemoSlot {
     answer: SimTime::ZERO,
 };
 
-/// Piecewise-constant free-capacity timeline, indexed by capacity (see
-/// the module docs for the chunk + summary-array layout).
+/// Piecewise-constant free-capacity timeline (layout: module docs).
 #[derive(Clone)]
 pub struct Profile {
     capacity: u32,
-    /// Total break points across all chunks.
-    n_points: usize,
-    /// Chunk storage; `order` gives the time order. Chunk splits append
-    /// here so a split never moves kilobytes of sibling chunks.
-    arena: Vec<Chunk>,
-    /// Arena indices of the live chunks, in time order.
-    order: Vec<u32>,
-    /// Per chunk position: time of the chunk's first point — the
-    /// binary-search key for `seg_pos` and the gap test of the
-    /// allocation walk.
-    first_time: Vec<SimTime>,
-    /// Per chunk position: minimum `free` over the chunk's points.
-    min_free: Vec<u32>,
-    /// Per chunk position: maximum `free` over the chunk's points.
-    max_free: Vec<u32>,
+    /// Break-point instants, strictly increasing.
+    times: Vec<SimTime>,
+    /// Free processors from the matching instant to the next.
+    frees: Vec<u32>,
     /// Per width class (`ilog2(width)`): the last
-    /// [`Profile::allocate_earliest`] query and its answer. Valid as a
-    /// scan lower bound for any later query that dominates it, because
-    /// allocation only narrows the profile (see `allocate_earliest`).
-    /// Cleared whenever the profile is rebuilt, restored or widened by
+    /// [`Profile::allocate_earliest`] query and its answer. Cleared
+    /// whenever the profile is rebuilt, restored or widened by
     /// [`Profile::release`].
     memo: [MemoSlot; 32],
     /// False while every memo slot is empty, so back-to-back releases
     /// clear the memo once, not once per rectangle.
     memo_live: bool,
-    /// Arena slots of chunks a release emptied, handed out again before
-    /// the arena grows.
-    free_chunks: Vec<u32>,
 }
 
 impl Profile {
@@ -200,47 +104,25 @@ impl Profile {
     /// `origin` onwards.
     pub fn new(capacity: u32, origin: SimTime) -> Self {
         assert!(capacity >= 1, "profile needs at least one processor");
-        let mut p = Profile {
+        Profile {
             capacity,
-            n_points: 0,
-            arena: Vec::new(),
-            order: Vec::new(),
-            first_time: Vec::new(),
-            min_free: Vec::new(),
-            max_free: Vec::new(),
+            times: vec![origin],
+            frees: vec![capacity],
             memo: [MEMO_EMPTY; 32],
             memo_live: false,
-            free_chunks: Vec::new(),
-        };
-        p.init_single(capacity, origin);
-        p
+        }
     }
 
     /// Resets to the fully-free state at `origin`, reusing the
     /// allocations — the planner rebuilds the profile at every event.
     pub fn reset(&mut self, capacity: u32, origin: SimTime) {
-        assert!(capacity >= 1);
-        self.init_single(capacity, origin);
-    }
-
-    fn init_single(&mut self, capacity: u32, origin: SimTime) {
+        assert!(capacity >= 1, "profile needs at least one processor");
         self.capacity = capacity;
-        self.n_points = 1;
         self.clear_memo();
-        self.arena.clear();
-        self.free_chunks.clear();
-        self.arena.push(Chunk::of(ProfilePoint {
-            time: origin,
-            free: capacity,
-        }));
-        self.order.clear();
-        self.order.push(0);
-        self.first_time.clear();
-        self.first_time.push(origin);
-        self.min_free.clear();
-        self.min_free.push(capacity);
-        self.max_free.clear();
-        self.max_free.push(capacity);
+        self.times.clear();
+        self.times.push(origin);
+        self.frees.clear();
+        self.frees.push(capacity);
     }
 
     /// Rebuilds the whole profile from `(start, end, width)` spans in one
@@ -248,17 +130,12 @@ impl Profile {
     /// instead of the O(R·P) of repeated [`Profile::allocate`] calls.
     /// Spans starting before `origin` are clipped to it; empty and
     /// zero-width spans are ignored. `events` is caller-provided scratch
-    /// so the per-event hot path allocates nothing.
-    ///
-    /// The resulting profile is the canonical minimal representation of
-    /// the same piecewise-constant function the allocate-loop produces,
-    /// so every [`Profile::earliest_fit`] answer — and therefore every
-    /// schedule planned on top — is identical.
+    /// so the per-event hot path allocates nothing. The result is the
+    /// minimal representation of the function the allocate loop builds.
     ///
     /// # Panics
-    /// Panics if the spans overcommit the machine at any instant (the
-    /// same condition on which the allocate-loop panics) or if
-    /// `capacity` is zero.
+    /// Panics if the spans overcommit the machine at any instant (as the
+    /// allocate loop does) or if `capacity` is zero.
     pub fn rebuild_from_spans(
         &mut self,
         capacity: u32,
@@ -266,15 +143,11 @@ impl Profile {
         spans: &[(SimTime, SimTime, u32)],
         events: &mut Vec<(SimTime, i64)>,
     ) {
-        assert!(capacity >= 1, "profile needs at least one processor");
-        self.init_single(capacity, origin);
+        self.reset(capacity, origin);
         events.clear();
         for &(start, end, width) in spans {
-            if width == 0 {
-                continue;
-            }
             let start = start.max(origin);
-            if end <= start {
+            if width == 0 || end <= start {
                 continue;
             }
             events.push((start, width as i64));
@@ -282,14 +155,9 @@ impl Profile {
         }
         events.sort_unstable_by_key(|&(time, _)| time);
         let mut used: i64 = 0;
-        let mut i = 0;
-        while i < events.len() {
-            let time = events[i].0;
-            let mut delta = 0i64;
-            while i < events.len() && events[i].0 == time {
-                delta += events[i].1;
-                i += 1;
-            }
+        for instant in events.chunk_by(|a, b| a.0 == b.0) {
+            let time = instant[0].0;
+            let delta: i64 = instant.iter().map(|&(_, delta)| delta).sum();
             if delta == 0 {
                 continue;
             }
@@ -300,53 +168,27 @@ impl Profile {
             );
             let free = capacity - used as u32;
             // Append (or coalesce into) the last point.
-            let last_id = *self.order.last().expect("origin chunk present") as usize;
-            let ch = &mut self.arena[last_id];
-            let len = ch.len as usize;
-            if ch.times[len - 1] == time {
-                ch.frees[len - 1] = free;
-            } else if len < CHUNK_CAP {
-                ch.times[len] = time;
-                ch.frees[len] = free;
-                ch.len += 1;
-                self.n_points += 1;
+            let last = self.times.len() - 1;
+            if self.times[last] == time {
+                self.frees[last] = free;
             } else {
-                let id = self.store_chunk(Chunk::of(ProfilePoint { time, free }));
-                self.order.push(id);
-                self.first_time.push(time);
-                self.min_free.push(0);
-                self.max_free.push(0);
-                self.n_points += 1;
+                self.times.push(time);
+                self.frees.push(free);
             }
-        }
-        for c in 0..self.n_chunks() {
-            self.refresh_summary(c);
         }
         self.assert_invariants();
     }
 
-    /// Makes this profile a copy of `base` without reallocating (flat
-    /// `memcpy`s of the chunk storage, order and summary arrays). This is
-    /// the per-policy "restore to watermark" step: the planner builds the
-    /// running-jobs base once per event and every policy's planning pass
-    /// starts from a restored copy instead of rebuilding it.
+    /// Makes this profile a copy of `base` without reallocating: the
+    /// planner builds the running-jobs base once per event and every
+    /// policy's planning pass starts from a restored copy.
     pub fn restore_from(&mut self, base: &Profile) {
         self.capacity = base.capacity;
-        self.n_points = base.n_points;
-        self.arena.clear();
-        self.arena.extend_from_slice(&base.arena);
-        self.order.clear();
-        self.order.extend_from_slice(&base.order);
-        self.first_time.clear();
-        self.first_time.extend_from_slice(&base.first_time);
-        self.min_free.clear();
-        self.min_free.extend_from_slice(&base.min_free);
-        self.max_free.clear();
-        self.max_free.extend_from_slice(&base.max_free);
-        self.free_chunks.clear();
-        self.free_chunks.extend_from_slice(&base.free_chunks);
-        // The restored state has more capacity than this profile had
-        // after its last pass, so memoised bounds no longer hold.
+        self.times.clear();
+        self.times.extend_from_slice(&base.times);
+        self.frees.clear();
+        self.frees.extend_from_slice(&base.frees);
+        // More capacity than after the last pass: the bounds are void.
         self.clear_memo();
     }
 
@@ -357,7 +199,7 @@ impl Profile {
 
     /// Number of break points.
     pub fn len(&self) -> usize {
-        self.n_points
+        self.times.len()
     }
 
     /// A profile always has at least its origin point.
@@ -365,90 +207,37 @@ impl Profile {
         false
     }
 
-    /// The break points in time order (for inspection, plotting and the
-    /// property-test oracles). Allocates; not for hot paths.
+    /// The break points in time order. Allocates; not for hot paths.
     pub fn to_points(&self) -> Vec<ProfilePoint> {
         self.iter_points().collect()
     }
 
     /// Iterates the break points in time order.
     pub fn iter_points(&self) -> impl Iterator<Item = ProfilePoint> + '_ {
-        self.order.iter().flat_map(move |&id| {
-            let ch = &self.arena[id as usize];
-            ch.times()
-                .iter()
-                .zip(ch.frees())
-                .map(|(&time, &free)| ProfilePoint { time, free })
-        })
+        self.points_from(0)
+    }
+
+    fn points_from(&self, i: usize) -> impl Iterator<Item = ProfilePoint> + '_ {
+        let pairs = self.times[i..].iter().zip(&self.frees[i..]);
+        pairs.map(|(&time, &free)| ProfilePoint { time, free })
     }
 
     /// Start of the profile (its first break point).
     pub fn origin(&self) -> SimTime {
-        self.first_time[0]
+        self.times[0]
     }
 
-    /// Free processors at instant `t` (clamped to the origin on the
-    /// left). Two binary searches: chunk first-times, then in-chunk.
+    /// Free processors at instant `t` (clamped to the origin on the left).
     pub fn free_at(&self, t: SimTime) -> u32 {
-        let (c, i) = self.seg_pos(t);
-        self.chunk(c).frees[i]
+        self.frees[self.seg_index(t)]
     }
 
-    fn chunk(&self, c: usize) -> &Chunk {
-        &self.arena[self.order[c] as usize]
-    }
-
-    fn chunk_mut(&mut self, c: usize) -> &mut Chunk {
-        &mut self.arena[self.order[c] as usize]
-    }
-
-    fn n_chunks(&self) -> usize {
-        self.order.len()
-    }
-
-    /// (chunk position, in-chunk index) of the segment containing `t`:
-    /// the last point with `time <= t`, or `(0, 0)` for earlier instants.
-    fn seg_pos(&self, t: SimTime) -> (usize, usize) {
-        let c = self
-            .first_time
-            .partition_point(|&ft| ft <= t)
-            .saturating_sub(1);
-        let ch = self.chunk(c);
-        let i = ch
-            .times()
+    /// Index of the segment containing `t`: the last point with
+    /// `time <= t`, or 0 for earlier instants.
+    fn seg_index(&self, t: SimTime) -> usize {
+        self.times
             .partition_point(|&time| time <= t)
-            .saturating_sub(1);
-        (c, i)
-    }
-
-    /// Recomputes the summary-array entry of chunk position `c` from its
-    /// points (one vectorisable min/max sweep over at most `CHUNK_CAP`
-    /// 4-byte entries).
-    fn refresh_summary(&mut self, c: usize) {
-        let ch = &self.arena[self.order[c] as usize];
-        let mut lo = u32::MAX;
-        let mut hi = 0;
-        for &f in ch.frees() {
-            lo = lo.min(f);
-            hi = hi.max(f);
-        }
-        self.min_free[c] = lo;
-        self.max_free[c] = hi;
-    }
-
-    /// Stores `chunk` in the arena — in a slot a release emptied, if
-    /// there is one — and returns its arena index.
-    fn store_chunk(&mut self, chunk: Chunk) -> u32 {
-        match self.free_chunks.pop() {
-            Some(id) => {
-                self.arena[id as usize] = chunk;
-                id
-            }
-            None => {
-                self.arena.push(chunk);
-                self.arena.len() as u32 - 1
-            }
-        }
+            .saturating_sub(1)
     }
 
     fn clear_memo(&mut self) {
@@ -458,18 +247,11 @@ impl Profile {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Queries.
-
-    /// The earliest fit together with the (chunk, index) of the segment
-    /// containing it — the position seeds the allocation walk so
-    /// [`Profile::allocate_earliest`] never re-searches for its start.
-    ///
-    /// One forward sweep alternating the blocker and jump probes of the
-    /// module docs. A clean chunk (`min_free >= width`) needs no point
-    /// access at all: if any of its points reaches past the window's
-    /// close, the next scanned point's time check settles the window,
-    /// because times increase strictly across chunks.
+    /// The earliest fit as `(s, e, start)`: `s` indexes the segment
+    /// containing `start` and `e` the first point at or past the end of
+    /// the window (the point count if it runs past the horizon) — they
+    /// seed [`Profile::carve`], so [`Profile::allocate_earliest`] never
+    /// searches for either end of its rectangle again.
     fn fit_pos(
         &self,
         after: SimTime,
@@ -481,95 +263,38 @@ impl Profile {
             "job width {width} exceeds capacity {}",
             self.capacity
         );
-        let candidate = after.max(self.origin());
+        let mut start = after.max(self.origin());
         if width == 0 || duration.is_zero() {
-            // Trivial fit at the bound; callers skip the allocation walk,
-            // so the position is unused.
-            return (0, 0, candidate);
+            // Trivial fit; callers skip the carve, so the indices are unused.
+            return (0, 0, start);
         }
-        let n = self.n_chunks();
-        let (mut c, mut i) = self.seg_pos(candidate);
-        // Segment containing the current candidate.
-        let (mut sc, mut si) = (c, i);
-        let mut candidate = candidate;
-        let mut end = candidate.saturating_add(duration);
-        // The sweep alternates two states without re-deriving chunk
-        // context: *verifying* (scanning the candidate window for a
-        // blocker, i.e. free < width) and *seeking* (scanning past a
-        // blocker for the next segment with free >= width, the next
-        // candidate). Only free values are scanned — pure 4-byte sweeps
-        // the compiler can vectorise; a hit's time decides between
-        // "blocker" and "window settled", which is sound because times
-        // increase strictly: a point skipped on free alone that lay past
-        // `end` forces every later point past `end` too, so the next
-        // low-free hit's time check still settles the window.
-        let mut seeking = false;
+        let times = self.times.as_slice();
+        let frees = &self.frees[..times.len()];
+        let mut s = self.seg_index(start);
+        let mut end = start.saturating_add(duration);
+        let mut k = s;
         loop {
-            if c >= n {
-                // Horizon. Seeking cannot run past it: the final segment
-                // is fully free, so a next candidate always exists.
-                debug_assert!(!seeking, "seek ran past the horizon");
-                return (sc, si, candidate);
-            }
-            // Whole-chunk skips via the contiguous summary arrays.
-            if seeking {
-                if self.max_free[c] < width {
-                    c += 1;
-                    i = 0;
-                    continue;
-                }
-            } else {
-                if self.first_time[c] >= end {
-                    return (sc, si, candidate);
-                }
-                if self.min_free[c] >= width {
-                    c += 1;
-                    i = 0;
-                    continue;
-                }
-            }
-            let ch = self.chunk(c);
-            let len = ch.len as usize;
-            let frees = &ch.frees[..len];
-            let mut k = i;
-            while k < len {
-                if seeking {
-                    while k < len && frees[k] < width {
-                        k += 1;
-                    }
-                    if k >= len {
-                        break;
-                    }
-                    candidate = ch.times[k];
-                    end = candidate.saturating_add(duration);
-                    sc = c;
-                    si = k;
-                    seeking = false;
-                } else {
-                    while k < len && frees[k] >= width {
-                        k += 1;
-                    }
-                    if k >= len {
-                        break;
-                    }
-                    if ch.times[k] >= end {
-                        return (sc, si, candidate);
-                    }
-                    seeking = true;
-                }
+            // Verifying: no blocker before the window's end or the horizon?
+            while k < times.len() && times[k] < end && frees[k] >= width {
                 k += 1;
             }
-            c += 1;
-            i = 0;
+            if k == times.len() || times[k] >= end {
+                return (s, k, start);
+            }
+            // Seeking: the fully free final segment stops it at the latest.
+            while frees[k] < width {
+                k += 1;
+            }
+            s = k;
+            start = times[k];
+            end = start.saturating_add(duration);
         }
     }
 
     /// The earliest instant `t >= after` at which `width` processors stay
-    /// free for the whole span `[t, t + duration)`.
-    ///
-    /// Always succeeds because the profile returns to full capacity after
-    /// its last break point. The answer is the unique minimal feasible
-    /// start, so it is bit-identical to the retained linear scan's.
+    /// free for the whole span `[t, t + duration)`. Always succeeds
+    /// because the profile returns to full capacity after its last break
+    /// point.
     ///
     /// # Panics
     /// Panics if `width` exceeds the machine capacity.
@@ -582,13 +307,11 @@ impl Profile {
     /// (allocation never coalesces) are dropped, so two profiles holding
     /// the same function yield the same steps.
     fn steps_from(&self, t: SimTime) -> impl Iterator<Item = ProfilePoint> + '_ {
-        let first = ProfilePoint {
-            time: t,
-            free: self.free_at(t),
-        };
+        let i = self.seg_index(t);
+        let free = self.frees[i];
         let mut prev = None;
-        std::iter::once(first)
-            .chain(self.iter_points().filter(move |p| p.time > t))
+        std::iter::once(ProfilePoint { time: t, free })
+            .chain(self.points_from(i + 1))
             .filter(move |p| prev.replace(p.free) != Some(p.free))
     }
 
@@ -599,244 +322,50 @@ impl Profile {
         self.capacity == other.capacity && self.steps_from(t).eq(other.steps_from(t))
     }
 
-    // ------------------------------------------------------------------
-    // Updates.
-
-    /// Inserts `pt` at in-chunk index `i` of chunk position `c`
-    /// (`0 <= i <= len`), splitting the chunk first when full. Returns
-    /// the final (chunk position, in-chunk index) of the inserted point.
-    /// The target chunk's summary is left stale for the caller to
-    /// refresh (split siblings are refreshed in `split_chunk`).
-    fn insert_point(&mut self, mut c: usize, mut i: usize, pt: ProfilePoint) -> (usize, usize) {
-        const HALF: usize = CHUNK_CAP / 2;
-        if self.chunk(c).len as usize == CHUNK_CAP {
-            self.split_chunk(c);
-            if i > HALF {
-                c += 1;
-                i -= HALF;
-            }
+    /// Carves `width` processors out of `[start, end)`, given the index
+    /// `s` of the segment containing `start` and the index `e` of the
+    /// first point at or past `end` (the point count if there is none).
+    /// Panics if any covered segment has fewer than `width` free.
+    fn carve(&mut self, mut s: usize, mut e: usize, start: SimTime, end: SimTime, width: u32) {
+        debug_assert!(self.times[s] <= start && s < e, "s does not contain start");
+        // A new point continues the segment it splits. `end` first, so
+        // `s` still indexes the segment containing `start`.
+        if e == self.times.len() || self.times[e] != end {
+            self.times.insert(e, end);
+            self.frees.insert(e, self.frees[e - 1]);
         }
-        let ch = self.chunk_mut(c);
-        let len = ch.len as usize;
-        debug_assert!(i <= len && len < CHUNK_CAP);
-        ch.times.copy_within(i..len, i + 1);
-        ch.frees.copy_within(i..len, i + 1);
-        ch.times[i] = pt.time;
-        ch.frees[i] = pt.free;
-        ch.len += 1;
-        self.n_points += 1;
-        if i == 0 {
-            self.first_time[c] = pt.time;
+        if self.times[s] != start {
+            (s, e) = (s + 1, e + 1);
+            self.times.insert(s, start);
+            self.frees.insert(s, self.frees[s - 1]);
         }
-        (c, i)
-    }
-
-    /// Splits the full chunk at position `c` into two half chunks. The
-    /// upper half is appended to the arena (no kilobyte-sized memmove of
-    /// sibling chunks); only the 4-byte order and summary entries shift,
-    /// and both halves' summaries are refreshed here.
-    fn split_chunk(&mut self, c: usize) {
-        const HALF: usize = CHUNK_CAP / 2;
-        let id = self.order[c] as usize;
-        let mut hi = Chunk {
-            len: (CHUNK_CAP - HALF) as u32,
-            times: [SimTime::ZERO; CHUNK_CAP],
-            frees: [0; CHUNK_CAP],
-        };
-        hi.times[..CHUNK_CAP - HALF].copy_from_slice(&self.arena[id].times[HALF..]);
-        hi.frees[..CHUNK_CAP - HALF].copy_from_slice(&self.arena[id].frees[HALF..]);
-        let hi_first = hi.times[0];
-        self.arena[id].len = HALF as u32;
-        let new_id = self.store_chunk(hi);
-        self.order.insert(c + 1, new_id);
-        self.first_time.insert(c + 1, hi_first);
-        self.min_free.insert(c + 1, 0);
-        self.max_free.insert(c + 1, 0);
-        self.refresh_summary(c);
-        self.refresh_summary(c + 1);
-    }
-
-    /// Carves `width` processors out of `[start, end)` — or, with
-    /// `RELEASE`, adds them back — given the position `(c, i)` of the
-    /// segment containing `start` (from `fit_pos` or `seg_pos`). One
-    /// forward walk: the bounding break points are inserted as
-    /// encountered, covered segments are shifted, and chunk summaries
-    /// refresh in place — a fully covered chunk shifts its summary by
-    /// `width` without rescanning its points. Returns the position of
-    /// the break point at `end`.
-    ///
-    /// # Panics
-    /// Panics if any covered segment has fewer than `width` free (or,
-    /// releasing, fewer than `width` reserved).
-    fn shift_span<const RELEASE: bool>(
-        &mut self,
-        c: usize,
-        i: usize,
-        start: SimTime,
-        end: SimTime,
-        width: u32,
-    ) -> (usize, usize) {
-        let capacity = self.capacity;
-        let seg = self.chunk(c).point(i);
-        debug_assert!(seg.time <= start, "position does not contain start");
-        let (mut c, mut i) = if seg.time == start {
-            (c, i)
-        } else {
-            // Split the segment: the new point keeps the segment's free
-            // value until the shift loop below reaches it.
-            self.insert_point(
-                c,
-                i + 1,
-                ProfilePoint {
-                    time: start,
-                    free: seg.free,
-                },
-            )
-        };
-        // The chunk the walk starts in is always rescanned: the insert
-        // above may have left its summary stale, and the walk may cover
-        // it only partially.
-        let start_chunk = c;
-        // Pre-shift free value of the last covered segment — the value
-        // the profile returns to where the rectangle ends.
-        let mut prev_free = 0;
-        loop {
-            let ch = self.chunk_mut(c);
-            let len = ch.len as usize;
-            let entered_at = i;
-            while i < len && ch.times[i] < end {
-                let f = ch.frees[i];
-                prev_free = f;
-                ch.frees[i] = if RELEASE {
-                    assert!(
-                        capacity - f >= width,
-                        "over-release: segment at {:?} has {f} of {capacity} free, returning {width}",
-                        ch.times[i]
-                    );
-                    f + width
-                } else {
-                    assert!(
-                        f >= width,
-                        "overcommit: segment at {:?} has {f} free, needs {width}",
-                        ch.times[i]
-                    );
-                    f - width
-                };
-                i += 1;
-            }
-            if i < len {
-                // A point at or past `end` stops the walk in this chunk.
-                if self.chunk(c).times[i] == end {
-                    self.refresh_summary(c);
-                    return (c, i);
-                }
-                let at = self.insert_point(
-                    c,
-                    i,
-                    ProfilePoint {
-                        time: end,
-                        free: prev_free,
-                    },
-                );
-                self.refresh_summary(at.0);
-                if at.0 != c {
-                    self.refresh_summary(c);
-                }
-                return at;
-            }
-            // Chunk consumed to its end.
-            if entered_at == 0 && c != start_chunk {
-                // Fully covered and untouched by inserts: both summary
-                // extremes move by exactly `width`.
-                if RELEASE {
-                    self.min_free[c] += width;
-                    self.max_free[c] += width;
-                } else {
-                    self.min_free[c] -= width;
-                    self.max_free[c] -= width;
-                }
-            } else {
-                self.refresh_summary(c);
-            }
-            c += 1;
-            if c == self.n_chunks() {
-                // Ran past the horizon: close the rectangle with a new
-                // final point restoring the pre-shift free value (the
-                // full capacity, by the horizon invariant).
-                let lc = c - 1;
-                let li = self.chunk(lc).len as usize;
-                let at = self.insert_point(
-                    lc,
-                    li,
-                    ProfilePoint {
-                        time: end,
-                        free: prev_free,
-                    },
-                );
-                self.refresh_summary(at.0);
-                if at.0 != lc {
-                    self.refresh_summary(lc);
-                }
-                return at;
-            }
-            if self.first_time[c] >= end {
-                if self.first_time[c] > end {
-                    // `end` falls in the gap before this chunk: the
-                    // closing point becomes its new first point.
-                    let at = self.insert_point(
-                        c,
-                        0,
-                        ProfilePoint {
-                            time: end,
-                            free: prev_free,
-                        },
-                    );
-                    self.refresh_summary(at.0);
-                    return at;
-                }
-                return (c, 0);
-            }
-            i = 0;
+        for (f, time) in self.frees[s..e].iter_mut().zip(&self.times[s..e]) {
+            assert!(
+                *f >= width,
+                "overcommit: segment at {time:?} has {f} free, needs {width}"
+            );
+            *f -= width;
         }
     }
 
-    /// Removes the break point at `(c, i)` when it no longer changes the
-    /// function (same free value as its predecessor). A chunk emptied
-    /// this way leaves the order and its arena slot goes on the free
-    /// list.
-    fn coalesce(&mut self, c: usize, i: usize) {
-        let pred = if i > 0 {
-            self.chunk(c).frees[i - 1]
-        } else if c > 0 {
-            *self
-                .chunk(c - 1)
-                .frees()
-                .last()
-                .expect("chunks are never empty")
-        } else {
-            return; // the origin point has no predecessor
-        };
-        if pred != self.chunk(c).frees[i] {
-            return;
+    /// Ensures a break point exists exactly at `t >= origin` (splitting
+    /// the containing segment) and returns its index.
+    fn split_at(&mut self, t: SimTime) -> usize {
+        let i = self.seg_index(t);
+        if self.times[i] == t {
+            return i;
         }
-        self.n_points -= 1;
-        let ch = self.chunk_mut(c);
-        let len = ch.len as usize;
-        if len == 1 {
-            self.free_chunks.push(self.order.remove(c));
-            self.first_time.remove(c);
-            self.min_free.remove(c);
-            self.max_free.remove(c);
-            return;
-        }
-        ch.times.copy_within(i + 1..len, i);
-        ch.frees.copy_within(i + 1..len, i);
-        ch.len -= 1;
-        if i == 0 {
-            // The removed value may have been the chunk's only copy: its
-            // twin sits in the previous chunk.
-            self.first_time[c] = ch.times[0];
-            self.refresh_summary(c);
+        self.times.insert(i + 1, t);
+        self.frees.insert(i + 1, self.frees[i]);
+        i + 1
+    }
+
+    /// Removes the break point at `i` when it no longer changes the
+    /// function (same free value as its predecessor).
+    fn coalesce(&mut self, i: usize) {
+        if i > 0 && self.frees[i - 1] == self.frees[i] {
+            self.times.remove(i);
+            self.frees.remove(i);
         }
     }
 
@@ -853,17 +382,17 @@ impl Profile {
         }
         assert!(start >= self.origin(), "allocation before profile origin");
         let end = start.saturating_add(duration);
-        let (c, i) = self.seg_pos(start);
-        self.shift_span::<false>(c, i, start, end, width);
+        let s = self.seg_index(start);
+        let e = s + self.times[s..].partition_point(|&time| time < end);
+        self.carve(s, e, start, end, width);
         self.assert_invariants();
     }
 
     /// Gives back a rectangle reserved by [`Profile::allocate`] or
     /// [`Profile::allocate_earliest`] with the same arguments: the exact
-    /// inverse as a function of time. Break points the rectangle no
-    /// longer needs are coalesced away, so releasing in any order leaves
-    /// no trace of it. Widening invalidates the dominance memo, which is
-    /// cleared; `remember_fit` re-seeds it.
+    /// inverse as a function of time, in any order. Break points the
+    /// rectangle no longer needs are coalesced away. Widening invalidates
+    /// the dominance memo, which is cleared; `remember_fit` re-seeds it.
     ///
     /// # Panics
     /// Panics if `width` processors are not reserved throughout the
@@ -875,49 +404,45 @@ impl Profile {
         assert!(start >= self.origin(), "release before profile origin");
         assert!(width <= self.capacity, "release wider than the machine");
         self.clear_memo();
-        let end = start.saturating_add(duration);
-        let (mut c, mut i) = self.seg_pos(start);
-        let points = self.n_points;
-        let (ec, ei) = self.shift_span::<true>(c, i, start, end, width);
-        let inserted = self.n_points != points;
-        // `end` first: removing it leaves the earlier point in place.
-        self.coalesce(ec, ei);
-        if inserted {
-            // The walk had to add a boundary an earlier release took
-            // away, which may have moved the point at `start`.
-            (c, i) = self.seg_pos(start);
+        // An earlier release may have coalesced either boundary away.
+        let s = self.split_at(start);
+        let e = self.split_at(start.saturating_add(duration));
+        let capacity = self.capacity;
+        for (f, time) in self.frees[s..e].iter_mut().zip(&self.times[s..e]) {
+            assert!(
+                capacity - *f >= width,
+                "over-release: segment at {time:?} has {f} of {capacity} free, returning {width}"
+            );
+            *f += width;
         }
-        self.coalesce(c, i);
+        // `end` first: removing it leaves the earlier point in place.
+        self.coalesce(e);
+        self.coalesce(s);
         self.assert_invariants();
     }
 
     /// Finds the earliest fit and allocates it in one step; returns the
     /// chosen start time. Equivalent to [`Profile::earliest_fit`]
     /// followed by [`Profile::allocate`] — this is the planner's hot
-    /// path (once per queued job per policy per event). The fit's
-    /// position feeds the allocation walk directly, so the start is
-    /// never searched for twice.
+    /// path (once per queued job per policy per event).
     ///
     /// Successive calls are accelerated by a per-width-class *dominance
     /// memo*. Earliest-fit is monotone two ways: a query with larger
     /// width or duration can never fit earlier than an easier one, and
-    /// allocation only ever narrows the profile, so an answer computed
-    /// earlier in a pass can only move later, never earlier. Therefore
-    /// the answer `a` of a previous `(w, d)` query is a sound scan lower
-    /// bound for any later `(w', d')` query with `w' >= w` and
-    /// `d' >= d`: no fit for the harder query can exist before `a`. One
-    /// slot per `ilog2(width)` class keeps the last query; a planning
-    /// pass places many same-width jobs (and SJF/LJF passes walk
-    /// duration monotonically), so most queries skip the packed prefix
-    /// entirely and scan only near the frontier. The memo never changes
-    /// any answer — only where the scan starts — and is cleared on
-    /// rebuild/restore/reset, the only operations that widen capacity.
+    /// allocation only ever narrows the profile, so an answer can only
+    /// move later. Therefore the answer `a` of a previous `(w, d)` query
+    /// is a sound scan lower bound for any later `(w', d')` query with
+    /// `w' >= w` and `d' >= d`. One slot per `ilog2(width)` class keeps
+    /// the last query; a planning pass places many same-width jobs (and
+    /// SJF/LJF passes walk duration monotonically), so most queries scan
+    /// only near the frontier and a deep pass's quadratic rescans become
+    /// near-linear. The memo never changes an answer, only where the scan
+    /// starts.
     ///
     /// A memoised answer proves only that `[slot.after, slot.answer)`
     /// holds no fit for the slot's query, so a later query may use it
-    /// only when additionally constrained to start no earlier
-    /// (`after >= slot.after`) — otherwise the skipped prefix could hide
-    /// a legitimate earlier fit.
+    /// only if it, too, must start no earlier (`after >= slot.after`) —
+    /// otherwise the skipped prefix could hide a legitimate earlier fit.
     pub fn allocate_earliest(
         &mut self,
         after: SimTime,
@@ -937,24 +462,20 @@ impl Profile {
         {
             from = from.max(slot.answer);
         }
-        let (c, i, start) = self.fit_pos(from, duration, width);
+        let (s, e, start) = self.fit_pos(from, duration, width);
         // The slot records `after`, not `from`: on a hit the old slot
         // already proved `[after, from)` fit-free for this (dominating)
-        // query, and the scan just proved `[from, start)`, so the union
-        // `[after, start)` is established.
+        // query, and the scan just proved `[from, start)`.
         self.remember_fit(after, duration, width, start);
-        let end = start.saturating_add(duration);
-        self.shift_span::<false>(c, i, start, end, width);
+        self.carve(s, e, start, start.saturating_add(duration), width);
         self.assert_invariants();
         start
     }
 
     /// Records in the dominance memo that `allocate_earliest(after,
-    /// duration, width)` answered `answer` — what that call itself
-    /// records. After [`Profile::release`] cleared the memo, replaying
-    /// the placements still held, in their original order, leaves the
-    /// memo exactly as a fresh pass over them would have.
-    ///
+    /// duration, width)` answered `answer`. After [`Profile::release`]
+    /// cleared the memo, replaying the placements still held, in their
+    /// original order, leaves it as a fresh pass over them would have.
     /// The caller vouches that no `width × duration` fit starts in
     /// `[after, answer)` on the profile as it is now.
     pub(crate) fn remember_fit(
@@ -976,50 +497,13 @@ impl Profile {
         self.memo_live = true;
     }
 
-    /// Debug-build invariant check: strictly increasing times, free in
-    /// range, full capacity at the horizon, fresh summary arrays.
+    /// Debug-build check of the invariants in the module docs.
     fn assert_invariants(&self) {
-        #[cfg(debug_assertions)]
-        {
-            let pts = self.to_points();
-            assert_eq!(pts.len(), self.n_points, "stale point count");
-            assert!(
-                pts.windows(2).all(|w| w[0].time < w[1].time),
-                "profile times not strictly increasing"
-            );
-            assert!(
-                pts.iter().all(|p| p.free <= self.capacity),
-                "free exceeds capacity"
-            );
-            assert_eq!(
-                pts.last().unwrap().free,
-                self.capacity,
-                "profile must end at full capacity"
-            );
-            assert_eq!(
-                self.arena.len(),
-                self.n_chunks() + self.free_chunks.len(),
-                "arena slot neither live nor free"
-            );
-            assert_eq!(self.first_time.len(), self.n_chunks());
-            assert_eq!(self.min_free.len(), self.n_chunks());
-            assert_eq!(self.max_free.len(), self.n_chunks());
-            for c in 0..self.n_chunks() {
-                let ch = self.chunk(c);
-                assert!(ch.len >= 1, "empty chunk");
-                assert_eq!(
-                    self.first_time[c], ch.times[0],
-                    "stale first-time on chunk {c}"
-                );
-                let lo = ch.frees().iter().copied().min().unwrap();
-                let hi = ch.frees().iter().copied().max().unwrap();
-                assert_eq!(
-                    (self.min_free[c], self.max_free[c]),
-                    (lo, hi),
-                    "stale summary on chunk {c}"
-                );
-            }
-        }
+        let (times, frees, capacity) = (&self.times, &self.frees, Some(&self.capacity));
+        debug_assert_eq!(times.len(), frees.len(), "ragged vectors");
+        debug_assert!(times.is_sorted_by(|a, b| a < b), "times not increasing");
+        debug_assert!(frees.iter().max() <= capacity, "free exceeds capacity");
+        debug_assert_eq!(frees.last(), capacity, "horizon not fully free");
     }
 }
 
@@ -1219,8 +703,9 @@ mod tests {
         assert_eq!(work.free_at(t(15)), 3);
     }
 
-    /// Enough disjoint allocations to force many chunk splits, so the
-    /// summary-skip probes cross chunk boundaries on every query.
+    /// A profile far deeper than the property tests generate (801
+    /// points): every fit sweeps hundreds of alternating tight and free
+    /// segments.
     #[test]
     fn deep_profile_spans_many_chunks_and_answers_like_the_oracle() {
         let capacity = 64;
@@ -1231,7 +716,6 @@ mod tests {
             p.allocate(t(20 * k), d(10), 63);
             oracle.allocate(t(20 * k), d(10), 63);
         }
-        assert!(p.n_chunks() > 4, "expected chunk splits, got 1 chunk");
         assert_eq!(p.to_points(), oracle.points());
         for (after, dur, w) in [
             (0u64, 5u64, 1u32),
@@ -1320,33 +804,35 @@ mod tests {
         assert_eq!(p.len(), 1);
     }
 
-    /// Releases that empty whole chunks hand their arena slots back, so
-    /// a profile cycled between deep and shallow never grows: the suffix
-    /// replanner does exactly this at every submission.
+    /// A profile cycled between deep and shallow never grows past its
+    /// deepest cycle: the suffix replanner does exactly this at every
+    /// submission.
     #[test]
     fn emptied_chunks_are_reused_across_release_allocate_cycles() {
         let capacity = 8;
-        let teeth = 80u64; // 160 points at the deepest: several chunks
+        let teeth = 80u64; // 161 points at the deepest
         let mut p = Profile::new(capacity, t(0));
+        // Vector capacities once the deepest comb has been cut.
+        let mut deepest = None;
         for cycle in 0..10_000u64 {
-            // Vary how deep the comb is cut so emptied chunks differ.
+            // Vary how deep the comb is cut from cycle to cycle.
             let n = 1 + (cycle * 37) % teeth;
             for k in 0..n {
                 p.allocate(t(20 * k), d(10), 7);
             }
-            assert!(n < teeth || p.n_chunks() > 2, "deepest comb fits one chunk");
             for k in (0..n).rev() {
                 p.release(t(20 * k), d(10), 7);
             }
             assert_eq!(p.len(), 1, "cycle {cycle} left points behind");
-            assert_eq!(p.n_chunks(), 1);
+            let held = (p.times.capacity(), p.frees.capacity());
+            if n == teeth {
+                deepest.get_or_insert(held);
+            }
+            if let Some(deepest) = deepest {
+                assert_eq!(held, deepest, "storage grew in cycle {cycle}");
+            }
         }
-        // The deepest cycle needs ~2 * teeth / (CHUNK_CAP / 2) chunks.
-        assert!(
-            p.arena.len() <= 2 * (2 * teeth as usize).div_ceil(CHUNK_CAP / 2),
-            "arena grew to {} slots",
-            p.arena.len()
-        );
+        assert!(deepest.is_some(), "the deepest comb was never cut");
     }
 
     proptest! {
@@ -1452,12 +938,11 @@ mod tests {
             }
         }
 
-        /// The indexed profile against the retained linear-scan oracle:
+        /// The production profile against the linear-scan oracle:
         /// long random interleavings of allocate_earliest / allocate /
         /// earliest_fit / free_at / restore_from agree bit-for-bit on
-        /// every answer and on the full point list. Sequences are long
-        /// enough (up to 300 ops on a tight horizon) to force chunk
-        /// splits, so the summary-skip paths are exercised across chunks.
+        /// every answer and on the full point list. Sequences run up to
+        /// 300 ops on a tight horizon, so fits sweep well past ~100 points.
         #[test]
         fn indexed_profile_matches_naive_oracle(
             ops in proptest::collection::vec(
@@ -1509,7 +994,7 @@ mod tests {
 
         /// Boundary-instant windows: fits queried exactly at break
         /// points, one tick before and after, with zero-width /
-        /// zero-duration / full-capacity extremes — indexed and naive
+        /// zero-duration / full-capacity extremes — production and naive
         /// answers match everywhere.
         #[test]
         fn indexed_fit_matches_naive_at_boundaries(
@@ -1553,8 +1038,8 @@ mod tests {
             }
         }
 
-        /// rebuild_from_spans parity: sweeping the same span set into an
-        /// indexed and a naive profile yields identical point lists.
+        /// rebuild_from_spans parity: sweeping the same span set into a
+        /// production and a naive profile yields identical point lists.
         #[test]
         fn indexed_sweep_matches_naive_sweep(
             raw in proptest::collection::vec((1u32..5, 0u64..2_000, 1u64..300), 0..120),
@@ -1585,8 +1070,7 @@ mod tests {
         /// the same `earliest_fit` answers, and — with the memo re-seeded
         /// from the kept placements, as the suffix replanner does — place
         /// further jobs exactly where the oracle does. The tight horizon
-        /// makes rectangles share boundaries; long sequences split chunks
-        /// and the release empties them again.
+        /// makes rectangles share boundaries.
         #[test]
         fn release_restores_the_profile_of_the_kept_prefix(
             jobs in proptest::collection::vec((1u32..17, 0u64..600, 1u64..400), 1..250),
@@ -1650,6 +1134,103 @@ mod tests {
             clipped.allocate(t(at), d(1), 1);
             prop_assert!(!whole.same_from(&clipped, t(cut)));
             prop_assert!(whole.same_from(&clipped, t(at + 1)));
+        }
+
+        /// Release in any order, not only the suffix-in-reverse the
+        /// planner does: give back an arbitrary subset of the placed
+        /// rectangles in an arbitrary order, and what is left is the
+        /// function an allocate-only profile of the kept rectangles is —
+        /// and answers `earliest_fit` like the oracle holding them.
+        #[test]
+        fn release_of_any_subset_in_any_order_leaves_the_kept_rectangles(
+            jobs in proptest::collection::vec(
+                // (width, after s, duration s, released?, release-order key)
+                (1u32..17, 0u64..600, 1u64..400, 0u8..2, 0u32..1_000_000),
+                1..150,
+            ),
+            queries in proptest::collection::vec((1u32..17, 0u64..3_000, 1u64..400), 1..12),
+        ) {
+            let capacity = 16u32;
+            let mut p = Profile::new(capacity, t(0));
+            let mut kept = Profile::new(capacity, t(0));
+            let mut oracle = NaiveProfile::new(capacity, t(0));
+            let mut released: Vec<(u32, SimTime, u64, u32)> = Vec::new();
+            for &(w, after, dur, gone, key) in &jobs {
+                let start = p.allocate_earliest(t(after), d(dur), w);
+                if gone == 1 {
+                    released.push((key, start, dur, w));
+                } else {
+                    kept.allocate(start, d(dur), w);
+                    oracle.allocate(start, d(dur), w);
+                }
+            }
+            released.sort_unstable();
+            for &(_, start, dur, w) in &released {
+                p.release(start, d(dur), w);
+            }
+            prop_assert!(p.same_from(&kept, t(0)));
+            prop_assert_eq!(steps(&p.to_points()), steps(oracle.points()));
+            for &(w, after, dur) in &queries {
+                prop_assert_eq!(
+                    p.earliest_fit(t(after), d(dur), w),
+                    oracle.earliest_fit(t(after), d(dur), w)
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// A stream as deep as the deepest benchmark queue: at least
+        /// 2 000 `allocate_earliest` calls on one profile (up to ~4 000
+        /// points; the other properties stop near 160), shaped like
+        /// planner passes — runs sorted by duration like SJF and LJF, or
+        /// unsorted with few distinct estimates like FCFS, so the memo
+        /// both hits and misses; narrow runs that backfill and wide ones
+        /// that queue up; `after` at the origin, behind the frontier, or
+        /// on it. Start for start and point for point against the oracle.
+        #[test]
+        fn deep_planner_shaped_stream_matches_naive_oracle(
+            runs in proptest::collection::vec(
+                (
+                    0u8..3, // duration order: ascending, descending, as drawn
+                    0u8..3, // after: origin, behind the frontier, on it
+                    0u8..2, // narrow widths only?
+                    proptest::collection::vec((1u32..65, 1u64..40), 40..72),
+                ),
+                50..56,
+            ),
+        ) {
+            let capacity = 64u32;
+            let mut p = Profile::new(capacity, t(0));
+            let mut oracle = NaiveProfile::new(capacity, t(0));
+            let mut calls = 0;
+            for (order, after_mode, narrow, mut jobs) in runs {
+                match order {
+                    0 => jobs.sort_by_key(|&(_, dur)| dur),
+                    1 => jobs.sort_by_key(|&(_, dur)| std::cmp::Reverse(dur)),
+                    _ => jobs.iter_mut().for_each(|(_, dur)| *dur = 1 + *dur % 4),
+                }
+                let frontier = oracle.points().last().expect("origin point").time;
+                let after = match after_mode {
+                    0 => t(0),
+                    1 => t(frontier.as_millis() / 2_000),
+                    _ => frontier,
+                };
+                for (w, dur) in jobs {
+                    let w = if narrow == 1 { 1 + (w - 1) % 8 } else { w };
+                    let dur = d(dur * 300);
+                    prop_assert_eq!(
+                        p.allocate_earliest(after, dur, w),
+                        oracle.allocate_earliest(after, dur, w),
+                        "call {} diverged", calls
+                    );
+                    calls += 1;
+                }
+                prop_assert_eq!(p.to_points(), oracle.points().to_vec());
+            }
+            prop_assert!(calls >= 2_000 && p.len() > 1_000, "{} calls, {} points", calls, p.len());
         }
     }
 }
