@@ -9,8 +9,13 @@
 /// Default relative tolerance for score equality.
 pub const EPSILON: f64 = 1e-9;
 
-/// `a == b` up to relative tolerance `eps` (absolute near zero).
+/// `a == b` up to relative tolerance `eps` (absolute near zero). A
+/// non-finite operand equals only itself: without that rule `∞` would
+/// be within `eps · ∞` of every score and tie with all of them.
 pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
+    if !(a.is_finite() && b.is_finite()) {
+        return a == b || (a.is_nan() && b.is_nan());
+    }
     let scale = a.abs().max(b.abs()).max(1.0);
     (a - b).abs() <= eps * scale
 }
@@ -58,6 +63,26 @@ mod tests {
         assert!(!approx_eq(1e9, 1e9 + 100.0, 1e-9));
         // Near zero the scale floor (1.0) makes the tolerance absolute.
         assert!(approx_eq(0.0, 1e-12, EPSILON));
+    }
+
+    #[test]
+    fn non_finite_values_equal_only_themselves() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for finite in [0.0, 1.0, -3.5, f64::MAX] {
+            for odd in [inf, -inf, nan] {
+                assert!(!approx_eq(finite, odd, EPSILON), "{finite} vs {odd}");
+                assert!(!approx_eq(odd, finite, EPSILON), "{odd} vs {finite}");
+            }
+            // An infinite score is worse than any finite one, not tied.
+            assert!(approx_lt(finite, inf, EPSILON));
+            assert!(!approx_le(inf, finite, EPSILON));
+            assert!(!approx_le(nan, finite, EPSILON) && !approx_le(finite, nan, EPSILON));
+        }
+        assert!(approx_eq(inf, inf, EPSILON) && approx_eq(-inf, -inf, EPSILON));
+        assert!(approx_eq(nan, nan, EPSILON));
+        assert!(!approx_eq(inf, -inf, EPSILON));
+        assert!(!approx_eq(inf, nan, EPSILON) && !approx_eq(nan, -inf, EPSILON));
+        assert!(approx_le(inf, inf, EPSILON) && !approx_lt(inf, inf, EPSILON));
     }
 
     #[test]

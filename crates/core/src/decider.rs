@@ -19,12 +19,7 @@ use serde::{Deserialize, Serialize};
 /// Index of the minimum score (first of the argmin set under ε).
 fn argmin(scores: &[(Policy, f64)], eps: f64) -> usize {
     debug_assert!(!scores.is_empty());
-    let mut best = scores[0].1;
-    for &(_, v) in &scores[1..] {
-        if v < best {
-            best = v;
-        }
-    }
+    let best = min_score(scores);
     scores
         .iter()
         .position(|&(_, v)| approx_le(v, best, eps))
@@ -481,6 +476,46 @@ mod tests {
                 let chosen = preferred_decide(&scores, old, Sjf, 0.0, EPSILON);
                 if (score_of(&scores, Sjf) - best).abs() < 1e-12 {
                     prop_assert_eq!(chosen, Sjf);
+                }
+            }
+
+            /// What lets the scheduler stop planning a policy that has
+            /// lost: a decider reads a score only through how it compares
+            /// with the best one, the incumbent's and the preferred
+            /// policy's. With those two exact, a score past the best by
+            /// the scheduler's margin (1e3 · ε, relative to the larger of
+            /// the best score and 1) can be replaced by any larger one —
+            /// the lower bound by the true score — without changing the
+            /// verdict or the rule that gave it.
+            #[test]
+            fn a_lost_score_can_be_any_larger_score(
+                scores in arb_scores(),
+                old in arb_old(),
+                raise in proptest::collection::vec(1.0f64..1e6, 3..4),
+                by_sum in prop_oneof![Just(false), Just(true)],
+            ) {
+                let best = scores.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
+                let lost = best + 1e3 * EPSILON * best.max(1.0);
+                for kind in [
+                    DeciderKind::Simple,
+                    DeciderKind::Advanced,
+                    DeciderKind::Preferred { policy: Sjf, threshold: 0.0 },
+                    DeciderKind::Preferred { policy: Sjf, threshold: 0.1 },
+                ] {
+                    let exact = |p: Policy| {
+                        p == old || matches!(kind, DeciderKind::Preferred { policy, .. } if p == policy)
+                    };
+                    let mut raised = scores.clone();
+                    for ((p, v), r) in raised.iter_mut().zip(&raise) {
+                        if !exact(*p) && *v > lost {
+                            *v = if by_sum { *v + r } else { *v * r };
+                        }
+                    }
+                    prop_assert_eq!(
+                        kind.decide_explained(&scores, old, EPSILON),
+                        kind.decide_explained(&raised, old, EPSILON),
+                        "{:?}: {:?} -> {:?}", kind, scores, raised
+                    );
                 }
             }
 

@@ -6,8 +6,8 @@ use dynp_des::SimTime;
 use dynp_metrics::Objective;
 use dynp_obs::{TraceClass, TraceEvent, Tracer};
 use dynp_rms::{
-    PlanTiming, Planner, Policy, QueueChange, ReferencePlanner, ReplanReason, RetainedCounts,
-    RmsState, Schedule, Scheduler, SchedulerSnapshot, RETAIN_MIN_DEPTH,
+    PlanTiming, Planner, Policy, Prune, QueueChange, ReferencePlanner, ReplanReason,
+    RetainedCounts, RmsState, Schedule, Scheduler, SchedulerSnapshot, RETAIN_MIN_DEPTH,
 };
 use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
@@ -265,8 +265,8 @@ impl SelfTuningScheduler {
         self.planner.drop_retained();
     }
 
-    /// How often the planner's suffix path ran (see
-    /// [`Planner::plan_retained_batch`]).
+    /// How often the planner's suffix path ran and how much it left
+    /// unplaced (see [`Planner::plan_retained_batch`]).
     #[doc(hidden)]
     pub fn retained_counts(&self) -> RetainedCounts {
         self.planner.retained_counts()
@@ -476,28 +476,19 @@ impl SelfTuningScheduler {
         // from scratch into `plan_schedules`.
         let retain = state.waiting().len() >= RETAIN_MIN_DEPTH;
         let workers_used = if retain {
-            self.planner.plan_retained_batch(
-                &self.orders,
-                &self.first_changed,
-                &mut self.plan_timings,
-                workers,
-            )
+            self.plan_retained(now, workers)
         } else {
-            self.planner.plan_prepared_batch(
+            let used = self.planner.plan_prepared_batch(
                 &self.orders,
                 &mut self.plan_schedules,
                 &mut self.plan_timings,
                 workers,
-            )
+            );
+            for (score, schedule) in self.plan_scores.iter_mut().zip(&self.plan_schedules) {
+                *score = self.config.objective.evaluate(schedule, now);
+            }
+            used
         };
-        for i in 0..self.config.policies.len() {
-            let schedule = if retain {
-                self.planner.retained_schedule(i)
-            } else {
-                &self.plan_schedules[i]
-            };
-            self.plan_scores[i] = self.config.objective.evaluate(schedule, now);
-        }
         if self.tracer.wants(TraceClass::Span) {
             for (i, &policy) in self.config.policies.iter().enumerate() {
                 self.tracer.record_at(
@@ -535,10 +526,93 @@ impl SelfTuningScheduler {
             .position(|&p| p == next)
             .expect("decider returned a non-candidate policy");
         if retain {
+            assert!(
+                self.planner.retained_excess(idx).is_none(),
+                "decider chose {next}, whose plan was stopped as lost"
+            );
             self.planner.retained_schedule(idx).clone()
         } else {
             std::mem::take(&mut self.plan_schedules[idx])
         }
+    }
+
+    /// Plans every policy order through the planner's retained entry and
+    /// leaves their scores in `plan_scores`; returns the worker count
+    /// used.
+    ///
+    /// The deciders consume a score only through how it compares with
+    /// the best one, the active policy's and (preferred decider) the
+    /// preferred policy's. So those two policies are planned first and
+    /// completely, and every other pass stops once its plan cannot come
+    /// within `1e3 · epsilon` of the better of them: a weighted-mean
+    /// objective scores a plan `(floor + excess) / den` with `floor` and
+    /// `den` the same for every policy, and the excess of a partial plan
+    /// is a lower bound on the finished plan's (see [`Prune`]). A stopped
+    /// policy is scored with that lower bound — past the best score by
+    /// more than any decider's tolerance, which is all they ask of a
+    /// loser. The margin is three orders above `epsilon` and six above
+    /// what rounding adds: `den` is summed in the best plan's order, not
+    /// the stopped one's, and the excess in closed form.
+    ///
+    /// Every pass is complete, and every score exact, when the scores are
+    /// recorded (a `Decision` trace record lists them all) and under
+    /// [`Objective::Utilization`], which a partial plan does not bound.
+    fn plan_retained(&mut self, now: SimTime, workers: usize) -> usize {
+        let objective = self.config.objective;
+        let weight = objective
+            .delay_weight()
+            .filter(|_| !self.tracer.wants(TraceClass::Decision));
+        let preferred = match self.config.decider {
+            DeciderKind::Preferred { policy, .. } => Some(policy),
+            _ => None,
+        };
+        let (active, policies) = (self.active, &self.config.policies);
+        let first = |i: usize| policies[i] == active || Some(policies[i]) == preferred;
+        let scores = &mut self.plan_scores;
+        let margin = 1e3 * self.config.epsilon;
+        // Of the best plan among the first: score, excess, denominator.
+        let (mut best, mut best_excess, mut den) = (f64::INFINITY, 0.0, 0.0);
+        let mut limit = |planner: &Planner| {
+            let Some(weight) = weight else {
+                return f64::INFINITY;
+            };
+            let mut best_plan = None;
+            for i in (0..scores.len()).filter(|&i| first(i)) {
+                let plan = planner.retained_schedule(i);
+                scores[i] = objective.evaluate(plan, now);
+                if scores[i] < best {
+                    (best, best_plan) = (scores[i], Some(plan));
+                }
+            }
+            if let Some(plan) = best_plan {
+                best_excess = weight.excess(plan, now);
+                den = plan.entries.iter().map(|e| objective.weight(&e.job)).sum();
+            }
+            // The tolerance of `compare::approx_eq` is relative to the
+            // larger of the score and 1; so is the margin.
+            best_excess + margin * best.max(1.0) * den
+        };
+        let used = self.planner.plan_retained_batch(
+            &self.orders,
+            &self.first_changed,
+            weight.map(|weight| Prune {
+                weight,
+                first: &first,
+                limit: &mut limit,
+            }),
+            &mut self.plan_timings,
+            workers,
+        );
+        for (i, score) in scores.iter_mut().enumerate() {
+            if weight.is_some() && first(i) {
+                continue; // scored for the limit
+            }
+            *score = match self.planner.retained_excess(i) {
+                Some(excess) => best + (excess - best_excess) / den,
+                None => objective.evaluate(self.planner.retained_schedule(i), now),
+            };
+        }
+        used
     }
 
     /// The pre-incremental step: re-sort every queue, rebuild every

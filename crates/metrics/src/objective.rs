@@ -9,7 +9,8 @@
 //! is negated), which keeps every decider a pure argmin.
 
 use dynp_des::SimTime;
-use dynp_rms::Schedule;
+use dynp_rms::{DelayWeight, Schedule};
+use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
 
 /// The metric a planned schedule is scored with. The paper names
@@ -52,74 +53,86 @@ impl Objective {
         }
     }
 
-    /// Scores a planned schedule at time `now`; lower is better. An empty
-    /// schedule scores 0 for every objective (all policies tie, and the
-    /// deciders then keep the running policy).
+    /// For the objectives that are a weighted mean over the planned jobs,
+    /// `Σ term / Σ weight`: how a job's term grows with its start — by
+    /// [`DelayWeight::delay`] for every instant the start is put off.
+    /// Every policy plans the same jobs, so this is what lets a plan's
+    /// score be bounded from below before the plan is complete. `None`
+    /// for [`Objective::Utilization`], whose denominator is the plan's
+    /// horizon.
+    pub fn delay_weight(self) -> Option<DelayWeight> {
+        match self {
+            // area · (response / estimate) is width · response.
+            Objective::SlowdownWeightedByArea | Objective::ResponseTimeWeightedByWidth => {
+                Some(DelayWeight::Width)
+            }
+            Objective::AvgSlowdown => Some(DelayWeight::PerEstimate),
+            Objective::AvgResponseTime => Some(DelayWeight::Unit),
+            Objective::Utilization => None,
+        }
+    }
+
+    /// What `job` adds to the numerator of a weighted-mean objective when
+    /// planned to start at `start`.
     ///
     /// Planned quantities use the *estimate* as the run time — the actual
     /// run time is unknown to the scheduler at planning time.
+    #[inline]
+    fn term(self, job: &Job, start: SimTime) -> f64 {
+        let est = job.estimate.as_secs_f64();
+        let response = start.saturating_since(job.submit).as_secs_f64() + est;
+        match self {
+            Objective::SlowdownWeightedByArea => job.estimated_area() * (response / est),
+            Objective::AvgSlowdown => response / est,
+            Objective::AvgResponseTime => response,
+            Objective::ResponseTimeWeightedByWidth => job.width as f64 * response,
+            Objective::Utilization => panic!("utilization has no per-job terms"),
+        }
+    }
+
+    /// What `job` adds to the denominator of a weighted-mean objective.
+    ///
+    /// # Panics
+    /// Panics for [`Objective::Utilization`].
+    #[inline]
+    pub fn weight(self, job: &Job) -> f64 {
+        match self {
+            Objective::SlowdownWeightedByArea => job.estimated_area(),
+            Objective::AvgSlowdown | Objective::AvgResponseTime => 1.0,
+            Objective::ResponseTimeWeightedByWidth => job.width as f64,
+            Objective::Utilization => panic!("utilization has no per-job weights"),
+        }
+    }
+
+    /// Scores a planned schedule at time `now`; lower is better. An empty
+    /// schedule scores 0 for every objective (all policies tie, and the
+    /// deciders then keep the running policy).
     pub fn evaluate(self, schedule: &Schedule, now: SimTime) -> f64 {
         if schedule.is_empty() {
             return 0.0;
         }
-        match self {
-            Objective::SlowdownWeightedByArea => {
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for e in &schedule.entries {
-                    let est = e.job.estimate.as_secs_f64();
-                    let response = e.planned_wait().as_secs_f64() + est;
-                    let area = e.job.estimated_area();
-                    num += area * (response / est);
-                    den += area;
-                }
-                num / den
+        if self == Objective::Utilization {
+            // Planned area over the span from now to the horizon; the
+            // denser the plan packs, the higher the value. Negated so
+            // lower is better.
+            let span = schedule.horizon().saturating_since(now).as_secs_f64();
+            if span <= 0.0 {
+                return 0.0;
             }
-            Objective::AvgSlowdown => {
-                let sum: f64 = schedule
-                    .entries
-                    .iter()
-                    .map(|e| {
-                        let est = e.job.estimate.as_secs_f64();
-                        (e.planned_wait().as_secs_f64() + est) / est
-                    })
-                    .sum();
-                sum / schedule.len() as f64
-            }
-            Objective::AvgResponseTime => {
-                let sum: f64 = schedule
-                    .entries
-                    .iter()
-                    .map(|e| e.planned_wait().as_secs_f64() + e.job.estimate.as_secs_f64())
-                    .sum();
-                sum / schedule.len() as f64
-            }
-            Objective::ResponseTimeWeightedByWidth => {
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for e in &schedule.entries {
-                    let response = e.planned_wait().as_secs_f64() + e.job.estimate.as_secs_f64();
-                    num += e.job.width as f64 * response;
-                    den += e.job.width as f64;
-                }
-                num / den
-            }
-            Objective::Utilization => {
-                // Planned area over the span from now to the horizon; the
-                // denser the plan packs, the higher the value. Negated so
-                // lower is better.
-                let span = schedule.horizon().saturating_since(now).as_secs_f64();
-                if span <= 0.0 {
-                    return 0.0;
-                }
-                let area: f64 = schedule
-                    .entries
-                    .iter()
-                    .map(|e| e.job.estimated_area())
-                    .sum();
-                -(area / span)
-            }
+            let area: f64 = schedule
+                .entries
+                .iter()
+                .map(|e| e.job.estimated_area())
+                .sum();
+            return -(area / span);
         }
+        let mut num = 0.0;
+        let mut den = 0.0;
+        for e in &schedule.entries {
+            num += self.term(&e.job, e.start);
+            den += self.weight(&e.job);
+        }
+        num / den
     }
 }
 
@@ -180,6 +193,54 @@ mod tests {
             (Objective::ResponseTimeWeightedByWidth.evaluate(&s, SimTime::ZERO) - artww).abs()
                 < 1e-12
         );
+    }
+
+    #[test]
+    fn delay_weight_is_the_growth_of_a_term() {
+        // A term at a later start exceeds the term at an earlier one by
+        // the weighted delay between them — the closed form the planner
+        // sums where a score sums terms.
+        let mut checked = 0;
+        for o in Objective::ALL {
+            let Some(weight) = o.delay_weight() else {
+                assert_eq!(o, Objective::Utilization);
+                continue;
+            };
+            for (width, est_s, submit_s, floor_s, start_s) in [
+                (1, 10, 0, 0, 0),
+                (3, 250, 7, 7, 1_000),
+                (64, 86_400, 5, 900, 900),
+                (7, 1, 100, 3_600, 250_000),
+            ] {
+                let e = entry(0, submit_s, width, est_s, start_s);
+                let floor = SimTime::from_secs(floor_s);
+                let grown = o.term(&e.job, e.start) - o.term(&e.job, floor);
+                let delay = weight.delay(&e.job, floor, e.start);
+                assert!(delay >= 0.0);
+                assert!(
+                    (grown - delay).abs() <= 1e-12 * o.term(&e.job, e.start),
+                    "{}: {grown} vs {delay}",
+                    o.name()
+                );
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 16);
+    }
+
+    #[test]
+    fn scores_are_weighted_means_of_terms() {
+        let s = Schedule {
+            entries: vec![entry(0, 0, 2, 100, 0), entry(1, 3, 1, 50, 100)],
+        };
+        for o in Objective::ALL {
+            if o.delay_weight().is_none() {
+                continue;
+            }
+            let num: f64 = s.entries.iter().map(|e| o.term(&e.job, e.start)).sum();
+            let den: f64 = s.entries.iter().map(|e| o.weight(&e.job)).sum();
+            assert_eq!(o.evaluate(&s, SimTime::ZERO), num / den, "{}", o.name());
+        }
     }
 
     #[test]

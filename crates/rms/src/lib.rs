@@ -45,7 +45,8 @@ pub use admission::{AdmissionConfig, AdmissionController, RejectReason};
 pub use easy::EasyBackfillScheduler;
 pub use naive::NaiveProfile;
 pub use planner::{
-    PlanTiming, Planner, ReferencePlanner, RetainedCounts, PARALLEL_MIN_DEPTH, RETAIN_MIN_DEPTH,
+    DelayWeight, PlanTiming, Planner, Prune, ReferencePlanner, RetainedCounts, PARALLEL_MIN_DEPTH,
+    RETAIN_MIN_DEPTH,
 };
 pub use policy::Policy;
 pub use profile::Profile;

@@ -12,7 +12,9 @@
 //! policy" at every event. [`Planner::plan_retained_batch`] produces
 //! those schedules without always rebuilding them: a submission changes
 //! one position of each policy order, and everything planned ahead of it
-//! on an unchanged base stays where it is.
+//! on an unchanged base stays where it is. Nor does it always finish
+//! them: told what a plan costs ([`Prune`]), it stops the pass of a
+//! policy whose plan can no longer be as cheap as the best complete one.
 
 use crate::naive::NaiveProfile;
 use crate::profile::Profile;
@@ -43,6 +45,13 @@ use dynp_workload::Job;
 /// > a slot's profile equals the current base plus the rectangles of its
 /// > schedule, as a function on `[now, ∞)`.
 ///
+/// The schedule may be the plan of a *prefix* of the queue: a pass
+/// stopped by [`Prune`] leaves the jobs it placed, in queue order, and
+/// nothing else. The invariant does not care, and the next pass picks
+/// the plan up where it stopped — or, if it has lost again, leaves it
+/// there ([`Planner::retained_excess`] tells the two kinds of slot
+/// apart).
+///
 /// Three comparisons guard it, and anything they do not establish takes
 /// the full pass (the event's [`ReplanReason`](crate::ReplanReason) is
 /// never consulted):
@@ -53,7 +62,9 @@ use dynp_workload::Job;
 ///    job, node faults, and reservation starts, ends and cancels;
 /// 2. the slot's first `k` entries are the first `k` jobs of the policy
 ///    order, id by id, each planned at `start >= now` (an over-wide job
-///    skipped among them shifts the ids and fails the comparison);
+///    skipped among them shifts the ids and fails the comparison), `k`
+///    being what the caller reports unchanged, cut to the entries the
+///    slot holds;
 /// 3. no job left the queue since — the caller reports a departure as
 ///    `k = 0`.
 ///
@@ -91,6 +102,12 @@ pub struct Planner {
     /// The base the retained plans were planned on, compared against
     /// each new base. Created by the first retained pass.
     retained_base: Option<Profile>,
+    /// Per slot, the excess of a retained pass that [`Prune`] stopped
+    /// early (`None`: the slot's schedule is complete). Beside the slots
+    /// rather than in them, and sized by the first pass that runs
+    /// through [`Planner::run_passes`]: `size_of::<Slot>()` decides the
+    /// peak RSS of runs that never retain a plan (DESIGN §10).
+    stopped: Vec<Option<f64>>,
     /// Observability tracer (disabled by default); [`Planner::prepare`]
     /// is measured as a `"prepare"` wall-clock span.
     tracer: dynp_obs::Tracer,
@@ -105,9 +122,10 @@ struct Slot {
     counts: RetainedCounts,
 }
 
-/// How often the suffix path ran, summed over policies — the property
+/// How often the suffix path ran and how much [`Prune`] left unplaced,
+/// summed over policies — the two properties
 /// [`Planner::plan_retained_batch`] depends on. Diagnostic: tests assert
-/// the path is not vacuous, and CHANGES.md records the shares.
+/// the paths are not vacuous, and CHANGES.md records the shares.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RetainedCounts {
@@ -119,6 +137,76 @@ pub struct RetainedCounts {
     pub jobs: u64,
     /// Queue jobs the suffix passes kept in place instead of re-placing.
     pub kept: u64,
+    /// Queue jobs never placed: what lay behind the point where a pass
+    /// stopped because its plan had lost.
+    pub pruned: u64,
+}
+
+/// How a pass under [`Prune`] weighs the time a job waits beyond the
+/// earliest start any plan could give it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DelayWeight {
+    /// By the job's width: processor-seconds of waiting.
+    Width,
+    /// Every job alike: seconds of waiting.
+    Unit,
+    /// By the reciprocal of the job's estimate: waiting in run times.
+    PerEstimate,
+}
+
+impl DelayWeight {
+    /// The weighted delay of `job` planned at `start` when it could have
+    /// started at `floor <= start`.
+    #[inline]
+    pub fn delay(self, job: &Job, floor: SimTime, start: SimTime) -> f64 {
+        // Through `i64`, which converts in one instruction and holds
+        // any span of simulated time.
+        let ms = start.saturating_since(floor).as_millis() as i64 as f64;
+        match self {
+            DelayWeight::Width => job.width as f64 * ms * 1e-3,
+            DelayWeight::Unit => ms * 1e-3,
+            DelayWeight::PerEstimate => ms / job.estimate.as_millis() as i64 as f64,
+        }
+    }
+
+    /// The excess of `schedule` planned at `now`: the delay of each of
+    /// its jobs beyond `max(now, submit)`, summed in schedule order —
+    /// what a pass under [`Prune`] has run up when it has placed exactly
+    /// these jobs.
+    pub fn excess(self, schedule: &Schedule, now: SimTime) -> f64 {
+        let delay = |e: &PlannedJob| self.delay(&e.job, now.max(e.job.submit), e.start);
+        schedule.entries.iter().map(delay).sum()
+    }
+}
+
+/// Lets [`Planner::plan_retained_batch`] stop planning a queue whose plan
+/// has already lost.
+///
+/// The cost of a plan grows with the delay of each of its jobs. Every
+/// queue of a batch holds the same jobs, so what the cost would be with
+/// each job at its earliest conceivable start `max(now, submit)` is the
+/// same for all of them, and what tells two plans apart is their
+/// *excess* over it, `Σ weight.delay(job, max(now, submit), start)`. No
+/// term of that sum is negative, so the excess of the jobs a pass has
+/// placed so far is a lower bound on the excess of its finished plan.
+pub struct Prune<'a> {
+    /// How a job's delay counts.
+    pub weight: DelayWeight,
+    /// Whether to plan queue `i` first, and completely.
+    pub first: &'a (dyn Fn(usize) -> bool + Sync),
+    /// Called once, when the `first` queues are planned and their
+    /// [`Planner::retained_schedule`]s final: the excess past which a
+    /// plan has lost. Every other pass stops placing once the excess of
+    /// what it has placed is greater; `∞` stops none.
+    pub limit: &'a mut dyn FnMut(&Planner) -> f64,
+}
+
+/// The stop rule of one pass under [`Prune`], and the excess it has run
+/// up so far.
+struct Tally {
+    weight: DelayWeight,
+    limit: f64,
+    excess: f64,
 }
 
 /// Wall-clock observability of one per-policy planning pass inside
@@ -154,10 +242,21 @@ pub(crate) const RUNNING_PAD: SimDuration = SimDuration::from_millis(1);
 
 /// Places `queue` (already in policy order) job by job on `profile`,
 /// appending to `out`: each job gets the earliest feasible start
-/// ≥ max(now, submit).
-fn place(profile: &mut Profile, now: SimTime, queue: &[Job], out: &mut Schedule) {
+/// ≥ max(now, submit). With a `tally` it stops in front of the first job
+/// that would be placed with the excess already past the limit. Returns
+/// how many jobs of `queue` that leaves unplaced.
+fn place(
+    profile: &mut Profile,
+    now: SimTime,
+    queue: &[Job],
+    out: &mut Schedule,
+    mut tally: Option<&mut Tally>,
+) -> usize {
     out.entries.reserve(queue.len());
-    for job in queue {
+    for (i, job) in queue.iter().enumerate() {
+        if tally.as_ref().is_some_and(|t| t.excess > t.limit) {
+            return queue.len() - i;
+        }
         // A job wider than the (possibly degraded) machine has no
         // feasible start at any time: leave it out of the plan — it
         // stays waiting until node repair restores enough capacity.
@@ -166,8 +265,12 @@ fn place(profile: &mut Profile, now: SimTime, queue: &[Job], out: &mut Schedule)
         }
         let earliest = now.max(job.submit);
         let start = profile.allocate_earliest(earliest, job.estimate, job.width);
+        if let Some(tally) = &mut tally {
+            tally.excess += tally.weight.delay(job, earliest, start);
+        }
         out.entries.push(PlannedJob { job: *job, start });
     }
+    0
 }
 
 /// The from-scratch planning pass: restores `profile` to the `base`
@@ -181,22 +284,19 @@ fn plan_full(
 ) {
     profile.restore_from(base);
     out.entries.clear();
-    place(profile, now, queue, out);
+    place(profile, now, queue, out, None);
 }
 
 /// Runs one planning pass, on the tracer's wall clock when span tracing
 /// is on.
-fn timed(tracer: &dynp_obs::Tracer, pass: impl FnOnce()) -> PlanTiming {
+fn timed<T>(tracer: &dynp_obs::Tracer, pass: impl FnOnce() -> T) -> (PlanTiming, T) {
     if !tracer.wants(dynp_obs::TraceClass::Span) {
-        pass();
-        return PlanTiming::default();
+        return (PlanTiming::default(), pass());
     }
     let start_ns = tracer.now_ns();
-    pass();
-    PlanTiming {
-        start_ns,
-        dur_ns: tracer.now_ns().saturating_sub(start_ns),
-    }
+    let out = pass();
+    let dur_ns = tracer.now_ns().saturating_sub(start_ns);
+    (PlanTiming { start_ns, dur_ns }, out)
 }
 
 impl Slot {
@@ -209,45 +309,78 @@ impl Slot {
     }
 
     /// The per-policy planning pass: leaves in `schedule` the plan of
-    /// `queue` on `base`, and in `profile` the base narrowed by it. With
-    /// `keep > 0` the caller vouches that `profile` and `schedule` are a
-    /// retained plan on a base equal to `base` from `now` on, and that
-    /// `queue[..keep]` is unchanged since; the pass then keeps those
-    /// entries if it can. The result depends only on `(base, now,
-    /// queue)`, which is what makes the fan-out deterministic regardless
+    /// `queue` on `base` — of all of it, or under a `tally` of the prefix
+    /// in front of the job where the pass stopped — and in `profile` the
+    /// base narrowed by it. Returns how many queue jobs were left
+    /// unplaced. With `keep > 0` the caller vouches that `profile` and
+    /// `schedule` are a retained plan on a base equal to `base` from
+    /// `now` on, and that `queue[..keep]` is unchanged since; the pass
+    /// then keeps those entries if it can. The placements depend only on
+    /// `(base, now, queue)` and where they stop on those and the tally's
+    /// limit, which is what makes the fan-out deterministic regardless
     /// of worker assignment.
-    fn plan(&mut self, base: &Profile, now: SimTime, queue: &[Job], keep: usize) {
-        if keep > 0 && self.keep_prefix(now, queue, keep) {
-            place(&mut self.profile, now, &queue[keep..], &mut self.schedule);
-        } else {
-            plan_full(base, &mut self.profile, now, queue, &mut self.schedule);
+    fn plan(
+        &mut self,
+        base: &Profile,
+        now: SimTime,
+        queue: &[Job],
+        keep: usize,
+        mut tally: Option<&mut Tally>,
+    ) -> usize {
+        let kept = self.keep_prefix(now, queue, keep, tally.as_deref_mut());
+        if kept == 0 {
+            if let Some(tally) = &mut tally {
+                tally.excess = 0.0;
+            }
+            self.profile.restore_from(base);
+            self.schedule.entries.clear();
         }
+        place(
+            &mut self.profile,
+            now,
+            &queue[kept..],
+            &mut self.schedule,
+            tally,
+        )
     }
 
-    /// Cuts the retained plan back to its first `keep` entries: releases
-    /// the rest in reverse, then checks the kept ones against the queue
-    /// (comparison 2 of the type docs) while replaying them into the
-    /// dominance memo. False when they do not match — the profile is
-    /// then partly released and only good for a full pass.
-    fn keep_prefix(&mut self, now: SimTime, queue: &[Job], keep: usize) -> bool {
+    /// Cuts the retained plan back to its first `keep` entries — or to
+    /// all it holds, when a stopped pass left fewer: releases the rest in
+    /// reverse, then checks the kept ones against the queue (comparison
+    /// 2 of the type docs) while replaying them into the dominance memo
+    /// and the `tally`. Returns how many it kept; 0 when there is nothing
+    /// to keep or the entries do not match — the profile may then be
+    /// partly released and only good for a full pass.
+    fn keep_prefix(
+        &mut self,
+        now: SimTime,
+        queue: &[Job],
+        keep: usize,
+        mut tally: Option<&mut Tally>,
+    ) -> usize {
         let entries = &mut self.schedule.entries;
-        if keep > entries.len() || keep > queue.len() {
-            return false;
+        let keep = keep.min(entries.len());
+        if keep == 0 || keep > queue.len() {
+            return 0;
         }
         for e in entries[keep..].iter().rev() {
             self.profile.release(e.start, e.job.estimate, e.job.width);
         }
         for (e, job) in entries[..keep].iter().zip(queue) {
             if e.job.id != job.id || e.start < now {
-                return false;
+                return 0;
             }
+            let earliest = now.max(job.submit);
             self.profile
-                .remember_fit(now.max(job.submit), job.estimate, job.width, e.start);
+                .remember_fit(earliest, job.estimate, job.width, e.start);
+            if let Some(tally) = &mut tally {
+                tally.excess += tally.weight.delay(job, earliest, e.start);
+            }
         }
         entries.truncate(keep);
         self.counts.suffix_passes += 1;
         self.counts.kept += keep as u64;
-        true
+        keep
     }
 }
 
@@ -262,6 +395,7 @@ impl Planner {
             slots: Vec::new(),
             retained: 0,
             retained_base: None,
+            stopped: Vec::new(),
             tracer: dynp_obs::Tracer::disabled(),
         }
     }
@@ -379,39 +513,65 @@ impl Planner {
         }
     }
 
-    /// Runs [`Slot::plan`] for queue `i` on slot `i`, sequentially or
-    /// split into contiguous runs across `std::thread::scope` workers.
-    /// `keep` is the per-queue prefix to try to keep (`None`: full
-    /// passes). Returns the worker count actually used.
+    /// Runs [`Slot::plan`] for every queue `i` that `select`s on slot
+    /// `i`, sequentially or split into contiguous runs across
+    /// `std::thread::scope` workers. `keep` is the per-queue prefix to
+    /// try to keep (`None`: full passes), `bound` the weight and limit of a
+    /// [`Tally`] per pass (`None`: complete passes). Returns the worker
+    /// count actually used.
     fn run_passes(
         &mut self,
         queues: &[Vec<Job>],
         keep: Option<&[usize]>,
+        bound: Option<(DelayWeight, f64)>,
+        select: &(dyn Fn(usize) -> bool + Sync),
         timings: &mut [PlanTiming],
         workers: usize,
     ) -> usize {
         let n = queues.len();
+        self.stopped.resize(n, None);
         let (base, now, tracer) = (&self.base, self.prepared_at, &self.tracer);
-        let pass = |i: usize, slot: &mut Slot, timing: &mut PlanTiming| {
-            let keep = keep.map_or(0, |k| k[i]);
-            *timing = timed(tracer, || slot.plan(base, now, &queues[i], keep));
-        };
+        let pass =
+            |i: usize, slot: &mut Slot, timing: &mut PlanTiming, stopped: &mut Option<f64>| {
+                if !select(i) {
+                    return;
+                }
+                let keep = keep.map_or(0, |k| k[i]);
+                let mut tally = bound.map(|(weight, limit)| Tally {
+                    weight,
+                    limit,
+                    excess: 0.0,
+                });
+                let left;
+                (*timing, left) = timed(tracer, || {
+                    slot.plan(base, now, &queues[i], keep, tally.as_mut())
+                });
+                slot.counts.pruned += left as u64;
+                *stopped = tally.filter(|_| left > 0).map(|t| t.excess);
+            };
         let slots = &mut self.slots[..n];
-        let workers = workers.clamp(1, n.max(1));
+        let stopped = &mut self.stopped[..n];
+        let selected = (0..n).filter(|&i| select(i)).count();
+        let workers = workers.clamp(1, selected.max(1));
         if workers <= 1 {
-            for (i, (slot, timing)) in slots.iter_mut().zip(timings).enumerate() {
-                pass(i, slot, timing);
+            let passes = slots.iter_mut().zip(timings).zip(stopped);
+            for (i, ((slot, timing), stopped)) in passes.enumerate() {
+                pass(i, slot, timing, stopped);
             }
             return 1;
         }
         let per = n.div_ceil(workers);
         std::thread::scope(|s| {
-            let runs = slots.chunks_mut(per).zip(timings.chunks_mut(per));
-            for (run, (slots, timings)) in runs.enumerate() {
+            let runs = slots
+                .chunks_mut(per)
+                .zip(timings.chunks_mut(per))
+                .zip(stopped.chunks_mut(per));
+            for (run, ((slots, timings), stopped)) in runs.enumerate() {
                 let pass = &pass;
                 s.spawn(move || {
-                    for (j, (slot, timing)) in slots.iter_mut().zip(timings).enumerate() {
-                        pass(run * per + j, slot, timing);
+                    let passes = slots.iter_mut().zip(timings).zip(stopped);
+                    for (j, ((slot, timing), stopped)) in passes.enumerate() {
+                        pass(run * per + j, slot, timing, stopped);
                     }
                 });
             }
@@ -449,7 +609,7 @@ impl Planner {
             let scratch = &mut self.slots[0].profile;
             let (base, now, tracer) = (&self.base, self.prepared_at, &self.tracer);
             for ((queue, out), timing) in queues.iter().zip(outs).zip(timings) {
-                *timing = timed(tracer, || plan_full(base, scratch, now, queue, out));
+                (*timing, ()) = timed(tracer, || plan_full(base, scratch, now, queue, out));
             }
             return 1;
         }
@@ -461,7 +621,7 @@ impl Planner {
         };
         // The passes fill the caller's buffers, lent to the slots.
         lend(&mut self.slots, outs);
-        let used = self.run_passes(queues, None, timings, workers);
+        let used = self.run_passes(queues, None, None, &|_| true, timings, workers);
         lend(&mut self.slots, outs);
         used
     }
@@ -472,12 +632,19 @@ impl Planner {
     /// `first_changed[i]` is how many leading jobs of `queues[i]` are
     /// the same, in the same order, as in the previous call's (0 when
     /// unknown, or when any job left the queue). See the type docs for
-    /// the invariant and the comparisons that guard it; schedules are
-    /// bit-identical to [`Planner::plan_prepared_batch`]'s.
+    /// the invariant and the comparisons that guard it; every job a pass
+    /// places, it places where [`Planner::plan_prepared_batch`] does.
+    ///
+    /// Without `prune` every pass is complete. With it the `first`
+    /// queues are planned completely, then the limit is taken, then the
+    /// other queues are planned until they are done or have lost; the
+    /// limit is fixed before those passes start, so where they stop does
+    /// not depend on the worker count.
     pub fn plan_retained_batch(
         &mut self,
         queues: &[Vec<Job>],
         first_changed: &[usize],
+        prune: Option<Prune<'_>>,
         timings: &mut [PlanTiming],
         workers: usize,
     ) -> usize {
@@ -492,7 +659,23 @@ impl Planner {
                 .retained_base
                 .as_ref()
                 .is_some_and(|planned_on| planned_on.same_from(&self.base, now));
-        let used = self.run_passes(queues, same_base.then_some(first_changed), timings, workers);
+        let keep = same_base.then_some(first_changed);
+        // From here on the slots hold this call's plans (`prune.limit`
+        // reads the finished ones).
+        self.retained = n;
+        let used = match prune {
+            None => self.run_passes(queues, keep, None, &|_| true, timings, workers),
+            Some(Prune {
+                weight,
+                first,
+                limit,
+            }) => {
+                let before = self.run_passes(queues, keep, None, first, timings, workers);
+                let bound = Some((weight, limit(self)));
+                let after = self.run_passes(queues, keep, bound, &|i| !first(i), timings, workers);
+                before.max(after)
+            }
+        };
         for (slot, queue) in self.slots.iter_mut().zip(queues) {
             slot.counts.passes += 1;
             slot.counts.jobs += queue.len() as u64;
@@ -502,15 +685,24 @@ impl Planner {
                 .get_or_insert_with(|| Profile::new(1, SimTime::ZERO))
                 .restore_from(&self.base);
         }
-        self.retained = n;
         used
     }
 
     /// The schedule [`Planner::plan_retained_batch`] last planned for
-    /// queue `i`.
+    /// queue `i` — the plan of a prefix of the queue when
+    /// [`Planner::retained_excess`] is `Some`.
     pub fn retained_schedule(&self, i: usize) -> &Schedule {
         debug_assert!(i < self.retained, "no retained plan for queue {i}");
         &self.slots[i].schedule
+    }
+
+    /// `None` when [`Planner::retained_schedule`]`(i)` plans all of queue
+    /// `i`; when [`Prune`] stopped the pass, the excess of the jobs it
+    /// had placed — more than the limit, and no more than the excess of
+    /// the plan it did not finish.
+    pub fn retained_excess(&self, i: usize) -> Option<f64> {
+        debug_assert!(i < self.retained, "no retained plan for queue {i}");
+        self.stopped[i]
     }
 
     /// Forgets the retained plans: the next
@@ -521,7 +713,7 @@ impl Planner {
         self.retained = 0;
     }
 
-    /// Suffix-path counters summed over the policies.
+    /// Suffix-path and pruning counters summed over the policies.
     #[doc(hidden)]
     pub fn retained_counts(&self) -> RetainedCounts {
         let mut sum = RetainedCounts::default();
@@ -530,6 +722,7 @@ impl Planner {
             sum.suffix_passes += slot.counts.suffix_passes;
             sum.jobs += slot.counts.jobs;
             sum.kept += slot.counts.kept;
+            sum.pruned += slot.counts.pruned;
         }
         sum
     }
@@ -911,18 +1104,64 @@ mod tests {
         first_changed: &[usize],
         workers: usize,
     ) {
+        let placed = assert_pruned_matches_fresh(p, orders, first_changed, None, workers);
+        for (placed, order) in placed.iter().zip(orders) {
+            let fits = order.iter().filter(|job| job.width <= p.base.capacity());
+            assert_eq!(*placed, fits.count(), "an unbounded pass stopped early");
+        }
+    }
+
+    /// Plans `orders` through the retained entry — with `bound =
+    /// (first, share)` under a [`Prune`] that plans queue `first` first
+    /// and stops the others at `share` of its excess — and checks every
+    /// schedule against a from-scratch plan of the same (base, queue):
+    /// all of it where the pass was complete, the prefix it holds where
+    /// it stopped. Returns how many jobs each schedule holds.
+    fn assert_pruned_matches_fresh(
+        p: &mut Planner,
+        orders: &[Vec<Job>],
+        first_changed: &[usize],
+        bound: Option<(usize, f64)>,
+        workers: usize,
+    ) -> Vec<usize> {
+        let now = p.prepared_at;
         let mut timings = vec![PlanTiming::default(); orders.len()];
-        p.plan_retained_batch(orders, first_changed, &mut timings, workers);
+        let mut limit = f64::INFINITY;
+        let (first, share) = bound.unwrap_or((usize::MAX, 0.0));
+        let is_first = |i| i == first;
+        let mut take_limit = |p: &Planner| {
+            assert!(p.retained_excess(first).is_none());
+            limit = share * DelayWeight::Width.excess(p.retained_schedule(first), now);
+            limit
+        };
+        p.plan_retained_batch(
+            orders,
+            first_changed,
+            bound.map(|_| Prune {
+                weight: DelayWeight::Width,
+                first: &is_first,
+                limit: &mut take_limit,
+            }),
+            &mut timings,
+            workers,
+        );
         let mut fresh = Planner::new();
         fresh.base.restore_from(&p.base);
-        fresh.prepared_at = p.prepared_at;
+        fresh.prepared_at = now;
+        let mut placed = Vec::new();
         for (i, order) in orders.iter().enumerate() {
-            assert_eq!(
-                p.retained_schedule(i).entries,
-                fresh.plan_prepared(order).entries,
-                "queue {i} diverged from a fresh plan"
-            );
+            let (got, want) = (p.retained_schedule(i), fresh.plan_prepared(order));
+            placed.push(got.len());
+            match p.retained_excess(i) {
+                None => assert_eq!(got.entries, want.entries, "queue {i} diverged"),
+                Some(excess) => {
+                    assert_eq!(got.entries, want.entries[..got.len()], "queue {i} diverged");
+                    assert_eq!(excess, DelayWeight::Width.excess(got, now), "queue {i}");
+                    assert!(excess > limit, "queue {i} stopped at {excess} <= {limit}");
+                }
+            }
         }
+        placed
     }
 
     #[test]
@@ -1043,6 +1282,99 @@ mod tests {
         assert_eq!(p.retained_counts().suffix_passes, 0);
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
         assert_eq!(p.retained_counts().suffix_passes, 3);
+    }
+
+    /// Twelve jobs behind a full machine, FCFS planned first: SJF and
+    /// LJF run up half of FCFS's excess long before their last job.
+    fn pruned_setup() -> (Planner, Vec<RunningJob>, Vec<Vec<Job>>) {
+        let running = vec![RunningJob {
+            job: j(99, 0, 4, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..12)
+            .map(|i| j(i, i as u64, 1 + i % 4, 20 + (i as u64 * 37) % 200))
+            .collect();
+        let orders = policy_orders(&jobs);
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.5)), 1);
+        assert_eq!(placed[0], 12, "the first queue is planned completely");
+        assert!(placed[1] < 12 && placed[2] < 12, "{placed:?}");
+        assert!(placed[1] > 1 && placed[2] > 1, "{placed:?}");
+        let pruned = (12 - placed[1]) + (12 - placed[2]);
+        assert_eq!(p.retained_counts().pruned, pruned as u64);
+        (p, running, orders)
+    }
+
+    #[test]
+    fn a_stopped_plan_is_kept_up_to_a_submission_ahead_of_or_behind_the_cut() {
+        let (mut p, running, mut orders) = pruned_setup();
+        let before: Vec<usize> = (0..3).map(|i| p.retained_schedule(i).len()).collect();
+        let pruned = p.retained_counts().pruned;
+        // The shortest job of all: position 0 of the SJF order, ahead of
+        // where that pass stopped, and the last of the LJF order, behind
+        // where that one did.
+        let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+        submit(&mut orders, &mut first, j(12, 13, 2, 5));
+        assert_eq!((first[1], first[2]), (0, 12));
+        p.prepare(4, t(13), &running, &[]);
+        let placed = assert_pruned_matches_fresh(&mut p, &orders, &first, Some((0, 0.5)), 1);
+        assert_eq!(placed[0], 13);
+        // LJF kept what it held and, still past the limit, placed
+        // nothing; FCFS kept its twelve and placed the new job; SJF had
+        // nothing in front of the new job to keep.
+        assert_eq!(placed[2], before[2]);
+        let counts = p.retained_counts();
+        assert_eq!(counts.suffix_passes, 2);
+        assert_eq!(counts.kept, (12 + before[2]) as u64);
+        assert!(counts.pruned > pruned);
+    }
+
+    #[test]
+    fn a_stopped_plan_that_must_be_complete_is_finished_from_its_prefix() {
+        let (mut p, running, orders) = pruned_setup();
+        let held = p.retained_schedule(2).len();
+        // Nothing changed but which queue is planned first: LJF now.
+        let all: Vec<usize> = orders.iter().map(Vec::len).collect();
+        p.prepare(4, t(12), &running, &[]);
+        let placed = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((2, 0.5)), 1);
+        assert_eq!(placed[2], 12);
+        // All three passes kept what their slots held; LJF's went on
+        // from there.
+        let counts = p.retained_counts();
+        assert_eq!(counts.suffix_passes, 3);
+        assert!(counts.kept >= (12 + held) as u64);
+        // And without a bound every plan is finished.
+        p.prepare(4, t(12), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &all, 1);
+        assert_eq!(p.retained_counts().suffix_passes, 6);
+    }
+
+    #[test]
+    fn an_over_wide_job_ahead_of_the_cut_takes_the_full_pass() {
+        // Degraded to three processors, the width-4 jobs (ids 3, 7, 11)
+        // are in no plan: the entries of every slot run ahead of its
+        // order from the first of them on.
+        let jobs: Vec<Job> = (0..12)
+            .map(|i| j(i, i as u64, 1 + i % 4, 20 + (i as u64 * 37) % 200))
+            .collect();
+        let orders = policy_orders(&jobs);
+        let all: Vec<usize> = orders.iter().map(Vec::len).collect();
+        let running = [RunningJob {
+            job: j(99, 0, 3, 100),
+            start: t(0),
+        }];
+        let mut p = Planner::new();
+        p.prepare(3, t(12), &running, &[]);
+        let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.5)), 1);
+        assert_eq!(placed[0], 9);
+        assert!(p.retained_counts().pruned > 0, "{placed:?}");
+        // Claiming everything unchanged, each slot is cut to what it
+        // holds, and the id comparison refuses it at the skipped job.
+        p.prepare(3, t(12), &running, &[]);
+        let again = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((0, 0.5)), 1);
+        assert_eq!(again, placed);
+        assert_eq!(p.retained_counts().suffix_passes, 0);
     }
 
     mod reservations {
@@ -1271,7 +1603,9 @@ mod tests {
         /// passing, running jobs starting and ending, and capacity
         /// dropping below some queue widths — with the caller's
         /// `first_changed` kept the way the self-tuning scheduler keeps
-        /// it. Whatever the stream, every schedule equals a fresh plan.
+        /// it, and passes stopped at random limits between complete ones.
+        /// Whatever the stream, every schedule equals a fresh plan as
+        /// far as it goes, and goes all the way unless it was stopped.
         #[test]
         fn retained_plans_match_fresh_plans_over_any_event_stream(
             events in proptest::collection::vec(
@@ -1279,6 +1613,9 @@ mod tests {
                 1..60,
             ),
             workers in 1usize..4,
+            // Which queue is planned first (3: none, complete passes),
+            // and the share of its excess at which the others stop.
+            bounds in proptest::collection::vec((0usize..4, 0.0f64..1.5), 60..61),
         ) {
             let mut now = 100u64;
             let mut capacity = 8u32;
@@ -1286,7 +1623,7 @@ mod tests {
             let mut orders = policy_orders(&[]);
             let mut next_id = 0u32;
             let mut p = Planner::new();
-            for (kind, width, est, dt) in events {
+            for ((kind, width, est, dt), bound) in events.into_iter().zip(bounds) {
                 let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
                 match kind {
                     // Submissions dominate, as in a burst.
@@ -1314,12 +1651,13 @@ mod tests {
                     _ => {}
                 }
                 p.prepare(capacity, t(now), &running, &[]);
-                let mut timings = vec![PlanTiming::default(); orders.len()];
-                p.plan_retained_batch(&orders, &first, &mut timings, workers);
+                let bound = Some(bound).filter(|&(first, _)| first < 3);
+                assert_pruned_matches_fresh(&mut p, &orders, &first, bound, workers);
                 let mut reference = ReferencePlanner::new();
                 for (i, order) in orders.iter().enumerate() {
                     let fresh = reference.plan(capacity, t(now), &running, order);
-                    prop_assert_eq!(&p.retained_schedule(i).entries, &fresh.entries);
+                    let held = p.retained_schedule(i).len();
+                    prop_assert_eq!(&p.retained_schedule(i).entries[..], &fresh.entries[..held]);
                 }
             }
         }

@@ -2,10 +2,13 @@
 //! the simulation. A trace-enabled run is bit-identical to a
 //! trace-disabled run on the same seed — same SLDwA, utilization, event
 //! count, decision/switch counters and reservation outcome — at every
-//! trace level, with and without a reservation stream — and it plans the
-//! same way: the planner's suffix path (retained per-policy plans at a
-//! deep queue) is taken exactly as often, and times one `PlanBuilt` per
-//! policy like the full pass does.
+//! trace level, with and without a reservation stream. It does not plan
+//! the same way, and that is the point: a trace records every policy's
+//! score, so a traced scheduler plans every policy completely, while an
+//! untraced one stops planning the policies that have lost. Identical
+//! results from the two are the evidence that stopping changes nothing.
+//! Either way every per-policy pass at a deep queue — suffix or full —
+//! is timed as one `PlanBuilt`.
 
 use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
 use dynp_obs::{TraceEvent, TraceLevel, Tracer};
@@ -13,6 +16,10 @@ use dynp_rms::{AdmissionConfig, Policy, RetainedCounts, RETAIN_MIN_DEPTH};
 use dynp_sim::simulate_traced;
 use dynp_workload::{kth, transform, ReservationModel};
 use proptest::prelude::*;
+
+/// What a run left behind: its results, and which paths the planner's
+/// per-policy passes took.
+type Run = (Fingerprint, RetainedCounts);
 
 /// Everything a tracer could conceivably disturb, collapsed into a
 /// bitwise-comparable fingerprint.
@@ -26,17 +33,9 @@ struct Fingerprint {
     switches: u64,
     switched_to: [u64; Policy::COUNT],
     reservations: String,
-    /// Which planning path every per-policy pass took.
-    planner: RetainedCounts,
 }
 
-fn run(
-    seed: u64,
-    jobs: usize,
-    decider: DeciderKind,
-    with_res: bool,
-    tracer: Tracer,
-) -> Fingerprint {
+fn run(seed: u64, jobs: usize, decider: DeciderKind, with_res: bool, tracer: Tracer) -> Run {
     run_at(seed, jobs, 0.8, decider, with_res, tracer)
 }
 
@@ -49,7 +48,7 @@ fn run_at(
     decider: DeciderKind,
     with_res: bool,
     tracer: Tracer,
-) -> Fingerprint {
+) -> Run {
     let set = transform::shrink(&kth().generate(jobs, seed), factor);
     let requests = if with_res {
         ReservationModel::typical(0.15).generate(&set, seed ^ 0xA5A5)
@@ -64,7 +63,7 @@ fn run_at(
         AdmissionConfig::default(),
         tracer,
     );
-    Fingerprint {
+    let fingerprint = Fingerprint {
         sldwa_bits: detail.result.metrics.sldwa.to_bits(),
         utilization_bits: detail.result.metrics.utilization.to_bits(),
         artww_bits: detail.result.metrics.artww.to_bits(),
@@ -73,8 +72,8 @@ fn run_at(
         switches: scheduler.stats.switches,
         switched_to: scheduler.stats.switched_to,
         reservations: format!("{:?}", detail.reservations),
-        planner: scheduler.retained_counts(),
-    }
+    };
+    (fingerprint, scheduler.retained_counts())
 }
 
 fn deciders() -> impl Strategy<Value = DeciderKind> {
@@ -107,9 +106,11 @@ proptest! {
         level in levels(),
         with_res in prop_oneof![Just(false), Just(true)],
     ) {
-        let untraced = run(seed, jobs, decider, with_res, Tracer::disabled());
-        let traced = run(seed, jobs, decider, with_res, Tracer::enabled(level));
+        let (untraced, plain) = run(seed, jobs, decider, with_res, Tracer::disabled());
+        let (traced, complete) = run(seed, jobs, decider, with_res, Tracer::enabled(level));
         prop_assert_eq!(untraced, traced);
+        prop_assert_eq!((plain.passes, plain.jobs), (complete.passes, complete.jobs));
+        prop_assert_eq!(complete.pruned, 0);
     }
 }
 
@@ -127,23 +128,49 @@ fn disabled_tracer_stays_empty_while_enabled_records() {
     assert!(snapshot.records.len() > 200, "expected a rich trace");
 }
 
-/// A queue deep enough for the planner to retain its per-policy plans:
-/// the traced run takes the suffix path exactly where the untraced one
-/// does, and every retained pass — suffix or full — is timed as one
-/// `PlanBuilt` record, so the per-policy plan spans still sum to the
-/// planning wall time.
+/// A queue deep enough for the planner to retain its per-policy plans,
+/// under every decider: the untraced run stops the passes of the
+/// policies that have lost, the traced run — at the lowest level already,
+/// `Decision` records list every score — stops none, and the two give
+/// the same results. Every retained pass of the traced run — suffix or
+/// full — is timed as one `PlanBuilt` record, so the per-policy plan
+/// spans still sum to the planning wall time.
 #[test]
-fn traced_burst_takes_the_suffix_path_like_the_untraced_one() {
-    let burst = |tracer: Tracer| run_at(29, 300, 0.005, DeciderKind::Advanced, false, tracer);
-    let untraced = burst(Tracer::disabled());
+fn traced_burst_plans_completely_and_equals_the_untraced_one() {
+    for decider in [
+        DeciderKind::Simple,
+        DeciderKind::Advanced,
+        DeciderKind::Preferred {
+            policy: Policy::Sjf,
+            threshold: 0.0,
+        },
+    ] {
+        traced_burst_equals_untraced(decider);
+    }
+}
+
+fn traced_burst_equals_untraced(decider: DeciderKind) {
+    let burst = |tracer: Tracer| run_at(29, 300, 0.005, decider, false, tracer);
+    let (untraced, plain) = burst(Tracer::disabled());
+    assert!(plain.suffix_passes > 100, "burst too shallow: {plain:?}");
     assert!(
-        untraced.planner.suffix_passes > 100,
-        "burst too shallow: {:?}",
-        untraced.planner
+        plain.pruned > plain.jobs / 10,
+        "few passes stopped: {plain:?}"
     );
-    for level in [TraceLevel::Spans, TraceLevel::All] {
+    for level in [TraceLevel::Decisions, TraceLevel::Spans, TraceLevel::All] {
         let tracer = Tracer::enabled(level);
-        assert_eq!(burst(tracer.clone()), untraced, "{level:?}");
+        let (traced, complete) = burst(tracer.clone());
+        assert_eq!(traced, untraced, "{decider:?} {level:?}");
+        assert_eq!(complete.pruned, 0, "{decider:?} {level:?}");
+        assert_eq!(
+            (complete.passes, complete.jobs),
+            (plain.passes, plain.jobs),
+            "{decider:?} {level:?}"
+        );
+        assert!(complete.suffix_passes > 100, "{decider:?} {level:?}");
+        if level == TraceLevel::Decisions {
+            continue; // records no plans
+        }
         let snapshot = tracer.snapshot();
         assert_eq!(snapshot.dropped, 0);
         let deep_plans = snapshot
@@ -154,6 +181,6 @@ fn traced_burst_takes_the_suffix_path_like_the_untraced_one() {
                     if queue_depth as usize >= RETAIN_MIN_DEPTH)
             })
             .count();
-        assert_eq!(deep_plans as u64, untraced.planner.passes, "{level:?}");
+        assert_eq!(deep_plans as u64, complete.passes, "{level:?}");
     }
 }

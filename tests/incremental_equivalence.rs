@@ -8,7 +8,7 @@
 //! trace models — and demand exact equality.
 
 use dynp_suite::prelude::*;
-use dynp_suite::rms::{Schedule, RETAIN_MIN_DEPTH};
+use dynp_suite::rms::{RetainedCounts, Schedule, RETAIN_MIN_DEPTH};
 use dynp_suite::sim::simulate_with_reservations;
 use dynp_suite::workload::{traces, transform, FaultModel, FaultPlan};
 use proptest::prelude::*;
@@ -56,7 +56,7 @@ fn run_with(
     dynp_suite::core::SwitchStats,
     Policy,
     ReservationStats,
-    u64,
+    RetainedCounts,
 ) {
     let mut s = scheduler_with(config, reference, threads);
     let d = simulate_with_reservations(set, &mut s, reqs, AdmissionConfig::default());
@@ -65,20 +65,25 @@ fn run_with(
         s.stats.clone(),
         s.active_policy(),
         d.reservations.stats,
-        s.retained_counts().suffix_passes,
+        s.retained_counts(),
     )
 }
 
-/// Returns the fewest per-policy passes that took the planner's suffix
-/// path in any of the incremental runs (0 on queues that stay under
-/// `RETAIN_MIN_DEPTH`).
-fn assert_equivalent_with(set: &JobSet, config: &DynPConfig, reqs: &[ReservationRequest]) -> u64 {
+/// Returns which paths the planner's per-policy passes took in the
+/// incremental runs (all zero on queues that stay under
+/// `RETAIN_MIN_DEPTH`) — the same in all of them: what a pass keeps and
+/// where it stops as lost do not depend on the worker count.
+fn assert_equivalent_with(
+    set: &JobSet,
+    config: &DynPConfig,
+    reqs: &[ReservationRequest],
+) -> RetainedCounts {
     let (m_ref, stats_ref, active_ref, res_ref, _) = run_with(set, config, true, reqs, 1);
-    let mut suffix_passes = u64::MAX;
+    let mut planner = None;
     for threads in THREAD_COUNTS {
-        let (m_inc, stats_inc, active_inc, res_inc, suffix) =
+        let (m_inc, stats_inc, active_inc, res_inc, counts) =
             run_with(set, config, false, reqs, threads);
-        suffix_passes = suffix_passes.min(suffix);
+        assert_eq!(*planner.get_or_insert(counts), counts, "{threads} threads");
         let ctx = format!(
             "{} / {:?} / {:?} / {} reservation requests / {threads} planner threads",
             set.name,
@@ -98,10 +103,10 @@ fn assert_equivalent_with(set: &JobSet, config: &DynPConfig, reqs: &[Reservation
         assert_eq!(stats_inc, stats_ref, "{ctx}");
         assert_eq!(active_inc, active_ref, "{ctx}");
     }
-    suffix_passes
+    planner.expect("at least one thread count")
 }
 
-fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> u64 {
+fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> RetainedCounts {
     assert_equivalent_with(set, config, &[])
 }
 
@@ -306,8 +311,12 @@ fn incremental_run_is_deterministic() {
 /// A burst: KTH jobs arriving 200× faster than the trace, so the queue
 /// climbs through `RETAIN_MIN_DEPTH` into the hundreds and drains back
 /// through it. Most replans on the way up are submissions on an
-/// unchanged base — the planner's suffix path — and every one of them
-/// must leave the run bit-identical to the from-scratch reference.
+/// unchanged base — the planner's suffix path — and most of those stop
+/// planning the policies that have lost; every one of them must leave
+/// the run bit-identical to the from-scratch reference, which plans and
+/// scores every policy completely. So must the other objectives, each
+/// with its own weighting of a job's delay — and `Utilization`, which a
+/// partial plan does not bound, must stop no pass at all.
 ///
 /// 1 200 jobs in release builds (the CI equivalence legs). Under debug
 /// assertions every profile update re-checks the whole profile, which
@@ -328,10 +337,35 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
             threshold: 0.0,
         },
     ] {
-        let suffix_passes = assert_equivalent(&set, &DynPConfig::paper(decider));
+        let planner = assert_equivalent(&set, &DynPConfig::paper(decider));
         assert!(
-            suffix_passes > expect_suffix_passes,
-            "{decider:?}: the burst took the suffix path {suffix_passes} times"
+            planner.suffix_passes > expect_suffix_passes,
+            "{decider:?}: the burst took the suffix path: {planner:?}"
+        );
+        assert!(
+            planner.pruned > planner.jobs / 4,
+            "{decider:?}: the burst stopped few passes: {planner:?}"
+        );
+    }
+    // The objectives that weigh a delay otherwise than SLDwA does, and
+    // the one that cannot be bounded.
+    let set = transform::shrink(&traces::kth().generate(jobs / 2, 53), 0.005);
+    for objective in [
+        Objective::AvgSlowdown,
+        Objective::AvgResponseTime,
+        Objective::Utilization,
+    ] {
+        let mut config = DynPConfig::paper(DeciderKind::Advanced);
+        config.objective = objective;
+        let planner = assert_equivalent(&set, &config);
+        assert!(
+            planner.suffix_passes > expect_suffix_passes / 3,
+            "{objective:?}: {planner:?}"
+        );
+        assert_eq!(
+            planner.pruned > 0,
+            objective != Objective::Utilization,
+            "{objective:?}: {planner:?}"
         );
     }
 }
