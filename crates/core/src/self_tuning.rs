@@ -272,6 +272,13 @@ impl SelfTuningScheduler {
         self.planner.retained_counts()
     }
 
+    /// How many passes stopped on the bound of their unplaced jobs (see
+    /// [`Planner::rest_stops`]).
+    #[doc(hidden)]
+    pub fn rest_stops(&self) -> u64 {
+        self.planner.rest_stops()
+    }
+
     /// Brings the per-policy sorted queue views in sync with the RMS
     /// waiting queue by replaying the tail of the state's queue change
     /// log: newly submitted jobs are binary-inserted into every policy
@@ -576,17 +583,16 @@ impl SelfTuningScheduler {
             let Some(weight) = weight else {
                 return f64::INFINITY;
             };
-            let mut best_plan = None;
+            // One walk per plan: its score, and beside it the excess.
             for i in (0..scores.len()).filter(|&i| first(i)) {
                 let plan = planner.retained_schedule(i);
-                scores[i] = objective.evaluate(plan, now);
+                let mut excess = 0.0;
+                let (num, plan_den) = objective.sums(plan, |e| excess += weight.excess_of(e, now));
+                // What `Objective::evaluate` scores it.
+                scores[i] = if plan.is_empty() { 0.0 } else { num / plan_den };
                 if scores[i] < best {
-                    (best, best_plan) = (scores[i], Some(plan));
+                    (best, best_excess, den) = (scores[i], excess, plan_den);
                 }
-            }
-            if let Some(plan) = best_plan {
-                best_excess = weight.excess(plan, now);
-                den = plan.entries.iter().map(|e| objective.weight(&e.job)).sum();
             }
             // The tolerance of `compare::approx_eq` is relative to the
             // larger of the score and 1; so is the margin.

@@ -9,7 +9,7 @@
 //! is negated), which keeps every decider a pure argmin.
 
 use dynp_des::SimTime;
-use dynp_rms::{DelayWeight, Schedule};
+use dynp_rms::{DelayWeight, PlannedJob, Schedule};
 use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
 
@@ -126,13 +126,28 @@ impl Objective {
                 .sum();
             return -(area / span);
         }
+        let (num, den) = self.sums(schedule, |_| {});
+        num / den
+    }
+
+    /// Numerator and denominator of a weighted-mean objective over a
+    /// planned schedule, `(Σ term, Σ weight)`, each summed in schedule
+    /// order; [`Objective::evaluate`] is their quotient. `beside` sees
+    /// every entry on the way, for a caller with a sum of its own to take
+    /// over the same plan.
+    ///
+    /// # Panics
+    /// Panics for [`Objective::Utilization`].
+    #[inline]
+    pub fn sums(self, schedule: &Schedule, mut beside: impl FnMut(&PlannedJob)) -> (f64, f64) {
         let mut num = 0.0;
         let mut den = 0.0;
         for e in &schedule.entries {
             num += self.term(&e.job, e.start);
             den += self.weight(&e.job);
+            beside(e);
         }
-        num / den
+        (num, den)
     }
 }
 
@@ -140,7 +155,6 @@ impl Objective {
 mod tests {
     use super::*;
     use dynp_des::SimDuration;
-    use dynp_rms::PlannedJob;
     use dynp_workload::{Job, JobId};
 
     fn entry(id: u32, submit_s: u64, width: u32, est_s: u64, start_s: u64) -> PlannedJob {
@@ -240,6 +254,14 @@ mod tests {
             let num: f64 = s.entries.iter().map(|e| o.term(&e.job, e.start)).sum();
             let den: f64 = s.entries.iter().map(|e| o.weight(&e.job)).sum();
             assert_eq!(o.evaluate(&s, SimTime::ZERO), num / den, "{}", o.name());
+            let mut seen = Vec::new();
+            assert_eq!(
+                o.sums(&s, |e| seen.push(e.job.id)),
+                (num, den),
+                "{}",
+                o.name()
+            );
+            assert_eq!(seen, [JobId(0), JobId(1)]);
         }
     }
 

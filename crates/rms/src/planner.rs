@@ -102,12 +102,12 @@ pub struct Planner {
     /// The base the retained plans were planned on, compared against
     /// each new base. Created by the first retained pass.
     retained_base: Option<Profile>,
-    /// Per slot, the excess of a retained pass that [`Prune`] stopped
-    /// early (`None`: the slot's schedule is complete). Beside the slots
-    /// rather than in them, and sized by the first pass that runs
-    /// through [`Planner::run_passes`]: `size_of::<Slot>()` decides the
-    /// peak RSS of runs that never retain a plan (DESIGN §10).
-    stopped: Vec<Option<f64>>,
+    /// Per slot, whether [`Prune`] stopped its retained pass early, and
+    /// how often the rest bound has. Beside the slots rather than in
+    /// them, and sized by the first pass that runs through
+    /// [`Planner::run_passes`]: `size_of::<Slot>()` decides the peak RSS
+    /// of runs that never retain a plan (DESIGN §10).
+    stopped: Vec<Stopped>,
     /// Observability tracer (disabled by default); [`Planner::prepare`]
     /// is measured as a `"prepare"` wall-clock span.
     tracer: dynp_obs::Tracer,
@@ -174,8 +174,15 @@ impl DelayWeight {
     /// what a pass under [`Prune`] has run up when it has placed exactly
     /// these jobs.
     pub fn excess(self, schedule: &Schedule, now: SimTime) -> f64 {
-        let delay = |e: &PlannedJob| self.delay(&e.job, now.max(e.job.submit), e.start);
-        schedule.entries.iter().map(delay).sum()
+        let part = |e: &PlannedJob| self.excess_of(e, now);
+        schedule.entries.iter().map(part).sum()
+    }
+
+    /// What one entry of a schedule planned at `now` adds to its
+    /// [`DelayWeight::excess`].
+    #[inline]
+    pub fn excess_of(self, entry: &PlannedJob, now: SimTime) -> f64 {
+        self.delay(&entry.job, now.max(entry.job.submit), entry.start)
     }
 }
 
@@ -188,7 +195,11 @@ impl DelayWeight {
 /// same for all of them, and what tells two plans apart is their
 /// *excess* over it, `Σ weight.delay(job, max(now, submit), start)`. No
 /// term of that sum is negative, so the excess of the jobs a pass has
-/// placed so far is a lower bound on the excess of its finished plan.
+/// placed so far is a lower bound on the excess of its finished plan —
+/// and under [`DelayWeight::Width`] the jobs it has not placed have a
+/// lower bound of their own (`rest_bound`), which lets a pass stop after
+/// a handful of placements where the placed jobs alone would carry it
+/// through most of the queue.
 pub struct Prune<'a> {
     /// How a job's delay counts.
     pub weight: DelayWeight,
@@ -196,8 +207,8 @@ pub struct Prune<'a> {
     pub first: &'a (dyn Fn(usize) -> bool + Sync),
     /// Called once, when the `first` queues are planned and their
     /// [`Planner::retained_schedule`]s final: the excess past which a
-    /// plan has lost. Every other pass stops placing once the excess of
-    /// what it has placed is greater; `∞` stops none.
+    /// plan has lost. Every other pass stops placing once its lower
+    /// bound is greater; `∞` stops none.
     pub limit: &'a mut dyn FnMut(&Planner) -> f64,
 }
 
@@ -206,7 +217,25 @@ pub struct Prune<'a> {
 struct Tally {
     weight: DelayWeight,
     limit: f64,
+    /// Of the jobs placed.
     excess: f64,
+    /// What [`rest_bound`] added for the jobs not placed, when that is
+    /// what stopped the pass; 0 otherwise.
+    rest: f64,
+    /// How the queue's pass before this one ended.
+    last: Stopped,
+}
+
+/// What the last pass under [`Prune`] left of one queue's plan.
+#[derive(Clone, Copy, Debug, Default)]
+struct Stopped {
+    /// `None`: the slot's schedule is complete. Of a pass stopped early,
+    /// the lower bound on the finished plan's excess that stopped it.
+    excess: Option<f64>,
+    /// Whether that bound counted jobs the pass had not placed.
+    by_rest: bool,
+    /// Passes of this queue that [`rest_bound`] has stopped so far.
+    rest_stops: u64,
 }
 
 /// Wall-clock observability of one per-policy planning pass inside
@@ -252,7 +281,12 @@ fn place(
     out: &mut Schedule,
     mut tally: Option<&mut Tally>,
 ) -> usize {
-    out.entries.reserve(queue.len());
+    // A pass that may stop after a handful of jobs grows the buffer as
+    // it goes: a stopped slot holds no capacity for the rest of a deep
+    // queue.
+    if tally.is_none() {
+        out.entries.reserve(queue.len());
+    }
     for (i, job) in queue.iter().enumerate() {
         if tally.as_ref().is_some_and(|t| t.excess > t.limit) {
             return queue.len() - i;
@@ -271,6 +305,125 @@ fn place(
         out.entries.push(PlannedJob { job: *job, start });
     }
     0
+}
+
+/// Duration classes of [`rest_bound`]: an estimate in milliseconds by its
+/// top four significant bits, so a class's upper edge is at most 12.5 %
+/// above any estimate in it. Values under 16 are their own class.
+const CLASSES: usize = 16 + 8 * 60;
+
+fn class_of(ms: u64) -> usize {
+    let shift = (64 - ms.leading_zeros()).saturating_sub(4);
+    8 * shift as usize + (ms >> shift) as usize
+}
+
+/// No estimate of class `c` is longer than this many milliseconds.
+fn class_edge(c: usize) -> f64 {
+    if c < 16 {
+        return c as f64;
+    }
+    (9 + (c & 7)) as f64 * (1u64 << ((c >> 3) - 1)) as f64
+}
+
+/// A lower bound on the [`DelayWeight::Width`] excess the jobs of `rest`
+/// add to any plan that places them on `profile` from `now` on.
+///
+/// A job placed at `start` is busy around `start + estimate / 2`, so
+/// `width · (start − now + estimate / 2)` is `1 / estimate` times the
+/// first moment `∫ (t − now) · x(t) dt` of its rectangle `x`. Rectangles
+/// that fit the profile are one way of pouring each job's area into the
+/// free capacity; the cheapest way, with the areas free to take any
+/// shape, pours them shortest estimate first, each as early as the
+/// capacity left by the shorter ones allows. Taking `1 / estimate` down to
+/// the reciprocal of the class edge only lowers the cost of every
+/// pouring, and makes the jobs of a class one area: the optimum is then
+/// one walk over the profile against a histogram of area per class.
+/// Take from it the `estimate / 2` parts and the delays that start at
+/// `submit`, not at `now`, and what is left bounds `Σ width · (start −
+/// max(now, submit))` from below. A job wider than the machine is in no
+/// plan and in no bound.
+fn rest_bound(profile: &Profile, now: SimTime, rest: &[Job]) -> f64 {
+    let (times, frees) = profile.segments_from(now);
+    let ms = |d: SimDuration| d.as_millis() as i64 as f64;
+    // Area in width · ms, per class and in all, and the delays that are
+    // nobody's fault.
+    let mut class_area = [0.0f64; CLASSES];
+    let (mut area, mut floors) = (0.0, 0.0);
+    for job in rest {
+        if job.width > profile.capacity() {
+            continue;
+        }
+        let width = job.width as f64;
+        let job_area = width * ms(job.estimate);
+        class_area[class_of(job.estimate.as_millis())] += job_area;
+        area += job_area;
+        floors += width * ms(job.submit.saturating_since(now));
+    }
+    let mut moment = 0.0;
+    // The capacity is used up to `at` ms past `now`, inside segment `k`.
+    let (mut k, mut at) = (0, 0.0);
+    for (c, &poured) in class_area.iter().enumerate() {
+        let mut left = poured;
+        if left == 0.0 {
+            continue;
+        }
+        let per_ms = 1.0 / class_edge(c);
+        loop {
+            let free = frees[k] as f64;
+            // The final segment has the whole machine free for ever.
+            let end = times
+                .get(k + 1)
+                .map_or(f64::INFINITY, |t| ms(t.saturating_since(now)));
+            let room = (free * (end - at)).max(0.0);
+            if left <= room {
+                let span = left / free;
+                moment += per_ms * left * (at + 0.5 * span);
+                at += span;
+                break;
+            }
+            moment += per_ms * room * 0.5 * (at + end);
+            left -= room;
+            (k, at) = (k + 1, end);
+        }
+    }
+    (moment - 0.5 * area - floors).max(0.0) * 1e-3
+}
+
+/// [`place`] under a `tally` that also asks [`rest_bound`] whether what
+/// is placed and what is not are together past the limit: before placing
+/// anything if `ask`, and, when the bound stopped the queue's last pass,
+/// again between stretches of the queue that end at 8, 32, 128, … jobs.
+/// `place`'s loop is the shallow path's too, and even a branch never
+/// taken costs it (DESIGN §10), hence a wrapper.
+fn place_bounded(
+    profile: &mut Profile,
+    now: SimTime,
+    queue: &[Job],
+    out: &mut Schedule,
+    tally: &mut Tally,
+    mut ask: bool,
+) -> usize {
+    let (mut from, mut to) = (0, 8);
+    loop {
+        // The answer can save no more than placing the rest, and the
+        // walk reads all of the profile.
+        let unplaced = queue.len() - from;
+        if ask && tally.excess <= tally.limit && unplaced > profile.segments_from(now).0.len() {
+            let rest = rest_bound(profile, now, &queue[from..]);
+            if tally.excess + rest > tally.limit {
+                tally.rest = rest;
+                return unplaced;
+            }
+        }
+        let end = if tally.last.by_rest { to } else { queue.len() };
+        let stretch = &queue[from..end.min(queue.len())];
+        from += stretch.len();
+        let left = place(profile, now, stretch, out, Some(tally));
+        if left > 0 || from == queue.len() {
+            return queue.len() - from + left;
+        }
+        (ask, to) = (true, 4 * to);
+    }
 }
 
 /// The from-scratch planning pass: restores `profile` to the `base`
@@ -335,13 +488,30 @@ impl Slot {
             self.profile.restore_from(base);
             self.schedule.entries.clear();
         }
-        place(
-            &mut self.profile,
-            now,
-            &queue[kept..],
-            &mut self.schedule,
-            tally,
-        )
+        let (profile, rest, out) = (&mut self.profile, &queue[kept..], &mut self.schedule);
+        match tally {
+            // Whether the jobs a pass leaves unplaced put it past the
+            // limit is worth asking where the answer has been yes: the
+            // verdict on a queue seldom changes from one event to the
+            // next (DESIGN §10 has the table). A stopped plan picked up
+            // from its prefix asks once, at once — that is how a queue
+            // gets its first yes — and a queue the bound stopped last
+            // time keeps asking as it places. `Unit` and `PerEstimate`
+            // stop on the excess of the jobs placed alone: the fluid
+            // problem pours their jobs by `width · estimate` and
+            // `width · estimate²`, keys of up to 110 bits where an
+            // estimate has 40, and no workload or experiment plans deep
+            // queues under them.
+            Some(tally) if tally.weight == DelayWeight::Width => {
+                let resumes = kept > 0 && tally.last.excess.is_some();
+                if resumes || tally.last.by_rest {
+                    place_bounded(profile, now, rest, out, tally, resumes)
+                } else {
+                    place(profile, now, rest, out, Some(tally))
+                }
+            }
+            tally => place(profile, now, rest, out, tally),
+        }
     }
 
     /// Cuts the retained plan back to its first `keep` entries — or to
@@ -529,26 +699,30 @@ impl Planner {
         workers: usize,
     ) -> usize {
         let n = queues.len();
-        self.stopped.resize(n, None);
+        self.stopped.resize(n, Stopped::default());
         let (base, now, tracer) = (&self.base, self.prepared_at, &self.tracer);
-        let pass =
-            |i: usize, slot: &mut Slot, timing: &mut PlanTiming, stopped: &mut Option<f64>| {
-                if !select(i) {
-                    return;
-                }
-                let keep = keep.map_or(0, |k| k[i]);
-                let mut tally = bound.map(|(weight, limit)| Tally {
-                    weight,
-                    limit,
-                    excess: 0.0,
-                });
-                let left;
-                (*timing, left) = timed(tracer, || {
-                    slot.plan(base, now, &queues[i], keep, tally.as_mut())
-                });
-                slot.counts.pruned += left as u64;
-                *stopped = tally.filter(|_| left > 0).map(|t| t.excess);
-            };
+        let pass = |i: usize, slot: &mut Slot, timing: &mut PlanTiming, stopped: &mut Stopped| {
+            if !select(i) {
+                return;
+            }
+            let keep = keep.map_or(0, |k| k[i]);
+            let mut tally = bound.map(|(weight, limit)| Tally {
+                weight,
+                limit,
+                excess: 0.0,
+                rest: 0.0,
+                last: *stopped,
+            });
+            let left;
+            (*timing, left) = timed(tracer, || {
+                slot.plan(base, now, &queues[i], keep, tally.as_mut())
+            });
+            slot.counts.pruned += left as u64;
+            let tally = tally.filter(|_| left > 0);
+            stopped.excess = tally.as_ref().map(|t| t.excess + t.rest);
+            stopped.by_rest = tally.is_some_and(|t| t.rest > 0.0);
+            stopped.rest_stops += stopped.by_rest as u64;
+        };
         let slots = &mut self.slots[..n];
         let stopped = &mut self.stopped[..n];
         let selected = (0..n).filter(|&i| select(i)).count();
@@ -698,11 +872,12 @@ impl Planner {
 
     /// `None` when [`Planner::retained_schedule`]`(i)` plans all of queue
     /// `i`; when [`Prune`] stopped the pass, the excess of the jobs it
-    /// had placed — more than the limit, and no more than the excess of
-    /// the plan it did not finish.
+    /// had placed plus, under [`DelayWeight::Width`], a lower bound on
+    /// what the others must add — more than the limit, and no more than
+    /// the excess of the plan it did not finish.
     pub fn retained_excess(&self, i: usize) -> Option<f64> {
         debug_assert!(i < self.retained, "no retained plan for queue {i}");
-        self.stopped[i]
+        self.stopped[i].excess
     }
 
     /// Forgets the retained plans: the next
@@ -725,6 +900,14 @@ impl Planner {
             sum.pruned += slot.counts.pruned;
         }
         sum
+    }
+
+    /// How many passes stopped on the bound of the jobs they had not
+    /// placed, with the excess of those they had still under the limit.
+    /// Diagnostic, like [`Planner::retained_counts`].
+    #[doc(hidden)]
+    pub fn rest_stops(&self) -> u64 {
+        self.stopped.iter().map(|s| s.rest_stops).sum()
     }
 
     /// Builds the full schedule for `queue` (already in policy order) at
@@ -1116,7 +1299,9 @@ mod tests {
     /// and stops the others at `share` of its excess — and checks every
     /// schedule against a from-scratch plan of the same (base, queue):
     /// all of it where the pass was complete, the prefix it holds where
-    /// it stopped. Returns how many jobs each schedule holds.
+    /// it stopped — and there the excess it reports: of the jobs placed
+    /// when those are past the limit, else no more than the excess of the
+    /// finished plan. Returns how many jobs each schedule holds.
     fn assert_pruned_matches_fresh(
         p: &mut Planner,
         orders: &[Vec<Job>],
@@ -1156,8 +1341,20 @@ mod tests {
                 None => assert_eq!(got.entries, want.entries, "queue {i} diverged"),
                 Some(excess) => {
                     assert_eq!(got.entries, want.entries[..got.len()], "queue {i} diverged");
-                    assert_eq!(excess, DelayWeight::Width.excess(got, now), "queue {i}");
                     assert!(excess > limit, "queue {i} stopped at {excess} <= {limit}");
+                    let placed = DelayWeight::Width.excess(got, now);
+                    if placed > limit {
+                        assert_eq!(excess, placed, "queue {i}");
+                        continue;
+                    }
+                    // Stopped by what it had not placed: the bound lies
+                    // between the part and the whole.
+                    let finished = DelayWeight::Width.excess(&want, now);
+                    assert!(placed < excess, "queue {i}: {placed} !< {excess}");
+                    assert!(
+                        excess <= finished * (1.0 + 1e-9),
+                        "queue {i}: {excess} > {finished}"
+                    );
                 }
             }
         }
@@ -1375,6 +1572,96 @@ mod tests {
         let again = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((0, 0.5)), 1);
         assert_eq!(again, placed);
         assert_eq!(p.retained_counts().suffix_passes, 0);
+    }
+
+    #[test]
+    fn slot_size_is_pinned() {
+        // `chaos` retains no plan, and its peak RSS still jumped by 17 %
+        // for two more words here (DESIGN §10): what a pass leaves
+        // behind goes into `Planner::stopped`, not into the slot.
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(std::mem::size_of::<Slot>(), 1144);
+    }
+
+    /// Longer estimates fall in later classes, and none past its class's
+    /// edge or more than an eighth short of it.
+    #[test]
+    fn duration_classes_are_monotone_and_edged_from_above() {
+        let mut last = 0;
+        for ms in (0..4096u64).chain((12..64).flat_map(|b| [(1 << b) - 1, 1 << b, (1 << b) + 1])) {
+            let c = class_of(ms);
+            assert!(c >= last && c < CLASSES, "{ms}: class {c} after {last}");
+            assert!(class_edge(c) >= ms as f64, "{ms}: edge {}", class_edge(c));
+            assert!(class_edge(c) <= 1.125 * ms as f64 || ms < 16, "{ms}");
+            last = c;
+        }
+        assert_eq!(class_of(u64::MAX), CLASSES - 1);
+    }
+
+    #[test]
+    fn rest_bound_is_exact_for_equal_jobs_on_one_processor() {
+        // Five 15 ms jobs (a class of its own) one after the other: the
+        // rectangles are the fluid optimum, 15 ms · (0 + 1 + 2 + 3 + 4).
+        let queue: Vec<Job> = (0..5)
+            .map(|i| {
+                let est = SimDuration::from_millis(15);
+                Job::new(JobId(i), t(0), 1, est, est)
+            })
+            .collect();
+        let mut profile = Profile::new(1, t(10));
+        let bound = rest_bound(&profile, t(10), &queue);
+        assert!((bound - 0.150).abs() < 1e-12, "{bound}");
+        // With two of them placed the other three wait 30, 45 and 60 ms.
+        let mut plan = Schedule::default();
+        place(&mut profile, t(10), &queue[..2], &mut plan, None);
+        let bound = rest_bound(&profile, t(10), &queue[2..]);
+        assert!((bound - 0.135).abs() < 1e-12, "{bound}");
+        // Not yet submitted, a job's delay counts from its submission.
+        let later = Job::new(JobId(9), t(11), 1, queue[0].estimate, queue[0].estimate);
+        assert_eq!(rest_bound(&profile, t(10), &[later]), 0.0);
+    }
+
+    /// Sixty jobs behind a full machine, SJF planned first: what stops
+    /// the other two, event after event.
+    #[test]
+    fn the_rest_bound_stops_a_resumed_plan_and_then_fresh_ones_early() {
+        let running = [RunningJob {
+            job: j(999, 0, 8, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..60)
+            .map(|i| j(i, i as u64 % 10, 1 + i % 5, 20 + (i as u64 * 137) % 900))
+            .collect();
+        let orders = policy_orders(&jobs);
+        let all: Vec<usize> = orders.iter().map(Vec::len).collect();
+        let mut p = Planner::new();
+        p.prepare(8, t(10), &running, &[]);
+        // Nothing is known about these queues: FCFS and LJF place until
+        // the jobs placed are past the limit, a third of SJF's excess.
+        let first = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((1, 0.3)), 1);
+        assert!(first[0] < 60 && first[2] < 60, "{first:?}");
+        assert_eq!(p.rest_stops(), 0);
+        // The same queues on the same base under a limit three times as
+        // high: the jobs they hold are under it now, so both ask at once
+        // — and what they never placed keeps them stopped.
+        p.prepare(8, t(10), &running, &[]);
+        let resumed = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((1, 1.0)), 1);
+        assert_eq!(resumed, first);
+        assert_eq!(p.rest_stops(), 2);
+        // The running job is given longer: a new base, fresh passes —
+        // which ask as they go now, and LJF's stops after one stretch.
+        let running = [RunningJob {
+            job: j(999, 0, 8, 120),
+            start: t(0),
+        }];
+        p.prepare(8, t(11), &running, &[]);
+        let fresh = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((1, 1.0)), 1);
+        assert_eq!((fresh[1], fresh[2]), (60, 8), "{fresh:?}");
+        assert_eq!(p.rest_stops(), 3);
+        // Planned first, a queue is planned completely.
+        p.prepare(8, t(11), &running, &[]);
+        let turned = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((0, 1.0)), 1);
+        assert_eq!(turned[0], 60);
     }
 
     mod reservations {
@@ -1595,6 +1882,66 @@ mod tests {
                 // The one-shot wrapper takes the same incremental path.
                 let wrapped = Planner::new().plan(machine, now, &running, &queue);
                 prop_assert_eq!(&wrapped.entries, &slow.entries);
+            }
+        }
+
+        /// The rest bound against the truth, everywhere a pass could ask:
+        /// on any base (running jobs, reservation windows, a machine
+        /// degraded below some widths), for the policy orders and for
+        /// arbitrary ones, with jobs not yet submitted among them, the
+        /// bound on `queue[i..]` over the profile that holds `queue[..i]`
+        /// is no more than the excess those jobs have in the finished
+        /// plan — up to the rounding of the sums it is a difference of.
+        #[test]
+        fn rest_bound_never_exceeds_the_excess_of_the_finished_suffix(
+            raw in proptest::collection::vec((1u32..10, 1u64..3_000_000, 0u64..150), 1..50),
+            raw_running in proptest::collection::vec((1u32..4, 1u64..400), 0..4),
+            windows in proptest::collection::vec((0u64..300, 1u64..300, 1u32..4), 0..3),
+            machine in 6u32..10,
+            order in 0usize..5,
+            salt in 1u64..1_000,
+        ) {
+            let now = t(100);
+            let ms = SimDuration::from_millis;
+            let mut queue: Vec<Job> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(width, est, submit))| Job::new(JobId(i as u32), t(submit), width, ms(est), ms(est)))
+                .collect();
+            match Policy::BASIC.get(order) {
+                Some(policy) => policy.sort_queue(&mut queue),
+                None => queue.sort_by_key(|job| (job.id.0 as u64 + 1).wrapping_mul(salt) % 101),
+            }
+            // At most three of the six to nine processors are running
+            // jobs, at most three more a window's: never overcommitted.
+            let running: Vec<RunningJob> = raw_running
+                .iter()
+                .take(3)
+                .enumerate()
+                .map(|(i, &(_, est))| RunningJob { job: j(1000 + i as u32, 0, 1, est), start: t(40) })
+                .collect();
+            let mut book = crate::reservation::ReservationBook::new();
+            let mut from = 100;
+            for &(gap, len, width) in &windows {
+                book.add(t(from + gap), SimDuration::from_secs(len), width);
+                from += gap + len;
+            }
+            let mut p = Planner::new();
+            p.prepare(machine, now, &running, book.all());
+            let mut profile = p.base.clone();
+            let mut plan = Schedule::default();
+            let mut bounds = Vec::new();
+            for (i, job) in queue.iter().enumerate() {
+                bounds.push((plan.len(), rest_bound(&profile, now, &queue[i..]), &queue[i..]));
+                place(&mut profile, now, std::slice::from_ref(job), &mut plan, None);
+            }
+            prop_assert_eq!(&plan.entries, &p.plan_prepared(&queue).entries);
+            for (placed, bound, rest) in bounds {
+                let suffix = Schedule { entries: plan.entries[placed..].to_vec() };
+                let truth = DelayWeight::Width.excess(&suffix, now);
+                let sums: f64 = rest.iter().map(|job| job.estimated_area()).sum::<f64>() + truth;
+                prop_assert!(bound >= 0.0 && bound <= truth + 1e-9 * sums,
+                             "{} jobs placed: {} > {}", placed, bound, truth);
             }
         }
 

@@ -240,6 +240,15 @@ impl Profile {
             .saturating_sub(1)
     }
 
+    /// The function on `[t, ∞)` as its two vectors, from the segment
+    /// containing `t` on: read-only, for walks that fill the free
+    /// capacity without reserving it. The final segment never ends and
+    /// has the full capacity free.
+    pub(crate) fn segments_from(&self, t: SimTime) -> (&[SimTime], &[u32]) {
+        let i = self.seg_index(t);
+        (&self.times[i..], &self.frees[i..])
+    }
+
     fn clear_memo(&mut self) {
         if self.memo_live {
             self.memo = [MEMO_EMPTY; 32];

@@ -41,6 +41,10 @@ fn scheduler_with(config: &DynPConfig, reference: bool, threads: usize) -> SelfT
     s
 }
 
+/// Which paths the planner's per-policy passes took, and how many of them
+/// stopped on the bound of the jobs they had not placed.
+type PathCounts = (RetainedCounts, u64);
+
 /// Runs one full simulation with the given config, incrementally or in
 /// reference mode, and returns everything the run produced. A non-empty
 /// `reqs` adds an advance-reservation stream, so both engines also plan
@@ -56,7 +60,7 @@ fn run_with(
     dynp_suite::core::SwitchStats,
     Policy,
     ReservationStats,
-    RetainedCounts,
+    PathCounts,
 ) {
     let mut s = scheduler_with(config, reference, threads);
     let d = simulate_with_reservations(set, &mut s, reqs, AdmissionConfig::default());
@@ -65,7 +69,7 @@ fn run_with(
         s.stats.clone(),
         s.active_policy(),
         d.reservations.stats,
-        s.retained_counts(),
+        (s.retained_counts(), s.rest_stops()),
     )
 }
 
@@ -77,7 +81,7 @@ fn assert_equivalent_with(
     set: &JobSet,
     config: &DynPConfig,
     reqs: &[ReservationRequest],
-) -> RetainedCounts {
+) -> PathCounts {
     let (m_ref, stats_ref, active_ref, res_ref, _) = run_with(set, config, true, reqs, 1);
     let mut planner = None;
     for threads in THREAD_COUNTS {
@@ -106,7 +110,7 @@ fn assert_equivalent_with(
     planner.expect("at least one thread count")
 }
 
-fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> RetainedCounts {
+fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> PathCounts {
     assert_equivalent_with(set, config, &[])
 }
 
@@ -337,15 +341,16 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
             threshold: 0.0,
         },
     ] {
-        let planner = assert_equivalent(&set, &DynPConfig::paper(decider));
+        let (planner, rest_stops) = assert_equivalent(&set, &DynPConfig::paper(decider));
         assert!(
             planner.suffix_passes > expect_suffix_passes,
             "{decider:?}: the burst took the suffix path: {planner:?}"
         );
         assert!(
-            planner.pruned > planner.jobs / 4,
+            planner.pruned > planner.jobs / 2,
             "{decider:?}: the burst stopped few passes: {planner:?}"
         );
+        assert!(rest_stops > 0, "{decider:?}: no pass stopped on its rest");
     }
     // The objectives that weigh a delay otherwise than SLDwA does, and
     // the one that cannot be bounded.
@@ -357,7 +362,9 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
     ] {
         let mut config = DynPConfig::paper(DeciderKind::Advanced);
         config.objective = objective;
-        let planner = assert_equivalent(&set, &config);
+        let (planner, rest_stops) = assert_equivalent(&set, &config);
+        // Only a width-weighted delay has a bound on the rest.
+        assert_eq!(rest_stops, 0, "{objective:?}");
         assert!(
             planner.suffix_passes > expect_suffix_passes / 3,
             "{objective:?}: {planner:?}"
