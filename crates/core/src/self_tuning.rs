@@ -279,6 +279,14 @@ impl SelfTuningScheduler {
         self.planner.rest_stops()
     }
 
+    /// How many queue jobs the planner took from another policy's plan
+    /// of a shared prefix instead of placing them (see
+    /// [`Planner::shared_jobs`]).
+    #[doc(hidden)]
+    pub fn shared_jobs(&self) -> u64 {
+        self.planner.shared_jobs()
+    }
+
     /// Brings the per-policy sorted queue views in sync with the RMS
     /// waiting queue by replaying the tail of the state's queue change
     /// log: newly submitted jobs are binary-inserted into every policy

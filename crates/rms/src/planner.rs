@@ -15,6 +15,9 @@
 //! on an unchanged base stays where it is. Nor does it always finish
 //! them: told what a plan costs ([`Prune`]), it stops the pass of a
 //! policy whose plan can no longer be as cheap as the best complete one.
+//! Nor does it plan twice what two orders agree on: a pass starts from
+//! the plan of the prefix its order shares with a queue planned before
+//! it.
 
 use crate::naive::NaiveProfile;
 use crate::profile::Profile;
@@ -76,6 +79,25 @@ use dynp_workload::Job;
 /// kept entries (so the suffix scans start where a fresh pass's would)
 /// and places only `queue[k..]`.
 ///
+/// # Shared prefixes
+///
+/// The policy orders of one event often agree for a long way (FCFS and
+/// LJF on a backlog of equally long jobs, all of them when every waiting
+/// job has one estimate). Before the passes run, each queue is given a
+/// *donor*: the queue planned before it whose order shares the longest
+/// prefix with its own, by job id, when that prefix is longer than what
+/// the queue keeps of its own. At the recipient's turn the donor's
+/// finished slot — profile and entries — is copied into the recipient's,
+/// which is then a retained plan on the current base, and its pass keeps
+/// the shared prefix exactly as it keeps its own: it releases the
+/// donor's entries behind the cut, checks the kept ones under
+/// comparison 2 and places the rest. A donor that stopped before the cut
+/// hands over what it placed; an identical order keeps everything and
+/// places nothing. Same base and same jobs in the same order give the
+/// same placements, so nothing else is needed. Passes share only here,
+/// and only on one thread: below `RETAIN_MIN_DEPTH` even comparing the
+/// orders costs more than it saves (DESIGN §10).
+///
 /// [`Planner::plan`] keeps the original one-shot signature (prepare +
 /// plan in one call) and produces bit-identical schedules to
 /// [`ReferencePlanner`], the retained from-scratch implementation.
@@ -108,6 +130,11 @@ pub struct Planner {
     /// [`Planner::run_passes`]: `size_of::<Slot>()` decides the peak RSS
     /// of runs that never retain a plan (DESIGN §10).
     stopped: Vec<Stopped>,
+    /// This event's share plan ([`plan_shares`]); kept across events so
+    /// planning allocates nothing steady-state.
+    hands: Vec<Hand>,
+    /// Queue jobs passes took from a donor's plan instead of placing.
+    shared: u64,
     /// Observability tracer (disabled by default); [`Planner::prepare`]
     /// is measured as a `"prepare"` wall-clock span.
     tracer: dynp_obs::Tracer,
@@ -236,6 +263,64 @@ struct Stopped {
     by_rest: bool,
     /// Passes of this queue that [`rest_bound`] has stopped so far.
     rest_stops: u64,
+}
+
+/// One queue of an event's share plan: queue `to` starts from queue
+/// `from`'s finished plan, whose order shares its first `cut` jobs.
+#[derive(Clone, Copy, Debug)]
+struct Hand {
+    from: usize,
+    cut: usize,
+    to: usize,
+}
+
+/// Gives each queue its donor for one event: of the queues planned before
+/// it — those `first` selects, then the others, in index order within
+/// each group — the one whose order shares the longest prefix with its
+/// own, by job id, if that prefix is longer than the `own(i)` jobs the
+/// queue keeps without it. Leaves the result in `hands`.
+fn plan_shares(
+    hands: &mut Vec<Hand>,
+    queues: &[Vec<Job>],
+    first: &dyn Fn(usize) -> bool,
+    own: impl Fn(usize) -> usize,
+) {
+    hands.clear();
+    let n = queues.len();
+    let order = || {
+        let rest = (0..n).filter(move |&i| !first(i));
+        (0..n).filter(move |&i| first(i)).chain(rest)
+    };
+    for (planned, to) in order().enumerate() {
+        let mut best = Hand {
+            from: to,
+            cut: own(to),
+            to,
+        };
+        for from in order().take(planned) {
+            let common = queues[to].iter().zip(&queues[from]);
+            let cut = common.take_while(|(a, b)| a.id == b.id).count();
+            if cut > best.cut {
+                (best.from, best.cut) = (from, cut);
+            }
+        }
+        if best.from != to {
+            hands.push(best);
+        }
+    }
+}
+
+/// Slot `to`, and slot `from` beside it when that is another one.
+fn slot_and_donor(slots: &mut [Slot], to: usize, from: usize) -> (&mut Slot, Option<&Slot>) {
+    if from < to {
+        let (before, rest) = slots.split_at_mut(to);
+        (&mut rest[0], Some(&before[from]))
+    } else if from > to {
+        let (rest, after) = slots.split_at_mut(from);
+        (&mut rest[to], Some(&after[0]))
+    } else {
+        (&mut slots[to], None)
+    }
 }
 
 /// Wall-clock observability of one per-policy planning pass inside
@@ -464,14 +549,16 @@ impl Slot {
     /// The per-policy planning pass: leaves in `schedule` the plan of
     /// `queue` on `base` — of all of it, or under a `tally` of the prefix
     /// in front of the job where the pass stopped — and in `profile` the
-    /// base narrowed by it. Returns how many queue jobs were left
-    /// unplaced. With `keep > 0` the caller vouches that `profile` and
-    /// `schedule` are a retained plan on a base equal to `base` from
-    /// `now` on, and that `queue[..keep]` is unchanged since; the pass
-    /// then keeps those entries if it can. The placements depend only on
-    /// `(base, now, queue)` and where they stop on those and the tally's
-    /// limit, which is what makes the fan-out deterministic regardless
-    /// of worker assignment.
+    /// base narrowed by it. Returns how many entries it kept and how many
+    /// queue jobs it left unplaced. With `keep > 0` the caller vouches
+    /// that `profile` and `schedule` are a retained plan on a base equal
+    /// to `base` from `now` on, and that `queue[..keep]` is unchanged
+    /// since — or that they are this event's plan of another queue whose
+    /// order starts with `queue[..keep]`; the pass then keeps those
+    /// entries if it can. The placements depend only on `(base, now,
+    /// queue)` and where they stop on those and the tally's limit, which
+    /// is what makes the fan-out deterministic regardless of worker
+    /// assignment.
     fn plan(
         &mut self,
         base: &Profile,
@@ -479,7 +566,7 @@ impl Slot {
         queue: &[Job],
         keep: usize,
         mut tally: Option<&mut Tally>,
-    ) -> usize {
+    ) -> (usize, usize) {
         let kept = self.keep_prefix(now, queue, keep, tally.as_deref_mut());
         if kept == 0 {
             if let Some(tally) = &mut tally {
@@ -489,7 +576,7 @@ impl Slot {
             self.schedule.entries.clear();
         }
         let (profile, rest, out) = (&mut self.profile, &queue[kept..], &mut self.schedule);
-        match tally {
+        let left = match tally {
             // Whether the jobs a pass leaves unplaced put it past the
             // limit is worth asking where the answer has been yes: the
             // verdict on a queue seldom changes from one event to the
@@ -511,7 +598,8 @@ impl Slot {
                 }
             }
             tally => place(profile, now, rest, out, tally),
-        }
+        };
+        (kept, left)
     }
 
     /// Cuts the retained plan back to its first `keep` entries — or to
@@ -548,8 +636,6 @@ impl Slot {
             }
         }
         entries.truncate(keep);
-        self.counts.suffix_passes += 1;
-        self.counts.kept += keep as u64;
         keep
     }
 }
@@ -566,6 +652,8 @@ impl Planner {
             retained: 0,
             retained_base: None,
             stopped: Vec::new(),
+            hands: Vec::new(),
+            shared: 0,
             tracer: dynp_obs::Tracer::disabled(),
         }
     }
@@ -687,25 +775,32 @@ impl Planner {
     /// `i`, sequentially or split into contiguous runs across
     /// `std::thread::scope` workers. `keep` is the per-queue prefix to
     /// try to keep (`None`: full passes), `bound` the weight and limit of a
-    /// [`Tally`] per pass (`None`: complete passes). Returns the worker
-    /// count actually used.
+    /// [`Tally`] per pass (`None`: complete passes). `hands` is the share
+    /// plan ([`plan_shares`]) the caller made for this event, or empty:
+    /// passes on one thread follow it, and a recipient's pass starts
+    /// from a copy of its donor's finished slot with the cut as its keep.
+    /// Returns the worker count actually used.
+    #[allow(clippy::too_many_arguments)]
     fn run_passes(
         &mut self,
         queues: &[Vec<Job>],
         keep: Option<&[usize]>,
         bound: Option<(DelayWeight, f64)>,
         select: &(dyn Fn(usize) -> bool + Sync),
+        hands: &[Hand],
         timings: &mut [PlanTiming],
         workers: usize,
     ) -> usize {
         let n = queues.len();
         self.stopped.resize(n, Stopped::default());
         let (base, now, tracer) = (&self.base, self.prepared_at, &self.tracer);
-        let pass = |i: usize, slot: &mut Slot, timing: &mut PlanTiming, stopped: &mut Stopped| {
-            if !select(i) {
-                return;
-            }
-            let keep = keep.map_or(0, |k| k[i]);
+        // Returns how many jobs the pass took from the `donor`.
+        let pass = |i: usize,
+                    keep: usize,
+                    slot: &mut Slot,
+                    donor: Option<&Slot>,
+                    timing: &mut PlanTiming,
+                    stopped: &mut Stopped| {
             let mut tally = bound.map(|(weight, limit)| Tally {
                 weight,
                 limit,
@@ -713,8 +808,12 @@ impl Planner {
                 rest: 0.0,
                 last: *stopped,
             });
-            let left;
-            (*timing, left) = timed(tracer, || {
+            let (kept, left);
+            (*timing, (kept, left)) = timed(tracer, || {
+                if let Some(donor) = donor {
+                    slot.profile.restore_from(&donor.profile);
+                    slot.schedule.entries.clone_from(&donor.schedule.entries);
+                }
                 slot.plan(base, now, &queues[i], keep, tally.as_mut())
             });
             slot.counts.pruned += left as u64;
@@ -722,30 +821,44 @@ impl Planner {
             stopped.excess = tally.as_ref().map(|t| t.excess + t.rest);
             stopped.by_rest = tally.is_some_and(|t| t.rest > 0.0);
             stopped.rest_stops += stopped.by_rest as u64;
+            if donor.is_some() {
+                return kept as u64;
+            }
+            if kept > 0 {
+                slot.counts.suffix_passes += 1;
+                slot.counts.kept += kept as u64;
+            }
+            0
         };
-        let slots = &mut self.slots[..n];
-        let stopped = &mut self.stopped[..n];
+        let keep = |i: usize| keep.map_or(0, |k| k[i]);
         let selected = (0..n).filter(|&i| select(i)).count();
         let workers = workers.clamp(1, selected.max(1));
         if workers <= 1 {
-            let passes = slots.iter_mut().zip(timings).zip(stopped);
-            for (i, ((slot, timing), stopped)) in passes.enumerate() {
-                pass(i, slot, timing, stopped);
+            for i in (0..n).filter(|&i| select(i)) {
+                let hand = hands.iter().find(|h| h.to == i);
+                let (from, keep) = hand.map_or((i, keep(i)), |h| (h.from, h.cut));
+                let (slot, donor) = slot_and_donor(&mut self.slots[..n], i, from);
+                self.shared += pass(i, keep, slot, donor, &mut timings[i], &mut self.stopped[i]);
             }
             return 1;
         }
         let per = n.div_ceil(workers);
+        let slots = &mut self.slots[..n];
+        let stopped = &mut self.stopped[..n];
         std::thread::scope(|s| {
             let runs = slots
                 .chunks_mut(per)
                 .zip(timings.chunks_mut(per))
                 .zip(stopped.chunks_mut(per));
             for (run, ((slots, timings), stopped)) in runs.enumerate() {
-                let pass = &pass;
+                let (pass, keep) = (&pass, &keep);
                 s.spawn(move || {
                     let passes = slots.iter_mut().zip(timings).zip(stopped);
                     for (j, ((slot, timing), stopped)) in passes.enumerate() {
-                        pass(run * per + j, slot, timing, stopped);
+                        let i = run * per + j;
+                        if select(i) {
+                            pass(i, keep(i), slot, None, timing, stopped);
+                        }
                     }
                 });
             }
@@ -795,7 +908,7 @@ impl Planner {
         };
         // The passes fill the caller's buffers, lent to the slots.
         lend(&mut self.slots, outs);
-        let used = self.run_passes(queues, None, None, &|_| true, timings, workers);
+        let used = self.run_passes(queues, None, None, &|_| true, &[], timings, workers);
         lend(&mut self.slots, outs);
         used
     }
@@ -812,8 +925,10 @@ impl Planner {
     /// Without `prune` every pass is complete. With it the `first`
     /// queues are planned completely, then the limit is taken, then the
     /// other queues are planned until they are done or have lost; the
-    /// limit is fixed before those passes start, so where they stop does
-    /// not depend on the worker count.
+    /// limit is fixed before those passes start. On one worker a pass
+    /// may start from the plan of the prefix its order shares with a
+    /// queue planned before it (see the type docs); that changes what a
+    /// stopped plan holds, never what a pass places.
     pub fn plan_retained_batch(
         &mut self,
         queues: &[Vec<Job>],
@@ -834,22 +949,39 @@ impl Planner {
                 .as_ref()
                 .is_some_and(|planned_on| planned_on.same_from(&self.base, now));
         let keep = same_base.then_some(first_changed);
+        // Taken out for the passes, and put back: the buffer persists.
+        let mut hands = std::mem::take(&mut self.hands);
+        if workers <= 1 {
+            let all = |_: usize| true;
+            let first = prune
+                .as_ref()
+                .map_or(&all as &dyn Fn(usize) -> bool, |p| p.first);
+            let slots = &self.slots;
+            let own = |i: usize| keep.map_or(0, |k| k[i].min(slots[i].schedule.len()));
+            plan_shares(&mut hands, queues, first, own);
+        } else {
+            // Passes on several threads cannot wait for each other.
+            hands.clear();
+        }
         // From here on the slots hold this call's plans (`prune.limit`
         // reads the finished ones).
         self.retained = n;
+        let all = &|_| true;
         let used = match prune {
-            None => self.run_passes(queues, keep, None, &|_| true, timings, workers),
+            None => self.run_passes(queues, keep, None, all, &hands, timings, workers),
             Some(Prune {
                 weight,
                 first,
                 limit,
             }) => {
-                let before = self.run_passes(queues, keep, None, first, timings, workers);
+                let before = self.run_passes(queues, keep, None, first, &hands, timings, workers);
                 let bound = Some((weight, limit(self)));
-                let after = self.run_passes(queues, keep, bound, &|i| !first(i), timings, workers);
+                let rest = &|i| !first(i);
+                let after = self.run_passes(queues, keep, bound, rest, &hands, timings, workers);
                 before.max(after)
             }
         };
+        self.hands = hands;
         for (slot, queue) in self.slots.iter_mut().zip(queues) {
             slot.counts.passes += 1;
             slot.counts.jobs += queue.len() as u64;
@@ -908,6 +1040,14 @@ impl Planner {
     #[doc(hidden)]
     pub fn rest_stops(&self) -> u64 {
         self.stopped.iter().map(|s| s.rest_stops).sum()
+    }
+
+    /// How many queue jobs passes took from the plan of another queue
+    /// whose order shares them, instead of placing them. Diagnostic, like
+    /// [`Planner::retained_counts`].
+    #[doc(hidden)]
+    pub fn shared_jobs(&self) -> u64 {
+        self.shared
     }
 
     /// Builds the full schedule for `queue` (already in policy order) at
@@ -1574,6 +1714,115 @@ mod tests {
         assert_eq!(p.retained_counts().suffix_passes, 0);
     }
 
+    /// The ids of each order.
+    fn ids(orders: &[Vec<Job>]) -> Vec<Vec<u32>> {
+        orders
+            .iter()
+            .map(|order| order.iter().map(|job| job.id.0).collect())
+            .collect()
+    }
+
+    #[test]
+    fn identical_orders_are_copied_not_planned() {
+        // One estimate for all: SJF's and LJF's orders are FCFS's, and
+        // behind a full machine every job waits.
+        let running = [RunningJob {
+            job: j(99, 0, 4, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..12).map(|i| j(i, i as u64, 1 + i % 4, 50)).collect();
+        let orders = policy_orders(&jobs);
+        assert!(ids(&orders).iter().all(|order| *order == ids(&orders)[0]));
+        // A limit of 0 stops every pass that places anything: SJF and
+        // LJF are FCFS's complete plan nonetheless — copied, not planned.
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.0)), 1);
+        assert_eq!(placed, [12, 12, 12]);
+        assert_eq!(p.shared_jobs(), 24);
+        assert_eq!(p.retained_counts().pruned, 0);
+        // Planned on two threads, nothing is shared and both stop.
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.0)), 2);
+        assert!(placed[1] < 12 && placed[2] < 12, "{placed:?}");
+        assert_eq!(p.shared_jobs(), 0);
+    }
+
+    /// Four wide jobs of 500 s submitted first, then six short ones;
+    /// queue 0 plans the short ones first, queues 1 and 2 the long ones,
+    /// in the same order, and then go separate ways.
+    fn long_jobs_first() -> (Vec<RunningJob>, Vec<Vec<Job>>) {
+        let running = vec![RunningJob {
+            job: j(99, 0, 4, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..10)
+            .map(|i| match i {
+                0..4 => j(i, i as u64, 4, 500),
+                _ => j(i, i as u64, 1 + i % 2, 10 + i as u64),
+            })
+            .collect();
+        let order = |ids: [usize; 10]| ids.iter().map(|&i| jobs[i]).collect();
+        let orders = vec![
+            order([4, 5, 6, 7, 8, 9, 0, 1, 2, 3]),
+            order([0, 1, 2, 3, 4, 5, 6, 7, 8, 9]),
+            order([0, 1, 2, 3, 9, 8, 7, 6, 5, 4]),
+        ];
+        (running, orders)
+    }
+
+    #[test]
+    fn a_donor_stopped_before_the_cut_hands_over_what_it_placed() {
+        let (running, orders) = long_jobs_first();
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        // Queue 1 has lost within its long jobs, before the cut at 4.
+        let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.2)), 1);
+        assert!(placed[1] < 4, "{placed:?}");
+        // Queue 2 started from those and, past the limit, placed no more.
+        assert_eq!(placed[2], placed[1]);
+        assert_eq!(p.shared_jobs(), placed[1] as u64);
+        assert!(p.retained_excess(2).is_some());
+    }
+
+    #[test]
+    fn a_recipient_keeps_its_own_plan_when_that_is_longer() {
+        let (running, mut orders) = long_jobs_first();
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
+        assert_eq!(p.shared_jobs(), 4);
+        // A job every queue plans last: queue 2 keeps its ten of its own
+        // rather than queue 1's four.
+        let late = j(10, 12, 1, 5);
+        for order in &mut orders {
+            order.push(late);
+        }
+        p.prepare(4, t(12), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &[10; 3], 1);
+        assert_eq!(p.shared_jobs(), 4);
+        assert_eq!(p.retained_counts().kept, 30);
+    }
+
+    #[test]
+    fn a_recipient_hands_on_what_it_was_handed() {
+        let jobs: Vec<Job> = (0..7).map(|i| j(i, i as u64, 2, 30 + i as u64)).collect();
+        let order = |ids: [usize; 7]| ids.iter().map(|&i| jobs[i]).collect();
+        let orders = vec![
+            order([0, 1, 2, 3, 4, 5, 6]),
+            order([0, 1, 2, 6, 5, 4, 3]),
+            order([0, 1, 2, 6, 5, 3, 4]),
+        ];
+        // Queue 1 starts from queue 0's first three, queue 2 from queue
+        // 1's first five — two of them queue 1's own.
+        let mut p = Planner::new();
+        p.prepare(4, t(7), &[], &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
+        assert_eq!(p.shared_jobs(), 3 + 5);
+        assert_eq!(p.retained_counts().suffix_passes, 0);
+    }
+
     #[test]
     fn slot_size_is_pinned() {
         // `chaos` retains no plan, and its peak RSS still jumped by 17 %
@@ -2005,6 +2254,90 @@ mod tests {
                     let fresh = reference.plan(capacity, t(now), &running, order);
                     let held = p.retained_schedule(i).len();
                     prop_assert_eq!(&p.retained_schedule(i).entries[..], &fresh.entries[..held]);
+                }
+            }
+        }
+
+        /// Shared prefixes against fresh plans. Estimates come from a set
+        /// of three or four values, as the trace models round them, so
+        /// the policy orders agree for long stretches; the base has
+        /// running jobs, reservation windows, a machine degraded below
+        /// some widths (an over-wide job in a shared prefix) and jobs
+        /// submitted after `now`; beside the three policy orders runs one
+        /// that follows one of them for a while and then goes its own
+        /// way; a first queue and a limit, or none. Two events on one
+        /// base, the second after a submission, so that what a queue
+        /// keeps of its own competes with what it is handed. Every
+        /// schedule equals a fresh plan as far as it goes, and goes all
+        /// the way unless it stopped past the limit on a bound between
+        /// its placed jobs' excess and the finished plan's — on one
+        /// thread, and on two and eight, where nothing is shared and the
+        /// complete plans are the same.
+        #[test]
+        fn shared_prefixes_plan_what_fresh_passes_plan(
+            raw in proptest::collection::vec((1u32..10, 0usize..4, 0u64..150), 1..50),
+            (values, kinds) in (proptest::collection::vec(1u64..3_000_000, 4..5), 3usize..5),
+            raw_running in proptest::collection::vec(1u64..400, 0..4),
+            windows in proptest::collection::vec((0u64..300, 1u64..300, 1u32..4), 0..3),
+            machine in 6u32..10,
+            (follow, along, salt) in (0usize..3, 0usize..50, 1u64..1_000),
+            bound in (0usize..5, 0.0f64..1.5),
+            (late_width, late_value) in (1u32..10, 0usize..4),
+        ) {
+            let now = t(100);
+            let ms = SimDuration::from_millis;
+            let job = |id: usize, width: u32, value: usize, submit: u64| {
+                let est = ms(values[value % kinds]);
+                Job::new(JobId(id as u32), t(submit), width, est, est)
+            };
+            let jobs: Vec<Job> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(width, value, submit))| job(i, width, value, submit))
+                .collect();
+            let mut orders = policy_orders(&jobs);
+            let mut forced = orders[follow].clone();
+            let along = along.min(forced.len());
+            forced[along..].sort_by_key(|job| (job.id.0 as u64 + 1).wrapping_mul(salt) % 101);
+            orders.push(forced);
+            let running: Vec<RunningJob> = raw_running
+                .iter()
+                .take(3)
+                .enumerate()
+                .map(|(i, &est)| RunningJob { job: j(1000 + i as u32, 0, 1, est), start: t(40) })
+                .collect();
+            let mut book = crate::reservation::ReservationBook::new();
+            let mut from = 100;
+            for &(gap, len, width) in &windows {
+                book.add(t(from + gap), SimDuration::from_secs(len), width);
+                from += gap + len;
+            }
+            // The second event's orders: one more job, last in FCFS.
+            let mut later = orders.clone();
+            let mut first: Vec<usize> = later.iter().map(Vec::len).collect();
+            let late = job(jobs.len(), late_width, late_value, 100);
+            submit(&mut later[..3], &mut first[..3], late);
+            later[3].push(late);
+            let bound = Some(bound).filter(|&(first, _)| first < 4);
+            let mut complete: Vec<Vec<Option<Vec<PlannedJob>>>> = Vec::new();
+            for workers in [1, 2, 8] {
+                let mut p = Planner::new();
+                for (orders, first) in [(&orders, &[0; 4][..]), (&later, &first[..])] {
+                    p.prepare(machine, now, &running, book.all());
+                    assert_pruned_matches_fresh(&mut p, orders, first, bound, workers);
+                }
+                prop_assert!(workers == 1 || p.shared_jobs() == 0);
+                complete.push(
+                    (0..4)
+                        .map(|i| p.retained_excess(i).map_or(Some(p.retained_schedule(i).entries.clone()), |_| None))
+                        .collect(),
+                );
+            }
+            for plans in &complete[1..] {
+                for (a, b) in plans.iter().zip(&complete[0]) {
+                    if let (Some(a), Some(b)) = (a, b) {
+                        prop_assert_eq!(a, b);
+                    }
                 }
             }
         }

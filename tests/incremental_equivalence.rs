@@ -41,9 +41,13 @@ fn scheduler_with(config: &DynPConfig, reference: bool, threads: usize) -> SelfT
     s
 }
 
-/// Which paths the planner's per-policy passes took, and how many of them
-/// stopped on the bound of the jobs they had not placed.
-type PathCounts = (RetainedCounts, u64);
+/// Which paths the planner's per-policy passes took, how many of them
+/// stopped on the bound of the jobs they had not placed, and how many
+/// jobs they took from another policy's plan instead of placing.
+type PathCounts = (RetainedCounts, u64, u64);
+
+/// The runs [`assert_equivalent_with`] returns path counts of, in order.
+const PATHS: [&str; 2] = ["sequential", "fanned out"];
 
 /// Runs one full simulation with the given config, incrementally or in
 /// reference mode, and returns everything the run produced. A non-empty
@@ -69,25 +73,33 @@ fn run_with(
         s.stats.clone(),
         s.active_policy(),
         d.reservations.stats,
-        (s.retained_counts(), s.rest_stops()),
+        (s.retained_counts(), s.rest_stops(), s.shared_jobs()),
     )
 }
 
 /// Returns which paths the planner's per-policy passes took in the
-/// incremental runs (all zero on queues that stay under
-/// `RETAIN_MIN_DEPTH`) — the same in all of them: what a pass keeps and
-/// where it stops as lost do not depend on the worker count.
+/// sequential incremental run and in the fanned-out ones (all zero on
+/// queues that stay under `RETAIN_MIN_DEPTH`). The fanned-out runs take
+/// the same paths as each other — what a pass keeps and where it stops
+/// as lost do not depend on the worker count — and share nothing; the
+/// sequential run's passes also start from the prefixes their orders
+/// share, which changes what they keep, never what they plan.
 fn assert_equivalent_with(
     set: &JobSet,
     config: &DynPConfig,
     reqs: &[ReservationRequest],
-) -> PathCounts {
+) -> [PathCounts; 2] {
     let (m_ref, stats_ref, active_ref, res_ref, _) = run_with(set, config, true, reqs, 1);
-    let mut planner = None;
+    let (mut sequential, mut fanned) = (None, None);
     for threads in THREAD_COUNTS {
         let (m_inc, stats_inc, active_inc, res_inc, counts) =
             run_with(set, config, false, reqs, threads);
-        assert_eq!(*planner.get_or_insert(counts), counts, "{threads} threads");
+        if threads == 1 {
+            sequential = Some(counts);
+        } else {
+            assert_eq!(*fanned.get_or_insert(counts), counts, "{threads} threads");
+            assert_eq!(counts.2, 0, "{threads} threads shared a prefix");
+        }
         let ctx = format!(
             "{} / {:?} / {:?} / {} reservation requests / {threads} planner threads",
             set.name,
@@ -107,10 +119,16 @@ fn assert_equivalent_with(
         assert_eq!(stats_inc, stats_ref, "{ctx}");
         assert_eq!(active_inc, active_ref, "{ctx}");
     }
-    planner.expect("at least one thread count")
+    let (sequential, fanned) = (
+        sequential.expect("one thread"),
+        fanned.expect("two threads"),
+    );
+    let passes = |c: PathCounts| (c.0.passes, c.0.jobs);
+    assert_eq!(passes(sequential), passes(fanned));
+    [sequential, fanned]
 }
 
-fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> PathCounts {
+fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> [PathCounts; 2] {
     assert_equivalent_with(set, config, &[])
 }
 
@@ -341,16 +359,21 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
             threshold: 0.0,
         },
     ] {
-        let (planner, rest_stops) = assert_equivalent(&set, &DynPConfig::paper(decider));
-        assert!(
-            planner.suffix_passes > expect_suffix_passes,
-            "{decider:?}: the burst took the suffix path: {planner:?}"
-        );
-        assert!(
-            planner.pruned > planner.jobs / 2,
-            "{decider:?}: the burst stopped few passes: {planner:?}"
-        );
-        assert!(rest_stops > 0, "{decider:?}: no pass stopped on its rest");
+        let counts = assert_equivalent(&set, &DynPConfig::paper(decider));
+        for (path, (planner, rest_stops, _)) in PATHS.into_iter().zip(counts) {
+            assert!(
+                planner.suffix_passes > expect_suffix_passes,
+                "{decider:?} {path}: the burst took the suffix path: {planner:?}"
+            );
+            assert!(
+                planner.pruned > planner.jobs / 2,
+                "{decider:?} {path}: the burst stopped few passes: {planner:?}"
+            );
+            assert!(
+                rest_stops > 0,
+                "{decider:?} {path}: no pass stopped on its rest"
+            );
+        }
     }
     // The objectives that weigh a delay otherwise than SLDwA does, and
     // the one that cannot be bounded.
@@ -362,18 +385,55 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
     ] {
         let mut config = DynPConfig::paper(DeciderKind::Advanced);
         config.objective = objective;
-        let (planner, rest_stops) = assert_equivalent(&set, &config);
-        // Only a width-weighted delay has a bound on the rest.
-        assert_eq!(rest_stops, 0, "{objective:?}");
+        let counts = assert_equivalent(&set, &config);
+        for (path, (planner, rest_stops, _)) in PATHS.into_iter().zip(counts) {
+            // Only a width-weighted delay has a bound on the rest.
+            assert_eq!(rest_stops, 0, "{objective:?} {path}");
+            assert!(
+                planner.suffix_passes > expect_suffix_passes / 3,
+                "{objective:?} {path}: {planner:?}"
+            );
+            assert_eq!(
+                planner.pruned > 0,
+                objective != Objective::Utilization,
+                "{objective:?} {path}: {planner:?}"
+            );
+        }
+    }
+}
+
+/// A CTC-shaped burst: forty wide jobs of ten hours submitted first, then
+/// narrow ones of one estimate or another. The long jobs hold the head
+/// of the queue, and over them the FCFS and LJF orders agree (one
+/// estimate, then submission order), so one policy's pass starts from
+/// the other's plan of that prefix — and the run is still bit-identical
+/// to the reference, which shares nothing.
+#[test]
+fn incremental_equals_reference_on_a_burst_with_shared_prefixes() {
+    let jobs: Vec<Job> = (0..160u32)
+        .map(|i| match i {
+            0..40 => job(i, i as u64, 8 + i % 9, 36_000, 18_000 + 60 * i as u64),
+            _ => {
+                let est = if i % 3 == 0 { 3_600 } else { 600 };
+                job(i, i as u64, 1 + i % 16, est, est / 2)
+            }
+        })
+        .collect();
+    let set = JobSet::new("ctc-burst", 64, jobs);
+    for decider in [
+        DeciderKind::Advanced,
+        DeciderKind::Preferred {
+            policy: Policy::Sjf,
+            threshold: 0.0,
+        },
+    ] {
+        let [(planner, _, shared), fanned] = assert_equivalent(&set, &DynPConfig::paper(decider));
+        assert!(planner.passes > 0, "{decider:?}: the burst stayed shallow");
         assert!(
-            planner.suffix_passes > expect_suffix_passes / 3,
-            "{objective:?}: {planner:?}"
+            shared > 0,
+            "{decider:?}: no pass started from a shared prefix"
         );
-        assert_eq!(
-            planner.pruned > 0,
-            objective != Objective::Utilization,
-            "{objective:?}: {planner:?}"
-        );
+        assert_eq!(fanned.2, 0, "{decider:?}: fanned-out passes shared");
     }
 }
 
