@@ -17,7 +17,6 @@
 //! free-counter arithmetic.
 
 use crate::planner::RUNNING_PAD;
-use crate::profile::Profile;
 use crate::reservation::{RepairAction, Reservation, ReservationBook};
 use dynp_des::{SimDuration, SimTime};
 use dynp_workload::{Job, JobId};
@@ -470,14 +469,14 @@ impl RmsState {
     }
 
     /// Repairs the reservation book after a capacity loss: every booked
-    /// window is re-validated against a trial profile of the degraded
-    /// machine (running jobs padded exactly as
-    /// [`crate::Planner::prepare`] pads them), in admission order. A
-    /// window that no longer fits at its promised width is *downgraded*
-    /// to the widest width that still fits (best effort); a window that
-    /// does not fit at any width is *revoked*. Returns the actions taken,
-    /// in book order — empty whenever everything still fits, and never
-    /// called on a fault-free run.
+    /// window is re-validated against the degraded machine, the running
+    /// jobs (padded exactly as [`crate::Planner::prepare`] pads them)
+    /// and the windows kept before it, in admission order. A window that
+    /// no longer fits at its promised width is *downgraded* to the widest
+    /// width that still fits (best effort); a window that does not fit at
+    /// any width is *revoked*. Returns the actions taken, in book order —
+    /// empty whenever everything still fits, and never called on a
+    /// fault-free run.
     pub fn repair_reservations(&mut self, now: SimTime) -> Vec<RepairAction> {
         let actions = self.plan_reservation_repair(now);
         for a in &actions {
@@ -498,51 +497,56 @@ impl RmsState {
     /// them. An empty plan means every booked window still fits the
     /// (possibly degraded) machine at its promised width — the guarantee-
     /// preservation invariant the model checker asserts at every state.
+    ///
+    /// Each window keeps `min(width, capacity − peak)`, where `peak` is
+    /// the most the running jobs and the earlier kept windows hold at once
+    /// inside it (0 left means revoked). Running jobs all hold from `now`
+    /// and only end, so inside `[clip, end)` that usage rises only where
+    /// an earlier window begins: its peak is at `clip` or at one of those
+    /// starts. No profile is built and nothing is allocated unless an
+    /// action is taken.
     pub fn plan_reservation_repair(&self, now: SimTime) -> Vec<RepairAction> {
         let pad_end = now.saturating_add(RUNNING_PAD);
         // What the planner plans around: the part of a window from
         // `pad_end` on. One clipped to nothing (ended, or ending inside
         // the pad) is ignored by the planner and so by repair.
         let clip_of = |r: &Reservation| r.start.max(pad_end);
-        let judged = |r: &Reservation| r.end() > clip_of(r);
-        if !self.reservations.all().iter().any(judged) {
-            // Nothing to validate: skip the trial profile. A fault trace
-            // calls this once per node loss, mostly on an empty book.
-            return Vec::new();
-        }
         let capacity = self.plan_capacity();
-        let mut profile = Profile::new(capacity, now);
-        for run in &self.running {
-            let end = run.estimated_end().max(pad_end);
-            profile.allocate(now, end.saturating_since(now), run.job.width);
-        }
+        let book = self.reservations.all();
         let mut actions = Vec::new();
-        for r in self.reservations.all().iter().filter(|r| judged(r)) {
-            let clip = clip_of(r);
-            let duration = r.end().saturating_since(clip);
-            let mut fit = None;
-            let mut w = r.width.min(capacity);
-            while w >= 1 {
-                if profile.earliest_fit(clip, duration, w) == clip {
-                    fit = Some(w);
-                    break;
-                }
-                w -= 1;
+        for (i, r) in book.iter().enumerate() {
+            let (clip, end) = (clip_of(r), r.end());
+            if end <= clip {
+                continue;
             }
-            match fit {
-                Some(w) => {
-                    profile.allocate(clip, duration, w);
-                    if w != r.width {
-                        actions.push(RepairAction::Downgraded {
-                            id: r.id,
-                            from_width: r.width,
-                            to_width: w,
-                        });
-                    }
-                }
-                None => {
-                    actions.push(RepairAction::Revoked { id: r.id });
-                }
+            let earlier = &book[..i];
+            let held = |t: SimTime| -> u32 {
+                let jobs: u32 = self
+                    .running
+                    .iter()
+                    .filter(|run| run.estimated_end().max(pad_end) > t)
+                    .map(|run| run.job.width)
+                    .sum();
+                let windows: u32 = earlier
+                    .iter()
+                    .filter(|k| clip_of(k) <= t && t < k.end())
+                    .map(|k| kept_width(k, &actions))
+                    .sum();
+                jobs + windows
+            };
+            let peak = earlier
+                .iter()
+                .map(clip_of)
+                .filter(|&s| clip < s && s < end)
+                .fold(held(clip), |peak, s| peak.max(held(s)));
+            match r.width.min(capacity.saturating_sub(peak)) {
+                0 => actions.push(RepairAction::Revoked { id: r.id }),
+                w if w != r.width => actions.push(RepairAction::Downgraded {
+                    id: r.id,
+                    from_width: r.width,
+                    to_width: w,
+                }),
+                _ => {}
             }
         }
         actions
@@ -688,6 +692,19 @@ impl RmsState {
             down_count,
         })
     }
+}
+
+/// The width an earlier window keeps under the repair `actions` planned
+/// so far: its own, the downgraded one, or 0 once revoked.
+fn kept_width(r: &Reservation, actions: &[RepairAction]) -> u32 {
+    actions
+        .iter()
+        .find_map(|a| match *a {
+            RepairAction::Downgraded { id, to_width, .. } if id == r.id => Some(to_width),
+            RepairAction::Revoked { id } if id == r.id => Some(0),
+            _ => None,
+        })
+        .unwrap_or(r.width)
 }
 
 #[cfg(test)]
@@ -896,8 +913,8 @@ mod tests {
 
     #[test]
     fn repair_of_a_book_with_nothing_to_judge_is_empty() {
-        // A degraded machine with a running job, so a trial profile
-        // would have something in it.
+        // A degraded machine with a running job, so a judged window
+        // would have something to fit beside.
         let mut s = RmsState::new(4);
         s.submit(j(0, 0, 3, 100, 100));
         s.start(JobId(0), SimTime::ZERO);
@@ -946,6 +963,26 @@ mod tests {
         );
         assert_eq!(s.reservation_slice().len(), 1);
         assert_eq!(s.reservation_slice()[0].width, 1);
+    }
+
+    #[test]
+    fn repair_finds_the_peak_where_an_earlier_window_begins() {
+        let mut s = RmsState::new(6);
+        s.admit_reservation(SimTime::from_secs(200), SimDuration::from_secs(100), 3);
+        let b = s.admit_reservation(SimTime::from_secs(100), SimDuration::from_secs(300), 3);
+        s.node_down(5);
+        s.node_down(4);
+        // Capacity 4: the first window still fits. b is free at its own
+        // start but meets the first at t=200, inside it, and keeps
+        // 4 − 3 = 1.
+        assert_eq!(
+            s.plan_reservation_repair(SimTime::from_secs(10)),
+            vec![RepairAction::Downgraded {
+                id: b,
+                from_width: 3,
+                to_width: 1
+            }]
+        );
     }
 
     #[test]

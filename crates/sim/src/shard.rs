@@ -653,11 +653,9 @@ impl ShardCore {
                 // Chaos invariant, counted rather than asserted so the
                 // harness can verify it end to end: a start never lands
                 // on a down node.
-                self.fstats.down_node_allocations += self
-                    .state
-                    .nodes_of(id)
-                    .iter()
-                    .filter(|&&n| self.state.is_node_down(n))
+                let state = &self.state;
+                self.fstats.down_node_allocations += (0..state.machine_size())
+                    .filter(|&n| state.is_node_down(n) && state.node_occupant(n) == Some(id))
                     .count() as u64;
             }
             if trace_backfill {

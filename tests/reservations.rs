@@ -14,7 +14,7 @@
 //! the paper's trace models.
 
 use dynp_suite::prelude::*;
-use dynp_suite::rms::CompletedJob;
+use dynp_suite::rms::{CompletedJob, NaiveProfile, RepairAction};
 use dynp_suite::sim::{simulate_detailed, DetailedRun};
 use dynp_suite::workload::traces;
 use proptest::prelude::*;
@@ -155,6 +155,102 @@ proptest! {
         let (rej2, st2) = once();
         prop_assert_eq!(rej1, rej2);
         prop_assert_eq!(st1, st2);
+    }
+}
+
+/// How far past `now` the planner holds a running job at least, and where
+/// it starts judging a window (the planner's `RUNNING_PAD`).
+const RUNNING_PAD: SimDuration = SimDuration::from_millis(1);
+
+/// Reservation repair as a trial profile: every running job allocated
+/// from `now` to its padded estimated end, then each judged window, in
+/// book order, earliest-fit at its clip from its promised width down and
+/// allocated at the first width that starts there. Built on
+/// `NaiveProfile`, so it shares no code with
+/// `RmsState::plan_reservation_repair`'s arithmetic.
+fn trial_profile_repair(s: &RmsState, now: SimTime) -> Vec<RepairAction> {
+    let pad_end = now + RUNNING_PAD;
+    let capacity = s.plan_capacity();
+    let mut profile = NaiveProfile::new(capacity, now);
+    for run in s.running() {
+        let end = run.estimated_end().max(pad_end);
+        profile.allocate(now, end.saturating_since(now), run.job.width);
+    }
+    let mut actions = Vec::new();
+    for r in s.reservation_slice() {
+        let clip = r.start.max(pad_end);
+        if r.end() <= clip {
+            continue;
+        }
+        let duration = r.end().saturating_since(clip);
+        let fit = (1..=r.width.min(capacity))
+            .rev()
+            .find(|&w| profile.earliest_fit(clip, duration, w) == clip);
+        match fit {
+            Some(w) => {
+                profile.allocate(clip, duration, w);
+                if w != r.width {
+                    actions.push(RepairAction::Downgraded {
+                        id: r.id,
+                        from_width: r.width,
+                        to_width: w,
+                    });
+                }
+            }
+            None => actions.push(RepairAction::Revoked { id: r.id }),
+        }
+    }
+    actions
+}
+
+proptest! {
+    #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(512))]
+
+    /// Repair by arithmetic ≡ repair by trial profile, action for action,
+    /// and the repaired book is a fixpoint. All times are a few ms around
+    /// `now`, on the scale of `RUNNING_PAD`: jobs whose estimated end is
+    /// overdue or inside the pad, windows that began before `now + pad`
+    /// or end inside it, nested and overlapping windows admitted out of
+    /// start order, and capacities small enough for downgrade-then-revoke
+    /// chains. A mutant that takes each window's peak at its clip only
+    /// (missing the rise where an earlier window begins inside it) fails
+    /// this test.
+    #[test]
+    fn repair_matches_the_trial_profile(
+        machine in 2u32..17,
+        drop in 1u32..4,
+        raw_jobs in proptest::collection::vec((0u32..16, 4u64..500, 0i64..24), 0..7),
+        raw_windows in proptest::collection::vec((0i64..26, 1u64..20, 0u32..16), 0..7),
+    ) {
+        let now = SimTime::from_millis(1_000);
+        let at = |off: i64| SimTime::from_millis((1_000 + off) as u64);
+        let mut s = RmsState::new(machine);
+        for n in 0..drop.min(machine - 1) {
+            s.node_down(machine - 1 - n);
+        }
+        for (i, &(w, back, end_off)) in raw_jobs.iter().enumerate() {
+            let free = s.free_processors();
+            if free == 0 {
+                break;
+            }
+            // Estimated end at `now - 3` … `now + 20` ms.
+            let est = (back as i64 + end_off - 3) as u64;
+            s.submit(Job::new(
+                JobId(i as u32),
+                SimTime::ZERO,
+                1 + w % free,
+                SimDuration::from_millis(est),
+                SimDuration::from_millis(est),
+            ));
+            s.start(JobId(i as u32), at(-(back as i64)));
+        }
+        for &(start_off, dur, w) in &raw_windows {
+            s.admit_reservation(at(start_off - 5), SimDuration::from_millis(dur), 1 + w % machine);
+        }
+        let planned = s.plan_reservation_repair(now);
+        prop_assert_eq!(&planned, &trial_profile_repair(&s, now));
+        prop_assert_eq!(s.repair_reservations(now), planned);
+        prop_assert!(s.plan_reservation_repair(now).is_empty());
     }
 }
 
