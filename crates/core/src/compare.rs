@@ -12,7 +12,7 @@ pub const EPSILON: f64 = 1e-9;
 /// `a == b` up to relative tolerance `eps` (absolute near zero). A
 /// non-finite operand equals only itself: without that rule `∞` would
 /// be within `eps · ∞` of every score and tie with all of them.
-pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
+pub(crate) fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
     if !(a.is_finite() && b.is_finite()) {
         return a == b || (a.is_nan() && b.is_nan());
     }
@@ -22,13 +22,13 @@ pub fn approx_eq(a: f64, b: f64, eps: f64) -> bool {
 
 /// `a <= b` up to tolerance: true when `a` is smaller or approximately
 /// equal.
-pub fn approx_le(a: f64, b: f64, eps: f64) -> bool {
+pub(crate) fn approx_le(a: f64, b: f64, eps: f64) -> bool {
     a < b || approx_eq(a, b, eps)
 }
 
 /// `a < b` strictly beyond tolerance: true only when `a` is smaller *and*
 /// not approximately equal.
-pub fn approx_lt(a: f64, b: f64, eps: f64) -> bool {
+pub(crate) fn approx_lt(a: f64, b: f64, eps: f64) -> bool {
     a < b && !approx_eq(a, b, eps)
 }
 

@@ -48,14 +48,14 @@ fn argmin_set_size(scores: &[(Policy, f64)], eps: f64) -> usize {
 /// paper's three if-then-else constructs
 /// (`FCFS if vF ≤ vS ∧ vF ≤ vL, else SJF if vS ≤ vL, else LJF`) —
 /// and therefore wrong in the four tie cases of Table 1.
-pub fn simple_decide(scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
+pub(crate) fn simple_decide(scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
     simple_decide_explained(scores, old, eps).0
 }
 
 /// [`simple_decide`] plus the tie-break rule that fired — `"argmin"` for
 /// a unique minimum, `"tie-first-candidate"` when the candidate-order
 /// tie-break (the flaw Table 1 documents) picked among equals.
-pub fn simple_decide_explained(
+pub(crate) fn simple_decide_explained(
     scores: &[(Policy, f64)],
     _old: Policy,
     eps: f64,
@@ -71,7 +71,7 @@ pub fn simple_decide_explained(
 /// The **advanced decider**: the "correct decision" column of Table 1.
 /// Stays with the old policy whenever it ties for best; otherwise picks
 /// the best policy (candidate-order tie-break among equals).
-pub fn advanced_decide(scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
+pub(crate) fn advanced_decide(scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
     advanced_decide_explained(scores, old, eps).0
 }
 
@@ -80,7 +80,7 @@ pub fn advanced_decide(scores: &[(Policy, f64)], old: Policy, eps: f64) -> Polic
 /// for best and was kept — the Table 1 correction), or
 /// `"tie-first-candidate"` (incumbent out of the argmin set, which has a
 /// tie among the others).
-pub fn advanced_decide_explained(
+pub(crate) fn advanced_decide_explained(
     scores: &[(Policy, f64)],
     old: Policy,
     eps: f64,
@@ -110,8 +110,10 @@ pub fn advanced_decide_explained(
 /// undercuts the preferred score by more than `threshold` (relative).
 /// The paper does not quantify the margin; `threshold = 0` makes
 /// "clearly better" mean "strictly better", which is the setting used for
-/// the headline experiments (an ablation sweeps it).
-pub fn preferred_decide(
+/// the headline experiments (an ablation sweeps it). The unit tests'
+/// entry; the scheduler asks [`preferred_decide_explained`].
+#[cfg(test)]
+pub(crate) fn preferred_decide(
     scores: &[(Policy, f64)],
     old: Policy,
     preferred: Policy,
@@ -121,14 +123,14 @@ pub fn preferred_decide(
     preferred_decide_explained(scores, old, preferred, threshold, eps).0
 }
 
-/// [`preferred_decide`] plus the rule that fired: `"preferred-best"`
+/// The preferred decider's verdict plus the rule that fired: `"preferred-best"`
 /// (the preferred policy ties for best), `"preferred-holds"` (it is
 /// active and no other policy is clearly better), `"clearly-better"`
 /// (another policy beat it past the threshold), `"switch-back-parity"`
 /// (a non-preferred policy was active and the preferred one matched it),
 /// `"advanced-fallback"` (preferred policy not among the candidates), or
 /// an advanced-decider rule when none of the unfair rules applied.
-pub fn preferred_decide_explained(
+pub(crate) fn preferred_decide_explained(
     scores: &[(Policy, f64)],
     old: Policy,
     preferred: Policy,
@@ -195,7 +197,7 @@ impl DeciderKind {
     /// Applies the decider and also names the rule that produced the
     /// verdict (for the decision audit trail; the label set is documented
     /// on the `*_decide_explained` functions).
-    pub fn decide_explained(
+    pub(crate) fn decide_explained(
         self,
         scores: &[(Policy, f64)],
         old: Policy,

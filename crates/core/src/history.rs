@@ -82,7 +82,7 @@ impl PolicyHistory {
     }
 
     /// Time the given policy was in force.
-    pub fn time_in(&self, policy: Policy) -> SimDuration {
+    pub(crate) fn time_in(&self, policy: Policy) -> SimDuration {
         self.segments
             .iter()
             .filter(|s| s.policy == policy)
@@ -91,7 +91,7 @@ impl PolicyHistory {
 
     /// Fraction of the span the given policy was in force (0 when the
     /// span is empty).
-    pub fn fraction_in(&self, policy: Policy) -> f64 {
+    pub(crate) fn fraction_in(&self, policy: Policy) -> f64 {
         let span = self.span().as_secs_f64();
         if span <= 0.0 {
             return 0.0;

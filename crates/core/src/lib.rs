@@ -31,10 +31,7 @@ pub mod history;
 pub mod self_tuning;
 pub mod table1;
 
-pub use compare::{approx_eq, approx_le, EPSILON};
-pub use decider::{advanced_decide, preferred_decide, simple_decide, DeciderKind};
+pub use compare::EPSILON;
+pub use decider::DeciderKind;
 pub use history::{PolicyHistory, PolicySegment};
-pub use self_tuning::{
-    resolve_planner_threads, try_resolve_planner_threads, DecideOn, DynPConfig,
-    PlannerThreadsError, SelfTuningScheduler, SwitchStats,
-};
+pub use self_tuning::{DecideOn, DynPConfig, SelfTuningScheduler, SwitchStats};

@@ -6,8 +6,8 @@ use dynp_des::SimTime;
 use dynp_metrics::Objective;
 use dynp_obs::{TraceClass, TraceEvent, Tracer};
 use dynp_rms::{
-    PlanTiming, Planner, Policy, Prune, QueueChange, ReferencePlanner, ReplanReason,
-    RetainedCounts, RmsState, Schedule, Scheduler, SchedulerSnapshot, RETAIN_MIN_DEPTH,
+    PlanCounters, PlanTiming, Planner, Policy, Prune, QueueChange, ReferencePlanner, ReplanReason,
+    RmsState, Schedule, Scheduler, SchedulerSnapshot, RETAIN_MIN_DEPTH,
 };
 use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
@@ -69,7 +69,7 @@ impl DynPConfig {
 
 /// A malformed `DYNP_PLANNER_THREADS` environment variable.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PlannerThreadsError {
+pub(crate) struct PlannerThreadsError {
     /// The raw value that failed to parse as a thread count.
     pub raw: String,
 }
@@ -92,7 +92,7 @@ impl std::error::Error for PlannerThreadsError {}
 /// available parallelism. `0` — configured or in the environment —
 /// means auto. A `DYNP_PLANNER_THREADS` value that doesn't parse is an
 /// error, not a silent fallback.
-pub fn try_resolve_planner_threads(configured: usize) -> Result<usize, PlannerThreadsError> {
+pub(crate) fn try_resolve_planner_threads(configured: usize) -> Result<usize, PlannerThreadsError> {
     if configured > 0 {
         return Ok(configured);
     }
@@ -109,7 +109,7 @@ pub fn try_resolve_planner_threads(configured: usize) -> Result<usize, PlannerTh
 /// Like [`try_resolve_planner_threads`], but panics on a malformed
 /// environment variable — for call sites with no error channel
 /// (scheduler construction).
-pub fn resolve_planner_threads(configured: usize) -> usize {
+pub(crate) fn resolve_planner_threads(configured: usize) -> usize {
     match try_resolve_planner_threads(configured) {
         Ok(n) => n,
         Err(e) => panic!("{e}"),
@@ -265,26 +265,11 @@ impl SelfTuningScheduler {
         self.planner.drop_retained();
     }
 
-    /// How often the planner's suffix path ran and how much it left
-    /// unplaced (see [`Planner::plan_retained_batch`]).
+    /// What the planner's retained passes did (see
+    /// [`Planner::counters`]).
     #[doc(hidden)]
-    pub fn retained_counts(&self) -> RetainedCounts {
-        self.planner.retained_counts()
-    }
-
-    /// How many passes stopped on the bound of their unplaced jobs (see
-    /// [`Planner::rest_stops`]).
-    #[doc(hidden)]
-    pub fn rest_stops(&self) -> u64 {
-        self.planner.rest_stops()
-    }
-
-    /// How many queue jobs the planner took from another policy's plan
-    /// of a shared prefix instead of placing them (see
-    /// [`Planner::shared_jobs`]).
-    #[doc(hidden)]
-    pub fn shared_jobs(&self) -> u64 {
-        self.planner.shared_jobs()
+    pub fn plan_counters(&self) -> PlanCounters {
+        self.planner.counters()
     }
 
     /// Brings the per-policy sorted queue views in sync with the RMS

@@ -208,11 +208,6 @@ impl<E, X> WallClockSource<E, X> {
         self.draining = true;
     }
 
-    /// True once the source is in drain mode.
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
     /// Drains any externals still sitting in the channel (used after
     /// [`WallClockSource::begin_drain`] so late clients get an answer
     /// instead of a hang).

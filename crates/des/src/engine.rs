@@ -1,7 +1,7 @@
 //! The event loop: a clock plus a pending event set.
 
 use crate::queue::{BinaryHeapQueue, EventQueue};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// A discrete-event simulation engine.
 ///
@@ -96,7 +96,7 @@ impl<E: Clone> Engine<E, BinaryHeapQueue<E>> {
 
 impl<E, Q: EventQueue<E>> Engine<E, Q> {
     /// Creates an engine over a caller-supplied queue backend.
-    pub fn with_queue(queue: Q) -> Self {
+    pub(crate) fn with_queue(queue: Q) -> Self {
         Engine {
             queue,
             now: SimTime::ZERO,
@@ -132,12 +132,6 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
             self.now
         );
         self.queue.push(time, event);
-    }
-
-    /// Schedules `event` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        let t = self.now + delay;
-        self.queue.push(t, event);
     }
 
     /// Schedules `event` at `time` with an explicit tie-break `rank` that
@@ -198,6 +192,7 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
 mod tests {
     use super::*;
     use crate::queue::CalendarQueue;
+    use crate::time::SimDuration;
 
     #[derive(Debug, PartialEq)]
     enum Ev {
@@ -224,10 +219,11 @@ mod tests {
         eng.run(|e, ev| match ev {
             Ev::Ping(n) => {
                 log.push(format!("ping{n}@{}", e.now().as_millis()));
+                let now = e.now();
                 if n > 0 {
-                    e.schedule_in(SimDuration::from_secs(2), Ev::Ping(n - 1));
+                    e.schedule_at(now + SimDuration::from_secs(2), Ev::Ping(n - 1));
                 }
-                e.schedule_in(SimDuration::from_secs(1), Ev::Pong(n));
+                e.schedule_at(now + SimDuration::from_secs(1), Ev::Pong(n));
             }
             Ev::Pong(n) => log.push(format!("pong{n}@{}", e.now().as_millis())),
         });

@@ -11,9 +11,8 @@
 //!   dynamically-resizing calendar queue ([`queue::CalendarQueue`]),
 //! * [`Engine`] — the event loop: schedule events, pop them in
 //!   (time, insertion-order) order, advance the clock monotonically,
-//! * [`stats`] — online statistics (Welford mean/variance, min/max,
-//!   time-weighted averages, logarithmic histograms) used to summarize
-//!   simulation output without storing every sample.
+//! * [`stats`] — exact time-weighted averages of step signals (queue
+//!   length, busy processors), kept without storing every sample.
 //!
 //! Determinism is a design requirement: two events scheduled for the same
 //! time are always delivered in insertion (FIFO) order, regardless of the
@@ -44,5 +43,5 @@ pub use clock::{EventClock, ReplaySource, Tick, WallClockSource};
 pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
 pub use engine::{Engine, EngineSnapshot};
 pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, SEEDED_SEQ_LIMIT};
-pub use stats::{Histogram, OnlineStats, TimeWeighted, TimeWeightedCount};
+pub use stats::TimeWeightedCount;
 pub use time::{SimDuration, SimTime};

@@ -143,7 +143,7 @@ impl<E> BinaryHeapQueue<E> {
     /// sequence counter — the inverse of [`BinaryHeapQueue::entries`].
     /// Entries keep their exact sequence numbers, so tie-breaking after
     /// a restore is bit-identical to the snapshotted run.
-    pub fn from_entries(
+    pub(crate) fn from_entries(
         entries: impl IntoIterator<Item = (SimTime, u64, E)>,
         next_seq: u64,
     ) -> Self {
@@ -157,7 +157,7 @@ impl<E> BinaryHeapQueue<E> {
     /// The entries tied at the earliest pending instant, as
     /// `(seq, &event)` in FIFO (sequence) order. Index `n` of this list
     /// is the event [`BinaryHeapQueue::pop_nth_tied`]`(n)` would deliver.
-    pub fn tied_head(&self) -> Vec<(u64, &E)> {
+    pub(crate) fn tied_head(&self) -> Vec<(u64, &E)> {
         let Some(t0) = self.peek_time() else {
             return Vec::new();
         };
@@ -180,7 +180,7 @@ impl<E> BinaryHeapQueue<E> {
     /// This is the model checker's branching primitive: exploring every
     /// `n` at a tied instant enumerates every delivery interleaving the
     /// FIFO rule forbids the plain simulator from seeing.
-    pub fn pop_nth_tied(&mut self, n: usize) -> Option<(SimTime, E)> {
+    pub(crate) fn pop_nth_tied(&mut self, n: usize) -> Option<(SimTime, E)> {
         let t0 = self.peek_time()?;
         let mut tied: Vec<HeapEntry<E>> = Vec::new();
         while self.heap.peek().is_some_and(|e| e.time == t0) {
@@ -277,7 +277,7 @@ impl<E> CalendarQueue<E> {
 
     /// Creates a calendar with `n_buckets` buckets of `bucket_width_ms`
     /// milliseconds each. Geometry adapts automatically afterwards.
-    pub fn with_geometry(n_buckets: usize, bucket_width_ms: u64) -> Self {
+    pub(crate) fn with_geometry(n_buckets: usize, bucket_width_ms: u64) -> Self {
         let n = n_buckets.max(CAL_MIN_BUCKETS).next_power_of_two();
         CalendarQueue {
             buckets: (0..n).map(|_| Vec::new()).collect(),

@@ -1,188 +1,17 @@
-//! Online statistics for simulation output analysis.
+//! Time-weighted statistics for simulation output analysis.
 //!
-//! Simulations of 10,000-job workloads produce too many samples to keep
-//! around; these accumulators summarize streams in O(1) space:
-//!
-//! * [`OnlineStats`] — count / mean / variance (Welford) / min / max,
-//! * [`TimeWeighted`] — integral-based time average of a piecewise-constant
-//!   signal (e.g. queue length, busy processors),
-//! * [`Histogram`] — fixed-boundary histogram with quantile estimates.
+//! [`TimeWeightedCount`] integrates a piecewise-constant integer signal
+//! (queue length, busy processors) exactly, in O(1) space.
 
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Numerically stable streaming mean/variance plus min/max (Welford's
-/// algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-    sum: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            sum: 0.0,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        self.sum += x;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.sum
-    }
-
-    /// Population variance; 0 when fewer than 2 observations.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation; `None` when empty.
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation; `None` when empty.
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// Time-weighted average of a piecewise-constant signal.
-///
-/// Call [`TimeWeighted::set`] whenever the signal changes; the accumulator
-/// integrates `value × dt` between changes. Typical uses: mean queue
-/// length, mean busy processors (hence utilization).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TimeWeighted {
-    last_time: SimTime,
-    last_value: f64,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Creates an accumulator whose signal is `initial` at time `start`.
-    pub fn new(start: SimTime, initial: f64) -> Self {
-        TimeWeighted {
-            last_time: start,
-            last_value: initial,
-            integral: 0.0,
-            start,
-        }
-    }
-
-    /// Records that the signal changed to `value` at time `now`.
-    ///
-    /// # Panics
-    /// Panics (debug) if `now` precedes the previous update.
-    pub fn set(&mut self, now: SimTime, value: f64) {
-        debug_assert!(now >= self.last_time, "time went backwards");
-        let dt = now.saturating_since(self.last_time).as_secs_f64();
-        self.integral += self.last_value * dt;
-        self.last_time = now;
-        self.last_value = value;
-    }
-
-    /// Adds `delta` to the current signal value at time `now`.
-    pub fn add(&mut self, now: SimTime, delta: f64) {
-        let v = self.last_value + delta;
-        self.set(now, v);
-    }
-
-    /// The signal value after the last update.
-    pub fn current(&self) -> f64 {
-        self.last_value
-    }
-
-    /// Integral of the signal from `start` to `now`.
-    pub fn integral_until(&self, now: SimTime) -> f64 {
-        let dt = now.saturating_since(self.last_time).as_secs_f64();
-        self.integral + self.last_value * dt
-    }
-
-    /// Time average of the signal over `[start, now]`; 0 over an empty
-    /// interval.
-    pub fn average_until(&self, now: SimTime) -> f64 {
-        let span = now.saturating_since(self.start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.integral_until(now) / span
-        }
-    }
-}
-
 /// Exact time-weighted accumulator for an integer-valued step signal.
 ///
-/// The snapshotable twin of [`TimeWeighted`]: the integral is kept as an
-/// exact `value × milliseconds` count in a `u128`, so the accumulator is
-/// `Hash + Eq` and two runs that saw the same updates are bit-identical —
-/// no floating-point summation-order drift. Floats only appear in the
+/// The integral is kept as an exact `value × milliseconds` count in a
+/// `u128`, so the accumulator is `Hash + Eq` and two runs that saw the
+/// same updates are bit-identical — no floating-point summation-order
+/// drift. Floats only appear in the
 /// final [`TimeWeightedCount::average_until`] division. Used for driver
 /// signals that live on the snapshot path (queue length, busy processors).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -224,7 +53,7 @@ impl TimeWeightedCount {
 
     /// Exact integral of the signal from `start` to `now`, in
     /// value-milliseconds.
-    pub fn integral_vms_until(&self, now: SimTime) -> u128 {
+    pub(crate) fn integral_vms_until(&self, now: SimTime) -> u128 {
         let dt_ms = now.saturating_since(self.last_time).as_millis();
         self.integral_vms + self.last_value as u128 * dt_ms as u128
     }
@@ -263,164 +92,23 @@ impl TimeWeightedCount {
     }
 }
 
-/// Histogram over caller-supplied bucket boundaries with quantile queries.
-///
-/// An observation `x` lands in bucket `i` when
-/// `bounds[i-1] <= x < bounds[i]`; values past the last bound land in the
-/// overflow bucket.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bounds: Vec<f64>,
-    counts: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram; `bounds` must be strictly increasing.
-    ///
-    /// # Panics
-    /// Panics if `bounds` is empty or not strictly increasing.
-    pub fn new(bounds: Vec<f64>) -> Self {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        let n = bounds.len();
-        Histogram {
-            bounds,
-            counts: vec![0; n + 1],
-            total: 0,
-        }
-    }
-
-    /// Creates log-spaced bounds: `base, base·ratio, base·ratio², …`
-    /// (`n` bounds). Suited to heavy-tailed quantities like slowdowns.
-    pub fn logarithmic(base: f64, ratio: f64, n: usize) -> Self {
-        assert!(base > 0.0 && ratio > 1.0 && n > 0);
-        let bounds = (0..n).map(|i| base * ratio.powi(i as i32)).collect();
-        Histogram::new(bounds)
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        let idx = self.bounds.partition_point(|&b| b <= x);
-        self.counts[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Per-bucket counts; the final entry is the overflow bucket.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Upper bound of the bucket containing quantile `q` (0 ≤ q ≤ 1); a
-    /// coarse quantile estimate. `None` when empty or when the quantile
-    /// falls in the overflow bucket.
-    pub fn quantile_bound(&self, q: f64) -> Option<f64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.total as f64).ceil().max(1.0) as u64;
-        let mut acc = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return self.bounds.get(i).copied();
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn welford_matches_naive_mean_variance() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), Some(2.0));
-        assert_eq!(s.max(), Some(9.0));
-        assert!((s.sum() - 40.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_stats_are_benign() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_equals_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn time_weighted_average_of_step_signal() {
-        // Signal: 0 on [0,10), 4 on [10,20), 2 on [20,40).
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.set(SimTime::from_secs(10), 4.0);
-        tw.set(SimTime::from_secs(20), 2.0);
-        let avg = tw.average_until(SimTime::from_secs(40));
-        // (0*10 + 4*10 + 2*20) / 40 = 80/40 = 2.0
-        assert!((avg - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_add_tracks_deltas() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
-        tw.add(SimTime::from_secs(5), 2.0); // now 3
-        tw.add(SimTime::from_secs(10), -3.0); // now 0
-        assert_eq!(tw.current(), 0.0);
-        // (1*5 + 3*5 + 0*10)/20 = 20/20 = 1
-        assert!((tw.average_until(SimTime::from_secs(20)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_count_matches_float_twin() {
+    fn time_weighted_count_integrates_value_times_dt() {
         // Signal: 0 on [0,10), 4 on [10,20), 2 on [20,40).
         let mut tw = TimeWeightedCount::new(SimTime::ZERO, 0);
         tw.set(SimTime::from_secs(10), 4);
         tw.set(SimTime::from_secs(20), 2);
         assert_eq!(tw.current(), 2);
+        // Σ value·Δt in value-milliseconds: 0·10 s + 4·10 s + 2·20 s.
         assert_eq!(
             tw.integral_vms_until(SimTime::from_secs(40)),
             (4 * 10_000 + 2 * 20_000) as u128
         );
+        // 80 value-seconds over 40 s.
         assert!((tw.average_until(SimTime::from_secs(40)) - 2.0).abs() < 1e-12);
         assert_eq!(tw.average_until(SimTime::ZERO), 0.0);
     }
@@ -434,32 +122,5 @@ mod tests {
         assert_ne!(a, b);
         b.set(SimTime::from_secs(2), 5);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let mut h = Histogram::new(vec![1.0, 10.0, 100.0]);
-        for x in [0.5, 0.9, 1.0, 5.0, 50.0, 500.0, 5000.0] {
-            h.push(x);
-        }
-        assert_eq!(h.counts(), &[2, 2, 1, 2]);
-        assert_eq!(h.total(), 7);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::logarithmic(1.0, 2.0, 10);
-        for i in 0..100 {
-            h.push(i as f64);
-        }
-        // Median of 0..99 is ~49.5; the bucket bound just above it is 64.
-        assert_eq!(h.quantile_bound(0.5), Some(64.0));
-        assert_eq!(h.quantile_bound(0.0), Some(1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_bad_bounds() {
-        let _ = Histogram::new(vec![1.0, 1.0]);
     }
 }

@@ -12,7 +12,7 @@ use std::ops::{Add, AddAssign, Sub, SubAssign};
 
 /// Milliseconds per second, the scaling factor between trace seconds and
 /// internal ticks.
-pub const MILLIS_PER_SEC: u64 = 1_000;
+pub(crate) const MILLIS_PER_SEC: u64 = 1_000;
 
 /// An absolute instant on the simulation clock, in milliseconds since the
 /// start of the simulation (time zero).
@@ -65,11 +65,6 @@ impl SimTime {
     /// (saturating, never panics).
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
     }
 
     /// Saturating addition of a duration (sticks at [`SimTime::MAX`]).
@@ -281,10 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_add_detects_overflow() {
-        assert!(SimTime::MAX
-            .checked_add(SimDuration::from_millis(1))
-            .is_none());
+    fn saturating_add_sticks_at_max() {
         assert_eq!(
             SimTime::MAX.saturating_add(SimDuration::from_millis(1)),
             SimTime::MAX

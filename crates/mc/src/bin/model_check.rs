@@ -31,7 +31,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: model_check [--nodes N] [--jobs N] [--faults N] [--res N]\n\
          \x20                  [--depth N] [--max-states N] [--strategy dfs|bfs]\n\
-         \x20                  [--scheduler fcfs|sjf|dynp] [--counterexample PATH]"
+         \x20                  [--scheduler SPEC] [--counterexample PATH]"
     );
     std::process::exit(2);
 }
@@ -89,11 +89,8 @@ fn parse_args() -> Args {
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let make = scheduler_factory(&args.scheduler).unwrap_or_else(|| {
-        eprintln!(
-            "unknown scheduler {:?} (expected fcfs, sjf or dynp)",
-            args.scheduler
-        );
+    let make = scheduler_factory(&args.scheduler).unwrap_or_else(|why| {
+        eprintln!("error: {why}");
         std::process::exit(2);
     });
     let invariants = standard();

@@ -29,7 +29,7 @@ use dynp_sim::{ChaosDriver, Event};
 /// True when dispatching `ev` in the driver's *current* state is a
 /// provable no-op that will remain a no-op under any permutation of the
 /// currently tied events (see module docs for the argument).
-pub fn is_commutable_noop(driver: &ChaosDriver<'_>, ev: &Event) -> bool {
+pub(crate) fn is_commutable_noop(driver: &ChaosDriver<'_>, ev: &Event) -> bool {
     let core = driver.core();
     match *ev {
         Event::Finish(id, attempt) | Event::Kill(id, attempt) => {
@@ -45,7 +45,7 @@ pub fn is_commutable_noop(driver: &ChaosDriver<'_>, ev: &Event) -> bool {
 /// The tie ranks the explorer must branch over from the current state:
 /// a single canonical choice when a tied no-op exists (or there is no
 /// tie), every rank otherwise.
-pub fn branch_choices(driver: &ChaosDriver<'_>, tied: &[Event]) -> Vec<usize> {
+pub(crate) fn branch_choices(driver: &ChaosDriver<'_>, tied: &[Event]) -> Vec<usize> {
     if let Some(n) = tied.iter().position(|e| is_commutable_noop(driver, e)) {
         return vec![n];
     }

@@ -12,18 +12,18 @@
 //!
 //! * [`scenario`] — derives tiny deterministic worlds (machine, jobs,
 //!   outages, reservations) whose instants deliberately collide.
-//! * [`explore`] — walks every reachable interleaving by snapshotting
-//!   the full driver state ([`dynp_sim::SimSnapshot`]), branching at
-//!   ties, and pruning revisits by 128-bit state fingerprint. DFS or
-//!   BFS; BFS finds shortest counterexamples.
+//! * [`explore`](mod@explore) — walks every reachable interleaving by
+//!   snapshotting the full driver state ([`dynp_sim::SimSnapshot`]),
+//!   branching at ties, and pruning revisits by 128-bit state
+//!   fingerprint. DFS or BFS; BFS finds shortest counterexamples.
 //! * [`deps`] — the dependency resolver: proves most tied events
 //!   commute (stale attempt tags, dead windows, reservation starts) so
 //!   the branching factor stays near 1 except at genuine races.
 //! * [`invariants`] — the pluggable safety battery checked at every
 //!   state, plus the driver's own terminal asserts at drained leaves.
-//! * [`shrink`] — greedy delta-debugging: deletes scenario elements one
-//!   at a time while the violation persists, yielding a 1-minimal
-//!   counterexample with a deterministic replay schedule.
+//! * [`shrink`](mod@shrink) — greedy delta-debugging: deletes scenario
+//!   elements one at a time while the violation persists, yielding a
+//!   1-minimal counterexample with a deterministic replay schedule.
 //!
 //! The `model_check` binary wraps all of this for CI: it explores a
 //! configuration matrix, exits non-zero on violation, and dumps the
@@ -40,26 +40,20 @@ pub use invariants::{standard, Invariant};
 pub use scenario::{Scenario, ScenarioConfig};
 pub use shrink::{shrink, ShrinkResult};
 
-use dynp_core::DeciderKind;
-use dynp_rms::{Policy, Scheduler};
-use dynp_sim::SchedulerSpec;
+use dynp_rms::Scheduler;
+use dynp_sim::parse_scheduler;
 
 /// A factory producing a fresh scheduler per exploration.
 pub type SchedulerFactory = Box<dyn Fn() -> Box<dyn Scheduler>>;
 
-/// Scheduler recipes the checker knows by name (`--scheduler`).
+/// The scheduler named by `--scheduler`, in the spelling of
+/// [`dynp_sim::parse_scheduler`]: e.g. `FCFS` (the static baseline,
+/// minimal cross-event state) or `dynp` (the paper's self-tuning
+/// scheduler with the advanced decider, maximal cross-event state —
+/// policy history, decider bookkeeping, queue log).
 ///
-/// Returns a factory producing a fresh scheduler per exploration:
-/// `"fcfs"` (the static baseline, minimal cross-event state) and
-/// `"dynp"` (the paper's self-tuning scheduler with the advanced
-/// decider, maximal cross-event state — policy history, decider
-/// bookkeeping, queue log).
-pub fn scheduler_factory(name: &str) -> Option<SchedulerFactory> {
-    let spec = match name.to_ascii_lowercase().as_str() {
-        "fcfs" => SchedulerSpec::Static(Policy::Fcfs),
-        "sjf" => SchedulerSpec::Static(Policy::Sjf),
-        "dynp" => SchedulerSpec::dynp(DeciderKind::Advanced),
-        _ => return None,
-    };
-    Some(Box::new(move || spec.build()))
+/// Returns a factory producing a fresh scheduler per exploration.
+pub fn scheduler_factory(name: &str) -> Result<SchedulerFactory, String> {
+    let spec = parse_scheduler(name)?;
+    Ok(Box::new(move || spec.build()))
 }

@@ -156,7 +156,7 @@ impl Scenario {
     /// The scenario with job at (submission-order) index `idx` removed.
     /// Dense job ids shift down past the gap, so planned job faults are
     /// remapped; faults of the removed job are dropped.
-    pub fn without_job(&self, idx: usize) -> Scenario {
+    pub(crate) fn without_job(&self, idx: usize) -> Scenario {
         let mut s = self.clone();
         s.jobs.remove(idx);
         s.job_faults = s
@@ -172,21 +172,21 @@ impl Scenario {
     }
 
     /// The scenario with reservation request `idx` removed.
-    pub fn without_request(&self, idx: usize) -> Scenario {
+    pub(crate) fn without_request(&self, idx: usize) -> Scenario {
         let mut s = self.clone();
         s.requests.remove(idx);
         s
     }
 
     /// The scenario with outage `idx` removed.
-    pub fn without_outage(&self, idx: usize) -> Scenario {
+    pub(crate) fn without_outage(&self, idx: usize) -> Scenario {
         let mut s = self.clone();
         s.outages.remove(idx);
         s
     }
 
     /// The scenario with planned job fault `idx` removed.
-    pub fn without_job_fault(&self, idx: usize) -> Scenario {
+    pub(crate) fn without_job_fault(&self, idx: usize) -> Scenario {
         let mut s = self.clone();
         s.job_faults.remove(idx);
         s

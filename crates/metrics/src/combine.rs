@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 /// Averages `values` after dropping one minimum and one maximum (the
 /// paper's combiner). With two or fewer values nothing can be dropped and
 /// the plain average is returned; an empty slice yields 0.
-pub fn combine_drop_extremes(values: &[f64]) -> f64 {
+pub(crate) fn combine_drop_extremes(values: &[f64]) -> f64 {
     match values.len() {
         0 => 0.0,
         1 | 2 => values.iter().sum::<f64>() / values.len() as f64,

@@ -49,7 +49,7 @@ impl FaultStats {
 
     /// Total node-seconds of downtime across all outages (derived view
     /// of the exact [`FaultStats::downtime_ms`] counter).
-    pub fn downtime_secs(&self) -> f64 {
+    pub(crate) fn downtime_secs(&self) -> f64 {
         self.downtime_ms as f64 / 1_000.0
     }
 

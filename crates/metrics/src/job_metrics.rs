@@ -5,7 +5,7 @@ use dynp_rms::CompletedJob;
 /// The bound (seconds) used by the bounded slowdown `s⁶⁰`, "defined in
 /// [Feitelson 2001] in order to exclude very short jobs, which might be
 /// the result of an error".
-pub const SLOWDOWN_BOUND_SECS: f64 = 60.0;
+pub(crate) const SLOWDOWN_BOUND_SECS: f64 = 60.0;
 
 /// Job slowdown `s = response / run time = 1 + wait / run time`.
 ///
@@ -23,7 +23,7 @@ pub fn bounded_slowdown(response_secs: f64, runtime_secs: f64) -> f64 {
 
 /// All per-job quantities derived from one completed job.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct JobOutcome {
+pub(crate) struct JobOutcome {
     /// Wait time in seconds.
     pub wait_secs: f64,
     /// Response time in seconds.

@@ -38,10 +38,10 @@ pub mod reservations;
 pub mod timeline;
 
 pub use aggregate::SimMetrics;
-pub use combine::{combine_drop_extremes, CombinedMetrics};
+pub use combine::CombinedMetrics;
 pub use faults::FaultStats;
 pub use federation::{ClusterReport, FederatedMetrics};
-pub use job_metrics::{bounded_slowdown, slowdown, JobOutcome};
+pub use job_metrics::{bounded_slowdown, slowdown};
 pub use latency::LatencyHistogram;
 pub use objective::Objective;
 pub use percentiles::{OutcomeDistributions, QuantileStats};

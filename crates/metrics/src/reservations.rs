@@ -55,35 +55,12 @@ impl ReservationStats {
         }
     }
 
-    /// Processor-seconds requested across all requests (derived view of
-    /// the exact [`ReservationStats::requested_area_pms`] counter).
-    pub fn requested_area(&self) -> f64 {
-        self.requested_area_pms as f64 / 1_000.0
-    }
-
-    /// Processor-seconds across admitted windows (derived view of the
-    /// exact [`ReservationStats::admitted_area_pms`] counter).
-    pub fn admitted_area(&self) -> f64 {
-        self.admitted_area_pms as f64 / 1_000.0
-    }
-
     /// Admitted / requested processor-seconds; 1 for an empty stream.
     pub fn area_acceptance_rate(&self) -> f64 {
         if self.requested_area_pms == 0 {
             1.0
         } else {
             self.admitted_area_pms as f64 / self.requested_area_pms as f64
-        }
-    }
-
-    /// Fraction of total machine capacity over `span_secs` booked by
-    /// admitted windows.
-    pub fn booked_utilization(&self, machine_size: u32, span_secs: f64) -> f64 {
-        let capacity = machine_size as f64 * span_secs;
-        if capacity <= 0.0 {
-            0.0
-        } else {
-            self.admitted_area() / capacity
         }
     }
 
@@ -118,7 +95,6 @@ mod tests {
         let s = ReservationStats::default();
         assert_eq!(s.acceptance_rate(), 1.0);
         assert_eq!(s.area_acceptance_rate(), 1.0);
-        assert_eq!(s.booked_utilization(128, 3600.0), 0.0);
     }
 
     #[test]
@@ -135,7 +111,5 @@ mod tests {
         assert!((s.acceptance_rate() - 0.7).abs() < 1e-12);
         assert!((s.area_acceptance_rate() - 0.65).abs() < 1e-12);
         assert_eq!(s.rejected(), 3);
-        // 650 proc-secs on a 100-proc machine over 100s → 6.5%
-        assert!((s.booked_utilization(100, 100.0) - 0.065).abs() < 1e-12);
     }
 }

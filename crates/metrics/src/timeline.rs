@@ -1,5 +1,5 @@
 //! Time-series extraction from a finished simulation — the raw material
-//! for utilization/queue plots and for understanding *when* a scheduler
+//! for utilization plots and for understanding *when* a scheduler
 //! wins, not just by how much.
 
 use dynp_des::SimTime;
@@ -7,26 +7,15 @@ use dynp_rms::CompletedJob;
 
 /// A piecewise-constant series as (change time, new value) steps, sorted
 /// by time; the value holds until the next step.
-pub type StepSeries = Vec<(SimTime, u32)>;
+pub(crate) type StepSeries = Vec<(SimTime, u32)>;
 
 /// Builds the busy-processor series from completed-job records: +width
 /// at each start, −width at each end.
-pub fn busy_series(completed: &[CompletedJob]) -> StepSeries {
+pub(crate) fn busy_series(completed: &[CompletedJob]) -> StepSeries {
     let mut deltas: Vec<(SimTime, i64)> = Vec::with_capacity(completed.len() * 2);
     for d in completed {
         deltas.push((d.start, d.job.width as i64));
         deltas.push((d.end, -(d.job.width as i64)));
-    }
-    accumulate(deltas)
-}
-
-/// Builds the waiting-queue-length series: +1 at each submission, −1 at
-/// each start.
-pub fn queue_series(completed: &[CompletedJob]) -> StepSeries {
-    let mut deltas: Vec<(SimTime, i64)> = Vec::with_capacity(completed.len() * 2);
-    for d in completed {
-        deltas.push((d.job.submit, 1));
-        deltas.push((d.start, -1));
     }
     accumulate(deltas)
 }
@@ -50,7 +39,7 @@ fn accumulate(mut deltas: Vec<(SimTime, i64)>) -> StepSeries {
 }
 
 /// The value of a step series at instant `t` (0 before the first step).
-pub fn value_at(series: &StepSeries, t: SimTime) -> u32 {
+pub(crate) fn value_at(series: &StepSeries, t: SimTime) -> u32 {
     match series.partition_point(|&(st, _)| st <= t) {
         0 => 0,
         i => series[i - 1].1,
@@ -139,18 +128,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_series_counts_waiting_jobs() {
-        // Both submitted at 0; A starts at 0, B waits until 100.
-        let jobs = [done(0, 0, 0, 2, 100), done(1, 0, 100, 2, 50)];
-        let s = queue_series(&jobs);
-        // t=0: +2 submits, -1 start → 1 waiting; t=100: −1 → 0.
-        assert_eq!(
-            s,
-            vec![(SimTime::from_secs(0), 1), (SimTime::from_secs(100), 0)]
-        );
-    }
-
-    #[test]
     fn value_before_first_step_is_zero() {
         let jobs = [done(0, 100, 100, 1, 10)];
         let s = busy_series(&jobs);
@@ -180,7 +157,6 @@ mod tests {
     #[test]
     fn empty_input_gives_empty_series() {
         assert!(busy_series(&[]).is_empty());
-        assert!(queue_series(&[]).is_empty());
         let u = bucketed_utilization(4, &[], SimTime::ZERO, SimTime::from_secs(10), 5.0);
         assert_eq!(u, vec![0.0, 0.0]);
     }

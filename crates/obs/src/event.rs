@@ -60,7 +60,7 @@ pub enum TraceClass {
 
 impl TraceClass {
     /// True when `level` captures this class.
-    pub fn captured_at(self, level: TraceLevel) -> bool {
+    pub(crate) fn captured_at(self, level: TraceLevel) -> bool {
         match self {
             TraceClass::Decision => level >= TraceLevel::Decisions,
             TraceClass::Span => level >= TraceLevel::Spans,
@@ -184,7 +184,7 @@ pub enum TraceEvent<L = &'static str> {
     AdmissionVerdict {
         /// Request id from the request stream.
         request: u32,
-        /// `"admitted"` or a [`RejectReason`] label
+        /// `"admitted"` or a `RejectReason` label
         /// (`"no-capacity"`, `"breaks-guarantee"`, …).
         verdict: L,
     },

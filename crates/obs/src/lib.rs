@@ -44,4 +44,4 @@ pub mod tracer;
 pub use event::{TraceClass, TraceEvent, TraceLevel, TraceRecord};
 pub use parse::{parse_jsonl, Json, ParsedEvent, ParsedRecord};
 pub use sink::{render_chrome_trace, render_jsonl, write_chrome_trace, write_jsonl};
-pub use tracer::{ManualClock, SpanGuard, TraceClock, TraceSnapshot, Tracer};
+pub use tracer::{SpanGuard, TraceSnapshot, Tracer};

@@ -2,9 +2,9 @@
 //!
 //! [`Json`] is a small recursive-descent parser for standard JSON — the
 //! trace sinks' output, and the `dynp-serve` wire protocol, whose input
-//! is untrusted (nesting is bounded by [`MAX_DEPTH`]); [`parse_jsonl`]
+//! is untrusted (nesting is bounded by `MAX_DEPTH`); [`parse_jsonl`]
 //! lifts trace lines into typed [`ParsedRecord`]s by walking each kind's
-//! declared field list ([`TraceEvent::read_fields`]).
+//! declared field list (`TraceEvent::read_fields`).
 
 use crate::event::{Field, FieldReader, TraceEvent};
 use std::str::Chars;
@@ -12,7 +12,7 @@ use std::str::Chars;
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, so unbounded nesting in an untrusted line
 /// would overflow the stack; the sinks nest 3 deep and the wire protocol 1.
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -92,7 +92,7 @@ impl Json {
     }
 
     /// The value as an object field list.
-    pub fn as_object(&self) -> Option<&[(String, Json)]> {
+    pub(crate) fn as_object(&self) -> Option<&[(String, Json)]> {
         match self {
             Json::Obj(fields) => Some(fields),
             _ => None,
@@ -332,7 +332,7 @@ impl FieldReader<String> for JsonFields<'_> {
 /// Parses one JSONL line into a [`ParsedRecord`]. Meta lines (`"type":
 /// "meta"`, emitted when the ring buffer dropped records) yield
 /// `Ok(None)`.
-pub fn parse_record(line: &str) -> Result<Option<ParsedRecord>, String> {
+pub(crate) fn parse_record(line: &str) -> Result<Option<ParsedRecord>, String> {
     let obj = Json::parse(line)?;
     let mut fields = JsonFields(&obj);
     let header = |key| Field { key, default: None };

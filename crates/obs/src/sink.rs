@@ -2,7 +2,7 @@
 //! trace-event format (`chrome://tracing` / Perfetto-loadable spans).
 //!
 //! Both render a record by walking its kind's declared field list
-//! ([`TraceEvent::write_fields`]); the JSONL format is the contract
+//! (`TraceEvent::write_fields`); the JSONL format is the contract
 //! [`crate::parse`] reads back through the same list (pinned by golden
 //! lines and round-trip tests).
 
@@ -71,7 +71,7 @@ impl<L: AsRef<str>> FieldWriter<L> for JsonlFields<'_> {
 }
 
 /// Renders one record as a single JSONL line (no trailing newline).
-pub fn render_jsonl_line<L: AsRef<str>>(rec: &TraceRecord<L>) -> String {
+pub(crate) fn render_jsonl_line<L: AsRef<str>>(rec: &TraceRecord<L>) -> String {
     let mut out = String::with_capacity(128);
     let _ = write!(
         out,

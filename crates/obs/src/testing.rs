@@ -7,7 +7,7 @@ use dynp_des::SimTime;
 /// The JSONL rendering of [`samples`], captured from the commit before
 /// the schema table replaced the per-kind render arms: the format
 /// contract, byte for byte. (CI also feeds this file to `trace_report`.)
-pub const GOLDEN_JSONL: &str = include_str!("../tests/fixtures/all_kinds.jsonl");
+pub(crate) const GOLDEN_JSONL: &str = include_str!("../tests/fixtures/all_kinds.jsonl");
 
 /// One record of every kind, in declaration order.
 pub fn samples() -> TraceSnapshot {

@@ -4,6 +4,7 @@
 use crate::event::{TraceClass, TraceEvent, TraceLevel, TraceRecord};
 use dynp_des::SimTime;
 use std::collections::VecDeque;
+#[cfg(test)]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -11,11 +12,9 @@ use std::time::Instant;
 /// The wall-clock source behind a tracer's `wall_ns` stamps.
 ///
 /// The default source is monotonic time since the tracer's creation
-/// ([`Tracer::enabled`]); the service daemon injects its own epoch so
-/// daemon traces line up with its scheduling clock, and deterministic
-/// tests inject a [`ManualClock`] so stamps are exact values instead of
-/// elapsed real time. One code path serves all three.
-pub trait TraceClock: Send + Sync {
+/// ([`Tracer::enabled`]); deterministic tests inject a `ManualClock` so
+/// stamps are exact values instead of elapsed real time.
+pub(crate) trait TraceClock: Send + Sync {
     /// Nanoseconds since the clock's epoch.
     fn now_ns(&self) -> u64;
 }
@@ -34,26 +33,29 @@ impl TraceClock for MonotonicClock {
 /// A manually-advanced clock for deterministic trace tests: reads return
 /// exactly the last value stored, so `wall_ns` stamps can be asserted
 /// byte-for-byte.
+#[cfg(test)]
 #[derive(Default)]
-pub struct ManualClock(AtomicU64);
+pub(crate) struct ManualClock(AtomicU64);
 
+#[cfg(test)]
 impl ManualClock {
     /// A manual clock starting at `ns`.
-    pub fn new(ns: u64) -> Arc<ManualClock> {
+    pub(crate) fn new(ns: u64) -> Arc<ManualClock> {
         Arc::new(ManualClock(AtomicU64::new(ns)))
     }
 
     /// Sets the clock to an absolute value.
-    pub fn set_ns(&self, ns: u64) {
+    pub(crate) fn set_ns(&self, ns: u64) {
         self.0.store(ns, Ordering::Relaxed);
     }
 
     /// Moves the clock forward by `ns`.
-    pub fn advance_ns(&self, ns: u64) {
+    pub(crate) fn advance_ns(&self, ns: u64) {
         self.0.fetch_add(ns, Ordering::Relaxed);
     }
 }
 
+#[cfg(test)]
 impl TraceClock for ManualClock {
     fn now_ns(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
@@ -63,7 +65,7 @@ impl TraceClock for ManualClock {
 /// Default ring-buffer capacity: enough for a quick-mode run at
 /// [`TraceLevel::All`] (a 2 500-job run emits ~40 k records) with a wide
 /// margin, while bounding a paper-scale firehose to ~100 MB.
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 20;
 
 struct Ring {
     buf: VecDeque<TraceRecord>,
@@ -105,8 +107,8 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A tracer recording at `level` into a ring buffer of
-    /// [`DEFAULT_CAPACITY`] records.
+    /// A tracer recording at `level` into a ring buffer of 2²⁰ records
+    /// (`DEFAULT_CAPACITY`).
     pub fn enabled(level: TraceLevel) -> Tracer {
         Tracer::with_capacity(level, DEFAULT_CAPACITY)
     }
@@ -127,11 +129,14 @@ impl Tracer {
     }
 
     /// A tracer stamping records from the given [`TraceClock`] instead of
-    /// a private monotonic epoch. The daemon passes its scheduling-clock
-    /// epoch; deterministic tests pass a [`ManualClock`].
+    /// a private monotonic epoch; deterministic tests pass a `ManualClock`.
     ///
     /// `level == Off` yields the disabled tracer.
-    pub fn with_clock(level: TraceLevel, capacity: usize, clock: Arc<dyn TraceClock>) -> Tracer {
+    pub(crate) fn with_clock(
+        level: TraceLevel,
+        capacity: usize,
+        clock: Arc<dyn TraceClock>,
+    ) -> Tracer {
         if level == TraceLevel::Off || capacity == 0 {
             return Tracer::disabled();
         }

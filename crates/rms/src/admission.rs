@@ -6,7 +6,7 @@
 //! admitted window without overcommitting the machine and (b) does not
 //! push any already-planned job start past its promised time. Both halves
 //! reuse the incremental planner — the capacity check reads the shared
-//! base profile ([`crate::Planner::window_fits`]), the guarantee check
+//! base profile (`crate::Planner::window_fits`), the guarantee check
 //! replans the waiting queue once with the candidate window blocked out
 //! and compares promised starts entry by entry.
 //!

@@ -45,7 +45,7 @@ pub use admission::{AdmissionConfig, AdmissionController, RejectReason};
 pub use easy::EasyBackfillScheduler;
 pub use naive::NaiveProfile;
 pub use planner::{
-    DelayWeight, PlanTiming, Planner, Prune, ReferencePlanner, RetainedCounts, PARALLEL_MIN_DEPTH,
+    DelayWeight, PlanCounters, PlanTiming, Planner, Prune, ReferencePlanner, PARALLEL_MIN_DEPTH,
     RETAIN_MIN_DEPTH,
 };
 pub use policy::Policy;

@@ -56,7 +56,8 @@ impl NaiveProfile {
     /// # Panics
     /// Panics if the spans overcommit the machine at any instant or if
     /// `capacity` is zero.
-    pub fn rebuild_from_spans(
+    #[cfg(test)]
+    pub(crate) fn rebuild_from_spans(
         &mut self,
         capacity: u32,
         origin: SimTime,
@@ -113,7 +114,8 @@ impl NaiveProfile {
 
     /// Makes this profile a copy of `base` without reallocating (one
     /// `memcpy` of the point list).
-    pub fn restore_from(&mut self, base: &NaiveProfile) {
+    #[cfg(test)]
+    pub(crate) fn restore_from(&mut self, base: &NaiveProfile) {
         self.capacity = base.capacity;
         self.points.clear();
         self.points.extend_from_slice(&base.points);
@@ -135,7 +137,8 @@ impl NaiveProfile {
     }
 
     /// Free processors at instant `t` (clamped to the origin on the left).
-    pub fn free_at(&self, t: SimTime) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn free_at(&self, t: SimTime) -> u32 {
         self.points[self.seg_index(t)].free
     }
 
@@ -245,7 +248,7 @@ impl NaiveProfile {
     /// followed by [`NaiveProfile::allocate`], but reuses the fit's
     /// segment index and inserts both new break points with a single tail
     /// shift instead of two `Vec::insert`s.
-    pub fn allocate_earliest(
+    pub(crate) fn allocate_earliest(
         &mut self,
         after: SimTime,
         duration: SimDuration,

@@ -146,16 +146,28 @@ pub struct Planner {
 struct Slot {
     profile: Profile,
     schedule: Schedule,
-    counts: RetainedCounts,
+    counts: SlotCounts,
 }
 
-/// How often the suffix path ran and how much [`Prune`] left unplaced,
-/// summed over policies — the two properties
-/// [`Planner::plan_retained_batch`] depends on. Diagnostic: tests assert
-/// the paths are not vacuous, and CHANGES.md records the shares.
+/// The [`PlanCounters`] one queue's passes write. Per slot, because
+/// fan-out workers plan their slots in parallel.
+#[derive(Clone, Copy, Debug, Default)]
+struct SlotCounts {
+    passes: u64,
+    suffix_passes: u64,
+    jobs: u64,
+    kept: u64,
+    pruned: u64,
+}
+
+/// What [`Planner::plan_retained_batch`] did, summed over the policies:
+/// how often the suffix path ran, how much [`Prune`] left unplaced, how
+/// often the rest bound stopped a pass and how much was shared.
+/// Diagnostic: tests assert the paths are not vacuous, and DESIGN §10
+/// records the shares.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RetainedCounts {
+pub struct PlanCounters {
     /// Per-policy passes through [`Planner::plan_retained_batch`].
     pub passes: u64,
     /// Those that kept a prefix and re-placed only the suffix.
@@ -167,6 +179,12 @@ pub struct RetainedCounts {
     /// Queue jobs never placed: what lay behind the point where a pass
     /// stopped because its plan had lost.
     pub pruned: u64,
+    /// Passes that stopped on the bound of the jobs they had not placed,
+    /// with the excess of those they had still under the limit.
+    pub rest_stops: u64,
+    /// Queue jobs passes took from the plan of another queue whose order
+    /// shares them, instead of placing them.
+    pub shared: u64,
 }
 
 /// How a pass under [`Prune`] weighs the time a job waits beyond the
@@ -542,7 +560,7 @@ impl Slot {
         Slot {
             profile: Profile::new(1, SimTime::ZERO),
             schedule: Schedule::default(),
-            counts: RetainedCounts::default(),
+            counts: SlotCounts::default(),
         }
     }
 
@@ -722,7 +740,7 @@ impl Planner {
     /// Call [`Planner::prepare`] first; the window is evaluated as it
     /// would be blocked out by the next `prepare` (clipped to start no
     /// earlier than one pad past the prepare instant).
-    pub fn window_fits(&self, start: SimTime, duration: SimDuration, width: u32) -> bool {
+    pub(crate) fn window_fits(&self, start: SimTime, duration: SimDuration, width: u32) -> bool {
         if width == 0 || width > self.base.capacity() {
             return false;
         }
@@ -752,7 +770,7 @@ impl Planner {
     /// [`Planner::plan_prepared`] into a caller-owned schedule, reusing
     /// its entry buffer (the self-tuning step keeps one schedule per
     /// candidate policy alive across events).
-    pub fn plan_prepared_into(&mut self, queue: &[Job], out: &mut Schedule) {
+    pub(crate) fn plan_prepared_into(&mut self, queue: &[Job], out: &mut Schedule) {
         self.claim_scratch(1);
         let scratch = &mut self.slots[0].profile;
         plan_full(&self.base, scratch, self.prepared_at, queue, out);
@@ -869,7 +887,7 @@ impl Planner {
     /// Plans every queue in `queues` against the prepared base, from
     /// scratch — the per-policy fan-out of the self-tuning step, and the
     /// entry without retention. With `workers <= 1` (or a single queue)
-    /// this is exactly a [`Planner::plan_prepared_into`] loop on one
+    /// this is exactly a `Planner::plan_prepared_into` loop on one
     /// working profile; otherwise the queues are split into contiguous
     /// runs across `std::thread::scope` workers, each pass narrowing its
     /// own queue's working profile. Returns the worker count actually
@@ -1020,10 +1038,15 @@ impl Planner {
         self.retained = 0;
     }
 
-    /// Suffix-path and pruning counters summed over the policies.
+    /// The planner's [`PlanCounters`], assembled from where each count is
+    /// kept.
     #[doc(hidden)]
-    pub fn retained_counts(&self) -> RetainedCounts {
-        let mut sum = RetainedCounts::default();
+    pub fn counters(&self) -> PlanCounters {
+        let mut sum = PlanCounters {
+            rest_stops: self.stopped.iter().map(|s| s.rest_stops).sum(),
+            shared: self.shared,
+            ..PlanCounters::default()
+        };
         for slot in &self.slots {
             sum.passes += slot.counts.passes;
             sum.suffix_passes += slot.counts.suffix_passes;
@@ -1032,22 +1055,6 @@ impl Planner {
             sum.pruned += slot.counts.pruned;
         }
         sum
-    }
-
-    /// How many passes stopped on the bound of the jobs they had not
-    /// placed, with the excess of those they had still under the limit.
-    /// Diagnostic, like [`Planner::retained_counts`].
-    #[doc(hidden)]
-    pub fn rest_stops(&self) -> u64 {
-        self.stopped.iter().map(|s| s.rest_stops).sum()
-    }
-
-    /// How many queue jobs passes took from the plan of another queue
-    /// whose order shares them, instead of placing them. Diagnostic, like
-    /// [`Planner::retained_counts`].
-    #[doc(hidden)]
-    pub fn shared_jobs(&self) -> u64 {
-        self.shared
     }
 
     /// Builds the full schedule for `queue` (already in policy order) at
@@ -1516,7 +1523,7 @@ mod tests {
         let mut p = Planner::new();
         p.prepare(4, t(12), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
-        assert_eq!(p.retained_counts().suffix_passes, 0, "nothing to keep yet");
+        assert_eq!(p.counters().suffix_passes, 0, "nothing to keep yet");
 
         // A later submission on the same base: FCFS keeps all 12, and
         // SJF and LJF between them keep 12 more (the new job splits the
@@ -1525,7 +1532,7 @@ mod tests {
         submit(&mut orders, &mut first, j(12, 13, 2, 90));
         p.prepare(4, t(13), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &first, 1);
-        let counts = p.retained_counts();
+        let counts = p.counters();
         assert_eq!(counts.suffix_passes, 3);
         assert_eq!(counts.kept, 24);
 
@@ -1533,7 +1540,7 @@ mod tests {
         let first: Vec<usize> = orders.iter().map(Vec::len).collect();
         p.prepare(4, t(13), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &first, 1);
-        assert_eq!(p.retained_counts().kept, 24 + 39);
+        assert_eq!(p.counters().kept, 24 + 39);
     }
 
     #[test]
@@ -1564,11 +1571,11 @@ mod tests {
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
         p.prepare(4, t(31), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
-        assert_eq!(p.retained_counts().suffix_passes, 0);
+        assert_eq!(p.counters().suffix_passes, 0);
         // Same instant, same base: now the claim is taken up.
         p.prepare(4, t(31), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
-        assert_eq!(p.retained_counts().suffix_passes, 3);
+        assert_eq!(p.counters().suffix_passes, 3);
     }
 
     #[test]
@@ -1587,7 +1594,7 @@ mod tests {
         assert_retained_matches_fresh(&mut p, &orders, &first, 1);
         // SJF keeps [1] and LJF keeps nothing ahead of the over-wide
         // job; FCFS (over-wide job first) falls back.
-        assert_eq!(p.retained_counts().suffix_passes, 1);
+        assert_eq!(p.counters().suffix_passes, 1);
 
         // Entries planned before `now` (the caller never started them)
         // are not kept either: the idle machine's base is the same
@@ -1599,7 +1606,7 @@ mod tests {
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
         p.prepare(4, t(6), &[], &[]);
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
-        assert_eq!(p.retained_counts().suffix_passes, 0);
+        assert_eq!(p.counters().suffix_passes, 0);
     }
 
     #[test]
@@ -1613,12 +1620,12 @@ mod tests {
         // Slot 0's profile is this pass's scratch.
         let _ = p.plan_prepared(&orders[1]);
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
-        assert_eq!(p.retained_counts().suffix_passes, 0);
+        assert_eq!(p.counters().suffix_passes, 0);
         p.drop_retained();
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
-        assert_eq!(p.retained_counts().suffix_passes, 0);
+        assert_eq!(p.counters().suffix_passes, 0);
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
-        assert_eq!(p.retained_counts().suffix_passes, 3);
+        assert_eq!(p.counters().suffix_passes, 3);
     }
 
     /// Twelve jobs behind a full machine, FCFS planned first: SJF and
@@ -1639,7 +1646,7 @@ mod tests {
         assert!(placed[1] < 12 && placed[2] < 12, "{placed:?}");
         assert!(placed[1] > 1 && placed[2] > 1, "{placed:?}");
         let pruned = (12 - placed[1]) + (12 - placed[2]);
-        assert_eq!(p.retained_counts().pruned, pruned as u64);
+        assert_eq!(p.counters().pruned, pruned as u64);
         (p, running, orders)
     }
 
@@ -1647,7 +1654,7 @@ mod tests {
     fn a_stopped_plan_is_kept_up_to_a_submission_ahead_of_or_behind_the_cut() {
         let (mut p, running, mut orders) = pruned_setup();
         let before: Vec<usize> = (0..3).map(|i| p.retained_schedule(i).len()).collect();
-        let pruned = p.retained_counts().pruned;
+        let pruned = p.counters().pruned;
         // The shortest job of all: position 0 of the SJF order, ahead of
         // where that pass stopped, and the last of the LJF order, behind
         // where that one did.
@@ -1661,7 +1668,7 @@ mod tests {
         // nothing; FCFS kept its twelve and placed the new job; SJF had
         // nothing in front of the new job to keep.
         assert_eq!(placed[2], before[2]);
-        let counts = p.retained_counts();
+        let counts = p.counters();
         assert_eq!(counts.suffix_passes, 2);
         assert_eq!(counts.kept, (12 + before[2]) as u64);
         assert!(counts.pruned > pruned);
@@ -1678,13 +1685,13 @@ mod tests {
         assert_eq!(placed[2], 12);
         // All three passes kept what their slots held; LJF's went on
         // from there.
-        let counts = p.retained_counts();
+        let counts = p.counters();
         assert_eq!(counts.suffix_passes, 3);
         assert!(counts.kept >= (12 + held) as u64);
         // And without a bound every plan is finished.
         p.prepare(4, t(12), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &all, 1);
-        assert_eq!(p.retained_counts().suffix_passes, 6);
+        assert_eq!(p.counters().suffix_passes, 6);
     }
 
     #[test]
@@ -1705,13 +1712,13 @@ mod tests {
         p.prepare(3, t(12), &running, &[]);
         let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.5)), 1);
         assert_eq!(placed[0], 9);
-        assert!(p.retained_counts().pruned > 0, "{placed:?}");
+        assert!(p.counters().pruned > 0, "{placed:?}");
         // Claiming everything unchanged, each slot is cut to what it
         // holds, and the id comparison refuses it at the skipped job.
         p.prepare(3, t(12), &running, &[]);
         let again = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((0, 0.5)), 1);
         assert_eq!(again, placed);
-        assert_eq!(p.retained_counts().suffix_passes, 0);
+        assert_eq!(p.counters().suffix_passes, 0);
     }
 
     /// The ids of each order.
@@ -1739,14 +1746,14 @@ mod tests {
         p.prepare(4, t(12), &running, &[]);
         let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.0)), 1);
         assert_eq!(placed, [12, 12, 12]);
-        assert_eq!(p.shared_jobs(), 24);
-        assert_eq!(p.retained_counts().pruned, 0);
+        assert_eq!(p.counters().shared, 24);
+        assert_eq!(p.counters().pruned, 0);
         // Planned on two threads, nothing is shared and both stop.
         let mut p = Planner::new();
         p.prepare(4, t(12), &running, &[]);
         let placed = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((0, 0.0)), 2);
         assert!(placed[1] < 12 && placed[2] < 12, "{placed:?}");
-        assert_eq!(p.shared_jobs(), 0);
+        assert_eq!(p.counters().shared, 0);
     }
 
     /// Four wide jobs of 500 s submitted first, then six short ones;
@@ -1782,7 +1789,7 @@ mod tests {
         assert!(placed[1] < 4, "{placed:?}");
         // Queue 2 started from those and, past the limit, placed no more.
         assert_eq!(placed[2], placed[1]);
-        assert_eq!(p.shared_jobs(), placed[1] as u64);
+        assert_eq!(p.counters().shared, placed[1] as u64);
         assert!(p.retained_excess(2).is_some());
     }
 
@@ -1792,7 +1799,7 @@ mod tests {
         let mut p = Planner::new();
         p.prepare(4, t(12), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
-        assert_eq!(p.shared_jobs(), 4);
+        assert_eq!(p.counters().shared, 4);
         // A job every queue plans last: queue 2 keeps its ten of its own
         // rather than queue 1's four.
         let late = j(10, 12, 1, 5);
@@ -1801,8 +1808,8 @@ mod tests {
         }
         p.prepare(4, t(12), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &[10; 3], 1);
-        assert_eq!(p.shared_jobs(), 4);
-        assert_eq!(p.retained_counts().kept, 30);
+        assert_eq!(p.counters().shared, 4);
+        assert_eq!(p.counters().kept, 30);
     }
 
     #[test]
@@ -1819,8 +1826,8 @@ mod tests {
         let mut p = Planner::new();
         p.prepare(4, t(7), &[], &[]);
         assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
-        assert_eq!(p.shared_jobs(), 3 + 5);
-        assert_eq!(p.retained_counts().suffix_passes, 0);
+        assert_eq!(p.counters().shared, 3 + 5);
+        assert_eq!(p.counters().suffix_passes, 0);
     }
 
     #[test]
@@ -1889,14 +1896,14 @@ mod tests {
         // the jobs placed are past the limit, a third of SJF's excess.
         let first = assert_pruned_matches_fresh(&mut p, &orders, &[0; 3], Some((1, 0.3)), 1);
         assert!(first[0] < 60 && first[2] < 60, "{first:?}");
-        assert_eq!(p.rest_stops(), 0);
+        assert_eq!(p.counters().rest_stops, 0);
         // The same queues on the same base under a limit three times as
         // high: the jobs they hold are under it now, so both ask at once
         // — and what they never placed keeps them stopped.
         p.prepare(8, t(10), &running, &[]);
         let resumed = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((1, 1.0)), 1);
         assert_eq!(resumed, first);
-        assert_eq!(p.rest_stops(), 2);
+        assert_eq!(p.counters().rest_stops, 2);
         // The running job is given longer: a new base, fresh passes —
         // which ask as they go now, and LJF's stops after one stretch.
         let running = [RunningJob {
@@ -1906,7 +1913,7 @@ mod tests {
         p.prepare(8, t(11), &running, &[]);
         let fresh = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((1, 1.0)), 1);
         assert_eq!((fresh[1], fresh[2]), (60, 8), "{fresh:?}");
-        assert_eq!(p.rest_stops(), 3);
+        assert_eq!(p.counters().rest_stops, 3);
         // Planned first, a queue is planned completely.
         p.prepare(8, t(11), &running, &[]);
         let turned = assert_pruned_matches_fresh(&mut p, &orders, &all, Some((0, 1.0)), 1);
@@ -2326,7 +2333,7 @@ mod tests {
                     p.prepare(machine, now, &running, book.all());
                     assert_pruned_matches_fresh(&mut p, orders, first, bound, workers);
                 }
-                prop_assert!(workers == 1 || p.shared_jobs() == 0);
+                prop_assert!(workers == 1 || p.counters().shared == 0);
                 complete.push(
                     (0..4)
                         .map(|i| p.retained_excess(i).map_or(Some(p.retained_schedule(i).entries.clone()), |_| None))

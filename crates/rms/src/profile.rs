@@ -3,7 +3,7 @@
 //!
 //! A profile is a piecewise-constant function of time. The planner
 //! queries it with [`Profile::earliest_fit`] and narrows it with
-//! [`Profile::allocate`] / [`Profile::allocate_earliest`].
+//! [`Profile::allocate`] / `Profile::allocate_earliest`.
 //!
 //! # Representation
 //!
@@ -11,7 +11,7 @@
 //! `frees[i]` the processors free from it to the next — and nothing else
 //! about the function. Struct-of-arrays because the fit sweep reads a
 //! free value at every step and a time only while it bounds a window,
-//! and because [`Profile::restore_from`], once per policy per event, is
+//! and because `Profile::restore_from`, once per policy per event, is
 //! then two flat `memcpy`s.
 //!
 //! [`Profile::earliest_fit`] is one binary search for the segment
@@ -26,7 +26,7 @@
 //! summaries used to sit here, and every smaller page size measured
 //! faster than the last, down to none (DESIGN §10 has the sweep). What
 //! does go sublinear is the query *stream*, through the dominance memo
-//! of [`Profile::allocate_earliest`].
+//! of `Profile::allocate_earliest`.
 //!
 //! Updates reuse the fit's indices and `Vec::insert` the missing break
 //! points. List scheduling places most jobs at the frontier of the plan,
@@ -136,7 +136,7 @@ impl Profile {
     /// # Panics
     /// Panics if the spans overcommit the machine at any instant (as the
     /// allocate loop does) or if `capacity` is zero.
-    pub fn rebuild_from_spans(
+    pub(crate) fn rebuild_from_spans(
         &mut self,
         capacity: u32,
         origin: SimTime,
@@ -182,7 +182,7 @@ impl Profile {
     /// Makes this profile a copy of `base` without reallocating: the
     /// planner builds the running-jobs base once per event and every
     /// policy's planning pass starts from a restored copy.
-    pub fn restore_from(&mut self, base: &Profile) {
+    pub(crate) fn restore_from(&mut self, base: &Profile) {
         self.capacity = base.capacity;
         self.times.clear();
         self.times.extend_from_slice(&base.times);
@@ -208,12 +208,12 @@ impl Profile {
     }
 
     /// The break points in time order. Allocates; not for hot paths.
-    pub fn to_points(&self) -> Vec<ProfilePoint> {
+    pub(crate) fn to_points(&self) -> Vec<ProfilePoint> {
         self.iter_points().collect()
     }
 
     /// Iterates the break points in time order.
-    pub fn iter_points(&self) -> impl Iterator<Item = ProfilePoint> + '_ {
+    pub(crate) fn iter_points(&self) -> impl Iterator<Item = ProfilePoint> + '_ {
         self.points_from(0)
     }
 
@@ -228,7 +228,8 @@ impl Profile {
     }
 
     /// Free processors at instant `t` (clamped to the origin on the left).
-    pub fn free_at(&self, t: SimTime) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn free_at(&self, t: SimTime) -> u32 {
         self.frees[self.seg_index(t)]
     }
 
@@ -398,7 +399,7 @@ impl Profile {
     }
 
     /// Gives back a rectangle reserved by [`Profile::allocate`] or
-    /// [`Profile::allocate_earliest`] with the same arguments: the exact
+    /// `Profile::allocate_earliest` with the same arguments: the exact
     /// inverse as a function of time, in any order. Break points the
     /// rectangle no longer needs are coalesced away. Widening invalidates
     /// the dominance memo, which is cleared; `remember_fit` re-seeds it.
@@ -452,7 +453,7 @@ impl Profile {
     /// holds no fit for the slot's query, so a later query may use it
     /// only if it, too, must start no earlier (`after >= slot.after`) —
     /// otherwise the skipped prefix could hide a legitimate earlier fit.
-    pub fn allocate_earliest(
+    pub(crate) fn allocate_earliest(
         &mut self,
         after: SimTime,
         duration: SimDuration,

@@ -35,7 +35,7 @@ impl Reservation {
     }
 
     /// True when the reservation still overlaps `[now, ∞)`.
-    pub fn active_at(&self, now: SimTime) -> bool {
+    pub(crate) fn active_at(&self, now: SimTime) -> bool {
         self.end() > now
     }
 }
@@ -121,7 +121,7 @@ impl ReservationBook {
 
     /// Drops reservations that ended at or before `now`; returns how many
     /// were removed.
-    pub fn expire(&mut self, now: SimTime) -> usize {
+    pub(crate) fn expire(&mut self, now: SimTime) -> usize {
         let before = self.reservations.len();
         self.reservations.retain(|r| r.active_at(now));
         before - self.reservations.len()
@@ -135,17 +135,6 @@ impl ReservationBook {
     /// All reservations in the book.
     pub fn all(&self) -> &[Reservation] {
         &self.reservations
-    }
-
-    /// Total processor-seconds currently booked from `now` on (clipping
-    /// windows that already began).
-    pub fn booked_area(&self, now: SimTime) -> f64 {
-        self.active(now)
-            .map(|r| {
-                let start = r.start.max(now);
-                r.end().saturating_since(start).as_secs_f64() * r.width as f64
-            })
-            .sum()
     }
 
     /// Appends the book's exact state — windows *and* the id counter — to
@@ -218,16 +207,6 @@ mod tests {
         assert_eq!(book.active(t(50)).count(), 2);
         assert_eq!(book.active(t(100)).count(), 1); // first ended exactly
         assert_eq!(book.active(t(700)).count(), 0);
-    }
-
-    #[test]
-    fn booked_area_clips_started_windows() {
-        let mut book = ReservationBook::new();
-        book.add(t(0), d(100), 2); // 200 proc-s total
-        book.add(t(200), d(10), 10); // 100 proc-s
-                                     // At t=50 the first window has 50 s left → 100 + 100.
-        assert!((book.booked_area(t(50)) - 200.0).abs() < 1e-9);
-        assert!((book.booked_area(t(0)) - 300.0).abs() < 1e-9);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! across policies.
 
 use crate::state::RunningJob;
-use dynp_des::{SimDuration, SimTime};
+use dynp_des::SimTime;
 use dynp_workload::Job;
 
 /// A waiting job with its planned start time.
@@ -24,11 +24,6 @@ impl PlannedJob {
     /// planner reserves estimates; jobs are killed at the estimate).
     pub fn planned_end(&self) -> SimTime {
         self.start.saturating_add(self.job.estimate)
-    }
-
-    /// Planned wait time from submission to planned start.
-    pub fn planned_wait(&self) -> SimDuration {
-        self.start.saturating_since(self.job.submit)
     }
 }
 
@@ -56,14 +51,6 @@ impl Schedule {
     /// True when nothing is planned.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Looks a planned start up by job id.
-    pub fn start_of(&self, job: &Job) -> Option<SimTime> {
-        self.entries
-            .iter()
-            .find(|e| e.job.id == job.id)
-            .map(|e| e.start)
     }
 
     /// Jobs whose planned start is at or before `now` — the jobs the RMS
@@ -137,6 +124,7 @@ impl Schedule {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynp_des::SimDuration;
     use dynp_workload::JobId;
 
     fn j(id: u32, submit_s: u64, width: u32, est_s: u64) -> Job {
@@ -157,10 +145,9 @@ mod tests {
     }
 
     #[test]
-    fn planned_job_derived_quantities() {
+    fn planned_end_adds_the_estimate() {
         let e = planned(j(0, 10, 2, 100), 40);
         assert_eq!(e.planned_end(), SimTime::from_secs(140));
-        assert_eq!(e.planned_wait(), SimDuration::from_secs(30));
     }
 
     #[test]
@@ -171,7 +158,6 @@ mod tests {
         let due: Vec<u32> = s.due(SimTime::from_secs(5)).map(|e| e.job.id.0).collect();
         assert_eq!(due, vec![0]);
         assert_eq!(s.horizon(), SimTime::from_secs(60));
-        assert_eq!(s.start_of(&j(1, 0, 1, 10)), Some(SimTime::from_secs(50)));
     }
 
     #[test]

@@ -44,7 +44,6 @@ use crate::api::{
     Command, OverloadReason, QuotaConfig, Reply, ServiceConfig, ServiceReport, ServiceStatus,
     SubmitError, SubmitSpec, Ticket,
 };
-use crate::cli::render_scheduler;
 use crate::journal::{
     load_latest_checkpoint, read_journal, repair_torn_tail, write_checkpoint, JournalError,
     JournalRecord, JournalWriter, ServiceCheckpoint, ServiceCounters,
@@ -53,6 +52,7 @@ use crate::session::{jobs_of_records, service_fingerprint, validate_replay_suffi
 use dynp_des::{EngineSnapshot, EventClock, ReplaySource, SimTime, Tick, WallClockSource};
 use dynp_obs::TraceEvent;
 use dynp_rms::{AdmissionConfig, Scheduler};
+use dynp_sim::render_scheduler;
 use dynp_sim::shard::{Event, ShardCore};
 use dynp_workload::{FaultPlan, Job, JobId};
 use std::collections::HashMap;

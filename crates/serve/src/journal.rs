@@ -71,17 +71,17 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a journal segment.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"DYNPJRNL";
+pub(crate) const JOURNAL_MAGIC: &[u8; 8] = b"DYNPJRNL";
 /// Current journal format version.
-pub const JOURNAL_VERSION: u32 = 1;
+pub(crate) const JOURNAL_VERSION: u32 = 1;
 /// Magic prefix of a checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"DYNPCKPT";
+pub(crate) const CHECKPOINT_MAGIC: &[u8; 8] = b"DYNPCKPT";
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub(crate) const CHECKPOINT_VERSION: u32 = 1;
 
 /// Default rotation threshold: start a new segment once the current one
 /// exceeds 1 MiB.
-pub const DEFAULT_ROTATE_BYTES: u64 = 1 << 20;
+pub(crate) const DEFAULT_ROTATE_BYTES: u64 = 1 << 20;
 
 const REC_SUBMIT: u8 = 1;
 const REC_CANCEL: u8 = 2;
@@ -367,12 +367,12 @@ fn iofail(path: &Path, e: std::io::Error) -> JournalError {
 }
 
 /// Path of journal segment `segment` in `dir`.
-pub fn segment_path(dir: &Path, segment: u32) -> PathBuf {
+pub(crate) fn segment_path(dir: &Path, segment: u32) -> PathBuf {
     dir.join(format!("journal-{segment:06}.wal"))
 }
 
 /// Path of the checkpoint taken at journal seq `seq` in `dir`.
-pub fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
+pub(crate) fn checkpoint_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("checkpoint-{seq:010}.ckpt"))
 }
 
@@ -567,7 +567,11 @@ impl JournalWriter {
     }
 
     /// Journals an accepted cancellation; see [`JournalWriter::append`].
-    pub fn append_cancel(&mut self, stamp: SimTime, job: u32) -> Result<Appended, JournalError> {
+    pub(crate) fn append_cancel(
+        &mut self,
+        stamp: SimTime,
+        job: u32,
+    ) -> Result<Appended, JournalError> {
         let seq = self.next_seq;
         self.append(&JournalRecord::Cancel { seq, stamp, job })
     }
@@ -1004,7 +1008,7 @@ pub struct ServiceCheckpoint {
 }
 
 /// Serializes a checkpoint into its framed on-disk form.
-pub fn encode_checkpoint(ckpt: &ServiceCheckpoint) -> Vec<u8> {
+pub(crate) fn encode_checkpoint(ckpt: &ServiceCheckpoint) -> Vec<u8> {
     let mut p = ByteWriter::new();
     p.u32(ckpt.machine_size);
     encode_engine(&ckpt.engine, &mut p);
@@ -1049,7 +1053,7 @@ pub fn encode_checkpoint(ckpt: &ServiceCheckpoint) -> Vec<u8> {
 
 /// Decodes a checkpoint, verifying magic, version, and checksum before
 /// touching the payload.
-pub fn decode_checkpoint(bytes: &[u8]) -> Result<ServiceCheckpoint, CodecError> {
+pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<ServiceCheckpoint, CodecError> {
     let mut r = ByteReader::new(bytes);
     if r.raw(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
         return Err(CodecError::Invalid {
@@ -1136,7 +1140,7 @@ pub fn write_checkpoint(dir: &Path, ckpt: &ServiceCheckpoint) -> Result<u64, Jou
 /// valid state (a checkpoint only counts once atomically renamed), so
 /// the sweep is pure garbage collection; recovery runs it so crashes
 /// don't accumulate `.ckpt.tmp` litter.
-pub fn sweep_checkpoint_temps(dir: &Path) -> Result<(), JournalError> {
+pub(crate) fn sweep_checkpoint_temps(dir: &Path) -> Result<(), JournalError> {
     for entry in fs::read_dir(dir).map_err(|e| iofail(dir, e))? {
         let path = entry.map_err(|e| iofail(dir, e))?.path();
         let is_tmp = path

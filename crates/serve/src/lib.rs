@@ -45,18 +45,14 @@ pub use api::{
     Command, OverloadReason, QuotaConfig, Reply, ServiceConfig, ServiceReport, ServiceStatus,
     SubmitError, SubmitSpec, Ticket,
 };
-pub use cli::{parse_scheduler, render_scheduler};
 pub use daemon::{recover, spawn, RecoverError, ServiceHandle};
+pub use dynp_sim::{parse_scheduler, render_scheduler};
 pub use journal::{
-    load_latest_checkpoint, read_journal, read_journal_header, repair_torn_tail,
-    sweep_checkpoint_temps, FsyncPolicy, JournalDir, JournalError, JournalHeader, JournalRecord,
-    JournalWriter,
+    load_latest_checkpoint, read_journal, read_journal_header, repair_torn_tail, FsyncPolicy,
+    JournalDir, JournalError, JournalHeader, JournalRecord, JournalWriter,
 };
 pub use proto::{parse_request, read_request_line, render_reply, render_summary, Request};
-pub use session::{
-    jobs_of_records, replay_records, replay_session, service_fingerprint, session_machine_size,
-    session_scheduler, validate_replay_suffix, ReplayError, SessionReplay,
-};
+pub use session::{replay_records, replay_session, ReplayError, SessionReplay};
 
 #[cfg(test)]
 mod tests {

@@ -36,10 +36,10 @@ use std::io::{self, BufRead, Read};
 
 /// Longest request line a transport accepts, newline included (the
 /// longest legitimate request is under 200 bytes).
-pub const MAX_REQUEST_BYTES: usize = 4096;
+pub(crate) const MAX_REQUEST_BYTES: usize = 4096;
 
 /// Reads the next request line, `None` at end of input. A line over
-/// [`MAX_REQUEST_BYTES`] is an `InvalidData` error after that many bytes,
+/// `MAX_REQUEST_BYTES` is an `InvalidData` error after that many bytes,
 /// however long the line goes on; the caller answers it and drops the
 /// transport. Bytes that are not UTF-8 are replaced, so the line fails
 /// to parse instead of failing to read.

@@ -69,7 +69,9 @@ impl From<JournalError> for ReplayError {
 /// Reconstructs the service job table from a record sequence. Also used
 /// by recovery to rebuild per-user state. Returns `(jobs, users)`,
 /// parallel vectors indexed by job id.
-pub fn jobs_of_records(records: &[JournalRecord]) -> Result<(Vec<Job>, Vec<u32>), ReplayError> {
+pub(crate) fn jobs_of_records(
+    records: &[JournalRecord],
+) -> Result<(Vec<Job>, Vec<u32>), ReplayError> {
     let mut jobs = Vec::new();
     let mut users = Vec::new();
     for rec in records {
@@ -117,7 +119,7 @@ pub fn jobs_of_records(records: &[JournalRecord]) -> Result<(Vec<Job>, Vec<u32>)
 /// in the suffix or inside the checkpoint. Records below `first_seq`
 /// are already inside the checkpoint and may start at any job id (a
 /// compacted journal's surviving prefix does).
-pub fn validate_replay_suffix(
+pub(crate) fn validate_replay_suffix(
     records: &[JournalRecord],
     first_seq: u64,
     mut next_job: u32,
@@ -150,7 +152,7 @@ pub fn validate_replay_suffix(
 /// and a never-killed daemon drain to the same fingerprint, and so does
 /// the batch replay of their journal. `None` when the scheduler does
 /// not support snapshotting.
-pub fn service_fingerprint(
+pub(crate) fn service_fingerprint(
     core: &ShardCore,
     scheduler: &dyn Scheduler,
     mut entries: Vec<(SimTime, u64, Event)>,
@@ -180,7 +182,7 @@ pub fn service_fingerprint(
 pub struct SessionReplay {
     /// The finished run, measured exactly like a batch simulation.
     pub run: DetailedRun,
-    /// Drain-time service fingerprint (see [`service_fingerprint`]).
+    /// Drain-time service fingerprint (see `service_fingerprint`).
     pub fingerprint: Option<u128>,
     /// Journaled submissions.
     pub accepted: u64,
@@ -250,20 +252,8 @@ pub fn replay_records(
 /// (same starts, same completions, same SLDwA). `dir` is a journal
 /// directory; the machine size comes from the segment headers. The
 /// scheduler must match the recipe the daemon ran (also recorded in the
-/// headers — [`session_scheduler`] reads it back).
+/// headers, as [`crate::journal::JournalDir::scheduler`]).
 pub fn replay_session(dir: &Path, spec: &SchedulerSpec) -> Result<SessionReplay, ReplayError> {
     let journal = read_journal(dir)?;
     replay_records(journal.machine_size, &journal.records, spec)
-}
-
-/// Reads the machine size from a session journal's headers (for tools
-/// that inspect journals without replaying them).
-pub fn session_machine_size(dir: &Path) -> Result<u32, ReplayError> {
-    Ok(read_journal(dir)?.machine_size)
-}
-
-/// Reads the scheduler spec spelling the daemon recorded in the journal
-/// headers (parse with [`crate::parse_scheduler`]).
-pub fn session_scheduler(dir: &Path) -> Result<String, ReplayError> {
-    Ok(read_journal(dir)?.scheduler)
 }

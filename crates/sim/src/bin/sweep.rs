@@ -7,52 +7,12 @@
 //!     --scheduler easy --scheduler dynp:advanced --quick
 //! ```
 //!
-//! Scheduler syntax:
-//!
-//! | spec                         | meaning                                   |
-//! |------------------------------|-------------------------------------------|
-//! | `FCFS` / `SJF` / `LJF` / `SAF` / `LAF` | static policy (planning)        |
-//! | `easy` / `easy:SJF`          | EASY backfilling (queue order)            |
-//! | `dynp:simple`                | dynP with the simple decider              |
-//! | `dynp:advanced`              | dynP with the advanced decider            |
-//! | `dynp:preferred:SJF`         | dynP, SJF-preferred decider               |
-//! | `dynp:preferred:SJF:0.05`    | …with a 5 % "clearly better" threshold    |
+//! Scheduler syntax: see [`dynp_sim::parse_scheduler`] (`dynp` alone is
+//! `dynp:advanced`).
 
-use dynp_core::DeciderKind;
-use dynp_rms::Policy;
 use dynp_sim::cli::CommonArgs;
 use dynp_sim::report::{num, Table};
-use dynp_sim::{Experiment, SchedulerSpec};
-
-fn parse_scheduler(spec: &str) -> Result<SchedulerSpec, String> {
-    let parts: Vec<&str> = spec.split(':').collect();
-    match parts.as_slice() {
-        [p] if Policy::parse(p).is_some() => Ok(SchedulerSpec::Static(Policy::parse(p).unwrap())),
-        ["easy"] => Ok(SchedulerSpec::Easy(Policy::Fcfs)),
-        ["easy", p] => Policy::parse(p)
-            .map(SchedulerSpec::Easy)
-            .ok_or_else(|| format!("unknown policy {p:?}")),
-        ["dynp", "simple"] => Ok(SchedulerSpec::dynp(DeciderKind::Simple)),
-        ["dynp", "advanced"] => Ok(SchedulerSpec::dynp(DeciderKind::Advanced)),
-        ["dynp", "preferred", p] => Policy::parse(p)
-            .map(|policy| {
-                SchedulerSpec::dynp(DeciderKind::Preferred {
-                    policy,
-                    threshold: 0.0,
-                })
-            })
-            .ok_or_else(|| format!("unknown policy {p:?}")),
-        ["dynp", "preferred", p, th] => {
-            let policy = Policy::parse(p).ok_or_else(|| format!("unknown policy {p:?}"))?;
-            let threshold: f64 = th.parse().map_err(|_| format!("bad threshold {th:?}"))?;
-            Ok(SchedulerSpec::dynp(DeciderKind::Preferred {
-                policy,
-                threshold,
-            }))
-        }
-        _ => Err(format!("unrecognized scheduler spec {spec:?}")),
-    }
-}
+use dynp_sim::{parse_scheduler, Experiment, SchedulerSpec};
 
 fn main() {
     let args = CommonArgs::parse();

@@ -37,7 +37,7 @@
 
 use dynp_core::table1;
 use dynp_core::EPSILON;
-use dynp_des::{Histogram, OnlineStats};
+use dynp_metrics::LatencyHistogram;
 use dynp_obs::{parse_jsonl, ParsedEvent, ParsedRecord};
 use dynp_sim::cli::CommonArgs;
 use dynp_sim::svg::{write_switch_timeline, SwitchBand};
@@ -191,18 +191,10 @@ fn summarize(records: &[ParsedRecord]) {
 
 /// Wall-clock histograms of every span name and per-policy plan build.
 fn phase_histograms(records: &[ParsedRecord]) {
-    // Key → (streaming stats, log-spaced histogram over microseconds).
-    let mut phases: BTreeMap<String, (OnlineStats, Histogram)> = BTreeMap::new();
-    let mut push = |key: String, dur_ns: u64| {
-        let us = dur_ns as f64 / 1_000.0;
-        let entry = phases
-            .entry(key)
-            // 0.1 µs … ~26 s in half-decade steps: covers a single event
-            // dispatch up to a full replan on a deep queue.
-            .or_insert_with(|| (OnlineStats::new(), Histogram::logarithmic(0.1, 3.0, 18)));
-        entry.0.push(us);
-        entry.1.push(us);
-    };
+    // Key → histogram of durations in nanoseconds (≈ 3 % quantile error,
+    // exact count, mean and max).
+    let mut phases: BTreeMap<String, LatencyHistogram> = BTreeMap::new();
+    let mut push = |key: String, dur_ns: u64| phases.entry(key).or_default().record(dur_ns);
     // How many plan builds ran at each fan-out worker count: per-policy
     // `plan:*` durations overlap in wall time when workers > 1, so the
     // extra `plan:wall` phase divides each build by its worker count —
@@ -241,23 +233,17 @@ fn phase_histograms(records: &[ParsedRecord]) {
     }
     println!("phase times [µs]:");
     println!("  phase           count       mean     p50≤     p90≤     p99≤       max");
-    for (name, (stats, hist)) in &phases {
-        // quantile_bound is None when the quantile lands in the
-        // overflow bucket; the observed max bounds it from above.
-        let q = |q: f64| {
-            hist.quantile_bound(q)
-                .or(stats.max())
-                .map_or_else(|| "—".into(), |b| format!("{b:.1}"))
-        };
+    let us = |ns: u64| ns as f64 / 1_000.0;
+    for (name, hist) in &phases {
         println!(
-            "  {:<14} {:>6} {:>10.1} {:>8} {:>8} {:>8} {:>9.1}",
+            "  {:<14} {:>6} {:>10.1} {:>8.1} {:>8.1} {:>8.1} {:>9.1}",
             name,
-            stats.count(),
-            stats.mean(),
-            q(0.5),
-            q(0.9),
-            q(0.99),
-            stats.max().unwrap_or(0.0)
+            hist.count(),
+            hist.mean() / 1_000.0,
+            us(hist.quantile(0.5)),
+            us(hist.quantile(0.9)),
+            us(hist.quantile(0.99)),
+            us(hist.max())
         );
     }
 }

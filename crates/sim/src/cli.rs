@@ -119,7 +119,7 @@ impl CommonArgs {
     }
 
     /// Parses an explicit argument list (testable).
-    pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, String> {
+    pub(crate) fn parse_from(args: impl IntoIterator<Item = String>) -> Result<CommonArgs, String> {
         let mut out = CommonArgs::default();
         let mut selected: Vec<TraceModel> = Vec::new();
         let mut it = args.into_iter();
@@ -235,7 +235,7 @@ impl CommonArgs {
     /// The effective trace level: an explicit `--trace-level` wins;
     /// `--trace-out` alone defaults to
     /// [`TraceLevel::Decisions`]; neither means off.
-    pub fn effective_trace_level(&self) -> TraceLevel {
+    pub(crate) fn effective_trace_level(&self) -> TraceLevel {
         match (self.trace_level, &self.trace_out) {
             (Some(level), _) => level,
             (None, Some(_)) => TraceLevel::Decisions,

@@ -37,13 +37,13 @@ use dynp_rms::{RejectReason, Reservation, RmsState, SchedulerSnapshot};
 use dynp_workload::JobId;
 
 /// Magic prefix of a serialized [`SimSnapshot`].
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"DYNPSNAP";
+pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"DYNPSNAP";
 /// Current snapshot format version. Version 2 added the feed cursors;
 /// version 1 is still read.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
 /// Appends one event, tag byte first.
-pub fn encode_event(ev: &Event, w: &mut ByteWriter) {
+pub(crate) fn encode_event(ev: &Event, w: &mut ByteWriter) {
     match *ev {
         Event::Arrive(id) => {
             w.u8(1);
@@ -105,7 +105,7 @@ pub fn encode_event(ev: &Event, w: &mut ByteWriter) {
 }
 
 /// Decodes one event written by [`encode_event`].
-pub fn decode_event(r: &mut ByteReader<'_>) -> Result<Event, CodecError> {
+pub(crate) fn decode_event(r: &mut ByteReader<'_>) -> Result<Event, CodecError> {
     Ok(match r.u8()? {
         1 => Event::Arrive(JobId(r.u32()?)),
         2 => Event::Finish(JobId(r.u32()?), r.u32()?),

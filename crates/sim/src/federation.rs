@@ -1,11 +1,11 @@
 //! Sharded multi-cluster federation: per-shard event loops with
 //! deterministic cross-shard routing.
 //!
-//! A federation runs `N` clusters, each a [`ClusterShard`] — the full
+//! A federation runs `N` clusters, each a `ClusterShard` — the full
 //! single-cluster driver state (RMS state, scheduler, admission
 //! controller, fault handling, reservation book) behind its own event
 //! queue. The executor advances all shards in lockstep *epochs* of width
-//! `Δ = ` [`LinkModel::min_latency`]: at each epoch barrier it runs the
+//! `Δ = ` `LinkModel::min_latency`: at each epoch barrier it runs the
 //! sequential federation logic (routing arriving jobs to clusters,
 //! optionally migrating waiting jobs), then lets every shard process its
 //! own events up to the epoch horizon — independently, so shards can run
@@ -50,7 +50,7 @@
 //! epochs exist — via [`dynp_des::Engine::schedule_seeded`] with the
 //! job's dense global id as rank. Reservation requests and outages take
 //! the rank ranges after and reach each shard's heap through the same
-//! feed as in the single-cluster driver (see [`ClusterShard::new`]).
+//! feed as in the single-cluster driver (see `ClusterShard::new`).
 //! Seeded ranks sort below every dynamic sequence number at equal
 //! instants, so a 1-cluster federation dispatches exactly the sequence
 //! of [`crate::simulate_chaos`] and is bit-identical to it.
@@ -99,7 +99,7 @@ impl LinkModel {
     ///
     /// # Panics
     /// Panics on a zero latency: a zero-width epoch cannot make progress.
-    pub fn min_latency(&self) -> SimDuration {
+    pub(crate) fn min_latency(&self) -> SimDuration {
         let latency = match *self {
             LinkModel::Constant { latency } => latency,
             LinkModel::SharedBandwidth { latency, .. } => latency,

@@ -28,7 +28,7 @@ pub mod shard;
 pub mod spec;
 pub mod svg;
 
-pub use codec::{decode_snapshot, encode_snapshot, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
+pub use codec::{decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};
 pub use experiment::{Cell, CellResult, Experiment, ExperimentResult, FaultLoad, ReservationLoad};
 pub use federation::{
     run_federation, ClusterSpec, FederationConfig, FederationResult, LinkModel, RoutePolicy,
@@ -39,4 +39,4 @@ pub use runner::{
     ChaosDriver, DetailedRun, ReservationReport, RunObservations, RunResult, SimSnapshot,
 };
 pub use shard::{CoreSnapshot, Event, ShardCore};
-pub use spec::SchedulerSpec;
+pub use spec::{parse_scheduler, render_scheduler, SchedulerSpec};

@@ -84,7 +84,7 @@ pub struct Table4Ref {
 }
 
 /// The paper's Table 4 (data behind Figures 1 and 2).
-pub const TABLE4: [Table4Ref; 20] = [
+pub(crate) const TABLE4: [Table4Ref; 20] = [
     Table4Ref {
         trace: "CTC",
         factor: 1.0,
@@ -224,7 +224,7 @@ pub struct Table5Ref {
 /// The paper's Table 5 (data behind Figures 3 and 4). The advanced-
 /// decider utilization at KTH/0.7 is blank in the paper; it is
 /// reconstructed from the printed −0.22 %-point difference.
-pub const TABLE5: [Table5Ref; 20] = [
+pub(crate) const TABLE5: [Table5Ref; 20] = [
     Table5Ref {
         trace: "CTC",
         factor: 1.0,

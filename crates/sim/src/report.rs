@@ -79,7 +79,7 @@ impl Table {
 
     /// Renders as CSV (RFC-4180-ish; cells with commas or quotes are
     /// quoted).
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let esc = |s: &str| -> String {
             if s.contains(',') || s.contains('"') || s.contains('\n') {
                 format!("\"{}\"", s.replace('"', "\"\""))
@@ -103,28 +103,6 @@ impl Table {
                 "{}",
                 row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
             );
-        }
-        out
-    }
-
-    /// Renders as a GitHub-flavored markdown table.
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        if !self.title.is_empty() {
-            let _ = writeln!(out, "### {}\n", self.title);
-        }
-        let _ = writeln!(out, "| {} |", self.headers.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.headers
-                .iter()
-                .map(|_| "---")
-                .collect::<Vec<_>>()
-                .join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
         }
         out
     }
@@ -165,7 +143,7 @@ impl FigureData {
     }
 
     /// Renders as a gnuplot-ready data block with a comment header.
-    pub fn to_dat(&self) -> String {
+    pub(crate) fn to_dat(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "# {}", self.title);
         let _ = writeln!(out, "# x {}", self.series.join(" "));
@@ -185,7 +163,7 @@ impl FigureData {
         std::fs::write(dir.join(format!("{name}.dat")), self.to_dat())
     }
 
-    /// Parses a data block produced by [`FigureData::to_dat`] (used by
+    /// Parses a data block produced by `FigureData::to_dat` (used by
     /// the `figures` binary to re-render stored results as SVG).
     pub fn from_dat(text: &str) -> Result<FigureData, String> {
         let mut lines = text.lines();
@@ -280,13 +258,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"x,y\""));
         assert!(csv.contains("\"say \"\"hi\"\"\""));
-    }
-
-    #[test]
-    fn markdown_has_separator() {
-        let md = sample().to_markdown();
-        assert!(md.contains("|---|---|---|"));
-        assert!(md.contains("| CTC | 2.61 | 76.20 |"));
     }
 
     #[test]

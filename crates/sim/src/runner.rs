@@ -12,10 +12,11 @@
 //! reservation requests are feasibility-checked at their submission
 //! instant (admit iff the window fits the free capacity *and* no
 //! already-promised job start slips past its guarantee), admitted windows
-//! enter the [`RmsState`]'s book so every later plan routes around them,
-//! and window start/end/cancel become events of their own. With an empty
-//! request stream the event sequence — and therefore every schedule and
-//! metric — is bit-identical to [`simulate_detailed`].
+//! enter the book of the [`RmsState`](dynp_rms::RmsState) so every later
+//! plan routes around them, and window start/end/cancel become events of
+//! their own. With an empty request stream the event sequence — and
+//! therefore every schedule and metric — is bit-identical to
+//! [`simulate_detailed`].
 //!
 //! [`simulate_chaos`] finally adds the fault axis: a deterministic
 //! [`FaultPlan`] injects node outages and per-job first-attempt failures.
@@ -122,14 +123,14 @@ pub fn simulate_detailed(set: &JobSet, scheduler: &mut dyn Scheduler) -> Detaile
 /// stream interleaved with the job submissions.
 ///
 /// Each request is decided at its submission instant by the
-/// [`AdmissionController`]: the window must fit the base profile (running
-/// jobs + already admitted windows), and planning around it must not push
-/// any already-promised job start past its guarantee (plus
-/// `admission.guarantee_slack`). Admitted windows enter the state's
-/// reservation book, so every subsequent plan — incremental, reference or
-/// EASY — routes the batch jobs around them; they leave the book when
-/// they end or are cancelled, and the book is pruned of expired windows
-/// before every admission decision.
+/// [`AdmissionController`](dynp_rms::AdmissionController): the window
+/// must fit the base profile (running jobs + already admitted windows),
+/// and planning around it must not push any already-promised job start
+/// past its guarantee (plus `admission.guarantee_slack`). Admitted
+/// windows enter the state's reservation book, so every subsequent plan —
+/// incremental, reference or EASY — routes the batch jobs around them;
+/// they leave the book when they end or are cancelled, and the book is
+/// pruned of expired windows before every admission decision.
 ///
 /// With `requests` empty this is exactly [`simulate_detailed`]: the same
 /// events in the same order, bit-identical schedules and metrics.
@@ -183,10 +184,11 @@ pub fn simulate_traced(
 ///
 /// Fault semantics:
 ///
-/// * a `NodeDown` shrinks [`RmsState::plan_capacity`], evicts the node's
-///   occupant (if any) and repairs the reservation book — windows that no
-///   longer fit the degraded machine are downgraded to the widest width
-///   that still fits or revoked outright;
+/// * a `NodeDown` shrinks
+///   [`RmsState::plan_capacity`](dynp_rms::RmsState::plan_capacity),
+///   evicts the node's occupant (if any) and repairs the reservation
+///   book — windows that no longer fit the degraded machine are
+///   downgraded to the widest width that still fits or revoked outright;
 /// * failed attempts are resubmitted after exponential backoff
 ///   (`faults.retry`) until the budget is spent; the job then leaves the
 ///   system in the typed `Lost` state;
@@ -269,7 +271,7 @@ pub struct ChaosDriver<'a> {
 
 impl<'a> ChaosDriver<'a> {
     /// Builds the driver over its three exogenous streams. Their events
-    /// are fed into the heap as they come due (see [`crate::feed`]) with
+    /// are fed into the heap as they come due (see `crate::feed`) with
     /// the tie-break ranks of the seeding order — arrivals first, so that
     /// at equal instants a job enters the queue before a window is judged
     /// against it; then reservation requests; then outages, `NodeDown`
@@ -780,7 +782,6 @@ mod tests {
         assert_eq!(st.admitted, st.honored + st.cancelled);
         assert_eq!(st.rejected() + st.admitted, st.requests);
         assert!(st.admitted_area_pms <= st.requested_area_pms);
-        assert!(st.admitted_area() <= st.requested_area());
     }
 
     #[test]
@@ -848,7 +849,6 @@ mod tests {
         // Wait is measured from the ORIGINAL submission: start 350.
         assert!((d.result.metrics.avg_wait_secs - 350.0).abs() < 1e-9);
         assert_eq!(d.faults.downtime_ms, 10_000);
-        assert!((d.faults.downtime_secs() - 10.0).abs() < 1e-12);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   admission controller, attempt counters, fault statistics,
 //!   observation clocks, reservation report) and the event handler that
 //!   was previously a closure inside `simulate_chaos`,
-//! * [`ClusterShard`] — a core plus its own [`Engine`], scheduler and
+//! * `ClusterShard` — a core plus its own [`Engine`], scheduler and
 //!   exogenous streams, advanced epoch-by-epoch by the federation
 //!   executor.
 //!
@@ -23,7 +23,7 @@
 //! ## Seeded event ranks
 //!
 //! Exogenous events reach either engine through the one
-//! [`ExoFeed`](crate::feed), which pushes them with
+//! `ExoFeed`, which pushes them with
 //! [`Engine::schedule_seeded`] as they come due. The ranks are those of
 //! seeding every stream up front — arrivals, then reservation requests,
 //! then outages — and sort below every dynamically scheduled event at an
@@ -262,12 +262,6 @@ impl ShardCore {
     /// Fault statistics accumulated so far.
     pub fn fault_stats(&self) -> &FaultStats {
         &self.fstats
-    }
-
-    /// The reservation report accumulated so far (model-checker
-    /// invariants cross-check it against the book).
-    pub fn reservation_report(&self) -> &ReservationReport {
-        &self.report
     }
 
     /// Admitted windows by book id, each flagged `true` once cancelled or

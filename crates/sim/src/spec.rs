@@ -89,6 +89,71 @@ impl SchedulerSpec {
     }
 }
 
+/// Parses a scheduler recipe from its command-line spelling — the one
+/// syntax of the `sweep` bin, the service bins and `model_check`:
+///
+/// | spec                                   | meaning                         |
+/// |----------------------------------------|---------------------------------|
+/// | `FCFS` / `SJF` / `LJF` / `SAF` / `LAF` | static policy (planning)        |
+/// | `easy` / `easy:SJF`                    | EASY backfilling (queue order)  |
+/// | `dynp` / `dynp:advanced`               | dynP with the advanced decider  |
+/// | `dynp:simple`                          | dynP with the simple decider    |
+/// | `dynp:preferred:SJF`                   | dynP, SJF-preferred decider     |
+/// | `dynp:preferred:SJF:0.05`              | …with a 5 % threshold           |
+pub fn parse_scheduler(spec: &str) -> Result<SchedulerSpec, String> {
+    let parts: Vec<&str> = spec.split(':').collect();
+    match parts.as_slice() {
+        [p] if Policy::parse(p).is_some() => Ok(SchedulerSpec::Static(Policy::parse(p).unwrap())),
+        ["easy"] => Ok(SchedulerSpec::Easy(Policy::Fcfs)),
+        ["easy", p] => Policy::parse(p)
+            .map(SchedulerSpec::Easy)
+            .ok_or_else(|| format!("unknown policy {p:?}")),
+        ["dynp"] | ["dynp", "advanced"] => Ok(SchedulerSpec::dynp(DeciderKind::Advanced)),
+        ["dynp", "simple"] => Ok(SchedulerSpec::dynp(DeciderKind::Simple)),
+        ["dynp", "preferred", p] => Policy::parse(p)
+            .map(|policy| {
+                SchedulerSpec::dynp(DeciderKind::Preferred {
+                    policy,
+                    threshold: 0.0,
+                })
+            })
+            .ok_or_else(|| format!("unknown policy {p:?}")),
+        ["dynp", "preferred", p, th] => {
+            let policy = Policy::parse(p).ok_or_else(|| format!("unknown policy {p:?}"))?;
+            let threshold: f64 = th.parse().map_err(|_| format!("bad threshold {th:?}"))?;
+            Ok(SchedulerSpec::dynp(DeciderKind::Preferred {
+                policy,
+                threshold,
+            }))
+        }
+        _ => Err(format!("unrecognized scheduler spec {spec:?}")),
+    }
+}
+
+/// Renders a spec back into the command-line spelling [`parse_scheduler`]
+/// accepts — the round-trippable textual form the journal headers store,
+/// so `--recover` can rebuild the scheduler from the journal alone.
+/// (dynP objectives and decision triggers have no CLI spelling; the
+/// service only builds paper-default dynP specs, which do.)
+pub fn render_scheduler(spec: &SchedulerSpec) -> String {
+    match spec {
+        SchedulerSpec::Static(p) => p.name().to_string(),
+        SchedulerSpec::Easy(Policy::Fcfs) => "easy".to_string(),
+        SchedulerSpec::Easy(p) => format!("easy:{}", p.name()),
+        SchedulerSpec::DynP { decider, .. } => match decider {
+            DeciderKind::Advanced => "dynp".to_string(),
+            DeciderKind::Simple => "dynp:simple".to_string(),
+            DeciderKind::Preferred { policy, threshold } => {
+                if *threshold == 0.0 {
+                    format!("dynp:preferred:{}", policy.name())
+                } else {
+                    format!("dynp:preferred:{}:{}", policy.name(), threshold)
+                }
+            }
+        },
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,6 +200,46 @@ mod tests {
         // And a fresh build answers to the same name.
         for spec in &lineup {
             assert_eq!(spec.build().name(), spec.name());
+        }
+    }
+
+    #[test]
+    fn recognizes_the_lineup() {
+        assert_eq!(parse_scheduler("FCFS").unwrap().name(), "FCFS");
+        assert_eq!(parse_scheduler("easy").unwrap().name(), "EASY");
+        assert_eq!(parse_scheduler("easy:SJF").unwrap().name(), "EASY[SJF]");
+        assert_eq!(parse_scheduler("dynp").unwrap().name(), "dynP[advanced]");
+        assert_eq!(
+            parse_scheduler("dynp:simple").unwrap().name(),
+            "dynP[simple]"
+        );
+        assert_eq!(
+            parse_scheduler("dynp:preferred:SJF").unwrap().name(),
+            "dynP[SJF-preferred]"
+        );
+        assert!(parse_scheduler("round-robin").is_err());
+        assert!(parse_scheduler("dynp:preferred:XYZ").is_err());
+    }
+
+    #[test]
+    fn render_round_trips_through_parse() {
+        for spelling in [
+            "FCFS",
+            "SJF",
+            "LJF",
+            "easy",
+            "easy:SJF",
+            "dynp",
+            "dynp:simple",
+            "dynp:preferred:SJF",
+            "dynp:preferred:LJF:0.05",
+        ] {
+            let spec = parse_scheduler(spelling).unwrap();
+            assert_eq!(
+                parse_scheduler(&render_scheduler(&spec)).unwrap(),
+                spec,
+                "spelling {spelling:?} did not round-trip"
+            );
         }
     }
 }

@@ -58,7 +58,7 @@ const COLORS: [&str; 6] = [
 /// Series whose label starts with `paper_` are drawn dashed in the same
 /// color rotation, visually pairing each measured line with its
 /// published counterpart.
-pub fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
+pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
     let plot_w = opts.width - MARGIN_L - MARGIN_R;
     let plot_h = opts.height - MARGIN_T - MARGIN_B;
 
@@ -276,7 +276,7 @@ use dynp_rms::CompletedJob;
 ///
 /// Rectangles are colored by job width class so wide jobs stand out;
 /// hovering shows the job id and times (SVG `<title>` tooltips).
-pub fn render_gantt(
+pub(crate) fn render_gantt(
     completed: &[CompletedJob],
     machine_size: u32,
     width_px: f64,
@@ -431,7 +431,7 @@ fn policy_color(name: &str) -> &'static str {
 /// time on the x-axis, one band per trace, segments colored by the
 /// active policy. Switch instants are the segment boundaries; hovering
 /// a segment shows policy and interval (SVG `<title>` tooltips).
-pub fn render_switch_timeline(bands: &[SwitchBand], end_secs: f64, width_px: f64) -> String {
+pub(crate) fn render_switch_timeline(bands: &[SwitchBand], end_secs: f64, width_px: f64) -> String {
     const LABEL_W: f64 = 96.0;
     const LEGEND_H: f64 = 26.0;
     const BAND_H: f64 = 26.0;

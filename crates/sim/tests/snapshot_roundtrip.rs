@@ -212,7 +212,7 @@ fn restore_inside_a_retained_stretch_resumes_bit_identically() {
         &plan,
         Tracer::disabled(),
     );
-    let suffix_passes = uninterrupted.retained_counts().suffix_passes;
+    let suffix_passes = uninterrupted.plan_counters().suffix_passes;
     assert!(suffix_passes > 100, "burst too shallow: {suffix_passes}");
 
     let mut scheduler = dynp();
@@ -250,7 +250,7 @@ fn restore_inside_a_retained_stretch_resumes_bit_identically() {
     assert_eq!(fp(&baseline), fp(&resumed));
     assert_eq!(scheduler.stats, uninterrupted.stats);
     // The resumed scheduler went back to re-placing suffixes.
-    assert!(scheduler.retained_counts().suffix_passes > 100);
+    assert!(scheduler.plan_counters().suffix_passes > 100);
 }
 
 /// The inputs `fixtures/snapshot_v1.hex` was taken from, six events into

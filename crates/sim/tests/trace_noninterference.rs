@@ -12,14 +12,14 @@
 
 use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
 use dynp_obs::{TraceEvent, TraceLevel, Tracer};
-use dynp_rms::{AdmissionConfig, Policy, RetainedCounts, RETAIN_MIN_DEPTH};
+use dynp_rms::{AdmissionConfig, PlanCounters, Policy, RETAIN_MIN_DEPTH};
 use dynp_sim::simulate_traced;
 use dynp_workload::{kth, transform, ReservationModel};
 use proptest::prelude::*;
 
 /// What a run left behind: its results, and which paths the planner's
 /// per-policy passes took.
-type Run = (Fingerprint, RetainedCounts);
+type Run = (Fingerprint, PlanCounters);
 
 /// Everything a tracer could conceivably disturb, collapsed into a
 /// bitwise-comparable fingerprint.
@@ -73,7 +73,7 @@ fn run_at(
         switched_to: scheduler.stats.switched_to,
         reservations: format!("{:?}", detail.reservations),
     };
-    (fingerprint, scheduler.retained_counts())
+    (fingerprint, scheduler.plan_counters())
 }
 
 fn deciders() -> impl Strategy<Value = DeciderKind> {

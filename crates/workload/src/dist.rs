@@ -101,7 +101,7 @@ impl DurationDist {
     /// The exact or approximate mean of the distribution (clamping
     /// effects ignored for the lognormal). Used only for calibration
     /// reporting, never inside the generator.
-    pub fn mean_hint(&self) -> f64 {
+    pub(crate) fn mean_hint(&self) -> f64 {
         match self {
             DurationDist::Constant(v) => *v,
             DurationDist::Exponential { mean } => *mean,
@@ -170,7 +170,7 @@ impl WidthDist {
     }
 
     /// Approximate mean width (ignores machine clamping).
-    pub fn mean_hint(&self) -> f64 {
+    pub(crate) fn mean_hint(&self) -> f64 {
         match self {
             WidthDist::Constant(w) => *w as f64,
             WidthDist::Weighted(items) => {
@@ -260,7 +260,7 @@ impl AccuracyModel {
 ///
 /// # Panics
 /// Panics if `items` is empty or the total weight is not positive.
-pub fn weighted_choice<R: Rng + ?Sized>(items: &[(f64, f64)], rng: &mut R) -> f64 {
+pub(crate) fn weighted_choice<R: Rng + ?Sized>(items: &[(f64, f64)], rng: &mut R) -> f64 {
     assert!(!items.is_empty(), "weighted choice over empty set");
     let total: f64 = items.iter().map(|(_, w)| w).sum();
     assert!(total > 0.0, "weights must sum to a positive value");
@@ -275,7 +275,7 @@ pub fn weighted_choice<R: Rng + ?Sized>(items: &[(f64, f64)], rng: &mut R) -> f6
 }
 
 /// Rounds to the nearest power of two (ties go up); 0 maps to 1.
-pub fn nearest_power_of_two(x: u32) -> u32 {
+pub(crate) fn nearest_power_of_two(x: u32) -> u32 {
     if x <= 1 {
         return 1;
     }

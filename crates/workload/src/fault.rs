@@ -156,8 +156,10 @@ impl FaultPlan {
             .map(|i| self.job_faults[i].1)
     }
 
-    /// Largest number of simultaneously down nodes anywhere in the plan.
-    pub fn max_concurrent_down(&self) -> u32 {
+    /// Largest number of simultaneously down nodes anywhere in the plan:
+    /// the oracle of the unit test of the outage cap.
+    #[cfg(test)]
+    pub(crate) fn max_concurrent_down(&self) -> u32 {
         let mut events: Vec<(SimTime, i32)> = Vec::with_capacity(self.outages.len() * 2);
         for o in &self.outages {
             events.push((o.down_at, 1));

@@ -170,12 +170,12 @@ impl JobSet {
     }
 
     /// Submission time of the last job ([`SimTime::ZERO`] when empty).
-    pub fn last_submit(&self) -> SimTime {
+    pub(crate) fn last_submit(&self) -> SimTime {
         self.jobs.last().map_or(SimTime::ZERO, |j| j.submit)
     }
 
     /// Total actual area of all jobs (processor-seconds of real work).
-    pub fn total_area(&self) -> f64 {
+    pub(crate) fn total_area(&self) -> f64 {
         self.jobs.iter().map(Job::area).sum()
     }
 

@@ -82,7 +82,7 @@ impl Default for LublinModel {
 impl LublinModel {
     /// Arrival intensity multiplier at time `t` (mean 1 over a day):
     /// `1 + a·sin(2πt/day)` — peak mid-"day", trough mid-"night".
-    pub fn intensity(&self, t_secs: f64) -> f64 {
+    pub(crate) fn intensity(&self, t_secs: f64) -> f64 {
         1.0 + self.diurnal_amplitude * (2.0 * std::f64::consts::PI * t_secs / DAY_SECS).sin()
     }
 

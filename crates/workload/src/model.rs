@@ -45,18 +45,6 @@ pub struct TraceModel {
 }
 
 impl TraceModel {
-    /// The mean interarrival time that yields `target_load` offered load
-    /// given the expected job area — the calibration rule from DESIGN.md.
-    pub fn interarrival_for_load(
-        machine_size: u32,
-        mean_width: f64,
-        mean_actual_secs: f64,
-        target_load: f64,
-    ) -> f64 {
-        assert!(target_load > 0.0 && target_load < 1.0);
-        mean_width * mean_actual_secs / (machine_size as f64 * target_load)
-    }
-
     /// Generates one job set of `n_jobs` jobs. Deterministic in
     /// `(model, n_jobs, seed)`.
     pub fn generate(&self, n_jobs: usize, seed: u64) -> JobSet {
@@ -129,7 +117,7 @@ impl TraceModel {
 
     /// Predicted mean job area (processor-seconds) from the regime
     /// mixture — used by calibration reports.
-    pub fn predicted_mean_area(&self) -> f64 {
+    pub(crate) fn predicted_mean_area(&self) -> f64 {
         let fractions = RegimeChain::stationary_job_fractions(&self.regimes);
         let mean_r = self.accuracy.mean();
         self.regimes
@@ -143,11 +131,6 @@ impl TraceModel {
                 f * r.width.mean_hint() * est * mean_r
             })
             .sum()
-    }
-
-    /// Predicted offered load at shrinking factor 1.0.
-    pub fn predicted_offered_load(&self) -> f64 {
-        self.predicted_mean_area() / (self.machine_size as f64 * self.mean_interarrival_secs)
     }
 }
 
@@ -270,22 +253,16 @@ mod tests {
     }
 
     #[test]
-    fn predicted_offered_load_close_to_measured() {
+    fn predicted_mean_area_gives_the_measured_load() {
         let m = toy_model();
         let set = m.generate(20_000, 5);
-        let predicted = m.predicted_offered_load();
+        // Offered load at shrinking factor 1.0, as the calibration sees it.
+        let predicted =
+            m.predicted_mean_area() / (m.machine_size as f64 * m.mean_interarrival_secs);
         let measured = set.offered_load();
         assert!(
             (predicted - measured).abs() / predicted < 0.25,
             "predicted {predicted:.3} vs measured {measured:.3}"
         );
-    }
-
-    #[test]
-    fn interarrival_for_load_inverts_offered_load() {
-        let ia = TraceModel::interarrival_for_load(430, 10.72, 10_958.0, 0.76);
-        // load = width×actual/(machine×ia)
-        let load = 10.72 * 10_958.0 / (430.0 * ia);
-        assert!((load - 0.76).abs() < 1e-12);
     }
 }

@@ -12,7 +12,7 @@
 //! stays in a regime for a geometrically distributed number of consecutive
 //! jobs, producing sessions.
 
-use crate::dist::{AccuracyModel, DurationDist, WidthDist};
+use crate::dist::{DurationDist, WidthDist};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -38,7 +38,7 @@ pub struct Regime {
 
 /// The Markov regime process: picks the regime for each successive job.
 #[derive(Clone, Debug)]
-pub struct RegimeChain<'a> {
+pub(crate) struct RegimeChain<'a> {
     regimes: &'a [Regime],
     current: usize,
 }
@@ -72,7 +72,7 @@ impl<'a> RegimeChain<'a> {
     /// The stationary probability of each regime *per job*, i.e. entry
     /// weight × mean session length, normalized. Used by calibration code
     /// to predict aggregate workload statistics.
-    pub fn stationary_job_fractions(regimes: &[Regime]) -> Vec<f64> {
+    pub(crate) fn stationary_job_fractions(regimes: &[Regime]) -> Vec<f64> {
         let raw: Vec<f64> = regimes
             .iter()
             .map(|r| r.weight * r.mean_session_jobs.max(1.0))
@@ -102,8 +102,10 @@ fn pick_weighted<R: Rng + ?Sized>(regimes: &[Regime], rng: &mut R) -> usize {
 /// * `study` — scripted bursts of near-identical mid-size jobs.
 ///
 /// Returns the regimes with the supplied distributions; trace models tune
-/// weights and distributions per machine (see [`crate::traces`]).
-pub fn three_regime(
+/// weights and distributions per machine (see [`crate::traces`]). Builds
+/// the unit tests' fixtures.
+#[cfg(test)]
+pub(crate) fn three_regime(
     interactive: (f64, f64, WidthDist, DurationDist, f64),
     batch: (f64, f64, WidthDist, DurationDist, f64),
     study: (f64, f64, WidthDist, DurationDist, f64),
@@ -126,12 +128,6 @@ pub fn three_regime(
         mk("study", study),
     ]
 }
-
-/// Per-regime accuracy is usually shared; this helper binds one
-/// [`AccuracyModel`] for the whole trace (the paper reports a single
-/// overestimation factor per trace).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
-pub struct SharedAccuracy(pub AccuracyModel);
 
 #[cfg(test)]
 mod tests {

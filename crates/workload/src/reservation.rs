@@ -175,11 +175,6 @@ impl ReservationModel {
         }
         requests
     }
-
-    /// Total requested processor-seconds of a generated stream.
-    pub fn offered_area(requests: &[ReservationRequest]) -> f64 {
-        requests.iter().map(|r| r.area()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -238,7 +233,7 @@ mod tests {
         for &frac in &[0.05, 0.2] {
             let m = ReservationModel::typical(frac);
             let reqs = m.generate(&s, 5);
-            let offered = ReservationModel::offered_area(&reqs);
+            let offered: f64 = reqs.iter().map(|r| r.area()).sum();
             let capacity = s.machine_size as f64 * span;
             let got = offered / capacity;
             // The last sampled window overshoots the target by at most

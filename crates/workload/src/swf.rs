@@ -285,7 +285,7 @@ pub fn write_swf(set: &JobSet, mut writer: impl Write) -> io::Result<()> {
 
 /// Writes a job set as SWF with the reservation stream as `;RESERVATION`
 /// directive lines in the header (ignored by plain SWF readers).
-pub fn write_swf_with_reservations(
+pub(crate) fn write_swf_with_reservations(
     set: &JobSet,
     reservations: &[ReservationRequest],
     mut writer: impl Write,
@@ -319,7 +319,7 @@ pub fn write_swf_with_reservations(
 /// writers — the service daemon's session log appends one line per
 /// accepted submission — produce files byte-identical to a
 /// [`write_swf`] of the same jobs.
-pub fn swf_job_line(job: &Job) -> String {
+pub(crate) fn swf_job_line(job: &Job) -> String {
     // job, submit, wait, run, alloc, cpu, mem, reqproc, reqtime,
     // reqmem, status, uid, gid, exe, queue, partition, prec, think
     format!(

@@ -35,20 +35,6 @@ pub fn truncate(set: &JobSet, n: usize) -> JobSet {
     JobSet::new(set.name.clone(), set.machine_size, jobs)
 }
 
-/// Shifts all submission times so the first job arrives at time zero.
-pub fn rebase(set: &JobSet) -> JobSet {
-    let t0 = set.first_submit();
-    let jobs = set
-        .jobs()
-        .iter()
-        .map(|j| Job {
-            submit: SimTime::from_millis(j.submit.as_millis() - t0.as_millis()),
-            ..*j
-        })
-        .collect();
-    JobSet::new(set.name.clone(), set.machine_size, jobs)
-}
-
 /// Concatenates two job sets for the same machine size, offsetting the
 /// second set's submissions to start `gap_secs` after the first set's
 /// last submission. Useful for building phase-change workloads in
@@ -143,17 +129,6 @@ mod tests {
         let t = truncate(&set, 2);
         assert_eq!(t.len(), 2);
         assert_eq!(t.jobs()[1].submit, SimTime::from_secs(250));
-    }
-
-    #[test]
-    fn rebase_moves_first_submit_to_zero() {
-        let set = sample_set();
-        let r = rebase(&set);
-        assert_eq!(r.first_submit(), SimTime::ZERO);
-        assert_eq!(
-            r.jobs()[1].submit,
-            SimTime::from_secs(150) // 250 - 100
-        );
     }
 
     #[test]

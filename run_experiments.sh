@@ -4,6 +4,9 @@
 # Fails loudly: the first bin that exits non-zero aborts the whole run.
 set -eux
 cd "$(dirname "$0")"
+# The bins live in dynp-sim; a plain `cargo build --release` at the root
+# builds only the umbrella crate.
+cargo build --release -p dynp-sim --bins
 mkdir -p results
 ./target/release/table1 > results/table1.log 2>&1
 ./target/release/table2 --out results > results/table2.log 2>&1

@@ -8,7 +8,7 @@
 //! trace models — and demand exact equality.
 
 use dynp_suite::prelude::*;
-use dynp_suite::rms::{RetainedCounts, Schedule, RETAIN_MIN_DEPTH};
+use dynp_suite::rms::{PlanCounters, Schedule, RETAIN_MIN_DEPTH};
 use dynp_suite::sim::simulate_with_reservations;
 use dynp_suite::workload::{traces, transform, FaultModel, FaultPlan};
 use proptest::prelude::*;
@@ -41,12 +41,7 @@ fn scheduler_with(config: &DynPConfig, reference: bool, threads: usize) -> SelfT
     s
 }
 
-/// Which paths the planner's per-policy passes took, how many of them
-/// stopped on the bound of the jobs they had not placed, and how many
-/// jobs they took from another policy's plan instead of placing.
-type PathCounts = (RetainedCounts, u64, u64);
-
-/// The runs [`assert_equivalent_with`] returns path counts of, in order.
+/// The runs [`assert_equivalent_with`] returns planner counters of, in order.
 const PATHS: [&str; 2] = ["sequential", "fanned out"];
 
 /// Runs one full simulation with the given config, incrementally or in
@@ -64,7 +59,7 @@ fn run_with(
     dynp_suite::core::SwitchStats,
     Policy,
     ReservationStats,
-    PathCounts,
+    PlanCounters,
 ) {
     let mut s = scheduler_with(config, reference, threads);
     let d = simulate_with_reservations(set, &mut s, reqs, AdmissionConfig::default());
@@ -73,7 +68,7 @@ fn run_with(
         s.stats.clone(),
         s.active_policy(),
         d.reservations.stats,
-        (s.retained_counts(), s.rest_stops(), s.shared_jobs()),
+        s.plan_counters(),
     )
 }
 
@@ -88,7 +83,7 @@ fn assert_equivalent_with(
     set: &JobSet,
     config: &DynPConfig,
     reqs: &[ReservationRequest],
-) -> [PathCounts; 2] {
+) -> [PlanCounters; 2] {
     let (m_ref, stats_ref, active_ref, res_ref, _) = run_with(set, config, true, reqs, 1);
     let (mut sequential, mut fanned) = (None, None);
     for threads in THREAD_COUNTS {
@@ -98,7 +93,7 @@ fn assert_equivalent_with(
             sequential = Some(counts);
         } else {
             assert_eq!(*fanned.get_or_insert(counts), counts, "{threads} threads");
-            assert_eq!(counts.2, 0, "{threads} threads shared a prefix");
+            assert_eq!(counts.shared, 0, "{threads} threads shared a prefix");
         }
         let ctx = format!(
             "{} / {:?} / {:?} / {} reservation requests / {threads} planner threads",
@@ -123,12 +118,12 @@ fn assert_equivalent_with(
         sequential.expect("one thread"),
         fanned.expect("two threads"),
     );
-    let passes = |c: PathCounts| (c.0.passes, c.0.jobs);
+    let passes = |c: PlanCounters| (c.passes, c.jobs);
     assert_eq!(passes(sequential), passes(fanned));
     [sequential, fanned]
 }
 
-fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> [PathCounts; 2] {
+fn assert_equivalent(set: &JobSet, config: &DynPConfig) -> [PlanCounters; 2] {
     assert_equivalent_with(set, config, &[])
 }
 
@@ -360,7 +355,7 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
         },
     ] {
         let counts = assert_equivalent(&set, &DynPConfig::paper(decider));
-        for (path, (planner, rest_stops, _)) in PATHS.into_iter().zip(counts) {
+        for (path, planner) in PATHS.into_iter().zip(counts) {
             assert!(
                 planner.suffix_passes > expect_suffix_passes,
                 "{decider:?} {path}: the burst took the suffix path: {planner:?}"
@@ -370,7 +365,7 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
                 "{decider:?} {path}: the burst stopped few passes: {planner:?}"
             );
             assert!(
-                rest_stops > 0,
+                planner.rest_stops > 0,
                 "{decider:?} {path}: no pass stopped on its rest"
             );
         }
@@ -386,9 +381,9 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
         let mut config = DynPConfig::paper(DeciderKind::Advanced);
         config.objective = objective;
         let counts = assert_equivalent(&set, &config);
-        for (path, (planner, rest_stops, _)) in PATHS.into_iter().zip(counts) {
+        for (path, planner) in PATHS.into_iter().zip(counts) {
             // Only a width-weighted delay has a bound on the rest.
-            assert_eq!(rest_stops, 0, "{objective:?} {path}");
+            assert_eq!(planner.rest_stops, 0, "{objective:?} {path}");
             assert!(
                 planner.suffix_passes > expect_suffix_passes / 3,
                 "{objective:?} {path}: {planner:?}"
@@ -427,13 +422,13 @@ fn incremental_equals_reference_on_a_burst_with_shared_prefixes() {
             threshold: 0.0,
         },
     ] {
-        let [(planner, _, shared), fanned] = assert_equivalent(&set, &DynPConfig::paper(decider));
+        let [planner, fanned] = assert_equivalent(&set, &DynPConfig::paper(decider));
         assert!(planner.passes > 0, "{decider:?}: the burst stayed shallow");
         assert!(
-            shared > 0,
+            planner.shared > 0,
             "{decider:?}: no pass started from a shared prefix"
         );
-        assert_eq!(fanned.2, 0, "{decider:?}: fanned-out passes shared");
+        assert_eq!(fanned.shared, 0, "{decider:?}: fanned-out passes shared");
     }
 }
 
@@ -507,7 +502,7 @@ impl SideBySide {
     fn suffix_passes(&self) -> u64 {
         self.incremental
             .iter()
-            .map(|s| s.retained_counts().suffix_passes)
+            .map(|s| s.plan_counters().suffix_passes)
             .min()
             .expect("one scheduler per thread count")
     }
