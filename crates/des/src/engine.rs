@@ -1,5 +1,6 @@
 //! The event loop: a clock plus a pending event set.
 
+use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::time::SimTime;
 
@@ -50,6 +51,34 @@ pub struct EngineSnapshot<E> {
     pub next_seq: u64,
     /// Pending entries sorted by `(time, seq)`.
     pub entries: Vec<(SimTime, u64, E)>,
+}
+
+impl<E> EngineSnapshot<E> {
+    /// Appends the clock, the bookkeeping and every pending entry, each
+    /// event by `event` (the event type's `encode_into`).
+    pub fn encode_into(&self, w: &mut ByteWriter, event: impl Fn(&E, &mut ByteWriter)) {
+        w.u64(self.now.as_millis());
+        w.u64(self.processed);
+        w.u64(self.next_seq);
+        w.list(&self.entries, |(t, seq, ev), w| {
+            w.u64(t.as_millis());
+            w.u64(*seq);
+            event(ev, w);
+        });
+    }
+
+    /// Decodes a snapshot written by [`EngineSnapshot::encode_into`].
+    pub fn decode_from(
+        r: &mut ByteReader<'_>,
+        event: impl Fn(&mut ByteReader<'_>) -> Result<E, CodecError>,
+    ) -> Result<Self, CodecError> {
+        Ok(EngineSnapshot {
+            now: SimTime::from_millis(r.u64()?),
+            processed: r.u64()?,
+            next_seq: r.u64()?,
+            entries: r.list(|r| Ok((SimTime::from_millis(r.u64()?), r.u64()?, event(r)?)))?,
+        })
+    }
 }
 
 impl<E: Clone> Engine<E, BinaryHeapQueue<E>> {

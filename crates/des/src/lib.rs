@@ -40,7 +40,7 @@ pub mod stats;
 pub mod time;
 
 pub use clock::{EventClock, ReplaySource, Tick, WallClockSource};
-pub use codec::{crc32, ByteReader, ByteWriter, CodecError};
+pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use engine::{Engine, EngineSnapshot};
 pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, SEEDED_SEQ_LIMIT};
 pub use stats::TimeWeightedCount;

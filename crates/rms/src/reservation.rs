@@ -12,7 +12,7 @@
 //! [`crate::Planner::plan_with_reservations`] builds full schedules
 //! around them (jobs still backfill *before* a reservation when they fit).
 
-use dynp_des::{SimDuration, SimTime};
+use dynp_des::{ByteReader, ByteWriter, CodecError, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// A fixed block of processors over a fixed interval.
@@ -37,6 +37,24 @@ impl Reservation {
     /// True when the reservation still overlaps `[now, ∞)`.
     pub(crate) fn active_at(&self, now: SimTime) -> bool {
         self.end() > now
+    }
+
+    /// Appends the window's exact fields to a checkpoint buffer.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        w.u32(self.id);
+        w.u64(self.start.as_millis());
+        w.u64(self.duration.as_millis());
+        w.u32(self.width);
+    }
+
+    /// Decodes a window written by [`Reservation::encode_into`].
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        Ok(Reservation {
+            id: r.u32()?,
+            start: SimTime::from_millis(r.u64()?),
+            duration: SimDuration::from_millis(r.u64()?),
+            width: r.u32()?,
+        })
     }
 }
 
@@ -142,33 +160,16 @@ impl ReservationBook {
     /// windows (cancelled ids are never reused), so it must be persisted
     /// for a restored book to keep assigning the ids the uninterrupted
     /// run would have.
-    pub fn encode_into(&self, w: &mut dynp_des::ByteWriter) {
+    pub fn encode_into(&self, w: &mut ByteWriter) {
         w.u32(self.next_id);
-        w.u32(self.reservations.len() as u32);
-        for r in &self.reservations {
-            w.u32(r.id);
-            w.u64(r.start.as_millis());
-            w.u64(r.duration.as_millis());
-            w.u32(r.width);
-        }
+        w.list(&self.reservations, Reservation::encode_into);
     }
 
     /// Decodes a book written by [`ReservationBook::encode_into`].
-    pub fn decode_from(r: &mut dynp_des::ByteReader<'_>) -> Result<Self, dynp_des::CodecError> {
-        let next_id = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut reservations = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            reservations.push(Reservation {
-                id: r.u32()?,
-                start: SimTime::from_millis(r.u64()?),
-                duration: SimDuration::from_millis(r.u64()?),
-                width: r.u32()?,
-            });
-        }
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ReservationBook {
-            reservations,
-            next_id,
+            next_id: r.u32()?,
+            reservations: r.list(Reservation::decode_from)?,
         })
     }
 }

@@ -55,10 +55,7 @@ impl SchedulerSnapshot {
     /// Appends the snapshot to a checkpoint buffer.
     pub fn encode_into(&self, w: &mut dynp_des::ByteWriter) {
         w.str(self.tag);
-        w.u32(self.words.len() as u32);
-        for &word in &self.words {
-            w.u64(word);
-        }
+        w.list(&self.words, |word, w| w.u64(*word));
     }
 
     /// Decodes a snapshot written by [`SchedulerSnapshot::encode_into`],
@@ -70,11 +67,7 @@ impl SchedulerSnapshot {
                 what: "scheduler snapshot tag",
             },
         )?;
-        let n = r.u32()? as usize;
-        let mut words = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            words.push(r.u64()?);
-        }
+        let words = r.list(|r| r.u64())?;
         Ok(SchedulerSnapshot { tag, words })
     }
 }

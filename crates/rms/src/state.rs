@@ -18,7 +18,7 @@
 
 use crate::planner::RUNNING_PAD;
 use crate::reservation::{RepairAction, Reservation, ReservationBook};
-use dynp_des::{SimDuration, SimTime};
+use dynp_des::{ByteReader, ByteWriter, CodecError, SimDuration, SimTime};
 use dynp_workload::{Job, JobId};
 
 /// A job currently executing.
@@ -562,52 +562,38 @@ impl RmsState {
     /// — to a checkpoint buffer. Restoring with
     /// [`RmsState::decode_from`] yields a state that compares equal
     /// (`PartialEq`) and hashes identically to the original.
-    pub fn encode_into(&self, w: &mut dynp_des::ByteWriter) {
+    pub fn encode_into(&self, w: &mut ByteWriter) {
         w.u32(self.machine_size);
         w.u32(self.free);
-        w.u32(self.waiting.len() as u32);
-        for j in &self.waiting {
-            j.encode_into(w);
-        }
-        w.u32(self.running.len() as u32);
-        for r in &self.running {
+        w.list(&self.waiting, Job::encode_into);
+        w.list(&self.running, |r, w| {
             r.job.encode_into(w);
             w.u64(r.start.as_millis());
-        }
-        w.u32(self.completed.len() as u32);
-        for c in &self.completed {
+        });
+        w.list(&self.completed, |c, w| {
             c.job.encode_into(w);
             w.u64(c.start.as_millis());
             w.u64(c.end.as_millis());
-        }
-        w.u32(self.lost.len() as u32);
-        for l in &self.lost {
+        });
+        w.list(&self.lost, |l, w| {
             l.job.encode_into(w);
             w.u64(l.at.as_millis());
             w.u32(l.attempts);
-        }
+        });
         w.usize(self.submitted);
-        w.u32(self.queue_log.len() as u32);
-        for q in &self.queue_log {
-            match q {
-                QueueChange::Entered(j) => {
-                    w.u8(0);
-                    j.encode_into(w);
-                }
-                QueueChange::Left(j) => {
-                    w.u8(1);
-                    j.encode_into(w);
-                }
-            }
-        }
+        w.list(&self.queue_log, |q, w| {
+            let (tag, j) = match q {
+                QueueChange::Entered(j) => (0, j),
+                QueueChange::Left(j) => (1, j),
+            };
+            w.u8(tag);
+            j.encode_into(w);
+        });
         self.reservations.encode_into(w);
-        w.u32(self.nodes.len() as u32);
-        for slot in &self.nodes {
-            match slot {
-                None => w.u32(u32::MAX),
-                Some(id) => w.u32(id.0),
-            }
-        }
+        w.list(&self.nodes, |slot, w| {
+            w.u32(slot.map_or(u32::MAX, |id| id.0))
+        });
+        // One flag per node, counted by the node list.
         for &d in &self.down {
             w.bool(d);
         }
@@ -615,68 +601,46 @@ impl RmsState {
     }
 
     /// Decodes a state written by [`RmsState::encode_into`].
-    pub fn decode_from(r: &mut dynp_des::ByteReader<'_>) -> Result<Self, dynp_des::CodecError> {
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         let machine_size = r.u32()?;
         let free = r.u32()?;
-        let n = r.u32()? as usize;
-        let mut waiting = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            waiting.push(Job::decode_from(r)?);
-        }
-        let n = r.u32()? as usize;
-        let mut running = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            running.push(RunningJob {
+        let waiting = r.list(Job::decode_from)?;
+        let running = r.list(|r| {
+            Ok(RunningJob {
                 job: Job::decode_from(r)?,
                 start: SimTime::from_millis(r.u64()?),
-            });
-        }
-        let n = r.u32()? as usize;
-        let mut completed = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            completed.push(CompletedJob {
+            })
+        })?;
+        let completed = r.list(|r| {
+            Ok(CompletedJob {
                 job: Job::decode_from(r)?,
                 start: SimTime::from_millis(r.u64()?),
                 end: SimTime::from_millis(r.u64()?),
-            });
-        }
-        let n = r.u32()? as usize;
-        let mut lost = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            lost.push(LostJob {
+            })
+        })?;
+        let lost = r.list(|r| {
+            Ok(LostJob {
                 job: Job::decode_from(r)?,
                 at: SimTime::from_millis(r.u64()?),
                 attempts: r.u32()?,
-            });
-        }
+            })
+        })?;
         let submitted = r.usize()?;
-        let n = r.u32()? as usize;
-        let mut queue_log = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            queue_log.push(match r.u8()? {
-                0 => QueueChange::Entered(Job::decode_from(r)?),
-                1 => QueueChange::Left(Job::decode_from(r)?),
-                _ => {
-                    return Err(dynp_des::CodecError::Invalid {
-                        what: "queue-change tag",
-                    })
-                }
-            });
-        }
+        let queue_log = r.list(|r| match r.u8()? {
+            0 => Ok(QueueChange::Entered(Job::decode_from(r)?)),
+            1 => Ok(QueueChange::Left(Job::decode_from(r)?)),
+            _ => Err(CodecError::Invalid {
+                what: "queue-change tag",
+            }),
+        })?;
         let reservations = ReservationBook::decode_from(r)?;
-        let n = r.u32()? as usize;
-        let mut nodes = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            nodes.push(match r.u32()? {
+        let nodes = r.list(|r| {
+            Ok(match r.u32()? {
                 u32::MAX => None,
                 id => Some(JobId(id)),
-            });
-        }
-        let mut down = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            down.push(r.bool()?);
-        }
-        let down_count = r.u32()?;
+            })
+        })?;
+        let down = nodes.iter().map(|_| r.bool()).collect::<Result<_, _>>()?;
         Ok(RmsState {
             machine_size,
             free,
@@ -689,7 +653,7 @@ impl RmsState {
             reservations,
             nodes,
             down,
-            down_count,
+            down_count: r.u32()?,
         })
     }
 }

@@ -48,7 +48,7 @@ use crate::journal::{
     load_latest_checkpoint, read_journal, repair_torn_tail, write_checkpoint, JournalError,
     JournalRecord, JournalWriter, ServiceCheckpoint, ServiceCounters,
 };
-use crate::session::{jobs_of_records, service_fingerprint, validate_replay_suffix, ReplayError};
+use crate::session::{service_fingerprint, validate_replay_suffix, ReplayError};
 use dynp_des::{EngineSnapshot, EventClock, ReplaySource, SimTime, Tick, WallClockSource};
 use dynp_obs::TraceEvent;
 use dynp_rms::{AdmissionConfig, Scheduler};
@@ -269,9 +269,7 @@ pub fn recover(
     match &checkpoint {
         Some(c) => validate_replay_suffix(&journal.records, c.journal_seq, c.jobs.len() as u32)?,
         None if first_base_seq > 0 => return Err(RecoverError::CompactionGap),
-        None => {
-            jobs_of_records(&journal.records)?;
-        }
+        None => validate_replay_suffix(&journal.records, 0, 0)?,
     }
     let writer = JournalWriter::resume(&dir, &journal, config.fsync, config.rotate_bytes)?;
     let seed = RecoveredState {

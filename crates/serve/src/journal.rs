@@ -1,26 +1,16 @@
 //! The durable session journal: a typed, checksummed write-ahead log of
 //! every command the daemon *accepted*, plus periodic checkpoints of the
-//! full service state.
+//! full service state. The byte layouts — segment header, record frame,
+//! checkpoint — are tabled once, in DESIGN §14, and written here with
+//! `dynp_des::codec`'s envelope (`magic`, `sealed`).
 //!
 //! ## Journal segments
 //!
 //! A journal directory holds numbered segment files `journal-NNNNNN.wal`.
-//! Each segment starts with a header
-//!
-//! ```text
-//! "DYNPJRNL" | version u32 | machine u32 | speedup u64 | scheduler str
-//!            | segment u32 | base seq u64
-//! ```
-//!
-//! followed by records framed as
-//!
-//! ```text
-//! type u8 | payload len u32 | payload | crc32(payload)
-//! ```
-//!
-//! where type 1 is an accepted submission (seq, stamp, job id, user,
-//! width, estimate, actual) and type 2 a cancellation (seq, stamp, job
-//! id). Record sequence numbers are global across segments; each
+//! Each segment starts with a header followed by record frames, where
+//! type 1 is an accepted submission (seq, stamp, job id, user, width,
+//! estimate, actual) and type 2 a cancellation (seq, stamp, job id).
+//! Record sequence numbers are global across segments; each
 //! segment's header carries the seq of its first record so a reader can
 //! verify continuity and a compactor can tell which rotated segments a
 //! checkpoint fully covers.
@@ -48,21 +38,14 @@
 //!
 //! `checkpoint-NNNNNNNNNN.ckpt` files (named by journal seq) capture the
 //! complete service state — core, pending timers, scheduler, job table,
-//! per-user quota buckets, counters — framed as
-//!
-//! ```text
-//! "DYNPCKPT" | version u32 | journal seq u64 | payload len u32
-//!            | payload | crc32(payload)
-//! ```
-//!
+//! per-user quota buckets, counters — in one sealed payload.
 //! Checkpoints are written to a temp file and atomically renamed, and a
 //! corrupt checkpoint is *skipped*, falling back to the previous valid
 //! one (and ultimately to a from-genesis journal replay), so checkpoint
 //! corruption can slow recovery down but never wreck it.
 
-use dynp_des::{crc32, ByteReader, ByteWriter, CodecError, EngineSnapshot, SimDuration, SimTime};
+use dynp_des::{ByteReader, ByteWriter, CodecError, EngineSnapshot, SimDuration, SimTime};
 use dynp_rms::SchedulerSnapshot;
-use dynp_sim::codec::{decode_core, decode_engine, encode_core, encode_engine};
 use dynp_sim::{CoreSnapshot, Event};
 use dynp_workload::Job;
 use std::fmt;
@@ -166,8 +149,9 @@ impl JournalRecord {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+    /// Appends the record's frame: its type byte, then the sealed
+    /// payload.
+    fn encode_into(&self, w: &mut ByteWriter) {
         match *self {
             JournalRecord::Submit {
                 seq,
@@ -178,46 +162,44 @@ impl JournalRecord {
                 estimate,
                 actual,
             } => {
-                w.u64(seq);
-                w.u64(stamp.as_millis());
-                w.u32(job);
-                w.u32(user);
-                w.u32(width);
-                w.u64(estimate.as_millis());
-                w.u64(actual.as_millis());
+                w.u8(REC_SUBMIT);
+                w.sealed(|w| {
+                    w.u64(seq);
+                    w.u64(stamp.as_millis());
+                    w.u32(job);
+                    w.u32(user);
+                    w.u32(width);
+                    w.u64(estimate.as_millis());
+                    w.u64(actual.as_millis());
+                });
             }
             JournalRecord::Cancel { seq, stamp, job } => {
-                w.u64(seq);
-                w.u64(stamp.as_millis());
-                w.u32(job);
+                w.u8(REC_CANCEL);
+                w.sealed(|w| {
+                    w.u64(seq);
+                    w.u64(stamp.as_millis());
+                    w.u32(job);
+                });
             }
         }
-        w.into_bytes()
     }
 
-    fn kind(&self) -> u8 {
-        match self {
-            JournalRecord::Submit { .. } => REC_SUBMIT,
-            JournalRecord::Cancel { .. } => REC_CANCEL,
-        }
-    }
-
-    fn decode_payload(kind: u8, payload: &[u8]) -> Result<JournalRecord, CodecError> {
-        let mut r = ByteReader::new(payload);
+    /// Decodes the verified payload `p` of a frame of type `kind`.
+    fn decode_from(kind: u8, mut p: ByteReader<'_>) -> Result<JournalRecord, CodecError> {
         let rec = match kind {
             REC_SUBMIT => JournalRecord::Submit {
-                seq: r.u64()?,
-                stamp: SimTime::from_millis(r.u64()?),
-                job: r.u32()?,
-                user: r.u32()?,
-                width: r.u32()?,
-                estimate: SimDuration::from_millis(r.u64()?),
-                actual: SimDuration::from_millis(r.u64()?),
+                seq: p.u64()?,
+                stamp: SimTime::from_millis(p.u64()?),
+                job: p.u32()?,
+                user: p.u32()?,
+                width: p.u32()?,
+                estimate: SimDuration::from_millis(p.u64()?),
+                actual: SimDuration::from_millis(p.u64()?),
             },
             REC_CANCEL => JournalRecord::Cancel {
-                seq: r.u64()?,
-                stamp: SimTime::from_millis(r.u64()?),
-                job: r.u32()?,
+                seq: p.u64()?,
+                stamp: SimTime::from_millis(p.u64()?),
+                job: p.u32()?,
             },
             _ => {
                 return Err(CodecError::Invalid {
@@ -225,11 +207,7 @@ impl JournalRecord {
                 })
             }
         };
-        if !r.is_exhausted() {
-            return Err(CodecError::Invalid {
-                what: "record trailing bytes",
-            });
-        }
+        p.finish()?;
         Ok(rec)
     }
 }
@@ -266,8 +244,9 @@ pub enum JournalError {
         /// Byte offset of the record frame.
         offset: usize,
     },
-    /// A record that fails to decode after passing its checksum
-    /// (unknown record type, trailing payload bytes).
+    /// A record that fails to decode after passing its checksum (unknown
+    /// record type, trailing payload bytes, a sequence number with no
+    /// successor), or a complete segment header that does not decode.
     BadRecord {
         /// Offending file.
         path: PathBuf,
@@ -359,6 +338,24 @@ impl fmt::Display for JournalError {
 
 impl std::error::Error for JournalError {}
 
+impl JournalError {
+    /// Types a codec failure at byte `offset` of `path`: the one place
+    /// the frame errors become journal errors. A short read is a tear;
+    /// where a tear is tolerated, the reader decides before calling this.
+    fn codec(path: &Path, offset: usize, e: CodecError) -> JournalError {
+        let path = path.to_path_buf();
+        match e {
+            CodecError::Truncated { .. } => JournalError::TornSegment { path, offset },
+            CodecError::BadMagic => JournalError::BadMagic { path },
+            CodecError::UnknownVersion { version } => {
+                JournalError::UnknownVersion { path, version }
+            }
+            CodecError::BadChecksum => JournalError::BadChecksum { path, offset },
+            CodecError::Invalid { what } => JournalError::BadRecord { path, offset, what },
+        }
+    }
+}
+
 fn iofail(path: &Path, e: std::io::Error) -> JournalError {
     JournalError::Io {
         path: path.to_path_buf(),
@@ -416,9 +413,7 @@ pub struct Appended {
 pub struct JournalWriter {
     dir: PathBuf,
     file: File,
-    machine_size: u32,
-    speedup: u64,
-    scheduler: String,
+    run: JournalHeader,
     segment: u32,
     segment_bytes: u64,
     next_seq: u64,
@@ -449,17 +444,16 @@ impl JournalWriter {
                 error: format!("journal directory already contains segment {n}; use --recover"),
             });
         }
-        Self::open(
-            dir,
-            machine_size,
-            speedup,
-            scheduler,
-            fsync,
-            rotate_bytes,
-            0,
-            0,
-            Vec::new(),
-        )
+        let header = SegmentHeader {
+            run: JournalHeader {
+                machine_size,
+                speedup,
+                scheduler: scheduler.to_string(),
+            },
+            segment: 0,
+            base_seq: 0,
+        };
+        Self::open(dir, header, fsync, rotate_bytes, Vec::new())
     }
 
     /// Opens a new segment *after* the ones a read-back `journal`
@@ -473,60 +467,45 @@ impl JournalWriter {
         fsync: FsyncPolicy,
         rotate_bytes: u64,
     ) -> Result<JournalWriter, JournalError> {
-        Self::open(
-            dir,
-            journal.machine_size,
-            journal.speedup,
-            &journal.scheduler,
-            fsync,
-            rotate_bytes,
-            journal.last_segment + 1,
-            journal.next_seq,
-            journal.segments.clone(),
-        )
+        let header = SegmentHeader {
+            run: JournalHeader {
+                machine_size: journal.machine_size,
+                speedup: journal.speedup,
+                scheduler: journal.scheduler.clone(),
+            },
+            segment: journal.last_segment + 1,
+            base_seq: journal.next_seq,
+        };
+        Self::open(dir, header, fsync, rotate_bytes, journal.segments.clone())
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn open(
         dir: &Path,
-        machine_size: u32,
-        speedup: u64,
-        scheduler: &str,
+        header: SegmentHeader,
         fsync: FsyncPolicy,
         rotate_bytes: u64,
-        segment: u32,
-        base_seq: u64,
         mut segments: Vec<(u32, u64)>,
     ) -> Result<JournalWriter, JournalError> {
-        let path = segment_path(dir, segment);
+        let path = segment_path(dir, header.segment);
         let mut file = OpenOptions::new()
             .write(true)
             .create_new(true)
             .open(&path)
             .map_err(|e| iofail(&path, e))?;
         let mut w = ByteWriter::new();
-        w.raw(JOURNAL_MAGIC);
-        w.u32(JOURNAL_VERSION);
-        w.u32(machine_size);
-        w.u64(speedup);
-        w.str(scheduler);
-        w.u32(segment);
-        w.u64(base_seq);
-        let header = w.into_bytes();
-        file.write_all(&header).map_err(|e| iofail(&path, e))?;
+        header.encode_into(&mut w);
+        file.write_all(w.as_bytes()).map_err(|e| iofail(&path, e))?;
         if fsync == FsyncPolicy::Always {
             file.sync_data().map_err(|e| iofail(&path, e))?;
         }
-        segments.push((segment, base_seq));
+        segments.push((header.segment, header.base_seq));
         Ok(JournalWriter {
             dir: dir.to_path_buf(),
             file,
-            machine_size,
-            speedup,
-            scheduler: scheduler.to_string(),
-            segment,
-            segment_bytes: header.len() as u64,
-            next_seq: base_seq,
+            run: header.run,
+            segment: header.segment,
+            segment_bytes: w.len() as u64,
+            next_seq: header.base_seq,
             rotate_bytes: rotate_bytes.max(1),
             fsync,
             segments,
@@ -583,11 +562,8 @@ impl JournalWriter {
     /// client only after.
     pub fn append(&mut self, rec: &JournalRecord) -> Result<Appended, JournalError> {
         assert_eq!(rec.seq(), self.next_seq, "journal seqs are dense");
-        let payload = rec.encode_payload();
         let mut w = ByteWriter::new();
-        w.u8(rec.kind());
-        w.bytes(&payload);
-        w.u32(crc32(&payload));
+        rec.encode_into(&mut w);
         let frame = w.into_bytes();
         let path = segment_path(&self.dir, self.segment);
         self.file.write_all(&frame).map_err(|e| iofail(&path, e))?;
@@ -611,15 +587,16 @@ impl JournalWriter {
         if self.fsync != FsyncPolicy::Never {
             self.file.sync_data().map_err(|e| iofail(&path, e))?;
         }
+        let header = SegmentHeader {
+            run: self.run.clone(),
+            segment: self.segment + 1,
+            base_seq: self.next_seq,
+        };
         let next = Self::open(
             &self.dir,
-            self.machine_size,
-            self.speedup,
-            &self.scheduler,
+            header,
             self.fsync,
             self.rotate_bytes,
-            self.segment + 1,
-            self.next_seq,
             std::mem::take(&mut self.segments),
         )?;
         *self = next;
@@ -684,41 +661,6 @@ pub struct JournalDir {
     pub torn_at: Option<(u32, u64)>,
 }
 
-struct SegmentHeader {
-    machine_size: u32,
-    speedup: u64,
-    scheduler: String,
-    segment: u32,
-    base_seq: u64,
-}
-
-fn read_segment_header(path: &Path, r: &mut ByteReader<'_>) -> Result<SegmentHeader, JournalError> {
-    let truncated = |_: CodecError| JournalError::TornSegment {
-        path: path.to_path_buf(),
-        offset: 0,
-    };
-    let magic = r.raw(JOURNAL_MAGIC.len()).map_err(truncated)?;
-    if magic != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic {
-            path: path.to_path_buf(),
-        });
-    }
-    let version = r.u32().map_err(truncated)?;
-    if version != JOURNAL_VERSION {
-        return Err(JournalError::UnknownVersion {
-            path: path.to_path_buf(),
-            version,
-        });
-    }
-    Ok(SegmentHeader {
-        machine_size: r.u32().map_err(truncated)?,
-        speedup: r.u64().map_err(truncated)?,
-        scheduler: r.str().map_err(truncated)?.to_string(),
-        segment: r.u32().map_err(truncated)?,
-        base_seq: r.u64().map_err(truncated)?,
-    })
-}
-
 /// The run-shape facts a journal's segment headers carry (every segment
 /// agrees on them; [`read_journal`] verifies that).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -729,6 +671,43 @@ pub struct JournalHeader {
     pub speedup: u64,
     /// Scheduler spec spelling (parse with `parse_scheduler`).
     pub scheduler: String,
+}
+
+/// The head of one segment file: the run's facts, the segment's index
+/// and the seq of its first record.
+struct SegmentHeader {
+    run: JournalHeader,
+    segment: u32,
+    base_seq: u64,
+}
+
+impl SegmentHeader {
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.magic(JOURNAL_MAGIC, JOURNAL_VERSION);
+        w.u32(self.run.machine_size);
+        w.u64(self.run.speedup);
+        w.str(&self.run.scheduler);
+        w.u32(self.segment);
+        w.u64(self.base_seq);
+    }
+
+    /// Reads the header at the start of `path`; a short read is a tear
+    /// at offset 0.
+    fn decode_from(path: &Path, r: &mut ByteReader<'_>) -> Result<SegmentHeader, JournalError> {
+        let header = |r: &mut ByteReader<'_>| {
+            r.magic(JOURNAL_MAGIC, JOURNAL_VERSION..=JOURNAL_VERSION)?;
+            Ok(SegmentHeader {
+                run: JournalHeader {
+                    machine_size: r.u32()?,
+                    speedup: r.u64()?,
+                    scheduler: r.str()?.to_string(),
+                },
+                segment: r.u32()?,
+                base_seq: r.u64()?,
+            })
+        };
+        header(r).map_err(|e| JournalError::codec(path, 0, e))
+    }
 }
 
 /// Reads the run-shape facts from the first segment's header alone —
@@ -751,13 +730,8 @@ pub fn read_journal_header(dir: &Path) -> Result<JournalHeader, JournalError> {
     File::open(path)
         .and_then(|f| f.take(4096).read_to_end(&mut buf))
         .map_err(|e| iofail(path, e))?;
-    let mut r = ByteReader::new(&buf);
-    match read_segment_header(path, &mut r) {
-        Ok(h) => Ok(JournalHeader {
-            machine_size: h.machine_size,
-            speedup: h.speedup,
-            scheduler: h.scheduler,
-        }),
+    match SegmentHeader::decode_from(path, &mut ByteReader::new(&buf)) {
+        Ok(h) => Ok(h.run),
         Err(JournalError::TornSegment { .. }) if *n == 0 && files.len() == 1 => {
             Err(JournalError::TornGenesis { path: path.clone() })
         }
@@ -779,13 +753,17 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
     let mut out: Option<JournalDir> = None;
     let last_i = files.len() - 1;
     for (i, (n, path)) in files.iter().enumerate() {
+        // `torn_at` stores the index as a u32.
         if *n > u32::MAX as u64 {
-            return Err(JournalError::BadMagic { path: path.clone() });
+            return Err(JournalError::HeaderMismatch {
+                path: path.clone(),
+                what: "segment index",
+            });
         }
         let is_last = i == last_i;
         let bytes = fs::read(path).map_err(|e| iofail(path, e))?;
         let mut r = ByteReader::new(&bytes);
-        let header = match read_segment_header(path, &mut r) {
+        let header = match SegmentHeader::decode_from(path, &mut r) {
             Ok(h) => h,
             // A crash during rotation can leave a partial *header* on
             // the freshly opened segment; with no records at stake that
@@ -815,9 +793,9 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
         let dir_state = match &mut out {
             None => {
                 out = Some(JournalDir {
-                    machine_size: header.machine_size,
-                    speedup: header.speedup,
-                    scheduler: header.scheduler.clone(),
+                    machine_size: header.run.machine_size,
+                    speedup: header.run.speedup,
+                    scheduler: header.run.scheduler.clone(),
                     records: Vec::new(),
                     last_segment: header.segment,
                     next_seq: header.base_seq,
@@ -838,19 +816,19 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
                         segment: state.last_segment + 1,
                     });
                 }
-                if header.machine_size != state.machine_size {
+                if header.run.machine_size != state.machine_size {
                     return Err(JournalError::HeaderMismatch {
                         path: path.clone(),
                         what: "machine size",
                     });
                 }
-                if header.speedup != state.speedup {
+                if header.run.speedup != state.speedup {
                     return Err(JournalError::HeaderMismatch {
                         path: path.clone(),
                         what: "speedup",
                     });
                 }
-                if header.scheduler != state.scheduler {
+                if header.run.scheduler != state.scheduler {
                     return Err(JournalError::HeaderMismatch {
                         path: path.clone(),
                         what: "scheduler",
@@ -873,42 +851,24 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
                 break;
             }
             let offset = r.position();
-            let frame: Result<(u8, &[u8], u32), CodecError> = (|| {
-                let kind = r.u8()?;
-                let payload = r.bytes()?;
-                let sum = r.u32()?;
-                Ok((kind, payload, sum))
-            })();
-            let (kind, payload, sum) = match frame {
-                Ok(f) => f,
+            let (kind, payload) = match r.u8().and_then(|kind| Ok((kind, r.sealed()?))) {
+                Ok(frame) => frame,
                 Err(CodecError::Truncated { .. }) if is_last => {
                     dir_state.torn = true;
                     dir_state.torn_at = Some((header.segment, offset as u64));
                     break;
                 }
-                Err(_) => {
-                    return Err(JournalError::TornSegment {
-                        path: path.clone(),
-                        offset,
-                    })
-                }
+                Err(e) => return Err(JournalError::codec(path, offset, e)),
             };
-            if crc32(payload) != sum {
-                return Err(JournalError::BadChecksum {
-                    path: path.clone(),
-                    offset,
-                });
-            }
-            let rec = JournalRecord::decode_payload(kind, payload).map_err(|e| {
-                JournalError::BadRecord {
+            let rec =
+                JournalRecord::decode_from(kind, payload).map_err(|e| JournalError::BadRecord {
                     path: path.clone(),
                     offset,
                     what: match e {
                         CodecError::Invalid { what } => what,
-                        CodecError::Truncated { .. } => "short payload",
+                        _ => "short payload",
                     },
-                }
-            })?;
+                })?;
             if rec.seq() != dir_state.next_seq {
                 return Err(JournalError::BadRecord {
                     path: path.clone(),
@@ -916,7 +876,14 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
                     what: "sequence gap",
                 });
             }
-            dir_state.next_seq += 1;
+            dir_state.next_seq =
+                rec.seq()
+                    .checked_add(1)
+                    .ok_or_else(|| JournalError::BadRecord {
+                        path: path.clone(),
+                        offset,
+                        what: "sequence overflow",
+                    })?;
             dir_state.records.push(rec);
         }
         if dir_state.torn {
@@ -1007,124 +974,75 @@ pub struct ServiceCheckpoint {
     pub buckets: Vec<(u32, u64, SimTime)>,
 }
 
-/// Serializes a checkpoint into its framed on-disk form.
-pub(crate) fn encode_checkpoint(ckpt: &ServiceCheckpoint) -> Vec<u8> {
-    let mut p = ByteWriter::new();
-    p.u32(ckpt.machine_size);
-    encode_engine(&ckpt.engine, &mut p);
-    p.u64(ckpt.min_external.as_millis());
-    encode_core(&ckpt.core, &mut p);
-    ckpt.scheduler.encode_into(&mut p);
-    p.u32(ckpt.jobs.len() as u32);
-    for job in &ckpt.jobs {
-        job.encode_into(&mut p);
+impl ServiceCheckpoint {
+    /// Serializes the checkpoint into its framed on-disk form.
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.magic(CHECKPOINT_MAGIC, CHECKPOINT_VERSION);
+        w.u64(self.journal_seq);
+        w.sealed(|w| {
+            w.u32(self.machine_size);
+            self.engine.encode_into(w, Event::encode_into);
+            w.u64(self.min_external.as_millis());
+            self.core.encode_into(w);
+            self.scheduler.encode_into(w);
+            w.list(&self.jobs, Job::encode_into);
+            w.list(&self.users, |user, w| w.u32(*user));
+            let c = &self.counters;
+            for v in [
+                c.accepted,
+                c.rejected_queue_full,
+                c.rejected_shutdown,
+                c.rejected_invalid,
+                c.rejected_user_quota,
+                c.cancelled,
+            ] {
+                w.u64(v);
+            }
+            w.list(&self.buckets, |&(user, mtok, last), w| {
+                w.u32(user);
+                w.u64(mtok);
+                w.u64(last.as_millis());
+            });
+        });
+        w.into_bytes()
     }
-    p.u32(ckpt.users.len() as u32);
-    for &user in &ckpt.users {
-        p.u32(user);
-    }
-    let c = &ckpt.counters;
-    for v in [
-        c.accepted,
-        c.rejected_queue_full,
-        c.rejected_shutdown,
-        c.rejected_invalid,
-        c.rejected_user_quota,
-        c.cancelled,
-    ] {
-        p.u64(v);
-    }
-    p.u32(ckpt.buckets.len() as u32);
-    for (user, mtok, last) in &ckpt.buckets {
-        p.u32(*user);
-        p.u64(*mtok);
-        p.u64(last.as_millis());
-    }
-    let payload = p.into_bytes();
 
-    let mut w = ByteWriter::new();
-    w.raw(CHECKPOINT_MAGIC);
-    w.u32(CHECKPOINT_VERSION);
-    w.u64(ckpt.journal_seq);
-    w.bytes(&payload);
-    w.u32(crc32(&payload));
-    w.into_bytes()
-}
-
-/// Decodes a checkpoint, verifying magic, version, and checksum before
-/// touching the payload.
-pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<ServiceCheckpoint, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    if r.raw(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
-        return Err(CodecError::Invalid {
-            what: "checkpoint magic",
-        });
+    /// Decodes a checkpoint, verifying magic, version, and checksum
+    /// before touching the payload.
+    fn decode(bytes: &[u8]) -> Result<ServiceCheckpoint, CodecError> {
+        let mut r = ByteReader::new(bytes);
+        r.magic(CHECKPOINT_MAGIC, CHECKPOINT_VERSION..=CHECKPOINT_VERSION)?;
+        let journal_seq = r.u64()?;
+        let mut p = r.sealed()?;
+        let ckpt = ServiceCheckpoint {
+            journal_seq,
+            machine_size: p.u32()?,
+            engine: EngineSnapshot::decode_from(&mut p, Event::decode_from)?,
+            min_external: SimTime::from_millis(p.u64()?),
+            core: CoreSnapshot::decode_from(&mut p)?,
+            scheduler: SchedulerSnapshot::decode_from(&mut p)?,
+            jobs: p.list(Job::decode_from)?,
+            users: p.list(|p| p.u32())?,
+            counters: ServiceCounters {
+                accepted: p.u64()?,
+                rejected_queue_full: p.u64()?,
+                rejected_shutdown: p.u64()?,
+                rejected_invalid: p.u64()?,
+                rejected_user_quota: p.u64()?,
+                cancelled: p.u64()?,
+            },
+            buckets: p.list(|p| Ok((p.u32()?, p.u64()?, SimTime::from_millis(p.u64()?))))?,
+        };
+        p.finish()?;
+        Ok(ckpt)
     }
-    if r.u32()? != CHECKPOINT_VERSION {
-        return Err(CodecError::Invalid {
-            what: "checkpoint version",
-        });
-    }
-    let journal_seq = r.u64()?;
-    let payload = r.bytes()?;
-    let sum = r.u32()?;
-    if crc32(payload) != sum {
-        return Err(CodecError::Invalid {
-            what: "checkpoint checksum",
-        });
-    }
-    let mut p = ByteReader::new(payload);
-    let machine_size = p.u32()?;
-    let engine = decode_engine(&mut p)?;
-    let min_external = SimTime::from_millis(p.u64()?);
-    let core = decode_core(&mut p)?;
-    let scheduler = SchedulerSnapshot::decode_from(&mut p)?;
-    let n = p.u32()? as usize;
-    let mut jobs = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        jobs.push(Job::decode_from(&mut p)?);
-    }
-    let n = p.u32()? as usize;
-    let mut users = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        users.push(p.u32()?);
-    }
-    let counters = ServiceCounters {
-        accepted: p.u64()?,
-        rejected_queue_full: p.u64()?,
-        rejected_shutdown: p.u64()?,
-        rejected_invalid: p.u64()?,
-        rejected_user_quota: p.u64()?,
-        cancelled: p.u64()?,
-    };
-    let n = p.u32()? as usize;
-    let mut buckets = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        buckets.push((p.u32()?, p.u64()?, SimTime::from_millis(p.u64()?)));
-    }
-    if !p.is_exhausted() {
-        return Err(CodecError::Invalid {
-            what: "checkpoint trailing bytes",
-        });
-    }
-    Ok(ServiceCheckpoint {
-        journal_seq,
-        machine_size,
-        engine,
-        min_external,
-        core,
-        scheduler,
-        jobs,
-        users,
-        counters,
-        buckets,
-    })
 }
 
 /// Writes a checkpoint durably: temp file, fsync, atomic rename.
 /// Returns the byte size written.
 pub fn write_checkpoint(dir: &Path, ckpt: &ServiceCheckpoint) -> Result<u64, JournalError> {
-    let bytes = encode_checkpoint(ckpt);
+    let bytes = ckpt.encode();
     let final_path = checkpoint_path(dir, ckpt.journal_seq);
     let tmp_path = final_path.with_extension("ckpt.tmp");
     {
@@ -1167,7 +1085,7 @@ pub fn load_latest_checkpoint(
     let mut skipped = Vec::new();
     for (_, path) in files {
         let bytes = fs::read(&path).map_err(|e| iofail(&path, e))?;
-        match decode_checkpoint(&bytes) {
+        match ServiceCheckpoint::decode(&bytes) {
             Ok(ckpt) => return Ok((Some(ckpt), skipped)),
             Err(_) => skipped.push(path),
         }
@@ -1351,6 +1269,20 @@ mod tests {
     }
 
     #[test]
+    fn a_segment_numbered_past_u32_is_a_header_mismatch() {
+        let dir = tmpdir("bigindex");
+        fs::write(dir.join("journal-4294967296.wal"), JOURNAL_MAGIC).unwrap();
+        assert!(matches!(
+            read_journal(&dir),
+            Err(JournalError::HeaderMismatch {
+                what: "segment index",
+                ..
+            })
+        ));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn torn_genesis_header_is_typed() {
         let dir = tmpdir("torngen");
         // Truncated mid-header on a lone segment 0: the empty-journal
@@ -1366,14 +1298,18 @@ mod tests {
         ));
         // With a later segment present the same tear is directory
         // damage, never tolerated.
+        let run = JournalHeader {
+            machine_size: 8,
+            speedup: 1,
+            scheduler: "FCFS".to_string(),
+        };
         let mut w = ByteWriter::new();
-        w.raw(JOURNAL_MAGIC);
-        w.u32(JOURNAL_VERSION);
-        w.u32(8);
-        w.u64(1);
-        w.str("FCFS");
-        w.u32(1);
-        w.u64(0);
+        let header = SegmentHeader {
+            run,
+            segment: 1,
+            base_seq: 0,
+        };
+        header.encode_into(&mut w);
         fs::write(segment_path(&dir, 1), w.into_bytes()).unwrap();
         assert!(matches!(
             read_journal(&dir),

@@ -66,50 +66,32 @@ impl From<JournalError> for ReplayError {
     }
 }
 
-/// Reconstructs the service job table from a record sequence. Also used
-/// by recovery to rebuild per-user state. Returns `(jobs, users)`,
-/// parallel vectors indexed by job id.
-pub(crate) fn jobs_of_records(
-    records: &[JournalRecord],
-) -> Result<(Vec<Job>, Vec<u32>), ReplayError> {
-    let mut jobs = Vec::new();
-    let mut users = Vec::new();
-    for rec in records {
-        match *rec {
+/// Reconstructs the service job table of a from-genesis record sequence,
+/// indexed by job id, once [`validate_replay_suffix`] has found its ids
+/// dense. Verbatim: the journal records each job exactly as admitted, so
+/// nothing is re-validated or clamped.
+fn jobs_of_records(records: &[JournalRecord]) -> Result<Vec<Job>, ReplayError> {
+    validate_replay_suffix(records, 0, 0)?;
+    Ok(records
+        .iter()
+        .filter_map(|rec| match *rec {
             JournalRecord::Submit {
                 stamp,
                 job,
-                user,
                 width,
                 estimate,
                 actual,
                 ..
-            } => {
-                if job as usize != jobs.len() {
-                    return Err(ReplayError::JobIdMismatch {
-                        expected: jobs.len() as u32,
-                        found: job,
-                    });
-                }
-                // Verbatim reconstruction — the journal records the job
-                // exactly as admitted, so no re-validation or clamping.
-                jobs.push(Job {
-                    id: JobId(job),
-                    submit: stamp,
-                    width,
-                    estimate,
-                    actual,
-                });
-                users.push(user);
-            }
-            JournalRecord::Cancel { job, .. } => {
-                if job as usize >= jobs.len() {
-                    return Err(ReplayError::UnknownJob { job });
-                }
-            }
-        }
-    }
-    Ok((jobs, users))
+            } => Some(Job {
+                id: JobId(job),
+                submit: stamp,
+                width,
+                estimate,
+                actual,
+            }),
+            JournalRecord::Cancel { .. } => None,
+        })
+        .collect())
 }
 
 /// Validates the record suffix a recovery replays *on top of a
@@ -199,7 +181,7 @@ pub fn replay_records(
     records: &[JournalRecord],
     spec: &SchedulerSpec,
 ) -> Result<SessionReplay, ReplayError> {
-    let (jobs, _users) = jobs_of_records(records)?;
+    let jobs = jobs_of_records(records)?;
     let faults = FaultPlan::none();
     let mut scheduler = spec.build();
     let mut core = ShardCore::new(

@@ -1,24 +1,16 @@
-//! Binary serialization of [`SimSnapshot`] — the explicit, versioned,
-//! checksummed on-disk checkpoint format of the crash-safe service mode.
+//! Binary layouts of the simulation state — [`Event`] and
+//! [`CoreSnapshot`] — and of the snapshot file that frames a whole
+//! [`SimSnapshot`]: the `DYNPSNAP` envelope of DESIGN §14 around
+//! `core | engine | feed cursors | scheduler`. Version 1 had no feed
+//! cursors — every exogenous event sat in the engine's heap — and still
+//! decodes, as "nothing left to feed".
 //!
-//! PR 8 made the whole simulation state a *value* (`SimSnapshot`:
-//! core + engine + scheduler). This module gives that value a durable
-//! form: [`encode_snapshot`] frames it as
-//!
-//! ```text
-//! "DYNPSNAP" | version u32 | payload len u32 | payload | crc32(payload)
-//! ```
-//!
-//! with `payload = core | engine | feed cursors | scheduler`. Version 1
-//! had no feed cursors — every exogenous event sat in the engine's heap —
-//! and still decodes, as "nothing left to feed".
-//!
-//! and [`decode_snapshot`] verifies the magic, the version, and the
-//! checksum before decoding a single payload field, so a torn or
-//! bit-rotted checkpoint is a typed [`CodecError`] — never a panic, and
-//! never a silently wrong state. Restoring a decoded snapshot into a
-//! driver built from the same inputs reproduces the run bit-identically,
-//! fingerprint included (pinned by the round-trip tests below).
+//! [`decode_snapshot`] checks the magic, the version and the checksum
+//! before it decodes a single payload field, so a torn or bit-rotted
+//! checkpoint is a typed [`CodecError`] — never a panic, and never a
+//! silently wrong state. Restoring a decoded snapshot into a driver built
+//! from the same inputs reproduces the run bit-identically, fingerprint
+//! included (pinned by the round-trip tests below).
 //!
 //! Every encoder here is exact: integers are stored verbatim and `f64`
 //! statistics travel as IEEE-754 bit patterns, because recovery is
@@ -28,10 +20,7 @@
 use crate::feed::FeedCursors;
 use crate::runner::{ReservationReport, SimSnapshot};
 use crate::shard::{CoreSnapshot, Event};
-use dynp_des::{
-    crc32, ByteReader, ByteWriter, CodecError, EngineSnapshot, SimDuration, SimTime,
-    TimeWeightedCount,
-};
+use dynp_des::{ByteReader, ByteWriter, CodecError, EngineSnapshot, TimeWeightedCount};
 use dynp_metrics::{FaultStats, ReservationStats};
 use dynp_rms::{RejectReason, Reservation, RmsState, SchedulerSnapshot};
 use dynp_workload::JobId;
@@ -42,191 +31,50 @@ pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"DYNPSNAP";
 /// version 1 is still read.
 pub const SNAPSHOT_VERSION: u32 = 2;
 
-/// Appends one event, tag byte first.
-pub(crate) fn encode_event(ev: &Event, w: &mut ByteWriter) {
-    match *ev {
-        Event::Arrive(id) => {
-            w.u8(1);
-            w.u32(id.0);
-        }
-        Event::Finish(id, attempt) => {
-            w.u8(2);
-            w.u32(id.0);
-            w.u32(attempt);
-        }
-        Event::ResRequest(i) => {
-            w.u8(3);
-            w.u32(i);
-        }
-        Event::ResStart(i) => {
-            w.u8(4);
-            w.u32(i);
-        }
-        Event::ResEnd(i) => {
-            w.u8(5);
-            w.u32(i);
-        }
-        Event::ResCancel(i) => {
-            w.u8(6);
-            w.u32(i);
-        }
-        Event::NodeDown(n) => {
-            w.u8(7);
-            w.u32(n);
-        }
-        Event::NodeUp(n) => {
-            w.u8(8);
-            w.u32(n);
-        }
-        Event::Kill(id, attempt) => {
-            w.u8(9);
-            w.u32(id.0);
-            w.u32(attempt);
-        }
-        Event::Resubmit(id) => {
-            w.u8(10);
-            w.u32(id.0);
-        }
-        Event::Depart(id, to) => {
-            w.u8(11);
-            w.u32(id.0);
-            w.u32(to);
-        }
-        Event::MigrateIn(id, from) => {
-            w.u8(12);
-            w.u32(id.0);
-            w.u32(from);
-        }
-        Event::CancelCmd(id) => {
-            w.u8(13);
-            w.u32(id.0);
+impl Event {
+    /// Appends the event: a tag byte, then its one or two `u32` fields.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        let (tag, a, b) = match *self {
+            Event::Arrive(id) => (1, id.0, None),
+            Event::Finish(id, attempt) => (2, id.0, Some(attempt)),
+            Event::ResRequest(i) => (3, i, None),
+            Event::ResStart(i) => (4, i, None),
+            Event::ResEnd(i) => (5, i, None),
+            Event::ResCancel(i) => (6, i, None),
+            Event::NodeDown(n) => (7, n, None),
+            Event::NodeUp(n) => (8, n, None),
+            Event::Kill(id, attempt) => (9, id.0, Some(attempt)),
+            Event::Resubmit(id) => (10, id.0, None),
+            Event::Depart(id, to) => (11, id.0, Some(to)),
+            Event::MigrateIn(id, from) => (12, id.0, Some(from)),
+            Event::CancelCmd(id) => (13, id.0, None),
+        };
+        w.u8(tag);
+        w.u32(a);
+        if let Some(b) = b {
+            w.u32(b);
         }
     }
-}
 
-/// Decodes one event written by [`encode_event`].
-pub(crate) fn decode_event(r: &mut ByteReader<'_>) -> Result<Event, CodecError> {
-    Ok(match r.u8()? {
-        1 => Event::Arrive(JobId(r.u32()?)),
-        2 => Event::Finish(JobId(r.u32()?), r.u32()?),
-        3 => Event::ResRequest(r.u32()?),
-        4 => Event::ResStart(r.u32()?),
-        5 => Event::ResEnd(r.u32()?),
-        6 => Event::ResCancel(r.u32()?),
-        7 => Event::NodeDown(r.u32()?),
-        8 => Event::NodeUp(r.u32()?),
-        9 => Event::Kill(JobId(r.u32()?), r.u32()?),
-        10 => Event::Resubmit(JobId(r.u32()?)),
-        11 => Event::Depart(JobId(r.u32()?), r.u32()?),
-        12 => Event::MigrateIn(JobId(r.u32()?), r.u32()?),
-        13 => Event::CancelCmd(JobId(r.u32()?)),
-        _ => return Err(CodecError::Invalid { what: "event tag" }),
-    })
-}
-
-/// Appends an engine snapshot (clock, bookkeeping, pending entries).
-pub fn encode_engine(snap: &EngineSnapshot<Event>, w: &mut ByteWriter) {
-    w.u64(snap.now.as_millis());
-    w.u64(snap.processed);
-    w.u64(snap.next_seq);
-    w.u32(snap.entries.len() as u32);
-    for (t, seq, ev) in &snap.entries {
-        w.u64(t.as_millis());
-        w.u64(*seq);
-        encode_event(ev, w);
+    /// Decodes one event written by [`Event::encode_into`].
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Event, CodecError> {
+        Ok(match r.u8()? {
+            1 => Event::Arrive(JobId(r.u32()?)),
+            2 => Event::Finish(JobId(r.u32()?), r.u32()?),
+            3 => Event::ResRequest(r.u32()?),
+            4 => Event::ResStart(r.u32()?),
+            5 => Event::ResEnd(r.u32()?),
+            6 => Event::ResCancel(r.u32()?),
+            7 => Event::NodeDown(r.u32()?),
+            8 => Event::NodeUp(r.u32()?),
+            9 => Event::Kill(JobId(r.u32()?), r.u32()?),
+            10 => Event::Resubmit(JobId(r.u32()?)),
+            11 => Event::Depart(JobId(r.u32()?), r.u32()?),
+            12 => Event::MigrateIn(JobId(r.u32()?), r.u32()?),
+            13 => Event::CancelCmd(JobId(r.u32()?)),
+            _ => return Err(CodecError::Invalid { what: "event tag" }),
+        })
     }
-}
-
-/// Decodes an engine snapshot written by [`encode_engine`].
-pub fn decode_engine(r: &mut ByteReader<'_>) -> Result<EngineSnapshot<Event>, CodecError> {
-    let now = SimTime::from_millis(r.u64()?);
-    let processed = r.u64()?;
-    let next_seq = r.u64()?;
-    let n = r.u32()? as usize;
-    let mut entries = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let t = SimTime::from_millis(r.u64()?);
-        let seq = r.u64()?;
-        entries.push((t, seq, decode_event(r)?));
-    }
-    Ok(EngineSnapshot {
-        now,
-        processed,
-        next_seq,
-        entries,
-    })
-}
-
-fn encode_fault_stats(s: &FaultStats, w: &mut ByteWriter) {
-    w.u64(s.node_downs);
-    w.u64(s.node_ups);
-    w.u64(s.evictions);
-    w.u64(s.crashes);
-    w.u64(s.overruns);
-    w.u64(s.retries);
-    w.u64(s.lost);
-    w.u64(s.down_node_allocations);
-    w.u64(s.downtime_ms);
-}
-
-fn decode_fault_stats(r: &mut ByteReader<'_>) -> Result<FaultStats, CodecError> {
-    Ok(FaultStats {
-        node_downs: r.u64()?,
-        node_ups: r.u64()?,
-        evictions: r.u64()?,
-        crashes: r.u64()?,
-        overruns: r.u64()?,
-        retries: r.u64()?,
-        lost: r.u64()?,
-        down_node_allocations: r.u64()?,
-        downtime_ms: r.u64()?,
-    })
-}
-
-fn encode_res_stats(s: &ReservationStats, w: &mut ByteWriter) {
-    w.u64(s.requests);
-    w.u64(s.admitted);
-    w.u64(s.rejected_capacity);
-    w.u64(s.rejected_guarantee);
-    w.u64(s.rejected_invalid);
-    w.u64(s.cancelled);
-    w.u64(s.honored);
-    w.u64(s.downgraded);
-    w.u64(s.revoked);
-    w.u64(s.requested_area_pms);
-    w.u64(s.admitted_area_pms);
-}
-
-fn decode_res_stats(r: &mut ByteReader<'_>) -> Result<ReservationStats, CodecError> {
-    Ok(ReservationStats {
-        requests: r.u64()?,
-        admitted: r.u64()?,
-        rejected_capacity: r.u64()?,
-        rejected_guarantee: r.u64()?,
-        rejected_invalid: r.u64()?,
-        cancelled: r.u64()?,
-        honored: r.u64()?,
-        downgraded: r.u64()?,
-        revoked: r.u64()?,
-        requested_area_pms: r.u64()?,
-        admitted_area_pms: r.u64()?,
-    })
-}
-
-fn encode_reservation(res: &Reservation, w: &mut ByteWriter) {
-    w.u32(res.id);
-    w.u64(res.start.as_millis());
-    w.u64(res.duration.as_millis());
-    w.u32(res.width);
-}
-
-fn decode_reservation(r: &mut ByteReader<'_>) -> Result<Reservation, CodecError> {
-    Ok(Reservation {
-        id: r.u32()?,
-        start: SimTime::from_millis(r.u64()?),
-        duration: SimDuration::from_millis(r.u64()?),
-        width: r.u32()?,
-    })
 }
 
 fn reject_tag(reason: RejectReason) -> u8 {
@@ -252,112 +100,113 @@ fn reject_from_tag(tag: u8) -> Result<RejectReason, CodecError> {
     })
 }
 
-fn encode_report(report: &ReservationReport, w: &mut ByteWriter) {
-    encode_res_stats(&report.stats, w);
-    w.u32(report.honored.len() as u32);
-    for res in &report.honored {
-        encode_reservation(res, w);
+impl CoreSnapshot {
+    /// Appends the complete [`ShardCore`](crate::ShardCore) run state.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        self.state.encode_into(w);
+        w.list(&self.attempts, |a, w| w.u32(*a));
+        let f = &self.fstats;
+        for v in [
+            f.node_downs,
+            f.node_ups,
+            f.evictions,
+            f.crashes,
+            f.overruns,
+            f.retries,
+            f.lost,
+            f.down_node_allocations,
+            f.downtime_ms,
+        ] {
+            w.u64(v);
+        }
+        self.queue_tw.encode_into(w);
+        self.busy_tw.encode_into(w);
+        w.usize(self.peak_queue);
+        let s = &self.report.stats;
+        for v in [
+            s.requests,
+            s.admitted,
+            s.rejected_capacity,
+            s.rejected_guarantee,
+            s.rejected_invalid,
+            s.cancelled,
+            s.honored,
+            s.downgraded,
+            s.revoked,
+            s.requested_area_pms,
+            s.admitted_area_pms,
+        ] {
+            w.u64(v);
+        }
+        w.list(&self.report.honored, Reservation::encode_into);
+        w.list(&self.report.rejected, |&(id, why), w| {
+            w.u32(id);
+            w.u8(reject_tag(why));
+        });
+        w.list(&self.admitted, |(res, cancelled), w| {
+            res.encode_into(w);
+            w.bool(*cancelled);
+        });
+        w.u64(self.migrated_out);
+        w.u64(self.migrated_in);
     }
-    w.u32(report.rejected.len() as u32);
-    for (id, why) in &report.rejected {
-        w.u32(*id);
-        w.u8(reject_tag(*why));
-    }
-}
 
-fn decode_report(r: &mut ByteReader<'_>) -> Result<ReservationReport, CodecError> {
-    let stats = decode_res_stats(r)?;
-    let n = r.u32()? as usize;
-    let mut honored = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        honored.push(decode_reservation(r)?);
+    /// Decodes a core snapshot written by [`CoreSnapshot::encode_into`].
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<CoreSnapshot, CodecError> {
+        Ok(CoreSnapshot {
+            state: RmsState::decode_from(r)?,
+            attempts: r.list(|r| r.u32())?,
+            fstats: FaultStats {
+                node_downs: r.u64()?,
+                node_ups: r.u64()?,
+                evictions: r.u64()?,
+                crashes: r.u64()?,
+                overruns: r.u64()?,
+                retries: r.u64()?,
+                lost: r.u64()?,
+                down_node_allocations: r.u64()?,
+                downtime_ms: r.u64()?,
+            },
+            queue_tw: TimeWeightedCount::decode_from(r)?,
+            busy_tw: TimeWeightedCount::decode_from(r)?,
+            peak_queue: r.usize()?,
+            report: ReservationReport {
+                stats: ReservationStats {
+                    requests: r.u64()?,
+                    admitted: r.u64()?,
+                    rejected_capacity: r.u64()?,
+                    rejected_guarantee: r.u64()?,
+                    rejected_invalid: r.u64()?,
+                    cancelled: r.u64()?,
+                    honored: r.u64()?,
+                    downgraded: r.u64()?,
+                    revoked: r.u64()?,
+                    requested_area_pms: r.u64()?,
+                    admitted_area_pms: r.u64()?,
+                },
+                honored: r.list(Reservation::decode_from)?,
+                rejected: r.list(|r| Ok((r.u32()?, reject_from_tag(r.u8()?)?)))?,
+            },
+            admitted: r.list(|r| Ok((Reservation::decode_from(r)?, r.bool()?)))?,
+            migrated_out: r.u64()?,
+            migrated_in: r.u64()?,
+        })
     }
-    let n = r.u32()? as usize;
-    let mut rejected = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let id = r.u32()?;
-        rejected.push((id, reject_from_tag(r.u8()?)?));
-    }
-    Ok(ReservationReport {
-        stats,
-        honored,
-        rejected,
-    })
-}
-
-/// Appends the complete [`ShardCore`](crate::ShardCore) run state.
-pub fn encode_core(snap: &CoreSnapshot, w: &mut ByteWriter) {
-    snap.state.encode_into(w);
-    w.u32(snap.attempts.len() as u32);
-    for &a in &snap.attempts {
-        w.u32(a);
-    }
-    encode_fault_stats(&snap.fstats, w);
-    snap.queue_tw.encode_into(w);
-    snap.busy_tw.encode_into(w);
-    w.usize(snap.peak_queue);
-    encode_report(&snap.report, w);
-    w.u32(snap.admitted.len() as u32);
-    for (res, cancelled) in &snap.admitted {
-        encode_reservation(res, w);
-        w.bool(*cancelled);
-    }
-    w.u64(snap.migrated_out);
-    w.u64(snap.migrated_in);
-}
-
-/// Decodes a core snapshot written by [`encode_core`].
-pub fn decode_core(r: &mut ByteReader<'_>) -> Result<CoreSnapshot, CodecError> {
-    let state = RmsState::decode_from(r)?;
-    let n = r.u32()? as usize;
-    let mut attempts = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        attempts.push(r.u32()?);
-    }
-    let fstats = decode_fault_stats(r)?;
-    let queue_tw = TimeWeightedCount::decode_from(r)?;
-    let busy_tw = TimeWeightedCount::decode_from(r)?;
-    let peak_queue = r.usize()?;
-    let report = decode_report(r)?;
-    let n = r.u32()? as usize;
-    let mut admitted = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        let res = decode_reservation(r)?;
-        admitted.push((res, r.bool()?));
-    }
-    let migrated_out = r.u64()?;
-    let migrated_in = r.u64()?;
-    Ok(CoreSnapshot {
-        state,
-        attempts,
-        fstats,
-        queue_tw,
-        busy_tw,
-        peak_queue,
-        report,
-        admitted,
-        migrated_out,
-        migrated_in,
-    })
 }
 
 /// Serializes a [`SimSnapshot`] into the framed, versioned, checksummed
 /// on-disk form.
 pub fn encode_snapshot(snap: &SimSnapshot) -> Vec<u8> {
-    let mut payload = ByteWriter::new();
-    encode_core(&snap.core, &mut payload);
-    encode_engine(&snap.engine, &mut payload);
-    payload.u32(snap.feed.arrivals);
-    payload.u32(snap.feed.requests);
-    payload.u32(snap.feed.outages);
-    snap.scheduler.encode_into(&mut payload);
-    let payload = payload.into_bytes();
-
     let mut w = ByteWriter::new();
-    w.raw(SNAPSHOT_MAGIC);
-    w.u32(SNAPSHOT_VERSION);
-    w.bytes(&payload);
-    w.u32(crc32(&payload));
+    w.magic(SNAPSHOT_MAGIC, SNAPSHOT_VERSION);
+    w.sealed(|w| {
+        snap.core.encode_into(w);
+        snap.engine.encode_into(w, Event::encode_into);
+        w.u32(snap.feed.arrivals);
+        w.u32(snap.feed.requests);
+        w.u32(snap.feed.outages);
+        snap.scheduler.encode_into(w);
+    });
     w.into_bytes()
 }
 
@@ -368,48 +217,23 @@ pub fn encode_snapshot(snap: &SimSnapshot) -> Vec<u8> {
 /// the streams are the driver's inputs, not part of the snapshot.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
     let mut r = ByteReader::new(bytes);
-    if r.raw(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
-        return Err(CodecError::Invalid {
-            what: "snapshot magic",
-        });
-    }
-    let version = r.u32()?;
-    if !(1..=SNAPSHOT_VERSION).contains(&version) {
-        return Err(CodecError::Invalid {
-            what: "snapshot version",
-        });
-    }
-    let payload = r.bytes()?;
-    let sum = r.u32()?;
-    if crc32(payload) != sum {
-        return Err(CodecError::Invalid {
-            what: "snapshot checksum",
-        });
-    }
-    let mut p = ByteReader::new(payload);
-    let core = decode_core(&mut p)?;
-    let engine = decode_engine(&mut p)?;
-    let feed = if version == 1 {
-        FeedCursors::default()
-    } else {
-        FeedCursors {
-            arrivals: p.u32()?,
-            requests: p.u32()?,
-            outages: p.u32()?,
-        }
+    let version = r.magic(SNAPSHOT_MAGIC, 1..=SNAPSHOT_VERSION)?;
+    let mut p = r.sealed()?;
+    let snap = SimSnapshot {
+        core: CoreSnapshot::decode_from(&mut p)?,
+        engine: EngineSnapshot::decode_from(&mut p, Event::decode_from)?,
+        feed: match version {
+            1 => FeedCursors::default(),
+            _ => FeedCursors {
+                arrivals: p.u32()?,
+                requests: p.u32()?,
+                outages: p.u32()?,
+            },
+        },
+        scheduler: SchedulerSnapshot::decode_from(&mut p)?,
     };
-    let scheduler = SchedulerSnapshot::decode_from(&mut p)?;
-    if !p.is_exhausted() {
-        return Err(CodecError::Invalid {
-            what: "snapshot trailing bytes",
-        });
-    }
-    Ok(SimSnapshot {
-        core,
-        engine,
-        feed,
-        scheduler,
-    })
+    p.finish()?;
+    Ok(snap)
 }
 
 #[cfg(test)]
@@ -418,6 +242,7 @@ mod tests {
     use crate::runner::ChaosDriver;
     use crate::spec::SchedulerSpec;
     use dynp_core::DeciderKind;
+    use dynp_des::{SimDuration, SimTime};
     use dynp_rms::AdmissionConfig;
     use dynp_workload::{FaultPlan, Job, JobSet, ReservationRequest};
 
@@ -501,17 +326,17 @@ mod tests {
         ];
         let mut w = ByteWriter::new();
         for ev in &events {
-            encode_event(ev, &mut w);
+            ev.encode_into(&mut w);
         }
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
         for ev in &events {
-            assert_eq!(decode_event(&mut r).unwrap(), *ev);
+            assert_eq!(Event::decode_from(&mut r).unwrap(), *ev);
         }
         assert!(r.is_exhausted());
         let mut r = ByteReader::new(&[200]);
         assert_eq!(
-            decode_event(&mut r),
+            Event::decode_from(&mut r),
             Err(CodecError::Invalid { what: "event tag" })
         );
     }
@@ -525,12 +350,7 @@ mod tests {
         let mut flipped = bytes.clone();
         let mid = flipped.len() / 2;
         flipped[mid] ^= 0x40;
-        assert_eq!(
-            decode_snapshot(&flipped),
-            Err(CodecError::Invalid {
-                what: "snapshot checksum"
-            })
-        );
+        assert_eq!(decode_snapshot(&flipped), Err(CodecError::BadChecksum));
 
         // A torn tail is typed truncation.
         assert!(matches!(
@@ -541,19 +361,12 @@ mod tests {
         // Wrong magic and unknown version are refused up front.
         let mut wrong_magic = bytes.clone();
         wrong_magic[0] = b'X';
-        assert_eq!(
-            decode_snapshot(&wrong_magic),
-            Err(CodecError::Invalid {
-                what: "snapshot magic"
-            })
-        );
+        assert_eq!(decode_snapshot(&wrong_magic), Err(CodecError::BadMagic));
         let mut wrong_version = bytes.clone();
         wrong_version[8] = 0xEE;
         assert_eq!(
             decode_snapshot(&wrong_version),
-            Err(CodecError::Invalid {
-                what: "snapshot version"
-            })
+            Err(CodecError::UnknownVersion { version: 0xEE })
         );
     }
 }

@@ -17,7 +17,7 @@
 //! studies `ablation_preferred`, `ablation_threshold`, `ablation_step`.
 
 pub mod cli;
-pub mod codec;
+mod codec;
 pub mod experiment;
 pub mod federation;
 mod feed;

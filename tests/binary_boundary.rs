@@ -1,0 +1,264 @@
+//! No bytes panic the binary boundaries: `decode_snapshot`,
+//! `read_journal`/`read_journal_header` on a journal directory, and
+//! `load_latest_checkpoint` on a checkpoint directory return `Ok` or a
+//! typed error on whatever they are handed. (The JSON boundary is
+//! `tests/json_boundary.rs`.)
+//!
+//! Three generators, all starting from what a real build wrote (the
+//! fixtures of `tests/format_fixtures.rs`):
+//!
+//! * arbitrary bytes behind a valid magic and version;
+//! * a fixture file with a window of bytes cut out or spliced in;
+//! * a fixture file overwritten in a few places — runs of `0xFF`, `0x00`
+//!   or one byte, often at the start of a header or payload field — and
+//!   then re-sealed with fresh checksums, so the payload decoders are
+//!   reached and not only the checksum.
+//!
+//! Out of scope: whether a checkpoint whose checksum holds but whose
+//! state is inconsistent can be *restored*. `SelfTuningScheduler::restore`
+//! indexes its words unchecked, and the threat model is torn writes and
+//! bit rot, not an adversary (DESIGN §14).
+
+use dynp_des::{ByteReader, ByteWriter};
+use dynp_serve::{load_latest_checkpoint, read_journal, read_journal_header, JournalError};
+use dynp_sim::decode_snapshot;
+use proptest::prelude::*;
+use std::ops::Range;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Kind {
+    Snapshot,
+    Checkpoint,
+    Segment,
+}
+
+/// One fixture file and where its fields lie.
+struct Fixture {
+    kind: Kind,
+    name: &'static str,
+    bytes: Vec<u8>,
+    /// Byte ranges of its sealed payloads.
+    payloads: Vec<Range<usize>>,
+    /// Offsets where an envelope, header or payload field starts.
+    anchors: Vec<usize>,
+}
+
+fn hex(text: &str) -> Vec<u8> {
+    let hex: String = text.split_whitespace().collect();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+        .collect()
+}
+
+impl Fixture {
+    fn new(kind: Kind, name: &'static str, bytes: Vec<u8>) -> Fixture {
+        // magic | version, then what each format puts before its frames.
+        let mut r = ByteReader::new(&bytes);
+        r.raw(12).unwrap();
+        let mut anchors = vec![0, 8];
+        match kind {
+            Kind::Snapshot => {}
+            Kind::Checkpoint => {
+                anchors.push(r.position());
+                r.u64().unwrap(); // journal seq
+            }
+            Kind::Segment => {
+                // machine, speedup, scheduler, segment index, base seq
+                anchors.push(r.position());
+                r.u32().unwrap();
+                anchors.push(r.position());
+                r.u64().unwrap();
+                anchors.push(r.position());
+                r.str().unwrap();
+                anchors.push(r.position());
+                r.u32().unwrap();
+                anchors.push(r.position());
+                r.u64().unwrap();
+            }
+        }
+        let mut payloads = Vec::new();
+        while !r.is_exhausted() {
+            if kind == Kind::Segment {
+                anchors.push(r.position());
+                r.u8().unwrap(); // record type
+            }
+            anchors.push(r.position());
+            let start = r.position() + 4;
+            let len = r.bytes().unwrap().len();
+            r.u32().unwrap();
+            // A payload's first two fields: a record's seq and stamp.
+            anchors.extend([start, start + 8]);
+            payloads.push(start..start + len);
+        }
+        Fixture {
+            kind,
+            name,
+            bytes,
+            payloads,
+            anchors,
+        }
+    }
+}
+
+fn fixtures() -> &'static [Fixture] {
+    static FIXTURES: OnceLock<Vec<Fixture>> = OnceLock::new();
+    FIXTURES.get_or_init(|| {
+        let v1 = include_str!("../crates/sim/tests/fixtures/snapshot_v1.hex");
+        let v2 = include_str!("../crates/sim/tests/fixtures/snapshot_v2.hex");
+        vec![
+            Fixture::new(Kind::Snapshot, "snapshot_v1", hex(v1)),
+            Fixture::new(Kind::Snapshot, "snapshot_v2", hex(v2)),
+            Fixture::new(
+                Kind::Checkpoint,
+                "checkpoint-0000000004.ckpt",
+                include_bytes!("fixtures/journal_v1/checkpoint-0000000004.ckpt").to_vec(),
+            ),
+            Fixture::new(
+                Kind::Checkpoint,
+                "checkpoint-0000000011.ckpt",
+                include_bytes!("fixtures/journal_v1/checkpoint-0000000011.ckpt").to_vec(),
+            ),
+            Fixture::new(
+                Kind::Segment,
+                "journal-000000.wal",
+                include_bytes!("fixtures/journal_v1/journal-000000.wal").to_vec(),
+            ),
+            Fixture::new(
+                Kind::Segment,
+                "journal-000001.wal",
+                include_bytes!("fixtures/journal_v1/journal-000001.wal").to_vec(),
+            ),
+        ]
+    })
+}
+
+/// A fresh temp dir for the test named `tag`.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("dynp_binary_boundary_test")
+        .join(format!("{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Hands `bytes`, shaped like fixture `f`, to its boundary (files go to
+/// the temp dir of the test named `tag`).
+fn hit(tag: &str, f: &Fixture, bytes: &[u8]) -> Result<(), TestCaseError> {
+    if f.kind == Kind::Snapshot {
+        let _ = decode_snapshot(bytes);
+        return Ok(());
+    }
+    let dir = temp_dir(tag);
+    if f.name == "journal-000001.wal" {
+        // Behind an intact segment 0, so the cross-segment checks run.
+        std::fs::write(dir.join(fixtures()[4].name), &fixtures()[4].bytes).unwrap();
+    }
+    std::fs::write(dir.join(f.name), bytes).unwrap();
+    match f.kind {
+        Kind::Checkpoint => {
+            let loaded = load_latest_checkpoint(&dir);
+            prop_assert!(loaded.is_ok(), "a bad checkpoint is skipped: {loaded:?}");
+        }
+        _ => {
+            for e in [read_journal(&dir).err(), read_journal_header(&dir).err()] {
+                prop_assert!(!matches!(e, Some(JournalError::Io { .. })), "{e:?}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    Ok(())
+}
+
+/// Overwrites `width` bytes at `at` (an anchor, or any offset) with
+/// `fill`, then re-seals every payload with a fresh checksum.
+fn mutate_and_reseal(f: &Fixture, ops: &[(bool, usize, usize, u8)]) -> Vec<u8> {
+    let mut bytes = f.bytes.clone();
+    for &(anchored, at, width, fill) in ops {
+        let at = if anchored {
+            f.anchors[at % f.anchors.len()]
+        } else {
+            at % bytes.len()
+        };
+        let end = (at + width).min(bytes.len());
+        bytes[at..end].fill(fill);
+    }
+    for p in &f.payloads {
+        let mut w = ByteWriter::new();
+        w.sealed(|w| w.raw(&bytes[p.clone()]));
+        let sealed = w.into_bytes();
+        bytes[p.end..p.end + 4].copy_from_slice(&sealed[sealed.len() - 4..]);
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn arbitrary_bytes_behind_a_valid_head_are_typed(
+        which in 0usize..6,
+        tail in collection::vec(0u8..255, 0..300),
+    ) {
+        let f = &fixtures()[which];
+        // The fixture's magic and version, then anything.
+        hit("head", f, &[&f.bytes[..12], &tail].concat())?;
+    }
+
+    #[test]
+    fn a_window_cut_out_or_spliced_in_is_typed(
+        which in 0usize..6,
+        at in 0usize..4096,
+        cut in 0usize..64,
+        splice in collection::vec(prop_oneof![Just(0xFFu8), Just(0u8), 0u8..255], 0..24),
+    ) {
+        let f = &fixtures()[which];
+        let at = at % f.bytes.len();
+        let end = (at + cut).min(f.bytes.len());
+        hit("window", f, &[&f.bytes[..at], &splice, &f.bytes[end..]].concat())?;
+    }
+
+    #[test]
+    fn a_resealed_mutation_reaches_the_payload_decoders(
+        which in 0usize..6,
+        ops in collection::vec(
+            (
+                prop_oneof![Just(true), Just(false)],
+                0usize..4096,
+                1usize..9,
+                prop_oneof![Just(0xFFu8), Just(0u8), 0u8..255],
+            ),
+            1..4,
+        ),
+    ) {
+        let f = &fixtures()[which];
+        hit("reseal", f, &mutate_and_reseal(f, &ops))?;
+    }
+}
+
+/// The resealing generator can write a segment whose base seq and first
+/// record's seq are both `u64::MAX`: a record seq with no successor.
+#[test]
+fn the_resealing_generator_reaches_a_sequence_overflow() {
+    let f = &fixtures()[4];
+    let (base_seq, first_seq) = (f.anchors[6], f.payloads[0].start);
+    let at = |off| f.anchors.iter().position(|&a| a == off).unwrap();
+    let ops = [
+        (true, at(base_seq), 8, 0xFF),
+        (true, at(first_seq), 8, 0xFF),
+    ];
+    let bytes = mutate_and_reseal(f, &ops);
+    let dir = temp_dir("overflow");
+    std::fs::write(dir.join(f.name), bytes).unwrap();
+    assert!(matches!(
+        read_journal(&dir),
+        Err(JournalError::BadRecord {
+            what: "sequence overflow",
+            ..
+        })
+    ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -314,3 +314,31 @@ fn header_mismatch_names_the_field() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A record whose seq has no successor — a lone segment based at
+/// `u64::MAX` holding one cancel — is refused with a typed error, not an
+/// overflow of the reader's next-seq counter.
+#[test]
+fn sequence_number_at_u64_max_is_a_typed_error() {
+    let dir = temp_dir("seq_max");
+    let mut w = dynp_des::ByteWriter::new();
+    w.magic(b"DYNPJRNL", 1);
+    w.u32(8);
+    w.u64(1);
+    w.str("FCFS");
+    w.u32(0);
+    w.u64(u64::MAX);
+    w.u8(2); // cancel: seq, stamp, job
+    w.sealed(|w| {
+        w.u64(u64::MAX);
+        w.u64(0);
+        w.u32(0);
+    });
+    std::fs::write(dir.join("journal-000000.wal"), w.into_bytes()).unwrap();
+
+    match read_journal(&dir) {
+        Err(JournalError::BadRecord { what, .. }) => assert_eq!(what, "sequence overflow"),
+        other => panic!("want BadRecord, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
