@@ -5,7 +5,7 @@
 //! the correct decision. "In four cases (1, 6b, 8c, and 10c) a wrong
 //! decision is made by the simple decider" — this module encodes all
 //! rows so tests can assert our simple and advanced deciders reproduce
-//! both columns exactly, and the `table1` binary re-prints the table.
+//! both columns exactly, and `experiment table1` re-prints the table.
 
 use crate::compare::EPSILON;
 use crate::decider::{advanced_decide, simple_decide};

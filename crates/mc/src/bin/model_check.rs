@@ -14,26 +14,24 @@
 
 use dynp_mc::{
     explore, replay, scheduler_factory, shrink, standard, ExploreConfig, Scenario, ScenarioConfig,
-    Strategy,
+    SchedulerFactory, Strategy,
 };
 use dynp_obs::{write_jsonl, TraceLevel, Tracer};
+use dynp_sim::cli::Flags;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+const USAGE: &str = "\
+usage: model_check [--nodes N] [--jobs N] [--faults N] [--res N]
+                   [--depth N] [--max-states N] [--strategy dfs|bfs]
+                   [--scheduler SPEC] [--counterexample PATH]";
 
 struct Args {
     cfg: ScenarioConfig,
     explore: ExploreConfig,
     scheduler: String,
+    make: SchedulerFactory,
     counterexample: Option<PathBuf>,
-}
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: model_check [--nodes N] [--jobs N] [--faults N] [--res N]\n\
-         \x20                  [--depth N] [--max-states N] [--strategy dfs|bfs]\n\
-         \x20                  [--scheduler SPEC] [--counterexample PATH]"
-    );
-    std::process::exit(2);
 }
 
 fn parse_args() -> Args {
@@ -47,52 +45,43 @@ fn parse_args() -> Args {
     let mut scheduler = "dynp".to_string();
     let mut counterexample = None;
 
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut value = |flag: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                usage();
-            })
-        };
+    let mut flags = Flags::from_env(USAGE);
+    while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--nodes" => cfg.nodes = value("--nodes").parse().unwrap_or_else(|_| usage()),
-            "--jobs" => cfg.jobs = value("--jobs").parse().unwrap_or_else(|_| usage()),
-            "--faults" => cfg.outages = value("--faults").parse().unwrap_or_else(|_| usage()),
-            "--res" => cfg.reservations = value("--res").parse().unwrap_or_else(|_| usage()),
-            "--depth" => explore.max_depth = value("--depth").parse().unwrap_or_else(|_| usage()),
-            "--max-states" => {
-                explore.max_states = value("--max-states").parse().unwrap_or_else(|_| usage())
-            }
+            "--nodes" => cfg.nodes = flags.positive(&flag),
+            "--jobs" => cfg.jobs = flags.num(&flag),
+            "--faults" => cfg.outages = flags.num(&flag),
+            "--res" => cfg.reservations = flags.num(&flag),
+            "--depth" => explore.max_depth = flags.num(&flag),
+            "--max-states" => explore.max_states = flags.num(&flag),
             "--strategy" => {
-                explore.strategy = Strategy::parse(&value("--strategy")).unwrap_or_else(|| {
-                    eprintln!("unknown strategy (expected dfs or bfs)");
-                    usage();
-                })
+                let raw = flags.value(&flag);
+                explore.strategy = Strategy::parse(&raw).unwrap_or_else(|| {
+                    flags.bail(&format!("--strategy expects dfs or bfs, got {raw:?}"))
+                });
             }
-            "--scheduler" => scheduler = value("--scheduler"),
-            "--counterexample" => counterexample = Some(PathBuf::from(value("--counterexample"))),
-            "--help" | "-h" => usage(),
-            other => {
-                eprintln!("unknown flag {other}");
-                usage();
-            }
+            "--scheduler" => scheduler = flags.value(&flag),
+            "--counterexample" => counterexample = Some(PathBuf::from(flags.value(&flag))),
+            other => flags.unknown(other),
         }
     }
+    if cfg.outages > 0 && cfg.nodes < 2 {
+        flags.bail("--faults needs --nodes 2 or more: the last usable node cannot go down");
+    }
+    let make = scheduler_factory(&scheduler)
+        .unwrap_or_else(|why| flags.bail(&format!("--scheduler: {why}")));
     Args {
         cfg,
         explore,
         scheduler,
+        make,
         counterexample,
     }
 }
 
 fn main() -> ExitCode {
     let args = parse_args();
-    let make = scheduler_factory(&args.scheduler).unwrap_or_else(|why| {
-        eprintln!("error: {why}");
-        std::process::exit(2);
-    });
+    let make = &args.make;
     let invariants = standard();
     let scenario = Scenario::build(&args.cfg);
 

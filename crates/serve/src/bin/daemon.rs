@@ -28,12 +28,13 @@
 //! virtual time, fsyncs the journal, prints a summary JSON line to
 //! stdout and exits 0.
 
-use dynp_serve::cli::{bail, Flags};
+use dynp_serve::cli::{fsync, quota};
 use dynp_serve::{
     parse_request, parse_scheduler, read_journal_header, read_request_line, recover, render_reply,
     render_summary, spawn, Command, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply,
     Request, ServiceConfig, ServiceHandle, SubmitError,
 };
+use dynp_sim::cli::Flags;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -82,26 +83,26 @@ fn parse_args() -> Args {
     let mut journal: Option<PathBuf> = None;
     let mut recover = false;
     let mut drain = false;
-    let mut fsync = FsyncPolicy::Always;
+    let mut fsync_policy = FsyncPolicy::Always;
     let mut checkpoint_every = 0u64;
     let mut compact = false;
-    let mut quota = QuotaConfig::disabled();
+    let mut quota_config = QuotaConfig::disabled();
     let mut socket: Option<PathBuf> = None;
 
     let mut flags = Flags::from_env(USAGE);
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
-            "--machine" => machine = Some(flags.num(&flag)),
+            "--machine" => machine = Some(flags.positive(&flag)),
             "--scheduler" => scheduler = Some(flags.value(&flag)),
             "--max-queue" => max_queue = flags.num(&flag),
             "--speedup" => speedup = Some(flags.num(&flag)),
             "--journal" => journal = Some(PathBuf::from(flags.value(&flag))),
             "--recover" => recover = true,
             "--drain" => drain = true,
-            "--fsync" => fsync = flags.fsync(&flag),
+            "--fsync" => fsync_policy = fsync(&mut flags, &flag),
             "--checkpoint-every" => checkpoint_every = flags.num(&flag),
             "--compact" => compact = true,
-            "--quota" => quota = flags.quota(),
+            "--quota" => quota_config = quota(&mut flags),
             "--socket" => socket = Some(PathBuf::from(flags.value(&flag))),
             other => flags.unknown(other),
         }
@@ -114,7 +115,7 @@ fn parse_args() -> Args {
     // full journal read exactly once.
     if recover {
         let Some(dir) = &journal else {
-            bail(USAGE, "--recover needs --journal DIR");
+            flags.bail("--recover needs --journal DIR");
         };
         match read_journal_header(dir) {
             Ok(header) => {
@@ -133,15 +134,15 @@ fn parse_args() -> Args {
     }
 
     let spec = parse_scheduler(scheduler.as_deref().unwrap_or("dynp"))
-        .unwrap_or_else(|why| bail(USAGE, &why));
+        .unwrap_or_else(|why| flags.bail(&format!("--scheduler: {why}")));
     let mut config = ServiceConfig::new(machine.unwrap_or(128), spec);
     config.max_queue = max_queue;
     config.speedup = speedup.unwrap_or(1);
     config.journal = journal;
-    config.fsync = fsync;
+    config.fsync = fsync_policy;
     config.checkpoint_every = checkpoint_every;
     config.compact = compact;
-    config.quota = quota;
+    config.quota = quota_config;
     Args {
         config,
         socket,

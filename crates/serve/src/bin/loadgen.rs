@@ -44,11 +44,13 @@
 use dynp_des::SimDuration;
 use dynp_metrics::LatencyHistogram;
 use dynp_obs::parse::Json;
-use dynp_serve::cli::{bail, Flags};
+use dynp_serve::cli::{fsync, quota};
 use dynp_serve::{
-    parse_scheduler, spawn, Command, FsyncPolicy, OverloadReason, QuotaConfig, Reply,
-    ServiceConfig, SubmitError, SubmitSpec,
+    spawn, Command, FsyncPolicy, OverloadReason, QuotaConfig, Reply, ServiceConfig, SubmitError,
+    SubmitSpec,
 };
+use dynp_sim::cli::Flags;
+use dynp_sim::SchedulerSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp};
@@ -101,7 +103,7 @@ struct Args {
     departure: f64,
     seed: u64,
     machine: u32,
-    scheduler: String,
+    scheduler: SchedulerSpec,
     max_queue: usize,
     speedup: u64,
     journal: Option<PathBuf>,
@@ -123,7 +125,7 @@ fn parse_args() -> Args {
         departure: 0.02,
         seed: 24301,
         machine: 128,
-        scheduler: "dynp".to_string(),
+        scheduler: SchedulerSpec::dynp(dynp_core::DeciderKind::Advanced),
         max_queue: 512,
         speedup: 2000,
         journal: None,
@@ -141,34 +143,28 @@ fn parse_args() -> Args {
                 args.rates = flags
                     .value(&flag)
                     .split(',')
-                    .map(|r| flags.parse(r, &flag))
+                    .map(|r| flags.positive_of(r, &flag))
                     .collect();
             }
-            "--duration" => args.duration = flags.num(&flag),
-            "--workers" => args.workers = flags.num(&flag),
-            "--users" => args.users = flags.num(&flag),
-            "--zipf" => args.zipf = flags.num(&flag),
-            "--departure" => args.departure = flags.num(&flag),
+            "--duration" => args.duration = flags.positive(&flag),
+            "--workers" => args.workers = flags.positive(&flag),
+            "--users" => args.users = flags.positive(&flag),
+            "--zipf" => args.zipf = flags.num_in(&flag, 0.0..f64::INFINITY),
+            "--departure" => args.departure = flags.num_in(&flag, 0.0..=1.0),
             "--seed" => args.seed = flags.num(&flag),
-            "--machine" => args.machine = flags.num(&flag),
-            "--scheduler" => args.scheduler = flags.value(&flag),
+            "--machine" => args.machine = flags.positive(&flag),
+            "--scheduler" => args.scheduler = flags.scheduler(&flag),
             "--max-queue" => args.max_queue = flags.num(&flag),
             "--speedup" => args.speedup = flags.num(&flag),
             "--journal" => args.journal = Some(PathBuf::from(flags.value(&flag))),
-            "--fsync" => args.fsync = flags.fsync(&flag),
-            "--quota" => args.quota = flags.quota(),
+            "--fsync" => args.fsync = fsync(&mut flags, &flag),
+            "--quota" => args.quota = quota(&mut flags),
             "--out" => args.out = Some(PathBuf::from(flags.value(&flag))),
             "--connect" => args.connect = Some(PathBuf::from(flags.value(&flag))),
             "--timeout-ms" => args.timeout_ms = flags.num(&flag),
             "--shutdown-after" => args.shutdown_after = true,
             other => flags.unknown(other),
         }
-    }
-    if args.rates.is_empty() || args.rates.iter().any(|r| *r <= 0.0) {
-        bail(USAGE, "--rate needs positive rates");
-    }
-    if args.workers == 0 || args.users == 0 {
-        bail(USAGE, "--workers and --users must be at least 1");
     }
     args
 }
@@ -404,8 +400,7 @@ impl Row {
 /// Runs one rate step against an in-process daemon, draining it at the
 /// end so completion and loss counts are exact.
 fn run_inproc(args: &Args, rate: f64, journal: Option<PathBuf>) -> Row {
-    let spec = parse_scheduler(&args.scheduler).unwrap_or_else(|why| bail(USAGE, &why));
-    let mut config = ServiceConfig::new(args.machine, spec);
+    let mut config = ServiceConfig::new(args.machine, args.scheduler.clone());
     config.max_queue = args.max_queue;
     config.speedup = args.speedup;
     config.journal = journal;
@@ -690,9 +685,7 @@ fn render_report(args: &Args, scheduler_name: &str, rows: &[Row]) -> String {
 
 fn main() {
     let args = parse_args();
-    let scheduler_name = parse_scheduler(&args.scheduler)
-        .unwrap_or_else(|why| bail(USAGE, &why))
-        .name();
+    let scheduler_name = args.scheduler.name();
     let mut rows = Vec::new();
     match &args.connect {
         Some(path) => {

@@ -13,8 +13,8 @@
 //! fingerprint — which is exactly what the CI crash-recovery job
 //! asserts by diffing the two lines.
 
-use dynp_serve::cli::{bail, Flags};
 use dynp_serve::{parse_scheduler, read_journal, render_summary, replay_records, ServiceReport};
+use dynp_sim::cli::Flags;
 use std::path::PathBuf;
 
 const USAGE: &str = "\
@@ -26,17 +26,17 @@ usage: replay --journal DIR [--scheduler SPEC]
 
 fn main() {
     let mut journal: Option<PathBuf> = None;
-    let mut scheduler: Option<String> = None;
+    let mut scheduler = None;
     let mut flags = Flags::from_env(USAGE);
     while let Some(flag) = flags.next_flag() {
         match flag.as_str() {
             "--journal" => journal = Some(PathBuf::from(flags.value(&flag))),
-            "--scheduler" => scheduler = Some(flags.value(&flag)),
+            "--scheduler" => scheduler = Some(flags.scheduler(&flag)),
             other => flags.unknown(other),
         }
     }
     let Some(dir) = journal else {
-        bail(USAGE, "--journal DIR is required");
+        flags.bail("--journal DIR is required");
     };
     let journal = read_journal(&dir).unwrap_or_else(|e| {
         eprintln!("cannot read journal {}: {e}", dir.display());
@@ -49,8 +49,9 @@ fn main() {
             journal.records.len()
         );
     }
-    let spec = parse_scheduler(scheduler.as_deref().unwrap_or(&journal.scheduler))
-        .unwrap_or_else(|why| bail(USAGE, &why));
+    let spec = scheduler.unwrap_or_else(|| {
+        parse_scheduler(&journal.scheduler).unwrap_or_else(|why| flags.bail(&why))
+    });
     let replay =
         replay_records(journal.machine_size, &journal.records, &spec).unwrap_or_else(|e| {
             eprintln!("replay failed: {e}");

@@ -6,122 +6,70 @@
 //!
 //! ```text
 //! cargo run --release -p dynp-sim --bin federation -- \
-//!     --quick --clusters 4 --shard-threads 2 --route-policy least-loaded
+//!     --jobs 2500 --clusters 4 --shard-threads 2 --route-policy least-loaded
 //! ```
 //!
-//! Federation flags (on top of the shared ones in `dynp_sim::cli`):
-//!
-//! ```text
-//! --clusters N          clusters in the federation (default 4)
-//! --shard-threads T     epoch executor worker threads (default 1;
-//!                       results are bit-identical for every value)
-//! --route-policy P      least-loaded | locality | random | random:SEED
-//! --migration-factor F  migrate a waiting job when the busiest/idlest
-//!                       relative backlog ratio exceeds F (default: off)
-//! --link-latency S      inter-cluster link latency in seconds, which is
-//!                       also the epoch width (default 30)
-//! ```
+//! `federation --help` lists the flags.
 //!
 //! With `--trace-out BASE`, each cluster's trace lands in
 //! `BASE.cluster{i}.jsonl` — one audit log per shard ring.
 
 use dynp_core::DeciderKind;
 use dynp_des::SimDuration;
-use dynp_sim::cli::CommonArgs;
+use dynp_sim::cli::{usage, CommonArgs, Flags, TRACING};
 use dynp_sim::{
     run_federation, ClusterSpec, FederationConfig, LinkModel, RoutePolicy, SchedulerSpec,
 };
 use dynp_workload::{JobSet, MultiClusterWorkload};
 
-struct FedArgs {
-    clusters: usize,
-    shard_threads: usize,
-    route: RoutePolicy,
-    migration_factor: Option<u64>,
-    link_latency_secs: u64,
-}
-
-fn parse_fed_args(rest: &[String]) -> Result<FedArgs, String> {
-    let mut out = FedArgs {
-        clusters: 4,
-        shard_threads: 1,
-        route: RoutePolicy::LeastLoaded,
-        migration_factor: None,
-        link_latency_secs: 30,
-    };
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--clusters" => {
-                out.clusters = value("--clusters")?
-                    .parse()
-                    .map_err(|_| "--clusters expects an integer".to_string())?;
-                if out.clusters == 0 {
-                    return Err("--clusters must be positive".to_string());
-                }
-            }
-            "--shard-threads" => {
-                out.shard_threads = value("--shard-threads")?
-                    .parse()
-                    .map_err(|_| "--shard-threads expects an integer".to_string())?;
-            }
-            "--route-policy" => {
-                let name = value("--route-policy")?;
-                out.route = RoutePolicy::parse(name).ok_or_else(|| {
-                    format!(
-                        "--route-policy expects least-loaded|locality|random[:SEED], got {name:?}"
-                    )
-                })?;
-            }
-            "--migration-factor" => {
-                let factor: u64 = value("--migration-factor")?
-                    .parse()
-                    .map_err(|_| "--migration-factor expects an integer".to_string())?;
-                if factor == 0 {
-                    return Err("--migration-factor must be positive".to_string());
-                }
-                out.migration_factor = Some(factor);
-            }
-            "--link-latency" => {
-                out.link_latency_secs = value("--link-latency")?
-                    .parse()
-                    .map_err(|_| "--link-latency expects a number of seconds".to_string())?;
-                if out.link_latency_secs == 0 {
-                    return Err("--link-latency must be positive".to_string());
-                }
-            }
-            other => return Err(format!("unknown flag {other:?}")),
-        }
-    }
-    Ok(out)
-}
-
 fn main() {
-    let args = CommonArgs::parse();
-    let fed_args = match parse_fed_args(&args.rest) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!(
-                "federation flags: [--clusters N] [--shard-threads T] \
-                 [--route-policy least-loaded|locality|random[:SEED]] \
-                 [--migration-factor F] [--link-latency S]"
-            );
-            std::process::exit(2);
+    let accepts = [
+        &["--jobs", "--trace", "--seed", "--planner-threads"][..],
+        &TRACING,
+    ]
+    .concat();
+    let mut flags = Flags::from_env(usage(
+        "usage: federation [flags]\n  \
+         --clusters N         clusters in the federation (default 4)\n  \
+         --shard-threads T    epoch executor worker threads (default 1; results are\n  \
+         \x20                    bit-identical for every value)\n  \
+         --route-policy P     least-loaded|locality|random[:SEED]\n  \
+         --migration-factor F migrate a waiting job when the busiest/idlest relative\n  \
+         \x20                    backlog ratio exceeds F (default: off)\n  \
+         --link-latency S     inter-cluster link latency in seconds, also the epoch\n  \
+         \x20                    width (default 30)\n  \
+         (one workload per cluster from the first --trace)",
+        &accepts,
+    ));
+    let mut clusters = 4usize;
+    let mut shard_threads = 1usize;
+    let mut route = RoutePolicy::LeastLoaded;
+    let mut migration_factor: Option<u64> = None;
+    let mut link_latency_secs = 30u64;
+    let args = CommonArgs::read(&mut flags, &accepts, |flags, flag| {
+        match flag {
+            "--clusters" => clusters = flags.positive(flag),
+            "--shard-threads" => shard_threads = flags.num(flag),
+            "--route-policy" => {
+                let name = flags.value(flag);
+                route = RoutePolicy::parse(&name).unwrap_or_else(|| {
+                    flags.bail(&format!(
+                        "--route-policy expects least-loaded|locality|random[:SEED], got {name:?}"
+                    ))
+                });
+            }
+            "--migration-factor" => migration_factor = Some(flags.positive(flag)),
+            "--link-latency" => link_latency_secs = flags.positive(flag),
+            _ => return false,
         }
-    };
+        true
+    });
 
     let model = &args.traces[0];
-    let sets: Vec<JobSet> = (0..fed_args.clusters)
+    let sets: Vec<JobSet> = (0..clusters)
         .map(|c| model.generate(args.jobs, args.seed + c as u64))
         .collect();
-    let workload =
-        MultiClusterWorkload::merge(format!("{}×{}", model.name, fed_args.clusters), &sets);
+    let workload = MultiClusterWorkload::merge(format!("{}×{}", model.name, clusters), &sets);
 
     let specs: Vec<ClusterSpec> = sets
         .iter()
@@ -136,26 +84,24 @@ fn main() {
     let tracers: Vec<_> = specs.iter().map(|s| s.tracer.clone()).collect();
 
     let config = FederationConfig {
-        route: fed_args.route,
+        route,
         link: LinkModel::Constant {
-            latency: SimDuration::from_secs(fed_args.link_latency_secs),
+            latency: SimDuration::from_secs(link_latency_secs),
         },
-        shard_threads: fed_args.shard_threads,
-        migration_factor: fed_args.migration_factor,
+        shard_threads,
+        migration_factor,
     };
 
     println!(
         "federation: {} clusters × {} jobs ({}), route={}, shard-threads={}, \
          link={}s, migration={}",
-        fed_args.clusters,
+        clusters,
         args.jobs,
         model.name,
         config.route.name(),
         config.shard_threads,
-        fed_args.link_latency_secs,
-        fed_args
-            .migration_factor
-            .map_or("off".to_string(), |f| format!("factor {f}")),
+        link_latency_secs,
+        migration_factor.map_or("off".to_string(), |f| format!("factor {f}")),
     );
 
     let wall = std::time::Instant::now();

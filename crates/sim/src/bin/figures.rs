@@ -1,32 +1,41 @@
-//! Renders every `figN_*.dat` series file written by the `table4` /
-//! `table5` / `ablation_reservations` binaries into standalone SVG line
-//! charts — the paper's Figures 1–4 as images (measured and published
-//! series side by side), plus the reservation acceptance-rate figures
-//! (`figR_*`).
+//! Renders every `fig*.dat` series file the studies of `experiment`
+//! write into standalone SVG line charts: the paper's Figures 1–4
+//! (measured and published series side by side), the reservation
+//! acceptance rates (`figR_*`) and SLDwA under outages (`figF_*`).
 //!
 //! ```text
 //! cargo run --release -p dynp-sim --bin figures -- [RESULTS_DIR]
 //! ```
 //!
-//! Slowdown figures (1 and 3) use a log y-axis, like reading the paper's
-//! plots across their two orders of magnitude; utilization figures (2
-//! and 4) are linear in percent.
+//! Each figure kind's axes are declared once, in `dynp_sim::study`; a
+//! file of a kind no study writes is skipped with a message.
 
+use dynp_sim::cli::Flags;
 use dynp_sim::report::FigureData;
-use dynp_sim::svg::{write_chart, ChartOptions};
+use dynp_sim::study::chart;
+use dynp_sim::svg::write_chart;
 use std::path::PathBuf;
 
 fn main() {
-    let dir = PathBuf::from(
-        std::env::args()
-            .nth(1)
-            .unwrap_or_else(|| "results".to_string()),
+    let mut flags = Flags::from_env(
+        "usage: figures [RESULTS_DIR]\n\n\
+         draws RESULTS_DIR/fig*.dat (default: results) as SVG next to them",
     );
+    let mut dir = None;
+    while let Some(arg) = flags.next_flag() {
+        if arg.starts_with('-') {
+            flags.unknown(&arg);
+        }
+        if dir.replace(PathBuf::from(&arg)).is_some() {
+            flags.bail("name one results directory");
+        }
+    }
+    let dir = dir.unwrap_or_else(|| PathBuf::from("results"));
     let entries = match std::fs::read_dir(&dir) {
         Ok(e) => e,
         Err(e) => {
             eprintln!(
-                "cannot read {}: {e}\nrun the table4/table5 binaries with --out {} first",
+                "cannot read {}: {e}\nrun `experiment table4 --out {}` first",
                 dir.display(),
                 dir.display()
             );
@@ -44,40 +53,19 @@ fn main() {
 
     for name in names {
         let stem = name.trim_end_matches(".dat");
-        let text = match std::fs::read_to_string(dir.join(&name)) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("skipping {name}: {e}");
-                continue;
-            }
+        let Some(opts) = chart(stem) else {
+            eprintln!("skipping {name}: no study writes this figure kind");
+            continue;
         };
-        let fig = match FigureData::from_dat(&text) {
+        let fig = match std::fs::read_to_string(dir.join(&name))
+            .map_err(|e| e.to_string())
+            .and_then(|text| FigureData::from_dat(&text))
+        {
             Ok(f) => f,
             Err(e) => {
                 eprintln!("skipping {name}: {e}");
                 continue;
             }
-        };
-        // Figures 1 and 3 plot slowdowns (log axis); 2 and 4 plot
-        // utilization in percent (linear); figR plots the admission
-        // acceptance rate against the offered booked-area fraction.
-        let slowdown = stem.starts_with("fig1") || stem.starts_with("fig3");
-        let reservations = stem.starts_with("figR");
-        let opts = ChartOptions {
-            log_y: slowdown,
-            y_label: if slowdown {
-                "SLDwA (log scale)".into()
-            } else if reservations {
-                "acceptance rate [%]".into()
-            } else {
-                "utilization [%]".into()
-            },
-            x_label: if reservations {
-                "offered booked-area fraction".into()
-            } else {
-                "shrinking factor".into()
-            },
-            ..ChartOptions::default()
         };
         match write_chart(&fig, &opts, &dir, stem) {
             Ok(()) => {
@@ -89,7 +77,8 @@ fn main() {
     }
     if rendered == 0 {
         eprintln!(
-            "no fig*.dat files in {} — run table4/table5 with --out first",
+            "no fig*.dat files in {} — run `experiment table4 --out {}` first",
+            dir.display(),
             dir.display()
         );
         std::process::exit(1);

@@ -5,50 +5,44 @@
 //!
 //! ```text
 //! cargo run --release -p dynp-sim --bin history_report -- \
-//!     --trace SDSC --jobs 4000 [--shrink 0.8] [--decider preferred]
+//!     --trace SDSC --jobs 4000 [--shrink 0.8] [--scheduler dynp:preferred:SJF]
 //! ```
 
 use dynp_core::{DeciderKind, DynPConfig, PolicyHistory, SelfTuningScheduler};
 use dynp_des::{SimDuration, SimTime};
 use dynp_metrics::OutcomeDistributions;
 use dynp_rms::{AdmissionConfig, Policy};
-use dynp_sim::cli::CommonArgs;
-use dynp_sim::simulate_traced;
+use dynp_sim::cli::{usage, CommonArgs, Flags, TRACING};
+use dynp_sim::{simulate_traced, SchedulerSpec};
 use dynp_workload::transform;
 
 fn main() {
-    let args = CommonArgs::parse();
+    let accepts = [
+        &["--jobs", "--trace", "--seed", "--out", "--scheduler"][..],
+        &TRACING,
+    ]
+    .concat();
+    let mut flags = Flags::from_env(usage(
+        "usage: history_report [--shrink F] [flags]  (--scheduler: a dynP spec)\n  \
+         --shrink F           shrinking factor of the workload (default 0.8)",
+        &accepts,
+    ));
     let mut shrink_factor = 0.8f64;
-    let mut decider = DeciderKind::Advanced;
-    let mut rest = args.rest.iter();
-    while let Some(flag) = rest.next() {
-        match flag.as_str() {
-            "--shrink" => {
-                shrink_factor = rest
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--shrink needs a number");
-            }
-            "--decider" => {
-                decider = match rest.next().map(String::as_str) {
-                    Some("simple") => DeciderKind::Simple,
-                    Some("advanced") => DeciderKind::Advanced,
-                    Some("preferred") => DeciderKind::Preferred {
-                        policy: Policy::Sjf,
-                        threshold: 0.0,
-                    },
-                    other => {
-                        eprintln!("--decider must be simple|advanced|preferred, got {other:?}");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
+    let args = CommonArgs::read(&mut flags, &accepts, |flags, flag| {
+        let ours = flag == "--shrink";
+        if ours {
+            shrink_factor = flags.positive(flag);
         }
-    }
+        ours
+    });
+    let spec = args.schedulers.last().cloned();
+    let spec = spec.unwrap_or(SchedulerSpec::dynp(DeciderKind::Advanced));
+    let SchedulerSpec::DynP { decider, .. } = spec else {
+        flags.bail(&format!(
+            "--scheduler must be a dynP spec, got {}",
+            spec.name()
+        ));
+    };
 
     let model = &args.traces[0];
     let set = transform::shrink(&model.generate(args.jobs, args.seed), shrink_factor);
@@ -139,11 +133,22 @@ fn main() {
     );
 
     if let Some(dir) = &args.out {
-        dynp_sim::svg::write_gantt(&detail.completed, set.machine_size, dir, "gantt")
-            .expect("write gantt");
+        if let Err(e) =
+            dynp_sim::svg::write_gantt(&detail.completed, set.machine_size, dir, "gantt")
+        {
+            eprintln!("error: cannot write {}/gantt.svg: {e}", dir.display());
+            std::process::exit(1);
+        }
         eprintln!("wrote {}/gantt.svg", dir.display());
     }
-    if let Some((jsonl, chrome)) = args.write_trace(&tracer).expect("write trace") {
-        eprintln!("wrote {} and {}", jsonl.display(), chrome.display());
+    match args.write_trace(&tracer) {
+        Ok(Some((jsonl, chrome))) => {
+            eprintln!("wrote {} and {}", jsonl.display(), chrome.display())
+        }
+        Ok(None) => {}
+        Err(e) => {
+            eprintln!("error: cannot write the trace: {e}");
+            std::process::exit(1);
+        }
     }
 }

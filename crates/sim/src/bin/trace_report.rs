@@ -39,16 +39,23 @@ use dynp_core::table1;
 use dynp_core::EPSILON;
 use dynp_metrics::LatencyHistogram;
 use dynp_obs::{parse_jsonl, ParsedEvent, ParsedRecord};
-use dynp_sim::cli::CommonArgs;
+use dynp_sim::cli::Flags;
 use dynp_sim::svg::{write_switch_timeline, SwitchBand};
 use std::collections::BTreeMap;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 fn main() {
-    let args = CommonArgs::parse();
-    if args.rest.is_empty() {
-        eprintln!("usage: trace_report [--out DIR] FILE.jsonl [FILE2.jsonl ...]");
-        std::process::exit(2);
+    let mut flags = Flags::from_env("usage: trace_report [--out DIR] FILE.jsonl [FILE2.jsonl ...]");
+    let (mut out, mut files) = (None, Vec::new());
+    while let Some(arg) = flags.next_flag() {
+        match arg.as_str() {
+            "--out" => out = Some(PathBuf::from(flags.value(&arg))),
+            flag if flag.starts_with('-') => flags.unknown(flag),
+            _ => files.push(arg),
+        }
+    }
+    if files.is_empty() {
+        flags.bail("name at least one trace file");
     }
 
     let mut bands: Vec<SwitchBand> = Vec::new();
@@ -56,7 +63,7 @@ fn main() {
     let mut unattributed_total = 0usize;
     let mut federation = FederationTraffic::default();
 
-    for path in &args.rest {
+    for path in &files {
         let text = match std::fs::read_to_string(path) {
             Ok(t) => t,
             Err(e) => {
@@ -96,9 +103,14 @@ fn main() {
     }
 
     let unpaired_migrations = federation.report();
-    if let Some(dir) = &args.out {
-        write_switch_timeline(&bands, end_secs, dir, "switch_timeline")
-            .expect("write switch timeline");
+    if let Some(dir) = &out {
+        if let Err(e) = write_switch_timeline(&bands, end_secs, dir, "switch_timeline") {
+            eprintln!(
+                "error: cannot write {}/switch_timeline.svg: {e}",
+                dir.display()
+            );
+            std::process::exit(1);
+        }
         eprintln!("wrote {}/switch_timeline.svg", dir.display());
     }
     if unattributed_total > 0 {

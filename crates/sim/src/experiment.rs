@@ -30,7 +30,7 @@ pub struct Cell {
     pub trace: String,
     /// Shrinking factor.
     pub factor: f64,
-    /// Scheduler display name.
+    /// The scheduler's label in the line-up.
     pub scheduler: String,
 }
 
@@ -163,8 +163,9 @@ pub struct Experiment {
     pub traces: Vec<TraceModel>,
     /// Shrinking factors (paper: 1.0 … 0.6).
     pub factors: Vec<f64>,
-    /// Scheduler line-up.
-    pub schedulers: Vec<SchedulerSpec>,
+    /// Scheduler line-up: each spec under the label its results are
+    /// keyed by.
+    pub lineup: Vec<(String, SchedulerSpec)>,
     /// Jobs per synthetic set (paper: 10,000).
     pub jobs_per_set: usize,
     /// Synthetic sets per trace (paper: 10).
@@ -188,18 +189,18 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// The paper's grid over the given traces and schedulers at a chosen
+    /// The paper's grid over the given traces and line-up at a chosen
     /// scale.
     pub fn new(
         traces: Vec<TraceModel>,
-        schedulers: Vec<SchedulerSpec>,
+        lineup: Vec<(String, SchedulerSpec)>,
         jobs_per_set: usize,
         sets_per_trace: usize,
     ) -> Self {
         Experiment {
             traces,
             factors: dynp_workload::traces::SHRINKING_FACTORS.to_vec(),
-            schedulers,
+            lineup,
             jobs_per_set,
             sets_per_trace,
             base_seed: 0x5EED,
@@ -212,7 +213,7 @@ impl Experiment {
 
     /// Total number of simulation runs the sweep performs.
     pub fn total_runs(&self) -> usize {
-        self.traces.len() * self.factors.len() * self.schedulers.len() * self.sets_per_trace
+        self.traces.len() * self.factors.len() * self.lineup.len() * self.sets_per_trace
     }
 
     /// Runs the sweep, invoking `progress(done, total)` as runs finish.
@@ -235,7 +236,7 @@ impl Experiment {
         let mut tasks = Vec::with_capacity(self.total_runs());
         for t in 0..self.traces.len() {
             for f in 0..self.factors.len() {
-                for s in 0..self.schedulers.len() {
+                for s in 0..self.lineup.len() {
                     for k in 0..self.sets_per_trace {
                         tasks.push(Task {
                             trace: t,
@@ -269,8 +270,9 @@ impl Experiment {
                     let task = &tasks[i];
                     let base = &base_sets[task.trace][task.set];
                     let set = transform::shrink(base, self.factors[task.factor]);
-                    let mut scheduler =
-                        self.schedulers[task.sched].build_with_threads(self.planner_threads);
+                    let mut scheduler = self.lineup[task.sched]
+                        .1
+                        .build_with_threads(self.planner_threads);
                     // Every run goes through the single chaos driver:
                     // empty request/fault inputs are bit-identical to the
                     // historical plain paths (pinned by runner tests).
@@ -310,9 +312,8 @@ impl Experiment {
         let sets = self.sets_per_trace;
         for (t, model) in self.traces.iter().enumerate() {
             for (f, &factor) in self.factors.iter().enumerate() {
-                for (s, spec) in self.schedulers.iter().enumerate() {
-                    let base_idx =
-                        ((t * self.factors.len() + f) * self.schedulers.len() + s) * sets;
+                for (s, (label, _)) in self.lineup.iter().enumerate() {
+                    let base_idx = ((t * self.factors.len() + f) * self.lineup.len() + s) * sets;
                     let mut runs = Vec::with_capacity(sets);
                     let mut res_stats = ReservationStats::default();
                     let mut fault_stats = FaultStats::default();
@@ -326,7 +327,7 @@ impl Experiment {
                         cell: Cell {
                             trace: model.name.clone(),
                             factor,
-                            scheduler: spec.name(),
+                            scheduler: label.clone(),
                         },
                         combined: CombinedMetrics::combine(&runs),
                         reservations: res_stats,
@@ -352,10 +353,9 @@ mod tests {
     fn tiny_experiment(workers: usize) -> Experiment {
         let mut e = Experiment::new(
             vec![dynp_workload::traces::kth()],
-            vec![
-                SchedulerSpec::Static(Policy::Fcfs),
-                SchedulerSpec::Static(Policy::Sjf),
-            ],
+            [Policy::Fcfs, Policy::Sjf]
+                .map(|p| (p.name().to_string(), SchedulerSpec::Static(p)))
+                .to_vec(),
             120,
             3,
         );
@@ -379,6 +379,20 @@ mod tests {
         assert!(r.get("KTH", 0.7, "SJF").is_none());
         assert!(!r.sldwa("KTH", 1.0, "FCFS").is_nan());
         assert!(r.sldwa("KTH", 1.0, "LJF").is_nan());
+    }
+
+    #[test]
+    fn results_are_keyed_by_label() {
+        // Two specs that share a display name stay apart under their
+        // labels, and the name itself keys nothing.
+        let mut e = tiny_experiment(1);
+        e.lineup = ["a", "b"]
+            .map(|l| (l.to_string(), SchedulerSpec::Static(Policy::Sjf)))
+            .to_vec();
+        let r = e.run();
+        assert_eq!(r.cells.len(), 4);
+        assert_eq!(r.sldwa("KTH", 0.8, "a"), r.sldwa("KTH", 0.8, "b"));
+        assert!(r.get("KTH", 0.8, "SJF").is_none());
     }
 
     #[test]

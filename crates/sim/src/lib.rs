@@ -9,12 +9,19 @@
 //! * [`experiment`] — parameter sweeps over traces × shrinking factors ×
 //!   schedulers with multi-set replication, worker-thread execution and
 //!   the paper's drop-min/max combination;
-//! * [`report`] — text/CSV/gnuplot rendering of result tables.
+//! * [`study`] — the paper's tables and the ablations as values, and the
+//!   one renderer of their tables;
+//! * [`report`] — text/CSV/gnuplot rendering of result tables;
+//! * [`cli`] — the one command-line reader of every bin.
 //!
-//! The binaries in `src/bin/` map one-to-one onto the paper's tables and
-//! figures (see DESIGN.md §3): `table1`, `table2`, `table4` (Figures
-//! 1–2), `table5` (Figures 3–4, includes Table 3), plus the ablation
-//! studies `ablation_preferred`, `ablation_threshold`, `ablation_step`.
+//! The bins in `src/bin/` (DESIGN.md §3): `experiment NAME` runs one
+//! study — `table1`, `table2`, `table4` (Figures 1–2), `table5` (Table 3,
+//! Figures 3–4), the ablations `ablation_preferred`,
+//! `ablation_threshold`, `ablation_step`, `ablation_queue_vs_planning`,
+//! `ablation_reservations`, `ablation_faults`, and `sweep` over any
+//! line-up; `figures` draws their `fig*.dat` files as SVG;
+//! `history_report`, `trace_report`, `federation` and `gen_workload` are
+//! tools around single runs.
 
 pub mod cli;
 mod codec;
@@ -26,6 +33,7 @@ pub mod report;
 pub mod runner;
 pub mod shard;
 pub mod spec;
+pub mod study;
 pub mod svg;
 
 pub use codec::{decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};

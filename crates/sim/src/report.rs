@@ -8,7 +8,7 @@ use std::path::Path;
 
 /// A simple rectangular table with a title and column headers.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct Table {
+pub(crate) struct Table {
     /// Caption printed above the table.
     pub title: String,
     /// Column headers.
@@ -211,7 +211,7 @@ impl FigureData {
 }
 
 /// Formats a float with `digits` decimals, or `"-"` for NaN.
-pub fn num(v: f64, digits: usize) -> String {
+pub(crate) fn num(v: f64, digits: usize) -> String {
     if v.is_nan() {
         "-".to_string()
     } else {
@@ -220,7 +220,7 @@ pub fn num(v: f64, digits: usize) -> String {
 }
 
 /// Formats a signed percentage with two decimals (e.g. `"+10.92"`).
-pub fn signed(v: f64, digits: usize) -> String {
+pub(crate) fn signed(v: f64, digits: usize) -> String {
     if v.is_nan() {
         "-".to_string()
     } else {

@@ -90,7 +90,8 @@ impl SchedulerSpec {
 }
 
 /// Parses a scheduler recipe from its command-line spelling — the one
-/// syntax of the `sweep` bin, the service bins and `model_check`:
+/// syntax of `experiment sweep`, `history_report`, the service bins and
+/// `model_check`:
 ///
 /// | spec                                   | meaning                         |
 /// |----------------------------------------|---------------------------------|

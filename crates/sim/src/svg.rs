@@ -135,9 +135,12 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
             "<line x1=\"{px}\" y1=\"{y0}\" x2=\"{px}\" y2=\"{}\" stroke=\"#444\"/>",
             y0 + 4.0
         );
+        // At most two decimals: an unavailability in % is not round.
+        let label = format!("{x:.2}");
+        let label = label.trim_end_matches('0').trim_end_matches('.');
         let _ = writeln!(
             svg,
-            "<text x=\"{px}\" y=\"{}\" text-anchor=\"middle\">{x}</text>",
+            "<text x=\"{px}\" y=\"{}\" text-anchor=\"middle\">{label}</text>",
             y0 + 18.0
         );
     }

@@ -18,7 +18,7 @@
 //! | SDSC  | 128     | 10.54 (128)     | 14,344 (172,800)| 2.360   | 0.794     |
 //!
 //! Published statistics our models reproduce (verified by unit tests and
-//! the `table2` binary): the measured aggregate values land within a few
+//! `experiment table2`): the measured aggregate values land within a few
 //! percent of the targets.
 
 use crate::dist::{AccuracyModel, DurationDist, WidthDist};

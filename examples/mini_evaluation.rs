@@ -14,9 +14,13 @@ fn main() {
     let model = dynp_suite::workload::traces::by_name(&trace)
         .unwrap_or_else(|| panic!("unknown trace {trace:?} (use CTC, KTH, LANL or SDSC)"));
 
+    let lineup = SchedulerSpec::paper_lineup()
+        .into_iter()
+        .map(|spec| (spec.name(), spec))
+        .collect();
     let mut experiment = Experiment::new(
         vec![model],
-        SchedulerSpec::paper_lineup(),
+        lineup,
         1_200, // jobs per set (example scale; the paper uses 10,000)
         4,     // sets per trace (the paper uses 10)
     );
@@ -27,16 +31,12 @@ fn main() {
         experiment.total_runs(),
         experiment.traces.len(),
         experiment.factors.len(),
-        experiment.schedulers.len(),
+        experiment.lineup.len(),
         experiment.sets_per_trace,
     );
     let result = experiment.run();
 
-    let names: Vec<String> = experiment
-        .schedulers
-        .iter()
-        .map(SchedulerSpec::name)
-        .collect();
+    let names: Vec<&String> = experiment.lineup.iter().map(|(name, _)| name).collect();
 
     println!("\nSLDwA (slowdown weighted by area — lower is better), trace {trace}:");
     print!("{:>7}", "factor");

@@ -3,16 +3,18 @@
 //!
 //! `run_experiments.sh` regenerates `results/` at full scale and CI
 //! compares it with the committed files, but that takes minutes. This
-//! test runs the same `Experiment` on KTH at 1 000 jobs × 3 sets and
-//! compares SLDwA and utilization per (factor, scheduler), at full
-//! precision, with `tests/fixtures/golden_kth.csv` — so a change that
-//! shifts a tie-break anywhere on the paper's path fails `cargo test`.
+//! test runs the line-up of the `table5` study (what `experiment table5`
+//! runs) on KTH at 1 000 jobs × 3 sets and compares SLDwA and
+//! utilization per (factor, scheduler), at full precision, with
+//! `tests/fixtures/golden_kth.csv` — so a change that shifts a
+//! tie-break anywhere on the paper's path fails `cargo test`.
 //!
 //! To regenerate the fixture after an intended change, run the test: on
 //! a mismatch it writes what it got to the path its failure message
 //! names, and copying that file over the fixture accepts it.
 
 use dynp_suite::prelude::*;
+use dynp_suite::sim::study;
 use dynp_suite::workload::traces;
 use std::fmt::Write as _;
 use std::path::Path;
@@ -24,22 +26,14 @@ const FACTORS: [f64; 3] = [1.0, 0.8, 0.6];
 
 #[test]
 fn kth_table5_lineup_matches_the_golden_csv() {
-    let lineup = vec![
-        SchedulerSpec::Static(Policy::Sjf),
-        SchedulerSpec::dynp(DeciderKind::Advanced),
-        SchedulerSpec::dynp(DeciderKind::Preferred {
-            policy: Policy::Sjf,
-            threshold: 0.0,
-        }),
-    ];
-    let names: Vec<String> = lineup.iter().map(SchedulerSpec::name).collect();
+    let lineup = study::find("table5").expect("the table5 study").lineup;
     let mut exp = Experiment::new(vec![traces::kth()], lineup, 1_000, 3);
     exp.factors = FACTORS.to_vec();
     let result = exp.run();
 
     let mut got = String::from("factor,scheduler,sldwa,utilization\n");
     for factor in FACTORS {
-        for name in &names {
+        for (name, _) in &exp.lineup {
             let sldwa = result.sldwa("KTH", factor, name);
             let util = result.utilization("KTH", factor, name);
             // `{:?}` prints the shortest string that parses back to the
