@@ -1,22 +1,18 @@
-//! Clock abstraction: the same event-loop body driven by either the
-//! virtual DES clock or the wall clock.
+//! The wall clock: an [`Engine`] whose timers fire when the wall clock
+//! reaches them, beside a channel of external items.
 //!
-//! The simulation driver ([`dynp-sim`'s shard core]) never cared *where*
-//! events come from — it only reads the current time, handles the event,
-//! and schedules follow-ups. [`EventClock`] captures exactly that contract,
-//! and two sources implement it:
-//!
-//! * [`Engine`] — the existing discrete-event queue: time jumps directly
-//!   to the next pending event (batch simulation, replay);
-//! * [`WallClockSource`] — a live source: timer events fire when the wall
-//!   clock reaches their instant, and *external* items (service
-//!   submissions, control commands) are injected over a channel and
-//!   stamped with the wall time at which they are dequeued.
-//!
-//! This is the digital-twin split: a daemon runs the driver on a
-//! [`WallClockSource`]; replaying the daemon's recorded submissions on an
-//! [`Engine`] reproduces the exact same schedule, because both sources
-//! present the same `(time, event)` sequence to the same handler.
+//! The simulation driver ([`dynp-sim`'s shard core]) handles every event
+//! on an [`Engine`]: it reads the clock, changes its state, and schedules
+//! follow-ups. A batch run steps the engine straight to its next event.
+//! The daemon runs the *same* engine inside a [`WallClockSource`], which
+//! adds only what a wall clock needs: the anchor that maps wall time to
+//! simulation time, the sleep until the next timer is due, the channel
+//! of *external* items (service submissions, control commands) stamped
+//! with the wall time at which they are dequeued, the drain, and the two
+//! stamp rules below. The pending timers, the clock and the dispatch
+//! count are the engine's, so a checkpoint of the source is an
+//! [`crate::EngineSnapshot`] and recovery replays on the source that
+//! goes live afterwards.
 //!
 //! ## Stamp discipline (the replay guarantee)
 //!
@@ -24,61 +20,20 @@
 //! exists, so at equal instants an arrival dispatches before a completion.
 //! The wall source reproduces that order by construction: after a timer
 //! event at `t` is dispatched, every later external item is stamped at
-//! least `t + 1 ms`. An external item therefore never ties with an
+//! least `t + 1 ms` (the *floor*), and never past the earliest pending
+//! timer (the *cap*). An external item therefore never ties with an
 //! already-dispatched timer, and sorting the recorded stamps (the replay)
 //! yields exactly the live dispatch order.
 
 use crate::engine::{Engine, EngineSnapshot};
-use crate::queue::{BinaryHeapQueue, EventQueue};
 use crate::time::{SimDuration, SimTime};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::time::{Duration, Instant};
 
-/// The clock-and-scheduling contract the event-loop body runs against.
-///
-/// Implemented by the virtual-clock [`Engine`] and the live
-/// [`WallClockSource`]; handlers written against this trait run unchanged
-/// in batch simulation, replay, and daemon mode.
-pub trait EventClock<E> {
-    /// The current time (of the event being handled).
-    fn now(&self) -> SimTime;
-
-    /// Schedules `event` at the absolute instant `time`.
-    ///
-    /// # Panics
-    /// Panics if `time` is in the past — a scheduling bug, not a runtime
-    /// condition.
-    fn schedule_at(&mut self, time: SimTime, event: E);
-
-    /// Number of events dispatched so far.
-    fn processed(&self) -> u64;
-
-    /// Number of timer events still pending.
-    fn pending(&self) -> usize;
-}
-
-impl<E, Q: EventQueue<E>> EventClock<E> for Engine<E, Q> {
-    fn now(&self) -> SimTime {
-        Engine::now(self)
-    }
-
-    fn schedule_at(&mut self, time: SimTime, event: E) {
-        Engine::schedule_at(self, time, event)
-    }
-
-    fn processed(&self) -> u64 {
-        Engine::processed(self)
-    }
-
-    fn pending(&self) -> usize {
-        Engine::pending(self)
-    }
-}
-
 /// One dispatch from a [`WallClockSource`]: either an internal timer
-/// event (scheduled earlier via [`EventClock::schedule_at`]) or an
-/// external item injected over the channel. The dispatch time is read
-/// from the source's [`EventClock::now`].
+/// event (scheduled earlier on [`WallClockSource::engine_mut`]) or an
+/// external item injected over the channel. The dispatch time is the
+/// engine's [`Engine::now`].
 #[derive(Debug, PartialEq, Eq)]
 pub enum Tick<E, X> {
     /// A scheduled event whose instant the wall clock reached.
@@ -90,7 +45,7 @@ pub enum Tick<E, X> {
 /// A live event source: timers fire at wall-clock instants, external
 /// items arrive over an [`std::sync::mpsc`] channel.
 ///
-/// Simulation time is wall time since construction, scaled by `speedup`
+/// Simulation time is wall time since the anchor, scaled by `speedup`
 /// (sim milliseconds per wall millisecond) — `speedup > 1` runs
 /// second-scale workloads in millisecond wall time, which keeps live
 /// tests and smoke runs fast without changing any schedule arithmetic.
@@ -101,93 +56,96 @@ pub enum Tick<E, X> {
 /// dry. Stamps stay monotone throughout, so a drained run is still a
 /// valid (replayable) event sequence.
 pub struct WallClockSource<E, X> {
-    timers: BinaryHeapQueue<E>,
+    engine: Engine<E>,
     rx: Receiver<X>,
+    /// The wall instant at which the simulation clock read `base`.
     epoch: Instant,
-    /// Simulation instant the epoch corresponds to — zero for a fresh
-    /// source, the recovered clock for a resumed one.
     base: SimTime,
     speedup: u64,
-    now: SimTime,
     /// Earliest stamp the next external item may carry; bumped past every
     /// dispatched timer so externals never tie with a dispatched timer.
     min_external: SimTime,
-    processed: u64,
     draining: bool,
 }
 
 impl<E, X> WallClockSource<E, X> {
     /// Creates a live source over `rx` with the given time scale
     /// (`speedup` sim milliseconds per wall millisecond; 0 is treated
-    /// as 1).
+    /// as 1), an empty engine and the clock at zero.
     pub fn new(rx: Receiver<X>, speedup: u64) -> Self {
         WallClockSource {
-            timers: BinaryHeapQueue::new(),
+            engine: Engine::new(),
             rx,
             epoch: Instant::now(),
             base: SimTime::ZERO,
             speedup: speedup.max(1),
-            now: SimTime::ZERO,
             min_external: SimTime::ZERO,
-            processed: 0,
             draining: false,
         }
     }
 
-    /// Resumes a live source from recovered state: the pending timers,
-    /// clock, dynamic tie-break counter (`snap.next_seq` — it decides
-    /// future equal-instant ordering, so it must survive a restart) and
-    /// the external stamp floor. The wall clock is re-anchored so that
-    /// "now" on the wall equals `snap.now` in simulation time; timers in
-    /// the recovered future fire at their original instants.
-    pub fn resume(
-        rx: Receiver<X>,
-        speedup: u64,
-        snap: &EngineSnapshot<E>,
-        min_external: SimTime,
-    ) -> Self
-    where
-        E: Clone,
-    {
-        WallClockSource {
-            timers: BinaryHeapQueue::from_entries(snap.entries.iter().cloned(), snap.next_seq),
-            rx,
-            epoch: Instant::now(),
-            base: snap.now,
-            speedup: speedup.max(1),
-            now: snap.now,
-            min_external: min_external.max(snap.now),
-            processed: snap.processed,
-            draining: false,
-        }
+    /// The engine: the clock, the pending timers and the dispatch count.
+    pub fn engine(&self) -> &Engine<E> {
+        &self.engine
     }
 
-    /// Captures the timer queue and clock as an [`EngineSnapshot`] — the
-    /// checkpointable half of the source (the channel and wall anchor are
-    /// reconstructed by [`WallClockSource::resume`]).
-    pub fn engine_snapshot(&self) -> EngineSnapshot<E>
-    where
-        E: Clone,
-    {
-        EngineSnapshot {
-            now: self.now,
-            processed: self.processed,
-            next_seq: self.timers.next_seq(),
-            entries: self.timers.entries(),
-        }
+    /// The engine, for handlers that schedule follow-up timers.
+    pub fn engine_mut(&mut self) -> &mut Engine<E> {
+        &mut self.engine
     }
 
     /// The earliest stamp the next external item may carry (see the stamp
-    /// discipline above). Checkpoints persist it so a resumed source
+    /// discipline above). Checkpoints persist it so a restored source
     /// stamps externals exactly as the uninterrupted one would.
     pub fn min_external(&self) -> SimTime {
         self.min_external
     }
 
+    /// Restores a checkpointed engine — the pending timers, the clock and
+    /// the dynamic tie-break counter, which decides future equal-instant
+    /// ordering — and the stamp floor it was written with. The wall clock
+    /// is re-anchored at the restored instant, so timers in the recovered
+    /// future fire at their original instants.
+    pub fn restore(&mut self, snap: &EngineSnapshot<E>, min_external: SimTime)
+    where
+        E: Clone,
+    {
+        self.engine.restore(snap);
+        self.min_external = min_external;
+        self.anchor();
+    }
+
+    /// Replays one journaled external stamped `stamp` in the order the
+    /// live source dispatched it: every timer strictly before the stamp
+    /// runs through `handler` and moves the floor past itself, then the
+    /// external is counted at its stamp. A timer *at* the stamp stays
+    /// pending — live, the external was capped at that timer's instant and
+    /// went first. The wall clock is re-anchored at the stamp, so the
+    /// source goes live from the last replayed record. The caller then
+    /// applies the external's effect on [`WallClockSource::engine_mut`].
+    pub fn replay_external(&mut self, stamp: SimTime, mut handler: impl FnMut(&mut Engine<E>, E)) {
+        let mut last_timer = None;
+        self.engine.run_until(stamp, |eng, ev| {
+            last_timer = Some(eng.now());
+            handler(eng, ev);
+        });
+        if let Some(t) = last_timer {
+            self.bump_floor(t);
+        }
+        self.engine.dispatch_external(stamp);
+        self.anchor();
+    }
+
+    /// Maps "now" on the wall to the engine's clock.
+    fn anchor(&mut self) {
+        self.epoch = Instant::now();
+        self.base = self.engine.now();
+    }
+
     /// The wall clock mapped into simulation time.
     fn wall_now(&self) -> SimTime {
         self.base.saturating_add(SimDuration::from_millis(
-            self.epoch.elapsed().as_millis() as u64 * self.speedup,
+            (self.epoch.elapsed().as_millis() as u64).saturating_mul(self.speedup),
         ))
     }
 
@@ -221,13 +179,17 @@ impl<E, X> WallClockSource<E, X> {
         }
     }
 
-    fn dispatch_timer(&mut self) -> Option<Tick<E, X>> {
-        let (t, e) = self.timers.pop()?;
-        self.now = self.now.max(t);
+    /// The floor: externals after a timer dispatched at `t` stamp at
+    /// `t + 1 ms` or later. The live and the replay path both bump it here.
+    fn bump_floor(&mut self, t: SimTime) {
         self.min_external = self
             .min_external
             .max(t.saturating_add(SimDuration::from_millis(1)));
-        self.processed += 1;
+    }
+
+    fn dispatch_timer(&mut self) -> Option<Tick<E, X>> {
+        let (t, e) = self.engine.step()?;
+        self.bump_floor(t);
         Some(Tick::Timer(e))
     }
 
@@ -242,13 +204,9 @@ impl<E, X> WallClockSource<E, X> {
         // never undercuts `min_external` — while the source is waiting on
         // the channel, every *dispatched* timer lies strictly before the
         // earliest pending one.
-        let cap = self.timers.peek_time().unwrap_or(SimTime::MAX);
-        self.now = self
-            .wall_now()
-            .min(cap)
-            .max(self.min_external)
-            .max(self.now);
-        self.processed += 1;
+        let cap = self.engine.peek_time().unwrap_or(SimTime::MAX);
+        self.engine
+            .dispatch_external(self.wall_now().min(cap).max(self.min_external));
         Tick::External(x)
     }
 
@@ -261,7 +219,7 @@ impl<E, X> WallClockSource<E, X> {
             if self.draining {
                 return self.dispatch_timer();
             }
-            match self.timers.peek_time() {
+            match self.engine.peek_time() {
                 Some(t) => match self.wait_for(t) {
                     // The timer is due; externals still in the channel are
                     // stamped later anyway, so timer-first is the live
@@ -282,196 +240,46 @@ impl<E, X> WallClockSource<E, X> {
     }
 }
 
-impl<E, X> EventClock<E> for WallClockSource<E, X> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn schedule_at(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.now,
-            "event scheduled in the past: {time:?} < now {:?}",
-            self.now
-        );
-        self.timers.push(time, event);
-    }
-
-    fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    fn pending(&self) -> usize {
-        self.timers.len()
-    }
-}
-
-/// A virtual replay of a wall-clock session: pending timers plus a
-/// journal of externally recorded `(stamp, item)` dispatches.
-///
-/// Recovery replays a journal suffix through the same driver loop the
-/// live daemon ran, and must reproduce the live dispatch order exactly.
-/// The live order is: a pending timer at `t` fires before any external
-/// stamped after `t`, and an external stamped *at* `t` (the cap — see
-/// [`WallClockSource`]) fired before that timer. So the replay loop is:
-/// dispatch every pending timer strictly before the next journal stamp
-/// ([`ReplaySource::pop_timer_before`]), then the external itself
-/// ([`ReplaySource::note_external`]). Timers equal to the stamp stay
-/// pending until after the external, which is precisely the live order.
-///
-/// After the journal runs dry the source either drains (pop with
-/// `limit = None`) or converts back into a live
-/// [`WallClockSource::resume`] via [`ReplaySource::into_snapshot`].
-pub struct ReplaySource<E> {
-    timers: BinaryHeapQueue<E>,
-    now: SimTime,
-    min_external: SimTime,
-    processed: u64,
-}
-
-impl<E: Clone> ReplaySource<E> {
-    /// A replay source over recovered timers and clock. `min_external`
-    /// restores the stamp floor the checkpointed live source carried.
-    pub fn from_snapshot(snap: &EngineSnapshot<E>, min_external: SimTime) -> Self {
-        ReplaySource {
-            timers: BinaryHeapQueue::from_entries(snap.entries.iter().cloned(), snap.next_seq),
-            now: snap.now,
-            min_external,
-            processed: snap.processed,
-        }
-    }
-
-    /// An empty replay source starting at time zero — the from-genesis
-    /// replay of a complete journal.
-    pub fn fresh() -> Self {
-        ReplaySource {
-            timers: BinaryHeapQueue::new(),
-            now: SimTime::ZERO,
-            min_external: SimTime::ZERO,
-            processed: 0,
-        }
-    }
-
-    /// Pops the earliest pending timer if its instant lies strictly
-    /// before `limit` (or unconditionally when `limit` is `None` — the
-    /// drain phase after the journal's last record), advancing the clock
-    /// and the external stamp floor exactly as the live source did.
-    pub fn pop_timer_before(&mut self, limit: Option<SimTime>) -> Option<E> {
-        let t = self.timers.peek_time()?;
-        if let Some(limit) = limit {
-            if t >= limit {
-                return None;
-            }
-        }
-        let (t, e) = self.timers.pop().expect("peek said non-empty");
-        self.now = self.now.max(t);
-        self.min_external = self
-            .min_external
-            .max(t.saturating_add(SimDuration::from_millis(1)));
-        self.processed += 1;
-        Some(e)
-    }
-
-    /// Advances the clock to a journaled external's recorded stamp and
-    /// counts the dispatch. The caller then applies the external's effect
-    /// (submit, cancel) against this source.
-    pub fn note_external(&mut self, stamp: SimTime) {
-        debug_assert!(stamp >= self.now, "journal stamps must be monotone");
-        self.now = self.now.max(stamp);
-        self.processed += 1;
-    }
-
-    /// Converts the replayed state back into the checkpointable form —
-    /// the input to [`WallClockSource::resume`] when the daemon goes live
-    /// again after recovery. Returns the engine half and the external
-    /// stamp floor.
-    pub fn into_snapshot(self) -> (EngineSnapshot<E>, SimTime) {
-        (
-            EngineSnapshot {
-                now: self.now,
-                processed: self.processed,
-                next_seq: self.timers.next_seq(),
-                entries: self.timers.entries(),
-            },
-            self.min_external,
-        )
-    }
-}
-
-impl<E: Clone> EventClock<E> for ReplaySource<E> {
-    fn now(&self) -> SimTime {
-        self.now
-    }
-
-    fn schedule_at(&mut self, time: SimTime, event: E) {
-        assert!(
-            time >= self.now,
-            "event scheduled in the past: {time:?} < now {:?}",
-            self.now
-        );
-        self.timers.push(time, event);
-    }
-
-    fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    fn pending(&self) -> usize {
-        self.timers.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::mpsc;
 
     #[test]
-    fn engine_satisfies_the_clock_contract() {
-        fn drive<C: EventClock<u32>>(clk: &mut C) {
-            clk.schedule_at(SimTime::from_secs(1), 7);
-            assert_eq!(clk.pending(), 1);
-        }
-        let mut eng: Engine<u32> = Engine::new();
-        drive(&mut eng);
-        let (t, e) = eng.step().unwrap();
-        assert_eq!((t, e), (SimTime::from_secs(1), 7));
-    }
-
-    #[test]
     fn timers_fire_in_instant_order_under_speedup() {
         let (_tx, rx) = mpsc::channel::<()>();
         let mut src: WallClockSource<u32, ()> = WallClockSource::new(rx, 1000);
         // Sim seconds 2, 1, 3 → wall milliseconds; fires in 1, 2, 3 order.
-        src.schedule_at(SimTime::from_secs(2), 2);
-        src.schedule_at(SimTime::from_secs(1), 1);
-        src.schedule_at(SimTime::from_secs(3), 3);
+        src.engine_mut().schedule_at(SimTime::from_secs(2), 2);
+        src.engine_mut().schedule_at(SimTime::from_secs(1), 1);
+        src.engine_mut().schedule_at(SimTime::from_secs(3), 3);
         let mut order = Vec::new();
         for _ in 0..3 {
             match src.next_tick().unwrap() {
                 Tick::Timer(v) => {
-                    assert!(src.now() >= SimTime::from_secs(v as u64));
+                    assert!(src.engine().now() >= SimTime::from_secs(v as u64));
                     order.push(v);
                 }
                 Tick::External(_) => panic!("no externals sent"),
             }
         }
         assert_eq!(order, vec![1, 2, 3]);
-        assert_eq!(src.processed(), 3);
+        assert_eq!(src.engine().processed(), 3);
     }
 
     #[test]
     fn externals_are_stamped_after_dispatched_timers() {
         let (tx, rx) = mpsc::channel::<&'static str>();
         let mut src: WallClockSource<u32, &'static str> = WallClockSource::new(rx, 1000);
-        src.schedule_at(SimTime::from_millis(1), 9);
+        src.engine_mut().schedule_at(SimTime::from_millis(1), 9);
         assert!(matches!(src.next_tick(), Some(Tick::Timer(9))));
-        let t_timer = src.now();
+        let t_timer = src.engine().now();
         tx.send("hello").unwrap();
         match src.next_tick().unwrap() {
             Tick::External(x) => {
                 assert_eq!(x, "hello");
                 // Strictly after the dispatched timer: never a tie.
-                assert!(src.now() > t_timer);
+                assert!(src.engine().now() > t_timer);
             }
             Tick::Timer(_) => panic!("no timer pending"),
         }
@@ -482,7 +290,7 @@ mod tests {
         let (tx, rx) = mpsc::channel::<u8>();
         let mut src: WallClockSource<u32, u8> = WallClockSource::new(rx, 1);
         // 1000 sim seconds = 1000 wall seconds away at speedup 1.
-        src.schedule_at(SimTime::from_secs(1000), 1);
+        src.engine_mut().schedule_at(SimTime::from_secs(1000), 1);
         tx.send(42).unwrap();
         let start = Instant::now();
         assert!(matches!(src.next_tick(), Some(Tick::External(42))));
@@ -490,7 +298,7 @@ mod tests {
             start.elapsed() < Duration::from_secs(5),
             "slept to the timer"
         );
-        assert_eq!(src.pending(), 1);
+        assert_eq!(src.engine().pending(), 1);
     }
 
     #[test]
@@ -499,7 +307,8 @@ mod tests {
         let mut src: WallClockSource<u32, ()> = WallClockSource::new(rx, 1);
         // Hours of sim time; drain must not sleep through them.
         for s in [7200u64, 3600, 10800] {
-            src.schedule_at(SimTime::from_secs(s), s as u32);
+            src.engine_mut()
+                .schedule_at(SimTime::from_secs(s), s as u32);
         }
         src.begin_drain();
         let start = Instant::now();
@@ -509,7 +318,7 @@ mod tests {
         }
         assert_eq!(order, vec![3600, 7200, 10800]);
         assert!(start.elapsed() < Duration::from_secs(2));
-        assert_eq!(src.now(), SimTime::from_secs(10800));
+        assert_eq!(src.engine().now(), SimTime::from_secs(10800));
         drop(tx);
     }
 
@@ -517,7 +326,7 @@ mod tests {
     fn dropped_senders_end_the_source() {
         let (tx, rx) = mpsc::channel::<()>();
         let mut src: WallClockSource<u32, ()> = WallClockSource::new(rx, 1000);
-        src.schedule_at(SimTime::from_secs(1), 5);
+        src.engine_mut().schedule_at(SimTime::from_secs(1), 5);
         drop(tx);
         assert!(matches!(src.next_tick(), Some(Tick::Timer(5))));
         assert!(src.next_tick().is_none());
@@ -527,14 +336,14 @@ mod tests {
     fn stamps_are_monotone_across_mixed_dispatches() {
         let (tx, rx) = mpsc::channel::<u8>();
         let mut src: WallClockSource<u32, u8> = WallClockSource::new(rx, 1000);
-        src.schedule_at(SimTime::from_millis(5), 0);
-        src.schedule_at(SimTime::from_millis(50), 1);
+        src.engine_mut().schedule_at(SimTime::from_millis(5), 0);
+        src.engine_mut().schedule_at(SimTime::from_millis(50), 1);
         tx.send(0).unwrap();
         let mut last = SimTime::ZERO;
         for _ in 0..3 {
             let _ = src.next_tick().unwrap();
-            assert!(src.now() >= last);
-            last = src.now();
+            assert!(src.engine().now() >= last);
+            last = src.engine().now();
         }
     }
 
@@ -556,19 +365,20 @@ mod tests {
                 std::thread::sleep(Duration::from_micros(300));
             }
         });
-        src.schedule_at(SimTime::from_millis(3), 3);
+        src.engine_mut().schedule_at(SimTime::from_millis(3), 3);
         let mut timers = 0u32;
         while timers < 2000 {
             match src.next_tick() {
                 Some(Tick::Timer(at_ms)) => {
+                    let now = src.engine().now();
                     assert_eq!(
-                        src.now(),
+                        now,
                         SimTime::from_millis(at_ms),
                         "timer dispatched off its instant"
                     );
                     timers += 1;
-                    let next = src.now().saturating_add(SimDuration::from_millis(3));
-                    src.schedule_at(next, next.as_millis());
+                    let next = now.saturating_add(SimDuration::from_millis(3));
+                    src.engine_mut().schedule_at(next, next.as_millis());
                 }
                 Some(Tick::External(_)) => {}
                 None => break,
@@ -582,45 +392,45 @@ mod tests {
     fn wall_source_rejects_past_schedules() {
         let (_tx, rx) = mpsc::channel::<()>();
         let mut src: WallClockSource<u32, ()> = WallClockSource::new(rx, 1000);
-        src.schedule_at(SimTime::from_millis(1), 0);
+        src.engine_mut().schedule_at(SimTime::from_millis(1), 0);
         let _ = src.next_tick();
         let past = SimTime::ZERO;
-        src.schedule_at(past, 1);
+        src.engine_mut().schedule_at(past, 1);
     }
 
     #[test]
-    fn replay_source_orders_timers_against_journal_stamps() {
+    fn replayed_externals_order_against_pending_timers() {
         // Timers at 5 and 10; journal externals stamped 7 and 10. Live
         // order was: timer(5), ext(7), ext(10) — capped at the pending
         // timer, so dispatched before it — then timer(10).
-        let mut src: ReplaySource<u32> = ReplaySource::fresh();
-        src.schedule_at(SimTime::from_millis(5), 5);
-        src.schedule_at(SimTime::from_millis(10), 10);
+        let (_tx, rx) = mpsc::channel::<()>();
+        let mut src: WallClockSource<u32, ()> = WallClockSource::new(rx, 1000);
+        src.engine_mut().schedule_at(SimTime::from_millis(5), 5);
+        src.engine_mut().schedule_at(SimTime::from_millis(10), 10);
         let mut order: Vec<String> = Vec::new();
         for stamp_ms in [7u64, 10] {
-            let stamp = SimTime::from_millis(stamp_ms);
-            while let Some(t) = src.pop_timer_before(Some(stamp)) {
-                order.push(format!("timer{t}@{}", src.now().as_millis()));
-            }
-            src.note_external(stamp);
-            order.push(format!("ext@{}", src.now().as_millis()));
+            src.replay_external(SimTime::from_millis(stamp_ms), |eng, t| {
+                order.push(format!("timer{t}@{}", eng.now().as_millis()));
+            });
+            order.push(format!("ext@{}", src.engine().now().as_millis()));
         }
-        while let Some(t) = src.pop_timer_before(None) {
-            order.push(format!("timer{t}@{}", src.now().as_millis()));
+        // The floor is past the timer at 5, not yet past the one at 10.
+        assert_eq!(src.min_external(), SimTime::from_millis(6));
+        src.begin_drain();
+        while let Some(Tick::Timer(t)) = src.next_tick() {
+            order.push(format!("timer{t}@{}", src.engine().now().as_millis()));
         }
         assert_eq!(order, vec!["timer5@5", "ext@7", "ext@10", "timer10@10"]);
-        assert_eq!(src.processed(), 4);
+        assert_eq!(src.engine().processed(), 4);
         // The stamp floor advanced past the last dispatched timer.
-        let (snap, min_external) = src.into_snapshot();
-        assert_eq!(min_external, SimTime::from_millis(11));
-        assert_eq!(snap.processed, 4);
-        assert!(snap.entries.is_empty());
+        assert_eq!(src.min_external(), SimTime::from_millis(11));
+        assert_eq!(src.engine().pending(), 0);
     }
 
     #[test]
-    fn resumed_wall_source_continues_the_recovered_clock() {
+    fn restored_wall_source_continues_the_recovered_clock() {
         // Build a snapshot mid-run: one timer pending at sim 2.5 s,
-        // clock at 2 s, and resume it at speedup 10 (50 ms of wall time
+        // clock at 2 s, and restore it at speedup 10 (50 ms of wall time
         // to the timer). The timer must fire at its original instant and
         // externals must stamp at/after the recovered floor.
         let snap = EngineSnapshot {
@@ -634,26 +444,26 @@ mod tests {
             )],
         };
         let (tx, rx) = mpsc::channel::<&'static str>();
-        let mut src: WallClockSource<u32, &'static str> =
-            WallClockSource::resume(rx, 10, &snap, SimTime::from_millis(2001));
-        assert_eq!(src.now(), SimTime::from_secs(2));
-        assert_eq!(src.processed(), 3);
-        assert_eq!(src.pending(), 1);
+        let mut src: WallClockSource<u32, &'static str> = WallClockSource::new(rx, 10);
+        src.restore(&snap, SimTime::from_millis(2001));
+        assert_eq!(src.engine().now(), SimTime::from_secs(2));
+        assert_eq!(src.engine().processed(), 3);
+        assert_eq!(src.engine().pending(), 1);
         tx.send("post-recovery").unwrap();
         match src.next_tick().unwrap() {
             Tick::External(x) => {
                 assert_eq!(x, "post-recovery");
                 // Stamped at/after the recovered floor, never past the
                 // pending timer.
-                assert!(src.now() >= SimTime::from_millis(2001));
-                assert!(src.now() <= SimTime::from_millis(2500));
+                assert!(src.engine().now() >= SimTime::from_millis(2001));
+                assert!(src.engine().now() <= SimTime::from_millis(2500));
             }
             Tick::Timer(_) => panic!("timer fired before the queued external"),
         }
         assert!(matches!(src.next_tick(), Some(Tick::Timer(55))));
-        assert_eq!(src.now(), SimTime::from_millis(2500));
-        // The resumed snapshot round-trips.
-        let snap2 = src.engine_snapshot();
+        assert_eq!(src.engine().now(), SimTime::from_millis(2500));
+        // The restored snapshot round-trips.
+        let snap2 = src.engine().snapshot();
         assert_eq!(snap2.next_seq, crate::queue::SEEDED_SEQ_LIMIT + 9);
         assert!(snap2.entries.is_empty());
         assert_eq!(src.min_external(), SimTime::from_millis(2501));

@@ -195,6 +195,13 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
         Some((t, e))
     }
 
+    /// Counts one dispatch that did not come from the queue — an external
+    /// item stamped `t` — and moves the clock forward to `t`, never back.
+    pub fn dispatch_external(&mut self, t: SimTime) {
+        self.now = self.now.max(t);
+        self.processed += 1;
+    }
+
     /// Runs until the queue is empty, invoking `handler` for every event.
     /// The handler may schedule further events.
     pub fn run(&mut self, mut handler: impl FnMut(&mut Self, E)) {

@@ -11,6 +11,12 @@
 //!   dynamically-resizing calendar queue ([`queue::CalendarQueue`]),
 //! * [`Engine`] — the event loop: schedule events, pop them in
 //!   (time, insertion-order) order, advance the clock monotonically,
+//! * [`clock`] — the same engine under a wall clock
+//!   ([`WallClockSource`]): timers fire when the wall reaches them,
+//!   external items arrive over a channel, and a journaled external
+//!   replays in the order the live source dispatched it,
+//! * [`codec`] — the one byte layout of every durable format: integers,
+//!   lists, and the checksummed envelope,
 //! * [`stats`] — exact time-weighted averages of step signals (queue
 //!   length, busy processors), kept without storing every sample.
 //!
@@ -39,7 +45,7 @@ pub mod queue;
 pub mod stats;
 pub mod time;
 
-pub use clock::{EventClock, ReplaySource, Tick, WallClockSource};
+pub use clock::{Tick, WallClockSource};
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use engine::{Engine, EngineSnapshot};
 pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, SEEDED_SEQ_LIMIT};

@@ -95,7 +95,7 @@ fn parse_args() -> Args {
             "--machine" => machine = Some(flags.positive(&flag)),
             "--scheduler" => scheduler = Some(flags.value(&flag)),
             "--max-queue" => max_queue = flags.num(&flag),
-            "--speedup" => speedup = Some(flags.num(&flag)),
+            "--speedup" => speedup = Some(flags.positive(&flag)),
             "--journal" => journal = Some(PathBuf::from(flags.value(&flag))),
             "--recover" => recover = true,
             "--drain" => drain = true,

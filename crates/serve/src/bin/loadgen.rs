@@ -11,29 +11,25 @@
 //! submission a user departs with probability `--departure` and is
 //! replaced by a fresh profile.
 //!
-//! Workers fan the target rate out (`--rate / --workers` each), submit
-//! without waiting for verdicts, and a per-worker collector measures
-//! admission latency (submit → accept/reject roundtrip) into a
-//! log-bucketed [`LatencyHistogram`]; the per-worker histograms are
-//! merged for the report. Latency and rejections are additionally
-//! broken down by user group — the Zipf head (user 0) versus the tail —
-//! which is how the fairness claim of quota-based overload control is
-//! measured: with `--quota` set, the head hits `user_quota`
-//! backpressure first and tail p99 stays near the uncontended baseline.
+//! Workers fan the target rate out (`--rate / --workers` each), one
+//! Unix-socket connection each, submit NDJSON without waiting for
+//! verdicts, and a per-worker reader measures admission latency (submit
+//! → accept/reject roundtrip) into a log-bucketed [`LatencyHistogram`];
+//! the per-worker histograms are merged for the report. Latency and
+//! rejections are additionally broken down by user group — the Zipf head
+//! (user 0) versus the tail — which is how the fairness claim of
+//! quota-based overload control is measured: with the daemon's `--quota`
+//! set, the head hits `user_quota` backpressure first and tail p99 stays
+//! near the uncontended baseline.
 //!
-//! Two transports:
-//!
-//! * default — spawn the daemon **in process** (one per `--rate` step)
-//!   and drive it over the command channel; the daemon is drained after
-//!   each step so completion/loss counts are exact; `--journal DIR`
-//!   journals the first rate's session durably;
-//! * `--connect SOCK` — drive an external daemon over its Unix socket
-//!   with NDJSON (one connection per worker); connections retry with
-//!   bounded exponential backoff (a restarting daemon is reachable
-//!   within a few hundred ms), replies carry a per-request timeout
-//!   (`--timeout-ms`, reported separately from rejections), counts come
-//!   from a final `status` query, and `--shutdown-after` asks the
-//!   daemon to drain.
+//! The daemon is a separate process, started with the `daemon` bin's own
+//! flags (machine, scheduler, queue bound, speedup, journal, quota);
+//! `--connect SOCK` names its socket. Connections retry with bounded
+//! exponential backoff (a restarting daemon is reachable within a few
+//! hundred ms), replies carry a per-request timeout (`--timeout-ms`,
+//! reported separately from rejections), the machine size comes from a
+//! first `status` query and the completion counts from one after each
+//! rate, and `--shutdown-after` asks the daemon to drain.
 //!
 //! The report — sustained throughput, p50/p99/p999 admission latency
 //! (overall and per user group), rejection rates by reason, and
@@ -44,32 +40,26 @@
 use dynp_des::SimDuration;
 use dynp_metrics::LatencyHistogram;
 use dynp_obs::parse::Json;
-use dynp_serve::cli::{fsync, quota};
-use dynp_serve::{
-    spawn, Command, FsyncPolicy, OverloadReason, QuotaConfig, Reply, ServiceConfig, SubmitError,
-    SubmitSpec,
-};
+use dynp_serve::SubmitSpec;
 use dynp_sim::cli::Flags;
-use dynp_sim::SchedulerSpec;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rand_distr::{Distribution, Exp};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
-usage: loadgen [--rate R1[,R2,…]] [--duration SECS] [--workers N]
-               [--users N] [--zipf S] [--departure P] [--seed N]
-               [--machine N] [--scheduler SPEC] [--max-queue N]
-               [--speedup N] [--journal DIR] [--fsync POLICY]
-               [--quota RATE:BURST] [--out PATH]
-               [--connect SOCK] [--timeout-ms N] [--shutdown-after]
+usage: loadgen --connect SOCK [--rate R1[,R2,…]] [--duration SECS]
+               [--workers N] [--users N] [--zipf S] [--departure P]
+               [--seed N] [--out PATH] [--timeout-ms N] [--shutdown-after]
 
+  --connect SOCK      the daemon's Unix socket (required; retries with
+                      exponential backoff while it starts)
   --rate R1[,R2,…]    target submissions/sec, one report row per rate
                       (default 100,200)
   --duration SECS     open-loop send window per rate (default 3)
@@ -78,21 +68,10 @@ usage: loadgen [--rate R1[,R2,…]] [--duration SECS] [--workers N]
   --zipf S            Zipf exponent (default 1.1)
   --departure P       per-submission user churn probability (default 0.02)
   --seed N            workload seed (default 24301)
-  --machine N         in-process daemon: machine size (default 128)
-  --scheduler SPEC    in-process daemon: scheduler recipe (default dynp)
-  --max-queue N       in-process daemon: queue bound (default 512)
-  --speedup N         in-process daemon: sim ms per wall ms (default 2000)
-  --journal DIR       in-process daemon: journal the first rate's session
-  --fsync POLICY      in-process daemon: journal fsync policy
-                      (always|rotate|never, default always)
-  --quota RATE:BURST  in-process daemon: per-user token bucket
-                      (millitokens/sim-second : millitokens capacity)
   --out PATH          write the JSON report here
-  --connect SOCK      drive an external daemon over its Unix socket
-                      (retries with exponential backoff while it starts)
-  --timeout-ms N      with --connect: per-reply timeout in wall ms
-                      (default 5000; timeouts are reported separately)
-  --shutdown-after    with --connect: ask the daemon to drain at the end";
+  --timeout-ms N      per-reply timeout in wall ms (default 5000;
+                      timeouts are reported separately)
+  --shutdown-after    ask the daemon to drain at the end";
 
 struct Args {
     rates: Vec<f64>,
@@ -102,20 +81,14 @@ struct Args {
     zipf: f64,
     departure: f64,
     seed: u64,
-    machine: u32,
-    scheduler: SchedulerSpec,
-    max_queue: usize,
-    speedup: u64,
-    journal: Option<PathBuf>,
-    fsync: FsyncPolicy,
-    quota: QuotaConfig,
     out: Option<PathBuf>,
-    connect: Option<PathBuf>,
+    connect: PathBuf,
     timeout_ms: u64,
     shutdown_after: bool,
 }
 
 fn parse_args() -> Args {
+    let mut connect = None;
     let mut args = Args {
         rates: vec![100.0, 200.0],
         duration: 3.0,
@@ -124,15 +97,8 @@ fn parse_args() -> Args {
         zipf: 1.1,
         departure: 0.02,
         seed: 24301,
-        machine: 128,
-        scheduler: SchedulerSpec::dynp(dynp_core::DeciderKind::Advanced),
-        max_queue: 512,
-        speedup: 2000,
-        journal: None,
-        fsync: FsyncPolicy::Always,
-        quota: QuotaConfig::disabled(),
         out: None,
-        connect: None,
+        connect: PathBuf::new(),
         timeout_ms: 5000,
         shutdown_after: false,
     };
@@ -152,20 +118,14 @@ fn parse_args() -> Args {
             "--zipf" => args.zipf = flags.num_in(&flag, 0.0..f64::INFINITY),
             "--departure" => args.departure = flags.num_in(&flag, 0.0..=1.0),
             "--seed" => args.seed = flags.num(&flag),
-            "--machine" => args.machine = flags.positive(&flag),
-            "--scheduler" => args.scheduler = flags.scheduler(&flag),
-            "--max-queue" => args.max_queue = flags.num(&flag),
-            "--speedup" => args.speedup = flags.num(&flag),
-            "--journal" => args.journal = Some(PathBuf::from(flags.value(&flag))),
-            "--fsync" => args.fsync = fsync(&mut flags, &flag),
-            "--quota" => args.quota = quota(&mut flags),
             "--out" => args.out = Some(PathBuf::from(flags.value(&flag))),
-            "--connect" => args.connect = Some(PathBuf::from(flags.value(&flag))),
+            "--connect" => connect = Some(PathBuf::from(flags.value(&flag))),
             "--timeout-ms" => args.timeout_ms = flags.num(&flag),
             "--shutdown-after" => args.shutdown_after = true,
             other => flags.unknown(other),
         }
     }
+    args.connect = connect.unwrap_or_else(|| flags.bail("--connect SOCK is required"));
     args
 }
 
@@ -235,13 +195,11 @@ struct GenParams {
     machine: u32,
 }
 
-/// One submission the sender hands its collector: the send instant, the
-/// submitting user (for the head/tail breakdown), plus whatever the
-/// collector needs to wait for the verdict.
-struct InFlight<T> {
+/// One submission the sender hands its reader: the send instant and the
+/// submitting user (for the head/tail breakdown).
+struct InFlight {
     sent_at: Instant,
     user: u32,
-    wait: T,
 }
 
 /// Per-user-group tallies: the Zipf head (user 0) is tracked separately
@@ -270,7 +228,7 @@ struct WorkerStats {
     rejected_shutdown: u64,
     rejected_invalid: u64,
     rejected_user_quota: u64,
-    /// Replies that missed the per-request timeout (socket mode only).
+    /// Replies that missed the per-request timeout.
     timeouts: u64,
     hist: LatencyHistogram,
     head: GroupStats,
@@ -313,9 +271,9 @@ impl WorkerStats {
     }
 }
 
-/// The open-loop send schedule, shared by both transports: sleeps out
-/// exponential gaps and calls `submit` once per arrival until the window
-/// closes. Returns the number of submissions sent.
+/// The open-loop send schedule: sleeps out exponential gaps and calls
+/// `submit` once per arrival until the window closes. Returns the number
+/// of submissions sent.
 fn send_loop(params: &GenParams, worker: usize, mut submit: impl FnMut(SubmitSpec) -> bool) -> u64 {
     let mut rng = StdRng::seed_from_u64(params.seed.wrapping_add(worker as u64 * 0x9E37));
     let inter = Exp::new(params.rate_per_worker).expect("positive rate");
@@ -397,95 +355,6 @@ impl Row {
     }
 }
 
-/// Runs one rate step against an in-process daemon, draining it at the
-/// end so completion and loss counts are exact.
-fn run_inproc(args: &Args, rate: f64, journal: Option<PathBuf>) -> Row {
-    let mut config = ServiceConfig::new(args.machine, args.scheduler.clone());
-    config.max_queue = args.max_queue;
-    config.speedup = args.speedup;
-    config.journal = journal;
-    config.fsync = args.fsync;
-    config.quota = args.quota;
-    let (handle, join) = spawn(config).unwrap_or_else(|e| {
-        eprintln!("cannot start daemon: {e}");
-        std::process::exit(2);
-    });
-
-    let params = GenParams {
-        seed: args.seed,
-        rate_per_worker: rate / args.workers as f64,
-        duration: args.duration,
-        zipf: Arc::new(zipf_cdf(args.users, args.zipf)),
-        departure: args.departure,
-        machine: args.machine,
-    };
-    let start = Instant::now();
-    let mut senders = Vec::new();
-    let mut collectors = Vec::new();
-    for worker in 0..args.workers {
-        let (pending_tx, pending_rx) = mpsc::channel::<InFlight<mpsc::Receiver<Reply>>>();
-        collectors.push(std::thread::spawn(move || {
-            let mut stats = WorkerStats::default();
-            while let Ok(inflight) = pending_rx.recv() {
-                let reply = inflight.wait.recv();
-                let latency_us = inflight.sent_at.elapsed().as_micros() as u64;
-                let accepted = matches!(reply, Ok(Reply::Accepted(_)));
-                stats.tally(inflight.user, latency_us, accepted);
-                match reply {
-                    Ok(Reply::Accepted(_)) => {}
-                    Ok(Reply::Rejected(SubmitError::Overload(OverloadReason::QueueFull))) => {
-                        stats.rejected_queue_full += 1
-                    }
-                    Ok(Reply::Rejected(SubmitError::Overload(OverloadReason::UserQuota))) => {
-                        stats.rejected_user_quota += 1
-                    }
-                    Ok(Reply::Rejected(SubmitError::Invalid(_))) => stats.rejected_invalid += 1,
-                    // A dropped reply channel means the daemon exited
-                    // under us — count it with the shutdown refusals.
-                    Ok(_) | Err(_) => stats.rejected_shutdown += 1,
-                }
-            }
-            stats
-        }));
-        let params = params.clone();
-        let tx = handle.sender();
-        senders.push(std::thread::spawn(move || {
-            send_loop(&params, worker, |spec| {
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let sent_at = Instant::now();
-                let user = spec.user;
-                if tx.send(Command::Submit(spec, reply_tx)).is_err() {
-                    return false;
-                }
-                pending_tx
-                    .send(InFlight {
-                        sent_at,
-                        user,
-                        wait: reply_rx,
-                    })
-                    .is_ok()
-            })
-        }));
-    }
-    let sent: u64 = senders.into_iter().map(|h| h.join().unwrap()).sum();
-    let send_elapsed = start.elapsed().as_secs_f64();
-    let mut stats = WorkerStats::default();
-    for c in collectors {
-        stats.absorb(&c.join().unwrap());
-    }
-    handle.shutdown();
-    drop(handle);
-    let report = join.join().expect("daemon thread panicked");
-    Row {
-        target_eps: rate,
-        achieved_eps: sent as f64 / send_elapsed,
-        sent,
-        stats,
-        completed: report.run.completed.len() as u64,
-        lost: report.run.faults.lost,
-    }
-}
-
 fn render_submit(spec: &SubmitSpec) -> String {
     format!(
         "{{\"cmd\":\"submit\",\"width\":{},\"estimate_ms\":{},\"actual_ms\":{},\"user\":{}}}",
@@ -519,7 +388,7 @@ fn classify_reply(line: &str, user: u32, latency_us: u64, stats: &mut WorkerStat
 /// backoff (50 ms doubling to 1.6 s, 8 attempts ≈ 6 s total) — a daemon
 /// that is still starting, or restarting with `--recover`, becomes
 /// reachable without the load generator giving up.
-fn connect_with_retry(path: &std::path::Path) -> std::io::Result<UnixStream> {
+fn connect_with_retry(path: &Path) -> std::io::Result<UnixStream> {
     let mut backoff = Duration::from_millis(50);
     let mut last_err = None;
     for attempt in 0..8 {
@@ -543,7 +412,7 @@ fn connect_with_retry(path: &std::path::Path) -> std::io::Result<UnixStream> {
 }
 
 /// One request/one reply over a fresh connection (status, shutdown).
-fn socket_roundtrip(path: &std::path::Path, request: &str) -> Option<String> {
+fn socket_roundtrip(path: &Path, request: &str) -> Option<String> {
     let mut stream = connect_with_retry(path).ok()?;
     writeln!(stream, "{request}").ok()?;
     let mut line = String::new();
@@ -551,16 +420,22 @@ fn socket_roundtrip(path: &std::path::Path, request: &str) -> Option<String> {
     Some(line)
 }
 
-/// Runs one rate step against an external daemon over its Unix socket,
-/// one connection per worker.
-fn run_socket(args: &Args, rate: f64, path: &std::path::Path) -> Row {
+/// The daemon's `status` reply, parsed; `None` when it cannot be had.
+fn status(path: &Path) -> Option<Json> {
+    Json::parse(socket_roundtrip(path, "{\"cmd\":\"status\"}")?.trim()).ok()
+}
+
+/// Runs one rate step against the daemon of `machine` processors, one
+/// connection per worker.
+fn run_rate(args: &Args, rate: f64, machine: u32) -> Row {
+    let path = args.connect.as_path();
     let params = GenParams {
         seed: args.seed,
         rate_per_worker: rate / args.workers as f64,
         duration: args.duration,
         zipf: Arc::new(zipf_cdf(args.users, args.zipf)),
         departure: args.departure,
-        machine: args.machine,
+        machine,
     };
     let timeout = Duration::from_millis(args.timeout_ms.max(1));
     let start = Instant::now();
@@ -575,7 +450,7 @@ fn run_socket(args: &Args, rate: f64, path: &std::path::Path) -> Row {
         read_half
             .set_read_timeout(Some(timeout))
             .expect("set_read_timeout");
-        let (pending_tx, pending_rx) = mpsc::channel::<InFlight<()>>();
+        let (pending_tx, pending_rx) = mpsc::channel::<InFlight>();
         readers.push(std::thread::spawn(move || {
             let mut stats = WorkerStats::default();
             let mut reader = BufReader::new(read_half);
@@ -610,11 +485,9 @@ fn run_socket(args: &Args, rate: f64, path: &std::path::Path) -> Row {
         let mut stream = stream;
         senders.push(std::thread::spawn(move || {
             let sent = send_loop(&params, worker, |spec| {
-                let sent_at = Instant::now();
                 let inflight = InFlight {
-                    sent_at,
+                    sent_at: Instant::now(),
                     user: spec.user,
-                    wait: (),
                 };
                 if pending_tx.send(inflight).is_err() {
                     return false;
@@ -636,14 +509,9 @@ fn run_socket(args: &Args, rate: f64, path: &std::path::Path) -> Row {
     // Completion counts from the daemon itself (jobs may still be
     // running — the external daemon's lifetime is not ours to drain).
     let (mut completed, mut lost) = (0, 0);
-    if let Some(line) = socket_roundtrip(path, "{\"cmd\":\"status\"}") {
-        if let Ok(json) = Json::parse(line.trim()) {
-            completed = json.get("completed").and_then(Json::as_u64).unwrap_or(0);
-            lost = json.get("lost").and_then(Json::as_u64).unwrap_or(0);
-        }
-    }
-    if args.shutdown_after {
-        let _ = socket_roundtrip(path, "{\"cmd\":\"shutdown\"}");
+    if let Some(json) = status(path) {
+        completed = json.get("completed").and_then(Json::as_u64).unwrap_or(0);
+        lost = json.get("lost").and_then(Json::as_u64).unwrap_or(0);
     }
     Row {
         target_eps: rate,
@@ -655,21 +523,16 @@ fn run_socket(args: &Args, rate: f64, path: &std::path::Path) -> Row {
     }
 }
 
-fn render_report(args: &Args, scheduler_name: &str, rows: &[Row]) -> String {
+fn render_report(args: &Args, machine: u32, rows: &[Row]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"report\": \"service\",\n");
-    out.push_str(&format!("  \"scheduler\": \"{scheduler_name}\",\n"));
-    out.push_str(&format!("  \"machine\": {},\n", args.machine));
+    out.push_str(&format!("  \"machine\": {machine},\n"));
     out.push_str(&format!("  \"workers\": {},\n", args.workers));
     out.push_str(&format!("  \"users\": {},\n", args.users));
     out.push_str(&format!("  \"zipf_s\": {},\n", args.zipf));
     out.push_str(&format!("  \"duration_secs\": {},\n", args.duration));
     out.push_str(&format!("  \"seed\": {},\n", args.seed));
-    out.push_str(&format!(
-        "  \"quota\": {{\"rate_mtok_per_sec\": {}, \"burst_mtok\": {}}},\n",
-        args.quota.rate_mtok_per_sec, args.quota.burst_mtok
-    ));
     out.push_str(
         "  \"unit\": \"admission latency in wall microseconds; \
          speedup = achieved_eps / target_eps (open-loop health)\",\n",
@@ -685,22 +548,22 @@ fn render_report(args: &Args, scheduler_name: &str, rows: &[Row]) -> String {
 
 fn main() {
     let args = parse_args();
-    let scheduler_name = args.scheduler.name();
-    let mut rows = Vec::new();
-    match &args.connect {
-        Some(path) => {
-            for &rate in &args.rates {
-                rows.push(run_socket(&args, rate, path));
-            }
-        }
-        None => {
-            for (i, &rate) in args.rates.iter().enumerate() {
-                // Only the first rate journals: JournalWriter::create
-                // refuses a directory that already holds a session.
-                let journal = if i == 0 { args.journal.clone() } else { None };
-                rows.push(run_inproc(&args, rate, journal));
-            }
-        }
+    // Profiles cap job widths at the daemon's machine, which its status
+    // reply names.
+    let machine = status(&args.connect)
+        .and_then(|json| json.get("machine").and_then(Json::as_u64))
+        .and_then(|m| u32::try_from(m).ok())
+        .unwrap_or_else(|| {
+            eprintln!("no status reply from {}", args.connect.display());
+            std::process::exit(2);
+        });
+    let rows: Vec<Row> = args
+        .rates
+        .iter()
+        .map(|&rate| run_rate(&args, rate, machine))
+        .collect();
+    if args.shutdown_after {
+        let _ = socket_roundtrip(&args.connect, "{\"cmd\":\"shutdown\"}");
     }
     for row in &rows {
         let s = &row.stats;
@@ -725,7 +588,7 @@ fn main() {
             s.tail.hist.p99(),
         );
     }
-    let report = render_report(&args, &scheduler_name, &rows);
+    let report = render_report(&args, machine, &rows);
     print!("{report}");
     if let Some(out) = &args.out {
         if let Err(e) = std::fs::write(out, &report) {

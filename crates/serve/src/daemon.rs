@@ -18,12 +18,12 @@
 //! Checkpoints of the complete service state are written at segment
 //! rotations and on a configurable record cadence. [`recover`] rebuilds
 //! the daemon after a crash: load the newest valid checkpoint, replay
-//! the journal suffix through the same driver loop on a
-//! [`ReplaySource`] (timers strictly before each record's stamp, then
-//! the record — the exact live dispatch order), and go live again on a
-//! resumed wall clock. The result is bit-identical to a daemon that was
-//! never killed, which `tests/service_replay.rs` pins with a
-//! crash-at-any-point property test.
+//! the journal suffix through the same driver loop on the
+//! [`WallClockSource`] that then goes live (timers strictly before each
+//! record's stamp, then the record — the exact live dispatch order). The
+//! result is bit-identical to a daemon that was never killed, which
+//! `tests/service_replay.rs` pins with a crash-at-any-point property
+//! test.
 //!
 //! ## Overload control
 //!
@@ -49,12 +49,12 @@ use crate::journal::{
     JournalRecord, JournalWriter, ServiceCheckpoint, ServiceCounters,
 };
 use crate::session::{service_fingerprint, validate_replay_suffix, ReplayError};
-use dynp_des::{EngineSnapshot, EventClock, ReplaySource, SimTime, Tick, WallClockSource};
+use dynp_des::{EngineSnapshot, SimTime, Tick, WallClockSource};
 use dynp_obs::TraceEvent;
 use dynp_rms::{AdmissionConfig, Scheduler};
 use dynp_sim::render_scheduler;
 use dynp_sim::shard::{Event, ShardCore};
-use dynp_workload::{FaultPlan, Job, JobId};
+use dynp_workload::{FaultPlan, Job, JobId, MAX_JOB_MS};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -407,6 +407,11 @@ impl Service {
                 spec.width, self.config.machine_size
             ));
         }
+        // The wire protocol refuses these already; in-process clients
+        // meet the bound here, before anything is journaled.
+        if spec.estimate.as_millis().max(spec.actual.as_millis()) > MAX_JOB_MS {
+            return Err(format!("a duration is past {MAX_JOB_MS} ms"));
+        }
         Ok(())
     }
 
@@ -523,7 +528,7 @@ impl Service {
         if let Some(bytes) = sealed_bytes {
             if let Some(writer) = &self.journal {
                 self.config.tracer.record(
-                    src.now(),
+                    src.engine().now(),
                     TraceEvent::JournalRotated {
                         segment: writer.segment(),
                         bytes,
@@ -532,7 +537,7 @@ impl Service {
             }
         }
         if sealed_bytes.is_some() || cadence_due {
-            self.checkpoint(core, scheduler, src.engine_snapshot(), src.min_external());
+            self.checkpoint(core, scheduler, src.engine().snapshot(), src.min_external());
         }
     }
 }
@@ -568,28 +573,38 @@ fn run_daemon(
     };
 
     // Recovery: fast-forward from the checkpoint (if any), then replay
-    // the journal suffix through the same handler the live loop runs.
-    let mut src = match recovered {
-        None => WallClockSource::new(rx, svc.config.speedup),
-        Some(seed) => {
-            let (replay_src, replayed) =
-                replay_recovered(&mut svc, &mut core, scheduler.as_mut(), &faults, seed);
-            let (engine_snap, min_external) = replay_src.into_snapshot();
-            svc.config.tracer.record(
-                engine_snap.now,
-                TraceEvent::CheckpointLoaded {
-                    journal_seq: svc.journal.as_ref().map_or(0, JournalWriter::next_seq),
-                    replayed,
-                },
-            );
-            WallClockSource::resume(rx, svc.config.speedup, &engine_snap, min_external)
-        }
-    };
+    // the journal suffix through the same handler the live loop runs, on
+    // the source that then goes live.
+    let mut src = WallClockSource::new(rx, svc.config.speedup);
+    if let Some(seed) = recovered {
+        let replayed = replay_recovered(
+            &mut svc,
+            &mut core,
+            scheduler.as_mut(),
+            &faults,
+            seed,
+            &mut src,
+        );
+        svc.config.tracer.record(
+            src.engine().now(),
+            TraceEvent::CheckpointLoaded {
+                journal_seq: svc.journal.as_ref().map_or(0, JournalWriter::next_seq),
+                replayed,
+            },
+        );
+    }
 
     while let Some(tick) = src.next_tick() {
         match tick {
             Tick::Timer(event) => {
-                core.handle(&mut src, event, &mut *scheduler, &svc.jobs, &[], &faults);
+                core.handle(
+                    src.engine_mut(),
+                    event,
+                    &mut *scheduler,
+                    &svc.jobs,
+                    &[],
+                    &faults,
+                );
             }
             Tick::External(cmd) => {
                 handle_command(&mut svc, &mut core, &mut src, &mut *scheduler, &faults, cmd)
@@ -608,7 +623,7 @@ fn run_daemon(
     let fingerprint = service_fingerprint(&core, scheduler.as_ref(), Vec::new());
     let expected = (svc.counters.accepted - svc.counters.cancelled) as usize;
     let run = core.finish(
-        &src,
+        src.engine(),
         scheduler.name(),
         "service".to_string(),
         &faults,
@@ -628,39 +643,36 @@ fn run_daemon(
 }
 
 /// Applies a recovered journal to the daemon state: restore the
-/// checkpoint, then replay the record suffix in the live dispatch
-/// order — every pending timer strictly before the next record's
-/// stamp, then the record itself. Returns the replay source (to resume
-/// the wall clock from) and the number of records replayed.
+/// checkpoint, then replay the record suffix on `src` in the live
+/// dispatch order — every pending timer strictly before the next
+/// record's stamp, then the record itself. Returns the number of records
+/// replayed.
 fn replay_recovered(
     svc: &mut Service,
     core: &mut ShardCore,
     scheduler: &mut dyn Scheduler,
     faults: &FaultPlan,
     seed: RecoveredState,
-) -> (ReplaySource<Event>, u64) {
+    src: &mut WallClockSource<Event, Command>,
+) -> u64 {
     let mut first_seq = 0;
-    let mut replay_src = match &seed.checkpoint {
-        Some(ckpt) => {
-            core.restore(&ckpt.core);
-            scheduler.restore(&ckpt.scheduler);
-            svc.jobs = ckpt.jobs.clone();
-            svc.users = ckpt.users.clone();
-            svc.counters = ckpt.counters;
-            svc.quotas.restore(&ckpt.buckets);
-            core.ensure_jobs(svc.jobs.len());
-            first_seq = ckpt.journal_seq;
-            ReplaySource::from_snapshot(&ckpt.engine, ckpt.min_external)
-        }
-        None => ReplaySource::fresh(),
-    };
+    if let Some(ckpt) = &seed.checkpoint {
+        core.restore(&ckpt.core);
+        scheduler.restore(&ckpt.scheduler);
+        svc.jobs = ckpt.jobs.clone();
+        svc.users = ckpt.users.clone();
+        svc.counters = ckpt.counters;
+        svc.quotas.restore(&ckpt.buckets);
+        core.ensure_jobs(svc.jobs.len());
+        first_seq = ckpt.journal_seq;
+        src.restore(&ckpt.engine, ckpt.min_external);
+    }
     let mut replayed = 0u64;
     for rec in seed.records.iter().filter(|r| r.seq() >= first_seq) {
         let stamp = rec.stamp();
-        while let Some(ev) = replay_src.pop_timer_before(Some(stamp)) {
-            core.handle(&mut replay_src, ev, scheduler, &svc.jobs, &[], faults);
-        }
-        replay_src.note_external(stamp);
+        src.replay_external(stamp, |eng, ev| {
+            core.handle(eng, ev, scheduler, &svc.jobs, &[], faults)
+        });
         match *rec {
             JournalRecord::Submit {
                 job,
@@ -682,7 +694,7 @@ fn replay_recovered(
                 core.ensure_jobs(svc.jobs.len());
                 svc.quotas.charge_replayed(user, stamp);
                 core.handle(
-                    &mut replay_src,
+                    src.engine_mut(),
                     Event::Arrive(JobId(job)),
                     scheduler,
                     &svc.jobs,
@@ -699,7 +711,7 @@ fn replay_recovered(
         }
         replayed += 1;
     }
-    (replay_src, replayed)
+    replayed
 }
 
 fn handle_command(
@@ -722,7 +734,7 @@ fn handle_command(
             let found = match core.cancel_waiting(JobId(job)) {
                 Some(_) => {
                     svc.counters.cancelled += 1;
-                    let stamp = src.now();
+                    let stamp = src.engine().now();
                     if let Some(writer) = svc.journal.as_mut() {
                         let appended = writer
                             .append_cancel(stamp, job)
@@ -736,7 +748,7 @@ fn handle_command(
             let _ = reply.send(Reply::Cancelled { job, found });
         }
         Command::Status(reply) => {
-            let _ = reply.send(Reply::Status(svc.status(core, src.now())));
+            let _ = reply.send(Reply::Status(svc.status(core, src.engine().now())));
         }
         Command::Shutdown(reply) => {
             svc.draining = true;
@@ -773,7 +785,7 @@ fn admit(
         svc.counters.rejected_queue_full += 1;
         return Err(SubmitError::Overload(OverloadReason::QueueFull));
     }
-    let now = src.now();
+    let now = src.engine().now();
     if svc.over_fair_share(core, spec.user) || !svc.quotas.try_charge(spec.user, now) {
         svc.counters.rejected_user_quota += 1;
         svc.config.tracer.record(
@@ -797,7 +809,14 @@ fn admit(
     svc.jobs.push(job);
     svc.users.push(spec.user);
     core.ensure_jobs(svc.jobs.len());
-    core.handle(src, Event::Arrive(id), scheduler, &svc.jobs, &[], faults);
+    core.handle(
+        src.engine_mut(),
+        Event::Arrive(id),
+        scheduler,
+        &svc.jobs,
+        &[],
+        faults,
+    );
     svc.counters.accepted += 1;
     if svc.journal.is_some() {
         svc.after_append(sealed_bytes, core, scheduler, src);
@@ -826,7 +845,7 @@ fn refuse(
             let _ = reply.send(Reply::Cancelled { job, found: false });
         }
         Command::Status(reply) => {
-            let _ = reply.send(Reply::Status(svc.status(core, src.now())));
+            let _ = reply.send(Reply::Status(svc.status(core, src.engine().now())));
         }
         Command::Shutdown(reply) => {
             if let Some(reply) = reply {

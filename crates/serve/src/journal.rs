@@ -47,7 +47,7 @@
 use dynp_des::{ByteReader, ByteWriter, CodecError, EngineSnapshot, SimDuration, SimTime};
 use dynp_rms::SchedulerSnapshot;
 use dynp_sim::{CoreSnapshot, Event};
-use dynp_workload::Job;
+use dynp_workload::{Job, MAX_JOB_MS};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -186,6 +186,14 @@ impl JournalRecord {
 
     /// Decodes the verified payload `p` of a frame of type `kind`.
     fn decode_from(kind: u8, mut p: ByteReader<'_>) -> Result<JournalRecord, CodecError> {
+        // A build without the job bound journaled what it accepted; such
+        // a record is refused here rather than replayed into a crash.
+        let duration = |ms: u64| match ms {
+            0..=MAX_JOB_MS => Ok(SimDuration::from_millis(ms)),
+            _ => Err(CodecError::Invalid {
+                what: "duration past the job bound",
+            }),
+        };
         let rec = match kind {
             REC_SUBMIT => JournalRecord::Submit {
                 seq: p.u64()?,
@@ -193,8 +201,8 @@ impl JournalRecord {
                 job: p.u32()?,
                 user: p.u32()?,
                 width: p.u32()?,
-                estimate: SimDuration::from_millis(p.u64()?),
-                actual: SimDuration::from_millis(p.u64()?),
+                estimate: duration(p.u64()?)?,
+                actual: duration(p.u64()?)?,
             },
             REC_CANCEL => JournalRecord::Cancel {
                 seq: p.u64()?,

@@ -5,9 +5,11 @@
 //! serving live traffic, making the simulator a digital twin of the
 //! service (and vice versa):
 //!
-//! * [`daemon`] — the daemon thread: `RmsState` + self-tuning scheduler
-//!   behind a [`dynp_des::WallClockSource`], a typed submission/query/
-//!   cancel API with bounded-queue backpressure, graceful drain on
+//! * [`daemon`] — the daemon thread: the batch driver's `ShardCore` and
+//!   scheduler on a [`dynp_des::WallClockSource`] (the DES engine under a
+//!   wall clock, so recovery replays the journal on the very source that
+//!   then goes live), a typed submission/query/cancel API with
+//!   bounded-queue backpressure and per-user quotas, graceful drain on
 //!   shutdown;
 //! * [`api`] — the command/reply types shared by the in-process channel
 //!   API and the wire protocol;
@@ -27,10 +29,10 @@
 //! checkpoint plus the journal suffix, bit-identical to a daemon that
 //! was never killed.
 //!
-//! The `loadgen` bin drives a daemon with an open-loop workload —
-//! Zipfian user population, Poisson arrivals, multi-worker fan-out — and
-//! reports sustained throughput and admission-latency percentiles
-//! (p50/p99/p999), overall and per user.
+//! The `loadgen` bin drives a running daemon over its socket with an
+//! open-loop workload — Zipfian user population, Poisson arrivals,
+//! multi-worker fan-out — and reports sustained throughput and
+//! admission-latency percentiles (p50/p99/p999), overall and per user.
 //! The `replay` bin re-derives a daemon summary from a journal alone
 //! (the CI crash-recovery job diffs the two).
 
@@ -101,9 +103,15 @@ mod tests {
             Err(SubmitError::Invalid(why)) => assert!(why.contains("machine")),
             other => panic!("expected Invalid, got {other:?}"),
         }
+        let mut long = spec(4, 1);
+        long.actual = SimDuration::from_millis(dynp_workload::MAX_JOB_MS + 1);
+        match handle.submit(long) {
+            Err(SubmitError::Invalid(why)) => assert!(why.contains("past"), "{why}"),
+            other => panic!("expected Invalid, got {other:?}"),
+        }
         handle.shutdown();
         let report = join.join().unwrap();
-        assert_eq!(report.rejected_invalid, 2);
+        assert_eq!(report.rejected_invalid, 3);
         assert_eq!(report.accepted, 0);
     }
 

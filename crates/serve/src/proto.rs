@@ -32,6 +32,7 @@ use crate::api::{Reply, ServiceReport, SubmitError, SubmitSpec};
 use dynp_des::SimDuration;
 use dynp_obs::parse::Json;
 use dynp_obs::sink;
+use dynp_workload::MAX_JOB_MS;
 use std::io::{self, BufRead, Read};
 
 /// Longest request line a transport accepts, newline included (the
@@ -90,13 +91,19 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     .and_then(Json::as_u64)
                     .ok_or_else(|| format!("submit needs integer field {key:?}"))
             };
+            let duration = |key: &str, ms: u64| -> Result<SimDuration, String> {
+                if ms > MAX_JOB_MS {
+                    return Err(format!("field {key:?} is past {MAX_JOB_MS} ms"));
+                }
+                Ok(SimDuration::from_millis(ms))
+            };
             let width = u32::try_from(field("width")?)
                 .map_err(|_| "field \"width\" out of range".to_string())?;
-            let estimate = SimDuration::from_millis(field("estimate_ms")?);
+            let estimate = duration("estimate_ms", field("estimate_ms")?)?;
             // The actual run time defaults to the estimate (a job that
             // uses its whole request).
             let actual = match json.get("actual_ms").and_then(Json::as_u64) {
-                Some(ms) => SimDuration::from_millis(ms),
+                Some(ms) => duration("actual_ms", ms)?,
                 None => estimate,
             };
             let user = json.get("user").and_then(Json::as_u64).unwrap_or(0) as u32;
@@ -252,6 +259,24 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"cancel"}"#)
             .unwrap_err()
             .contains("job"));
+        // Durations past the job bound: the first one of the repro that
+        // crashed the daemon, one millisecond over, and an actual alone.
+        let submit = |fields: &str| parse_request(&format!(r#"{{"cmd":"submit",{fields}}}"#));
+        for (fields, field) in [
+            (
+                r#""width":4,"estimate_ms":18446744073709551615"#,
+                "estimate_ms",
+            ),
+            (r#""width":4,"estimate_ms":34359738369"#, "estimate_ms"),
+            (
+                r#""width":4,"estimate_ms":5000,"actual_ms":34359738369"#,
+                "actual_ms",
+            ),
+        ] {
+            let err = submit(fields).unwrap_err();
+            assert!(err.contains(field), "{fields}: {err}");
+        }
+        assert!(submit(r#""width":4,"estimate_ms":34359738368"#).is_ok());
     }
 
     #[test]

@@ -23,6 +23,7 @@ const REJECTED: &[(&str, &[&str], &str)] = &[
     (DAEMON, &["--machine", "0"], "--machine"),
     (DAEMON, &["--machine", "-4"], "--machine"),
     (DAEMON, &["--max-queue", "x"], "--max-queue"),
+    (DAEMON, &["--speedup", "0"], "--speedup"),
     (DAEMON, &["--scheduler", "round-robin"], "--scheduler"),
     (DAEMON, &["--fsync", "sometimes"], "--fsync"),
     (DAEMON, &["--quota", "16"], "--quota"),
@@ -36,13 +37,15 @@ const REJECTED: &[(&str, &[&str], &str)] = &[
     (LOADGEN, &["--duration", "inf"], "--duration"),
     (LOADGEN, &["--workers", "0"], "--workers"),
     (LOADGEN, &["--users", "0"], "--users"),
-    (LOADGEN, &["--machine", "0"], "--machine"),
     (LOADGEN, &["--departure", "2"], "--departure"),
     (LOADGEN, &["--zipf", "nan"], "--zipf"),
+    (LOADGEN, &["--rate", "100"], "--connect"),
+    // The daemon's own flags are the daemon bin's, not the load's.
+    (LOADGEN, &["--connect", "s", "--machine", "64"], "--machine"),
     (
         LOADGEN,
-        &["--scheduler", "dynp:preferred:XYZ"],
-        "--scheduler",
+        &["--connect", "s", "--quota", "16:8000"],
+        "--quota",
     ),
     (REPLAY, &[], "--journal"),
     (REPLAY, &["--journal"], "--journal"),

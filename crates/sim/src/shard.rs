@@ -34,7 +34,7 @@
 
 use crate::feed::{ExoFeed, Streams};
 use crate::runner::{DetailedRun, ReservationReport, RunObservations, RunResult};
-use dynp_des::{Engine, EventClock, SimDuration, SimTime, TimeWeightedCount};
+use dynp_des::{Engine, SimDuration, SimTime, TimeWeightedCount};
 use dynp_metrics::{FaultStats, SimMetrics};
 use dynp_obs::{TraceClass, TraceEvent, Tracer};
 use dynp_rms::{
@@ -164,9 +164,9 @@ fn resolve_failure(
 ///
 /// The engine is deliberately *not* a field: the handler receives it as a
 /// parameter so `engine.run(|eng, ev| core.handle(eng, ev, ...))` borrows
-/// the two halves disjointly. The handler is generic over
-/// [`EventClock`], so the same core drives batch simulation (virtual
-/// clock), federation epochs, and the live service daemon (wall clock).
+/// the two halves disjointly. The same core drives batch simulation
+/// (virtual clock), federation epochs, and the live service daemon, whose
+/// wall clock keeps its timers on an [`Engine`] too.
 pub struct ShardCore {
     pub(crate) state: RmsState,
     controller: AdmissionController,
@@ -334,10 +334,11 @@ impl ShardCore {
     /// Handles one event: updates the cluster state, replans, and starts
     /// every due job. This is the whole driver loop body — single-cluster
     /// runs, federated runs, and the live service daemon share it
-    /// verbatim; only the clock behind `eng` differs.
-    pub fn handle<C: EventClock<Event>>(
+    /// verbatim; only what advances `eng` — its own queue, or the wall
+    /// clock around it — differs.
+    pub fn handle(
         &mut self,
-        eng: &mut C,
+        eng: &mut Engine<Event>,
         event: Event,
         scheduler: &mut dyn Scheduler,
         jobs: &[Job],
@@ -695,9 +696,9 @@ impl ShardCore {
     /// # Panics
     /// Panics if jobs are still waiting/running, windows are still
     /// booked, or (with `expected_jobs`) conservation is violated.
-    pub fn finish<C: EventClock<Event>>(
+    pub fn finish(
         self,
-        engine: &C,
+        engine: &Engine<Event>,
         scheduler_name: String,
         job_set: String,
         faults: &FaultPlan,

@@ -24,6 +24,19 @@ impl std::fmt::Display for JobId {
     }
 }
 
+/// The longest estimate or actual run time a job may carry, in
+/// milliseconds: 2^35 ms, about 398 days.
+///
+/// Instants saturate at `SimTime::MAX` rather than overflow, and once two
+/// planned ends collapse onto it the planner places a job on a full
+/// machine. Within this bound no plan gets there: a plan ends at most the
+/// sum of its estimates past the instant it is made, so saturation would
+/// need more than 2^64 / 2^35 = 2^29 ≈ 5·10^8 jobs of maximal length in
+/// one plan. The boundaries that read durations from outside — the
+/// daemon's requests, the SWF reader and the journal decoder — refuse a
+/// longer one; the trace models never come near it.
+pub const MAX_JOB_MS: u64 = 1 << 35;
+
 /// A rigid parallel batch job.
 ///
 /// The planning-based RMS schedules on the *estimate* (run time estimates

@@ -46,7 +46,7 @@
 //! byte-identical to before, while session logs round-trip at full
 //! `SimTime` fidelity.
 
-use crate::job::{Job, JobId, JobSet};
+use crate::job::{Job, JobId, JobSet, MAX_JOB_MS};
 use crate::reservation::ReservationRequest;
 use dynp_des::{SimDuration, SimTime};
 use std::io::{self, BufRead, Write};
@@ -58,6 +58,11 @@ const RESERVATION_TAG: &str = ";RESERVATION";
 /// Anything beyond is a corrupt field, not a real timestamp — accepting
 /// it would overflow the `SimTime` multiply.
 const MAX_SECS: u64 = u64::MAX / 1000;
+
+/// Latest submit time a job line may carry, in ms: 2^13 × [`MAX_JOB_MS`]
+/// = 2^48 ms, about 8 900 years — past any archive log, and far enough
+/// below `SimTime::MAX` that [`MAX_JOB_MS`]'s argument holds from there.
+const MAX_SUBMIT_MS: u64 = MAX_JOB_MS << 13;
 
 /// Formats `ms` as SWF seconds: a plain integer when whole (the archive
 /// format, byte-identical to the previous writer), otherwise with
@@ -71,12 +76,10 @@ fn fmt_secs(ms: u64) -> String {
 }
 
 /// Converts a non-negative seconds field to millisecond ticks, rounding
-/// to the nearest millisecond. `None` when out of range.
-fn secs_to_ms(v: f64) -> Option<u64> {
-    if !(0.0..=MAX_SECS as f64).contains(&v) {
-        return None;
-    }
-    Some((v * 1000.0).round() as u64)
+/// to the nearest millisecond. `None` when past `max_ms`.
+fn secs_to_ms(v: f64, max_ms: u64) -> Option<u64> {
+    let ms = (v * 1000.0).round();
+    (0.0..=max_ms as f64).contains(&ms).then_some(ms as u64)
 }
 
 /// Errors raised while parsing an SWF stream.
@@ -248,15 +251,17 @@ fn read_swf_impl(
         };
         // Times keep millisecond resolution: archive traces only ever
         // carry whole seconds, session logs carry live instants.
-        let actual_ms = secs_to_ms(run)
+        let actual_ms = secs_to_ms(run, MAX_JOB_MS)
             .ok_or_else(|| out_of_range("run time", run))?
             .max(1);
         let estimate_ms = if req_time > 0.0 {
-            secs_to_ms(req_time).ok_or_else(|| out_of_range("requested time", req_time))?
+            secs_to_ms(req_time, MAX_JOB_MS)
+                .ok_or_else(|| out_of_range("requested time", req_time))?
         } else {
             actual_ms
         };
-        let submit_ms = secs_to_ms(submit).ok_or_else(|| out_of_range("submit time", submit))?;
+        let submit_ms =
+            secs_to_ms(submit, MAX_SUBMIT_MS).ok_or_else(|| out_of_range("submit time", submit))?;
         // Clamp before narrowing: a field wider than the machine (or
         // even u32) is the documented clamp case, never a silent wrap.
         let width = (width as u64).min(machine_size as u64) as u32;

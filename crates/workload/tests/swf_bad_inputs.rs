@@ -40,6 +40,33 @@ fn out_of_range_timestamps_are_rejected_not_wrapped() {
     // Values that would overflow the seconds → milliseconds scale.
     assert_malformed_at("huge_timestamp.swf", 2);
     assert_malformed_at("huge_estimate.swf", 1);
+    // Representable, but past the job bound (`MAX_JOB_MS`).
+    assert_malformed_at("unbounded_durations.swf", 4);
+}
+
+#[test]
+fn job_times_are_held_to_the_bound() {
+    // 2^35 ms is 34 359 738.368 s; submit times may reach 2^48 ms.
+    let line = |submit: &str, run: &str, req: &str| {
+        format!("1 {submit} -1 {run} 4 -1 -1 4 {req} -1 1 -1 -1 -1 -1 -1 -1 -1\n")
+    };
+    let read = |text: String| read_swf(text.as_bytes(), "bound", 4);
+    let at = "34359738.368";
+    let over = "34359738.369";
+    assert!(read(line("0", at, at)).is_ok());
+    assert!(read(line("281474976710.656", "10", "10")).is_ok());
+    for (text, field) in [
+        (line("0", over, at), "run time"),
+        (line("0", "10", over), "requested time"),
+        (line("281474976710.657", "10", "10"), "submit time"),
+    ] {
+        match read(text) {
+            Err(SwfError::Malformed { line: 1, reason }) => {
+                assert!(reason.contains(field), "{reason}")
+            }
+            other => panic!("{field}: expected Malformed, got {other:?}"),
+        }
+    }
 }
 
 #[test]

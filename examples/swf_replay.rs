@@ -43,8 +43,10 @@ fn main() {
                 .map(|s| s.parse().expect("machine size must be an integer"))
                 .unwrap_or(430);
             let file = File::open(path).expect("cannot open SWF file");
-            swf::read_swf(BufReader::new(file), path.clone(), machine)
-                .expect("cannot parse SWF file")
+            swf::read_swf(BufReader::new(file), path.clone(), machine).unwrap_or_else(|e| {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(2);
+            })
         }
         None => swf::read_swf(BufReader::new(EMBEDDED.as_bytes()), "embedded", 64)
             .expect("embedded SWF must parse"),

@@ -10,7 +10,7 @@
 //! * [`core`] — the self-tuning dynP scheduler and its deciders,
 //! * [`sim`] — simulation runner and experiment harness,
 //! * [`serve`] — real-time service mode (daemon, wire protocol,
-//!   replayable session logs).
+//!   write-ahead journal and crash recovery).
 //!
 //! ## Quickstart
 //!

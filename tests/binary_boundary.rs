@@ -19,9 +19,13 @@
 //! indexes its words unchecked, and the threat model is torn writes and
 //! bit rot, not an adversary (DESIGN §14).
 
+use dynp_core::DeciderKind;
 use dynp_des::{ByteReader, ByteWriter};
-use dynp_serve::{load_latest_checkpoint, read_journal, read_journal_header, JournalError};
-use dynp_sim::decode_snapshot;
+use dynp_serve::{
+    load_latest_checkpoint, read_journal, read_journal_header, recover, JournalError, RecoverError,
+    ServiceConfig,
+};
+use dynp_sim::{decode_snapshot, SchedulerSpec};
 use proptest::prelude::*;
 use std::ops::Range;
 use std::path::PathBuf;
@@ -260,5 +264,39 @@ fn the_resealing_generator_reaches_a_sequence_overflow() {
             ..
         })
     ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checksummed submit whose estimate is past the job bound — what a
+/// build without the bound journaled before its daemon crashed on it —
+/// is a typed `BadRecord` from the reader and from recovery, not a
+/// replay into the same crash.
+#[test]
+fn an_over_bound_submit_is_a_typed_record_error() {
+    let f = &fixtures()[4];
+    let payload = f.payloads[0].start;
+    assert_eq!(f.bytes[payload - 5], 1, "the first record is a submit");
+    // seq u64 | stamp u64 | job u32 | user u32 | width u32 | estimate u64
+    let estimate = payload + 28;
+    let bytes = mutate_and_reseal(f, &[(false, estimate, 8, 0xFF)]);
+    let dir = temp_dir("over_bound");
+    std::fs::write(dir.join(f.name), bytes).unwrap();
+    let over_bound = |e: &JournalError| {
+        matches!(
+            e,
+            JournalError::BadRecord {
+                what: "duration past the job bound",
+                ..
+            }
+        )
+    };
+    assert!(over_bound(&read_journal(&dir).unwrap_err()));
+    let mut config = ServiceConfig::new(64, SchedulerSpec::dynp(DeciderKind::Advanced));
+    config.journal = Some(dir.clone());
+    match recover(config) {
+        Err(RecoverError::Journal(e)) => assert!(over_bound(&e), "{e}"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("recovered a journal with an over-bound submit"),
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -21,7 +21,10 @@ use dynp_serve::{
     read_journal, recover, replay_records, replay_session, spawn, FsyncPolicy, JournalError,
     QuotaConfig, RecoverError, ServiceConfig, ServiceHandle, ServiceReport, SubmitSpec,
 };
+use dynp_suite::obs::Tracer;
 use dynp_suite::prelude::*;
+use dynp_suite::sim::simulate_chaos;
+use dynp_suite::workload::{FaultPlan, MAX_JOB_MS};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -200,6 +203,81 @@ fn sessions_with_cancels_replay_bit_identically() {
         "10 submits + 2 accepted cancels are journaled"
     );
     assert_session_matches_replay("cancel", &live, &dir, &spec);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Jobs at the duration bound: full- and half-width jobs of maximal
+/// estimate stacked behind each other on four processors — the shape of
+/// the submits that once saturated the clock and crashed the daemon, at
+/// the bound instead of past it. The batch driver runs them to the end;
+/// so does the daemon, whose journal replays and recovers to the same
+/// schedule.
+#[test]
+fn jobs_at_the_duration_bound_run_to_completion() {
+    let bound = SimDuration::from_millis(MAX_JOB_MS);
+    let secs = SimDuration::from_secs;
+    let shapes = [
+        (4, bound, bound),
+        (4, secs(1), secs(1)),
+        (2, bound, bound),
+        (4, secs(5), secs(5)),
+        (2, bound, secs(60)),
+        (4, bound, bound),
+        (2, bound, bound),
+    ];
+    let machine = 4;
+    let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
+
+    let jobs = shapes
+        .iter()
+        .enumerate()
+        .map(|(i, &(width, estimate, actual))| {
+            Job::new(JobId(i as u32), SimTime::ZERO, width, estimate, actual)
+        })
+        .collect();
+    let set = JobSet::new("bound", machine, jobs);
+    let batch = simulate_chaos(
+        &set,
+        spec.build().as_mut(),
+        &[],
+        AdmissionConfig::default(),
+        &FaultPlan::none(),
+        Tracer::disabled(),
+    );
+    assert_eq!(batch.completed.len(), shapes.len());
+
+    let dir = temp_dir("bound");
+    let config = service_config(machine, spec.clone(), &dir);
+    let (handle, join) = spawn(config.clone()).unwrap();
+    for &(width, estimate, actual) in &shapes {
+        let submit = SubmitSpec {
+            width,
+            estimate,
+            actual,
+            user: 0,
+        };
+        handle.submit(submit).unwrap();
+    }
+    handle.shutdown();
+    let live = join.join().unwrap();
+    assert_eq!(live.run.completed.len(), shapes.len());
+    assert_eq!(live.run.faults.lost, 0);
+
+    let records = read_journal(&dir).unwrap().records;
+    let replay = replay_records(machine, &records, &spec).unwrap();
+    for (r, l) in replay.run.completed.iter().zip(&live.run.completed) {
+        assert_eq!((r.job.id, r.start, r.end), (l.job.id, l.start, l.end));
+    }
+    assert_eq!(
+        replay.run.result.metrics.sldwa,
+        live.run.result.metrics.sldwa
+    );
+    assert_eq!(replay.fingerprint, live.fingerprint);
+
+    let (handle, join) = recover(config).unwrap();
+    handle.shutdown();
+    let recovered = join.join().unwrap();
+    assert_eq!(recovered.fingerprint, live.fingerprint);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
