@@ -183,6 +183,7 @@ fn attempt_tag_integrity(d: &ChaosDriver<'_>, _s: &Scenario) -> Result<(), Strin
 /// completion at any other instant means a stale event was honored.
 fn exact_instant_completion(d: &ChaosDriver<'_>, _s: &Scenario) -> Result<(), String> {
     for c in d.core().state().completed() {
+        // Saturating: a broken driver must be reported, not panic here.
         let span = c.end.saturating_since(c.start);
         if span != c.job.actual {
             return Err(format!(

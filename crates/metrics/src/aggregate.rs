@@ -68,6 +68,7 @@ impl SimMetrics {
         }
 
         let n = completed.len() as f64;
+        // Saturating for the empty run, whose first submit is still MAX.
         let span = last_end.saturating_since(first_submit).as_secs_f64();
         SimMetrics {
             jobs: completed.len(),

@@ -80,7 +80,7 @@ impl Objective {
     #[inline]
     fn term(self, job: &Job, start: SimTime) -> f64 {
         let est = job.estimate.as_secs_f64();
-        let response = start.saturating_since(job.submit).as_secs_f64() + est;
+        let response = (start - job.submit).as_secs_f64() + est;
         match self {
             Objective::SlowdownWeightedByArea => job.estimated_area() * (response / est),
             Objective::AvgSlowdown => response / est,
@@ -112,9 +112,9 @@ impl Objective {
             return 0.0;
         }
         if self == Objective::Utilization {
-            // Planned area over the span from now to the horizon; the
-            // denser the plan packs, the higher the value. Negated so
-            // lower is better.
+            // Planned area over the span from now to the horizon (none
+            // for a plan already behind `now`); the denser the plan
+            // packs, the higher the value. Negated so lower is better.
             let span = schedule.horizon().saturating_since(now).as_secs_f64();
             if span <= 0.0 {
                 return 0.0;
@@ -281,6 +281,10 @@ mod tests {
             va < vb,
             "denser plan must score lower (better): {va} vs {vb}"
         );
+        // A plan whose horizon is behind `now` spans nothing.
+        let behind = Objective::Utilization.evaluate(&b, SimTime::from_secs(150));
+        assert_eq!(behind, 0.0);
+        assert_eq!(Objective::Utilization.evaluate(&b, SimTime::MAX), 0.0);
     }
 
     #[test]

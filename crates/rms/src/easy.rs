@@ -191,11 +191,7 @@ impl Scheduler for EasyBackfillScheduler {
                 .running()
                 .iter()
                 .map(|r| (r.estimated_end(), r.job.width))
-                .chain(
-                    entries
-                        .iter()
-                        .map(|e| (e.start.saturating_add(e.job.estimate), e.job.width)),
-                )
+                .chain(entries.iter().map(|e| (e.planned_end(), e.job.width)))
                 .collect();
             ends.sort_by_key(|&(t, _)| t);
             let mut avail = free;
@@ -218,7 +214,7 @@ impl Scheduler for EasyBackfillScheduler {
             if job.width > free {
                 continue;
             }
-            let ends_before_shadow = now.saturating_add(job.estimate) <= shadow;
+            let ends_before_shadow = now + job.estimate <= shadow;
             if ends_before_shadow {
                 free -= job.width;
                 entries.push(PlannedJob {

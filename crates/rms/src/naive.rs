@@ -175,7 +175,7 @@ impl NaiveProfile {
             return;
         }
         assert!(start >= self.origin(), "allocation before profile origin");
-        let end = start.saturating_add(duration);
+        let end = start + duration;
         let s = self.split_at(start);
         let e = self.split_at(end);
         for p in &mut self.points[s..e] {
@@ -218,7 +218,7 @@ impl NaiveProfile {
             return (candidate, i);
         }
         'outer: loop {
-            let end = candidate.saturating_add(duration);
+            let end = candidate + duration;
             // Scan segments overlapping [candidate, end) for a blocker.
             let mut j = i;
             while j < self.points.len() && self.points[j].time < end {
@@ -259,7 +259,7 @@ impl NaiveProfile {
             return start;
         }
         debug_assert!(self.points[s_seg].time <= start);
-        let end = start.saturating_add(duration);
+        let end = start + duration;
 
         // First segment index whose point time is >= end, scanning
         // forward from the fit segment (the span rarely covers many).

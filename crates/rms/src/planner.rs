@@ -206,7 +206,7 @@ impl DelayWeight {
     pub fn delay(self, job: &Job, floor: SimTime, start: SimTime) -> f64 {
         // Through `i64`, which converts in one instruction and holds
         // any span of simulated time.
-        let ms = start.saturating_since(floor).as_millis() as i64 as f64;
+        let ms = (start - floor).as_millis() as i64 as f64;
         match self {
             DelayWeight::Width => job.width as f64 * ms * 1e-3,
             DelayWeight::Unit => ms * 1e-3,
@@ -460,7 +460,7 @@ fn rest_bound(profile: &Profile, now: SimTime, rest: &[Job]) -> f64 {
         let job_area = width * ms(job.estimate);
         class_area[class_of(job.estimate.as_millis())] += job_area;
         area += job_area;
-        floors += width * ms(job.submit.saturating_since(now));
+        floors += width * ms(job.submit.saturating_since(now)); // 0 once submitted
     }
     let mut moment = 0.0;
     // The capacity is used up to `at` ms past `now`, inside segment `k`.
@@ -474,9 +474,7 @@ fn rest_bound(profile: &Profile, now: SimTime, rest: &[Job]) -> f64 {
         loop {
             let free = frees[k] as f64;
             // The final segment has the whole machine free for ever.
-            let end = times
-                .get(k + 1)
-                .map_or(f64::INFINITY, |t| ms(t.saturating_since(now)));
+            let end = times.get(k + 1).map_or(f64::INFINITY, |&t| ms(t - now));
             let room = (free * (end - at)).max(0.0);
             if left <= room {
                 let span = left / free;
@@ -744,15 +742,13 @@ impl Planner {
         if width == 0 || width > self.base.capacity() {
             return false;
         }
-        let end = start.saturating_add(duration);
+        let end = start + duration;
         let from = start.max(self.prepared_at + RUNNING_PAD);
         if end <= from {
             // Nothing left of the window: trivially absorbable.
             return true;
         }
-        self.base
-            .earliest_fit(from, end.saturating_since(from), width)
-            == from
+        self.base.earliest_fit(from, end - from, width) == from
     }
 
     /// Plans `queue` (already in policy order) against the prepared base:
@@ -1148,18 +1144,17 @@ impl ReferencePlanner {
         self.profile.reset(machine_size, now);
         for r in running {
             let end = r.estimated_end().max(now + RUNNING_PAD);
-            self.profile
-                .allocate(now, end.saturating_since(now), r.job.width);
+            self.profile.allocate(now, end - now, r.job.width);
         }
         for res in reservations {
             if !res.active_at(now) {
                 continue;
             }
             // Clip windows that already began past the running-job pad
-            // (same rule as `Planner::prepare`).
+            // (same rule as `Planner::prepare`). An active window ends
+            // past `now`, so at or past its clip.
             let start = res.start.max(now + RUNNING_PAD);
-            self.profile
-                .allocate(start, res.end().saturating_since(start), res.width);
+            self.profile.allocate(start, res.end() - start, res.width);
         }
         let mut entries = Vec::with_capacity(queue.len());
         for job in queue {

@@ -281,7 +281,7 @@ impl Profile {
         let times = self.times.as_slice();
         let frees = &self.frees[..times.len()];
         let mut s = self.seg_index(start);
-        let mut end = start.saturating_add(duration);
+        let mut end = start + duration;
         let mut k = s;
         loop {
             // Verifying: no blocker before the window's end or the horizon?
@@ -297,7 +297,7 @@ impl Profile {
             }
             s = k;
             start = times[k];
-            end = start.saturating_add(duration);
+            end = start + duration;
         }
     }
 
@@ -391,7 +391,7 @@ impl Profile {
             return;
         }
         assert!(start >= self.origin(), "allocation before profile origin");
-        let end = start.saturating_add(duration);
+        let end = start + duration;
         let s = self.seg_index(start);
         let e = s + self.times[s..].partition_point(|&time| time < end);
         self.carve(s, e, start, end, width);
@@ -416,7 +416,7 @@ impl Profile {
         self.clear_memo();
         // An earlier release may have coalesced either boundary away.
         let s = self.split_at(start);
-        let e = self.split_at(start.saturating_add(duration));
+        let e = self.split_at(start + duration);
         let capacity = self.capacity;
         for (f, time) in self.frees[s..e].iter_mut().zip(&self.times[s..e]) {
             assert!(
@@ -477,7 +477,7 @@ impl Profile {
         // already proved `[after, from)` fit-free for this (dominating)
         // query, and the scan just proved `[from, start)`.
         self.remember_fit(after, duration, width, start);
-        self.carve(s, e, start, start.saturating_add(duration), width);
+        self.carve(s, e, start, start + duration, width);
         self.assert_invariants();
         start
     }

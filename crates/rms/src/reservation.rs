@@ -31,7 +31,7 @@ pub struct Reservation {
 impl Reservation {
     /// One past the last reserved instant.
     pub fn end(&self) -> SimTime {
-        self.start.saturating_add(self.duration)
+        self.start + self.duration
     }
 
     /// True when the reservation still overlaps `[now, ∞)`.

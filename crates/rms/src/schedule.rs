@@ -23,7 +23,7 @@ impl PlannedJob {
     /// Planned completion, assuming the job runs to its estimate (the
     /// planner reserves estimates; jobs are killed at the estimate).
     pub fn planned_end(&self) -> SimTime {
-        self.start.saturating_add(self.job.estimate)
+        self.start + self.job.estimate
     }
 }
 

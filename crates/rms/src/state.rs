@@ -34,13 +34,13 @@ impl RunningJob {
     /// When the planner must assume the job ends (start + estimate);
     /// planning systems reserve the estimate and kill jobs that exceed it.
     pub fn estimated_end(&self) -> SimTime {
-        self.start.saturating_add(self.job.estimate)
+        self.start + self.job.estimate
     }
 
     /// When the job actually ends (start + actual run time) — the
     /// completion event time.
     pub fn actual_end(&self) -> SimTime {
-        self.start.saturating_add(self.job.actual)
+        self.start + self.job.actual
     }
 }
 
@@ -59,12 +59,12 @@ pub struct CompletedJob {
 impl CompletedJob {
     /// Wait time: start − submit.
     pub fn wait_secs(&self) -> f64 {
-        self.start.saturating_since(self.job.submit).as_secs_f64()
+        (self.start - self.job.submit).as_secs_f64()
     }
 
     /// Response time: end − submit.
     pub fn response_secs(&self) -> f64 {
-        self.end.saturating_since(self.job.submit).as_secs_f64()
+        (self.end - self.job.submit).as_secs_f64()
     }
 }
 
@@ -506,7 +506,7 @@ impl RmsState {
     /// starts. No profile is built and nothing is allocated unless an
     /// action is taken.
     pub fn plan_reservation_repair(&self, now: SimTime) -> Vec<RepairAction> {
-        let pad_end = now.saturating_add(RUNNING_PAD);
+        let pad_end = now + RUNNING_PAD;
         // What the planner plans around: the part of a window from
         // `pad_end` on. One clipped to nothing (ended, or ending inside
         // the pad) is ignored by the planner and so by repair.

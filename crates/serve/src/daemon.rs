@@ -54,7 +54,7 @@ use dynp_obs::TraceEvent;
 use dynp_rms::{AdmissionConfig, Scheduler};
 use dynp_sim::render_scheduler;
 use dynp_sim::shard::{Event, ShardCore};
-use dynp_workload::{FaultPlan, Job, JobId, MAX_JOB_MS};
+use dynp_workload::{FaultPlan, Job, JobId};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -397,24 +397,6 @@ struct Service {
 }
 
 impl Service {
-    fn validate(&self, spec: &SubmitSpec) -> Result<(), String> {
-        if spec.width == 0 {
-            return Err("width must be at least 1".into());
-        }
-        if spec.width > self.config.machine_size {
-            return Err(format!(
-                "width {} exceeds machine size {}",
-                spec.width, self.config.machine_size
-            ));
-        }
-        // The wire protocol refuses these already; in-process clients
-        // meet the bound here, before anything is journaled.
-        if spec.estimate.as_millis().max(spec.actual.as_millis()) > MAX_JOB_MS {
-            return Err(format!("a duration is past {MAX_JOB_MS} ms"));
-        }
-        Ok(())
-    }
-
     /// Weighted-fair shedding: under congestion (queue ≥ ¾ full), a
     /// user holding more than their fair share `max_queue / active
     /// users` of waiting slots is shed. Only active when quotas are.
@@ -674,28 +656,15 @@ fn replay_recovered(
             core.handle(eng, ev, scheduler, &svc.jobs, &[], faults)
         });
         match *rec {
-            JournalRecord::Submit {
-                job,
-                user,
-                width,
-                estimate,
-                actual,
-                ..
-            } => {
-                debug_assert_eq!(job as usize, svc.jobs.len(), "journal ids are dense");
-                svc.jobs.push(Job {
-                    id: JobId(job),
-                    submit: stamp,
-                    width,
-                    estimate,
-                    actual,
-                });
+            JournalRecord::Submit { user, job, .. } => {
+                debug_assert_eq!(job.id.index(), svc.jobs.len(), "journal ids are dense");
+                svc.jobs.push(job);
                 svc.users.push(user);
                 core.ensure_jobs(svc.jobs.len());
                 svc.quotas.charge_replayed(user, stamp);
                 core.handle(
                     src.engine_mut(),
-                    Event::Arrive(JobId(job)),
+                    Event::Arrive(job.id),
                     scheduler,
                     &svc.jobs,
                     &[],
@@ -777,15 +746,22 @@ fn admit(
         svc.counters.rejected_shutdown += 1;
         return Err(SubmitError::Overload(OverloadReason::ShuttingDown));
     }
-    if let Err(why) = svc.validate(&spec) {
-        svc.counters.rejected_invalid += 1;
-        return Err(SubmitError::Invalid(why));
-    }
+    // Wire and in-process clients alike meet the gate here, before
+    // anything is journaled.
+    let now = src.engine().now();
+    let id = JobId(svc.jobs.len() as u32);
+    let machine = svc.config.machine_size;
+    let job = match Job::try_new(id, now, spec.width, spec.estimate, spec.actual, machine) {
+        Ok(job) => job,
+        Err(e) => {
+            svc.counters.rejected_invalid += 1;
+            return Err(SubmitError::Invalid(e.to_string()));
+        }
+    };
     if core.state().waiting().len() >= svc.config.max_queue {
         svc.counters.rejected_queue_full += 1;
         return Err(SubmitError::Overload(OverloadReason::QueueFull));
     }
-    let now = src.engine().now();
     if svc.over_fair_share(core, spec.user) || !svc.quotas.try_charge(spec.user, now) {
         svc.counters.rejected_user_quota += 1;
         svc.config.tracer.record(
@@ -797,8 +773,6 @@ fn admit(
         );
         return Err(SubmitError::Overload(OverloadReason::UserQuota));
     }
-    let id = JobId(svc.jobs.len() as u32);
-    let job = Job::new(id, now, spec.width, spec.estimate, spec.actual);
     let mut sealed_bytes = None;
     if let Some(writer) = svc.journal.as_mut() {
         let appended = writer

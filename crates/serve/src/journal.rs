@@ -47,7 +47,7 @@
 use dynp_des::{ByteReader, ByteWriter, CodecError, EngineSnapshot, SimDuration, SimTime};
 use dynp_rms::SchedulerSnapshot;
 use dynp_sim::{CoreSnapshot, Event};
-use dynp_workload::{Job, MAX_JOB_MS};
+use dynp_workload::{Job, JobId};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
@@ -106,22 +106,16 @@ impl FsyncPolicy {
 /// One journaled command.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum JournalRecord {
-    /// An accepted submission, stamped with its dispatch instant.
+    /// An accepted submission.
     Submit {
         /// Global journal sequence number.
         seq: u64,
-        /// The wall source's dispatch stamp (simulation time).
-        stamp: SimTime,
-        /// Assigned job id.
-        job: u32,
         /// Submitting user (quota accounting and replay fairness stats).
         user: u32,
-        /// Processors requested.
-        width: u32,
-        /// User runtime estimate.
-        estimate: SimDuration,
-        /// Actual runtime.
-        actual: SimDuration,
+        /// The job as admitted, stamped with the wall source's dispatch
+        /// instant as its submit time. [`read_journal`] checks it against
+        /// the machine in its segment header.
+        job: Job,
     },
     /// An accepted cancellation.
     Cancel {
@@ -145,7 +139,8 @@ impl JournalRecord {
     /// The record's dispatch stamp.
     pub fn stamp(&self) -> SimTime {
         match *self {
-            JournalRecord::Submit { stamp, .. } | JournalRecord::Cancel { stamp, .. } => stamp,
+            JournalRecord::Submit { job, .. } => job.submit,
+            JournalRecord::Cancel { stamp, .. } => stamp,
         }
     }
 
@@ -153,24 +148,16 @@ impl JournalRecord {
     /// payload.
     fn encode_into(&self, w: &mut ByteWriter) {
         match *self {
-            JournalRecord::Submit {
-                seq,
-                stamp,
-                job,
-                user,
-                width,
-                estimate,
-                actual,
-            } => {
+            JournalRecord::Submit { seq, user, job } => {
                 w.u8(REC_SUBMIT);
                 w.sealed(|w| {
                     w.u64(seq);
-                    w.u64(stamp.as_millis());
-                    w.u32(job);
+                    w.u64(job.submit.as_millis());
+                    w.u32(job.id.0);
                     w.u32(user);
-                    w.u32(width);
-                    w.u64(estimate.as_millis());
-                    w.u64(actual.as_millis());
+                    w.u32(job.width);
+                    w.u64(job.estimate.as_millis());
+                    w.u64(job.actual.as_millis());
                 });
             }
             JournalRecord::Cancel { seq, stamp, job } => {
@@ -186,24 +173,18 @@ impl JournalRecord {
 
     /// Decodes the verified payload `p` of a frame of type `kind`.
     fn decode_from(kind: u8, mut p: ByteReader<'_>) -> Result<JournalRecord, CodecError> {
-        // A build without the job bound journaled what it accepted; such
-        // a record is refused here rather than replayed into a crash.
-        let duration = |ms: u64| match ms {
-            0..=MAX_JOB_MS => Ok(SimDuration::from_millis(ms)),
-            _ => Err(CodecError::Invalid {
-                what: "duration past the job bound",
-            }),
-        };
         let rec = match kind {
-            REC_SUBMIT => JournalRecord::Submit {
-                seq: p.u64()?,
-                stamp: SimTime::from_millis(p.u64()?),
-                job: p.u32()?,
-                user: p.u32()?,
-                width: p.u32()?,
-                estimate: duration(p.u64()?)?,
-                actual: duration(p.u64()?)?,
-            },
+            REC_SUBMIT => {
+                let (seq, stamp, id, user) = (p.u64()?, p.u64()?, p.u32()?, p.u32()?);
+                let job = Job {
+                    id: JobId(id),
+                    submit: SimTime::from_millis(stamp),
+                    width: p.u32()?,
+                    estimate: SimDuration::from_millis(p.u64()?),
+                    actual: SimDuration::from_millis(p.u64()?),
+                };
+                JournalRecord::Submit { seq, user, job }
+            }
             REC_CANCEL => JournalRecord::Cancel {
                 seq: p.u64()?,
                 stamp: SimTime::from_millis(p.u64()?),
@@ -254,14 +235,15 @@ pub enum JournalError {
     },
     /// A record that fails to decode after passing its checksum (unknown
     /// record type, trailing payload bytes, a sequence number with no
-    /// successor), or a complete segment header that does not decode.
+    /// successor, a submit that fails `Job::check` on the header's
+    /// machine), or a complete segment header that does not decode.
     BadRecord {
         /// Offending file.
         path: PathBuf,
         /// Byte offset of the record frame.
         offset: usize,
         /// What was wrong.
-        what: &'static str,
+        what: String,
     },
     /// Two segment files claim the same index.
     DuplicateSegment {
@@ -359,7 +341,11 @@ impl JournalError {
                 JournalError::UnknownVersion { path, version }
             }
             CodecError::BadChecksum => JournalError::BadChecksum { path, offset },
-            CodecError::Invalid { what } => JournalError::BadRecord { path, offset, what },
+            CodecError::Invalid { what } => JournalError::BadRecord {
+                path,
+                offset,
+                what: what.into(),
+            },
         }
     }
 }
@@ -541,16 +527,15 @@ impl JournalWriter {
         estimate: SimDuration,
         actual: SimDuration,
     ) -> Result<Appended, JournalError> {
-        let seq = self.next_seq;
-        self.append(&JournalRecord::Submit {
-            seq,
-            stamp,
-            job,
-            user,
+        let job = Job {
+            id: JobId(job),
+            submit: stamp,
             width,
             estimate,
             actual,
-        })
+        };
+        let seq = self.next_seq;
+        self.append(&JournalRecord::Submit { seq, user, job })
     }
 
     /// Journals an accepted cancellation; see [`JournalWriter::append`].
@@ -868,30 +853,30 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
                 }
                 Err(e) => return Err(JournalError::codec(path, offset, e)),
             };
-            let rec =
-                JournalRecord::decode_from(kind, payload).map_err(|e| JournalError::BadRecord {
-                    path: path.clone(),
-                    offset,
-                    what: match e {
-                        CodecError::Invalid { what } => what,
-                        _ => "short payload",
-                    },
-                })?;
-            if rec.seq() != dir_state.next_seq {
-                return Err(JournalError::BadRecord {
-                    path: path.clone(),
-                    offset,
-                    what: "sequence gap",
-                });
+            let bad = |what: String| JournalError::BadRecord {
+                path: path.clone(),
+                offset,
+                what,
+            };
+            let rec = JournalRecord::decode_from(kind, payload).map_err(|e| {
+                bad(match e {
+                    CodecError::Invalid { what } => what.into(),
+                    _ => "short payload".into(),
+                })
+            })?;
+            // A submit is a job from outside: the gate decides, not the
+            // build that journaled it.
+            if let JournalRecord::Submit { job, .. } = rec {
+                job.check(dir_state.machine_size)
+                    .map_err(|e| bad(format!("submit {e}")))?;
             }
-            dir_state.next_seq =
-                rec.seq()
-                    .checked_add(1)
-                    .ok_or_else(|| JournalError::BadRecord {
-                        path: path.clone(),
-                        offset,
-                        what: "sequence overflow",
-                    })?;
+            if rec.seq() != dir_state.next_seq {
+                return Err(bad("sequence gap".into()));
+            }
+            dir_state.next_seq = rec
+                .seq()
+                .checked_add(1)
+                .ok_or_else(|| bad("sequence overflow".into()))?;
             dir_state.records.push(rec);
         }
         if dir_state.torn {
@@ -1115,12 +1100,14 @@ mod tests {
     fn submit(seq: u64, ms: u64) -> JournalRecord {
         JournalRecord::Submit {
             seq,
-            stamp: SimTime::from_millis(ms),
-            job: seq as u32,
             user: (seq % 3) as u32,
-            width: 4,
-            estimate: SimDuration::from_secs(60),
-            actual: SimDuration::from_secs(45),
+            job: Job {
+                id: JobId(seq as u32),
+                submit: SimTime::from_millis(ms),
+                width: 4,
+                estimate: SimDuration::from_secs(60),
+                actual: SimDuration::from_secs(45),
+            },
         }
     }
 

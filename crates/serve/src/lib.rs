@@ -95,24 +95,36 @@ mod tests {
     #[test]
     fn invalid_submissions_are_typed() {
         let (handle, join) = spawn(config()).unwrap();
-        match handle.submit(spec(0, 1)) {
-            Err(SubmitError::Invalid(why)) => assert!(why.contains("width")),
-            other => panic!("expected Invalid, got {other:?}"),
+        let ms = SimDuration::from_millis;
+        let bound = dynp_workload::job::MAX_JOB_MS;
+        let with = |width, estimate, actual| SubmitSpec {
+            width,
+            estimate: ms(estimate),
+            actual: ms(actual),
+            user: 0,
+        };
+        // The gate answers every client, wire or in-process, naming the
+        // field: widths off the machine, then durations past the job
+        // bound — the first one of the repro that crashed the daemon, one
+        // millisecond over, and an actual alone.
+        let cases = [
+            (with(0, 1000, 1000), "width 0 is outside 1..=8"),
+            (with(9, 1000, 1000), "width 9 is outside 1..=8"),
+            (with(4, u64::MAX, u64::MAX), "estimate_ms"),
+            (with(4, bound + 1, bound), "estimate_ms"),
+            (with(4, 5000, bound + 1), "actual_ms"),
+        ];
+        for (submit, field) in cases {
+            match handle.submit(submit) {
+                Err(SubmitError::Invalid(why)) => assert!(why.contains(field), "{why}"),
+                other => panic!("{submit:?}: expected Invalid, got {other:?}"),
+            }
         }
-        match handle.submit(spec(9, 1)) {
-            Err(SubmitError::Invalid(why)) => assert!(why.contains("machine")),
-            other => panic!("expected Invalid, got {other:?}"),
-        }
-        let mut long = spec(4, 1);
-        long.actual = SimDuration::from_millis(dynp_workload::MAX_JOB_MS + 1);
-        match handle.submit(long) {
-            Err(SubmitError::Invalid(why)) => assert!(why.contains("past"), "{why}"),
-            other => panic!("expected Invalid, got {other:?}"),
-        }
+        handle.submit(with(8, bound, bound)).unwrap();
         handle.shutdown();
         let report = join.join().unwrap();
-        assert_eq!(report.rejected_invalid, 3);
-        assert_eq!(report.accepted, 0);
+        assert_eq!(report.rejected_invalid, cases.len() as u64);
+        assert_eq!(report.accepted, 1);
     }
 
     #[test]

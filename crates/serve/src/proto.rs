@@ -32,7 +32,6 @@ use crate::api::{Reply, ServiceReport, SubmitError, SubmitSpec};
 use dynp_des::SimDuration;
 use dynp_obs::parse::Json;
 use dynp_obs::sink;
-use dynp_workload::MAX_JOB_MS;
 use std::io::{self, BufRead, Read};
 
 /// Longest request line a transport accepts, newline included (the
@@ -86,27 +85,27 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         .ok_or("missing string field \"cmd\"")?;
     match cmd {
         "submit" => {
-            let field = |key: &str| -> Result<u64, String> {
+            // A field that is present must be an unsigned integer: it is
+            // never defaulted or narrowed silently. Bounds are the
+            // service's to check (`Job::try_new`).
+            let opt = |key: &str| -> Result<Option<u64>, String> {
+                let not_integer = || format!("field {key:?} is not an unsigned integer");
                 json.get(key)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("submit needs integer field {key:?}"))
+                    .map(|v| v.as_u64().ok_or_else(not_integer))
+                    .transpose()
             };
-            let duration = |key: &str, ms: u64| -> Result<SimDuration, String> {
-                if ms > MAX_JOB_MS {
-                    return Err(format!("field {key:?} is past {MAX_JOB_MS} ms"));
-                }
-                Ok(SimDuration::from_millis(ms))
+            let need = |key: &str| -> Result<u64, String> {
+                opt(key)?.ok_or_else(|| format!("submit needs integer field {key:?}"))
             };
-            let width = u32::try_from(field("width")?)
-                .map_err(|_| "field \"width\" out of range".to_string())?;
-            let estimate = duration("estimate_ms", field("estimate_ms")?)?;
+            let narrow = |key: &str, v: u64| -> Result<u32, String> {
+                u32::try_from(v).map_err(|_| format!("field {key:?} out of range"))
+            };
+            let width = narrow("width", need("width")?)?;
+            let estimate = SimDuration::from_millis(need("estimate_ms")?);
             // The actual run time defaults to the estimate (a job that
             // uses its whole request).
-            let actual = match json.get("actual_ms").and_then(Json::as_u64) {
-                Some(ms) => duration("actual_ms", ms)?,
-                None => estimate,
-            };
-            let user = json.get("user").and_then(Json::as_u64).unwrap_or(0) as u32;
+            let actual = opt("actual_ms")?.map_or(estimate, SimDuration::from_millis);
+            let user = narrow("user", opt("user")?.unwrap_or(0))?;
             Ok(Request::Submit(SubmitSpec {
                 width,
                 estimate,
@@ -259,24 +258,32 @@ mod tests {
         assert!(parse_request(r#"{"cmd":"cancel"}"#)
             .unwrap_err()
             .contains("job"));
-        // Durations past the job bound: the first one of the repro that
-        // crashed the daemon, one millisecond over, and an actual alone.
+        // A field that is there but no u32 / u64 is refused, never
+        // defaulted or narrowed: user 2^32 + 7 is not user 7.
         let submit = |fields: &str| parse_request(&format!(r#"{{"cmd":"submit",{fields}}}"#));
         for (fields, field) in [
-            (
-                r#""width":4,"estimate_ms":18446744073709551615"#,
-                "estimate_ms",
-            ),
-            (r#""width":4,"estimate_ms":34359738369"#, "estimate_ms"),
-            (
-                r#""width":4,"estimate_ms":5000,"actual_ms":34359738369"#,
-                "actual_ms",
-            ),
+            (r#""width":4,"estimate_ms":5,"user":4294967303"#, "user"),
+            (r#""width":4,"estimate_ms":5,"user":"7""#, "user"),
+            (r#""width":4,"estimate_ms":5,"user":-1"#, "user"),
+            (r#""width":4,"estimate_ms":5,"actual_ms":"3""#, "actual_ms"),
+            (r#""width":4,"estimate_ms":5,"actual_ms":2.5"#, "actual_ms"),
+            (r#""width":4,"estimate_ms":null"#, "estimate_ms"),
+            (r#""width":4294967296,"estimate_ms":5"#, "width"),
         ] {
             let err = submit(fields).unwrap_err();
             assert!(err.contains(field), "{fields}: {err}");
         }
-        assert!(submit(r#""width":4,"estimate_ms":34359738368"#).is_ok());
+        // Bounds are the service's: the parser passes the numbers on.
+        let over = submit(r#""width":0,"estimate_ms":18446744073709551615,"user":4294967295"#);
+        assert_eq!(
+            over,
+            Ok(Request::Submit(SubmitSpec {
+                width: 0,
+                estimate: SimDuration::from_millis(u64::MAX),
+                actual: SimDuration::from_millis(u64::MAX),
+                user: u32::MAX,
+            }))
+        );
     }
 
     #[test]

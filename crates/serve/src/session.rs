@@ -22,7 +22,7 @@ use dynp_des::{Engine, EngineSnapshot, SimTime};
 use dynp_obs::Tracer;
 use dynp_rms::{AdmissionConfig, Scheduler};
 use dynp_sim::{DetailedRun, Event, FeedCursors, SchedulerSpec, ShardCore, SimSnapshot};
-use dynp_workload::{FaultPlan, Job, JobId};
+use dynp_workload::{FaultPlan, JobId};
 use std::fmt;
 use std::path::Path;
 
@@ -66,34 +66,6 @@ impl From<JournalError> for ReplayError {
     }
 }
 
-/// Reconstructs the service job table of a from-genesis record sequence,
-/// indexed by job id, once [`validate_replay_suffix`] has found its ids
-/// dense. Verbatim: the journal records each job exactly as admitted, so
-/// nothing is re-validated or clamped.
-fn jobs_of_records(records: &[JournalRecord]) -> Result<Vec<Job>, ReplayError> {
-    validate_replay_suffix(records, 0, 0)?;
-    Ok(records
-        .iter()
-        .filter_map(|rec| match *rec {
-            JournalRecord::Submit {
-                stamp,
-                job,
-                width,
-                estimate,
-                actual,
-                ..
-            } => Some(Job {
-                id: JobId(job),
-                submit: stamp,
-                width,
-                estimate,
-                actual,
-            }),
-            JournalRecord::Cancel { .. } => None,
-        })
-        .collect())
-}
-
 /// Validates the record suffix a recovery replays *on top of a
 /// checkpoint*: submissions with `seq >= first_seq` must assign dense
 /// job ids continuing at `next_job` (the checkpoint's job count), and
@@ -109,10 +81,10 @@ pub(crate) fn validate_replay_suffix(
     for rec in records.iter().filter(|r| r.seq() >= first_seq) {
         match *rec {
             JournalRecord::Submit { job, .. } => {
-                if job != next_job {
+                if job.id.0 != next_job {
                     return Err(ReplayError::JobIdMismatch {
                         expected: next_job,
-                        found: job,
+                        found: job.id.0,
                     });
                 }
                 next_job += 1;
@@ -168,7 +140,7 @@ pub struct SessionReplay {
     pub fingerprint: Option<u128>,
     /// Journaled submissions.
     pub accepted: u64,
-    /// Journaled cancellations.
+    /// Journaled cancellations that withdrew a waiting job.
     pub cancelled: u64,
 }
 
@@ -181,7 +153,21 @@ pub fn replay_records(
     records: &[JournalRecord],
     spec: &SchedulerSpec,
 ) -> Result<SessionReplay, ReplayError> {
-    let jobs = jobs_of_records(records)?;
+    validate_replay_suffix(records, 0, 0)?;
+    // The job table, indexed by the dense ids just validated: verbatim,
+    // as admitted (`read_journal` checked each job against the machine).
+    let mut jobs = Vec::new();
+    let mut eng: Engine<Event> = Engine::new();
+    for (rank, rec) in records.iter().enumerate() {
+        let event = match *rec {
+            JournalRecord::Submit { job, .. } => {
+                jobs.push(job);
+                Event::Arrive(job.id)
+            }
+            JournalRecord::Cancel { job, .. } => Event::CancelCmd(JobId(job)),
+        };
+        eng.schedule_seeded(rec.stamp(), rank as u64, event);
+    }
     let faults = FaultPlan::none();
     let mut scheduler = spec.build();
     let mut core = ShardCore::new(
@@ -193,26 +179,17 @@ pub fn replay_records(
         Tracer::disabled(),
         0,
     );
-    let mut eng: Engine<Event> = Engine::new();
+    // Only a cancel that withdrew a waiting job counts, as in recovery:
+    // the journal's bytes, not the daemon that wrote them, say whether the
+    // job still waited.
     let mut cancels = 0usize;
-    for (rank, rec) in records.iter().enumerate() {
-        match *rec {
-            JournalRecord::Submit { stamp, job, .. } => {
-                eng.schedule_seeded(stamp, rank as u64, Event::Arrive(JobId(job)));
-            }
-            JournalRecord::Cancel { stamp, job, .. } => {
-                eng.schedule_seeded(stamp, rank as u64, Event::CancelCmd(JobId(job)));
-                cancels += 1;
-            }
-        }
-    }
     while let Some((_, ev)) = eng.step() {
+        if let Event::CancelCmd(id) = ev {
+            cancels += core.state().waiting().iter().any(|j| j.id == id) as usize;
+        }
         core.handle(&mut eng, ev, scheduler.as_mut(), &jobs, &[], &faults);
     }
     let fingerprint = service_fingerprint(&core, scheduler.as_ref(), Vec::new());
-    // The daemon journals a cancel only when it actually withdrew a
-    // waiting job, so every journaled cancel removes exactly one job
-    // from the completion count.
     let expected = jobs.len() - cancels;
     let run = core.finish(
         &eng,

@@ -3,6 +3,8 @@
 //! message naming the flag, before a daemon starts, and `--help` exits
 //! 0.
 
+use dynp_des::{SimDuration, SimTime};
+use dynp_serve::{FsyncPolicy, JournalWriter};
 use std::process::{Command, Output, Stdio};
 
 const DAEMON: &str = env!("CARGO_BIN_EXE_daemon");
@@ -67,6 +69,38 @@ fn bad_command_lines_exit_2_naming_the_flag() {
         assert!(stderr.contains(names), "{case}");
         assert!(stderr.contains("usage:"), "{case}");
         assert!(!stderr.contains("panicked"), "{case}");
+    }
+}
+
+/// A journal whose checksummed submit fails the job gate — width 0,
+/// wider than its header's 16 processors, estimate 0, actual past the
+/// estimate — is refused by `replay` with exit 1 and the field named,
+/// never replayed into a planner panic.
+#[test]
+fn replay_refuses_a_journal_the_gate_refuses() {
+    let ms = SimDuration::from_millis;
+    for (width, estimate, actual, names) in [
+        (0, 1000, 1000, "width 0 "),
+        (17, 1000, 1000, "width 17 "),
+        (u32::MAX, 1000, 1000, "width 4294967295 "),
+        (4, 0, 0, "estimate_ms 0 "),
+        (4, 1000, 1001, "actual_ms 1001 "),
+    ] {
+        let dir = std::env::temp_dir().join(format!("dynp_cli_replay_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut writer =
+            JournalWriter::create(&dir, 16, 1, "dynp", FsyncPolicy::Never, 1 << 20).unwrap();
+        writer
+            .append_submit(SimTime::ZERO, 0, 0, width, ms(estimate), ms(actual))
+            .unwrap();
+        writer.sync().unwrap();
+        drop(writer);
+        let out = run(REPLAY, &["--journal", dir.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{names}: {stderr}");
+        assert!(stderr.contains(names), "{names}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{names}: {stderr}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

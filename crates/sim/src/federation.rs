@@ -304,7 +304,7 @@ fn backlog(core: &ShardCore, at: SimTime) -> u128 {
         .state
         .running()
         .iter()
-        .map(|r| r.job.width as u128 * r.estimated_end().saturating_since(at).as_millis() as u128)
+        .map(|r| r.job.width as u128 * (r.estimated_end() - at).as_millis() as u128)
         .sum();
     waiting + running
 }

@@ -633,9 +633,9 @@ impl ShardCore {
             };
             match planned {
                 Some(FaultKind::Crash { fraction }) => {
-                    let actual = run.actual_end().saturating_since(run.start);
-                    let offset = actual.scale(fraction).max(SimDuration::from_millis(1));
-                    eng.schedule_at(run.start.saturating_add(offset), Event::Kill(id, attempt));
+                    let offset = run.job.actual.scale(fraction);
+                    let at = run.start + offset.max(SimDuration::from_millis(1));
+                    eng.schedule_at(at, Event::Kill(id, attempt));
                 }
                 Some(FaultKind::Overrun) => {
                     // The attempt would exceed its estimate; the planning

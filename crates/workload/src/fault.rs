@@ -245,9 +245,7 @@ impl FaultModel {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x4E6F_6465_4C6F_7373); // "NodeLoss"
         let machine = set.machine_size;
         let t0 = set.first_submit().as_secs_f64();
-        let span = set
-            .last_submit()
-            .saturating_since(set.first_submit())
+        let span = (set.last_submit() - set.first_submit())
             .as_secs_f64()
             .max(1.0);
         // Outages cover the drain phase after the last submission too.

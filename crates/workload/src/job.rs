@@ -3,6 +3,7 @@
 //! (= length). … Additionally, for the simulation the actual run time is
 //! required."
 
+use crate::reservation::ReservationRequest;
 use dynp_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -24,18 +25,62 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// The longest estimate or actual run time a job may carry, in
-/// milliseconds: 2^35 ms, about 398 days.
+/// The longest estimate or actual run time of a job, and the longest
+/// reservation window, in milliseconds: 2^35 ms, about 398 days.
 ///
-/// Instants saturate at `SimTime::MAX` rather than overflow, and once two
-/// planned ends collapse onto it the planner places a job on a full
-/// machine. Within this bound no plan gets there: a plan ends at most the
-/// sum of its estimates past the instant it is made, so saturation would
-/// need more than 2^64 / 2^35 = 2^29 ≈ 5·10^8 jobs of maximal length in
-/// one plan. The boundaries that read durations from outside — the
-/// daemon's requests, the SWF reader and the journal decoder — refuse a
-/// longer one; the trace models never come near it.
+/// With [`MAX_SUBMIT_MS`] it lets job-derived time arithmetic be plain
+/// `+` and `-`: an instant derived from a job or a window is a submit or
+/// window start (≤ 2^48 ms) plus durations planned or run after it (each
+/// ≤ 2^35 ms), so reaching 2^64 would take over 2^29 ≈ 5·10^8 maximal
+/// jobs in one plan, and debug builds' overflow checks stand in for the
+/// asserts. (Saturating once hid a bug: two planned ends collapsed onto
+/// `SimTime::MAX` and a job was placed on a full machine.) Every boundary
+/// builds its jobs and windows through [`Job::try_new`], [`Job::check`]
+/// or [`ReservationRequest::check`] (DESIGN §12 lists them), and
+/// [`JobSet::new`] checks every generated set.
 pub const MAX_JOB_MS: u64 = 1 << 35;
+
+/// The latest submit time of a job, or start of a window, in ms: 2^13 ×
+/// [`MAX_JOB_MS`] = 2^48 ms, about 8 900 years — past any archive log,
+/// and far enough below `SimTime::MAX` for [`MAX_JOB_MS`]'s argument.
+pub const MAX_SUBMIT_MS: u64 = MAX_JOB_MS << 13;
+
+/// Why a job or a reservation window was refused: one field outside its
+/// bounds. Fields are named as the daemon's wire protocol names them.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JobError {
+    /// The field, e.g. `"width"` or `"estimate_ms"`.
+    pub field: &'static str,
+    /// Its value, in processors or milliseconds.
+    pub value: u64,
+    /// The smallest value allowed.
+    pub min: u64,
+    /// The largest value allowed.
+    pub max: u64,
+}
+
+impl std::fmt::Display for JobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (field, value, min, max) = (self.field, self.value, self.min, self.max);
+        write!(f, "{field} {value} is outside {min}..={max}")
+    }
+}
+
+impl std::error::Error for JobError {}
+
+/// `Ok` when `min <= value <= max`, else the error naming `field`.
+fn within(field: &'static str, value: u64, min: u64, max: u64) -> Result<(), JobError> {
+    if (min..=max).contains(&value) {
+        Ok(())
+    } else {
+        Err(JobError {
+            field,
+            value,
+            min,
+            max,
+        })
+    }
+}
 
 /// A rigid parallel batch job.
 ///
@@ -78,6 +123,35 @@ impl Job {
         }
     }
 
+    /// [`Job::new`] for values from outside: first refuses what its clamps
+    /// would hide (a width outside `1..=machine`, a duration past
+    /// [`MAX_JOB_MS`]), then clamps and [`Job::check`]s the result.
+    pub fn try_new(
+        id: JobId,
+        submit: SimTime,
+        width: u32,
+        estimate: SimDuration,
+        actual: SimDuration,
+        machine: u32,
+    ) -> Result<Self, JobError> {
+        within("width", width.into(), 1, machine.into())?;
+        within("estimate_ms", estimate.as_millis(), 0, MAX_JOB_MS)?;
+        within("actual_ms", actual.as_millis(), 0, MAX_JOB_MS)?;
+        let job = Job::new(id, submit, width, estimate, actual);
+        job.check(machine).map(|()| job)
+    }
+
+    /// The one definition of a valid job on a machine of `machine`
+    /// processors: `1 <= width <= machine`, `1 ms <= actual <= estimate
+    /// <= MAX_JOB_MS` and `submit <= MAX_SUBMIT_MS`.
+    pub fn check(&self, machine: u32) -> Result<(), JobError> {
+        let estimate = self.estimate.as_millis();
+        within("width", self.width.into(), 1, machine.into())?;
+        within("estimate_ms", estimate, 1, MAX_JOB_MS)?;
+        within("actual_ms", self.actual.as_millis(), 1, estimate)?;
+        within("submit_ms", self.submit.as_millis(), 0, MAX_SUBMIT_MS)
+    }
+
     /// The job's area: actual run time (seconds) × width. SLDwA weights
     /// jobs by this quantity.
     pub fn area(&self) -> f64 {
@@ -118,6 +192,19 @@ impl Job {
     }
 }
 
+impl ReservationRequest {
+    /// The one definition of a valid window on a machine of `machine`
+    /// processors: `1 <= width <= machine`, `1 ms <= duration <=
+    /// MAX_JOB_MS` and `submit <= start <= MAX_SUBMIT_MS`.
+    pub fn check(&self, machine: u32) -> Result<(), JobError> {
+        let submit = self.submit.as_millis();
+        within("width", self.width.into(), 1, machine.into())?;
+        within("duration_ms", self.duration.as_millis(), 1, MAX_JOB_MS)?;
+        within("submit_ms", submit, 0, MAX_SUBMIT_MS)?;
+        within("start_ms", self.start.as_millis(), submit, MAX_SUBMIT_MS)
+    }
+}
+
 /// A job set: one simulation input, jobs sorted by submission time.
 ///
 /// The paper generates "ten synthetic job sets, with 10,000 jobs each …
@@ -137,17 +224,15 @@ impl JobSet {
     /// densely so `jobs[i].id == JobId(i)`.
     ///
     /// # Panics
-    /// Panics if any job is wider than the machine.
+    /// Panics if any job fails [`Job::check`] on the machine: every trace
+    /// model, generator and transform builds its sets here.
     pub fn new(name: impl Into<String>, machine_size: u32, mut jobs: Vec<Job>) -> Self {
         assert!(machine_size >= 1, "machine must have at least 1 processor");
         jobs.sort_by_key(|j| (j.submit, j.id));
         for (i, j) in jobs.iter_mut().enumerate() {
-            assert!(
-                j.width <= machine_size,
-                "job {} wider ({}) than machine ({machine_size})",
-                j.id,
-                j.width
-            );
+            if let Err(e) = j.check(machine_size) {
+                panic!("job {}: {e}", j.id);
+            }
             j.id = JobId(i as u32);
         }
         JobSet {
@@ -196,10 +281,7 @@ impl JobSet {
     /// rough lower bound on the utilization a scheduler can reach before
     /// saturation.
     pub fn offered_load(&self) -> f64 {
-        let span = self
-            .last_submit()
-            .saturating_since(self.first_submit())
-            .as_secs_f64();
+        let span = (self.last_submit() - self.first_submit()).as_secs_f64();
         if span <= 0.0 {
             return 0.0;
         }
@@ -287,9 +369,84 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "wider")]
+    #[should_panic(expected = "width 5 is outside 1..=4")]
     fn jobset_rejects_oversized_jobs() {
         let _ = JobSet::new("t", 4, vec![j(0, 0, 5, 1, 1)]);
+    }
+
+    #[test]
+    fn the_gate_refuses_each_field_past_its_bound() {
+        let ms = SimDuration::from_millis;
+        let at = |submit: u64, width: u32, est: u64, act: u64| {
+            Job::try_new(
+                JobId(0),
+                SimTime::from_millis(submit),
+                width,
+                ms(est),
+                ms(act),
+                16,
+            )
+            .map_err(|e| e.field)
+        };
+        let edge = at(MAX_SUBMIT_MS, 16, MAX_JOB_MS, MAX_JOB_MS).unwrap();
+        assert_eq!(edge.check(16), Ok(()));
+        for (job, field) in [
+            (at(0, 0, 10, 10), "width"),
+            (at(0, 17, 10, 10), "width"),
+            (at(0, u32::MAX, 10, 10), "width"),
+            (at(0, 4, MAX_JOB_MS + 1, 10), "estimate_ms"),
+            (at(0, 4, 10, MAX_JOB_MS + 1), "actual_ms"),
+            (at(0, 4, u64::MAX, u64::MAX), "estimate_ms"),
+            (at(MAX_SUBMIT_MS + 1, 4, 10, 10), "submit_ms"),
+        ] {
+            assert_eq!(job, Err(field));
+        }
+        // Within the bounds, `new`'s clamps still apply.
+        let clamped = at(0, 4, 0, 99).unwrap();
+        assert_eq!((clamped.estimate, clamped.actual), (ms(1), ms(1)));
+
+        // What the clamps would have repaired, `check` refuses verbatim.
+        let job = |est: u64, act: u64| Job {
+            estimate: ms(est),
+            actual: ms(act),
+            ..edge
+        };
+        assert_eq!(job(0, 0).check(16).unwrap_err().field, "estimate_ms");
+        assert_eq!(job(10, 0).check(16).unwrap_err().field, "actual_ms");
+        let err = job(10, 11).check(16).unwrap_err();
+        assert_eq!(err.to_string(), "actual_ms 11 is outside 1..=10");
+        assert_eq!(
+            edge.check(8).unwrap_err().to_string(),
+            "width 16 is outside 1..=8"
+        );
+
+        // Windows: the same bounds, and no start before the request.
+        let window = |submit: u64, start: u64, duration: u64, width: u32| {
+            let request = ReservationRequest {
+                id: 0,
+                submit: SimTime::from_millis(submit),
+                start: SimTime::from_millis(start),
+                duration: ms(duration),
+                width,
+                cancel_at: None,
+            };
+            request.check(16).map_err(|e| e.field)
+        };
+        assert_eq!(window(MAX_SUBMIT_MS, MAX_SUBMIT_MS, MAX_JOB_MS, 16), Ok(()));
+        for (request, field) in [
+            (window(0, 10, 60, 0), "width"),
+            (window(0, 10, 60, 17), "width"),
+            (window(0, 10, 0, 4), "duration_ms"),
+            (window(0, 10, MAX_JOB_MS + 1, 4), "duration_ms"),
+            (
+                window(MAX_SUBMIT_MS + 1, MAX_SUBMIT_MS + 1, 60, 4),
+                "submit_ms",
+            ),
+            (window(0, MAX_SUBMIT_MS + 1, 60, 4), "start_ms"),
+            (window(20, 10, 60, 4), "start_ms"),
+        ] {
+            assert_eq!(request, Err(field));
+        }
     }
 
     #[test]

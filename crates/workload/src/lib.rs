@@ -47,7 +47,7 @@ pub mod traces;
 pub mod transform;
 
 pub use fault::{FaultKind, FaultModel, FaultPlan, NodeOutage, RetryPolicy};
-pub use job::{Job, JobId, JobSet, MAX_JOB_MS};
+pub use job::{Job, JobError, JobId, JobSet};
 pub use model::TraceModel;
 pub use multi::MultiClusterWorkload;
 pub use reservation::{ReservationModel, ReservationRequest};

@@ -46,7 +46,7 @@ pub struct ReservationRequest {
 impl ReservationRequest {
     /// One past the last requested instant.
     pub fn end(&self) -> SimTime {
-        self.start.saturating_add(self.duration)
+        self.start + self.duration
     }
 
     /// Requested processor-seconds.
@@ -117,9 +117,7 @@ impl ReservationModel {
             return Vec::new();
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x5265_7365_7276_6521);
-        let span = set
-            .last_submit()
-            .saturating_since(set.first_submit())
+        let span = (set.last_submit() - set.first_submit())
             .as_secs_f64()
             .max(1.0);
         let target_area = self.booked_fraction * set.machine_size as f64 * span;

@@ -70,7 +70,7 @@ impl TraceStats {
         let actual = ColumnStats::measure(jobs.iter().map(|j| j.actual.as_secs_f64()));
         let interarrival = ColumnStats::measure(
             jobs.windows(2)
-                .map(|w| w[1].submit.saturating_since(w[0].submit).as_secs_f64()),
+                .map(|w| (w[1].submit - w[0].submit).as_secs_f64()),
         );
         TraceStats {
             name: set.name.clone(),

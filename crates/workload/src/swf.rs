@@ -46,7 +46,7 @@
 //! byte-identical to before, while session logs round-trip at full
 //! `SimTime` fidelity.
 
-use crate::job::{Job, JobId, JobSet, MAX_JOB_MS};
+use crate::job::{Job, JobId, JobSet};
 use crate::reservation::ReservationRequest;
 use dynp_des::{SimDuration, SimTime};
 use std::io::{self, BufRead, Write};
@@ -58,11 +58,6 @@ const RESERVATION_TAG: &str = ";RESERVATION";
 /// Anything beyond is a corrupt field, not a real timestamp — accepting
 /// it would overflow the `SimTime` multiply.
 const MAX_SECS: u64 = u64::MAX / 1000;
-
-/// Latest submit time a job line may carry, in ms: 2^13 × [`MAX_JOB_MS`]
-/// = 2^48 ms, about 8 900 years — past any archive log, and far enough
-/// below `SimTime::MAX` that [`MAX_JOB_MS`]'s argument holds from there.
-const MAX_SUBMIT_MS: u64 = MAX_JOB_MS << 13;
 
 /// Formats `ms` as SWF seconds: a plain integer when whole (the archive
 /// format, byte-identical to the previous writer), otherwise with
@@ -76,10 +71,11 @@ fn fmt_secs(ms: u64) -> String {
 }
 
 /// Converts a non-negative seconds field to millisecond ticks, rounding
-/// to the nearest millisecond. `None` when past `max_ms`.
-fn secs_to_ms(v: f64, max_ms: u64) -> Option<u64> {
+/// to the nearest millisecond. `None` when a `u64` cannot hold it; the
+/// job bounds are the gate's to check.
+fn secs_to_ms(v: f64) -> Option<u64> {
     let ms = (v * 1000.0).round();
-    (0.0..=max_ms as f64).contains(&ms).then_some(ms as u64)
+    (0.0..u64::MAX as f64).contains(&ms).then_some(ms as u64)
 }
 
 /// Errors raised while parsing an SWF stream.
@@ -108,6 +104,14 @@ impl std::fmt::Display for SwfError {
 }
 
 impl std::error::Error for SwfError {}
+
+/// A [`SwfError::Malformed`] at the 0-based line `lineno`.
+fn malformed(lineno: usize, reason: String) -> SwfError {
+    SwfError::Malformed {
+        line: lineno + 1,
+        reason,
+    }
+}
 
 impl From<io::Error> for SwfError {
     fn from(e: io::Error) -> Self {
@@ -147,61 +151,55 @@ fn parse_reservation(
     let fields: Vec<&str> = trimmed[RESERVATION_TAG.len()..]
         .split_whitespace()
         .collect();
-    if fields.len() < 4 || fields.len() > 5 {
-        return Err(SwfError::Malformed {
-            line: lineno + 1,
-            reason: format!(
-                "reservation directive needs 4-5 fields, got {}",
-                fields.len()
-            ),
-        });
+    let n = fields.len();
+    if !(4..=5).contains(&n) {
+        let reason = format!("reservation directive needs 4-5 fields, got {n}");
+        return Err(malformed(lineno, reason));
     }
     let parse = |idx: usize| -> Result<u64, SwfError> {
-        fields[idx].parse::<u64>().map_err(|_| SwfError::Malformed {
-            line: lineno + 1,
-            reason: format!(
-                "reservation field {} is not a non-negative integer: {:?}",
-                idx + 1,
-                fields[idx]
-            ),
+        fields[idx].parse::<u64>().map_err(|_| {
+            let field = fields[idx];
+            let reason = format!(
+                "reservation field {} is not a non-negative integer: {field:?}",
+                idx + 1
+            );
+            malformed(lineno, reason)
         })
     };
     let secs = |idx: usize| -> Result<u64, SwfError> {
         let v = parse(idx)?;
         if v > MAX_SECS {
-            return Err(SwfError::Malformed {
-                line: lineno + 1,
-                reason: format!("reservation field {} out of range: {v}", idx + 1),
-            });
+            let reason = format!("reservation field {} out of range: {v}", idx + 1);
+            return Err(malformed(lineno, reason));
         }
         Ok(v)
     };
     let submit = secs(0)?;
     let start = secs(1)?;
     let duration = secs(2)?;
-    let width = u32::try_from(parse(3)?).map_err(|_| SwfError::Malformed {
-        line: lineno + 1,
-        reason: format!("reservation width out of range: {:?}", fields[3]),
+    let width = u32::try_from(parse(3)?).map_err(|_| {
+        malformed(
+            lineno,
+            format!("reservation width out of range: {:?}", fields[3]),
+        )
     })?;
     let cancel_at = if fields.len() == 5 {
         Some(SimTime::from_secs(secs(4)?))
     } else {
         None
     };
-    if width == 0 || width > machine_size || duration == 0 || start < submit {
-        return Err(SwfError::Malformed {
-            line: lineno + 1,
-            reason: format!("unusable reservation directive: {trimmed:?}"),
-        });
-    }
-    Ok(ReservationRequest {
+    let request = ReservationRequest {
         id: 0, // re-assigned after the submit-order sort
         submit: SimTime::from_secs(submit),
         start: SimTime::from_secs(start),
         duration: SimDuration::from_secs(duration),
         width,
         cancel_at,
-    })
+    };
+    request
+        .check(machine_size)
+        .map_err(|e| malformed(lineno, format!("reservation {e}")))?;
+    Ok(request)
 }
 
 fn read_swf_impl(
@@ -224,15 +222,15 @@ fn read_swf_impl(
         }
         let fields: Vec<&str> = trimmed.split_whitespace().collect();
         if fields.len() < 9 {
-            return Err(SwfError::Malformed {
-                line: lineno + 1,
-                reason: format!("expected >= 9 fields, got {}", fields.len()),
-            });
+            let reason = format!("expected >= 9 fields, got {}", fields.len());
+            return Err(malformed(lineno, reason));
         }
         let parse = |idx: usize| -> Result<f64, SwfError> {
-            fields[idx].parse::<f64>().map_err(|_| SwfError::Malformed {
-                line: lineno + 1,
-                reason: format!("field {} is not numeric: {:?}", idx + 1, fields[idx]),
+            fields[idx].parse::<f64>().map_err(|_| {
+                malformed(
+                    lineno,
+                    format!("field {} is not numeric: {:?}", idx + 1, fields[idx]),
+                )
             })
         };
         let submit = parse(1)?;
@@ -245,33 +243,26 @@ fn read_swf_impl(
         if width <= 0 || run < 0.0 || submit < 0.0 {
             continue; // unusable record, skip like the archive tools do
         }
-        let out_of_range = |what: &str, value: f64| SwfError::Malformed {
-            line: lineno + 1,
-            reason: format!("{what} out of range: {value}"),
-        };
         // Times keep millisecond resolution: archive traces only ever
         // carry whole seconds, session logs carry live instants.
-        let actual_ms = secs_to_ms(run, MAX_JOB_MS)
-            .ok_or_else(|| out_of_range("run time", run))?
-            .max(1);
-        let estimate_ms = if req_time > 0.0 {
-            secs_to_ms(req_time, MAX_JOB_MS)
-                .ok_or_else(|| out_of_range("requested time", req_time))?
-        } else {
-            actual_ms
+        let ms = |what: &str, secs: f64| {
+            secs_to_ms(secs)
+                .ok_or_else(|| malformed(lineno, format!("{what} out of range: {secs}")))
         };
-        let submit_ms =
-            secs_to_ms(submit, MAX_SUBMIT_MS).ok_or_else(|| out_of_range("submit time", submit))?;
+        let actual = SimDuration::from_millis(ms("run time", run)?);
+        let estimate = if req_time > 0.0 {
+            SimDuration::from_millis(ms("requested time", req_time)?)
+        } else {
+            actual
+        };
+        let submit = SimTime::from_millis(ms("submit time", submit)?);
         // Clamp before narrowing: a field wider than the machine (or
         // even u32) is the documented clamp case, never a silent wrap.
         let width = (width as u64).min(machine_size as u64) as u32;
-        jobs.push(Job::new(
-            JobId(jobs.len() as u32),
-            SimTime::from_millis(submit_ms),
-            width,
-            SimDuration::from_millis(estimate_ms),
-            SimDuration::from_millis(actual_ms),
-        ));
+        let id = JobId(jobs.len() as u32);
+        let job = Job::try_new(id, submit, width, estimate, actual, machine_size)
+            .map_err(|e| malformed(lineno, e.to_string()))?;
+        jobs.push(job);
     }
     if let Some(out) = reservations {
         out.sort_by_key(|r| r.submit);
@@ -438,11 +429,13 @@ mod tests {
     #[test]
     fn bad_reservation_directive_is_an_error() {
         for bad in [
-            ";RESERVATION 10 5 60 4\n",    // starts before submission
-            ";RESERVATION 10 20 0 4\n",    // zero duration
-            ";RESERVATION 10 20 60 0\n",   // zero width
-            ";RESERVATION 10 20 60 999\n", // wider than the machine
-            ";RESERVATION 10 20 60\n",     // too few fields
+            ";RESERVATION 10 5 60 4\n",            // starts before submission
+            ";RESERVATION 10 20 0 4\n",            // zero duration
+            ";RESERVATION 10 20 60 0\n",           // zero width
+            ";RESERVATION 10 20 60 999\n",         // wider than the machine
+            ";RESERVATION 10 20 34359739 4\n",     // longer than a job may run
+            ";RESERVATION 10 281474976711 60 4\n", // starts past MAX_SUBMIT_MS
+            ";RESERVATION 10 20 60\n",             // too few fields
         ] {
             assert!(
                 read_swf_with_reservations(BufReader::new(bad.as_bytes()), "r", 128).is_err(),

@@ -40,7 +40,7 @@ fn out_of_range_timestamps_are_rejected_not_wrapped() {
     // Values that would overflow the seconds → milliseconds scale.
     assert_malformed_at("huge_timestamp.swf", 2);
     assert_malformed_at("huge_estimate.swf", 1);
-    // Representable, but past the job bound (`MAX_JOB_MS`).
+    // Representable, but past the job bound (`Job::check`).
     assert_malformed_at("unbounded_durations.swf", 4);
 }
 
@@ -56,9 +56,9 @@ fn job_times_are_held_to_the_bound() {
     assert!(read(line("0", at, at)).is_ok());
     assert!(read(line("281474976710.656", "10", "10")).is_ok());
     for (text, field) in [
-        (line("0", over, at), "run time"),
-        (line("0", "10", over), "requested time"),
-        (line("281474976710.657", "10", "10"), "submit time"),
+        (line("0", over, at), "actual_ms"),
+        (line("0", "10", over), "estimate_ms"),
+        (line("281474976710.657", "10", "10"), "submit_ms"),
     ] {
         match read(text) {
             Err(SwfError::Malformed { line: 1, reason }) => {
@@ -74,6 +74,8 @@ fn reservation_directive_corpus_is_rejected_with_line_numbers() {
     for name in [
         "reservation_width_overflow.swf",
         "reservation_huge_time.swf",
+        // Survives the scale to ms, then overflowed the window's area.
+        "reservation_huge_duration.swf",
         "reservation_too_few_fields.swf",
         "reservation_non_numeric.swf",
     ] {

@@ -14,6 +14,9 @@
 //!   then re-sealed with fresh checksums, so the payload decoders are
 //!   reached and not only the checksum.
 //!
+//! A journal the reader accepts is also replayed (`replay_records`): its
+//! submits passed the job gate, so no shape of them panics the planner.
+//!
 //! Out of scope: whether a checkpoint whose checksum holds but whose
 //! state is inconsistent can be *restored*. `SelfTuningScheduler::restore`
 //! indexes its words unchecked, and the threat model is torn writes and
@@ -22,8 +25,8 @@
 use dynp_core::DeciderKind;
 use dynp_des::{ByteReader, ByteWriter};
 use dynp_serve::{
-    load_latest_checkpoint, read_journal, read_journal_header, recover, JournalError, RecoverError,
-    ServiceConfig,
+    load_latest_checkpoint, parse_scheduler, read_journal, read_journal_header, recover,
+    replay_records, JournalError, RecoverError, ServiceConfig,
 };
 use dynp_sim::{decode_snapshot, SchedulerSpec};
 use proptest::prelude::*;
@@ -171,6 +174,13 @@ fn hit(tag: &str, f: &Fixture, bytes: &[u8]) -> Result<(), TestCaseError> {
             for e in [read_journal(&dir).err(), read_journal_header(&dir).err()] {
                 prop_assert!(!matches!(e, Some(JournalError::Io { .. })), "{e:?}");
             }
+            if let Ok(journal) = read_journal(&dir) {
+                let replayed = std::panic::catch_unwind(|| {
+                    let spec = parse_scheduler(&journal.scheduler).ok()?;
+                    replay_records(journal.machine_size, &journal.records, &spec).ok()
+                });
+                prop_assert!(replayed.is_ok(), "an accepted journal panicked its replay");
+            }
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -259,44 +269,47 @@ fn the_resealing_generator_reaches_a_sequence_overflow() {
     std::fs::write(dir.join(f.name), bytes).unwrap();
     assert!(matches!(
         read_journal(&dir),
-        Err(JournalError::BadRecord {
-            what: "sequence overflow",
-            ..
-        })
+        Err(JournalError::BadRecord { what, .. }) if what == "sequence overflow"
     ));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A checksummed submit whose estimate is past the job bound — what a
-/// build without the bound journaled before its daemon crashed on it —
-/// is a typed `BadRecord` from the reader and from recovery, not a
-/// replay into the same crash.
+/// A checksummed submit the job gate refuses — what a build without the
+/// gate journaled before its daemon crashed on it — is a typed
+/// `BadRecord` naming the field, from the reader and from recovery, not
+/// a replay into the same crash. The segment header's machine has 16
+/// processors; the record holds width 16, estimate 900 000 ms and actual
+/// 600 000 ms.
 #[test]
 fn an_over_bound_submit_is_a_typed_record_error() {
     let f = &fixtures()[4];
     let payload = f.payloads[0].start;
     assert_eq!(f.bytes[payload - 5], 1, "the first record is a submit");
     // seq u64 | stamp u64 | job u32 | user u32 | width u32 | estimate u64
-    let estimate = payload + 28;
-    let bytes = mutate_and_reseal(f, &[(false, estimate, 8, 0xFF)]);
-    let dir = temp_dir("over_bound");
-    std::fs::write(dir.join(f.name), bytes).unwrap();
-    let over_bound = |e: &JournalError| {
-        matches!(
-            e,
-            JournalError::BadRecord {
-                what: "duration past the job bound",
-                ..
-            }
-        )
-    };
-    assert!(over_bound(&read_journal(&dir).unwrap_err()));
-    let mut config = ServiceConfig::new(64, SchedulerSpec::dynp(DeciderKind::Advanced));
-    config.journal = Some(dir.clone());
-    match recover(config) {
-        Err(RecoverError::Journal(e)) => assert!(over_bound(&e), "{e}"),
-        Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("recovered a journal with an over-bound submit"),
+    // | actual u64, little-endian
+    let (width, estimate, actual) = (payload + 24, payload + 28, payload + 36);
+    for ((at, len, fill), field) in [
+        ((estimate, 8, 0xFF), "estimate_ms"),
+        ((estimate, 8, 0x00), "estimate_ms"),
+        // Its third byte 0x09 → 0x0F: 993 216 ms, past the estimate.
+        ((actual + 2, 1, 0x0F), "actual_ms"),
+        ((width, 4, 0x00), "width 0 "),
+        ((width, 1, 0x11), "width 17 "),
+        ((width, 4, 0xFF), "width 4294967295 "),
+    ] {
+        let bytes = mutate_and_reseal(f, &[(false, at, len, fill)]);
+        let dir = temp_dir("over_bound");
+        std::fs::write(dir.join(f.name), bytes).unwrap();
+        let refused = |e: &JournalError| matches!(e, JournalError::BadRecord { what, .. } if what.contains(field));
+        let e = read_journal(&dir).unwrap_err();
+        assert!(refused(&e), "{field}: {e}");
+        let mut config = ServiceConfig::new(16, SchedulerSpec::dynp(DeciderKind::Advanced));
+        config.journal = Some(dir.clone());
+        match recover(config) {
+            Err(RecoverError::Journal(e)) => assert!(refused(&e), "{field}: {e}"),
+            Err(e) => panic!("{field}: wrong error: {e}"),
+            Ok(_) => panic!("{field}: recovered a journal the gate refuses"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

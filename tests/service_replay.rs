@@ -18,13 +18,15 @@
 //! session equal the batch replay of the same records.
 
 use dynp_serve::{
-    read_journal, recover, replay_records, replay_session, spawn, FsyncPolicy, JournalError,
-    QuotaConfig, RecoverError, ServiceConfig, ServiceHandle, ServiceReport, SubmitSpec,
+    read_journal, recover, render_scheduler, replay_records, replay_session, spawn, FsyncPolicy,
+    JournalError, JournalRecord, JournalWriter, QuotaConfig, RecoverError, ServiceConfig,
+    ServiceHandle, ServiceReport, SubmitSpec,
 };
 use dynp_suite::obs::Tracer;
 use dynp_suite::prelude::*;
-use dynp_suite::sim::simulate_chaos;
-use dynp_suite::workload::{FaultPlan, MAX_JOB_MS};
+use dynp_suite::sim::{simulate_chaos, DetailedRun};
+use dynp_suite::workload::job::{MAX_JOB_MS, MAX_SUBMIT_MS};
+use dynp_suite::workload::{FaultKind, FaultPlan, NodeOutage};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -206,79 +208,175 @@ fn sessions_with_cancels_replay_bit_identically() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Jobs at the duration bound: full- and half-width jobs of maximal
-/// estimate stacked behind each other on four processors — the shape of
-/// the submits that once saturated the clock and crashed the daemon, at
-/// the bound instead of past it. The batch driver runs them to the end;
-/// so does the daemon, whose journal replays and recovers to the same
-/// schedule.
+/// The daemon journals only cancels that withdrew a waiting job, but the
+/// bytes are what replay and recovery read: a checksummed cancel of a
+/// running job withdraws nothing, in both, and both count only the one
+/// that did.
 #[test]
-fn jobs_at_the_duration_bound_run_to_completion() {
-    let bound = SimDuration::from_millis(MAX_JOB_MS);
-    let secs = SimDuration::from_secs;
-    let shapes = [
-        (4, bound, bound),
-        (4, secs(1), secs(1)),
-        (2, bound, bound),
-        (4, secs(5), secs(5)),
-        (2, bound, secs(60)),
-        (4, bound, bound),
-        (2, bound, bound),
-    ];
-    let machine = 4;
-    let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
-
-    let jobs = shapes
-        .iter()
-        .enumerate()
-        .map(|(i, &(width, estimate, actual))| {
-            Job::new(JobId(i as u32), SimTime::ZERO, width, estimate, actual)
-        })
-        .collect();
-    let set = JobSet::new("bound", machine, jobs);
-    let batch = simulate_chaos(
-        &set,
-        spec.build().as_mut(),
-        &[],
-        AdmissionConfig::default(),
-        &FaultPlan::none(),
-        Tracer::disabled(),
-    );
-    assert_eq!(batch.completed.len(), shapes.len());
-
-    let dir = temp_dir("bound");
-    let config = service_config(machine, spec.clone(), &dir);
-    let (handle, join) = spawn(config.clone()).unwrap();
-    for &(width, estimate, actual) in &shapes {
-        let submit = SubmitSpec {
-            width,
-            estimate,
-            actual,
-            user: 0,
-        };
-        handle.submit(submit).unwrap();
+fn a_cancel_of_a_running_job_replays_and_recovers_alike() {
+    let dir = temp_dir("cancel_running");
+    let spec = SchedulerSpec::Static(Policy::Fcfs);
+    let config = service_config(8, spec.clone(), &dir);
+    let scheduler = render_scheduler(&spec);
+    let mut writer =
+        JournalWriter::create(&dir, 8, 1000, &scheduler, FsyncPolicy::Never, 1 << 20).unwrap();
+    let (at, minute) = (SimTime::from_millis, SimDuration::from_secs(60));
+    let submit = |seq, stamp, id| JournalRecord::Submit {
+        seq,
+        user: 0,
+        job: Job::new(JobId(id), at(stamp), 8, minute, minute),
+    };
+    let cancel = |seq, stamp, job| JournalRecord::Cancel {
+        seq,
+        stamp: at(stamp),
+        job,
+    };
+    // Job 0 runs from t = 0; job 1 waits behind it.
+    for rec in [
+        submit(0, 0, 0),
+        cancel(1, 1000, 0),
+        submit(2, 2000, 1),
+        cancel(3, 3000, 1),
+    ] {
+        writer.append(&rec).unwrap();
     }
-    handle.shutdown();
-    let live = join.join().unwrap();
-    assert_eq!(live.run.completed.len(), shapes.len());
-    assert_eq!(live.run.faults.lost, 0);
+    writer.sync().unwrap();
+    drop(writer);
 
-    let records = read_journal(&dir).unwrap().records;
-    let replay = replay_records(machine, &records, &spec).unwrap();
-    for (r, l) in replay.run.completed.iter().zip(&live.run.completed) {
-        assert_eq!((r.job.id, r.start, r.end), (l.job.id, l.start, l.end));
-    }
-    assert_eq!(
-        replay.run.result.metrics.sldwa,
-        live.run.result.metrics.sldwa
-    );
-    assert_eq!(replay.fingerprint, live.fingerprint);
-
+    let replay = replay_session(&dir, &spec).unwrap();
+    assert_eq!((replay.cancelled, replay.run.completed.len()), (1, 1));
     let (handle, join) = recover(config).unwrap();
     handle.shutdown();
     let recovered = join.join().unwrap();
-    assert_eq!(recovered.fingerprint, live.fingerprint);
+    assert_eq!((recovered.cancelled, recovered.run.completed.len()), (1, 1));
+    assert_eq!(recovered.fingerprint, replay.fingerprint);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// One job of the edge mix: width, (estimate, actual) in ms, and whether
+/// it is submitted at `MAX_SUBMIT_MS` (batch only; the daemon stamps).
+fn edge_job(machine: u32) -> impl Strategy<Value = (u32, (u64, u64), bool)> {
+    let ordinary = (1u64..120_000).prop_map(|ms| (ms, ms / 2 + 1));
+    (
+        prop_oneof![Just(1), Just(2), Just(machine)],
+        prop_oneof![
+            ordinary.clone(),
+            Just((MAX_JOB_MS, MAX_JOB_MS)),
+            ordinary.prop_map(|(_, actual)| (MAX_JOB_MS, actual)),
+        ],
+        (0u8..10).prop_map(|x| x < 3),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Jobs at every bound — estimate = actual = `MAX_JOB_MS`, width =
+    /// the machine, submit = `MAX_SUBMIT_MS` — mixed with ordinary ones,
+    /// the shape of the submits that once saturated the clock and crashed
+    /// the daemon. The batch driver runs them under node outages, crashes
+    /// and overruns, beside windows as long as a job may be; the daemon
+    /// runs them to a drain its journal replays and recovers to. No
+    /// panic, no overflow (tier-1 runs in debug, so this is the evidence
+    /// for the plain arithmetic of the job bound), and every job is
+    /// conserved.
+    #[test]
+    fn jobs_at_the_duration_bound_run_to_completion(
+        shapes in collection::vec(edge_job(4), 1..9),
+        outages in collection::vec((1u32..4, 0u64..600_000, 1u64..600_000), 0..4),
+        faults in collection::vec(
+            prop_oneof![
+                Just(None),
+                (0.01f64..0.99).prop_map(|fraction| Some(FaultKind::Crash { fraction })),
+                Just(Some(FaultKind::Overrun)),
+            ],
+            9..10,
+        ),
+        windows in collection::vec((0u64..600_000, 1u32..5, 0u8..2), 0..3),
+    ) {
+        let ms = SimDuration::from_millis;
+        let machine = 4;
+        let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
+
+        let jobs = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, &(width, (estimate, actual), far))| {
+                let submit = if far { MAX_SUBMIT_MS } else { i as u64 * 7_000 };
+                let submit = SimTime::from_millis(submit);
+                Job::new(JobId(i as u32), submit, width, ms(estimate), ms(actual))
+            })
+            .collect();
+        let set = JobSet::new("edge", machine, jobs);
+        // Nodes 1..4 fail at most once each, so one node always stays up.
+        let mut plan = FaultPlan::none();
+        for (node, down, length) in outages {
+            if plan.outages.iter().all(|o| o.node != node) {
+                let down_at = SimTime::from_millis(down);
+                let up_at = down_at + ms(length);
+                plan.outages.push(NodeOutage { node, down_at, up_at });
+            }
+        }
+        plan.outages.sort_by_key(|o| (o.down_at, o.node));
+        plan.job_faults = (0..set.len() as u32)
+            .filter_map(|id| faults[id as usize].map(|f| (id, f)))
+            .collect();
+        let requests: Vec<ReservationRequest> = windows
+            .iter()
+            .enumerate()
+            .map(|(id, &(start, width, long))| ReservationRequest {
+                id: id as u32,
+                submit: SimTime::ZERO,
+                start: SimTime::from_millis(start),
+                duration: ms(if long == 1 { MAX_JOB_MS } else { 60_000 }),
+                width,
+                cancel_at: None,
+            })
+            .collect();
+        for r in &requests {
+            prop_assert_eq!(r.check(machine), Ok(()));
+        }
+        let batch = simulate_chaos(
+            &set,
+            spec.build().as_mut(),
+            &requests,
+            AdmissionConfig::default(),
+            &plan,
+            Tracer::disabled(),
+        );
+        prop_assert_eq!(batch.completed.len() as u64 + batch.faults.lost, set.len() as u64);
+
+        let dir = temp_dir("bound");
+        let mut config = service_config(machine, spec.clone(), &dir);
+        config.fsync = FsyncPolicy::Never;
+        let (handle, join) = spawn(config.clone()).unwrap();
+        for &(width, (estimate, actual), _) in &shapes {
+            let submit = SubmitSpec {
+                width,
+                estimate: ms(estimate),
+                actual: ms(actual),
+                user: 0,
+            };
+            handle.submit(submit).unwrap();
+        }
+        handle.shutdown();
+        let live = join.join().unwrap();
+        prop_assert_eq!(live.run.completed.len(), shapes.len());
+
+        let records = read_journal(&dir).unwrap().records;
+        let replay = replay_records(machine, &records, &spec).unwrap();
+        let ends = |run: &DetailedRun| -> Vec<_> {
+            run.completed.iter().map(|c| (c.job.id, c.start, c.end)).collect()
+        };
+        prop_assert_eq!(ends(&replay.run), ends(&live.run));
+        prop_assert_eq!(replay.fingerprint, live.fingerprint);
+
+        let (handle, join) = recover(config).unwrap();
+        handle.shutdown();
+        let recovered = join.join().unwrap();
+        prop_assert_eq!(recovered.fingerprint, live.fingerprint);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// One recorded baseline session for the recovery tests: many rotations
