@@ -172,8 +172,9 @@ pub struct SelfTuningScheduler {
     /// Persistent sorted waiting-queue view per candidate policy (parallel
     /// to `config.policies`), maintained incrementally across events.
     orders: Vec<Vec<Job>>,
-    /// How far into the state's queue change log the orders are synced.
-    log_cursor: usize,
+    /// The number of the first queue change the orders have not seen;
+    /// `None` until they are built (new or restored scheduler).
+    log_cursor: Option<usize>,
     /// Per policy: how many leading jobs of its order the last
     /// `sync_orders` left untouched (0 once any job left the queue) —
     /// what the planner's retained plans may keep.
@@ -219,7 +220,7 @@ impl SelfTuningScheduler {
             reference_mode: false,
             queue_buf: Vec::new(),
             orders: vec![Vec::new(); n],
-            log_cursor: 0,
+            log_cursor: None,
             first_changed: vec![0; n],
             plan_schedules: vec![Schedule::default(); n],
             plan_scores: vec![0.0; n],
@@ -273,27 +274,38 @@ impl SelfTuningScheduler {
     }
 
     /// Brings the per-policy sorted queue views in sync with the RMS
-    /// waiting queue by replaying the tail of the state's queue change
-    /// log: newly submitted jobs are binary-inserted into every policy
-    /// order, jobs that started are binary-search removed. Cost is
+    /// waiting queue by replaying the queue changes logged since the
+    /// last sync: newly submitted jobs are binary-inserted into every
+    /// policy order, jobs that started are binary-search removed. Cost is
     /// O(changes × policies × queue) per event instead of a full
     /// O(policies × queue log queue) copy-and-re-sort. Leaves in
     /// `first_changed` the length of each order's untouched prefix.
     ///
-    /// # Panics
-    /// Panics if the state's log is shorter than the cursor — the
-    /// incremental engine must observe a single `RmsState` over its whole
-    /// lifetime (as the simulation driver guarantees).
+    /// When the changes since the last sync are no longer all in the log
+    /// — a new or restored scheduler, or one whose state was cleared
+    /// while it did not read (reference mode) — every order is rebuilt
+    /// by sorting the waiting queue instead. Every policy comparator is
+    /// a total order with a (submit, id) tail, so that is the order the
+    /// replay would have reached.
     fn sync_orders(&mut self, state: &RmsState) {
         let log = state.queue_log();
-        assert!(
-            self.log_cursor <= log.len(),
-            "scheduler observed a different RmsState: queue log shrank"
-        );
+        let Some(from) = self
+            .log_cursor
+            .filter(|&c| (log.dropped()..=log.end()).contains(&c))
+        else {
+            for (policy, order) in self.config.policies.iter().zip(&mut self.orders) {
+                order.clear();
+                order.extend_from_slice(state.waiting());
+                policy.sort_queue(order);
+            }
+            self.first_changed.fill(0);
+            self.log_cursor = Some(log.end());
+            return;
+        };
         for (first, order) in self.first_changed.iter_mut().zip(&self.orders) {
             *first = order.len();
         }
-        for change in &log[self.log_cursor..] {
+        for change in &log.changes()[from - log.dropped()..] {
             let slots = self
                 .config
                 .policies
@@ -323,7 +335,7 @@ impl SelfTuningScheduler {
                 }
             }
         }
-        self.log_cursor = log.len();
+        self.log_cursor = Some(log.end());
         debug_assert_eq!(self.orders[0].len(), state.waiting().len());
     }
 
@@ -677,11 +689,10 @@ impl Scheduler for SelfTuningScheduler {
 
     /// Encodes the cross-event state: the active policy and the switch
     /// statistics. The per-policy queue orders and `log_cursor` are NOT
-    /// captured — they are a pure function of the state's queue-change
-    /// log (every policy comparator is a *total* order with an
-    /// (submit, id) tail, so replaying the full log from cursor 0
-    /// reproduces them bit-identically), and `restore` resets them so
-    /// the next `sync_orders` rebuilds from scratch. Nor are the
+    /// captured — they are a pure function of the state's waiting queue
+    /// (every policy comparator is a *total* order with a (submit, id)
+    /// tail), and `restore` resets the cursor so the next `sync_orders`
+    /// rebuilds them by sorting it. Nor are the
     /// planner's retained plans: they are a cache of what a full pass
     /// over (state, now) computes, checked by comparison before every
     /// reuse, and `restore` drops them — the first replan after a restore
@@ -725,12 +736,7 @@ impl Scheduler for SelfTuningScheduler {
             at += 2;
         }
         self.stats = stats;
-        // Force a full queue-order rebuild from the (restored) state's
-        // complete queue-change log on the next replan.
-        for order in &mut self.orders {
-            order.clear();
-        }
-        self.log_cursor = 0;
+        self.log_cursor = None;
         self.planner.drop_retained();
     }
 }

@@ -53,4 +53,4 @@ pub use profile::Profile;
 pub use reservation::{RepairAction, Reservation, ReservationBook};
 pub use schedule::{PlannedJob, Schedule};
 pub use scheduler::{ReplanReason, Scheduler, SchedulerSnapshot, StaticScheduler};
-pub use state::{CompletedJob, LostJob, QueueChange, RmsState, RunningJob};
+pub use state::{CompletedJob, LostJob, QueueChange, QueueLog, RmsState, RunningJob};

@@ -81,15 +81,85 @@ pub struct LostJob {
     pub attempts: u32,
 }
 
-/// One change to the waiting queue, in occurrence order. The append-only
-/// log of these lets incremental schedulers replay exact queue deltas
-/// instead of re-scanning (or re-sorting) the whole queue every event.
+/// One change to the waiting queue, in occurrence order. The log of these
+/// lets incremental schedulers replay exact queue deltas instead of
+/// re-scanning (or re-sorting) the whole queue every event.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum QueueChange {
     /// The job entered the waiting queue (submission).
     Entered(Job),
     /// The job left the waiting queue (it started).
     Left(Job),
+}
+
+/// The waiting-queue changes not yet cleared, plus how many were cleared
+/// before them.
+///
+/// The driver clears the log after every replan ([`RmsState::clear_queue_log`]),
+/// so it holds one event's changes, not the run's history. Entries are
+/// numbered from the state's construction (or decoding): the first one
+/// held is number [`QueueLog::dropped`]. The count is the reader's
+/// bookkeeping, not machine state — equality, hashing and the codec
+/// cover the entries only, so two states that differ only in how much
+/// history they have shed are the same state.
+#[derive(Clone, Debug, Default, Eq)]
+pub struct QueueLog {
+    changes: Vec<QueueChange>,
+    dropped: usize,
+}
+
+impl QueueLog {
+    /// The changes held, in occurrence order.
+    pub fn changes(&self) -> &[QueueChange] {
+        &self.changes
+    }
+
+    /// How many changes were cleared before the first one held.
+    pub fn dropped(&self) -> usize {
+        self.dropped
+    }
+
+    /// The number one past the last change held.
+    pub fn end(&self) -> usize {
+        self.dropped + self.changes.len()
+    }
+
+    fn encode_into(&self, w: &mut ByteWriter) {
+        w.list(&self.changes, |q, w| {
+            let (tag, j) = match q {
+                QueueChange::Entered(j) => (0, j),
+                QueueChange::Left(j) => (1, j),
+            };
+            w.u8(tag);
+            j.encode_into(w);
+        });
+    }
+
+    fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let changes = r.list(|r| match r.u8()? {
+            0 => Ok(QueueChange::Entered(Job::decode_from(r)?)),
+            1 => Ok(QueueChange::Left(Job::decode_from(r)?)),
+            _ => Err(CodecError::Invalid {
+                what: "queue-change tag",
+            }),
+        })?;
+        Ok(QueueLog {
+            changes,
+            dropped: 0,
+        })
+    }
+}
+
+impl PartialEq for QueueLog {
+    fn eq(&self, other: &Self) -> bool {
+        self.changes == other.changes
+    }
+}
+
+impl std::hash::Hash for QueueLog {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.changes.hash(state);
+    }
 }
 
 /// The resource-management state: job pools plus processor accounting.
@@ -107,7 +177,7 @@ pub struct RmsState {
     completed: Vec<CompletedJob>,
     lost: Vec<LostJob>,
     submitted: usize,
-    queue_log: Vec<QueueChange>,
+    queue_log: QueueLog,
     reservations: ReservationBook,
     /// Per-node occupancy: which running job holds each node.
     nodes: Vec<Option<JobId>>,
@@ -128,7 +198,7 @@ impl RmsState {
             completed: Vec::new(),
             lost: Vec::new(),
             submitted: 0,
-            queue_log: Vec::new(),
+            queue_log: QueueLog::default(),
             reservations: ReservationBook::new(),
             nodes: vec![None; machine_size as usize],
             down: vec![false; machine_size as usize],
@@ -207,12 +277,21 @@ impl RmsState {
         self.waiting.is_empty() && self.running.is_empty()
     }
 
-    /// The append-only waiting-queue change log, complete since this
-    /// state's construction. Incremental consumers remember how far they
-    /// have read (their cursor into this slice) and replay only the tail;
-    /// the log's total length is bounded by two entries per job.
-    pub fn queue_log(&self) -> &[QueueChange] {
+    /// The waiting-queue changes since the last
+    /// [`RmsState::clear_queue_log`]. An incremental consumer remembers
+    /// how far it has read, as a change number, and replays only what
+    /// follows; one that has fallen behind [`QueueLog::dropped`] rebuilds
+    /// from [`RmsState::waiting`] instead.
+    pub fn queue_log(&self) -> &QueueLog {
         &self.queue_log
+    }
+
+    /// Drops the logged queue changes, keeping their count. The driver
+    /// calls this once the scheduler has read them, so the log holds one
+    /// event's changes, not the run's history.
+    pub fn clear_queue_log(&mut self) {
+        self.queue_log.dropped += self.queue_log.changes.len();
+        self.queue_log.changes.clear();
     }
 
     /// The advance-reservation book the schedulers plan around.
@@ -269,7 +348,7 @@ impl RmsState {
         );
         self.submitted += 1;
         self.waiting.push(job);
-        self.queue_log.push(QueueChange::Entered(job));
+        self.queue_log.changes.push(QueueChange::Entered(job));
     }
 
     /// Removes a waiting job from the queue without running it — the
@@ -286,7 +365,7 @@ impl RmsState {
             .position(|j| j.id == id)
             .unwrap_or_else(|| panic!("job {id} is not waiting"));
         let job = self.waiting.swap_remove(idx);
-        self.queue_log.push(QueueChange::Left(job));
+        self.queue_log.changes.push(QueueChange::Left(job));
         job
     }
 
@@ -325,7 +404,7 @@ impl RmsState {
             }
         }
         assert_eq!(needed, 0, "free-processor accounting out of sync");
-        self.queue_log.push(QueueChange::Left(job));
+        self.queue_log.changes.push(QueueChange::Left(job));
         let run = RunningJob { job, start: now };
         self.running.push(run);
         run
@@ -455,7 +534,7 @@ impl RmsState {
             job.id
         );
         self.waiting.push(job);
-        self.queue_log.push(QueueChange::Entered(job));
+        self.queue_log.changes.push(QueueChange::Entered(job));
     }
 
     /// Moves a job whose retry budget is exhausted into the terminal
@@ -557,8 +636,8 @@ impl RmsState {
         self.completed
     }
 
-    /// Appends the complete machine state — every pool, the queue log,
-    /// the reservation book, and the per-node occupancy/availability maps
+    /// Appends the complete machine state — every pool, the uncleared
+    /// queue changes, the reservation book, and the per-node occupancy/availability maps
     /// — to a checkpoint buffer. Restoring with
     /// [`RmsState::decode_from`] yields a state that compares equal
     /// (`PartialEq`) and hashes identically to the original.
@@ -581,14 +660,7 @@ impl RmsState {
             w.u32(l.attempts);
         });
         w.usize(self.submitted);
-        w.list(&self.queue_log, |q, w| {
-            let (tag, j) = match q {
-                QueueChange::Entered(j) => (0, j),
-                QueueChange::Left(j) => (1, j),
-            };
-            w.u8(tag);
-            j.encode_into(w);
-        });
+        self.queue_log.encode_into(w);
         self.reservations.encode_into(w);
         w.list(&self.nodes, |slot, w| {
             w.u32(slot.map_or(u32::MAX, |id| id.0))
@@ -626,13 +698,7 @@ impl RmsState {
             })
         })?;
         let submitted = r.usize()?;
-        let queue_log = r.list(|r| match r.u8()? {
-            0 => Ok(QueueChange::Entered(Job::decode_from(r)?)),
-            1 => Ok(QueueChange::Left(Job::decode_from(r)?)),
-            _ => Err(CodecError::Invalid {
-                what: "queue-change tag",
-            }),
-        })?;
+        let queue_log = QueueLog::decode_from(r)?;
         let reservations = ReservationBook::decode_from(r)?;
         let nodes = r.list(|r| {
             Ok(match r.u32()? {

@@ -618,6 +618,9 @@ impl ShardCore {
             }
         };
         let schedule = scheduler.replan(&self.state, now, reason);
+        // The scheduler has read the queue changes; the starts below are
+        // the next replan's.
+        self.state.clear_queue_log();
         let trace_backfill = tracer.wants(TraceClass::Dispatch);
         let mut started = Vec::new();
         for entry in schedule.due(now) {

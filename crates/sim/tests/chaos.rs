@@ -11,10 +11,11 @@
 //!   simulation bit for bit, reservations included.
 
 use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
+use dynp_des::{Engine, SimDuration, SimTime};
 use dynp_obs::Tracer;
-use dynp_rms::{AdmissionConfig, Policy};
-use dynp_sim::{simulate_chaos, simulate_with_reservations};
-use dynp_workload::{kth, transform, FaultModel, FaultPlan, ReservationModel};
+use dynp_rms::{AdmissionConfig, Policy, QueueChange};
+use dynp_sim::{simulate_chaos, simulate_with_reservations, Event, ShardCore};
+use dynp_workload::{kth, transform, FaultModel, FaultPlan, JobId, ReservationModel};
 use proptest::prelude::*;
 
 /// Everything the two planning modes could diverge on, collapsed into a
@@ -166,6 +167,90 @@ proptest! {
         prop_assert_eq!(format!("{:?}", chaos.faults), format!("{:?}", plain.faults));
         prop_assert_eq!(chaos.faults.lost, 0);
     }
+}
+
+/// The queue-change log is the next replan's input, not the run's
+/// history. After every event of a chaos-shaped stream — outages,
+/// crashes, retries, reservations, and cancels a minute after every
+/// fifth arrival — it holds exactly the `Left` entries of the jobs that
+/// event started. The one exception is the cancel path, which withdraws
+/// without replanning: it adds the cancelled job's `Left` to what the log
+/// held.
+#[test]
+fn the_queue_log_holds_only_what_the_next_replan_has_not_read() {
+    let set = transform::shrink(&kth().generate(400, 17), 0.3);
+    let jobs = set.jobs();
+    let requests = ReservationModel::typical(0.15).generate(&set, 17);
+    let plan = FaultModel::typical(20_000.0, 3_600.0, 0.1).generate(&set, 19);
+    assert!(!plan.outages.is_empty() && !plan.job_faults.is_empty());
+    let mut eng = Engine::new();
+    for job in jobs {
+        eng.schedule_at(job.submit, Event::Arrive(job.id));
+    }
+    for job in jobs.iter().step_by(5) {
+        let at = job.submit + SimDuration::from_secs(60);
+        eng.schedule_at(at, Event::CancelCmd(job.id));
+    }
+    for (i, r) in requests.iter().enumerate() {
+        eng.schedule_at(r.submit, Event::ResRequest(i as u32));
+    }
+    for o in &plan.outages {
+        eng.schedule_at(o.down_at, Event::NodeDown(o.node));
+        eng.schedule_at(o.up_at, Event::NodeUp(o.node));
+    }
+    let mut scheduler = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
+    let mut core = ShardCore::new(
+        set.machine_size,
+        AdmissionConfig::default(),
+        jobs.len(),
+        plan.retry,
+        SimTime::ZERO,
+        Tracer::disabled(),
+        0,
+    );
+    let (mut starts, mut withdrawn) = (0, 0);
+    while let Some((now, event)) = eng.step() {
+        let state = core.state();
+        let held = state.queue_log().changes().to_vec();
+        let ran: Vec<JobId> = state.running().iter().map(|r| r.job.id).collect();
+        let cancelled = match event {
+            Event::CancelCmd(id) => state.waiting().iter().find(|j| j.id == id).copied(),
+            _ => None,
+        };
+        core.handle(&mut eng, event, &mut scheduler, jobs, &requests, &plan);
+        let log = core.state().queue_log().changes();
+        if let Event::CancelCmd(_) = event {
+            let mut want = held;
+            want.extend(cancelled.map(QueueChange::Left));
+            assert_eq!(log, &want[..], "{event:?} at {now:?}");
+            withdrawn += cancelled.is_some() as usize;
+            continue;
+        }
+        let started: Vec<QueueChange> = core
+            .state()
+            .running()
+            .iter()
+            .filter(|r| !ran.contains(&r.job.id))
+            .map(|r| QueueChange::Left(r.job))
+            .collect();
+        starts += started.len();
+        // An event that replanned leaves its starts; one that returned
+        // early (a stale finish, a rejected request) leaves the log alone.
+        assert!(
+            log == &started[..] || (started.is_empty() && log == &held[..]),
+            "{event:?} at {now:?}: {log:?}"
+        );
+    }
+    // Every job not withdrawn started at least once.
+    assert!(
+        withdrawn > 0 && starts >= jobs.len() - withdrawn,
+        "{starts} starts, {withdrawn} withdrawn"
+    );
+    let run = core.finish(&eng, "dynP".into(), set.name.clone(), &plan, None);
+    assert_eq!(
+        run.completed.len() + run.faults.lost as usize + withdrawn,
+        jobs.len()
+    );
 }
 
 /// A deterministic heavy-chaos spot check: dense outages plus crash

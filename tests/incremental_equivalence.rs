@@ -370,6 +370,31 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
             );
         }
     }
+    // The same burst with reference mode on over a stretch of the rise.
+    // The driver clears the queue log after every replan, so the engine
+    // comes back behind it, rebuilds its orders from the waiting queue —
+    // and must be on the never-switched run's path, suffix passes and
+    // all.
+    let config = DynPConfig::paper(DeciderKind::Advanced);
+    let (m, stats, active, _, _) = run_with(&set, &config, false, &[], 1);
+    let mut switched = Switched {
+        inner: scheduler_with(&config, false, 1),
+        replans: 0,
+        stretch: jobs / 4..jobs / 2,
+        suffix_at_resume: 0,
+    };
+    let d = simulate_with_reservations(&set, &mut switched, &[], AdmissionConfig::default());
+    assert_eq!(d.result.metrics.sldwa.to_bits(), m.sldwa.to_bits());
+    assert_eq!(d.result.metrics.artww.to_bits(), m.artww.to_bits());
+    assert_eq!(switched.inner.stats, stats);
+    assert_eq!(switched.inner.active_policy(), active);
+    assert!(switched.replans > switched.stretch.end);
+    let resumed = switched.inner.plan_counters().suffix_passes - switched.suffix_at_resume;
+    assert!(
+        resumed > expect_suffix_passes,
+        "{resumed} suffix passes after the rebuild"
+    );
+
     // The objectives that weigh a delay otherwise than SLDwA does, and
     // the one that cannot be bounded.
     let set = transform::shrink(&traces::kth().generate(jobs / 2, 53), 0.005);
@@ -394,6 +419,37 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
                 "{objective:?} {path}: {planner:?}"
             );
         }
+    }
+}
+
+/// A self-tuning scheduler that plans in reference mode over the replans
+/// numbered `stretch` and incrementally before and after.
+struct Switched {
+    inner: SelfTuningScheduler,
+    replans: usize,
+    stretch: std::ops::Range<usize>,
+    /// Suffix passes taken when the stretch ended.
+    suffix_at_resume: u64,
+}
+
+impl Scheduler for Switched {
+    fn replan(&mut self, state: &RmsState, now: SimTime, reason: ReplanReason) -> Schedule {
+        if self.replans == self.stretch.start {
+            self.inner.set_reference_mode(true);
+        } else if self.replans == self.stretch.end {
+            self.inner.set_reference_mode(false);
+            self.suffix_at_resume = self.inner.plan_counters().suffix_passes;
+        }
+        self.replans += 1;
+        self.inner.replan(state, now, reason)
+    }
+
+    fn active_policy(&self) -> Policy {
+        self.inner.active_policy()
+    }
+
+    fn name(&self) -> String {
+        self.inner.name()
     }
 }
 

@@ -22,9 +22,11 @@ use dynp_serve::{
     JournalError, JournalRecord, JournalWriter, QuotaConfig, RecoverError, ServiceConfig,
     ServiceHandle, ServiceReport, SubmitSpec,
 };
+use dynp_suite::des::{Engine, EngineSnapshot};
 use dynp_suite::obs::Tracer;
 use dynp_suite::prelude::*;
-use dynp_suite::sim::{simulate_chaos, DetailedRun};
+use dynp_suite::rms::Scheduler;
+use dynp_suite::sim::{simulate_chaos, DetailedRun, Event, FeedCursors, ShardCore, SimSnapshot};
 use dynp_suite::workload::job::{MAX_JOB_MS, MAX_SUBMIT_MS};
 use dynp_suite::workload::{FaultKind, FaultPlan, NodeOutage};
 use proptest::prelude::*;
@@ -211,46 +213,126 @@ fn sessions_with_cancels_replay_bit_identically() {
 /// The daemon journals only cancels that withdrew a waiting job, but the
 /// bytes are what replay and recovery read: a checksummed cancel of a
 /// running job withdraws nothing, in both, and both count only the one
-/// that did.
+/// that did. A tail of 20 000 more submits then runs through both, and
+/// the drained state holds at most one event's queue changes — what the
+/// next replan would read — not the session's history.
 #[test]
 fn a_cancel_of_a_running_job_replays_and_recovers_alike() {
+    const TAIL: u32 = 20_000;
     let dir = temp_dir("cancel_running");
-    let spec = SchedulerSpec::Static(Policy::Fcfs);
-    let config = service_config(8, spec.clone(), &dir);
+    let (machine, spec) = (8, SchedulerSpec::dynp(DeciderKind::Advanced));
+    let config = service_config(machine, spec.clone(), &dir);
     let scheduler = render_scheduler(&spec);
     let mut writer =
-        JournalWriter::create(&dir, 8, 1000, &scheduler, FsyncPolicy::Never, 1 << 20).unwrap();
+        JournalWriter::create(&dir, machine, 1000, &scheduler, FsyncPolicy::Never, 1 << 20)
+            .unwrap();
     let (at, minute) = (SimTime::from_millis, SimDuration::from_secs(60));
     let submit = |seq, stamp, id| JournalRecord::Submit {
         seq,
         user: 0,
-        job: Job::new(JobId(id), at(stamp), 8, minute, minute),
+        job: Job::new(JobId(id), at(stamp), machine, minute, minute),
     };
     let cancel = |seq, stamp, job| JournalRecord::Cancel {
         seq,
         stamp: at(stamp),
         job,
     };
-    // Job 0 runs from t = 0; job 1 waits behind it.
+    // Job 0 runs from t = 0; job 1 waits behind it. Then one job every
+    // 61 s, each waiting out at most the one before it.
+    let tail = (0..TAIL).map(|i| submit(4 + i as u64, 4_000 + 61_000 * i as u64, 2 + i));
     for rec in [
         submit(0, 0, 0),
         cancel(1, 1000, 0),
         submit(2, 2000, 1),
         cancel(3, 3000, 1),
-    ] {
+    ]
+    .into_iter()
+    .chain(tail)
+    {
         writer.append(&rec).unwrap();
     }
     writer.sync().unwrap();
     drop(writer);
 
     let replay = replay_session(&dir, &spec).unwrap();
-    assert_eq!((replay.cancelled, replay.run.completed.len()), (1, 1));
+    let completed = 1 + TAIL as usize;
+    assert_eq!(
+        (replay.cancelled, replay.run.completed.len()),
+        (1, completed)
+    );
     let (handle, join) = recover(config).unwrap();
     handle.shutdown();
     let recovered = join.join().unwrap();
-    assert_eq!((recovered.cancelled, recovered.run.completed.len()), (1, 1));
+    assert_eq!(
+        (recovered.cancelled, recovered.run.completed.len()),
+        (1, completed)
+    );
     assert_eq!(recovered.fingerprint, replay.fingerprint);
+
+    // The replay's loop, by hand: its fingerprint hashes the queue
+    // changes the drained state holds, so equal fingerprints mean equal
+    // logs.
+    let records = read_journal(&dir).unwrap().records;
+    let (core, scheduler) = drive_records(machine, &records, &spec);
+    let held = core.state().queue_log().changes().len();
+    assert!(held <= machine as usize, "{held} queue changes held");
+    assert_eq!(
+        Some(drained_fingerprint(&core, scheduler.as_ref())),
+        replay.fingerprint
+    );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Runs journal records through a [`ShardCore`] the way `replay_records`
+/// does, and returns the drained core and scheduler.
+fn drive_records(
+    machine: u32,
+    records: &[JournalRecord],
+    spec: &SchedulerSpec,
+) -> (ShardCore, Box<dyn Scheduler>) {
+    let mut jobs = Vec::new();
+    let mut eng = Engine::new();
+    for (rank, rec) in records.iter().enumerate() {
+        let event = match *rec {
+            JournalRecord::Submit { job, .. } => {
+                jobs.push(job);
+                Event::Arrive(job.id)
+            }
+            JournalRecord::Cancel { job, .. } => Event::CancelCmd(JobId(job)),
+        };
+        eng.schedule_seeded(rec.stamp(), rank as u64, event);
+    }
+    let faults = FaultPlan::none();
+    let mut scheduler = spec.build();
+    let mut core = ShardCore::new(
+        machine,
+        AdmissionConfig::default(),
+        jobs.len(),
+        faults.retry,
+        SimTime::ZERO,
+        Tracer::disabled(),
+        0,
+    );
+    while let Some((_, event)) = eng.step() {
+        core.handle(&mut eng, event, scheduler.as_mut(), &jobs, &[], &faults);
+    }
+    (core, scheduler)
+}
+
+/// The service fingerprint of a drained core: no timers left, no feed.
+fn drained_fingerprint(core: &ShardCore, scheduler: &dyn Scheduler) -> u128 {
+    SimSnapshot {
+        core: core.snapshot(),
+        engine: EngineSnapshot {
+            now: SimTime::ZERO,
+            processed: 0,
+            next_seq: 0,
+            entries: Vec::new(),
+        },
+        feed: FeedCursors::default(),
+        scheduler: scheduler.snapshot().expect("dynP snapshots"),
+    }
+    .fingerprint()
 }
 
 /// One job of the edge mix: width, (estimate, actual) in ms, and whether
