@@ -6,7 +6,7 @@
 //! many clients share the channel. The newline-delimited JSON protocol
 //! ([`crate::proto`]) is a thin codec over exactly these types.
 
-use crate::journal::{FsyncPolicy, DEFAULT_ROTATE_BYTES};
+use crate::journal::{FsyncPolicy, ServiceCounters, DEFAULT_ROTATE_BYTES};
 use dynp_des::{SimDuration, SimTime};
 use dynp_obs::Tracer;
 use dynp_sim::{DetailedRun, SchedulerSpec};
@@ -258,4 +258,20 @@ pub struct ServiceReport {
     /// wall clock or dispatch counters, which status queries perturb).
     /// `None` when the scheduler does not support snapshotting.
     pub fingerprint: Option<u128>,
+}
+
+impl ServiceReport {
+    /// A finished run with the service counters it ended on.
+    pub(crate) fn new(run: DetailedRun, c: ServiceCounters, fingerprint: Option<u128>) -> Self {
+        ServiceReport {
+            run,
+            accepted: c.accepted,
+            rejected_queue_full: c.rejected_queue_full,
+            rejected_shutdown: c.rejected_shutdown,
+            rejected_invalid: c.rejected_invalid,
+            rejected_user_quota: c.rejected_user_quota,
+            cancelled: c.cancelled,
+            fingerprint,
+        }
+    }
 }

@@ -37,7 +37,7 @@ use dynp_serve::{
 use dynp_sim::cli::Flags;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
@@ -246,14 +246,22 @@ fn serve_connection(stream: UnixStream, handle: ServiceHandle, done: Arc<AtomicB
     }
 }
 
-fn serve_socket(path: PathBuf, handle: ServiceHandle, done: Arc<AtomicBool>) {
-    let _ = std::fs::remove_file(&path);
-    let listener = UnixListener::bind(&path).unwrap_or_else(|e| {
+/// Binds the socket, replacing a stale file. `main` binds it before the
+/// daemon starts, so a client can connect while a recovery replays the
+/// journal: its first request waits in the backlog and is answered once
+/// the daemon is live.
+fn bind(path: &Path) -> UnixListener {
+    let _ = std::fs::remove_file(path);
+    let listener = UnixListener::bind(path).unwrap_or_else(|e| {
         eprintln!("cannot bind {}: {e}", path.display());
         std::process::exit(2);
     });
     listener.set_nonblocking(true).expect("set_nonblocking");
     eprintln!("dynp-serve: listening on {}", path.display());
+    listener
+}
+
+fn serve_socket(listener: UnixListener, handle: ServiceHandle, done: Arc<AtomicBool>) {
     std::thread::spawn(move || {
         while !done.load(Ordering::SeqCst) {
             match listener.accept() {
@@ -285,17 +293,19 @@ fn serve_stdin(handle: ServiceHandle, done: Arc<AtomicBool>) {
 fn main() {
     let args = parse_args();
     let socket = args.socket.clone();
-    let (handle, join) = if args.recover {
-        recover(args.config).unwrap_or_else(|e| {
-            eprintln!("cannot recover daemon: {e}");
-            std::process::exit(2);
-        })
+    let listener = socket.as_deref().filter(|_| !args.drain).map(bind);
+    let started = if args.recover {
+        recover(args.config).map_err(|e| format!("cannot recover daemon: {e}"))
     } else {
-        spawn(args.config).unwrap_or_else(|e| {
-            eprintln!("cannot start daemon: {e}");
-            std::process::exit(2);
-        })
+        spawn(args.config).map_err(|e| format!("cannot start daemon: {e}"))
     };
+    let (handle, join) = started.unwrap_or_else(|why| {
+        if let (Some(path), Some(_)) = (&socket, &listener) {
+            let _ = std::fs::remove_file(path);
+        }
+        eprintln!("{why}");
+        std::process::exit(2);
+    });
     install_signal_handlers();
     let done = Arc::new(AtomicBool::new(false));
 
@@ -327,8 +337,8 @@ fn main() {
         });
     }
 
-    match socket.clone() {
-        Some(path) => serve_socket(path, handle.clone(), done.clone()),
+    match listener {
+        Some(listener) => serve_socket(listener, handle.clone(), done.clone()),
         None => serve_stdin(handle.clone(), done.clone()),
     }
     drop(handle);

@@ -13,7 +13,7 @@
 //! fingerprint — which is exactly what the CI crash-recovery job
 //! asserts by diffing the two lines.
 
-use dynp_serve::{parse_scheduler, read_journal, render_summary, replay_records, ServiceReport};
+use dynp_serve::{parse_scheduler, read_journal, render_summary, replay_records};
 use dynp_sim::cli::Flags;
 use std::path::PathBuf;
 
@@ -42,7 +42,7 @@ fn main() {
         eprintln!("cannot read journal {}: {e}", dir.display());
         std::process::exit(1);
     });
-    if journal.torn {
+    if journal.torn_at.is_some() {
         eprintln!(
             "replay: note: journal has a torn tail (crash mid-append); \
              replaying the {} complete records",
@@ -52,22 +52,12 @@ fn main() {
     let spec = scheduler.unwrap_or_else(|| {
         parse_scheduler(&journal.scheduler).unwrap_or_else(|why| flags.bail(&why))
     });
-    let replay =
+    // Rejection counters are zero because rejected submissions are
+    // (deliberately) not journaled.
+    let report =
         replay_records(journal.machine_size, &journal.records, &spec).unwrap_or_else(|e| {
             eprintln!("replay failed: {e}");
             std::process::exit(1);
         });
-    // Rejection counters are zero because rejected submissions are
-    // (deliberately) not journaled.
-    let report = ServiceReport {
-        run: replay.run,
-        accepted: replay.accepted,
-        rejected_queue_full: 0,
-        rejected_shutdown: 0,
-        rejected_invalid: 0,
-        rejected_user_quota: 0,
-        cancelled: replay.cancelled,
-        fingerprint: replay.fingerprint,
-    };
     println!("{}", render_summary(&report));
 }

@@ -12,18 +12,21 @@
 //!
 //! ## Durability and recovery
 //!
-//! With a journal configured, every accepted submission is appended to
-//! the WAL (and, under the default fsync policy, on disk) *before* the
-//! client sees `accepted`; accepted cancels are journaled the same way.
-//! Checkpoints of the complete service state are written at segment
-//! rotations and on a configurable record cadence. [`recover`] rebuilds
-//! the daemon after a crash: load the newest valid checkpoint, replay
-//! the journal suffix through the same driver loop on the
-//! [`WallClockSource`] that then goes live (timers strictly before each
-//! record's stamp, then the record — the exact live dispatch order). The
-//! result is bit-identical to a daemon that was never killed, which
-//! `tests/service_replay.rs` pins with a crash-at-any-point property
-//! test.
+//! Service state is a fold of the journal. With a journal configured,
+//! every accepted submission or cancel is appended to the WAL (and,
+//! under the default fsync policy, on disk) *before* it changes anything
+//! and before the client sees the reply; then one function,
+//! `Daemon::apply`, applies it. Checkpoints of the complete service
+//! state are written at segment rotations and on a configurable record
+//! cadence. [`recover`] rebuilds the daemon after a crash, on the
+//! caller's thread: load the newest valid checkpoint, then feed the
+//! journal suffix to the same `apply`, on the [`WallClockSource`] that
+//! then goes live (timers strictly before each record's stamp, then the
+//! record — the exact live dispatch order). Only then does the journal
+//! resume and the daemon thread start, so a journal recovery refuses
+//! gets no new segment. The result is bit-identical to a daemon that
+//! was never killed, which `tests/service_replay.rs` pins with a
+//! crash-at-any-point property test.
 //!
 //! ## Overload control
 //!
@@ -48,8 +51,8 @@ use crate::journal::{
     load_latest_checkpoint, read_journal, repair_torn_tail, write_checkpoint, JournalError,
     JournalRecord, JournalWriter, ServiceCheckpoint, ServiceCounters,
 };
-use crate::session::{service_fingerprint, validate_replay_suffix, ReplayError};
-use dynp_des::{EngineSnapshot, SimTime, Tick, WallClockSource};
+use crate::session::{service_fingerprint, ReplayError};
+use dynp_des::{SimTime, Tick, WallClockSource};
 use dynp_obs::TraceEvent;
 use dynp_rms::{AdmissionConfig, Scheduler};
 use dynp_sim::render_scheduler;
@@ -188,44 +191,41 @@ pub fn spawn(config: ServiceConfig) -> io::Result<(ServiceHandle, JoinHandle<Ser
         None => None,
     };
     let (tx, rx) = mpsc::channel();
-    let join = std::thread::Builder::new()
-        .name("dynp-serve".into())
-        .spawn(move || run_daemon(config, rx, journal, None))?;
-    Ok((ServiceHandle { tx }, join))
+    // A fresh daemon's state is built on its own thread, where it lives.
+    start(tx, move || Daemon::new(config, rx, journal))
 }
 
 /// Recovers a daemon from its journal directory after a crash: loads
 /// the newest valid checkpoint (falling back past corrupt ones, and to
 /// a from-genesis replay when none survives), replays the journal
-/// suffix through the driver loop, and goes live on a resumed wall
+/// suffix through the live path's apply, and goes live on a resumed wall
 /// clock. Acknowledged work is never lost; the recovered state is
-/// bit-identical to an uninterrupted run's. On a *compacted* journal
-/// genesis replay is impossible, so a surviving checkpoint covering the
-/// compacted prefix is required ([`RecoverError::CompactionGap`]
-/// otherwise); a lone torn genesis header means nothing was ever
-/// acknowledged, and recovery starts the service fresh.
+/// bit-identical to an uninterrupted run's. Recovery runs to completion
+/// on the caller's thread, so every refusal is returned before a daemon
+/// thread exists or the journal gains a segment. On a *compacted*
+/// journal genesis replay is impossible, so a surviving checkpoint
+/// covering the compacted prefix is required
+/// ([`RecoverError::CompactionGap`] otherwise); a lone torn genesis
+/// header means nothing was ever acknowledged, and recovery starts the
+/// service fresh.
 pub fn recover(
     config: ServiceConfig,
 ) -> Result<(ServiceHandle, JoinHandle<ServiceReport>), RecoverError> {
     let dir = config.journal.clone().ok_or(RecoverError::NoJournal)?;
+    let io_error = |path, error: io::Error| {
+        RecoverError::Journal(JournalError::Io {
+            path,
+            error: error.to_string(),
+        })
+    };
     let journal = match read_journal(&dir) {
         Ok(journal) => journal,
         // The crash hit before the very first header was durable, so
         // nothing was ever acknowledged: remove the torn file and start
         // the service fresh on the configured shape.
         Err(JournalError::TornGenesis { path }) => {
-            std::fs::remove_file(&path).map_err(|e| {
-                RecoverError::Journal(JournalError::Io {
-                    path,
-                    error: e.to_string(),
-                })
-            })?;
-            return spawn(config).map_err(|e| {
-                RecoverError::Journal(JournalError::Io {
-                    path: dir,
-                    error: e.to_string(),
-                })
-            });
+            std::fs::remove_file(&path).map_err(|e| io_error(path, e))?;
+            return spawn(config).map_err(|e| io_error(dir, e));
         }
         Err(e) => return Err(e.into()),
     };
@@ -261,53 +261,67 @@ pub fn recover(
                 .snapshot()
                 .is_some_and(|s| s.tag == c.scheduler.tag)
     });
-    // Validate record consistency up front so the caller gets a typed
-    // error instead of a daemon-thread panic: with a checkpoint, only
-    // the suffix being replayed must continue its job table densely;
-    // genesis replay needs the full from-0 sequence, which a compacted
-    // journal no longer has.
-    match &checkpoint {
-        Some(c) => validate_replay_suffix(&journal.records, c.journal_seq, c.jobs.len() as u32)?,
-        None if first_base_seq > 0 => return Err(RecoverError::CompactionGap),
-        None => validate_replay_suffix(&journal.records, 0, 0)?,
+    if checkpoint.is_none() && first_base_seq > 0 {
+        return Err(RecoverError::CompactionGap);
     }
-    let writer = JournalWriter::resume(&dir, &journal, config.fsync, config.rotate_bytes)?;
-    let seed = RecoveredState {
-        records: journal.records,
-        checkpoint,
-    };
     let (tx, rx) = mpsc::channel();
+    let mut daemon = Daemon::new(config, rx, None);
+    let first_seq = checkpoint.map_or(0, |c| daemon.restore(c));
+    // The suffix replays on the source that then goes live, in the live
+    // dispatch order: every pending timer strictly before a record's
+    // stamp, then the record itself, through the live path's `apply`.
+    let mut replayed = 0u64;
+    for rec in journal.records.iter().filter(|r| r.seq() >= first_seq) {
+        daemon.src.replay_external(rec.stamp(), |eng, ev| {
+            daemon.core.handle(
+                eng,
+                ev,
+                &mut *daemon.scheduler,
+                &daemon.jobs,
+                &[],
+                &daemon.faults,
+            )
+        });
+        daemon.apply(rec)?;
+        replayed += 1;
+    }
+    daemon.config.tracer.record(
+        daemon.src.engine().now(),
+        TraceEvent::CheckpointLoaded {
+            journal_seq: journal.next_seq,
+            replayed,
+        },
+    );
+    let (fsync, rotate_bytes) = (daemon.config.fsync, daemon.config.rotate_bytes);
+    daemon.journal = Some(JournalWriter::resume(&dir, &journal, fsync, rotate_bytes)?);
+    start(tx, move || daemon).map_err(|e| io_error(dir, e))
+}
+
+/// Runs the daemon `build` returns on a thread of its own.
+fn start(
+    tx: Sender<Command>,
+    build: impl FnOnce() -> Daemon + Send + 'static,
+) -> io::Result<(ServiceHandle, JoinHandle<ServiceReport>)> {
     let join = std::thread::Builder::new()
         .name("dynp-serve".into())
-        .spawn(move || run_daemon(config, rx, Some(writer), Some(seed)))
-        .map_err(|e| {
-            RecoverError::Journal(JournalError::Io {
-                path: dir,
-                error: e.to_string(),
-            })
-        })?;
+        .spawn(move || build().run())?;
     Ok((ServiceHandle { tx }, join))
 }
 
-/// What [`recover`] hands the daemon thread: the journal's merged
-/// record sequence and (maybe) a checkpoint to fast-forward from.
-struct RecoveredState {
-    records: Vec<JournalRecord>,
-    checkpoint: Option<ServiceCheckpoint>,
-}
-
-/// Per-user admission token buckets.
+/// Per-user admission token buckets — part of the journal fold.
 ///
 /// Levels are kept in an exact internal unit (1 millitoken = 1000
-/// units) so refill arithmetic never truncates: accrual over an
-/// interval is `rate_mtok_per_sec × Δms` units regardless of how many
-/// refill calls the interval is split into. That associativity is what
-/// makes bucket state recoverable — rejected submissions touch buckets
-/// but are not journaled, and with exact arithmetic the replayed
-/// buckets still land on the live values.
+/// units), so accrual over an interval is `rate_mtok_per_sec × Δms`
+/// units however the interval is split. Only [`QuotaBuckets::charge`]
+/// writes a bucket, and only [`Daemon::apply`] calls it, for an
+/// accepted submission, live or replayed. The live check
+/// [`QuotaBuckets::affordable`] writes nothing, so a refused submission
+/// (which is not journaled) leaves no trace: a recovered daemon's
+/// buckets, and the checkpoints it writes, equal the never-killed
+/// daemon's bit for bit.
 struct QuotaBuckets {
     cfg: QuotaConfig,
-    /// user → (level in units, last refill stamp).
+    /// user → (level in units, stamp of the last charge).
     buckets: HashMap<u32, (u64, SimTime)>,
 }
 
@@ -324,43 +338,29 @@ impl QuotaBuckets {
         }
     }
 
-    fn burst_units(&self) -> u64 {
-        self.cfg.burst_mtok.saturating_mul(UNITS_PER_MTOK)
+    /// `user`'s level at `now`: the stored level plus what accrued since
+    /// its stamp, capped at the burst (a new user starts full).
+    fn level(&self, user: u32, now: SimTime) -> u64 {
+        let burst = self.cfg.burst_mtok.saturating_mul(UNITS_PER_MTOK);
+        self.buckets.get(&user).map_or(burst, |&(level, last)| {
+            let delta_ms = now.saturating_since(last).as_millis();
+            let accrued = self.cfg.rate_mtok_per_sec.saturating_mul(delta_ms);
+            level.saturating_add(accrued).min(burst)
+        })
     }
 
-    /// Brings `user`'s bucket current at `now` and returns its level.
-    fn refill(&mut self, user: u32, now: SimTime) -> u64 {
-        let burst = self.burst_units();
-        let entry = self.buckets.entry(user).or_insert((burst, now));
-        let delta_ms = now.saturating_since(entry.1).as_millis();
-        let accrued = self.cfg.rate_mtok_per_sec.saturating_mul(delta_ms);
-        entry.0 = entry.0.saturating_add(accrued).min(burst);
-        entry.1 = now;
-        entry.0
+    /// The live admission check: whether `user` can pay for a
+    /// submission at `now`. Charges nothing.
+    fn affordable(&self, user: u32, now: SimTime) -> bool {
+        !self.cfg.enabled() || self.level(user, now) >= SUBMIT_COST_UNITS
     }
 
-    /// The live admission check: refill, then charge if affordable.
-    fn try_charge(&mut self, user: u32, now: SimTime) -> bool {
-        if !self.cfg.enabled() {
-            return true;
+    /// Charges an accepted submission stamped `now`.
+    fn charge(&mut self, user: u32, now: SimTime) {
+        if self.cfg.enabled() {
+            let level = self.level(user, now).saturating_sub(SUBMIT_COST_UNITS);
+            self.buckets.insert(user, (level, now));
         }
-        if self.refill(user, now) < SUBMIT_COST_UNITS {
-            return false;
-        }
-        let entry = self.buckets.get_mut(&user).expect("refilled above");
-        entry.0 -= SUBMIT_COST_UNITS;
-        true
-    }
-
-    /// The replay path: the record is journaled, so the live daemon
-    /// accepted it — charge unconditionally to land on the same level.
-    fn charge_replayed(&mut self, user: u32, now: SimTime) {
-        if !self.cfg.enabled() {
-            return;
-        }
-        self.refill(user, now);
-        let entry = self.buckets.get_mut(&user).expect("refilled above");
-        entry.0 = entry.0.saturating_sub(SUBMIT_COST_UNITS);
     }
 
     fn snapshot(&self) -> Vec<(u32, u64, SimTime)> {
@@ -381,11 +381,16 @@ impl QuotaBuckets {
     }
 }
 
-/// The daemon state that isn't the shard core: counters, the job/user
-/// tables, quotas, and the journal.
-struct Service {
+/// The whole daemon: the shard core and its scheduler on the wall-clock
+/// source, plus the service state that isn't the core — counters, the
+/// job/user tables, quotas and the journal.
+struct Daemon {
     config: ServiceConfig,
     journal: Option<JournalWriter>,
+    core: ShardCore,
+    scheduler: Box<dyn Scheduler>,
+    src: WallClockSource<Event, Command>,
+    faults: FaultPlan,
     jobs: Vec<Job>,
     /// Submitting user of each job, parallel to `jobs`.
     users: Vec<u32>,
@@ -396,15 +401,239 @@ struct Service {
     since_checkpoint: u64,
 }
 
-impl Service {
+impl Daemon {
+    fn new(config: ServiceConfig, rx: Receiver<Command>, journal: Option<JournalWriter>) -> Daemon {
+        let faults = FaultPlan::none();
+        let mut scheduler = config.scheduler.build();
+        scheduler.set_tracer(config.tracer.clone());
+        let core = ShardCore::new(
+            config.machine_size,
+            AdmissionConfig::default(),
+            0,
+            faults.retry,
+            SimTime::ZERO,
+            config.tracer.clone(),
+            0,
+        );
+        Daemon {
+            src: WallClockSource::new(rx, config.speedup),
+            quotas: QuotaBuckets::new(config.quota),
+            config,
+            journal,
+            core,
+            scheduler,
+            faults,
+            jobs: Vec::new(),
+            users: Vec::new(),
+            counters: ServiceCounters::default(),
+            draining: false,
+            since_checkpoint: 0,
+        }
+    }
+
+    /// Restores a checkpoint; returns the seq replay continues from.
+    fn restore(&mut self, ckpt: ServiceCheckpoint) -> u64 {
+        self.core.restore(&ckpt.core);
+        self.scheduler.restore(&ckpt.scheduler);
+        self.core.ensure_jobs(ckpt.jobs.len());
+        self.jobs = ckpt.jobs;
+        self.users = ckpt.users;
+        self.counters = ckpt.counters;
+        self.quotas.restore(&ckpt.buckets);
+        self.src.restore(&ckpt.engine, ckpt.min_external);
+        ckpt.journal_seq
+    }
+
+    /// Applies one accepted command to the service state. This is the
+    /// only code that does: live, right after the command is journaled;
+    /// in recovery, right after [`WallClockSource::replay_external`] has
+    /// run the timers before its stamp. A record this state could not
+    /// have journaled — a submission that does not carry the next dense
+    /// job id, a cancel of a job no submission introduced — is refused
+    /// before it changes anything.
+    fn apply(&mut self, rec: &JournalRecord) -> Result<(), ReplayError> {
+        let known = self.jobs.len() as u32;
+        match *rec {
+            JournalRecord::Submit { user, job, .. } => {
+                if job.id.0 != known {
+                    return Err(ReplayError::JobIdMismatch {
+                        expected: known,
+                        found: job.id.0,
+                    });
+                }
+                self.jobs.push(job);
+                self.users.push(user);
+                self.core.ensure_jobs(self.jobs.len());
+                self.quotas.charge(user, job.submit);
+                self.core.handle(
+                    self.src.engine_mut(),
+                    Event::Arrive(job.id),
+                    &mut *self.scheduler,
+                    &self.jobs,
+                    &[],
+                    &self.faults,
+                );
+                self.counters.accepted += 1;
+            }
+            JournalRecord::Cancel { job, .. } => {
+                if job >= known {
+                    return Err(ReplayError::UnknownJob { job });
+                }
+                // A journaled cancel of a job that no longer waits
+                // withdraws nothing, here and in `replay_records`.
+                if self.core.cancel_waiting(JobId(job)).is_some() {
+                    self.counters.cancelled += 1;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// The live path of an accepted command: journal it, apply it, then
+    /// checkpoint if one is due. The append precedes every state change,
+    /// so a crash at any point either loses an unacknowledged command
+    /// (the client never saw the reply) or replays an acknowledged one —
+    /// never the reverse.
+    fn commit(&mut self, rec: &JournalRecord) {
+        let appended = self.journal.as_mut().map(|writer| {
+            writer
+                .append(rec)
+                .unwrap_or_else(|e| panic!("journal append failed: {e}"))
+        });
+        self.apply(rec)
+            .expect("the live path journals dense ids and waiting jobs only");
+        if let Some(appended) = appended {
+            self.after_append(appended.sealed_bytes);
+        }
+    }
+
+    /// The seq the next journaled record gets (0 without a journal).
+    fn next_seq(&self) -> u64 {
+        self.journal.as_ref().map_or(0, JournalWriter::next_seq)
+    }
+
+    fn run(mut self) -> ServiceReport {
+        while let Some(tick) = self.src.next_tick() {
+            match tick {
+                Tick::Timer(event) => self.core.handle(
+                    self.src.engine_mut(),
+                    event,
+                    &mut *self.scheduler,
+                    &self.jobs,
+                    &[],
+                    &self.faults,
+                ),
+                Tick::External(cmd) => self.handle_command(cmd),
+            }
+        }
+        // Clients that raced the drain get the draining daemon's answer —
+        // a typed refusal — instead of a dropped channel. (Commands are
+        // left over only after a shutdown command set `draining`, and the
+        // drained machine has no waiting job left to cancel.)
+        for cmd in self.src.drain_externals() {
+            self.handle_command(cmd);
+        }
+        // The journal hits disk before the summary, whatever the policy.
+        if let Some(writer) = self.journal.as_mut() {
+            let _ = writer.sync();
+        }
+        let fingerprint = service_fingerprint(&self.core, self.scheduler.as_ref(), Vec::new());
+        let c = self.counters;
+        let run = self.core.finish(
+            self.src.engine(),
+            self.scheduler.name(),
+            "service".to_string(),
+            &self.faults,
+            Some((c.accepted - c.cancelled) as usize),
+        );
+        ServiceReport::new(run, c, fingerprint)
+    }
+
+    fn handle_command(&mut self, cmd: Command) {
+        match cmd {
+            Command::Submit(spec, reply) => {
+                let _ = reply.send(match self.admit(spec) {
+                    Ok(t) => Reply::Accepted(t),
+                    Err(e) => Reply::Rejected(e),
+                });
+            }
+            Command::Cancel(job, reply) => {
+                // Only a cancel that withdraws a waiting job is accepted.
+                let found = self.core.state().waiting().iter().any(|j| j.id.0 == job);
+                if found {
+                    let (seq, stamp) = (self.next_seq(), self.src.engine().now());
+                    self.commit(&JournalRecord::Cancel { seq, stamp, job });
+                }
+                let _ = reply.send(Reply::Cancelled { job, found });
+            }
+            Command::Status(reply) => {
+                let _ = reply.send(Reply::Status(self.status()));
+            }
+            Command::Shutdown(reply) => {
+                self.draining = true;
+                self.src.begin_drain();
+                if let Some(reply) = reply {
+                    let _ = reply.send(Reply::Draining);
+                }
+            }
+        }
+    }
+
+    /// The admission path: validate, apply backpressure and quotas,
+    /// stamp, then [`Daemon::commit`] the submission. A refusal changes
+    /// nothing but its own counter.
+    fn admit(&mut self, spec: SubmitSpec) -> Result<Ticket, SubmitError> {
+        if self.draining {
+            self.counters.rejected_shutdown += 1;
+            return Err(SubmitError::Overload(OverloadReason::ShuttingDown));
+        }
+        // Wire and in-process clients alike meet the gate here, before
+        // anything is journaled.
+        let now = self.src.engine().now();
+        let id = JobId(self.jobs.len() as u32);
+        let machine = self.config.machine_size;
+        let job = match Job::try_new(id, now, spec.width, spec.estimate, spec.actual, machine) {
+            Ok(job) => job,
+            Err(e) => {
+                self.counters.rejected_invalid += 1;
+                return Err(SubmitError::Invalid(e.to_string()));
+            }
+        };
+        if self.core.state().waiting().len() >= self.config.max_queue {
+            self.counters.rejected_queue_full += 1;
+            return Err(SubmitError::Overload(OverloadReason::QueueFull));
+        }
+        if self.over_fair_share(spec.user) || !self.quotas.affordable(spec.user, now) {
+            self.counters.rejected_user_quota += 1;
+            self.config.tracer.record(
+                now,
+                TraceEvent::QuotaRejected {
+                    user: spec.user,
+                    queue_depth: self.core.state().waiting().len() as u32,
+                },
+            );
+            return Err(SubmitError::Overload(OverloadReason::UserQuota));
+        }
+        let seq = self.next_seq();
+        self.commit(&JournalRecord::Submit {
+            seq,
+            user: spec.user,
+            job,
+        });
+        Ok(Ticket {
+            job: id.0,
+            admitted_at: now,
+        })
+    }
+
     /// Weighted-fair shedding: under congestion (queue ≥ ¾ full), a
     /// user holding more than their fair share `max_queue / active
     /// users` of waiting slots is shed. Only active when quotas are.
-    fn over_fair_share(&self, core: &ShardCore, user: u32) -> bool {
+    fn over_fair_share(&self, user: u32) -> bool {
         if !self.quotas.cfg.enabled() {
             return false;
         }
-        let waiting = core.state().waiting();
+        let waiting = self.core.state().waiting();
         if waiting.len() * 4 < self.config.max_queue * 3 {
             return false;
         }
@@ -419,11 +648,11 @@ impl Service {
         occupancy > fair.max(1)
     }
 
-    fn status(&self, core: &ShardCore, now: SimTime) -> ServiceStatus {
-        let state = core.state();
+    fn status(&self) -> ServiceStatus {
+        let state = self.core.state();
         let c = &self.counters;
         ServiceStatus {
-            now,
+            now: self.src.engine().now(),
             waiting: state.waiting().len(),
             running: state.running().len(),
             completed: state.completed().len(),
@@ -439,36 +668,48 @@ impl Service {
         }
     }
 
+    /// Post-append bookkeeping: cadence counting and rotation- or
+    /// cadence-driven checkpoints.
+    fn after_append(&mut self, sealed_bytes: Option<u64>) {
+        self.since_checkpoint += 1;
+        let cadence_due = self.config.checkpoint_every > 0
+            && self.since_checkpoint >= self.config.checkpoint_every;
+        if let (Some(bytes), Some(writer)) = (sealed_bytes, &self.journal) {
+            self.config.tracer.record(
+                self.src.engine().now(),
+                TraceEvent::JournalRotated {
+                    segment: writer.segment(),
+                    bytes,
+                },
+            );
+        }
+        if sealed_bytes.is_some() || cadence_due {
+            self.checkpoint();
+        }
+    }
+
     /// Writes a checkpoint of the complete service state (a no-op for
     /// snapshotless schedulers — recovery then replays from genesis).
-    fn checkpoint(
-        &mut self,
-        core: &ShardCore,
-        scheduler: &dyn Scheduler,
-        engine: EngineSnapshot<Event>,
-        min_external: SimTime,
-    ) {
-        let (dir, writer) = match (&self.config.journal, &self.journal) {
-            (Some(dir), Some(writer)) => (dir.clone(), writer),
-            _ => return,
+    fn checkpoint(&mut self) {
+        let (Some(dir), Some(writer)) = (&self.config.journal, &self.journal) else {
+            return;
         };
-        let scheduler_snap = match scheduler.snapshot() {
-            Some(s) => s,
-            None => return,
+        let Some(scheduler) = self.scheduler.snapshot() else {
+            return;
         };
         let ckpt = ServiceCheckpoint {
             journal_seq: writer.next_seq(),
             machine_size: self.config.machine_size,
-            engine,
-            min_external,
-            core: core.snapshot(),
-            scheduler: scheduler_snap,
+            engine: self.src.engine().snapshot(),
+            min_external: self.src.min_external(),
+            core: self.core.snapshot(),
+            scheduler,
             jobs: self.jobs.clone(),
             users: self.users.clone(),
             counters: self.counters,
             buckets: self.quotas.snapshot(),
         };
-        match write_checkpoint(&dir, &ckpt) {
+        match write_checkpoint(dir, &ckpt) {
             Ok(bytes) => {
                 self.since_checkpoint = 0;
                 self.config.tracer.record(
@@ -491,339 +732,6 @@ impl Service {
                 // A failed checkpoint degrades recovery time, not
                 // correctness — the journal still has everything.
                 eprintln!("dynp-serve: checkpoint failed: {e}");
-            }
-        }
-    }
-
-    /// Handles post-append bookkeeping: cadence counting and
-    /// rotation/cadence-driven checkpoints.
-    fn after_append(
-        &mut self,
-        sealed_bytes: Option<u64>,
-        core: &ShardCore,
-        scheduler: &dyn Scheduler,
-        src: &WallClockSource<Event, Command>,
-    ) {
-        self.since_checkpoint += 1;
-        let cadence_due = self.config.checkpoint_every > 0
-            && self.since_checkpoint >= self.config.checkpoint_every;
-        if let Some(bytes) = sealed_bytes {
-            if let Some(writer) = &self.journal {
-                self.config.tracer.record(
-                    src.engine().now(),
-                    TraceEvent::JournalRotated {
-                        segment: writer.segment(),
-                        bytes,
-                    },
-                );
-            }
-        }
-        if sealed_bytes.is_some() || cadence_due {
-            self.checkpoint(core, scheduler, src.engine().snapshot(), src.min_external());
-        }
-    }
-}
-
-fn run_daemon(
-    config: ServiceConfig,
-    rx: Receiver<Command>,
-    journal: Option<JournalWriter>,
-    recovered: Option<RecoveredState>,
-) -> ServiceReport {
-    let faults = FaultPlan::none();
-    let mut scheduler = config.scheduler.build();
-    scheduler.set_tracer(config.tracer.clone());
-    let mut core = ShardCore::new(
-        config.machine_size,
-        AdmissionConfig::default(),
-        0,
-        faults.retry,
-        SimTime::ZERO,
-        config.tracer.clone(),
-        0,
-    );
-    let quota = config.quota;
-    let mut svc = Service {
-        config,
-        journal,
-        jobs: Vec::new(),
-        users: Vec::new(),
-        quotas: QuotaBuckets::new(quota),
-        counters: ServiceCounters::default(),
-        draining: false,
-        since_checkpoint: 0,
-    };
-
-    // Recovery: fast-forward from the checkpoint (if any), then replay
-    // the journal suffix through the same handler the live loop runs, on
-    // the source that then goes live.
-    let mut src = WallClockSource::new(rx, svc.config.speedup);
-    if let Some(seed) = recovered {
-        let replayed = replay_recovered(
-            &mut svc,
-            &mut core,
-            scheduler.as_mut(),
-            &faults,
-            seed,
-            &mut src,
-        );
-        svc.config.tracer.record(
-            src.engine().now(),
-            TraceEvent::CheckpointLoaded {
-                journal_seq: svc.journal.as_ref().map_or(0, JournalWriter::next_seq),
-                replayed,
-            },
-        );
-    }
-
-    while let Some(tick) = src.next_tick() {
-        match tick {
-            Tick::Timer(event) => {
-                core.handle(
-                    src.engine_mut(),
-                    event,
-                    &mut *scheduler,
-                    &svc.jobs,
-                    &[],
-                    &faults,
-                );
-            }
-            Tick::External(cmd) => {
-                handle_command(&mut svc, &mut core, &mut src, &mut *scheduler, &faults, cmd)
-            }
-        }
-    }
-    // Clients that raced the drain get a typed refusal instead of a
-    // dropped channel.
-    for cmd in src.drain_externals() {
-        refuse(&mut svc, &core, &src, cmd);
-    }
-    // The journal hits disk before the summary, whatever the policy.
-    if let Some(writer) = svc.journal.as_mut() {
-        let _ = writer.sync();
-    }
-    let fingerprint = service_fingerprint(&core, scheduler.as_ref(), Vec::new());
-    let expected = (svc.counters.accepted - svc.counters.cancelled) as usize;
-    let run = core.finish(
-        src.engine(),
-        scheduler.name(),
-        "service".to_string(),
-        &faults,
-        Some(expected),
-    );
-    let c = svc.counters;
-    ServiceReport {
-        run,
-        accepted: c.accepted,
-        rejected_queue_full: c.rejected_queue_full,
-        rejected_shutdown: c.rejected_shutdown,
-        rejected_invalid: c.rejected_invalid,
-        rejected_user_quota: c.rejected_user_quota,
-        cancelled: c.cancelled,
-        fingerprint,
-    }
-}
-
-/// Applies a recovered journal to the daemon state: restore the
-/// checkpoint, then replay the record suffix on `src` in the live
-/// dispatch order — every pending timer strictly before the next
-/// record's stamp, then the record itself. Returns the number of records
-/// replayed.
-fn replay_recovered(
-    svc: &mut Service,
-    core: &mut ShardCore,
-    scheduler: &mut dyn Scheduler,
-    faults: &FaultPlan,
-    seed: RecoveredState,
-    src: &mut WallClockSource<Event, Command>,
-) -> u64 {
-    let mut first_seq = 0;
-    if let Some(ckpt) = &seed.checkpoint {
-        core.restore(&ckpt.core);
-        scheduler.restore(&ckpt.scheduler);
-        svc.jobs = ckpt.jobs.clone();
-        svc.users = ckpt.users.clone();
-        svc.counters = ckpt.counters;
-        svc.quotas.restore(&ckpt.buckets);
-        core.ensure_jobs(svc.jobs.len());
-        first_seq = ckpt.journal_seq;
-        src.restore(&ckpt.engine, ckpt.min_external);
-    }
-    let mut replayed = 0u64;
-    for rec in seed.records.iter().filter(|r| r.seq() >= first_seq) {
-        let stamp = rec.stamp();
-        src.replay_external(stamp, |eng, ev| {
-            core.handle(eng, ev, scheduler, &svc.jobs, &[], faults)
-        });
-        match *rec {
-            JournalRecord::Submit { user, job, .. } => {
-                debug_assert_eq!(job.id.index(), svc.jobs.len(), "journal ids are dense");
-                svc.jobs.push(job);
-                svc.users.push(user);
-                core.ensure_jobs(svc.jobs.len());
-                svc.quotas.charge_replayed(user, stamp);
-                core.handle(
-                    src.engine_mut(),
-                    Event::Arrive(job.id),
-                    scheduler,
-                    &svc.jobs,
-                    &[],
-                    faults,
-                );
-                svc.counters.accepted += 1;
-            }
-            JournalRecord::Cancel { job, .. } => {
-                if core.cancel_waiting(JobId(job)).is_some() {
-                    svc.counters.cancelled += 1;
-                }
-            }
-        }
-        replayed += 1;
-    }
-    replayed
-}
-
-fn handle_command(
-    svc: &mut Service,
-    core: &mut ShardCore,
-    src: &mut WallClockSource<Event, Command>,
-    scheduler: &mut dyn Scheduler,
-    faults: &FaultPlan,
-    cmd: Command,
-) {
-    match cmd {
-        Command::Submit(spec, reply) => {
-            let verdict = admit(svc, core, src, scheduler, faults, spec);
-            let _ = reply.send(match verdict {
-                Ok(t) => Reply::Accepted(t),
-                Err(e) => Reply::Rejected(e),
-            });
-        }
-        Command::Cancel(job, reply) => {
-            let found = match core.cancel_waiting(JobId(job)) {
-                Some(_) => {
-                    svc.counters.cancelled += 1;
-                    let stamp = src.engine().now();
-                    if let Some(writer) = svc.journal.as_mut() {
-                        let appended = writer
-                            .append_cancel(stamp, job)
-                            .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-                        svc.after_append(appended.sealed_bytes, core, scheduler, src);
-                    }
-                    true
-                }
-                None => false,
-            };
-            let _ = reply.send(Reply::Cancelled { job, found });
-        }
-        Command::Status(reply) => {
-            let _ = reply.send(Reply::Status(svc.status(core, src.engine().now())));
-        }
-        Command::Shutdown(reply) => {
-            svc.draining = true;
-            src.begin_drain();
-            if let Some(reply) = reply {
-                let _ = reply.send(Reply::Draining);
-            }
-        }
-    }
-}
-
-/// The admission path: validate, apply backpressure and quotas, stamp,
-/// journal durably, and run the arrival through the shared driver. The
-/// journal append precedes every state mutation, so a crash at any
-/// point either loses an unacknowledged request (the client never saw
-/// `accepted`) or replays an acknowledged one — never the reverse.
-fn admit(
-    svc: &mut Service,
-    core: &mut ShardCore,
-    src: &mut WallClockSource<Event, Command>,
-    scheduler: &mut dyn Scheduler,
-    faults: &FaultPlan,
-    spec: SubmitSpec,
-) -> Result<Ticket, SubmitError> {
-    if svc.draining {
-        svc.counters.rejected_shutdown += 1;
-        return Err(SubmitError::Overload(OverloadReason::ShuttingDown));
-    }
-    // Wire and in-process clients alike meet the gate here, before
-    // anything is journaled.
-    let now = src.engine().now();
-    let id = JobId(svc.jobs.len() as u32);
-    let machine = svc.config.machine_size;
-    let job = match Job::try_new(id, now, spec.width, spec.estimate, spec.actual, machine) {
-        Ok(job) => job,
-        Err(e) => {
-            svc.counters.rejected_invalid += 1;
-            return Err(SubmitError::Invalid(e.to_string()));
-        }
-    };
-    if core.state().waiting().len() >= svc.config.max_queue {
-        svc.counters.rejected_queue_full += 1;
-        return Err(SubmitError::Overload(OverloadReason::QueueFull));
-    }
-    if svc.over_fair_share(core, spec.user) || !svc.quotas.try_charge(spec.user, now) {
-        svc.counters.rejected_user_quota += 1;
-        svc.config.tracer.record(
-            now,
-            TraceEvent::QuotaRejected {
-                user: spec.user,
-                queue_depth: core.state().waiting().len() as u32,
-            },
-        );
-        return Err(SubmitError::Overload(OverloadReason::UserQuota));
-    }
-    let mut sealed_bytes = None;
-    if let Some(writer) = svc.journal.as_mut() {
-        let appended = writer
-            .append_submit(now, id.0, spec.user, job.width, job.estimate, job.actual)
-            .unwrap_or_else(|e| panic!("journal append failed: {e}"));
-        sealed_bytes = appended.sealed_bytes;
-    }
-    svc.jobs.push(job);
-    svc.users.push(spec.user);
-    core.ensure_jobs(svc.jobs.len());
-    core.handle(
-        src.engine_mut(),
-        Event::Arrive(id),
-        scheduler,
-        &svc.jobs,
-        &[],
-        faults,
-    );
-    svc.counters.accepted += 1;
-    if svc.journal.is_some() {
-        svc.after_append(sealed_bytes, core, scheduler, src);
-    }
-    Ok(Ticket {
-        job: id.0,
-        admitted_at: now,
-    })
-}
-
-/// Answers a command that arrived after the drain finished.
-fn refuse(
-    svc: &mut Service,
-    core: &ShardCore,
-    src: &WallClockSource<Event, Command>,
-    cmd: Command,
-) {
-    match cmd {
-        Command::Submit(_, reply) => {
-            svc.counters.rejected_shutdown += 1;
-            let _ = reply.send(Reply::Rejected(SubmitError::Overload(
-                OverloadReason::ShuttingDown,
-            )));
-        }
-        Command::Cancel(job, reply) => {
-            let _ = reply.send(Reply::Cancelled { job, found: false });
-        }
-        Command::Status(reply) => {
-            let _ = reply.send(Reply::Status(svc.status(core, src.engine().now())));
-        }
-        Command::Shutdown(reply) => {
-            if let Some(reply) = reply {
-                let _ = reply.send(Reply::Draining);
             }
         }
     }

@@ -27,10 +27,10 @@
 //! A crash mid-`write` leaves a *torn tail*: the last segment ends in
 //! the middle of a record frame. That is an expected artifact of the
 //! crash model, detected by frame truncation and tolerated — the reader
-//! stops at the last complete record and reports `torn = true`. A
-//! record whose frame is *complete* but whose checksum does not match
-//! is a different animal (bit rot, truncated-then-appended files) and
-//! is always a typed [`JournalError::BadChecksum`]. Torn frames in a
+//! stops at the last complete record and reports where the tear sits
+//! (`torn_at`). A record whose frame is *complete* but whose checksum
+//! does not match is a different animal (bit rot, truncated-then-appended
+//! files) and is always a typed [`JournalError::BadChecksum`]. Torn frames in a
 //! *non*-last segment mean the directory itself is damaged
 //! ([`JournalError::TornSegment`]).
 //!
@@ -538,16 +538,6 @@ impl JournalWriter {
         self.append(&JournalRecord::Submit { seq, user, job })
     }
 
-    /// Journals an accepted cancellation; see [`JournalWriter::append`].
-    pub(crate) fn append_cancel(
-        &mut self,
-        stamp: SimTime,
-        job: u32,
-    ) -> Result<Appended, JournalError> {
-        let seq = self.next_seq;
-        self.append(&JournalRecord::Cancel { seq, stamp, job })
-    }
-
     /// Appends one record (whose seq must be [`JournalWriter::next_seq`]),
     /// honours the fsync policy, and rotates the segment if it crossed
     /// the size threshold. Under `FsyncPolicy::Always` the record is
@@ -644,13 +634,12 @@ pub struct JournalDir {
     pub next_seq: u64,
     /// `(index, base_seq)` of every segment, oldest first.
     pub segments: Vec<(u32, u64)>,
-    /// True when the last segment ended mid-frame (crash artifact; the
-    /// torn tail was discarded).
-    pub torn: bool,
-    /// Where the tear sits: `(segment index, byte offset of the first
-    /// incomplete frame)`. Offset 0 means the segment's *header* was
-    /// torn (crash during rotation) and the whole file holds nothing.
-    /// [`repair_torn_tail`] uses this to make the directory clean again.
+    /// Where the last segment's tear sits, if it ended mid-frame (a
+    /// crash artifact; the torn tail was discarded): `(segment index,
+    /// byte offset of the first incomplete frame)`. Offset 0 means the
+    /// segment's *header* was torn (crash during rotation) and the whole
+    /// file holds nothing. [`repair_torn_tail`] uses this to make the
+    /// directory clean again.
     pub torn_at: Option<(u32, u64)>,
 }
 
@@ -733,7 +722,7 @@ pub fn read_journal_header(dir: &Path) -> Result<JournalHeader, JournalError> {
 }
 
 /// Reads and validates a whole journal directory. Torn tails on the
-/// last segment are tolerated (`torn` flag); every other irregularity
+/// last segment are tolerated (`torn_at`); every other irregularity
 /// is a typed [`JournalError`].
 pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
     let files = list_numbered(dir, "journal-", ".wal")?;
@@ -763,7 +752,6 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
             // is a torn tail too.
             Err(JournalError::TornSegment { .. }) if is_last && i > 0 => {
                 let dir_state = out.as_mut().expect("i > 0");
-                dir_state.torn = true;
                 dir_state.torn_at = Some((*n as u32, 0));
                 break;
             }
@@ -793,7 +781,6 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
                     last_segment: header.segment,
                     next_seq: header.base_seq,
                     segments: Vec::new(),
-                    torn: false,
                     torn_at: None,
                 });
                 out.as_mut().unwrap()
@@ -847,7 +834,6 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
             let (kind, payload) = match r.u8().and_then(|kind| Ok((kind, r.sealed()?))) {
                 Ok(frame) => frame,
                 Err(CodecError::Truncated { .. }) if is_last => {
-                    dir_state.torn = true;
                     dir_state.torn_at = Some((header.segment, offset as u64));
                     break;
                 }
@@ -879,7 +865,7 @@ pub fn read_journal(dir: &Path) -> Result<JournalDir, JournalError> {
                 .ok_or_else(|| bad("sequence overflow".into()))?;
             dir_state.records.push(rec);
         }
-        if dir_state.torn {
+        if dir_state.torn_at.is_some() {
             break;
         }
     }
@@ -1117,12 +1103,15 @@ mod tests {
         let mut w = JournalWriter::create(&dir, 32, 1000, "dynp", FsyncPolicy::Never, 200).unwrap();
         let mut rotations = 0;
         for i in 0..20u64 {
-            let appended = if i % 5 == 4 {
-                w.append_cancel(SimTime::from_millis(i * 10), i as u32 - 1)
-                    .unwrap()
-            } else {
-                w.append(&submit(i, i * 10)).unwrap()
+            let rec = match i % 5 {
+                4 => JournalRecord::Cancel {
+                    seq: i,
+                    stamp: SimTime::from_millis(i * 10),
+                    job: i as u32 - 1,
+                },
+                _ => submit(i, i * 10),
             };
+            let appended = w.append(&rec).unwrap();
             assert_eq!(w.next_seq(), i + 1);
             if appended.sealed_bytes.is_some() {
                 rotations += 1;
@@ -1137,7 +1126,7 @@ mod tests {
         assert_eq!(journal.scheduler, "dynp");
         assert_eq!(journal.records.len(), 20);
         assert_eq!(journal.next_seq, 20);
-        assert!(!journal.torn);
+        assert!(journal.torn_at.is_none());
         assert_eq!(journal.segments.len() as u32, journal.last_segment + 1);
         for (i, rec) in journal.records.iter().enumerate() {
             assert_eq!(rec.seq(), i as u64);
@@ -1165,7 +1154,7 @@ mod tests {
         fs::write(&path, &bytes[..bytes.len() - 7]).unwrap();
 
         let journal = read_journal(&dir).unwrap();
-        assert!(journal.torn);
+        assert!(journal.torn_at.is_some());
         assert_eq!(journal.records.len(), 4, "the torn record is dropped");
         assert_eq!(journal.next_seq, 4);
         fs::remove_dir_all(&dir).unwrap();
@@ -1193,7 +1182,7 @@ mod tests {
         let journal = read_journal(&dir).unwrap();
         assert_eq!(journal.records.len(), 4);
         assert_eq!(journal.last_segment, 1);
-        assert!(!journal.torn);
+        assert!(journal.torn_at.is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

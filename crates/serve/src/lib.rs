@@ -23,11 +23,15 @@
 //!   included (the record/replay guarantee; see DESIGN.md §12 for why
 //!   the stamp discipline makes this exact).
 //!
-//! Crash safety is the combination: every accepted command is journaled
-//! (fsynced, by default) before the client sees the acknowledgement;
+//! Crash safety is the combination: service state is a fold of the
+//! journal. Every accepted command is journaled (fsynced, by default)
+//! before it changes anything or the client sees the acknowledgement,
+//! then applied by the one function recovery applies it with;
 //! [`daemon::recover`] rebuilds a killed daemon from the newest valid
-//! checkpoint plus the journal suffix, bit-identical to a daemon that
-//! was never killed.
+//! checkpoint plus the journal suffix on the caller's thread, before the
+//! daemon thread starts, bit-identical to a daemon that was never killed.
+//! [`session::replay_records`] is the independent oracle: the same
+//! records through the batch driver, not through the daemon's apply.
 //!
 //! The `loadgen` bin drives a running daemon over its socket with an
 //! open-loop workload — Zipfian user population, Poisson arrivals,
@@ -54,7 +58,7 @@ pub use journal::{
     JournalDir, JournalError, JournalHeader, JournalRecord, JournalWriter,
 };
 pub use proto::{parse_request, read_request_line, render_reply, render_summary, Request};
-pub use session::{replay_records, replay_session, ReplayError, SessionReplay};
+pub use session::{replay_records, replay_session, ReplayError};
 
 #[cfg(test)]
 mod tests {

@@ -17,11 +17,12 @@
 //! with cancels replay just as exactly as ones without. (The SWF-era
 //! refusal of cancel-bearing logs is gone with the SWF log itself.)
 
-use crate::journal::{read_journal, JournalError, JournalRecord};
+use crate::api::ServiceReport;
+use crate::journal::{read_journal, JournalError, JournalRecord, ServiceCounters};
 use dynp_des::{Engine, EngineSnapshot, SimTime};
 use dynp_obs::Tracer;
 use dynp_rms::{AdmissionConfig, Scheduler};
-use dynp_sim::{DetailedRun, Event, FeedCursors, SchedulerSpec, ShardCore, SimSnapshot};
+use dynp_sim::{Event, FeedCursors, SchedulerSpec, ShardCore, SimSnapshot};
 use dynp_workload::{FaultPlan, JobId};
 use std::fmt;
 use std::path::Path;
@@ -66,39 +67,6 @@ impl From<JournalError> for ReplayError {
     }
 }
 
-/// Validates the record suffix a recovery replays *on top of a
-/// checkpoint*: submissions with `seq >= first_seq` must assign dense
-/// job ids continuing at `next_job` (the checkpoint's job count), and
-/// cancels must name a job some earlier submission introduced — either
-/// in the suffix or inside the checkpoint. Records below `first_seq`
-/// are already inside the checkpoint and may start at any job id (a
-/// compacted journal's surviving prefix does).
-pub(crate) fn validate_replay_suffix(
-    records: &[JournalRecord],
-    first_seq: u64,
-    mut next_job: u32,
-) -> Result<(), ReplayError> {
-    for rec in records.iter().filter(|r| r.seq() >= first_seq) {
-        match *rec {
-            JournalRecord::Submit { job, .. } => {
-                if job.id.0 != next_job {
-                    return Err(ReplayError::JobIdMismatch {
-                        expected: next_job,
-                        found: job.id.0,
-                    });
-                }
-                next_job += 1;
-            }
-            JournalRecord::Cancel { job, .. } => {
-                if job >= next_job {
-                    return Err(ReplayError::UnknownJob { job });
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// Fingerprint of the *service-visible* state: core, scheduler, and
 /// remaining timer entries (sorted) — but not the clock or dispatch
 /// counters, which unjournaled status queries perturb in a live run.
@@ -129,37 +97,34 @@ pub(crate) fn service_fingerprint(
     Some(snap.fingerprint())
 }
 
-/// The result of a batch session replay: the finished run plus the
-/// service-identity facts the daemon's summary line carries, so a
-/// replay can be diffed against a live (or recovered) session.
-#[derive(Clone, Debug)]
-pub struct SessionReplay {
-    /// The finished run, measured exactly like a batch simulation.
-    pub run: DetailedRun,
-    /// Drain-time service fingerprint (see `service_fingerprint`).
-    pub fingerprint: Option<u128>,
-    /// Journaled submissions.
-    pub accepted: u64,
-    /// Journaled cancellations that withdrew a waiting job.
-    pub cancelled: u64,
-}
-
 /// Replays a record sequence through the batch driver: every journaled
 /// external is seeded at its recorded stamp with a tie-break rank in
 /// journal order (below all dynamic events, exactly the live dispatch
-/// order), then the engine runs dry.
+/// order), then the engine runs dry. This is the independent oracle for
+/// the daemon: it shares the driver, not the daemon's apply. The report's
+/// rejection counters are 0, because rejections are not journaled.
 pub fn replay_records(
     machine_size: u32,
     records: &[JournalRecord],
     spec: &SchedulerSpec,
-) -> Result<SessionReplay, ReplayError> {
-    validate_replay_suffix(records, 0, 0)?;
-    // The job table, indexed by the dense ids just validated: verbatim,
-    // as admitted (`read_journal` checked each job against the machine).
+) -> Result<ServiceReport, ReplayError> {
+    // The job table, indexed by dense ids: verbatim, as admitted
+    // (`read_journal` checked each job against the machine). A record the
+    // admission path could not have written is refused, as in recovery.
     let mut jobs = Vec::new();
     let mut eng: Engine<Event> = Engine::new();
     for (rank, rec) in records.iter().enumerate() {
+        let known = jobs.len() as u32;
         let event = match *rec {
+            JournalRecord::Submit { job, .. } if job.id.0 != known => {
+                return Err(ReplayError::JobIdMismatch {
+                    expected: known,
+                    found: job.id.0,
+                })
+            }
+            JournalRecord::Cancel { job, .. } if job >= known => {
+                return Err(ReplayError::UnknownJob { job })
+            }
             JournalRecord::Submit { job, .. } => {
                 jobs.push(job);
                 Event::Arrive(job.id)
@@ -182,28 +147,28 @@ pub fn replay_records(
     // Only a cancel that withdrew a waiting job counts, as in recovery:
     // the journal's bytes, not the daemon that wrote them, say whether the
     // job still waited.
-    let mut cancels = 0usize;
+    let mut cancelled = 0u64;
     while let Some((_, ev)) = eng.step() {
         if let Event::CancelCmd(id) = ev {
-            cancels += core.state().waiting().iter().any(|j| j.id == id) as usize;
+            cancelled += core.state().waiting().iter().any(|j| j.id == id) as u64;
         }
         core.handle(&mut eng, ev, scheduler.as_mut(), &jobs, &[], &faults);
     }
     let fingerprint = service_fingerprint(&core, scheduler.as_ref(), Vec::new());
-    let expected = jobs.len() - cancels;
+    let accepted = jobs.len() as u64;
     let run = core.finish(
         &eng,
         scheduler.name().to_string(),
         "session".to_string(),
         &faults,
-        Some(expected),
+        Some((accepted - cancelled) as usize),
     );
-    Ok(SessionReplay {
-        run,
-        fingerprint,
-        accepted: jobs.len() as u64,
-        cancelled: cancels as u64,
-    })
+    let counters = ServiceCounters {
+        accepted,
+        cancelled,
+        ..ServiceCounters::default()
+    };
+    Ok(ServiceReport::new(run, counters, fingerprint))
 }
 
 /// Replays a recorded session through the batch DES driver with the
@@ -212,7 +177,7 @@ pub fn replay_records(
 /// directory; the machine size comes from the segment headers. The
 /// scheduler must match the recipe the daemon ran (also recorded in the
 /// headers, as [`crate::journal::JournalDir::scheduler`]).
-pub fn replay_session(dir: &Path, spec: &SchedulerSpec) -> Result<SessionReplay, ReplayError> {
+pub fn replay_session(dir: &Path, spec: &SchedulerSpec) -> Result<ServiceReport, ReplayError> {
     let journal = read_journal(dir)?;
     replay_records(journal.machine_size, &journal.records, spec)
 }

@@ -4,7 +4,7 @@
 //! 0.
 
 use dynp_des::{SimDuration, SimTime};
-use dynp_serve::{FsyncPolicy, JournalWriter};
+use dynp_serve::{FsyncPolicy, JournalRecord, JournalWriter};
 use std::process::{Command, Output, Stdio};
 
 const DAEMON: &str = env!("CARGO_BIN_EXE_daemon");
@@ -72,27 +72,55 @@ fn bad_command_lines_exit_2_naming_the_flag() {
     }
 }
 
-/// A journal whose checksummed submit fails the job gate — width 0,
-/// wider than its header's 16 processors, estimate 0, actual past the
-/// estimate — is refused by `replay` with exit 1 and the field named,
-/// never replayed into a planner panic.
+/// One journaled command of a test journal: a submit `(job, width,
+/// estimate_ms, actual_ms)` or a cancel of a job.
+enum Rec {
+    Submit(u32, u32, u64, u64),
+    Cancel(u32),
+}
+
+/// A journal `replay` must refuse with exit 1 and the reason named, never
+/// replayed into a planner panic: a checksummed submit that fails the job
+/// gate — width 0, wider than its header's 16 processors, estimate 0,
+/// actual past the estimate — or records the admission path could not
+/// have written, a skipped job id or a cancel of a job never submitted.
 #[test]
 fn replay_refuses_a_journal_the_gate_refuses() {
+    use Rec::{Cancel, Submit};
     let ms = SimDuration::from_millis;
-    for (width, estimate, actual, names) in [
-        (0, 1000, 1000, "width 0 "),
-        (17, 1000, 1000, "width 17 "),
-        (u32::MAX, 1000, 1000, "width 4294967295 "),
-        (4, 0, 0, "estimate_ms 0 "),
-        (4, 1000, 1001, "actual_ms 1001 "),
-    ] {
+    let rows: &[(&[Rec], &str)] = &[
+        (&[Submit(0, 0, 1000, 1000)], "width 0 "),
+        (&[Submit(0, 17, 1000, 1000)], "width 17 "),
+        (&[Submit(0, u32::MAX, 1000, 1000)], "width 4294967295 "),
+        (&[Submit(0, 4, 0, 0)], "estimate_ms 0 "),
+        (&[Submit(0, 4, 1000, 1001)], "actual_ms 1001 "),
+        (
+            &[Submit(0, 4, 1000, 1000), Submit(2, 4, 1000, 1000)],
+            "non-dense job ids: expected 1, found 2",
+        ),
+        (
+            &[Submit(0, 4, 1000, 1000), Cancel(5)],
+            "cancel of unknown job 5",
+        ),
+    ];
+    for (records, names) in rows {
         let dir = std::env::temp_dir().join(format!("dynp_cli_replay_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut writer =
             JournalWriter::create(&dir, 16, 1, "dynp", FsyncPolicy::Never, 1 << 20).unwrap();
-        writer
-            .append_submit(SimTime::ZERO, 0, 0, width, ms(estimate), ms(actual))
-            .unwrap();
+        for rec in *records {
+            match *rec {
+                Submit(job, width, estimate, actual) => writer
+                    .append_submit(SimTime::ZERO, job, 0, width, ms(estimate), ms(actual))
+                    .unwrap(),
+                Cancel(job) => {
+                    let (seq, stamp) = (writer.next_seq(), SimTime::ZERO);
+                    writer
+                        .append(&JournalRecord::Cancel { seq, stamp, job })
+                        .unwrap()
+                }
+            };
+        }
         writer.sync().unwrap();
         drop(writer);
         let out = run(REPLAY, &["--journal", dir.to_str().unwrap()]);

@@ -19,7 +19,7 @@ use dynp_des::ByteWriter;
 use dynp_serve::journal::write_checkpoint;
 use dynp_serve::{
     load_latest_checkpoint, parse_scheduler, read_journal, recover, render_summary, replay_records,
-    FsyncPolicy, JournalDir, JournalWriter, ServiceConfig, ServiceReport,
+    FsyncPolicy, JournalDir, JournalWriter, ServiceConfig,
 };
 use dynp_sim::{decode_snapshot, encode_snapshot};
 use std::path::{Path, PathBuf};
@@ -135,7 +135,7 @@ fn checkpoints_decode_and_re_encode_byte_identically() {
 #[test]
 fn journal_re_encodes_and_recovers_to_the_committed_summary() {
     let journal = read_journal(Path::new(JOURNAL)).expect("the journal reads");
-    assert!(!journal.torn);
+    assert!(journal.torn_at.is_none());
     assert_eq!(journal.segments.len(), 2);
 
     // The same records through a writer, one segment at a time.
@@ -191,16 +191,6 @@ fn journal_re_encodes_and_recovers_to_the_committed_summary() {
     assert_eq!(six_fields(&render_summary(&recovered)), want);
     std::fs::remove_dir_all(&copy).unwrap();
 
-    let replay = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
-    let replayed = ServiceReport {
-        run: replay.run,
-        accepted: replay.accepted,
-        rejected_queue_full: 0,
-        rejected_shutdown: 0,
-        rejected_invalid: 0,
-        rejected_user_quota: 0,
-        cancelled: replay.cancelled,
-        fingerprint: replay.fingerprint,
-    };
+    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
     assert_eq!(six_fields(&render_summary(&replayed)), want);
 }

@@ -97,7 +97,7 @@ fn mutate(path: &Path, f: impl FnOnce(&mut Vec<u8>)) {
 fn torn_record_tail_on_last_segment_is_tolerated() {
     let dir = record_fixture("torn_tail");
     let pristine = read_journal(&dir).unwrap();
-    assert!(!pristine.torn);
+    assert!(pristine.torn_at.is_none());
 
     let segs = segments(&dir);
     let last = segs.last().unwrap();
@@ -105,7 +105,10 @@ fn torn_record_tail_on_last_segment_is_tolerated() {
     mutate(last, |b| b.truncate(b.len() - 3));
 
     let journal = read_journal(&dir).unwrap();
-    assert!(journal.torn, "a torn record tail must be flagged");
+    assert!(
+        journal.torn_at.is_some(),
+        "a torn record tail must be flagged"
+    );
     assert!(
         journal.records.len() < pristine.records.len(),
         "the torn record must be dropped"
@@ -133,7 +136,7 @@ fn torn_header_on_last_segment_is_tolerated() {
     mutate(last, |b| b.truncate(10)); // mid-version, before machine size
 
     let journal = read_journal(&dir).unwrap();
-    assert!(journal.torn);
+    assert!(journal.torn_at.is_some());
     let (seg, off) = journal.torn_at.unwrap();
     assert_eq!(off, 0, "a torn header holds nothing");
     assert_eq!(seg as usize, segs.len() - 1);
@@ -161,11 +164,11 @@ fn repair_makes_a_torn_directory_clean_again() {
             Some(k) => mutate(last, |b| b.truncate(k as usize)),
         }
         let torn = read_journal(&dir).unwrap();
-        assert!(torn.torn);
+        assert!(torn.torn_at.is_some());
 
         repair_torn_tail(&dir, &torn).unwrap();
         let clean = read_journal(&dir).unwrap();
-        assert!(!clean.torn, "{tag}: repair must leave no tear");
+        assert!(clean.torn_at.is_none(), "{tag}: repair must leave no tear");
         assert_eq!(clean.torn_at, None);
         assert_eq!(clean.records, torn.records, "{tag}: records unchanged");
         assert_eq!(clean.next_seq, torn.next_seq);

@@ -18,9 +18,10 @@
 //! session equal the batch replay of the same records.
 
 use dynp_serve::{
-    read_journal, recover, render_scheduler, replay_records, replay_session, spawn, FsyncPolicy,
-    JournalError, JournalRecord, JournalWriter, QuotaConfig, RecoverError, ServiceConfig,
-    ServiceHandle, ServiceReport, SubmitSpec,
+    load_latest_checkpoint, read_journal, recover, render_scheduler, replay_records,
+    replay_session, spawn, FsyncPolicy, JournalError, JournalRecord, JournalWriter, OverloadReason,
+    QuotaConfig, RecoverError, ReplayError, ServiceConfig, ServiceHandle, ServiceReport,
+    SubmitError, SubmitSpec,
 };
 use dynp_suite::des::{Engine, EngineSnapshot};
 use dynp_suite::obs::Tracer;
@@ -751,6 +752,135 @@ fn compacted_journal_without_covering_checkpoint_is_a_typed_gap() {
 
     std::fs::remove_dir_all(&baseline.dir).unwrap();
     std::fs::remove_dir_all(&scratch).unwrap();
+}
+
+/// A refused submission leaves no trace in the quota buckets. The hog
+/// spends its burst, is refused 20 ms later, and user 2's accepted
+/// submission then checkpoints. The journal alone, recovered from
+/// genesis, must rebuild the hog's bucket exactly as that checkpoint has
+/// it — the stored `(level, stamp)`, not only the level it implies later.
+#[test]
+fn a_refused_submit_leaves_the_buckets_recovery_rebuilds() {
+    let dir = temp_dir("bucket_fold");
+    let mut config = service_config(16, SchedulerSpec::dynp(DeciderKind::Advanced), &dir);
+    // Real time: the spent bucket takes 1 000 s to afford the next
+    // submission, so no host stall lets the hog back in.
+    config.speedup = 1;
+    config.fsync = FsyncPolicy::Never;
+    config.checkpoint_every = 1;
+    config.quota = QuotaConfig {
+        rate_mtok_per_sec: 1,
+        burst_mtok: 2000,
+    };
+    let job = |user| SubmitSpec {
+        width: 1,
+        estimate: SimDuration::from_secs(60),
+        actual: SimDuration::from_secs(60),
+        user,
+    };
+    let pause = || std::thread::sleep(std::time::Duration::from_millis(20));
+    let hog_bucket = |dir: &Path| {
+        let (ckpt, _) = load_latest_checkpoint(dir).unwrap();
+        let buckets = ckpt.expect("checkpoint_every 1 checkpoints").buckets;
+        buckets
+            .into_iter()
+            .find(|b| b.0 == 1)
+            .map(|(_, l, t)| (l, t))
+    };
+
+    let (handle, join) = spawn(config.clone()).unwrap();
+    handle.submit(job(1)).unwrap();
+    handle.submit(job(1)).unwrap();
+    pause();
+    assert!(matches!(
+        handle.submit(job(1)),
+        Err(SubmitError::Overload(OverloadReason::UserQuota))
+    ));
+    pause();
+    handle.submit(job(2)).unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+    let live = hog_bucket(&dir);
+
+    let genesis = temp_dir("bucket_fold_genesis");
+    for seg in segment_files(&dir) {
+        std::fs::copy(&seg, genesis.join(seg.file_name().unwrap())).unwrap();
+    }
+    config.journal = Some(genesis.clone());
+    let (handle, join) = recover(config).unwrap();
+    handle.submit(job(3)).unwrap();
+    handle.shutdown();
+    join.join().unwrap();
+    let rebuilt = hog_bucket(&genesis);
+
+    assert!(live.is_some(), "the hog was charged");
+    assert_eq!(rebuilt, live, "the hog's (level, stamp)");
+    std::fs::remove_dir_all(&dir).unwrap();
+    std::fs::remove_dir_all(&genesis).unwrap();
+}
+
+/// A journal the admission path could not have written — a submission
+/// that skips a job id, a cancel of a job no submission introduced — is
+/// the same typed error from the batch replay and from recovery, and a
+/// refused recovery leaves the directory as it found it.
+#[test]
+fn replay_and_recovery_refuse_an_inconsistent_journal_alike() {
+    let (machine, spec) = (16, SchedulerSpec::Static(Policy::Fcfs));
+    let minute = SimDuration::from_secs(60);
+    let submit = |seq, id| JournalRecord::Submit {
+        seq,
+        user: 0,
+        job: Job::new(JobId(id), SimTime::from_millis(seq), 4, minute, minute),
+    };
+    let cancel = |seq, job| JournalRecord::Cancel {
+        seq,
+        stamp: SimTime::from_millis(seq),
+        job,
+    };
+    let cases = [
+        (
+            vec![submit(0, 0), submit(1, 2)],
+            ReplayError::JobIdMismatch {
+                expected: 1,
+                found: 2,
+            },
+        ),
+        (
+            vec![submit(0, 0), cancel(1, 5)],
+            ReplayError::UnknownJob { job: 5 },
+        ),
+    ];
+    let listing = |dir: &Path| {
+        let mut names: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        names
+    };
+    for (records, want) in cases {
+        let dir = temp_dir("refused_replay");
+        let scheduler = render_scheduler(&spec);
+        let mut writer =
+            JournalWriter::create(&dir, machine, 1000, &scheduler, FsyncPolicy::Never, 1 << 20)
+                .unwrap();
+        for rec in &records {
+            writer.append(rec).unwrap();
+        }
+        writer.sync().unwrap();
+        drop(writer);
+        let before = listing(&dir);
+
+        let replayed = replay_records(machine, &records, &spec);
+        assert_eq!(replayed.err(), Some(want.clone()));
+        match recover(service_config(machine, spec.clone(), &dir)) {
+            Err(RecoverError::Replay(e)) => assert_eq!(e, want),
+            Err(other) => panic!("{want}: wrong error: {other}"),
+            Ok(_) => panic!("{want}: recovery must refuse the journal"),
+        }
+        assert_eq!(listing(&dir), before, "{want}: the directory changed");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// A crash before the very first journal header was durable leaves a
