@@ -6,7 +6,7 @@
 //! short queues) must compare equal despite round-off; a relative ε does
 //! that.
 
-/// Default relative tolerance for score equality.
+/// Relative tolerance for score equality: the one every dynP decision uses.
 pub const EPSILON: f64 = 1e-9;
 
 /// `a == b` up to relative tolerance `eps` (absolute near zero). A

@@ -5,9 +5,8 @@
 //! about a policy-switching scheduler: how long was each policy in force,
 //! how often did it switch, did it oscillate?
 
-use crate::self_tuning::SwitchStats;
 use dynp_des::{SimDuration, SimTime};
-use dynp_rms::Policy;
+use dynp_rms::{Policy, SwitchStats};
 use std::collections::BTreeMap;
 
 /// One interval during which a single policy was active.

@@ -24,6 +24,7 @@
 //! [`SelfTuningScheduler`] packages the loop behind the
 //! [`dynp_rms::Scheduler`] trait so the same simulation driver runs
 //! static baselines and dynP side by side.
+#![forbid(unsafe_code)]
 
 pub mod compare;
 pub mod decider;
@@ -33,5 +34,6 @@ pub mod table1;
 
 pub use compare::EPSILON;
 pub use decider::DeciderKind;
+pub use dynp_rms::SwitchStats;
 pub use history::{PolicyHistory, PolicySegment};
-pub use self_tuning::{DecideOn, DynPConfig, SelfTuningScheduler, SwitchStats};
+pub use self_tuning::{DecideOn, DynPConfig, SelfTuningScheduler};

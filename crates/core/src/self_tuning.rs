@@ -7,7 +7,7 @@ use dynp_metrics::Objective;
 use dynp_obs::{TraceClass, TraceEvent, Tracer};
 use dynp_rms::{
     PlanCounters, PlanTiming, Planner, Policy, Prune, QueueChange, ReferencePlanner, ReplanReason,
-    RmsState, Schedule, Scheduler, SchedulerSnapshot, RETAIN_MIN_DEPTH,
+    RmsState, Schedule, Scheduler, SchedulerSnapshot, SwitchStats, RETAIN_MIN_DEPTH,
 };
 use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
@@ -37,8 +37,6 @@ pub struct DynPConfig {
     pub objective: Objective,
     /// Policy active before the first decision.
     pub initial_policy: Policy,
-    /// Relative tolerance for score equality.
-    pub epsilon: f64,
     /// Which events trigger a decision.
     pub decide_on: DecideOn,
     /// Worker threads for the per-policy plan fan-out. `0` (the default)
@@ -60,7 +58,6 @@ impl DynPConfig {
             decider,
             objective: Objective::SlowdownWeightedByArea,
             initial_policy: Policy::Fcfs,
-            epsilon: EPSILON,
             decide_on: DecideOn::AllEvents,
             planner_threads: 0,
         }
@@ -113,41 +110,6 @@ pub(crate) fn resolve_planner_threads(configured: usize) -> usize {
     match try_resolve_planner_threads(configured) {
         Ok(n) => n,
         Err(e) => panic!("{e}"),
-    }
-}
-
-/// Bookkeeping of the decisions a dynP run made.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct SwitchStats {
-    /// Number of self-tuning steps (decisions) taken.
-    pub decisions: u64,
-    /// Number of decisions that changed the active policy.
-    pub switches: u64,
-    /// Decisions won per policy, indexed by [`Policy::index`].
-    pub chosen: [u64; Policy::COUNT],
-    /// Switches *into* each policy, indexed by [`Policy::index`].
-    /// Sums to [`SwitchStats::switches`]; unlike counts re-derived from
-    /// a [`PolicyHistory`](crate::PolicyHistory), these are exact even
-    /// when several switches share one timestamp (history segments
-    /// collapse coincident switch times).
-    pub switched_to: [u64; Policy::COUNT],
-    /// The switch log: (time, new policy), recorded only on change.
-    pub log: Vec<(SimTime, Policy)>,
-}
-
-impl SwitchStats {
-    /// Fraction of decisions the given policy won.
-    pub fn share(&self, policy: Policy) -> f64 {
-        if self.decisions == 0 {
-            return 0.0;
-        }
-        self.chosen[policy.index()] as f64 / self.decisions as f64
-    }
-
-    /// Number of switches that installed the given policy (exact, from
-    /// the keyed counter — not re-derived from the switch log).
-    pub fn switches_into(&self, policy: Policy) -> u64 {
-        self.switched_to[policy.index()]
     }
 }
 
@@ -438,11 +400,10 @@ impl SelfTuningScheduler {
             self.scores.clear();
             self.scores
                 .extend(self.config.policies.iter().map(|&p| (p, 0.0)));
-            let (next, rule) = self.config.decider.decide_explained(
-                &self.scores,
-                self.active,
-                self.config.epsilon,
-            );
+            let (next, rule) =
+                self.config
+                    .decider
+                    .decide_explained(&self.scores, self.active, EPSILON);
             self.trace_decision(now, next, rule);
             self.record_decision(now, next);
             return Schedule::default();
@@ -524,10 +485,10 @@ impl SelfTuningScheduler {
                 .zip(&self.plan_scores)
                 .map(|(&p, &v)| (p, v)),
         );
-        let (next, rule) =
-            self.config
-                .decider
-                .decide_explained(&self.scores, self.active, self.config.epsilon);
+        let (next, rule) = self
+            .config
+            .decider
+            .decide_explained(&self.scores, self.active, EPSILON);
         self.trace_decision(now, next, rule);
         self.record_decision(now, next);
 
@@ -556,13 +517,13 @@ impl SelfTuningScheduler {
     /// the best one, the active policy's and (preferred decider) the
     /// preferred policy's. So those two policies are planned first and
     /// completely, and every other pass stops once its plan cannot come
-    /// within `1e3 · epsilon` of the better of them: a weighted-mean
+    /// within `1e3 · EPSILON` of the better of them: a weighted-mean
     /// objective scores a plan `(floor + excess) / den` with `floor` and
     /// `den` the same for every policy, and the excess of a partial plan
     /// is a lower bound on the finished plan's (see [`Prune`]). A stopped
     /// policy is scored with that lower bound — past the best score by
     /// more than any decider's tolerance, which is all they ask of a
-    /// loser. The margin is three orders above `epsilon` and six above
+    /// loser. The margin is three orders above `EPSILON` and six above
     /// what rounding adds: `den` is summed in the best plan's order, not
     /// the stopped one's, and the excess in closed form.
     ///
@@ -581,7 +542,7 @@ impl SelfTuningScheduler {
         let (active, policies) = (self.active, &self.config.policies);
         let first = |i: usize| policies[i] == active || Some(policies[i]) == preferred;
         let scores = &mut self.plan_scores;
-        let margin = 1e3 * self.config.epsilon;
+        let margin = 1e3 * EPSILON;
         // Of the best plan among the first: score, excess, denominator.
         let (mut best, mut best_excess, mut den) = (f64::INFINITY, 0.0, 0.0);
         let mut limit = |planner: &Planner| {
@@ -643,10 +604,10 @@ impl SelfTuningScheduler {
                 .zip(&self.plan_scores)
                 .map(|(&p, &v)| (p, v)),
         );
-        let (next, rule) =
-            self.config
-                .decider
-                .decide_explained(&self.scores, self.active, self.config.epsilon);
+        let (next, rule) = self
+            .config
+            .decider
+            .decide_explained(&self.scores, self.active, EPSILON);
         self.trace_decision(now, next, rule);
         self.record_decision(now, next);
 
@@ -687,55 +648,27 @@ impl Scheduler for SelfTuningScheduler {
         self.tracer = tracer;
     }
 
-    /// Encodes the cross-event state: the active policy and the switch
-    /// statistics. The per-policy queue orders and `log_cursor` are NOT
-    /// captured — they are a pure function of the state's waiting queue
-    /// (every policy comparator is a *total* order with a (submit, id)
-    /// tail), and `restore` resets the cursor so the next `sync_orders`
-    /// rebuilds them by sorting it. Nor are the
-    /// planner's retained plans: they are a cache of what a full pass
-    /// over (state, now) computes, checked by comparison before every
-    /// reuse, and `restore` drops them — the first replan after a restore
-    /// plans every queue in full and is bit-identical to the suffix pass
-    /// the snapshotted scheduler would have taken.
+    /// Captures the active policy and the switch statistics. The
+    /// per-policy queue orders and `log_cursor` are NOT captured: every
+    /// policy comparator is a *total* order with a (submit, id) tail, so
+    /// `restore` resets the cursor and the next `sync_orders` re-sorts the
+    /// waiting queue. Nor are the planner's retained plans, a cache checked
+    /// before every reuse: `restore` drops them, and the first replan plans
+    /// every queue in full, bit-identical to the suffix pass the
+    /// snapshotted scheduler would have taken.
     fn snapshot(&self) -> Option<SchedulerSnapshot> {
-        let s = &self.stats;
-        let mut words = vec![
-            self.active.index() as u64,
-            s.decisions,
-            s.switches,
-            s.log.len() as u64,
-        ];
-        words.extend_from_slice(&s.chosen);
-        words.extend_from_slice(&s.switched_to);
-        for (t, p) in &s.log {
-            words.push(t.as_millis());
-            words.push(p.index() as u64);
-        }
-        Some(SchedulerSnapshot { tag: "dynp", words })
+        Some(SchedulerSnapshot::DynP {
+            active: self.active,
+            stats: self.stats.clone(),
+        })
     }
 
     fn restore(&mut self, snap: &SchedulerSnapshot) {
-        assert_eq!(snap.tag, "dynp", "snapshot from a different scheduler");
-        let w = &snap.words;
-        self.active = Policy::ALL[w[0] as usize];
-        let n = Policy::COUNT;
-        let log_len = w[3] as usize;
-        let mut stats = SwitchStats {
-            decisions: w[1],
-            switches: w[2],
-            ..SwitchStats::default()
+        let SchedulerSnapshot::DynP { active, stats } = snap else {
+            panic!("snapshot from a different scheduler");
         };
-        stats.chosen.copy_from_slice(&w[4..4 + n]);
-        stats.switched_to.copy_from_slice(&w[4 + n..4 + 2 * n]);
-        let mut at = 4 + 2 * n;
-        for _ in 0..log_len {
-            stats
-                .log
-                .push((SimTime::from_millis(w[at]), Policy::ALL[w[at + 1] as usize]));
-            at += 2;
-        }
-        self.stats = stats;
+        self.active = *active;
+        self.stats = stats.clone();
         self.log_cursor = None;
         self.planner.drop_retained();
     }

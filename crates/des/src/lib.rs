@@ -37,6 +37,7 @@
 //! assert_eq!(seen[0], (SimTime::from_secs(1), "hello"));
 //! assert_eq!(seen[1], (SimTime::from_secs(5), "world"));
 //! ```
+#![forbid(unsafe_code)]
 
 pub mod clock;
 pub mod codec;

@@ -28,6 +28,7 @@
 //! The `model_check` binary wraps all of this for CI: it explores a
 //! configuration matrix, exits non-zero on violation, and dumps the
 //! shrunk scenario plus a `dynp-obs` trace of the violating replay.
+#![forbid(unsafe_code)]
 
 pub mod deps;
 pub mod explore;

@@ -25,6 +25,7 @@
 //!   lost jobs, downtime),
 //! * [`federation`] — multi-cluster aggregation: per-cluster reports and
 //!   the area-weighted federation-wide combine.
+#![forbid(unsafe_code)]
 
 pub mod aggregate;
 pub mod combine;

@@ -33,6 +33,7 @@
 //! * **Chrome trace-event format** — load the file in `chrome://tracing`
 //!   (or <https://ui.perfetto.dev>) to see plan/decide/admission phases
 //!   as wall-clock spans with the simulation time attached to each.
+#![forbid(unsafe_code)]
 
 pub mod event;
 pub mod parse;

@@ -22,7 +22,7 @@ use crate::planner::RUNNING_PAD;
 use crate::policy::Policy;
 use crate::profile::Profile;
 use crate::schedule::{PlannedJob, Schedule};
-use crate::scheduler::{ReplanReason, Scheduler};
+use crate::scheduler::{ReplanReason, Scheduler, SchedulerSnapshot};
 use crate::state::RmsState;
 use dynp_des::SimTime;
 use dynp_workload::Job;
@@ -247,18 +247,17 @@ impl Scheduler for EasyBackfillScheduler {
         }
     }
 
-    fn snapshot(&self) -> Option<crate::scheduler::SchedulerSnapshot> {
-        // The profile/span buffers are rebuilt per replan; only the
-        // backfill counter survives across events.
-        Some(crate::scheduler::SchedulerSnapshot {
-            tag: "easy",
-            words: vec![self.backfilled],
+    fn snapshot(&self) -> Option<SchedulerSnapshot> {
+        Some(SchedulerSnapshot::Easy {
+            backfilled: self.backfilled,
         })
     }
 
-    fn restore(&mut self, snap: &crate::scheduler::SchedulerSnapshot) {
-        assert_eq!(snap.tag, "easy", "snapshot from a different scheduler");
-        self.backfilled = snap.words[0];
+    fn restore(&mut self, snap: &SchedulerSnapshot) {
+        let SchedulerSnapshot::Easy { backfilled } = snap else {
+            panic!("snapshot from a different scheduler");
+        };
+        self.backfilled = *backfilled;
     }
 }
 

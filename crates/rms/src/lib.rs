@@ -29,6 +29,7 @@
 //! * [`admission`] — feasibility-checked admission of reservation
 //!   requests: capacity against the base profile, guarantee preservation
 //!   against promised job starts.
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod easy;
@@ -52,5 +53,5 @@ pub use policy::Policy;
 pub use profile::Profile;
 pub use reservation::{RepairAction, Reservation, ReservationBook};
 pub use schedule::{PlannedJob, Schedule};
-pub use scheduler::{ReplanReason, Scheduler, SchedulerSnapshot, StaticScheduler};
+pub use scheduler::{ReplanReason, Scheduler, SchedulerSnapshot, StaticScheduler, SwitchStats};
 pub use state::{CompletedJob, LostJob, QueueChange, QueueLog, RmsState, RunningJob};

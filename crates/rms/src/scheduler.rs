@@ -5,9 +5,11 @@ use crate::planner::Planner;
 use crate::policy::Policy;
 use crate::schedule::Schedule;
 use crate::state::RmsState;
-use dynp_des::SimTime;
+use dynp_des::{ByteReader, ByteWriter, CodecError, SimTime};
 use dynp_obs::Tracer;
 use dynp_workload::Job;
+use serde::{Deserialize, Serialize};
+use std::hash::{Hash, Hasher};
 
 /// Reasons the RMS asks for a new schedule. "Such a self-tuning dynP step
 /// is done each time the planning based RMS has to compute a new schedule,
@@ -29,46 +31,129 @@ pub enum ReplanReason {
     Fault,
 }
 
-/// An opaque value capture of a scheduler's cross-event state.
-///
-/// Planners and scratch buffers are rebuilt from the [`RmsState`] on the
-/// next replan, so a snapshot only needs the state that *survives*
-/// events: the active policy, switch statistics, counters. Each
-/// implementation encodes those into `words` however it likes; `tag`
-/// guards against restoring into the wrong implementation. `Hash + Eq`
-/// let the snapshot participate directly in model-checker fingerprints.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct SchedulerSnapshot {
-    /// Implementation marker — restore panics on a mismatch.
-    pub tag: &'static str,
-    /// Implementation-defined encoding of the mutable state.
-    pub words: Vec<u64>,
+/// Bookkeeping of the decisions a dynP run made.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct SwitchStats {
+    /// Number of self-tuning steps (decisions) taken.
+    pub decisions: u64,
+    /// Number of decisions that changed the active policy.
+    pub switches: u64,
+    /// Decisions won per policy, indexed by [`Policy::index`].
+    pub chosen: [u64; Policy::COUNT],
+    /// Switches *into* each policy, indexed by [`Policy::index`]. Sums to
+    /// [`SwitchStats::switches`], exact even when switches share a
+    /// timestamp (a `PolicyHistory`'s segments collapse them).
+    pub switched_to: [u64; Policy::COUNT],
+    /// The switch log: (time, new policy), recorded only on change.
+    pub log: Vec<(SimTime, Policy)>,
+}
+
+impl SwitchStats {
+    /// Fraction of decisions the given policy won.
+    pub fn share(&self, policy: Policy) -> f64 {
+        if self.decisions == 0 {
+            return 0.0;
+        }
+        self.chosen[policy.index()] as f64 / self.decisions as f64
+    }
+
+    /// Number of switches that installed the given policy (exact).
+    pub fn switches_into(&self, policy: Policy) -> u64 {
+        self.switched_to[policy.index()]
+    }
+}
+
+/// A scheduler's cross-event state, one variant per implementation:
+/// planners and buffers are rebuilt from the [`RmsState`] on the next
+/// replan. `Hash + Eq` let the snapshot join model-checker fingerprints.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SchedulerSnapshot {
+    /// [`StaticScheduler`]: its plan is a function of the state alone.
+    Static,
+    /// [`EasyBackfillScheduler`](crate::EasyBackfillScheduler).
+    Easy {
+        /// Jobs started out of queue order so far.
+        backfilled: u64,
+    },
+    /// The self-tuning dynP scheduler.
+    DynP {
+        /// The policy in force.
+        active: Policy,
+        /// Its decision bookkeeping.
+        stats: SwitchStats,
+    },
 }
 
 impl SchedulerSnapshot {
-    /// Tags every scheduler implementation in the workspace uses. The
-    /// decoder interns against this list so a decoded snapshot carries
-    /// the same `&'static str` a live one would — an unknown tag in a
-    /// checkpoint is a typed error, not a dangling reference.
-    const KNOWN_TAGS: &'static [&'static str] = &["static", "dynp"];
-
-    /// Appends the snapshot to a checkpoint buffer.
-    pub fn encode_into(&self, w: &mut dynp_des::ByteWriter) {
-        w.str(self.tag);
-        w.list(&self.words, |word, w| w.u64(*word));
+    /// The layout, and what `Hash` hashes: a tag, then words. dynP's are
+    /// active, decisions, switches, log length, `chosen`, `switched_to`,
+    /// then `(ms, policy)` per log entry.
+    fn parts(&self) -> (&'static str, Vec<u64>) {
+        match self {
+            SchedulerSnapshot::Static => ("static", Vec::new()),
+            SchedulerSnapshot::Easy { backfilled } => ("easy", vec![*backfilled]),
+            SchedulerSnapshot::DynP { active, stats } => {
+                let mut words = vec![active.index() as u64, stats.decisions, stats.switches];
+                words.push(stats.log.len() as u64);
+                words.extend(stats.chosen.iter().chain(&stats.switched_to));
+                for (t, p) in &stats.log {
+                    words.extend([t.as_millis(), p.index() as u64]);
+                }
+                ("dynp", words)
+            }
+        }
     }
 
-    /// Decodes a snapshot written by [`SchedulerSnapshot::encode_into`],
-    /// interning the tag against the known implementations.
-    pub fn decode_from(r: &mut dynp_des::ByteReader<'_>) -> Result<Self, dynp_des::CodecError> {
-        let raw = r.str()?;
-        let tag = Self::KNOWN_TAGS.iter().copied().find(|t| *t == raw).ok_or(
-            dynp_des::CodecError::Invalid {
-                what: "scheduler snapshot tag",
-            },
-        )?;
-        let words = r.list(|r| r.u64())?;
-        Ok(SchedulerSnapshot { tag, words })
+    /// The inverse of [`SchedulerSnapshot::parts`], or `None`.
+    fn from_parts(tag: &str, words: &[u64]) -> Option<Self> {
+        let policy = |p| Policy::ALL.into_iter().find(|q| q.index() as u64 == p);
+        match (tag, words) {
+            ("static", []) => Some(SchedulerSnapshot::Static),
+            ("easy", &[backfilled]) => Some(SchedulerSnapshot::Easy { backfilled }),
+            ("dynp", &[active, decisions, switches, len, ref rest @ ..]) => {
+                let (&chosen, rest) = rest.split_first_chunk()?;
+                let (&switched_to, rest) = rest.split_first_chunk()?;
+                let log = match rest.as_chunks() {
+                    (log, []) if log.len() as u64 == len => log,
+                    _ => return None,
+                };
+                let entry = |&[ms, p]: &[u64; 2]| Some((SimTime::from_millis(ms), policy(p)?));
+                let log = log.iter().map(entry).collect::<Option<_>>()?;
+                let stats = SwitchStats {
+                    decisions,
+                    switches,
+                    chosen,
+                    switched_to,
+                    log,
+                };
+                policy(active).map(|active| SchedulerSnapshot::DynP { active, stats })
+            }
+            _ => None,
+        }
+    }
+
+    /// Appends the snapshot to a checkpoint buffer.
+    pub fn encode_into(&self, w: &mut ByteWriter) {
+        let (tag, words) = self.parts();
+        w.str(tag);
+        w.list(&words, |word, w| w.u64(*word));
+    }
+
+    /// Decodes a snapshot written by [`SchedulerSnapshot::encode_into`]:
+    /// an unknown tag, or words that do not fit it, is `Invalid`.
+    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+        let (tag, words) = (r.str()?, r.list(|r| r.u64())?);
+        Self::from_parts(tag, &words).ok_or(CodecError::Invalid {
+            what: "scheduler snapshot",
+        })
+    }
+}
+
+impl Hash for SchedulerSnapshot {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let (tag, words) = self.parts();
+        tag.hash(state);
+        words.hash(state);
     }
 }
 
@@ -161,17 +246,15 @@ impl Scheduler for StaticScheduler {
     }
 
     fn snapshot(&self) -> Option<SchedulerSnapshot> {
-        // Everything a static scheduler computes is a pure function of
-        // the RmsState handed to `replan`; the policy is immutable config
-        // and the planner/queue buffers are rebuilt every call.
-        Some(SchedulerSnapshot {
-            tag: "static",
-            words: Vec::new(),
-        })
+        Some(SchedulerSnapshot::Static)
     }
 
     fn restore(&mut self, snap: &SchedulerSnapshot) {
-        assert_eq!(snap.tag, "static", "snapshot from a different scheduler");
+        assert_eq!(
+            *snap,
+            SchedulerSnapshot::Static,
+            "snapshot from a different scheduler"
+        );
     }
 }
 
@@ -220,30 +303,78 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_codec_interns_tags_and_rejects_unknown_ones() {
-        let snap = SchedulerSnapshot {
-            tag: "dynp",
-            words: vec![1, 2, u64::MAX],
+    fn snapshot_codec_round_trips_every_variant_and_refuses_bad_words() {
+        let raw = |tag: &str, words: &[u64]| {
+            let mut w = ByteWriter::new();
+            w.str(tag);
+            w.list(words, |word, w| w.u64(*word));
+            w.into_bytes()
         };
-        let mut w = dynp_des::ByteWriter::new();
-        snap.encode_into(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = dynp_des::ByteReader::new(&bytes);
-        let restored = SchedulerSnapshot::decode_from(&mut r).unwrap();
-        assert_eq!(restored, snap);
-        assert!(r.is_exhausted());
+        fn hash<T: Hash>(value: &T) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            value.hash(&mut h);
+            h.finish()
+        }
+        // active SJF, 9 decisions, 2 switches, 2 log entries, `chosen`,
+        // `switched_to`, then (ms, policy) per entry.
+        let dynp = [1, 9, 2, 2, 3, 6, 0, 0, 0, 1, 1, 0, 0, 0, 500, 1, 900, 0];
+        let stats = SwitchStats {
+            decisions: 9,
+            switches: 2,
+            chosen: [3, 6, 0, 0, 0],
+            switched_to: [1, 1, 0, 0, 0],
+            log: vec![
+                (SimTime::from_millis(500), Policy::Sjf),
+                (SimTime::from_millis(900), Policy::Fcfs),
+            ],
+        };
+        for (snap, tag, words) in [
+            (SchedulerSnapshot::Static, "static", &[][..]),
+            (SchedulerSnapshot::Easy { backfilled: 7 }, "easy", &[7]),
+            (
+                SchedulerSnapshot::DynP {
+                    active: Policy::Sjf,
+                    stats,
+                },
+                "dynp",
+                &dynp,
+            ),
+        ] {
+            let mut w = ByteWriter::new();
+            snap.encode_into(&mut w);
+            assert_eq!(w.into_bytes(), raw(tag, words), "{tag}");
+            let bytes = raw(tag, words);
+            let mut r = ByteReader::new(&bytes);
+            assert_eq!(SchedulerSnapshot::decode_from(&mut r), Ok(snap.clone()));
+            assert!(r.is_exhausted());
+            assert_eq!(hash(&snap), hash(&(tag, words.to_vec())), "{tag}");
+        }
 
-        let mut w = dynp_des::ByteWriter::new();
-        w.str("mystery-scheduler");
-        w.u32(0);
-        let bytes = w.into_bytes();
-        let mut r = dynp_des::ByteReader::new(&bytes);
-        assert_eq!(
-            SchedulerSnapshot::decode_from(&mut r),
-            Err(dynp_des::CodecError::Invalid {
-                what: "scheduler snapshot tag"
-            })
-        );
+        let with = |at: usize, word: u64| {
+            let mut words = dynp.to_vec();
+            words[at] = word;
+            words
+        };
+        for (tag, words) in [
+            ("mystery", vec![]),
+            ("static", vec![0]),
+            ("easy", vec![]),
+            ("easy", vec![1, 2]),
+            ("dynp", dynp[..dynp.len() - 1].to_vec()),
+            ("dynp", [&dynp[..], &[0]].concat()),
+            ("dynp", with(0, 99)),       // active
+            ("dynp", with(15, 99)),      // a log entry's policy
+            ("dynp", with(3, u64::MAX)), // log length
+        ] {
+            let bytes = raw(tag, &words);
+            let decoded = SchedulerSnapshot::decode_from(&mut ByteReader::new(&bytes));
+            let what = "scheduler snapshot";
+            assert_eq!(
+                decoded,
+                Err(CodecError::Invalid { what }),
+                "{tag} {words:?}"
+            );
+        }
     }
 
     #[test]

@@ -61,6 +61,7 @@ use dynp_workload::{FaultPlan, Job, JobId};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
+use std::mem::discriminant;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -246,26 +247,23 @@ pub fn recover(
     // the genesis segments.
     let first_base_seq = journal.segments.first().map_or(0, |&(_, base)| base);
     let (checkpoint, _skipped) = load_latest_checkpoint(&dir)?;
+    let (tx, rx) = mpsc::channel();
+    let mut daemon = Daemon::new(config, rx, None);
+    let kind = daemon.scheduler.snapshot().map(|s| discriminant(&s));
     // A checkpoint is only usable if it matches this journal and this
     // scheduler — *and* covers everything compaction deleted; anything
     // else falls back to genesis replay, which is always correct (just
     // slower) but only possible while the journal still starts at seq 0.
     let checkpoint = checkpoint.filter(|c| {
-        c.machine_size == config.machine_size
+        c.machine_size == daemon.config.machine_size
             && c.journal_seq <= journal.next_seq
             && c.journal_seq >= first_base_seq
             && c.jobs.len() == c.users.len()
-            && config
-                .scheduler
-                .build()
-                .snapshot()
-                .is_some_and(|s| s.tag == c.scheduler.tag)
+            && kind == Some(discriminant(&c.scheduler))
     });
     if checkpoint.is_none() && first_base_seq > 0 {
         return Err(RecoverError::CompactionGap);
     }
-    let (tx, rx) = mpsc::channel();
-    let mut daemon = Daemon::new(config, rx, None);
     let first_seq = checkpoint.map_or(0, |c| daemon.restore(c));
     // The suffix replays on the source that then goes live, in the live
     // dispatch order: every pending timer strictly before a record's

@@ -940,8 +940,8 @@ pub struct ServiceCheckpoint {
     pub min_external: SimTime,
     /// The planning core's state.
     pub core: CoreSnapshot,
-    /// Scheduler internals (present only for snapshot-capable
-    /// schedulers; absence forces from-genesis replay instead).
+    /// The scheduler's cross-event state. Recovery uses the checkpoint
+    /// only if its variant is the configured scheduler's.
     pub scheduler: SchedulerSnapshot,
     /// The service job table (ids are indices).
     pub jobs: Vec<Job>,
@@ -1355,10 +1355,7 @@ mod tests {
                 0,
             )
             .snapshot(),
-            scheduler: SchedulerSnapshot {
-                tag: "static",
-                words: Vec::new(),
-            },
+            scheduler: SchedulerSnapshot::Static,
             jobs: Vec::new(),
             users: Vec::new(),
             counters: ServiceCounters::default(),

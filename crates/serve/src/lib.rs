@@ -39,6 +39,7 @@
 //! admission-latency percentiles (p50/p99/p999), overall and per user.
 //! The `replay` bin re-derives a daemon summary from a journal alone
 //! (the CI crash-recovery job diffs the two).
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod cli;

@@ -22,6 +22,7 @@
 //! line-up; `figures` draws their `fig*.dat` files as SVG;
 //! `history_report`, `trace_report`, `federation` and `gen_workload` are
 //! tools around single runs.
+#![forbid(unsafe_code)]
 
 pub mod cli;
 mod codec;

@@ -41,6 +41,7 @@ use dynp_workload::{FaultPlan, JobSet, ReservationRequest};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::mem::discriminant;
 
 /// The outcome of one simulation run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -452,12 +453,18 @@ impl<'a> ChaosDriver<'a> {
     }
 
     /// [`ChaosDriver::restore`] for a snapshot that was decoded from
-    /// bytes: the feed positions are checked against this driver's
-    /// streams before anything is touched.
+    /// bytes: the scheduler kind and the feed positions are checked
+    /// against this driver before anything is touched.
     ///
     /// # Errors
-    /// A feed cursor that lies outside its stream.
+    /// Another scheduler's snapshot, or a feed cursor outside its stream.
     pub fn try_restore(&mut self, snap: &SimSnapshot) -> Result<(), CodecError> {
+        let kind = self.scheduler.snapshot().map(|s| discriminant(&s));
+        if kind != Some(discriminant(&snap.scheduler)) {
+            return Err(CodecError::Invalid {
+                what: "scheduler kind",
+            });
+        }
         let streams = self.streams();
         self.feed.restore(snap.feed, streams)?;
         self.core.restore(&snap.core);

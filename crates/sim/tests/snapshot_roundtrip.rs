@@ -22,7 +22,7 @@
 use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
 use dynp_des::{CodecError, SimDuration, SimTime};
 use dynp_obs::Tracer;
-use dynp_rms::{AdmissionConfig, Policy, RETAIN_MIN_DEPTH};
+use dynp_rms::{AdmissionConfig, Policy, SchedulerSnapshot, RETAIN_MIN_DEPTH};
 use dynp_sim::{
     decode_snapshot, encode_snapshot, simulate_chaos, ChaosDriver, DetailedRun, Event, FeedCursors,
     SchedulerSpec, SNAPSHOT_VERSION,
@@ -427,7 +427,8 @@ fn restore_with_every_cursor_mid_stream_resumes_bit_identically() {
 
 // A cursor that claims more unfed events than its stream holds — a
 // snapshot of some other run, or a tampered file with a fresh checksum —
-// is refused with a typed error before any state is touched.
+// or another scheduler's snapshot is refused with a typed error before
+// any state is touched.
 #[test]
 fn cursor_outside_its_stream_is_a_typed_error() {
     let (set, requests, plan) = inputs(7, 80, 20_000.0, true);
@@ -446,33 +447,40 @@ fn cursor_outside_its_stream_is_a_typed_error() {
     let good = driver.snapshot();
     let before = driver.fingerprint();
     let one_too_many = |len: usize| len as u32 + 1;
-    for (what, feed) in [
+    let feed = |feed| dynp_sim::SimSnapshot {
+        feed,
+        ..good.clone()
+    };
+    for (what, bad) in [
         (
             "arrival cursor",
-            FeedCursors {
+            feed(FeedCursors {
                 arrivals: one_too_many(set.len()),
                 ..good.feed
-            },
+            }),
         ),
         (
             "request cursor",
-            FeedCursors {
+            feed(FeedCursors {
                 requests: one_too_many(requests.len()),
                 ..good.feed
-            },
+            }),
         ),
         (
             "outage cursor",
-            FeedCursors {
+            feed(FeedCursors {
                 outages: u32::MAX,
                 ..good.feed
+            }),
+        ),
+        (
+            "scheduler kind",
+            dynp_sim::SimSnapshot {
+                scheduler: SchedulerSnapshot::Easy { backfilled: 0 },
+                ..good.clone()
             },
         ),
     ] {
-        let bad = dynp_sim::SimSnapshot {
-            feed,
-            ..good.clone()
-        };
         // The bytes alone cannot tell: the streams are not in them.
         let decoded = decode_snapshot(&encode_snapshot(&bad)).expect("well-formed bytes");
         assert_eq!(

@@ -32,6 +32,7 @@
 //! * [`transform`] — the shrinking-factor workload scaling of §4.2 plus
 //!   job-set utilities;
 //! * [`stats`] — trace statistics (regenerates Table 2 for our inputs).
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod fault;

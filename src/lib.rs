@@ -34,6 +34,7 @@
 //! assert_eq!(sjf_result.metrics.jobs, 200);
 //! assert_eq!(dynp_result.metrics.jobs, 200);
 //! ```
+#![forbid(unsafe_code)]
 
 pub use dynp_core as core;
 pub use dynp_des as des;

@@ -16,17 +16,19 @@
 //!
 //! A journal the reader accepts is also replayed (`replay_records`): its
 //! submits passed the job gate, so no shape of them panics the planner.
+//! A checkpoint the loader accepts has its dynP scheduler snapshot
+//! restored: the decoder refused every word a `restore` could not take.
 //!
-//! Out of scope: whether a checkpoint whose checksum holds but whose
-//! state is inconsistent can be *restored*. `SelfTuningScheduler::restore`
-//! indexes its words unchecked, and the threat model is torn writes and
-//! bit rot, not an adversary (DESIGN §14).
+//! Out of scope: whether the core and engine of a checkpoint whose
+//! checksum holds but whose state is inconsistent can be *restored*; the
+//! threat model is torn writes and bit rot, not an adversary (DESIGN §14).
 
 use dynp_core::DeciderKind;
 use dynp_des::{ByteReader, ByteWriter};
+use dynp_rms::SchedulerSnapshot;
 use dynp_serve::{
     load_latest_checkpoint, parse_scheduler, read_journal, read_journal_header, recover,
-    replay_records, JournalError, RecoverError, ServiceConfig,
+    replay_records, FsyncPolicy, JournalError, RecoverError, ServiceConfig,
 };
 use dynp_sim::{decode_snapshot, SchedulerSpec};
 use proptest::prelude::*;
@@ -169,6 +171,18 @@ fn hit(tag: &str, f: &Fixture, bytes: &[u8]) -> Result<(), TestCaseError> {
         Kind::Checkpoint => {
             let loaded = load_latest_checkpoint(&dir);
             prop_assert!(loaded.is_ok(), "a bad checkpoint is skipped: {loaded:?}");
+            // The journal's scheduler is dynP: its snapshots restore.
+            if let Ok((Some(c), _)) = &loaded {
+                if matches!(c.scheduler, SchedulerSnapshot::DynP { .. }) {
+                    let restored = std::panic::catch_unwind(|| {
+                        parse_scheduler("dynp")
+                            .unwrap()
+                            .build()
+                            .restore(&c.scheduler)
+                    });
+                    prop_assert!(restored.is_ok(), "a loaded snapshot panicked its restore");
+                }
+            }
         }
         _ => {
             for e in [read_journal(&dir).err(), read_journal_header(&dir).err()] {
@@ -271,6 +285,38 @@ fn the_resealing_generator_reaches_a_sequence_overflow() {
         read_journal(&dir),
         Err(JournalError::BadRecord { what, .. }) if what == "sequence overflow"
     ));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint whose checksum holds but whose dynP `active` word is 99
+/// names no policy: the loader skips it, and recovery falls back to the
+/// older checkpoint and drains to the journal's replay.
+#[test]
+fn a_checkpoint_naming_no_policy_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    let tag = f.bytes.windows(8).position(|w| w == b"\x04\0\0\0dynp");
+    // The tag, the word count, then the low byte of the active word.
+    let bytes = mutate_and_reseal(f, &[(false, tag.unwrap() + 12, 1, 99)]);
+    let dir = temp_dir("active_99");
+    for g in &fixtures()[2..] {
+        std::fs::write(dir.join(g.name), &g.bytes).unwrap();
+    }
+    std::fs::write(dir.join(f.name), bytes).unwrap();
+    let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
+    assert_eq!(latest.map(|c| c.journal_seq), Some(4));
+    assert_eq!(skipped.len(), 1, "{skipped:?}");
+
+    let journal = read_journal(&dir).unwrap();
+    let spec = parse_scheduler(&journal.scheduler).unwrap();
+    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
+    let mut config = ServiceConfig::new(journal.machine_size, spec);
+    config.speedup = journal.speedup;
+    config.journal = Some(dir.clone());
+    config.fsync = FsyncPolicy::Never;
+    let (handle, join) = recover(config).expect("recovers from checkpoint 4");
+    handle.shutdown();
+    assert!(replayed.fingerprint.is_some());
+    assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

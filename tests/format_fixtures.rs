@@ -99,7 +99,9 @@ fn snapshots_decode_and_re_encode_byte_identically() {
     let snap = decode_snapshot(&v1).expect("a version-1 snapshot decodes");
     assert_eq!(snap.fingerprint(), 0x2ca8fca729bd4a812fd054b7c702ec0c);
     let payload = &v1[16..v1.len() - 4];
-    let scheduler = 4 + snap.scheduler.tag.len() + 4 + 8 * snap.scheduler.words.len();
+    let mut scheduler = ByteWriter::new();
+    snap.scheduler.encode_into(&mut scheduler);
+    let scheduler = scheduler.into_bytes().len();
     let (state, scheduler) = payload.split_at(payload.len() - scheduler);
     let mut want = ByteWriter::new();
     want.magic(b"DYNPSNAP", 2);

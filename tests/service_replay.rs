@@ -485,13 +485,12 @@ fn recovery_config(machine: u32, spec: SchedulerSpec, dir: &Path) -> ServiceConf
 }
 
 fn record_baseline(tag: &str) -> Baseline {
-    record_baseline_with(tag, false)
+    record_baseline_with(tag, SchedulerSpec::dynp(DeciderKind::Advanced), false)
 }
 
-fn record_baseline_with(tag: &str, compact: bool) -> Baseline {
+fn record_baseline_with(tag: &str, spec: SchedulerSpec, compact: bool) -> Baseline {
     let dir = temp_dir(tag);
     let machine = 16;
-    let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
     let mut config = recovery_config(machine, spec.clone(), &dir);
     config.compact = compact;
     let (handle, join) = spawn(config).unwrap();
@@ -649,8 +648,8 @@ fn recovery_survives_a_corrupt_newest_checkpoint() {
 /// Records a compacted baseline and asserts compaction actually deleted
 /// the genesis segments (otherwise the compacted-recovery tests would
 /// silently test the ordinary path).
-fn record_compacted_baseline(tag: &str) -> Baseline {
-    let baseline = record_baseline_with(tag, true);
+fn record_compacted_baseline(tag: &str, spec: SchedulerSpec) -> Baseline {
+    let baseline = record_baseline_with(tag, spec, true);
     let segs = segment_files(&baseline.dir);
     assert!(
         !segs[0].ends_with("journal-000000.wal"),
@@ -662,32 +661,41 @@ fn record_compacted_baseline(tag: &str) -> Baseline {
 
 /// Recovery from a compacted journal — where the genesis segments are
 /// gone and the first surviving submit has a job id > 0 — must take the
-/// checkpoint fast-path and still match the never-killed run exactly.
+/// checkpoint fast-path and still match the never-killed run exactly,
+/// under dynP and under EASY, whose checkpoints carry the backfill count.
 #[test]
 fn recovery_from_a_compacted_journal_matches_the_never_killed_run() {
-    let baseline = record_compacted_baseline("recover_compact");
-    let scratch = temp_dir("recover_compact_img");
-    let segs = segment_files(&baseline.dir);
-    let last = segs.len() - 1;
-    let full_len = std::fs::metadata(&segs[last]).unwrap().len();
-    crash_image(&baseline, &scratch, last, full_len);
+    for (tag, spec) in [
+        (
+            "recover_compact",
+            SchedulerSpec::dynp(DeciderKind::Advanced),
+        ),
+        ("recover_compact_easy", SchedulerSpec::Easy(Policy::Fcfs)),
+    ] {
+        let baseline = record_compacted_baseline(tag, spec);
+        let scratch = temp_dir(&format!("{tag}_img"));
+        let segs = segment_files(&baseline.dir);
+        let last = segs.len() - 1;
+        let full_len = std::fs::metadata(&segs[last]).unwrap().len();
+        crash_image(&baseline, &scratch, last, full_len);
 
-    let recovered = recover_and_drain(&baseline, &scratch);
-    assert_eq!(recovered.accepted, baseline.live.accepted);
-    assert_eq!(recovered.cancelled, baseline.live.cancelled);
-    assert_eq!(
-        recovered.run.completed.len(),
-        baseline.live.run.completed.len()
-    );
-    assert_eq!(
-        recovered.run.result.metrics.sldwa,
-        baseline.live.run.result.metrics.sldwa
-    );
-    assert_eq!(recovered.fingerprint, baseline.live.fingerprint);
-    assert!(recovered.fingerprint.is_some());
+        let recovered = recover_and_drain(&baseline, &scratch);
+        assert_eq!(recovered.accepted, baseline.live.accepted, "{tag}");
+        assert_eq!(recovered.cancelled, baseline.live.cancelled, "{tag}");
+        assert_eq!(
+            recovered.run.completed.len(),
+            baseline.live.run.completed.len()
+        );
+        assert_eq!(
+            recovered.run.result.metrics.sldwa,
+            baseline.live.run.result.metrics.sldwa
+        );
+        assert_eq!(recovered.fingerprint, baseline.live.fingerprint, "{tag}");
+        assert!(recovered.fingerprint.is_some());
 
-    std::fs::remove_dir_all(&baseline.dir).unwrap();
-    std::fs::remove_dir_all(&scratch).unwrap();
+        std::fs::remove_dir_all(&baseline.dir).unwrap();
+        std::fs::remove_dir_all(&scratch).unwrap();
+    }
 }
 
 /// A crash on a compacted journal: the last segment is torn mid-record.
@@ -697,7 +705,10 @@ fn recovery_from_a_compacted_journal_matches_the_never_killed_run() {
 /// same fingerprint and SLDwA.
 #[test]
 fn crash_recovery_on_a_compacted_journal_is_exact_and_deterministic() {
-    let baseline = record_compacted_baseline("recover_compact_crash");
+    let baseline = record_compacted_baseline(
+        "recover_compact_crash",
+        SchedulerSpec::dynp(DeciderKind::Advanced),
+    );
     let segs = segment_files(&baseline.dir);
     let last = segs.len() - 1;
     let full_len = std::fs::metadata(&segs[last]).unwrap().len();
@@ -729,7 +740,10 @@ fn crash_recovery_on_a_compacted_journal_is_exact_and_deterministic() {
 /// silent genesis replay over the hole.
 #[test]
 fn compacted_journal_without_covering_checkpoint_is_a_typed_gap() {
-    let baseline = record_compacted_baseline("recover_compact_gap");
+    let baseline = record_compacted_baseline(
+        "recover_compact_gap",
+        SchedulerSpec::dynp(DeciderKind::Advanced),
+    );
     let scratch = temp_dir("recover_compact_gap_img");
     let segs = segment_files(&baseline.dir);
     let last = segs.len() - 1;
