@@ -138,9 +138,12 @@ pub struct SelfTuningScheduler {
     /// `None` until they are built (new or restored scheduler).
     log_cursor: Option<usize>,
     /// Per policy: how many leading jobs of its order the last
-    /// `sync_orders` left untouched (0 once any job left the queue) —
-    /// what the planner's retained plans may keep.
+    /// `sync_orders` left as they were, once the jobs that left the
+    /// queue are taken out — what the planner's retained plans may keep.
     first_changed: Vec<usize>,
+    /// The jobs that left the queue in the changes the last
+    /// `sync_orders` replayed, in log order.
+    departed: Vec<Job>,
     /// Per-policy schedule of the current step (parallel to
     /// `config.policies`); reused across steps. Unused while the queue
     /// is deep enough for the planner to retain the schedules itself.
@@ -184,6 +187,7 @@ impl SelfTuningScheduler {
             orders: vec![Vec::new(); n],
             log_cursor: None,
             first_changed: vec![0; n],
+            departed: Vec::new(),
             plan_schedules: vec![Schedule::default(); n],
             plan_scores: vec![0.0; n],
             plan_timings: vec![PlanTiming::default(); n],
@@ -241,7 +245,8 @@ impl SelfTuningScheduler {
     /// policy order, jobs that started are binary-search removed. Cost is
     /// O(changes × policies × queue) per event instead of a full
     /// O(policies × queue log queue) copy-and-re-sort. Leaves in
-    /// `first_changed` the length of each order's untouched prefix.
+    /// `departed` the jobs that left, and in `first_changed` the length
+    /// of each order's prefix that is the old order without them.
     ///
     /// When the changes since the last sync are no longer all in the log
     /// — a new or restored scheduler, or one whose state was cleared
@@ -251,6 +256,7 @@ impl SelfTuningScheduler {
     /// replay would have reached.
     fn sync_orders(&mut self, state: &RmsState) {
         let log = state.queue_log();
+        self.departed.clear();
         let Some(from) = self
             .log_cursor
             .filter(|&c| (log.dropped()..=log.end()).contains(&c))
@@ -285,14 +291,17 @@ impl SelfTuningScheduler {
                     }
                 }
                 QueueChange::Left(job) => {
+                    self.departed.push(*job);
                     for ((policy, order), first) in slots {
                         let pos = order
                             .binary_search_by(|probe| policy.cmp_jobs(probe, job))
                             .expect("departed job must be present in every policy order");
                         order.remove(pos);
-                        // A departure voids the retained plans outright
-                        // (their third guard), not just from `pos` on.
-                        *first = 0;
+                        // The prefix loses the job and keeps the rest;
+                        // whether its plan does is the planner's guard 3.
+                        if pos < *first {
+                            *first -= 1;
+                        }
                     }
                 }
             }
@@ -567,6 +576,7 @@ impl SelfTuningScheduler {
         let used = self.planner.plan_retained_batch(
             &self.orders,
             &self.first_changed,
+            &self.departed,
             weight.map(|weight| Prune {
                 weight,
                 first: &first,
@@ -661,6 +671,12 @@ impl Scheduler for SelfTuningScheduler {
             active: self.active,
             stats: self.stats.clone(),
         })
+    }
+
+    /// A dynP snapshot whose active policy is one of the candidates:
+    /// every replan looks the active policy up among them.
+    fn accepts(&self, snap: &SchedulerSnapshot) -> bool {
+        matches!(snap, SchedulerSnapshot::DynP { active, .. } if self.config.policies.contains(active))
     }
 
     fn restore(&mut self, snap: &SchedulerSnapshot) {

@@ -60,24 +60,40 @@ use dynp_workload::Job;
 /// never consulted):
 ///
 /// 1. the freshly prepared base is the same function on `[now, ∞)`,
-///    capacity included, as the base the slots were planned on — this
-///    alone rejects completions, early finishes, the pad of an overdue
-///    job, node faults, and reservation starts, ends and cancels;
+///    capacity included, as the base the slots were planned on *plus
+///    the rectangle of every job that left the queue since*, each
+///    `[t₀, t₀ + estimate) × width` with `t₀` the instant of the last
+///    call — this rejects completions, early finishes, the pad of an
+///    overdue job, node faults, reservation starts, ends and cancels,
+///    and a queue job that was cancelled or migrated instead of started;
 /// 2. the slot's first `k` entries are the first `k` jobs of the policy
 ///    order, id by id, each planned at `start >= now` (an over-wide job
 ///    skipped among them shifts the ids and fails the comparison), `k`
 ///    being what the caller reports unchanged, cut to the entries the
 ///    slot holds;
-/// 3. no job left the queue since — the caller reports a departure as
-///    `k = 0`.
+/// 3. every job that left the queue is one of the slot's entries,
+///    planned to start at `t₀` — it started where the plan put it.
+///    Those entries leave the schedule (their rectangles are now part
+///    of the base); a slot that does not hold them all keeps nothing.
+///    The caller reports each order's `k` with the departed jobs taken
+///    out of the order it last reported.
 ///
-/// Given (1) and (2), a fresh pass would place those `k` jobs exactly
-/// where they are: by induction each sees the same function on
-/// `[now, ∞)`, its old answer was at or past `now`, and nothing earlier
-/// fitted then or fits now. The pass therefore releases the rectangles
-/// of entries `k..` in reverse, re-seeds the dominance memo from the
-/// kept entries (so the suffix scans start where a fresh pass's would)
-/// and places only `queue[k..]`.
+/// Guard 3 makes the slot's profile `R + rects(P)`, with `R` the old
+/// base and `P` its schedule, equal to `F + rects(P ∖ departed)`, with
+/// `F` the folded base of comparison 1. Take a kept entry placed before
+/// a departed job `D` in the old order: with `D` moved into the base it
+/// still fits where it is, because `D` was placed beside it, and it
+/// cannot fit earlier, because capacity only shrank. An entry placed
+/// after `D` sees the same profile as before. So, given (1)–(3), a
+/// fresh pass would place the `k` kept jobs exactly where they are: by
+/// induction each sees the same function on `[now, ∞)`, its old answer
+/// was at or past `now`, and nothing earlier fitted then or fits now.
+/// The pass therefore cuts the profile back to the base plus the kept
+/// entries — releasing the rectangles of entries `k..` in reverse, or,
+/// when fewer entries are kept than released, restoring the base and
+/// allocating the kept ones at their starts — re-seeds the dominance
+/// memo from the kept entries (so the suffix scans start where a fresh
+/// pass's would) and places only `queue[k..]`.
 ///
 /// # Shared prefixes
 ///
@@ -122,8 +138,19 @@ pub struct Planner {
     /// (they use the slots' profiles as scratch).
     retained: usize,
     /// The base the retained plans were planned on, compared against
-    /// each new base. Created by the first retained pass.
+    /// each new base once the departed jobs' rectangles are folded into
+    /// it (comparison 1). Created by the first retained pass.
     retained_base: Option<Profile>,
+    /// Instant of the last [`Planner::plan_retained_batch`] call: where
+    /// the jobs its plans started at lie in the next call's folded base.
+    /// Not `retained_base`'s origin when that call found the base
+    /// unchanged.
+    retained_at: SimTime,
+    /// This call's prefix per queue that the passes may keep; kept
+    /// across events so planning allocates nothing steady-state.
+    keeps: Vec<usize>,
+    /// Retained plans that jobs leaving the queue did not void (guard 3).
+    folded: u64,
     /// Per slot, whether [`Prune`] stopped its retained pass early, and
     /// how often the rest bound has. Beside the slots rather than in
     /// them, and sized by the first pass that runs through
@@ -162,7 +189,8 @@ struct SlotCounts {
 
 /// What [`Planner::plan_retained_batch`] did, summed over the policies:
 /// how often the suffix path ran, how much [`Prune`] left unplaced, how
-/// often the rest bound stopped a pass and how much was shared.
+/// often the rest bound stopped a pass, how much was shared and how
+/// often a plan outlived the jobs it started.
 /// Diagnostic: tests assert the paths are not vacuous, and DESIGN §10
 /// records the shares.
 #[doc(hidden)]
@@ -185,6 +213,10 @@ pub struct PlanCounters {
     /// Queue jobs passes took from the plan of another queue whose order
     /// shares them, instead of placing them.
     pub shared: u64,
+    /// Retained plans that kept their prefix across jobs leaving the
+    /// queue: each departed job had started where the plan put it, and
+    /// its rectangle moved into the base.
+    pub folded: u64,
 }
 
 /// How a pass under [`Prune`] weighs the time a job waits beyond the
@@ -583,7 +615,7 @@ impl Slot {
         keep: usize,
         mut tally: Option<&mut Tally>,
     ) -> (usize, usize) {
-        let kept = self.keep_prefix(now, queue, keep, tally.as_deref_mut());
+        let kept = self.keep_prefix(base, now, queue, keep, tally.as_deref_mut());
         if kept == 0 {
             if let Some(tally) = &mut tally {
                 tally.excess = 0.0;
@@ -619,14 +651,15 @@ impl Slot {
     }
 
     /// Cuts the retained plan back to its first `keep` entries — or to
-    /// all it holds, when a stopped pass left fewer: releases the rest in
-    /// reverse, then checks the kept ones against the queue (comparison
-    /// 2 of the type docs) while replaying them into the dominance memo
-    /// and the `tally`. Returns how many it kept; 0 when there is nothing
-    /// to keep or the entries do not match — the profile may then be
-    /// partly released and only good for a full pass.
+    /// all it holds, when a stopped pass left fewer: checks the kept ones
+    /// against the queue (comparison 2 of the type docs), cuts the
+    /// profile back to `base` plus them ([`cut_back`]), and replays them
+    /// into the dominance memo and the `tally`. Returns how many it kept;
+    /// 0, with the profile untouched, when there is nothing to keep or
+    /// the entries do not match.
     fn keep_prefix(
         &mut self,
+        base: &Profile,
         now: SimTime,
         queue: &[Job],
         keep: usize,
@@ -637,22 +670,63 @@ impl Slot {
         if keep == 0 || keep > queue.len() {
             return 0;
         }
-        for e in entries[keep..].iter().rev() {
-            self.profile.release(e.start, e.job.estimate, e.job.width);
+        let (kept, rest) = entries.split_at(keep);
+        if kept
+            .iter()
+            .zip(queue)
+            .any(|(e, job)| e.job.id != job.id || e.start < now)
+        {
+            return 0;
         }
-        for (e, job) in entries[..keep].iter().zip(queue) {
-            if e.job.id != job.id || e.start < now {
-                return 0;
-            }
-            let earliest = now.max(job.submit);
+        cut_back(&mut self.profile, base, kept, rest, kept.len() < rest.len());
+        for e in kept {
+            let earliest = now.max(e.job.submit);
             self.profile
-                .remember_fit(earliest, job.estimate, job.width, e.start);
+                .remember_fit(earliest, e.job.estimate, e.job.width, e.start);
             if let Some(tally) = &mut tally {
-                tally.excess += tally.weight.delay(job, earliest, e.start);
+                tally.excess += tally.weight.delay(&e.job, earliest, e.start);
             }
         }
         entries.truncate(keep);
         keep
+    }
+
+    /// Guard 3 of the type docs: takes out of the schedule the entries
+    /// of `departed` jobs planned to start `at`, and returns whether
+    /// every departed job was one. The slot's profile keeps their
+    /// rectangles, which the folded base now holds. On `false` the slot
+    /// keeps nothing, so what is left of its schedule does not matter.
+    fn fold_started(&mut self, departed: &[Job], at: SimTime) -> bool {
+        let entries = &mut self.schedule.entries;
+        let held = entries.len();
+        entries.retain(|e| e.start != at || departed.iter().all(|d| d.id != e.job.id));
+        held - entries.len() == departed.len()
+    }
+}
+
+/// Cuts a retained `profile` — `base` plus the rectangles of `kept` and
+/// of `rest`, as a function on `[now, ∞)` — back to `base` plus those of
+/// `kept`: with `rebuild`, by restoring `base` and allocating `kept` at
+/// their starts (at or past `now`), else by releasing `rest` in reverse.
+/// Either leaves the same function on `[now, ∞)`. Releasing an entry,
+/// with its coalescing, costs about what placing it does, so the caller
+/// rebuilds when fewer entries are kept than released.
+fn cut_back(
+    profile: &mut Profile,
+    base: &Profile,
+    kept: &[PlannedJob],
+    rest: &[PlannedJob],
+    rebuild: bool,
+) {
+    if rebuild {
+        profile.restore_from(base);
+        for e in kept {
+            profile.allocate(e.start, e.job.estimate, e.job.width);
+        }
+    } else {
+        for e in rest.iter().rev() {
+            profile.release(e.start, e.job.estimate, e.job.width);
+        }
     }
 }
 
@@ -667,6 +741,9 @@ impl Planner {
             slots: Vec::new(),
             retained: 0,
             retained_base: None,
+            retained_at: SimTime::ZERO,
+            keeps: Vec::new(),
+            folded: 0,
             stopped: Vec::new(),
             hands: Vec::new(),
             shared: 0,
@@ -930,11 +1007,13 @@ impl Planner {
     /// Like [`Planner::plan_prepared_batch`], but the schedules stay in
     /// the planner ([`Planner::retained_schedule`]) together with their
     /// working profiles, and the next call re-places only what changed:
-    /// `first_changed[i]` is how many leading jobs of `queues[i]` are
-    /// the same, in the same order, as in the previous call's (0 when
-    /// unknown, or when any job left the queue). See the type docs for
-    /// the invariant and the comparisons that guard it; every job a pass
-    /// places, it places where [`Planner::plan_prepared_batch`] does.
+    /// `departed` holds the jobs that left the queue since the previous
+    /// call, and `first_changed[i]` is how many leading jobs of
+    /// `queues[i]` are the same, in the same order, as in the previous
+    /// call's with the departed jobs taken out (0 when unknown). See the
+    /// type docs for the invariant and the comparisons that guard it;
+    /// every job a pass places, it places where
+    /// [`Planner::plan_prepared_batch`] does.
     ///
     /// Without `prune` every pass is complete. With it the `first`
     /// queues are planned completely, then the limit is taken, then the
@@ -947,6 +1026,7 @@ impl Planner {
         &mut self,
         queues: &[Vec<Job>],
         first_changed: &[usize],
+        departed: &[Job],
         prune: Option<Prune<'_>>,
         timings: &mut [PlanTiming],
         workers: usize,
@@ -956,13 +1036,26 @@ impl Planner {
         assert_eq!(n, timings.len(), "one timing slot per queue");
         self.grow_slots(n);
         let now = self.prepared_at;
-        // Comparison 1 of the type docs, once for all slots.
-        let same_base = self.retained == n
-            && self
-                .retained_base
-                .as_ref()
-                .is_some_and(|planned_on| planned_on.same_from(&self.base, now));
-        let keep = same_base.then_some(first_changed);
+        // Comparison 1 of the type docs, once for all slots, then guard 3
+        // per slot.
+        let same_base = self.retained == n && self.fold_departed(departed, now);
+        let mut keeps = std::mem::take(&mut self.keeps);
+        keeps.clear();
+        if same_base {
+            keeps.extend_from_slice(first_changed);
+            if !departed.is_empty() {
+                let at = self.retained_at;
+                for (keep, slot) in keeps.iter_mut().zip(&mut self.slots) {
+                    if slot.fold_started(departed, at) {
+                        self.folded += 1;
+                    } else {
+                        *keep = 0;
+                    }
+                }
+            }
+        }
+        self.retained_at = now;
+        let keep = same_base.then_some(&keeps[..]);
         // Taken out for the passes, and put back: the buffer persists.
         let mut hands = std::mem::take(&mut self.hands);
         if workers <= 1 {
@@ -996,6 +1089,7 @@ impl Planner {
             }
         };
         self.hands = hands;
+        self.keeps = keeps;
         for (slot, queue) in self.slots.iter_mut().zip(queues) {
             slot.counts.passes += 1;
             slot.counts.jobs += queue.len() as u64;
@@ -1006,6 +1100,28 @@ impl Planner {
                 .restore_from(&self.base);
         }
         used
+    }
+
+    /// Comparison 1 of the type docs: folds into the retained base the
+    /// rectangle of each `departed` job, as started at the last call's
+    /// instant, and compares the result with the prepared base from
+    /// `now` on; a rectangle that does not fit refuses the fold. Where
+    /// they differ, the caller replaces the retained base with the
+    /// prepared one.
+    fn fold_departed(&mut self, departed: &[Job], now: SimTime) -> bool {
+        let Some(planned_on) = &mut self.retained_base else {
+            return false;
+        };
+        let at = self.retained_at;
+        for job in departed {
+            let fits = job.width <= planned_on.capacity()
+                && planned_on.earliest_fit(at, job.estimate, job.width) == at;
+            if !fits {
+                return false;
+            }
+            planned_on.allocate(at, job.estimate, job.width);
+        }
+        planned_on.same_from(&self.base, now)
     }
 
     /// The schedule [`Planner::plan_retained_batch`] last planned for
@@ -1041,6 +1157,7 @@ impl Planner {
         let mut sum = PlanCounters {
             rest_stops: self.stopped.iter().map(|s| s.rest_stops).sum(),
             shared: self.shared,
+            folded: self.folded,
             ..PlanCounters::default()
         };
         for slot in &self.slots {
@@ -1421,6 +1538,21 @@ mod tests {
         }
     }
 
+    /// Takes `job` out of every order the way the self-tuning scheduler
+    /// does, lowering each `first_changed` that reached past it.
+    fn leave(orders: &mut [Vec<Job>], first_changed: &mut [usize], job: Job) {
+        for (order, first) in orders.iter_mut().zip(first_changed) {
+            let pos = order
+                .iter()
+                .position(|q| q.id == job.id)
+                .expect("job is waiting");
+            order.remove(pos);
+            if pos < *first {
+                *first -= 1;
+            }
+        }
+    }
+
     /// Plans `orders` through the retained entry and checks every
     /// schedule against a from-scratch plan of the same (base, queue).
     fn assert_retained_matches_fresh(
@@ -1451,6 +1583,19 @@ mod tests {
         bound: Option<(usize, f64)>,
         workers: usize,
     ) -> Vec<usize> {
+        assert_departed_matches_fresh(p, orders, first_changed, &[], bound, workers)
+    }
+
+    /// [`assert_pruned_matches_fresh`] after the `departed` jobs left the
+    /// queue.
+    fn assert_departed_matches_fresh(
+        p: &mut Planner,
+        orders: &[Vec<Job>],
+        first_changed: &[usize],
+        departed: &[Job],
+        bound: Option<(usize, f64)>,
+        workers: usize,
+    ) -> Vec<usize> {
         let now = p.prepared_at;
         let mut timings = vec![PlanTiming::default(); orders.len()];
         let mut limit = f64::INFINITY;
@@ -1464,6 +1609,7 @@ mod tests {
         p.plan_retained_batch(
             orders,
             first_changed,
+            departed,
             bound.map(|_| Prune {
                 weight: DelayWeight::Width,
                 first: &is_first,
@@ -1536,6 +1682,81 @@ mod tests {
         p.prepare(4, t(13), &running, &[]);
         assert_retained_matches_fresh(&mut p, &orders, &first, 1);
         assert_eq!(p.counters().kept, 24 + 39);
+    }
+
+    #[test]
+    fn a_start_as_planned_keeps_the_plans_that_started_it() {
+        // Three of four processors busy until t=100: the first plan
+        // starts some narrow jobs at once, beside the running one.
+        let mut running = vec![RunningJob {
+            job: j(99, 0, 3, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..12)
+            .map(|i| j(i, i as u64, 1 + i % 4, 20 + (i as u64 * 37) % 200))
+            .collect();
+        let mut orders = policy_orders(&jobs);
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
+        // The event loop starts what the FCFS plan starts now.
+        let due: Vec<Job> = p.slots[0].schedule.due(t(12)).map(|e| e.job).collect();
+        assert!(!due.is_empty());
+        let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+        for &job in &due {
+            leave(&mut orders, &mut first, job);
+            running.push(RunningJob { job, start: t(12) });
+        }
+        // A later event on the base those starts left behind: every plan
+        // that started the same jobs keeps its prefix.
+        p.prepare(4, t(20), &running, &[]);
+        assert_departed_matches_fresh(&mut p, &orders, &first, &due, None, 1);
+        let counts = p.counters();
+        assert!(counts.folded >= 1, "{counts:?}");
+        assert_eq!(counts.suffix_passes, counts.folded);
+        assert!(counts.kept > 0, "{counts:?}");
+
+        // A job cancelled instead of started leaves its rectangle out of
+        // the base: nothing folds.
+        let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+        let gone = orders[0][0];
+        leave(&mut orders, &mut first, gone);
+        p.prepare(4, t(20), &running, &[]);
+        assert_departed_matches_fresh(&mut p, &orders, &first, &[gone], None, 1);
+        assert_eq!(p.counters().folded, counts.folded);
+        assert_eq!(p.counters().suffix_passes, counts.suffix_passes);
+    }
+
+    #[test]
+    fn both_ways_of_cutting_a_plan_back_leave_one_function() {
+        let running = [RunningJob {
+            job: j(99, 0, 3, 100),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..12)
+            .map(|i| j(i, i as u64, 1 + i % 4, 20 + (i as u64 * 37) % 200))
+            .collect();
+        let mut p = Planner::new();
+        p.prepare(4, t(12), &running, &[]);
+        let base = &p.base;
+        let mut slot = Slot::new();
+        slot.plan(base, t(12), &jobs, 0, None);
+        let entries = &slot.schedule.entries;
+        for keep in 0..=entries.len() {
+            let (kept, rest) = entries.split_at(keep);
+            let cut = |rebuild| {
+                let mut profile = slot.profile.clone();
+                cut_back(&mut profile, base, kept, rest, rebuild);
+                profile
+            };
+            let (rebuilt, released) = (cut(true), cut(false));
+            assert!(rebuilt.same_from(&released, t(12)), "keep {keep}");
+            // Both are the base narrowed by a fresh plan of the kept jobs.
+            let mut fresh = Slot::new();
+            fresh.plan(base, t(12), &jobs[..keep], 0, None);
+            assert_eq!(fresh.schedule.entries, kept);
+            assert!(fresh.profile.same_from(&rebuilt, t(12)), "keep {keep}");
+        }
     }
 
     #[test]
@@ -2197,17 +2418,19 @@ mod tests {
         }
 
         /// The retained entry against from-scratch plans over a random
-        /// event stream: submissions (the suffix path), departures, time
-        /// passing, running jobs starting and ending, and capacity
-        /// dropping below some queue widths — with the caller's
-        /// `first_changed` kept the way the self-tuning scheduler keeps
-        /// it, and passes stopped at random limits between complete ones.
+        /// event stream: submissions (the suffix path), cancels, starts
+        /// anywhere and starts where a retained plan put them (the fold),
+        /// time passing, running jobs ending, and capacity dropping below
+        /// some queue widths — with the caller's `first_changed` and
+        /// departed jobs kept the way the self-tuning scheduler keeps
+        /// them, and passes stopped at random limits between complete
+        /// ones.
         /// Whatever the stream, every schedule equals a fresh plan as
         /// far as it goes, and goes all the way unless it was stopped.
         #[test]
         fn retained_plans_match_fresh_plans_over_any_event_stream(
             events in proptest::collection::vec(
-                (0u8..10, 1u32..8, 1u64..400, 0u64..30),
+                (0u8..11, 1u32..8, 1u64..400, 0u64..30),
                 1..60,
             ),
             workers in 1usize..4,
@@ -2223,6 +2446,8 @@ mod tests {
             let mut p = Planner::new();
             for ((kind, width, est, dt), bound) in events.into_iter().zip(bounds) {
                 let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+                let mut departed = Vec::new();
+                let used: u32 = running.iter().map(|r| r.job.width).sum();
                 match kind {
                     // Submissions dominate, as in a burst.
                     0..=4 => {
@@ -2231,15 +2456,30 @@ mod tests {
                     }
                     5 => now += dt,
                     6 if !orders[0].is_empty() => {
-                        // A job leaves the queue (cancelled or started).
+                        // A job leaves the queue: cancelled, or started
+                        // wherever its plans put it.
                         let gone = orders[0][dt as usize % orders[0].len()];
-                        for order in &mut orders {
-                            order.retain(|q| q.id != gone.id);
-                        }
-                        first.fill(0);
-                        let used: u32 = running.iter().map(|r| r.job.width).sum();
-                        if kind == 6 && dt % 2 == 0 && used + gone.width <= 6 {
+                        leave(&mut orders, &mut first, gone);
+                        departed.push(gone);
+                        if dt % 2 == 0 && used + gone.width <= 6 {
                             running.push(RunningJob { job: gone, start: t(now) });
+                        }
+                    }
+                    // The jobs one retained plan starts now start, as the
+                    // event loop starts them (while the machine degraded
+                    // to six processors could still hold them).
+                    9 if p.retained == orders.len() => {
+                        let plan = &p.retained_schedule(dt as usize % orders.len()).entries;
+                        let mut used = used;
+                        for e in plan.iter().filter(|e| e.start == t(now)) {
+                            if used + e.job.width <= 6 {
+                                used += e.job.width;
+                                departed.push(e.job);
+                                running.push(RunningJob { job: e.job, start: t(now) });
+                            }
+                        }
+                        for &gone in &departed {
+                            leave(&mut orders, &mut first, gone);
                         }
                     }
                     7 if !running.is_empty() => {
@@ -2250,7 +2490,7 @@ mod tests {
                 }
                 p.prepare(capacity, t(now), &running, &[]);
                 let bound = Some(bound).filter(|&(first, _)| first < 3);
-                assert_pruned_matches_fresh(&mut p, &orders, &first, bound, workers);
+                assert_departed_matches_fresh(&mut p, &orders, &first, &departed, bound, workers);
                 let mut reference = ReferencePlanner::new();
                 for (i, order) in orders.iter().enumerate() {
                     let fresh = reference.plan(capacity, t(now), &running, order);

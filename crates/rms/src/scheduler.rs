@@ -197,6 +197,15 @@ pub trait Scheduler: Send {
     fn restore(&mut self, _snap: &SchedulerSnapshot) {
         panic!("{} does not support snapshot/restore", self.name());
     }
+
+    /// Whether [`Scheduler::restore`] takes `snap` and the scheduler then
+    /// replans: what a caller holding decoded bytes asks before it
+    /// restores them. The default accepts the kind of snapshot this
+    /// scheduler takes of itself, and nothing from one that takes none.
+    fn accepts(&self, snap: &SchedulerSnapshot) -> bool {
+        let own = self.snapshot();
+        own.is_some_and(|own| std::mem::discriminant(&own) == std::mem::discriminant(snap))
+    }
 }
 
 /// The paper's baseline: a single fixed policy (with the implicit

@@ -48,7 +48,7 @@ use crate::api::{
     SubmitError, SubmitSpec, Ticket,
 };
 use crate::journal::{
-    load_latest_checkpoint, read_journal, repair_torn_tail, write_checkpoint, JournalError,
+    load_usable_checkpoint, read_journal, repair_torn_tail, write_checkpoint, JournalError,
     JournalRecord, JournalWriter, ServiceCheckpoint, ServiceCounters,
 };
 use crate::session::{service_fingerprint, ReplayError};
@@ -61,7 +61,6 @@ use dynp_workload::{FaultPlan, Job, JobId};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::mem::discriminant;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::thread::JoinHandle;
 
@@ -246,21 +245,20 @@ pub fn recover(
     // Seq of the first surviving record: 0 unless compaction deleted
     // the genesis segments.
     let first_base_seq = journal.segments.first().map_or(0, |&(_, base)| base);
-    let (checkpoint, _skipped) = load_latest_checkpoint(&dir)?;
     let (tx, rx) = mpsc::channel();
     let mut daemon = Daemon::new(config, rx, None);
-    let kind = daemon.scheduler.snapshot().map(|s| discriminant(&s));
     // A checkpoint is only usable if it matches this journal and this
-    // scheduler — *and* covers everything compaction deleted; anything
-    // else falls back to genesis replay, which is always correct (just
-    // slower) but only possible while the journal still starts at seq 0.
-    let checkpoint = checkpoint.filter(|c| {
+    // scheduler — *and* covers everything compaction deleted. The newest
+    // usable one is restored; without one, recovery falls back to
+    // genesis replay, which is always correct (just slower) but only
+    // possible while the journal still starts at seq 0.
+    let (checkpoint, _skipped) = load_usable_checkpoint(&dir, |c| {
         c.machine_size == daemon.config.machine_size
             && c.journal_seq <= journal.next_seq
             && c.journal_seq >= first_base_seq
             && c.jobs.len() == c.users.len()
-            && kind == Some(discriminant(&c.scheduler))
-    });
+            && daemon.scheduler.accepts(&c.scheduler)
+    })?;
     if checkpoint.is_none() && first_base_seq > 0 {
         return Err(RecoverError::CompactionGap);
     }

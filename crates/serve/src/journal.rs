@@ -1058,6 +1058,16 @@ pub(crate) fn sweep_checkpoint_temps(dir: &Path) -> Result<(), JournalError> {
 pub fn load_latest_checkpoint(
     dir: &Path,
 ) -> Result<(Option<ServiceCheckpoint>, Vec<PathBuf>), JournalError> {
+    load_usable_checkpoint(dir, |_| true)
+}
+
+/// [`load_latest_checkpoint`] for the newest checkpoint that decodes
+/// cleanly *and* that `usable` accepts; the refused ones are skipped
+/// like the corrupt ones.
+pub(crate) fn load_usable_checkpoint(
+    dir: &Path,
+    usable: impl Fn(&ServiceCheckpoint) -> bool,
+) -> Result<(Option<ServiceCheckpoint>, Vec<PathBuf>), JournalError> {
     sweep_checkpoint_temps(dir)?;
     let mut files = list_numbered(dir, "checkpoint-", ".ckpt")?;
     files.reverse(); // newest (highest covered seq) first
@@ -1065,8 +1075,8 @@ pub fn load_latest_checkpoint(
     for (_, path) in files {
         let bytes = fs::read(&path).map_err(|e| iofail(&path, e))?;
         match ServiceCheckpoint::decode(&bytes) {
-            Ok(ckpt) => return Ok((Some(ckpt), skipped)),
-            Err(_) => skipped.push(path),
+            Ok(ckpt) if usable(&ckpt) => return Ok((Some(ckpt), skipped)),
+            _ => skipped.push(path),
         }
     }
     Ok((None, skipped))

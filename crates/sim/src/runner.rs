@@ -41,7 +41,6 @@ use dynp_workload::{FaultPlan, JobSet, ReservationRequest};
 use serde::{Deserialize, Serialize};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::mem::discriminant;
 
 /// The outcome of one simulation run.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -453,16 +452,18 @@ impl<'a> ChaosDriver<'a> {
     }
 
     /// [`ChaosDriver::restore`] for a snapshot that was decoded from
-    /// bytes: the scheduler kind and the feed positions are checked
+    /// bytes: whether the scheduler accepts its state
+    /// ([`Scheduler::accepts`]) and the feed positions are checked
     /// against this driver before anything is touched.
     ///
     /// # Errors
-    /// Another scheduler's snapshot, or a feed cursor outside its stream.
+    /// Scheduler state this scheduler refuses (another scheduler's, or a
+    /// dynP policy that is not a candidate), or a feed cursor outside its
+    /// stream.
     pub fn try_restore(&mut self, snap: &SimSnapshot) -> Result<(), CodecError> {
-        let kind = self.scheduler.snapshot().map(|s| discriminant(&s));
-        if kind != Some(discriminant(&snap.scheduler)) {
+        if !self.scheduler.accepts(&snap.scheduler) {
             return Err(CodecError::Invalid {
-                what: "scheduler kind",
+                what: "scheduler state",
             });
         }
         let streams = self.streams();

@@ -427,12 +427,13 @@ fn restore_with_every_cursor_mid_stream_resumes_bit_identically() {
 
 // A cursor that claims more unfed events than its stream holds — a
 // snapshot of some other run, or a tampered file with a fresh checksum —
-// or another scheduler's snapshot is refused with a typed error before
-// any state is touched.
+// another scheduler's snapshot, or a dynP snapshot whose active policy
+// is not one of this scheduler's candidates, is refused with a typed
+// error before any state is touched.
 #[test]
 fn cursor_outside_its_stream_is_a_typed_error() {
     let (set, requests, plan) = inputs(7, 80, 20_000.0, true);
-    let mut scheduler = SchedulerSpec::Static(Policy::Fcfs).build();
+    let mut scheduler = SchedulerSpec::dynp(DeciderKind::Advanced).build();
     let mut driver = ChaosDriver::new(
         &set,
         scheduler.as_mut(),
@@ -474,9 +475,19 @@ fn cursor_outside_its_stream_is_a_typed_error() {
             }),
         ),
         (
-            "scheduler kind",
+            "scheduler state",
             dynp_sim::SimSnapshot {
                 scheduler: SchedulerSnapshot::Easy { backfilled: 0 },
+                ..good.clone()
+            },
+        ),
+        (
+            "scheduler state",
+            dynp_sim::SimSnapshot {
+                scheduler: SchedulerSnapshot::DynP {
+                    active: Policy::Saf,
+                    stats: Default::default(),
+                },
                 ..good.clone()
             },
         ),

@@ -25,7 +25,8 @@
 
 use dynp_core::DeciderKind;
 use dynp_des::{ByteReader, ByteWriter};
-use dynp_rms::SchedulerSnapshot;
+use dynp_obs::{TraceEvent, TraceLevel, Tracer};
+use dynp_rms::{Policy, SchedulerSnapshot};
 use dynp_serve::{
     load_latest_checkpoint, parse_scheduler, read_journal, read_journal_header, recover,
     replay_records, FsyncPolicy, JournalError, RecoverError, ServiceConfig,
@@ -317,6 +318,61 @@ fn a_checkpoint_naming_no_policy_falls_back_to_the_older_one() {
     handle.shutdown();
     assert!(replayed.fingerprint.is_some());
     assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint whose checksum holds and whose dynP `active` word names
+/// a policy, but not one of the scheduler's candidates (`SAF` under the
+/// paper's three), decodes — and the scheduler refuses it: recovery
+/// restores the older checkpoint instead, replays the seven records
+/// behind it, and drains to the journal's replay, where restoring it
+/// would have panicked at the first replan.
+#[test]
+fn a_checkpoint_naming_a_non_candidate_policy_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    let tag = f.bytes.windows(8).position(|w| w == b"\x04\0\0\0dynp");
+    let saf = Policy::Saf.index() as u8;
+    let bytes = mutate_and_reseal(f, &[(false, tag.unwrap() + 12, 1, saf)]);
+    let dir = temp_dir("non_candidate");
+    for g in &fixtures()[2..] {
+        std::fs::write(dir.join(g.name), &g.bytes).unwrap();
+    }
+    std::fs::write(dir.join(f.name), bytes).unwrap();
+    let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
+    let latest = latest.expect("the tampered checkpoint decodes");
+    assert_eq!(latest.journal_seq, 11);
+    assert!(skipped.is_empty(), "{skipped:?}");
+    assert!(matches!(
+        latest.scheduler,
+        SchedulerSnapshot::DynP {
+            active: Policy::Saf,
+            ..
+        }
+    ));
+
+    let journal = read_journal(&dir).unwrap();
+    let spec = parse_scheduler(&journal.scheduler).unwrap();
+    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
+    let mut config = ServiceConfig::new(journal.machine_size, spec);
+    config.speedup = journal.speedup;
+    config.journal = Some(dir.clone());
+    config.fsync = FsyncPolicy::Never;
+    config.tracer = Tracer::with_capacity(TraceLevel::Decisions, 1024);
+    let tracer = config.tracer.clone();
+    let (handle, join) = recover(config).expect("recovers from checkpoint 4");
+    handle.shutdown();
+    assert!(replayed.fingerprint.is_some());
+    assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
+    let loaded: Vec<u64> = tracer
+        .snapshot()
+        .records
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::CheckpointLoaded { replayed, .. } => Some(replayed),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(loaded, [journal.next_seq - 4]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

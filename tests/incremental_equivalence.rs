@@ -361,6 +361,10 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
                 "{decider:?} {path}: the burst took the suffix path: {planner:?}"
             );
             assert!(
+                planner.folded > 0,
+                "{decider:?} {path}: no plan kept its prefix across a start: {planner:?}"
+            );
+            assert!(
                 planner.pruned > planner.jobs / 2,
                 "{decider:?} {path}: the burst stopped few passes: {planner:?}"
             );
@@ -556,9 +560,19 @@ impl SideBySide {
     /// Per-policy passes that took the suffix path, in the incremental
     /// scheduler that took the fewest.
     fn suffix_passes(&self) -> u64 {
+        self.fewest(|c| c.suffix_passes)
+    }
+
+    /// Retained plans that kept their prefix across jobs leaving the
+    /// queue, in the incremental scheduler that kept the fewest.
+    fn folded(&self) -> u64 {
+        self.fewest(|c| c.folded)
+    }
+
+    fn fewest(&self, count: impl Fn(PlanCounters) -> u64) -> u64 {
         self.incremental
             .iter()
-            .map(|s| s.plan_counters().suffix_passes)
+            .map(|s| count(s.plan_counters()))
             .min()
             .expect("one scheduler per thread count")
     }
@@ -603,6 +617,66 @@ fn suffix_path_survives_a_cancelled_queue_job() {
     s.state.resubmit(back);
     s.submit(87, 8, 100);
     assert_eq!(s.suffix_passes() - before, 3);
+}
+
+#[test]
+fn suffix_path_survives_a_start_as_planned() {
+    let mut s = SideBySide::with_standing_queue(&paper_config(), 10_000, 80);
+    // A narrow job fits beside the blocker, where no queue job does:
+    // every plan that gets to it starts it at once — the winning one
+    // among them, which is complete.
+    let plan = s.submit(90, 2, 500);
+    let due: Vec<JobId> = plan.due(SimTime::from_secs(90)).map(|e| e.job.id).collect();
+    assert_eq!(due, [JobId(81)]);
+    s.state.start(due[0], SimTime::from_secs(90));
+    let (suffix, folded) = (s.suffix_passes(), s.folded());
+    s.submit(95, 6, 200);
+    let folded_now = s.folded() - folded;
+    assert!(folded_now >= 1, "the winning plan started it");
+    assert_eq!(
+        s.suffix_passes() - suffix,
+        folded_now,
+        "each kept its prefix"
+    );
+    // A job that started as planned and ended early changes the base:
+    // nothing folds.
+    let folded = s.folded();
+    let early = job(s.next_id, 96, 1, 300, 1);
+    s.next_id += 1;
+    s.state.submit(early);
+    let plan = s.replan(96, ReplanReason::Submission);
+    assert!(plan
+        .due(SimTime::from_secs(96))
+        .any(|e| e.job.id == early.id));
+    s.state.start(early.id, SimTime::from_secs(96));
+    s.state.complete(early.id, SimTime::from_secs(97));
+    s.replan(97, ReplanReason::Completion);
+    assert_eq!(s.folded(), folded);
+}
+
+/// Cancelled jobs leave without a rectangle, so the base the plans were
+/// made on, with the departed jobs folded in, is never the new one —
+/// not even for a job the winning plan started at the instant it was
+/// cancelled — and every plan is made afresh, as the reference makes it.
+#[test]
+fn cancelled_jobs_fold_nothing() {
+    let mut s = SideBySide::with_standing_queue(&paper_config(), 10_000, 80);
+    for k in 0..12u32 {
+        let now = 90 + 2 * k as u64;
+        let plan = s.submit(now, 1 + k % 4, 100 + 50 * k as u64);
+        let narrow = JobId(s.next_id - 1);
+        assert!(plan
+            .due(SimTime::from_secs(now))
+            .any(|e| e.job.id == narrow));
+        s.state.withdraw(narrow);
+        if k % 2 == 1 {
+            s.state.withdraw(JobId(1 + 6 * k));
+        }
+        let passes = s.suffix_passes();
+        s.replan(now + (k % 3 == 0) as u64, ReplanReason::Submission);
+        assert_eq!(s.suffix_passes(), passes, "cancel {k} took the full pass");
+    }
+    assert_eq!(s.folded(), 0);
 }
 
 #[test]
