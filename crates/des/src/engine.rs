@@ -1,7 +1,7 @@
 //! The event loop: a clock plus a pending event set.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::queue::{BinaryHeapQueue, EventQueue};
+use crate::queue::{BinaryHeapQueue, EventQueue, SEEDED_SEQ_LIMIT};
 use crate::time::SimTime;
 
 /// A discrete-event simulation engine.
@@ -67,17 +67,39 @@ impl<E> EngineSnapshot<E> {
         });
     }
 
-    /// Decodes a snapshot written by [`EngineSnapshot::encode_into`].
+    /// Decodes a snapshot written by [`EngineSnapshot::encode_into`],
+    /// refusing one no engine could have taken: a counter inside the
+    /// seeded sequence space, or a pending timer before the clock, out of
+    /// `(time, seq)` order or carrying a seq the counter has not issued.
+    /// Restored, such a snapshot would run the clock backward.
     pub fn decode_from(
         r: &mut ByteReader<'_>,
         event: impl Fn(&mut ByteReader<'_>) -> Result<E, CodecError>,
     ) -> Result<Self, CodecError> {
-        Ok(EngineSnapshot {
+        let snap = EngineSnapshot {
             now: SimTime::from_millis(r.u64()?),
             processed: r.u64()?,
             next_seq: r.u64()?,
             entries: r.list(|r| Ok((SimTime::from_millis(r.u64()?), r.u64()?, event(r)?)))?,
-        })
+        };
+        let invalid = |what| Err(CodecError::Invalid { what });
+        if snap.next_seq < SEEDED_SEQ_LIMIT {
+            return invalid("engine sequence counter");
+        }
+        let mut last = None;
+        for &(t, seq, _) in &snap.entries {
+            if t < snap.now {
+                return invalid("engine timer before the clock");
+            }
+            if last >= Some((t, seq)) {
+                return invalid("engine timer order");
+            }
+            if seq >= snap.next_seq {
+                return invalid("engine timer sequence");
+            }
+            last = Some((t, seq));
+        }
+        Ok(snap)
     }
 }
 

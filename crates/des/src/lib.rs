@@ -13,8 +13,8 @@
 //!   (time, insertion-order) order, advance the clock monotonically,
 //! * [`clock`] — the same engine under a wall clock
 //!   ([`WallClockSource`]): timers fire when the wall reaches them,
-//!   external items arrive over a channel, and a journaled external
-//!   replays in the order the live source dispatched it,
+//!   and a live external and a journaled one take the same step — every
+//!   timer before its stamp, then the external,
 //! * [`codec`] — the one byte layout of every durable format: integers,
 //!   lists, and the checksummed envelope,
 //! * [`stats`] — exact time-weighted averages of step signals (queue
@@ -46,7 +46,7 @@ pub mod queue;
 pub mod stats;
 pub mod time;
 
-pub use clock::{Tick, WallClockSource};
+pub use clock::WallClockSource;
 pub use codec::{ByteReader, ByteWriter, CodecError};
 pub use engine::{Engine, EngineSnapshot};
 pub use queue::{BinaryHeapQueue, CalendarQueue, EventQueue, SEEDED_SEQ_LIMIT};

@@ -1,17 +1,16 @@
 //! The typed in-process service API.
 //!
-//! Clients talk to the daemon over an [`std::sync::mpsc`] channel of
-//! [`Command`]s; every command that expects an answer carries its own
-//! reply sender, so replies route to the right caller regardless of how
-//! many clients share the channel. The newline-delimited JSON protocol
-//! ([`crate::proto`]) is a thin codec over exactly these types.
+//! Clients call the daemon through a
+//! [`ServiceHandle`](crate::daemon::ServiceHandle), whose methods take
+//! and return these types on the caller's thread. The newline-delimited
+//! JSON protocol ([`crate::proto`]) is a thin codec over exactly these
+//! types.
 
 use crate::journal::{FsyncPolicy, ServiceCounters, DEFAULT_ROTATE_BYTES};
 use dynp_des::{SimDuration, SimTime};
 use dynp_obs::Tracer;
 use dynp_sim::{DetailedRun, SchedulerSpec};
 use std::path::PathBuf;
-use std::sync::mpsc::Sender;
 
 /// One job submission: what the user asks for. The daemon assigns the
 /// job id and stamps the submission time.
@@ -111,7 +110,7 @@ pub struct ServiceStatus {
     pub draining: bool,
 }
 
-/// A reply to one command.
+/// A reply to one request, as the wire protocol renders it.
 #[derive(Clone, Debug)]
 pub enum Reply {
     /// The submission was admitted.
@@ -130,21 +129,6 @@ pub enum Reply {
     Status(ServiceStatus),
     /// Shutdown acknowledged; the daemon is draining.
     Draining,
-}
-
-/// A client request, carrying the sender its reply goes to.
-#[derive(Debug)]
-pub enum Command {
-    /// Submit a job.
-    Submit(SubmitSpec, Sender<Reply>),
-    /// Cancel a waiting job by id.
-    Cancel(u32, Sender<Reply>),
-    /// Query the service state.
-    Status(Sender<Reply>),
-    /// Begin graceful shutdown: stop accepting, drain in-flight events
-    /// at full speed, flush logs, exit. The reply (if a sender is given)
-    /// is [`Reply::Draining`].
-    Shutdown(Option<Sender<Reply>>),
 }
 
 /// Per-user admission quota: a token bucket refilled in service time.

@@ -31,15 +31,14 @@
 use dynp_serve::cli::{fsync, quota};
 use dynp_serve::{
     parse_request, parse_scheduler, read_journal_header, read_request_line, recover, render_reply,
-    render_summary, spawn, Command, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply,
-    Request, ServiceConfig, ServiceHandle, SubmitError,
+    render_summary, spawn, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply, Request,
+    ServiceConfig, ServiceHandle, SubmitError,
 };
 use dynp_sim::cli::Flags;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -174,65 +173,53 @@ fn install_signal_handlers() {
     }
 }
 
-/// Sends one command and waits for its reply; a closed daemon channel
-/// becomes the typed shutting-down overload.
-fn roundtrip(
-    tx: &mpsc::Sender<Command>,
-    make: impl FnOnce(mpsc::Sender<Reply>) -> Command,
-) -> String {
-    let refused = || {
-        render_reply(&Reply::Rejected(SubmitError::Overload(
-            OverloadReason::ShuttingDown,
-        )))
-    };
-    let (reply_tx, reply_rx) = mpsc::channel();
-    if tx.send(make(reply_tx)).is_err() {
-        return refused();
-    }
-    match reply_rx.recv() {
-        Ok(reply) => render_reply(&reply),
-        Err(_) => refused(),
-    }
-}
-
 /// The reply line to a request that cannot be read as one.
 fn invalid(why: String) -> String {
     render_reply(&Reply::Rejected(SubmitError::Invalid(why)))
 }
 
-/// Handles one request line and returns the reply line.
-fn handle_line(tx: &mpsc::Sender<Command>, line: &str, done: &AtomicBool) -> String {
-    match parse_request(line) {
-        Err(why) => invalid(why),
-        Ok(Request::Submit(spec)) => roundtrip(tx, |r| Command::Submit(spec, r)),
-        Ok(Request::Cancel(job)) => roundtrip(tx, |r| Command::Cancel(job, r)),
-        Ok(Request::Status) => roundtrip(tx, Command::Status),
+/// Handles one request line on this thread and returns the reply line.
+fn handle_line(handle: &ServiceHandle, line: &str) -> String {
+    let reply = match parse_request(line) {
+        Err(why) => return invalid(why),
+        Ok(Request::Submit(spec)) => match handle.submit(spec) {
+            Ok(ticket) => Reply::Accepted(ticket),
+            Err(e) => Reply::Rejected(e),
+        },
+        Ok(Request::Cancel(job)) => Reply::Cancelled {
+            job,
+            found: handle.cancel(job),
+        },
+        Ok(Request::Status) => match handle.status() {
+            Some(status) => Reply::Status(status),
+            None => Reply::Rejected(SubmitError::Overload(OverloadReason::ShuttingDown)),
+        },
         Ok(Request::Shutdown) => {
-            done.store(true, Ordering::SeqCst);
-            roundtrip(tx, |r| Command::Shutdown(Some(r)))
+            handle.shutdown();
+            Reply::Draining
         }
-    }
+    };
+    render_reply(&reply)
 }
 
 /// Pumps one transport: request lines in, reply lines out, in order,
-/// until end of input or a transport error. A line over the length
-/// bound is answered and ends the transport too — the rest of it is not
-/// worth reading — without disturbing the daemon or any other
-/// connection.
-fn serve_lines(
-    mut reader: impl BufRead,
-    mut writer: impl Write,
-    tx: &mpsc::Sender<Command>,
-    done: &AtomicBool,
-) {
+/// until end of input or a transport error. Each reply leaves in one
+/// `write`, newline included, after the daemon's lock is released. A
+/// line over the length bound is answered and ends the transport too —
+/// the rest of it is not worth reading — without disturbing the daemon
+/// or any other connection.
+fn serve_lines(mut reader: impl BufRead, mut writer: impl Write, handle: &ServiceHandle) {
     loop {
-        let (reply, last) = match read_request_line(&mut reader) {
+        let (mut reply, last) = match read_request_line(&mut reader) {
             Ok(None) => return,
             Ok(Some(line)) if line.trim().is_empty() => continue,
-            Ok(Some(line)) => (handle_line(tx, &line, done), false),
+            Ok(Some(line)) => (handle_line(handle, &line), false),
             Err(e) => (invalid(e.to_string()), true),
         };
-        let sent = writeln!(writer, "{reply}").and_then(|()| writer.flush());
+        reply.push('\n');
+        let sent = writer
+            .write_all(reply.as_bytes())
+            .and_then(|()| writer.flush());
         if sent.is_err() || last {
             return;
         }
@@ -240,9 +227,9 @@ fn serve_lines(
 }
 
 /// One socket connection.
-fn serve_connection(stream: UnixStream, handle: ServiceHandle, done: Arc<AtomicBool>) {
+fn serve_connection(stream: UnixStream, handle: ServiceHandle) {
     if let Ok(reader) = stream.try_clone() {
-        serve_lines(BufReader::new(reader), stream, &handle.sender(), &done);
+        serve_lines(BufReader::new(reader), stream, &handle);
     }
 }
 
@@ -256,37 +243,28 @@ fn bind(path: &Path) -> UnixListener {
         eprintln!("cannot bind {}: {e}", path.display());
         std::process::exit(2);
     });
-    listener.set_nonblocking(true).expect("set_nonblocking");
     eprintln!("dynp-serve: listening on {}", path.display());
     listener
 }
 
-fn serve_socket(listener: UnixListener, handle: ServiceHandle, done: Arc<AtomicBool>) {
+/// Accepts connections, blocking, until the process exits after the
+/// drain; each one is served on a thread of its own.
+fn serve_socket(listener: UnixListener, handle: ServiceHandle) {
     std::thread::spawn(move || {
-        while !done.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let handle = handle.clone();
-                    let done = done.clone();
-                    std::thread::spawn(move || serve_connection(stream, handle, done));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(25));
-                }
-                Err(_) => break,
-            }
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            let handle = handle.clone();
+            std::thread::spawn(move || serve_connection(stream, handle));
         }
     });
 }
 
-fn serve_stdin(handle: ServiceHandle, done: Arc<AtomicBool>) {
+fn serve_stdin(handle: ServiceHandle) {
     std::thread::spawn(move || {
         let stdin = std::io::stdin();
-        serve_lines(stdin.lock(), std::io::stdout(), &handle.sender(), &done);
+        serve_lines(stdin.lock(), std::io::stdout(), &handle);
         // EOF: the client hung up; drain and exit like a shutdown.
         handle.shutdown();
-        done.store(true, Ordering::SeqCst);
     });
 }
 
@@ -307,7 +285,6 @@ fn main() {
         std::process::exit(2);
     });
     install_signal_handlers();
-    let done = Arc::new(AtomicBool::new(false));
 
     if args.drain {
         // Drain mode: no transport — finish the (recovered) session and
@@ -315,7 +292,7 @@ fn main() {
         // closing out a journal.
         handle.shutdown();
         drop(handle);
-        let report = join.join().expect("daemon thread panicked");
+        let report = join.join().expect("the daemon panicked");
         println!("{}", render_summary(&report));
         std::process::exit(0);
     }
@@ -323,35 +300,28 @@ fn main() {
     // Signal watcher: turns SIGINT/SIGTERM into a graceful drain.
     {
         let handle = handle.clone();
-        let done = done.clone();
-        std::thread::spawn(move || loop {
-            if SHUTDOWN_SIGNAL.load(Ordering::SeqCst) {
-                handle.shutdown();
-                done.store(true, Ordering::SeqCst);
-                return;
+        std::thread::spawn(move || {
+            while !SHUTDOWN_SIGNAL.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_millis(25));
             }
-            if done.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
+            handle.shutdown();
         });
     }
 
     match listener {
-        Some(listener) => serve_socket(listener, handle.clone(), done.clone()),
-        None => serve_stdin(handle.clone(), done.clone()),
+        Some(listener) => serve_socket(listener, handle),
+        None => serve_stdin(handle),
     }
-    drop(handle);
 
     // Block until the daemon drains (shutdown command, signal, or EOF).
-    let report = join.join().expect("daemon thread panicked");
-    done.store(true, Ordering::SeqCst);
+    let report = join.join().expect("the daemon panicked");
     if let Some(path) = socket {
         let _ = std::fs::remove_file(path);
     }
     println!("{}", render_summary(&report));
-    // Transport threads may still be blocked in reads; exiting the
-    // process is the clean way out once the drain has finished.
+    // Transport threads may still be blocked in reads or in `accept`;
+    // exiting the process is the clean way out once the drain has
+    // finished.
     std::process::exit(0);
 }
 
@@ -359,13 +329,21 @@ fn main() {
 mod tests {
     use super::*;
 
-    /// Runs `input` through one transport of a daemon that must never
-    /// hear of it, and returns the reply lines.
+    /// Runs `input` through one transport of an in-process daemon that
+    /// must never hear of it, and returns the reply lines.
     fn replies_to(input: Vec<u8>) -> Vec<String> {
-        let (tx, rx) = mpsc::channel();
+        let fcfs = parse_scheduler("FCFS").unwrap();
+        let (handle, join) = spawn(ServiceConfig::new(8, fcfs)).unwrap();
         let mut out = Vec::new();
-        serve_lines(&input[..], &mut out, &tx, &AtomicBool::new(false));
-        assert!(rx.try_recv().is_err(), "a bad line reached the daemon");
+        serve_lines(&input[..], &mut out, &handle);
+        let status = handle.status().unwrap();
+        assert_eq!(
+            (status.accepted, status.rejected),
+            (0, 0),
+            "a bad line reached the daemon"
+        );
+        handle.shutdown();
+        join.join().unwrap();
         String::from_utf8(out)
             .unwrap()
             .lines()

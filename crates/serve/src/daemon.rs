@@ -1,14 +1,19 @@
 //! The service daemon: the batch driver's [`ShardCore`] on a wall clock,
 //! made crash-safe.
 //!
-//! [`spawn`] starts one daemon thread that owns the whole scheduling
-//! state — `RmsState`, the self-tuning scheduler, the durable journal —
-//! and multiplexes two event sources through a [`WallClockSource`]: its
-//! own timers (job completions, scheduled by the driver exactly as in
-//! simulation) and external [`Command`]s from any number of clients.
-//! Every event goes through the *same* [`ShardCore::handle`] the batch
-//! simulator runs, which is the whole digital-twin argument: nothing in
-//! the scheduling path knows whether the clock is real.
+//! One `Daemon` owns the whole scheduling state — `RmsState`, the
+//! self-tuning scheduler, the durable journal — behind one lock. A
+//! client's command runs on the client's own thread ([`ServiceHandle`]):
+//! it takes the lock, moves the [`WallClockSource`] to the command's
+//! stamp — every job completion due before it runs first — applies the
+//! command and lets go; the caller renders and writes its reply after.
+//! The thread [`spawn`] starts takes no commands: it sleeps until the
+//! earliest pending timer is due and runs the due timers under the same
+//! lock, so completions fire at their wall-clock instants while no
+//! command arrives. Every event goes through the *same*
+//! [`ShardCore::handle`] the batch simulator runs, which is the whole
+//! digital-twin argument: nothing in the scheduling path knows whether
+//! the clock is real.
 //!
 //! ## Durability and recovery
 //!
@@ -20,10 +25,10 @@
 //! state are written at segment rotations and on a configurable record
 //! cadence. [`recover`] rebuilds the daemon after a crash, on the
 //! caller's thread: load the newest valid checkpoint, then feed the
-//! journal suffix to the same `apply`, on the [`WallClockSource`] that
-//! then goes live (timers strictly before each record's stamp, then the
+//! journal suffix to the same `apply`, after the same clock step a live
+//! command takes (timers strictly before each record's stamp, then the
 //! record — the exact live dispatch order). Only then does the journal
-//! resume and the daemon thread start, so a journal recovery refuses
+//! resume and the timer thread start, so a journal recovery refuses
 //! gets no new segment. The result is bit-identical to a daemon that
 //! was never killed, which `tests/service_replay.rs` pins with a
 //! crash-at-any-point property test.
@@ -37,22 +42,23 @@
 //! fair share of waiting slots is rejected with
 //! [`OverloadReason::UserQuota`] even if the bucket has tokens.
 //!
-//! Shutdown drains rather than aborts: the wall source stops sleeping
-//! and fast-forwards the remaining completions in virtual time, the
-//! journal is fsynced, reply channels are flushed, and the core's
-//! end-of-run invariants (job conservation, idle machine) are asserted
-//! exactly as after a batch run.
+//! Shutdown drains rather than aborts: the timer thread fast-forwards
+//! the remaining completions in virtual time, the journal is fsynced,
+//! and the core's end-of-run invariants (job conservation, idle machine)
+//! are asserted exactly as after a batch run. A panic under the lock
+//! ends the service the same way a crash of the daemon would: later
+//! commands are refused, and joining the timer thread yields a panic.
 
 use crate::api::{
-    Command, OverloadReason, QuotaConfig, Reply, ServiceConfig, ServiceReport, ServiceStatus,
-    SubmitError, SubmitSpec, Ticket,
+    OverloadReason, QuotaConfig, ServiceConfig, ServiceReport, ServiceStatus, SubmitError,
+    SubmitSpec, Ticket,
 };
 use crate::journal::{
     load_usable_checkpoint, read_journal, repair_torn_tail, write_checkpoint, JournalError,
     JournalRecord, JournalWriter, ServiceCheckpoint, ServiceCounters,
 };
 use crate::session::{service_fingerprint, ReplayError};
-use dynp_des::{SimTime, Tick, WallClockSource};
+use dynp_des::{Engine, SimTime, WallClockSource};
 use dynp_obs::TraceEvent;
 use dynp_rms::{AdmissionConfig, Scheduler};
 use dynp_sim::render_scheduler;
@@ -61,62 +67,99 @@ use dynp_workload::{FaultPlan, Job, JobId};
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// A cheaply cloneable client handle to a running daemon.
 ///
-/// The synchronous helpers create a private reply channel per call; for
-/// open-loop load generation use [`ServiceHandle::sender`] and pair each
-/// command with your own reply receiver so requests never wait on each
-/// other.
-#[derive(Clone)]
+/// Each call runs its command on the calling thread, under the lock that
+/// guards the daemon, so any number of threads may serve clients through
+/// clones of one handle. The daemon drains once [`ServiceHandle::shutdown`]
+/// is called or every clone is dropped.
 pub struct ServiceHandle {
-    tx: Sender<Command>,
+    shared: Arc<Shared>,
+}
+
+/// What the handles and the timer thread share.
+struct Shared {
+    /// The daemon; `None` once the timer thread has drained it.
+    daemon: Mutex<Option<Daemon>>,
+    /// Wakes the timer thread: an earlier timer, a shutdown, the last
+    /// handle gone, a panic under the lock.
+    wake: Condvar,
+    /// Live [`ServiceHandle`]s.
+    handles: AtomicUsize,
 }
 
 impl ServiceHandle {
-    /// The raw command sender (for asynchronous clients).
-    pub fn sender(&self) -> Sender<Command> {
-        self.tx.clone()
+    /// Runs `command` on the daemon under its lock; `None` once the
+    /// daemon has drained, or a panic under the lock has ended it. A
+    /// command that leaves a timer earlier than the earliest one before
+    /// it wakes the timer thread, whose sleep would otherwise overrun it.
+    fn serve<T>(&self, command: impl FnOnce(&mut Daemon) -> T) -> Option<T> {
+        let run = || {
+            let mut guard = self.shared.daemon.lock().ok()?;
+            let daemon = guard.as_mut()?;
+            let before = daemon.src.engine().peek_time();
+            let out = command(daemon);
+            let after = daemon.src.engine().peek_time();
+            drop(guard);
+            if after.is_some_and(|t| before.is_none_or(|b| t < b)) {
+                self.shared.wake.notify_one();
+            }
+            Some(out)
+        };
+        // The unwind poisons the lock, which ends the service; the woken
+        // timer thread carries the panic to its join handle.
+        catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| {
+            self.shared.wake.notify_one();
+            None
+        })
     }
 
-    /// Submits a job and waits for the verdict.
+    /// Submits a job and returns the verdict.
     pub fn submit(&self, spec: SubmitSpec) -> Result<Ticket, SubmitError> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.tx.send(Command::Submit(spec, reply_tx)).is_err() {
-            return Err(SubmitError::Overload(OverloadReason::ShuttingDown));
-        }
-        match reply_rx.recv() {
-            Ok(Reply::Accepted(t)) => Ok(t),
-            Ok(Reply::Rejected(e)) => Err(e),
-            _ => Err(SubmitError::Overload(OverloadReason::ShuttingDown)),
-        }
+        self.serve(|d| d.admit(spec))
+            .unwrap_or(Err(SubmitError::Overload(OverloadReason::ShuttingDown)))
     }
 
     /// Cancels a waiting job; true if it was withdrawn.
     pub fn cancel(&self, job: u32) -> bool {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        if self.tx.send(Command::Cancel(job, reply_tx)).is_err() {
-            return false;
-        }
-        matches!(reply_rx.recv(), Ok(Reply::Cancelled { found: true, .. }))
+        self.serve(|d| d.cancel(job)).unwrap_or(false)
     }
 
     /// Queries the service state (None once the daemon has exited).
     pub fn status(&self) -> Option<ServiceStatus> {
-        let (reply_tx, reply_rx) = mpsc::channel();
-        self.tx.send(Command::Status(reply_tx)).ok()?;
-        match reply_rx.recv() {
-            Ok(Reply::Status(s)) => Some(s),
-            _ => None,
-        }
+        self.serve(Daemon::status)
     }
 
     /// Requests graceful shutdown and returns immediately; join the
     /// handle returned by [`spawn`] to wait for the drained report.
     pub fn shutdown(&self) {
-        let _ = self.tx.send(Command::Shutdown(None));
+        self.serve(Daemon::shutdown);
+        self.shared.wake.notify_one();
+    }
+}
+
+impl Clone for ServiceHandle {
+    fn clone(&self) -> Self {
+        self.shared.handles.fetch_add(1, Ordering::SeqCst);
+        ServiceHandle {
+            shared: self.shared.clone(),
+        }
+    }
+}
+
+impl Drop for ServiceHandle {
+    fn drop(&mut self) {
+        if self.shared.handles.fetch_sub(1, Ordering::SeqCst) == 1 {
+            // Through the lock, so the timer thread is either before its
+            // check of the count or asleep and woken.
+            drop(self.shared.daemon.lock());
+            self.shared.wake.notify_one();
+        }
     }
 }
 
@@ -171,10 +214,10 @@ impl From<ReplayError> for RecoverError {
     }
 }
 
-/// Starts a fresh daemon thread. Returns the client handle and the join
-/// handle yielding the end-of-session [`ServiceReport`]; the daemon
-/// exits when a shutdown command arrives or every [`ServiceHandle`]
-/// clone (and raw sender) is dropped.
+/// Starts a fresh daemon and its timer thread. Returns the client handle
+/// and the join handle yielding the end-of-session [`ServiceReport`];
+/// the daemon drains when a shutdown command arrives or every
+/// [`ServiceHandle`] clone is dropped.
 pub fn spawn(config: ServiceConfig) -> io::Result<(ServiceHandle, JoinHandle<ServiceReport>)> {
     let journal = match &config.journal {
         Some(dir) => Some(
@@ -190,9 +233,7 @@ pub fn spawn(config: ServiceConfig) -> io::Result<(ServiceHandle, JoinHandle<Ser
         ),
         None => None,
     };
-    let (tx, rx) = mpsc::channel();
-    // A fresh daemon's state is built on its own thread, where it lives.
-    start(tx, move || Daemon::new(config, rx, journal))
+    start(Daemon::new(config, journal))
 }
 
 /// Recovers a daemon from its journal directory after a crash: loads
@@ -201,7 +242,7 @@ pub fn spawn(config: ServiceConfig) -> io::Result<(ServiceHandle, JoinHandle<Ser
 /// suffix through the live path's apply, and goes live on a resumed wall
 /// clock. Acknowledged work is never lost; the recovered state is
 /// bit-identical to an uninterrupted run's. Recovery runs to completion
-/// on the caller's thread, so every refusal is returned before a daemon
+/// on the caller's thread, so every refusal is returned before a timer
 /// thread exists or the journal gains a segment. On a *compacted*
 /// journal genesis replay is impossible, so a surviving checkpoint
 /// covering the compacted prefix is required
@@ -245,8 +286,7 @@ pub fn recover(
     // Seq of the first surviving record: 0 unless compaction deleted
     // the genesis segments.
     let first_base_seq = journal.segments.first().map_or(0, |&(_, base)| base);
-    let (tx, rx) = mpsc::channel();
-    let mut daemon = Daemon::new(config, rx, None);
+    let mut daemon = Daemon::new(config, None);
     // A checkpoint is only usable if it matches this journal and this
     // scheduler — *and* covers everything compaction deleted. The newest
     // usable one is restored; without one, recovery falls back to
@@ -268,16 +308,7 @@ pub fn recover(
     // stamp, then the record itself, through the live path's `apply`.
     let mut replayed = 0u64;
     for rec in journal.records.iter().filter(|r| r.seq() >= first_seq) {
-        daemon.src.replay_external(rec.stamp(), |eng, ev| {
-            daemon.core.handle(
-                eng,
-                ev,
-                &mut *daemon.scheduler,
-                &daemon.jobs,
-                &[],
-                &daemon.faults,
-            )
-        });
+        daemon.advance_to(rec.stamp());
         daemon.apply(rec)?;
         replayed += 1;
     }
@@ -290,18 +321,47 @@ pub fn recover(
     );
     let (fsync, rotate_bytes) = (daemon.config.fsync, daemon.config.rotate_bytes);
     daemon.journal = Some(JournalWriter::resume(&dir, &journal, fsync, rotate_bytes)?);
-    start(tx, move || daemon).map_err(|e| io_error(dir, e))
+    // The wall clock takes over from the last replayed instant.
+    daemon.src.anchor();
+    start(daemon).map_err(|e| io_error(dir, e))
 }
 
-/// Runs the daemon `build` returns on a thread of its own.
-fn start(
-    tx: Sender<Command>,
-    build: impl FnOnce() -> Daemon + Send + 'static,
-) -> io::Result<(ServiceHandle, JoinHandle<ServiceReport>)> {
+/// Shares `daemon` with a new handle and starts its timer thread.
+fn start(daemon: Daemon) -> io::Result<(ServiceHandle, JoinHandle<ServiceReport>)> {
+    let shared = Arc::new(Shared {
+        daemon: Mutex::new(Some(daemon)),
+        wake: Condvar::new(),
+        handles: AtomicUsize::new(1),
+    });
+    let timers = shared.clone();
     let join = std::thread::Builder::new()
         .name("dynp-serve".into())
-        .spawn(move || build().run())?;
-    Ok((ServiceHandle { tx }, join))
+        .spawn(move || run_timers(&timers))?;
+    Ok((ServiceHandle { shared }, join))
+}
+
+/// The timer thread: sleeps until the earliest pending timer is due and
+/// runs the due timers under the lock, until a shutdown or the last
+/// handle's drop; then drains the rest at full speed and reports.
+fn run_timers(shared: &Shared) -> ServiceReport {
+    const POISONED: &str = "a panic under the daemon lock ended the service";
+    let mut guard = shared.daemon.lock().expect(POISONED);
+    loop {
+        let daemon = guard
+            .as_mut()
+            .expect("only the timer thread takes the daemon");
+        if daemon.draining || shared.handles.load(Ordering::SeqCst) == 0 {
+            daemon.on_timers(|src, timer| src.drain(timer));
+            break;
+        }
+        guard = match daemon.on_timers(|src, timer| src.run_due(timer)) {
+            Some(wait) => shared.wake.wait_timeout(guard, wait).expect(POISONED).0,
+            None => shared.wake.wait(guard).expect(POISONED),
+        };
+    }
+    let daemon = guard.take().expect("drained once");
+    drop(guard);
+    daemon.finish()
 }
 
 /// Per-user admission token buckets — part of the journal fold.
@@ -385,7 +445,7 @@ struct Daemon {
     journal: Option<JournalWriter>,
     core: ShardCore,
     scheduler: Box<dyn Scheduler>,
-    src: WallClockSource<Event, Command>,
+    src: WallClockSource<Event>,
     faults: FaultPlan,
     jobs: Vec<Job>,
     /// Submitting user of each job, parallel to `jobs`.
@@ -398,7 +458,7 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn new(config: ServiceConfig, rx: Receiver<Command>, journal: Option<JournalWriter>) -> Daemon {
+    fn new(config: ServiceConfig, journal: Option<JournalWriter>) -> Daemon {
         let faults = FaultPlan::none();
         let mut scheduler = config.scheduler.build();
         scheduler.set_tracer(config.tracer.clone());
@@ -412,7 +472,7 @@ impl Daemon {
             0,
         );
         Daemon {
-            src: WallClockSource::new(rx, config.speedup),
+            src: WallClockSource::new(config.speedup),
             quotas: QuotaBuckets::new(config.quota),
             config,
             journal,
@@ -442,8 +502,8 @@ impl Daemon {
 
     /// Applies one accepted command to the service state. This is the
     /// only code that does: live, right after the command is journaled;
-    /// in recovery, right after [`WallClockSource::replay_external`] has
-    /// run the timers before its stamp. A record this state could not
+    /// in recovery, right after `Daemon::advance_to` has run the timers
+    /// before its stamp. A record this state could not
     /// have journaled — a submission that does not carry the next dense
     /// job id, a cancel of a job no submission introduced — is refused
     /// before it changes anything.
@@ -508,28 +568,63 @@ impl Daemon {
         self.journal.as_ref().map_or(0, JournalWriter::next_seq)
     }
 
-    fn run(mut self) -> ServiceReport {
-        while let Some(tick) = self.src.next_tick() {
-            match tick {
-                Tick::Timer(event) => self.core.handle(
-                    self.src.engine_mut(),
-                    event,
-                    &mut *self.scheduler,
-                    &self.jobs,
-                    &[],
-                    &self.faults,
-                ),
-                Tick::External(cmd) => self.handle_command(cmd),
-            }
+    /// Runs `step` on the source with the handler every timer goes
+    /// through: the shard core, exactly as in a batch run.
+    fn on_timers<T>(
+        &mut self,
+        step: impl FnOnce(&mut WallClockSource<Event>, &mut dyn FnMut(&mut Engine<Event>, Event)) -> T,
+    ) -> T {
+        let Daemon {
+            src,
+            core,
+            scheduler,
+            jobs,
+            faults,
+            ..
+        } = self;
+        step(src, &mut |eng, ev| {
+            core.handle(eng, ev, &mut **scheduler, jobs, &[], faults)
+        })
+    }
+
+    /// Runs every timer before `stamp`, then counts an external at it:
+    /// the one step by which a live command and a replayed record move
+    /// the clock.
+    fn advance_to(&mut self, stamp: SimTime) {
+        self.on_timers(|src, timer| src.replay_external(stamp, timer));
+    }
+
+    /// Moves the clock to a live command's stamp. Once shutdown has
+    /// begun the clock belongs to the drain, and commands leave it be.
+    fn arrive(&mut self) {
+        if !self.draining {
+            self.advance_to(self.src.live_stamp());
         }
-        // Clients that raced the drain get the draining daemon's answer —
-        // a typed refusal — instead of a dropped channel. (Commands are
-        // left over only after a shutdown command set `draining`, and the
-        // drained machine has no waiting job left to cancel.)
-        for cmd in self.src.drain_externals() {
-            self.handle_command(cmd);
+    }
+
+    /// Only a cancel that withdraws a waiting job is accepted. A
+    /// draining daemon withdraws nothing: the drain starts every job.
+    fn cancel(&mut self, job: u32) -> bool {
+        if self.draining {
+            return false;
         }
-        // The journal hits disk before the summary, whatever the policy.
+        self.arrive();
+        let found = self.core.state().waiting().iter().any(|j| j.id.0 == job);
+        if found {
+            let (seq, stamp) = (self.next_seq(), self.src.engine().now());
+            self.commit(&JournalRecord::Cancel { seq, stamp, job });
+        }
+        found
+    }
+
+    fn shutdown(&mut self) {
+        self.arrive();
+        self.draining = true;
+    }
+
+    /// The drained daemon's report: the journal hits disk before the
+    /// summary, whatever the policy.
+    fn finish(mut self) -> ServiceReport {
         if let Some(writer) = self.journal.as_mut() {
             let _ = writer.sync();
         }
@@ -545,40 +640,11 @@ impl Daemon {
         ServiceReport::new(run, c, fingerprint)
     }
 
-    fn handle_command(&mut self, cmd: Command) {
-        match cmd {
-            Command::Submit(spec, reply) => {
-                let _ = reply.send(match self.admit(spec) {
-                    Ok(t) => Reply::Accepted(t),
-                    Err(e) => Reply::Rejected(e),
-                });
-            }
-            Command::Cancel(job, reply) => {
-                // Only a cancel that withdraws a waiting job is accepted.
-                let found = self.core.state().waiting().iter().any(|j| j.id.0 == job);
-                if found {
-                    let (seq, stamp) = (self.next_seq(), self.src.engine().now());
-                    self.commit(&JournalRecord::Cancel { seq, stamp, job });
-                }
-                let _ = reply.send(Reply::Cancelled { job, found });
-            }
-            Command::Status(reply) => {
-                let _ = reply.send(Reply::Status(self.status()));
-            }
-            Command::Shutdown(reply) => {
-                self.draining = true;
-                self.src.begin_drain();
-                if let Some(reply) = reply {
-                    let _ = reply.send(Reply::Draining);
-                }
-            }
-        }
-    }
-
-    /// The admission path: validate, apply backpressure and quotas,
-    /// stamp, then [`Daemon::commit`] the submission. A refusal changes
+    /// The admission path: stamp, validate, apply backpressure and
+    /// quotas, then [`Daemon::commit`] the submission. A refusal changes
     /// nothing but its own counter.
     fn admit(&mut self, spec: SubmitSpec) -> Result<Ticket, SubmitError> {
+        self.arrive();
         if self.draining {
             self.counters.rejected_shutdown += 1;
             return Err(SubmitError::Overload(OverloadReason::ShuttingDown));
@@ -644,7 +710,8 @@ impl Daemon {
         occupancy > fair.max(1)
     }
 
-    fn status(&self) -> ServiceStatus {
+    fn status(&mut self) -> ServiceStatus {
+        self.arrive();
         let state = self.core.state();
         let c = &self.counters;
         ServiceStatus {
@@ -730,5 +797,30 @@ impl Daemon {
                 eprintln!("dynp-serve: checkpoint failed: {e}");
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dynp_rms::Policy;
+    use dynp_sim::SchedulerSpec;
+
+    #[test]
+    fn a_panic_under_the_lock_ends_the_service() {
+        let config = ServiceConfig::new(8, SchedulerSpec::Static(Policy::Fcfs));
+        let (handle, join) = spawn(config).unwrap();
+        let other = handle.clone();
+        assert_eq!(handle.serve::<()>(|_| panic!("a bug under the lock")), None);
+        let refused = Err(SubmitError::Overload(OverloadReason::ShuttingDown));
+        let spec = SubmitSpec {
+            width: 1,
+            estimate: dynp_des::SimDuration::from_secs(1),
+            actual: dynp_des::SimDuration::from_secs(1),
+            user: 0,
+        };
+        assert_eq!(other.submit(spec), refused);
+        assert!(other.status().is_none());
+        assert!(join.join().is_err(), "the join handle yields the panic");
     }
 }

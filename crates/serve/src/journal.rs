@@ -1351,7 +1351,7 @@ mod tests {
             engine: EngineSnapshot {
                 now: SimTime::from_millis(seq * 100),
                 processed: seq,
-                next_seq: 0,
+                next_seq: dynp_des::SEEDED_SEQ_LIMIT,
                 entries: Vec::new(),
             },
             min_external: SimTime::from_millis(seq * 100),

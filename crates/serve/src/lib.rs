@@ -5,14 +5,15 @@
 //! serving live traffic, making the simulator a digital twin of the
 //! service (and vice versa):
 //!
-//! * [`daemon`] — the daemon thread: the batch driver's `ShardCore` and
+//! * [`daemon`] — the daemon: the batch driver's `ShardCore` and
 //!   scheduler on a [`dynp_des::WallClockSource`] (the DES engine under a
 //!   wall clock, so recovery replays the journal on the very source that
-//!   then goes live), a typed submission/query/cancel API with
-//!   bounded-queue backpressure and per-user quotas, graceful drain on
-//!   shutdown;
-//! * [`api`] — the command/reply types shared by the in-process channel
-//!   API and the wire protocol;
+//!   then goes live) behind one lock, a typed submission/query/cancel
+//!   API whose calls run on the caller's thread, with bounded-queue
+//!   backpressure and per-user quotas, a timer thread that fires
+//!   completions on time, graceful drain on shutdown;
+//! * [`api`] — the request/reply types shared by the in-process API and
+//!   the wire protocol;
 //! * [`proto`] — the newline-delimited JSON codec (Unix socket or
 //!   stdin transport, see the `daemon` bin);
 //! * [`journal`] — the durable write-ahead log of accepted commands and
@@ -29,7 +30,7 @@
 //! then applied by the one function recovery applies it with;
 //! [`daemon::recover`] rebuilds a killed daemon from the newest valid
 //! checkpoint plus the journal suffix on the caller's thread, before the
-//! daemon thread starts, bit-identical to a daemon that was never killed.
+//! timer thread starts, bit-identical to a daemon that was never killed.
 //! [`session::replay_records`] is the independent oracle: the same
 //! records through the batch driver, not through the daemon's apply.
 //!
@@ -49,8 +50,8 @@ pub mod proto;
 pub mod session;
 
 pub use api::{
-    Command, OverloadReason, QuotaConfig, Reply, ServiceConfig, ServiceReport, ServiceStatus,
-    SubmitError, SubmitSpec, Ticket,
+    OverloadReason, QuotaConfig, Reply, ServiceConfig, ServiceReport, ServiceStatus, SubmitError,
+    SubmitSpec, Ticket,
 };
 pub use daemon::{recover, spawn, RecoverError, ServiceHandle};
 pub use dynp_sim::{parse_scheduler, render_scheduler};
@@ -209,6 +210,40 @@ mod tests {
         drop(handle);
         let report = join.join().unwrap();
         assert_eq!(report.run.completed.len(), 1);
+    }
+
+    #[test]
+    fn a_quiet_daemon_completes_jobs_on_time() {
+        let mut c = config();
+        c.tracer = dynp_obs::Tracer::enabled(dynp_obs::TraceLevel::All);
+        let tracer = c.tracer.clone();
+        let (handle, join) = spawn(c).unwrap();
+        // One simulated second is one wall millisecond at this speedup.
+        let ticket = handle.submit(spec(4, 1)).unwrap();
+        let end = ticket.admitted_at.saturating_add(SimDuration::from_secs(1));
+        // No other command follows: only the timer thread can fire the
+        // completion, and it must fire at the job's end.
+        let finished = || {
+            tracer.snapshot().records.iter().any(|r| {
+                matches!(
+                    r.event,
+                    dynp_obs::TraceEvent::SimEvent {
+                        kind: "finish",
+                        id: 0
+                    }
+                ) && r.sim == end
+            })
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !finished() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the job never completed"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        handle.shutdown();
+        assert_eq!(join.join().unwrap().run.completed.len(), 1);
     }
 
     #[test]

@@ -61,8 +61,8 @@ pub fn read_request_line(reader: &mut impl BufRead) -> io::Result<Option<String>
     Ok(Some(String::from_utf8_lossy(&line).into_owned()))
 }
 
-/// A parsed client request (the transport-free half of
-/// [`crate::api::Command`]).
+/// A parsed client request: one call on a
+/// [`crate::daemon::ServiceHandle`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Submit a job.

@@ -19,9 +19,11 @@
 //! A checkpoint the loader accepts has its dynP scheduler snapshot
 //! restored: the decoder refused every word a `restore` could not take.
 //!
-//! Out of scope: whether the core and engine of a checkpoint whose
-//! checksum holds but whose state is inconsistent can be *restored*; the
-//! threat model is torn writes and bit rot, not an adversary (DESIGN §14).
+//! The engine decoder refuses a pending timer before the clock, out of
+//! order or past the sequence counter. Out of scope: whether the core of
+//! a checkpoint whose checksum holds but whose state is inconsistent can
+//! be *restored*; the threat model is torn writes and bit rot, not an
+//! adversary (DESIGN §14).
 
 use dynp_core::DeciderKind;
 use dynp_des::{ByteReader, ByteWriter};
@@ -299,6 +301,50 @@ fn a_checkpoint_naming_no_policy_falls_back_to_the_older_one() {
     // The tag, the word count, then the low byte of the active word.
     let bytes = mutate_and_reseal(f, &[(false, tag.unwrap() + 12, 1, 99)]);
     let dir = temp_dir("active_99");
+    for g in &fixtures()[2..] {
+        std::fs::write(dir.join(g.name), &g.bytes).unwrap();
+    }
+    std::fs::write(dir.join(f.name), bytes).unwrap();
+    let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
+    assert_eq!(latest.map(|c| c.journal_seq), Some(4));
+    assert_eq!(skipped.len(), 1, "{skipped:?}");
+
+    let journal = read_journal(&dir).unwrap();
+    let spec = parse_scheduler(&journal.scheduler).unwrap();
+    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
+    let mut config = ServiceConfig::new(journal.machine_size, spec);
+    config.speedup = journal.speedup;
+    config.journal = Some(dir.clone());
+    config.fsync = FsyncPolicy::Never;
+    let (handle, join) = recover(config).expect("recovers from checkpoint 4");
+    handle.shutdown();
+    assert!(replayed.fingerprint.is_some());
+    assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint whose checksum holds but whose engine holds a timer
+/// before its clock would, restored, run the clock backward: the decoder
+/// refuses it, and recovery falls back to the older checkpoint and
+/// drains to the journal's replay.
+#[test]
+fn a_checkpoint_whose_engine_holds_a_past_timer_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    // The payload opens with the machine size, then the engine: clock,
+    // dispatch count, sequence counter and the pending timers.
+    let mut r = ByteReader::new(&f.bytes[f.payloads[0].clone()]);
+    r.u32().unwrap();
+    let now = r.u64().unwrap();
+    r.u64().unwrap();
+    r.u64().unwrap();
+    assert!(
+        now > 0 && r.u32().unwrap() > 0,
+        "the fixture has a clock and a timer"
+    );
+    // The first timer's instant becomes 0.
+    let at = f.payloads[0].start + r.position();
+    let bytes = mutate_and_reseal(f, &[(false, at, 8, 0)]);
+    let dir = temp_dir("past_timer");
     for g in &fixtures()[2..] {
         std::fs::write(dir.join(g.name), &g.bytes).unwrap();
     }

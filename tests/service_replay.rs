@@ -134,6 +134,35 @@ fn recorded_sessions_replay_bit_identically() {
     }
 }
 
+/// Four threads submit through clones of one handle, each command
+/// running on its own thread under the daemon's lock: the drained
+/// session equals the batch replay of its journal and a recovery from it.
+#[test]
+fn concurrent_clients_replay_and_recover_bit_identically() {
+    let dir = temp_dir("concurrent");
+    let spec = SchedulerSpec::dynp(DeciderKind::Advanced);
+    let machine = 16;
+    let config = service_config(machine, spec.clone(), &dir);
+    let (handle, join) = spawn(config.clone()).unwrap();
+    let clients: Vec<_> = (0..4u64)
+        .map(|client| {
+            let handle = handle.clone();
+            std::thread::spawn(move || submit_burst(&handle, machine, 30, 0xC11E ^ client))
+        })
+        .collect();
+    let accepted: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+    assert_eq!(accepted, 120, "all submissions fit the machine");
+    handle.shutdown();
+    let live = join.join().unwrap();
+    assert_eq!(live.run.completed.len(), 120);
+    assert_session_matches_replay("concurrent", &live, &dir, &spec);
+
+    let (handle, join) = recover(config).unwrap();
+    handle.shutdown();
+    assert_eq!(join.join().unwrap().fingerprint, live.fingerprint);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Graceful shutdown mid-run: jobs are still waiting and running when the
 /// drain begins; the daemon must finish them all, and the synced journal
 /// must replay to the same drained outcome.
