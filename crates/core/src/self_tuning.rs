@@ -39,12 +39,11 @@ pub struct DynPConfig {
     pub initial_policy: Policy,
     /// Which events trigger a decision.
     pub decide_on: DecideOn,
-    /// Worker threads for the per-policy plan fan-out. `0` (the default)
-    /// resolves to the `DYNP_PLANNER_THREADS` environment variable if
-    /// set, else to the host's available parallelism. Whatever the
-    /// resolved count, schedules are bit-identical to a single-threaded
-    /// run — each candidate policy plans independently against the same
-    /// immutable base profile, and results merge in policy order.
+    /// Worker threads for the per-policy plan fan-out (default 1: plan
+    /// on the calling thread; 0 counts as 1). Whatever the count,
+    /// schedules are bit-identical to a single-threaded run — each
+    /// candidate policy plans independently against the same immutable
+    /// base profile, and results merge in policy order.
     pub planner_threads: usize,
 }
 
@@ -59,57 +58,8 @@ impl DynPConfig {
             objective: Objective::SlowdownWeightedByArea,
             initial_policy: Policy::Fcfs,
             decide_on: DecideOn::AllEvents,
-            planner_threads: 0,
+            planner_threads: 1,
         }
-    }
-}
-
-/// A malformed `DYNP_PLANNER_THREADS` environment variable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct PlannerThreadsError {
-    /// The raw value that failed to parse as a thread count.
-    pub raw: String,
-}
-
-impl std::fmt::Display for PlannerThreadsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "DYNP_PLANNER_THREADS must be a non-negative integer, got {:?}",
-            self.raw
-        )
-    }
-}
-
-impl std::error::Error for PlannerThreadsError {}
-
-/// Resolves a configured thread count: explicit config wins, then the
-/// `DYNP_PLANNER_THREADS` environment variable (how `cargo test` runs
-/// opt in, since libtest swallows custom flags), then the host's
-/// available parallelism. `0` — configured or in the environment —
-/// means auto. A `DYNP_PLANNER_THREADS` value that doesn't parse is an
-/// error, not a silent fallback.
-pub(crate) fn try_resolve_planner_threads(configured: usize) -> Result<usize, PlannerThreadsError> {
-    if configured > 0 {
-        return Ok(configured);
-    }
-    if let Ok(raw) = std::env::var("DYNP_PLANNER_THREADS") {
-        match raw.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return Ok(n),
-            Ok(_) => {} // 0 = auto, same as the config default
-            Err(_) => return Err(PlannerThreadsError { raw }),
-        }
-    }
-    Ok(std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Like [`try_resolve_planner_threads`], but panics on a malformed
-/// environment variable — for call sites with no error channel
-/// (scheduler construction).
-pub(crate) fn resolve_planner_threads(configured: usize) -> usize {
-    match try_resolve_planner_threads(configured) {
-        Ok(n) => n,
-        Err(e) => panic!("{e}"),
     }
 }
 
@@ -153,7 +103,7 @@ pub struct SelfTuningScheduler {
     /// Per-policy wall-clock timing of the current step's planning pass
     /// (filled by the batch fan-out when span tracing is on).
     plan_timings: Vec<PlanTiming>,
-    /// Resolved worker cap for the plan fan-out (≥ 1).
+    /// Worker cap for the plan fan-out (≥ 1).
     max_workers: usize,
     /// Total queue depth below which planning stays sequential.
     parallel_min_depth: usize,
@@ -191,7 +141,7 @@ impl SelfTuningScheduler {
             plan_schedules: vec![Schedule::default(); n],
             plan_scores: vec![0.0; n],
             plan_timings: vec![PlanTiming::default(); n],
-            max_workers: resolve_planner_threads(config.planner_threads),
+            max_workers: config.planner_threads.max(1),
             parallel_min_depth: dynp_rms::PARALLEL_MIN_DEPTH,
             scores: Vec::new(),
             tracer: Tracer::disabled(),
@@ -200,9 +150,8 @@ impl SelfTuningScheduler {
         }
     }
 
-    /// Overrides the resolved fan-out worker cap (tests force specific
-    /// counts; production resolution happens in [`SelfTuningScheduler::new`]
-    /// from the config / environment / host parallelism).
+    /// Overrides the fan-out worker cap the config set (tests force
+    /// specific counts).
     pub fn set_planner_threads(&mut self, workers: usize) {
         self.max_workers = workers.max(1);
     }
@@ -213,11 +162,6 @@ impl SelfTuningScheduler {
     /// [`dynp_rms::PARALLEL_MIN_DEPTH`].
     pub fn set_parallel_min_depth(&mut self, depth: usize) {
         self.parallel_min_depth = depth;
-    }
-
-    /// The scheduler's configuration.
-    pub fn config(&self) -> &DynPConfig {
-        &self.config
     }
 
     /// Switches between the incremental engine (default) and the

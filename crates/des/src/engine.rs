@@ -11,29 +11,20 @@ use crate::time::SimTime;
 /// schedule follow-up events. The clock only moves forward, jumping
 /// directly to the timestamp of each dequeued event.
 ///
-/// The queue backend defaults to [`BinaryHeapQueue`] but any
-/// [`EventQueue`] works (see [`CalendarQueue`](crate::CalendarQueue)).
-pub struct Engine<E, Q: EventQueue<E> = BinaryHeapQueue<E>> {
-    queue: Q,
+/// The pending events live in one [`BinaryHeapQueue`].
+pub struct Engine<E> {
+    queue: BinaryHeapQueue<E>,
     now: SimTime,
     processed: u64,
-    _marker: std::marker::PhantomData<E>,
 }
 
-impl<E> Engine<E, BinaryHeapQueue<E>> {
-    /// Creates an engine with the default binary-heap queue, clock at zero.
-    pub fn new() -> Self {
-        Engine::with_queue(BinaryHeapQueue::new())
-    }
-}
-
-impl<E> Default for Engine<E, BinaryHeapQueue<E>> {
+impl<E> Default for Engine<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-/// A value snapshot of an [`Engine`] over the default binary-heap queue.
+/// A value snapshot of an [`Engine`].
 ///
 /// Pending entries are stored in canonical `(time, seq)` order with their
 /// exact sequence numbers, and `next_seq` carries the dynamic tie-break
@@ -103,7 +94,7 @@ impl<E> EngineSnapshot<E> {
     }
 }
 
-impl<E: Clone> Engine<E, BinaryHeapQueue<E>> {
+impl<E: Clone> Engine<E> {
     /// Captures the engine's full state as a value.
     pub fn snapshot(&self) -> EngineSnapshot<E> {
         EngineSnapshot {
@@ -145,14 +136,13 @@ impl<E: Clone> Engine<E, BinaryHeapQueue<E>> {
     }
 }
 
-impl<E, Q: EventQueue<E>> Engine<E, Q> {
-    /// Creates an engine over a caller-supplied queue backend.
-    pub(crate) fn with_queue(queue: Q) -> Self {
+impl<E> Engine<E> {
+    /// Creates an engine with an empty queue, clock at zero.
+    pub fn new() -> Self {
         Engine {
-            queue,
+            queue: BinaryHeapQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
-            _marker: std::marker::PhantomData,
         }
     }
 
@@ -249,7 +239,6 @@ impl<E, Q: EventQueue<E>> Engine<E, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::CalendarQueue;
     use crate::time::SimDuration;
 
     #[derive(Debug, PartialEq)]
@@ -392,16 +381,5 @@ mod tests {
         assert!(eng.step_nth(4).is_none());
         assert_eq!(eng.pending(), 5);
         assert_eq!(eng.step_nth(0).unwrap().1, 0);
-    }
-
-    #[test]
-    fn engine_works_with_calendar_backend() {
-        let mut eng: Engine<u32, CalendarQueue<u32>> = Engine::with_queue(CalendarQueue::new());
-        for i in (0..100u32).rev() {
-            eng.schedule_at(SimTime::from_millis(i as u64 * 10), i);
-        }
-        let mut order = Vec::new();
-        eng.run(|_, i| order.push(i));
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 }

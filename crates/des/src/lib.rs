@@ -7,10 +7,12 @@
 //! * [`SimTime`] / [`SimDuration`] — integer millisecond simulation time
 //!   with exact, total ordering (no floating-point drift in event order),
 //! * [`queue::EventQueue`] — the pending-event-set abstraction with two
-//!   backends: a binary heap ([`queue::BinaryHeapQueue`]) and a classic
-//!   dynamically-resizing calendar queue ([`queue::CalendarQueue`]),
-//! * [`Engine`] — the event loop: schedule events, pop them in
-//!   (time, insertion-order) order, advance the clock monotonically,
+//!   implementations: a binary heap ([`queue::BinaryHeapQueue`]) and a
+//!   classic dynamically-resizing calendar queue
+//!   ([`queue::CalendarQueue`]), which only the benchmark times,
+//! * [`Engine`] — the event loop on a binary heap: schedule events, pop
+//!   them in (time, insertion-order) order, advance the clock
+//!   monotonically,
 //! * [`clock`] — the same engine under a wall clock
 //!   ([`WallClockSource`]): timers fire when the wall reaches them,
 //!   and a live external and a journaled one take the same step — every

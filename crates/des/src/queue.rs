@@ -99,14 +99,6 @@ impl<E> BinaryHeapQueue<E> {
             next_seq: SEEDED_SEQ_LIMIT,
         }
     }
-
-    /// Creates an empty queue with room for `cap` events.
-    pub fn with_capacity(cap: usize) -> Self {
-        BinaryHeapQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            next_seq: SEEDED_SEQ_LIMIT,
-        }
-    }
 }
 
 impl<E> Default for BinaryHeapQueue<E> {

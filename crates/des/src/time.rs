@@ -129,16 +129,6 @@ impl SimDuration {
         debug_assert!(factor >= 0.0, "negative scale factor");
         SimDuration((self.0 as f64 * factor).round() as u64)
     }
-
-    /// Returns the larger of two spans.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two spans.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
 }
 
 impl Add<SimDuration> for SimTime {

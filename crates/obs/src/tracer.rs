@@ -159,13 +159,6 @@ impl Tracer {
         self.inner.is_some()
     }
 
-    /// The level in force ([`TraceLevel::Off`] when disabled).
-    pub fn level(&self) -> TraceLevel {
-        self.inner
-            .as_ref()
-            .map_or(TraceLevel::Off, |inner| inner.level)
-    }
-
     /// True when events of `class` are captured. Callers with non-trivial
     /// event construction cost (e.g. cloning a score vector) should gate
     /// on this before building the event.

@@ -98,11 +98,6 @@ impl AdmissionController {
         }
     }
 
-    /// The admission parameters in force.
-    pub fn config(&self) -> &AdmissionConfig {
-        &self.config
-    }
-
     /// Installs an observability tracer; each [`evaluate`]
     /// (feasibility probe + guarantee replan) is then measured as an
     /// `"admission"` wall-clock span.

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! cargo run --release -p dynp-sim --bin federation -- \
-//!     --jobs 2500 --clusters 4 --shard-threads 2 --route-policy least-loaded
+//!     --jobs 2500 --clusters 4 --route-policy least-loaded
 //! ```
 //!
 //! `federation --help` lists the flags.
@@ -23,16 +23,10 @@ use dynp_sim::{
 use dynp_workload::{JobSet, MultiClusterWorkload};
 
 fn main() {
-    let accepts = [
-        &["--jobs", "--trace", "--seed", "--planner-threads"][..],
-        &TRACING,
-    ]
-    .concat();
+    let accepts = [&["--jobs", "--trace", "--seed"][..], &TRACING].concat();
     let mut flags = Flags::from_env(usage(
         "usage: federation [flags]\n  \
          --clusters N         clusters in the federation (default 4)\n  \
-         --shard-threads T    epoch executor worker threads (default 1; results are\n  \
-         \x20                    bit-identical for every value)\n  \
          --route-policy P     least-loaded|locality|random[:SEED]\n  \
          --migration-factor F migrate a waiting job when the busiest/idlest relative\n  \
          \x20                    backlog ratio exceeds F (default: off)\n  \
@@ -42,14 +36,12 @@ fn main() {
         &accepts,
     ));
     let mut clusters = 4usize;
-    let mut shard_threads = 1usize;
     let mut route = RoutePolicy::LeastLoaded;
     let mut migration_factor: Option<u64> = None;
     let mut link_latency_secs = 30u64;
     let args = CommonArgs::read(&mut flags, &accepts, |flags, flag| {
         match flag {
             "--clusters" => clusters = flags.positive(flag),
-            "--shard-threads" => shard_threads = flags.num(flag),
             "--route-policy" => {
                 let name = flags.value(flag);
                 route = RoutePolicy::parse(&name).unwrap_or_else(|| {
@@ -76,7 +68,6 @@ fn main() {
         .map(|set| {
             let mut spec =
                 ClusterSpec::new(set.machine_size, SchedulerSpec::dynp(DeciderKind::Advanced));
-            spec.planner_threads = args.planner_threads;
             spec.tracer = args.tracer();
             spec
         })
@@ -88,18 +79,16 @@ fn main() {
         link: LinkModel::Constant {
             latency: SimDuration::from_secs(link_latency_secs),
         },
-        shard_threads,
         migration_factor,
+        ..FederationConfig::default()
     };
 
     println!(
-        "federation: {} clusters × {} jobs ({}), route={}, shard-threads={}, \
-         link={}s, migration={}",
+        "federation: {} clusters × {} jobs ({}), route={}, link={}s, migration={}",
         clusters,
         args.jobs,
         model.name,
         config.route.name(),
-        config.shard_threads,
         link_latency_secs,
         migration_factor.map_or("off".to_string(), |f| format!("factor {f}")),
     );

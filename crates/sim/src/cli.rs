@@ -129,14 +129,13 @@ impl Flags {
 }
 
 /// Every shared flag with its help line.
-const SHARED: [&str; 17] = [
+const SHARED: [&str; 16] = [
     "--jobs N             jobs per synthetic set (paper: 10000)",
     "--sets K             synthetic sets per trace (paper: 10)",
     "--quick              shorthand for --jobs 2500 --sets 5",
     "--trace NAME         CTC|KTH|LANL|SDSC, repeatable (default: all four)",
     "--seed S             base RNG seed (default 0x5EED)",
     "--workers W          worker threads (default: one per core)",
-    "--planner-threads T  plan fan-out threads in each dynP step",
     "--out DIR            output directory",
     "--scheduler SPEC     FCFS|SJF|LJF|SAF|LAF|easy[:P]|dynp[:simple|:advanced|:preferred:P[:T]]",
     "--res-fraction F     offered booked-area fraction (default 0 = none)",
@@ -181,10 +180,6 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Worker threads (0 = auto).
     pub workers: usize,
-    /// Plan fan-out threads inside each dynP step (0 = auto: the
-    /// `DYNP_PLANNER_THREADS` environment variable, then available
-    /// parallelism).
-    pub planner_threads: usize,
     /// Output directory.
     pub out: Option<PathBuf>,
     /// Schedulers named by `--scheduler`, in order.
@@ -218,7 +213,6 @@ impl Default for CommonArgs {
             traces: traces::standard_models(),
             seed: 0x5EED,
             workers: 0,
-            planner_threads: 0,
             out: None,
             schedulers: Vec::new(),
             res_fraction: 0.0,
@@ -264,7 +258,6 @@ impl CommonArgs {
                 }
                 "--seed" => a.seed = flags.num(&flag),
                 "--workers" => a.workers = flags.num(&flag),
-                "--planner-threads" => a.planner_threads = flags.num(&flag),
                 "--out" => a.out = Some(PathBuf::from(flags.value(&flag))),
                 "--scheduler" => a.schedulers.push(flags.scheduler(&flag)),
                 "--res-fraction" => a.res_fraction = flags.num_in(&flag, 0.0..=1.0),
@@ -368,7 +361,6 @@ mod tests {
         assert_eq!(a.sets, 10);
         assert_eq!(a.traces.len(), 4);
         assert!(a.out.is_none());
-        assert_eq!(a.planner_threads, 0);
     }
 
     #[test]
@@ -388,11 +380,9 @@ mod tests {
             "7",
             "--workers",
             "2",
-            "--planner-threads",
-            "4",
         ]);
         assert_eq!((a.jobs, a.sets, a.seed), (100, 3, 7));
-        assert_eq!((a.workers, a.planner_threads), (2, 4));
+        assert_eq!(a.workers, 2);
     }
 
     #[test]

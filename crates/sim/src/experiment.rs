@@ -174,11 +174,6 @@ pub struct Experiment {
     pub base_seed: u64,
     /// Worker threads (0 = one per available core).
     pub workers: usize,
-    /// Plan fan-out threads inside each dynP step. The sweep already
-    /// fans *runs* across `workers`, so the default keeps every run's
-    /// inner planning sequential (1) instead of oversubscribing the
-    /// machine; raise it only for few-run, deep-queue sweeps.
-    pub planner_threads: usize,
     /// Optional advance-reservation load applied to every run. `None`
     /// keeps the sweep on the plain job-only path (bit-identical to the
     /// pre-reservation harness).
@@ -205,7 +200,6 @@ impl Experiment {
             sets_per_trace,
             base_seed: 0x5EED,
             workers: 0,
-            planner_threads: 1,
             reservations: None,
             faults: None,
         }
@@ -270,9 +264,7 @@ impl Experiment {
                     let task = &tasks[i];
                     let base = &base_sets[task.trace][task.set];
                     let set = transform::shrink(base, self.factors[task.factor]);
-                    let mut scheduler = self.lineup[task.sched]
-                        .1
-                        .build_with_threads(self.planner_threads);
+                    let mut scheduler = self.lineup[task.sched].1.build();
                     // Every run goes through the single chaos driver:
                     // empty request/fault inputs are bit-identical to the
                     // historical plain paths (pinned by runner tests).

@@ -195,7 +195,7 @@ pub struct ClusterSpec {
     pub machine_size: u32,
     /// Scheduler recipe (instantiated once per run).
     pub scheduler: SchedulerSpec,
-    /// Plan fan-out threads for dynP schedulers (0 = auto).
+    /// Plan fan-out threads for dynP schedulers (default 1).
     pub planner_threads: usize,
     /// Advance-reservation requests submitted at this cluster.
     pub requests: Vec<ReservationRequest>,
@@ -214,7 +214,7 @@ impl ClusterSpec {
         ClusterSpec {
             machine_size,
             scheduler,
-            planner_threads: 0,
+            planner_threads: 1,
             requests: Vec::new(),
             faults: FaultPlan::none(),
             admission: AdmissionConfig::default(),

@@ -27,7 +27,9 @@
 //! the retry budget is spent and the job becomes `Lost`. Job conservation
 //! generalizes to `completed + lost == submitted`. With the empty
 //! [`FaultPlan::none`] the run is bit-identical to [`simulate_traced`] —
-//! all three entry points are the same driver loop.
+//! all five entry points ([`simulate`], [`simulate_detailed`],
+//! [`simulate_with_reservations`], [`simulate_traced`] and
+//! [`simulate_chaos`]) are the same driver loop.
 
 use crate::feed::{ExoFeed, FeedCursors, Streams};
 use crate::shard::{CoreSnapshot, Event, ShardCore};

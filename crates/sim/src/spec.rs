@@ -52,14 +52,14 @@ impl SchedulerSpec {
     }
 
     /// Instantiates a fresh scheduler (schedulers are stateful, one per
-    /// run).
+    /// run). A dynP scheduler plans on the calling thread.
     pub fn build(&self) -> Box<dyn Scheduler> {
-        self.build_with_threads(0)
+        self.build_with_threads(1)
     }
 
-    /// Like [`SchedulerSpec::build`], but pins the dynP plan fan-out to
-    /// `threads` workers (0 = auto). Static and EASY schedulers don't
-    /// plan per policy, so the knob is a no-op for them.
+    /// Like [`SchedulerSpec::build`], but fans the dynP plan passes out
+    /// over `threads` workers. Static and EASY schedulers don't plan per
+    /// policy, so the count is a no-op for them.
     pub fn build_with_threads(&self, threads: usize) -> Box<dyn Scheduler> {
         match self {
             SchedulerSpec::Static(policy) => Box::new(StaticScheduler::new(*policy)),

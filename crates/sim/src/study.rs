@@ -130,7 +130,6 @@ const SWEEP: &[&str] = &[
     "--trace",
     "--seed",
     "--workers",
-    "--planner-threads",
     "--out",
 ];
 
@@ -390,11 +389,6 @@ impl Study {
         let mut base = Experiment::new(args.traces.clone(), lineup, args.jobs, args.sets);
         base.base_seed = args.seed;
         base.workers = args.workers;
-        // The sweep fans runs across the workers; the per-step plan
-        // fan-out stays sequential unless asked for.
-        if args.planner_threads > 0 {
-            base.planner_threads = args.planner_threads;
-        }
         base.reservations = args.reservation_load();
         base.faults = args.fault_load();
         let sweeps = self.axis.sweeps(base, args);

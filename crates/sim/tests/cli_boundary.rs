@@ -91,6 +91,19 @@ const REJECTED: &[(&str, &[&str], &str)] = &[
     ),
     (FEDERATION, &["--route-policy", "nearest"], "--route-policy"),
     (FEDERATION, &["--out", "r"], "--out"),
+    // Thread counts are not settings: a sweep plans on one thread per
+    // run, a federation runs its shards in turn. (The trailing bad value
+    // ends a build that still takes the flag before it runs anything.)
+    (
+        EXPERIMENT,
+        &["table4", "--planner-threads", "2", "--jobs", "0"],
+        "unknown flag \"--planner-threads\"",
+    ),
+    (
+        FEDERATION,
+        &["--shard-threads", "2", "--clusters", "0"],
+        "unknown flag \"--shard-threads\"",
+    ),
     (FIGURES, &["--bogus"], "--bogus"),
     (FIGURES, &["a", "b"], "directory"),
     (TRACE_REPORT, &[], "trace file"),

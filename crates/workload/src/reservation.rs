@@ -44,11 +44,6 @@ pub struct ReservationRequest {
 }
 
 impl ReservationRequest {
-    /// One past the last requested instant.
-    pub fn end(&self) -> SimTime {
-        self.start + self.duration
-    }
-
     /// Requested processor-seconds.
     pub fn area(&self) -> f64 {
         self.duration.as_secs_f64() * self.width as f64

@@ -20,23 +20,26 @@
 //! restored: the decoder refused every word a `restore` could not take.
 //!
 //! The engine decoder refuses a pending timer before the clock, out of
-//! order or past the sequence counter. Out of scope: whether the core of
-//! a checkpoint whose checksum holds but whose state is inconsistent can
+//! order or past the sequence counter, and the core decoder a machine
+//! whose counters disagree with its node table: a checkpoint resealed
+//! with its node accounting overwritten recovers and drains, or
+//! recovery refuses it typed. Out of scope: whether the rest of a
+//! checkpoint whose checksum holds but whose state is inconsistent can
 //! be *restored*; the threat model is torn writes and bit rot, not an
 //! adversary (DESIGN §14).
 
 use dynp_core::DeciderKind;
-use dynp_des::{ByteReader, ByteWriter};
+use dynp_des::{ByteReader, ByteWriter, EngineSnapshot};
 use dynp_obs::{TraceEvent, TraceLevel, Tracer};
-use dynp_rms::{Policy, SchedulerSnapshot};
+use dynp_rms::{Policy, RmsState, SchedulerSnapshot};
 use dynp_serve::{
     load_latest_checkpoint, parse_scheduler, read_journal, read_journal_header, recover,
     replay_records, FsyncPolicy, JournalError, RecoverError, ServiceConfig,
 };
-use dynp_sim::{decode_snapshot, SchedulerSpec};
+use dynp_sim::{decode_snapshot, Event, SchedulerSpec};
 use proptest::prelude::*;
 use std::ops::Range;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -204,6 +207,50 @@ fn hit(tag: &str, f: &Fixture, bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Where a checkpoint fixture keeps its node accounting: the core's
+/// machine size and free count, then its node table, down flags and
+/// down count.
+fn node_accounting(f: &Fixture) -> [Range<usize>; 2] {
+    let p = f.payloads[0].clone();
+    let mut r = ByteReader::new(&f.bytes[p.clone()]);
+    r.u32().unwrap(); // the daemon's machine size
+    EngineSnapshot::decode_from(&mut r, Event::decode_from).unwrap();
+    r.u64().unwrap(); // the external floor
+    let core = p.start + r.position();
+    let machine = RmsState::decode_from(&mut r).unwrap().machine_size() as usize;
+    let end = p.start + r.position();
+    // count | one u32 slot and one flag per node | down count
+    [core..core + 8, end - (8 + 5 * machine)..end]
+}
+
+/// Recovers the journal and checkpoints in `dir` on the daemon that
+/// wrote them and drains it; asserts it ends where the journal's replay
+/// ends. Returns how many records each checkpoint load replayed.
+fn recover_to_replay(dir: &Path) -> Vec<u64> {
+    let journal = read_journal(dir).unwrap();
+    let spec = parse_scheduler(&journal.scheduler).unwrap();
+    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
+    let mut config = ServiceConfig::new(journal.machine_size, spec);
+    config.speedup = journal.speedup;
+    config.journal = Some(dir.to_path_buf());
+    config.fsync = FsyncPolicy::Never;
+    config.tracer = Tracer::with_capacity(TraceLevel::Decisions, 1024);
+    let tracer = config.tracer.clone();
+    let (handle, join) = recover(config).expect("recovers");
+    handle.shutdown();
+    assert!(replayed.fingerprint.is_some());
+    assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
+    tracer
+        .snapshot()
+        .records
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::CheckpointLoaded { replayed, .. } => Some(replayed),
+            _ => None,
+        })
+        .collect()
+}
+
 /// Overwrites `width` bytes at `at` (an anchor, or any offset) with
 /// `fill`, then re-seals every payload with a fresh checksum.
 fn mutate_and_reseal(f: &Fixture, ops: &[(bool, usize, usize, u8)]) -> Vec<u8> {
@@ -268,6 +315,57 @@ proptest! {
         let f = &fixtures()[which];
         hit("reseal", f, &mutate_and_reseal(f, &ops))?;
     }
+
+    #[test]
+    fn a_resealed_node_accounting_recovers_or_is_refused(
+        which in 2usize..4,
+        ops in collection::vec(
+            (
+                0usize..2,
+                0usize..4096,
+                1usize..9,
+                prop_oneof![Just(0xFFu8), Just(0u8), 0u8..255],
+            ),
+            1..4,
+        ),
+    ) {
+        let f = &fixtures()[which];
+        let words = node_accounting(f);
+        let ops: Vec<_> = ops
+            .into_iter()
+            .map(|(range, at, width, fill)| {
+                let range = &words[range];
+                let at = range.start + at % range.len();
+                (false, at, width.min(range.end - at), fill)
+            })
+            .collect();
+        let dir = temp_dir("node_accounting");
+        for g in &fixtures()[4..] {
+            std::fs::write(dir.join(g.name), &g.bytes).unwrap();
+        }
+        std::fs::write(dir.join(f.name), mutate_and_reseal(f, &ops)).unwrap();
+        let loaded = load_latest_checkpoint(&dir);
+        prop_assert!(loaded.is_ok(), "a bad checkpoint is skipped: {loaded:?}");
+        // Beside the journal it was cut from, the checkpoint recovers and
+        // drains, or recovery refuses it typed.
+        let drained = std::panic::catch_unwind(|| {
+            let journal = read_journal(&dir).unwrap();
+            let spec = parse_scheduler(&journal.scheduler).unwrap();
+            let mut config = ServiceConfig::new(journal.machine_size, spec);
+            config.speedup = journal.speedup;
+            config.journal = Some(dir.clone());
+            config.fsync = FsyncPolicy::Never;
+            match recover(config) {
+                Ok((handle, join)) => {
+                    handle.shutdown();
+                    join.join().is_ok()
+                }
+                Err(_) => true,
+            }
+        });
+        prop_assert!(matches!(drained, Ok(true)), "a loaded core panicked its recovery");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// The resealing generator can write a segment whose base seq and first
@@ -308,18 +406,8 @@ fn a_checkpoint_naming_no_policy_falls_back_to_the_older_one() {
     let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
     assert_eq!(latest.map(|c| c.journal_seq), Some(4));
     assert_eq!(skipped.len(), 1, "{skipped:?}");
-
-    let journal = read_journal(&dir).unwrap();
-    let spec = parse_scheduler(&journal.scheduler).unwrap();
-    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
-    let mut config = ServiceConfig::new(journal.machine_size, spec);
-    config.speedup = journal.speedup;
-    config.journal = Some(dir.clone());
-    config.fsync = FsyncPolicy::Never;
-    let (handle, join) = recover(config).expect("recovers from checkpoint 4");
-    handle.shutdown();
-    assert!(replayed.fingerprint.is_some());
-    assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
+    let next_seq = read_journal(&dir).unwrap().next_seq;
+    assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -352,19 +440,38 @@ fn a_checkpoint_whose_engine_holds_a_past_timer_falls_back_to_the_older_one() {
     let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
     assert_eq!(latest.map(|c| c.journal_seq), Some(4));
     assert_eq!(skipped.len(), 1, "{skipped:?}");
-
-    let journal = read_journal(&dir).unwrap();
-    let spec = parse_scheduler(&journal.scheduler).unwrap();
-    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
-    let mut config = ServiceConfig::new(journal.machine_size, spec);
-    config.speedup = journal.speedup;
-    config.journal = Some(dir.clone());
-    config.fsync = FsyncPolicy::Never;
-    let (handle, join) = recover(config).expect("recovers from checkpoint 4");
-    handle.shutdown();
-    assert!(replayed.fingerprint.is_some());
-    assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
+    let next_seq = read_journal(&dir).unwrap().next_seq;
+    assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A checkpoint whose checksum holds but whose core miscounts its nodes
+/// — every processor free, or a one-processor machine over a 16-node
+/// table — would, restored, overflow a counter at the first completion
+/// (debug) or plan on a machine it miscounts (release): the decoder
+/// refuses it, and recovery falls back to the older checkpoint, replays
+/// the seven records behind it and drains to the journal's replay.
+#[test]
+fn a_checkpoint_whose_core_miscounts_its_nodes_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    let core = node_accounting(f)[0].start;
+    // The core opens with the machine size, then the free count.
+    let all_free = [(false, core + 4, 4, 0xFF)];
+    let one_processor = [(false, core, 4, 0), (false, core, 1, 1)];
+    for ops in [&all_free[..], &one_processor[..]] {
+        let bytes = mutate_and_reseal(f, ops);
+        let dir = temp_dir("core_miscount");
+        for g in &fixtures()[2..] {
+            std::fs::write(dir.join(g.name), &g.bytes).unwrap();
+        }
+        std::fs::write(dir.join(f.name), bytes).unwrap();
+        let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
+        assert_eq!(latest.map(|c| c.journal_seq), Some(4));
+        assert_eq!(skipped.len(), 1, "{skipped:?}");
+        let next_seq = read_journal(&dir).unwrap().next_seq;
+        assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// A checkpoint whose checksum holds and whose dynP `active` word names
@@ -396,29 +503,8 @@ fn a_checkpoint_naming_a_non_candidate_policy_falls_back_to_the_older_one() {
         }
     ));
 
-    let journal = read_journal(&dir).unwrap();
-    let spec = parse_scheduler(&journal.scheduler).unwrap();
-    let replayed = replay_records(journal.machine_size, &journal.records, &spec).unwrap();
-    let mut config = ServiceConfig::new(journal.machine_size, spec);
-    config.speedup = journal.speedup;
-    config.journal = Some(dir.clone());
-    config.fsync = FsyncPolicy::Never;
-    config.tracer = Tracer::with_capacity(TraceLevel::Decisions, 1024);
-    let tracer = config.tracer.clone();
-    let (handle, join) = recover(config).expect("recovers from checkpoint 4");
-    handle.shutdown();
-    assert!(replayed.fingerprint.is_some());
-    assert_eq!(join.join().unwrap().fingerprint, replayed.fingerprint);
-    let loaded: Vec<u64> = tracer
-        .snapshot()
-        .records
-        .iter()
-        .filter_map(|r| match r.event {
-            TraceEvent::CheckpointLoaded { replayed, .. } => Some(replayed),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(loaded, [journal.next_seq - 4]);
+    let next_seq = read_journal(&dir).unwrap().next_seq;
+    assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
