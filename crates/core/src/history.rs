@@ -22,7 +22,7 @@ pub struct PolicySegment {
 
 impl PolicySegment {
     /// Length of the segment.
-    pub fn duration(&self) -> SimDuration {
+    pub(crate) fn duration(&self) -> SimDuration {
         self.end.saturating_since(self.start)
     }
 }
@@ -73,7 +73,7 @@ impl PolicyHistory {
     }
 
     /// Total simulated time covered.
-    pub fn span(&self) -> SimDuration {
+    pub(crate) fn span(&self) -> SimDuration {
         match (self.segments.first(), self.segments.last()) {
             (Some(first), Some(last)) => last.end.saturating_since(first.start),
             _ => SimDuration::ZERO,

@@ -10,7 +10,7 @@
 //!    ([`dynp_metrics::Objective`]),
 //! 3. lets a **decider** pick the policy to use next.
 //!
-//! Three deciders are implemented (module [`decider`]):
+//! Three deciders are implemented ([`DeciderKind`]):
 //!
 //! * **simple** — plain argmin with FCFS → SJF → LJF tie-break; the prior
 //!   work baseline whose four wrong tie decisions the paper's Table 1
@@ -25,11 +25,12 @@
 //! [`dynp_rms::Scheduler`] trait so the same simulation driver runs
 //! static baselines and dynP side by side.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod compare;
-pub mod decider;
-pub mod history;
-pub mod self_tuning;
+mod compare;
+mod decider;
+mod history;
+mod self_tuning;
 pub mod table1;
 
 pub use compare::EPSILON;

@@ -90,16 +90,6 @@ impl ByteWriter {
         ByteWriter { buf: Vec::new() }
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Consumes the writer, returning the buffer.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -126,13 +116,8 @@ impl ByteWriter {
     }
 
     /// Writes a little-endian `u128`.
-    pub fn u128(&mut self, v: u128) {
+    pub(crate) fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes an `f64` as its IEEE-754 bit pattern (exact round trip).
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
     }
 
     /// Writes a `bool` as one byte (0 or 1).
@@ -218,7 +203,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -255,13 +240,8 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, CodecError> {
+    pub(crate) fn u128(&mut self) -> Result<u128, CodecError> {
         Ok(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-
-    /// Reads an `f64` from its IEEE-754 bit pattern.
-    pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// Reads a `bool`; any byte other than 0 or 1 is invalid.
@@ -392,7 +372,6 @@ mod tests {
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 7);
         w.u128(u128::MAX / 3);
-        w.f64(-0.125);
         w.bool(true);
         w.bool(false);
         w.usize(123_456);
@@ -405,7 +384,6 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 7);
         assert_eq!(r.u128().unwrap(), u128::MAX / 3);
-        assert_eq!(r.f64().unwrap(), -0.125);
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
         assert_eq!(r.usize().unwrap(), 123_456);

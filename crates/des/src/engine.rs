@@ -157,7 +157,8 @@ impl<E> Engine<E> {
     }
 
     /// Number of events still pending.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pending(&self) -> usize {
         self.queue.len()
     }
 
@@ -209,7 +210,7 @@ impl<E> Engine<E> {
 
     /// Counts one dispatch that did not come from the queue — an external
     /// item stamped `t` — and moves the clock forward to `t`, never back.
-    pub fn dispatch_external(&mut self, t: SimTime) {
+    pub(crate) fn dispatch_external(&mut self, t: SimTime) {
         self.now = self.now.max(t);
         self.processed += 1;
     }

@@ -6,21 +6,21 @@
 //!
 //! * [`SimTime`] / [`SimDuration`] — integer millisecond simulation time
 //!   with exact, total ordering (no floating-point drift in event order),
-//! * [`queue::EventQueue`] — the pending-event-set abstraction with two
-//!   implementations: a binary heap ([`queue::BinaryHeapQueue`]) and a
-//!   classic dynamically-resizing calendar queue
-//!   ([`queue::CalendarQueue`]), which only the benchmark times,
+//! * [`EventQueue`] — the pending-event-set abstraction with two
+//!   implementations: a binary heap ([`BinaryHeapQueue`]) and a classic
+//!   dynamically-resizing calendar queue ([`CalendarQueue`]), which only
+//!   the benchmark times,
 //! * [`Engine`] — the event loop on a binary heap: schedule events, pop
 //!   them in (time, insertion-order) order, advance the clock
 //!   monotonically,
-//! * [`clock`] — the same engine under a wall clock
-//!   ([`WallClockSource`]): timers fire when the wall reaches them,
+//! * [`WallClockSource`] — the same engine under a wall clock: timers
+//!   fire when the wall reaches them,
 //!   and a live external and a journaled one take the same step — every
 //!   timer before its stamp, then the external,
-//! * [`codec`] — the one byte layout of every durable format: integers,
-//!   lists, and the checksummed envelope,
-//! * [`stats`] — exact time-weighted averages of step signals (queue
-//!   length, busy processors), kept without storing every sample.
+//! * [`ByteWriter`] / [`ByteReader`] — the one byte layout of every
+//!   durable format: integers, lists, and the checksummed envelope,
+//! * [`TimeWeightedCount`] — exact time-weighted averages of step signals
+//!   (queue length, busy processors), kept without storing every sample.
 //!
 //! Determinism is a design requirement: two events scheduled for the same
 //! time are always delivered in insertion (FIFO) order, regardless of the
@@ -40,13 +40,14 @@
 //! assert_eq!(seen[1], (SimTime::from_secs(5), "world"));
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod clock;
-pub mod codec;
-pub mod engine;
-pub mod queue;
-pub mod stats;
-pub mod time;
+mod clock;
+mod codec;
+mod engine;
+mod queue;
+mod stats;
+mod time;
 
 pub use clock::WallClockSource;
 pub use codec::{ByteReader, ByteWriter, CodecError};

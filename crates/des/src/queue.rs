@@ -111,14 +111,14 @@ impl<E> BinaryHeapQueue<E> {
     /// The sequence number the next [`EventQueue::push`] would receive.
     /// Part of the queue's observable state: it decides FIFO ranks of
     /// *future* pushes, so snapshots must carry it.
-    pub fn next_seq(&self) -> u64 {
+    pub(crate) fn next_seq(&self) -> u64 {
         self.next_seq
     }
 
     /// All pending entries as `(time, seq, event)`, sorted by
     /// `(time, seq)` — a canonical, order-independent view of the queue
     /// suitable for hashing and snapshotting.
-    pub fn entries(&self) -> Vec<(SimTime, u64, E)>
+    pub(crate) fn entries(&self) -> Vec<(SimTime, u64, E)>
     where
         E: Clone,
     {

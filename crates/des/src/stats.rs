@@ -46,9 +46,15 @@ impl TimeWeightedCount {
         self.last_value = value;
     }
 
-    /// The signal value after the last update.
-    pub fn current(&self) -> u64 {
-        self.last_value
+    /// The instant the signal starts at.
+    pub fn start(&self) -> SimTime {
+        self.start
+    }
+
+    /// The instant of the last update; [`TimeWeightedCount::set`] must
+    /// never be called before it.
+    pub fn last_update(&self) -> SimTime {
+        self.last_time
     }
 
     /// Exact integral of the signal from `start` to `now`, in
@@ -102,7 +108,6 @@ mod tests {
         let mut tw = TimeWeightedCount::new(SimTime::ZERO, 0);
         tw.set(SimTime::from_secs(10), 4);
         tw.set(SimTime::from_secs(20), 2);
-        assert_eq!(tw.current(), 2);
         // Σ value·Δt in value-milliseconds: 0·10 s + 4·10 s + 2·20 s.
         assert_eq!(
             tw.integral_vms_until(SimTime::from_secs(40)),

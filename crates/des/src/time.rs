@@ -71,16 +71,6 @@ impl SimTime {
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
-
-    /// Returns the later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
-    }
 }
 
 impl SimDuration {

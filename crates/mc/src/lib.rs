@@ -10,31 +10,33 @@
 //! window start. This crate checks those orders *exhaustively* for
 //! small closed configurations:
 //!
-//! * [`scenario`] — derives tiny deterministic worlds (machine, jobs,
+//! * [`Scenario`] — derives tiny deterministic worlds (machine, jobs,
 //!   outages, reservations) whose instants deliberately collide.
-//! * [`explore`](mod@explore) — walks every reachable interleaving by
-//!   snapshotting the full driver state ([`dynp_sim::SimSnapshot`]),
-//!   branching at ties, and pruning revisits by 128-bit state
-//!   fingerprint. DFS or BFS; BFS finds shortest counterexamples.
-//! * [`deps`] — the dependency resolver: proves most tied events
-//!   commute (stale attempt tags, dead windows, reservation starts) so
-//!   the branching factor stays near 1 except at genuine races.
-//! * [`invariants`] — the pluggable safety battery checked at every
-//!   state, plus the driver's own terminal asserts at drained leaves.
-//! * [`shrink`](mod@shrink) — greedy delta-debugging: deletes scenario
-//!   elements one at a time while the violation persists, yielding a
-//!   1-minimal counterexample with a deterministic replay schedule.
+//! * [`explore()`] — walks every reachable interleaving by snapshotting
+//!   the full driver state ([`dynp_sim::SimSnapshot`]), branching at
+//!   ties, and pruning revisits by 128-bit state fingerprint. DFS or BFS;
+//!   BFS finds shortest counterexamples. A dependency resolver proves
+//!   most tied events commute (stale attempt tags, dead windows,
+//!   reservation starts) so the branching factor stays near 1 except at
+//!   genuine races.
+//! * [`standard`] — the pluggable safety battery of [`Invariant`]s checked
+//!   at every state, plus the driver's own terminal asserts at drained
+//!   leaves.
+//! * [`shrink()`] — greedy delta-debugging: deletes scenario elements one
+//!   at a time while the violation persists, yielding a 1-minimal
+//!   counterexample with a deterministic replay schedule.
 //!
 //! The `model_check` binary wraps all of this for CI: it explores a
 //! configuration matrix, exits non-zero on violation, and dumps the
 //! shrunk scenario plus a `dynp-obs` trace of the violating replay.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod deps;
-pub mod explore;
-pub mod invariants;
-pub mod scenario;
-pub mod shrink;
+mod deps;
+mod explore;
+mod invariants;
+mod scenario;
+mod shrink;
 
 pub use explore::{explore, replay, Exploration, ExploreConfig, ExploreStats, Strategy, Violation};
 pub use invariants::{standard, Invariant};

@@ -42,28 +42,6 @@ impl FaultStats {
         *self == FaultStats::default()
     }
 
-    /// Total failed attempts, any cause.
-    pub fn failures(&self) -> u64 {
-        self.evictions + self.crashes + self.overruns
-    }
-
-    /// Total node-seconds of downtime across all outages (derived view
-    /// of the exact [`FaultStats::downtime_ms`] counter).
-    pub(crate) fn downtime_secs(&self) -> f64 {
-        self.downtime_ms as f64 / 1_000.0
-    }
-
-    /// Mean fraction of the machine unavailable over `span_secs`
-    /// (node-seconds of downtime over total node-seconds offered).
-    pub fn unavailability(&self, machine_size: u32, span_secs: f64) -> f64 {
-        let offered = machine_size as f64 * span_secs;
-        if offered <= 0.0 {
-            0.0
-        } else {
-            self.downtime_secs() / offered
-        }
-    }
-
     /// Accumulates another run's counters into this one (for per-cell
     /// aggregation over replicated job sets).
     pub fn merge(&mut self, other: &FaultStats) {
@@ -84,30 +62,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn empty_stats_report_no_activity() {
-        let s = FaultStats::default();
-        assert!(s.is_empty());
-        assert_eq!(s.failures(), 0);
-        assert_eq!(s.unavailability(128, 3600.0), 0.0);
-    }
-
-    #[test]
-    fn derived_rates_reflect_counters() {
+    fn only_default_stats_report_no_activity() {
+        assert!(FaultStats::default().is_empty());
         let s = FaultStats {
-            node_downs: 4,
-            node_ups: 4,
-            evictions: 3,
-            crashes: 2,
-            overruns: 1,
-            retries: 5,
-            lost: 1,
-            downtime_ms: 500_000,
+            evictions: 1,
             ..Default::default()
         };
         assert!(!s.is_empty());
-        assert_eq!(s.failures(), 6);
-        // 500 node-secs down on a 100-node machine over 100 s → 5%.
-        assert!((s.unavailability(100, 100.0) - 0.05).abs() < 1e-12);
     }
 
     #[test]
@@ -135,6 +96,5 @@ mod tests {
         assert_eq!(a.retries, 2);
         assert_eq!(a.lost, 1);
         assert_eq!(a.downtime_ms, 15_500);
-        assert!((a.downtime_secs() - 15.5).abs() < 1e-12);
     }
 }

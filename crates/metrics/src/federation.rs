@@ -37,7 +37,7 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// The completed-job area this cluster ran (processor-seconds),
     /// recovered from its utilization over its own busy span.
-    pub fn area(&self) -> f64 {
+    pub(crate) fn area(&self) -> f64 {
         let span = self.metrics.last_end_secs - self.metrics.first_submit_secs;
         self.metrics.utilization * self.machine_size as f64 * span
     }

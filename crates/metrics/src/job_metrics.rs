@@ -42,7 +42,7 @@ pub(crate) struct JobOutcome {
 
 impl JobOutcome {
     /// Derives the outcome of a completed job.
-    pub fn of(done: &CompletedJob) -> JobOutcome {
+    pub(crate) fn of(done: &CompletedJob) -> JobOutcome {
         let wait = done.wait_secs();
         let response = done.response_secs();
         let runtime = done.job.actual.as_secs_f64();

@@ -73,7 +73,7 @@ impl Default for LatencyHistogram {
 
 impl LatencyHistogram {
     /// An empty histogram.
-    pub fn new() -> LatencyHistogram {
+    pub(crate) fn new() -> LatencyHistogram {
         LatencyHistogram {
             counts: vec![0; BUCKETS],
             total: 0,
@@ -135,29 +135,14 @@ impl LatencyHistogram {
         }
         self.max
     }
-
-    /// Median.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
 }
 
 impl std::fmt::Debug for LatencyHistogram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LatencyHistogram")
             .field("count", &self.total)
-            .field("p50", &self.p50())
-            .field("p99", &self.p99())
+            .field("p50", &self.quantile(0.50))
+            .field("p99", &self.quantile(0.99))
             .field("max", &self.max)
             .finish()
     }
@@ -176,7 +161,7 @@ mod tests {
         assert_eq!(h.count(), 32);
         // Every value below 2^SUB_BITS has its own bucket: quantiles are
         // exact, matching the nearest-rank definition.
-        assert_eq!(h.p50(), 15);
+        assert_eq!(h.quantile(0.50), 15);
         assert_eq!(h.quantile(1.0), 31);
         assert_eq!(h.quantile(0.0), 0);
         assert_eq!(h.max(), 31);
@@ -271,8 +256,8 @@ mod tests {
     fn empty_histogram_is_zero() {
         let h = LatencyHistogram::new();
         assert_eq!(h.count(), 0);
-        assert_eq!(h.p50(), 0);
-        assert_eq!(h.p999(), 0);
+        assert_eq!(h.quantile(0.50), 0);
+        assert_eq!(h.quantile(0.999), 0);
         assert_eq!(h.mean(), 0.0);
     }
 
@@ -282,7 +267,7 @@ mod tests {
         h.record(1_000_003);
         // A lone sample in a wide bucket: the cap keeps the report at the
         // exact value, not the bucket's upper bound.
-        assert_eq!(h.p50(), 1_000_003);
-        assert_eq!(h.p999(), 1_000_003);
+        assert_eq!(h.quantile(0.50), 1_000_003);
+        assert_eq!(h.quantile(0.999), 1_000_003);
     }
 }

@@ -12,30 +12,31 @@
 //!
 //! in three layers:
 //!
-//! * [`job_metrics`] — per-completed-job quantities,
-//! * [`aggregate`] — job-set level results ([`SimMetrics`]) measured from
-//!   a finished simulation,
-//! * [`objective`] — evaluation of *planned* schedules, the single value
+//! * [`slowdown`] and [`bounded_slowdown`] — per-completed-job quantities,
+//! * [`SimMetrics`] — job-set level results measured from a finished
+//!   simulation,
+//! * [`Objective`] — evaluation of *planned* schedules, the single value
 //!   per policy the dynP decider compares,
-//! * [`combine`] — the paper's multi-set result combiner: drop the best
-//!   and worst of the K runs, average the rest,
-//! * [`reservations`] — advance-reservation admission counters (acceptance
-//!   rate, booked-area utilization),
-//! * [`faults`] — fault-injection counters (outages, evictions, retries,
-//!   lost jobs, downtime),
-//! * [`federation`] — multi-cluster aggregation: per-cluster reports and
-//!   the area-weighted federation-wide combine.
+//! * [`CombinedMetrics`] — the paper's multi-set result combiner: drop the
+//!   best and worst of the K runs, average the rest,
+//! * [`ReservationStats`] — advance-reservation admission counters
+//!   (acceptance rate, booked-area utilization),
+//! * [`FaultStats`] — fault-injection counters (outages, evictions,
+//!   retries, lost jobs, downtime),
+//! * [`FederatedMetrics`] — multi-cluster aggregation: per-cluster
+//!   [`ClusterReport`]s and the area-weighted federation-wide combine.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod aggregate;
-pub mod combine;
-pub mod faults;
-pub mod federation;
-pub mod job_metrics;
-pub mod latency;
-pub mod objective;
-pub mod percentiles;
-pub mod reservations;
+mod aggregate;
+mod combine;
+mod faults;
+mod federation;
+mod job_metrics;
+mod latency;
+mod objective;
+mod percentiles;
+mod reservations;
 pub mod timeline;
 
 pub use aggregate::SimMetrics;

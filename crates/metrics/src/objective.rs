@@ -95,7 +95,7 @@ impl Objective {
     /// # Panics
     /// Panics for [`Objective::Utilization`].
     #[inline]
-    pub fn weight(self, job: &Job) -> f64 {
+    pub(crate) fn weight(self, job: &Job) -> f64 {
         match self {
             Objective::SlowdownWeightedByArea => job.estimated_area(),
             Objective::AvgSlowdown | Objective::AvgResponseTime => 1.0,

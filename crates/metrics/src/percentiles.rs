@@ -24,7 +24,7 @@ pub struct QuantileStats {
 impl QuantileStats {
     /// Computes quantiles of `values` (empty → all zeros). Uses the
     /// nearest-rank definition on a sorted copy.
-    pub fn of(mut values: Vec<f64>) -> QuantileStats {
+    pub(crate) fn of(mut values: Vec<f64>) -> QuantileStats {
         if values.is_empty() {
             return QuantileStats::default();
         }

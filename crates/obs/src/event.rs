@@ -37,7 +37,7 @@ impl TraceLevel {
     }
 
     /// Display name (round-trips through [`TraceLevel::parse`]).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             TraceLevel::Off => "off",
             TraceLevel::Decisions => "decisions",
@@ -427,7 +427,7 @@ trace_schema! {
 
 impl<L> TraceEvent<L> {
     /// The capture class of this event.
-    pub fn class(&self) -> TraceClass {
+    pub(crate) fn class(&self) -> TraceClass {
         self.kind().class
     }
 

@@ -34,13 +34,14 @@
 //!   (or <https://ui.perfetto.dev>) to see plan/decide/admission phases
 //!   as wall-clock spans with the simulation time attached to each.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod event;
+mod event;
 pub mod parse;
 pub mod sink;
 #[cfg(test)]
 mod testing;
-pub mod tracer;
+mod tracer;
 
 pub use event::{TraceClass, TraceEvent, TraceLevel, TraceRecord};
 pub use parse::{parse_jsonl, Json, ParsedEvent, ParsedRecord};

@@ -10,7 +10,7 @@ use dynp_des::SimTime;
 pub(crate) const GOLDEN_JSONL: &str = include_str!("../tests/fixtures/all_kinds.jsonl");
 
 /// One record of every kind, in declaration order.
-pub fn samples() -> TraceSnapshot {
+pub(crate) fn samples() -> TraceSnapshot {
     let events = vec![
         TraceEvent::SimEvent {
             kind: "arrive",

@@ -9,38 +9,41 @@
 //!
 //! This crate provides that substrate from scratch:
 //!
-//! * [`profile`] — the free-capacity timeline over future time: two
+//! * [`Profile`] — the free-capacity timeline over future time: two
 //!   flat vectors planners sweep for start-time slots, with a memo that
-//!   starts most sweeps at the plan's frontier ([`naive`] is the
+//!   starts most sweeps at the plan's frontier ([`NaiveProfile`] is the
 //!   independent memo-less oracle);
-//! * [`policy`] — the queue-ordering policies: FCFS, SJF, LJF (the
+//! * [`Policy`] — the queue-ordering policies: FCFS, SJF, LJF (the
 //!   paper's three) plus SAF/LAF extensions;
-//! * [`schedule`] — a full schedule (planned start time for every waiting
+//! * [`Schedule`] — a full schedule (planned start time for every waiting
 //!   job) with validation of the no-overcommit invariant;
-//! * [`planner`] — the earliest-fit planner that builds a full schedule
+//! * [`Planner`] — the earliest-fit planner that builds a full schedule
 //!   for a queue in policy order (implicit backfilling);
-//! * [`state`] — the job life-cycle state machine of the RMS: waiting →
+//!   [`ReferencePlanner`] is its from-scratch oracle;
+//! * [`RmsState`] — the job life-cycle state machine of the RMS: waiting →
 //!   running → completed, with processor accounting;
-//! * [`scheduler`] — the `Scheduler` abstraction the simulation driver
-//!   calls at every event, and the static single-policy scheduler the
-//!   paper uses as baseline;
-//! * [`reservation`] — advance-reservation windows and the book the RMS
-//!   state owns;
-//! * [`admission`] — feasibility-checked admission of reservation
-//!   requests: capacity against the base profile, guarantee preservation
-//!   against promised job starts.
+//! * [`Scheduler`] — the abstraction the simulation driver calls at every
+//!   event, and [`StaticScheduler`], the single-policy scheduler the
+//!   paper uses as baseline ([`EasyBackfillScheduler`] is the queuing
+//!   system's counterpart);
+//! * [`ReservationBook`] — advance-reservation windows and the book the
+//!   RMS state owns;
+//! * [`AdmissionController`] — feasibility-checked admission of
+//!   reservation requests: capacity against the base profile, guarantee
+//!   preservation against promised job starts.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod admission;
-pub mod easy;
-pub mod naive;
-pub mod planner;
-pub mod policy;
-pub mod profile;
-pub mod reservation;
-pub mod schedule;
-pub mod scheduler;
-pub mod state;
+mod admission;
+mod easy;
+mod naive;
+mod planner;
+mod policy;
+mod profile;
+mod reservation;
+mod schedule;
+mod scheduler;
+mod state;
 
 pub use admission::{AdmissionConfig, AdmissionController, RejectReason};
 pub use easy::EasyBackfillScheduler;

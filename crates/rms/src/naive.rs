@@ -39,7 +39,7 @@ impl NaiveProfile {
 
     /// Resets to the fully-free state at `origin`, reusing the
     /// allocation — the planner rebuilds the profile at every event.
-    pub fn reset(&mut self, capacity: u32, origin: SimTime) {
+    pub(crate) fn reset(&mut self, capacity: u32, origin: SimTime) {
         assert!(capacity >= 1);
         self.points.clear();
         self.points.push(ProfilePoint {
@@ -122,17 +122,19 @@ impl NaiveProfile {
     }
 
     /// Total processors of the machine.
-    pub fn capacity(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> u32 {
         self.capacity
     }
 
-    /// The break points (for inspection and the equivalence tests).
-    pub fn points(&self) -> &[ProfilePoint] {
+    /// The break points (for the equivalence tests).
+    #[cfg(test)]
+    pub(crate) fn points(&self) -> &[ProfilePoint] {
         &self.points
     }
 
     /// Start of the profile (its first break point).
-    pub fn origin(&self) -> SimTime {
+    pub(crate) fn origin(&self) -> SimTime {
         self.points[0].time
     }
 

@@ -114,9 +114,10 @@ use dynp_workload::Job;
 /// and only on one thread: below `RETAIN_MIN_DEPTH` even comparing the
 /// orders costs more than it saves (DESIGN §10).
 ///
-/// [`Planner::plan`] keeps the original one-shot signature (prepare +
-/// plan in one call) and produces bit-identical schedules to
-/// [`ReferencePlanner`], the retained from-scratch implementation.
+/// [`Planner::plan_with_reservations`] keeps the original one-shot
+/// signature (prepare + plan in one call) and produces bit-identical
+/// schedules to [`ReferencePlanner`], the retained from-scratch
+/// implementation.
 #[derive(Debug)]
 pub struct Planner {
     /// Shared base: running jobs + reservations as of `prepared_at`.
@@ -250,13 +251,14 @@ impl DelayWeight {
     /// its jobs beyond `max(now, submit)`, summed in schedule order —
     /// what a pass under [`Prune`] has run up when it has placed exactly
     /// these jobs.
-    pub fn excess(self, schedule: &Schedule, now: SimTime) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn excess(self, schedule: &Schedule, now: SimTime) -> f64 {
         let part = |e: &PlannedJob| self.excess_of(e, now);
         schedule.entries.iter().map(part).sum()
     }
 
-    /// What one entry of a schedule planned at `now` adds to its
-    /// [`DelayWeight::excess`].
+    /// What one entry of a schedule planned at `now` adds to its excess:
+    /// its delay beyond `max(now, submit)`.
     #[inline]
     pub fn excess_of(self, entry: &PlannedJob, now: SimTime) -> f64 {
         self.delay(&entry.job, now.max(entry.job.submit), entry.start)
@@ -1176,7 +1178,8 @@ impl Planner {
     /// Every queue job gets the earliest feasible start ≥ `now`; running
     /// jobs reserve their width until their estimated end (at least
     /// marginally past `now`, see the `RUNNING_PAD` constant).
-    pub fn plan(
+    #[cfg(test)]
+    pub(crate) fn plan(
         &mut self,
         machine_size: u32,
         now: SimTime,
@@ -1186,7 +1189,8 @@ impl Planner {
         self.plan_with_reservations(machine_size, now, running, &[], queue)
     }
 
-    /// Like [`Planner::plan`], but additionally blocks out fixed
+    /// Builds the full schedule for `queue` (already in policy order) at
+    /// time `now`, around the reservations of `running` jobs and the fixed
     /// [`Reservation`](crate::reservation::Reservation) windows: the
     /// planner treats each active reservation's processors as unavailable
     /// over its interval, and queue jobs backfill around them.
@@ -1238,7 +1242,8 @@ impl ReferencePlanner {
         }
     }
 
-    /// From-scratch counterpart of [`Planner::plan`].
+    /// From-scratch counterpart of [`Planner::plan_with_reservations`]
+    /// without reservation windows.
     pub fn plan(
         &mut self,
         machine_size: u32,

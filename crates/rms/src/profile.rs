@@ -52,11 +52,11 @@ use dynp_des::{SimDuration, SimTime};
 /// One break point: `free` processors are available from `time` until the
 /// next point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ProfilePoint {
+pub(crate) struct ProfilePoint {
     /// Start of the segment.
-    pub time: SimTime,
+    pub(crate) time: SimTime,
     /// Free processors throughout the segment.
-    pub free: u32,
+    pub(crate) free: u32,
 }
 
 /// One entry of the per-width-class dominance memo (see
@@ -102,7 +102,7 @@ pub struct Profile {
 impl Profile {
     /// Creates a profile with all `capacity` processors free from
     /// `origin` onwards.
-    pub fn new(capacity: u32, origin: SimTime) -> Self {
+    pub(crate) fn new(capacity: u32, origin: SimTime) -> Self {
         assert!(capacity >= 1, "profile needs at least one processor");
         Profile {
             capacity,
@@ -115,7 +115,7 @@ impl Profile {
 
     /// Resets to the fully-free state at `origin`, reusing the
     /// allocations — the planner rebuilds the profile at every event.
-    pub fn reset(&mut self, capacity: u32, origin: SimTime) {
+    pub(crate) fn reset(&mut self, capacity: u32, origin: SimTime) {
         assert!(capacity >= 1, "profile needs at least one processor");
         self.capacity = capacity;
         self.clear_memo();
@@ -193,18 +193,13 @@ impl Profile {
     }
 
     /// Total processors of the machine.
-    pub fn capacity(&self) -> u32 {
+    pub(crate) fn capacity(&self) -> u32 {
         self.capacity
     }
 
     /// Number of break points.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.times.len()
-    }
-
-    /// A profile always has at least its origin point.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// The break points in time order. Allocates; not for hot paths.
@@ -223,7 +218,7 @@ impl Profile {
     }
 
     /// Start of the profile (its first break point).
-    pub fn origin(&self) -> SimTime {
+    pub(crate) fn origin(&self) -> SimTime {
         self.times[0]
     }
 
@@ -308,7 +303,12 @@ impl Profile {
     ///
     /// # Panics
     /// Panics if `width` exceeds the machine capacity.
-    pub fn earliest_fit(&self, after: SimTime, duration: SimDuration, width: u32) -> SimTime {
+    pub(crate) fn earliest_fit(
+        &self,
+        after: SimTime,
+        duration: SimDuration,
+        width: u32,
+    ) -> SimTime {
         self.fit_pos(after, duration, width).2
     }
 
@@ -386,7 +386,7 @@ impl Profile {
     /// Panics if any overlapped segment has fewer than `width` free
     /// processors (callers find slots with [`Profile::earliest_fit`]
     /// first) or if `start` precedes the profile origin.
-    pub fn allocate(&mut self, start: SimTime, duration: SimDuration, width: u32) {
+    pub(crate) fn allocate(&mut self, start: SimTime, duration: SimDuration, width: u32) {
         if duration.is_zero() || width == 0 {
             return;
         }
@@ -407,7 +407,7 @@ impl Profile {
     /// # Panics
     /// Panics if `width` processors are not reserved throughout the
     /// rectangle or if `start` precedes the profile origin.
-    pub fn release(&mut self, start: SimTime, duration: SimDuration, width: u32) {
+    pub(crate) fn release(&mut self, start: SimTime, duration: SimDuration, width: u32) {
         if duration.is_zero() || width == 0 {
             return;
         }

@@ -113,7 +113,7 @@ impl ReservationBook {
     }
 
     /// Cancels a reservation; returns whether it existed.
-    pub fn cancel(&mut self, id: u32) -> bool {
+    pub(crate) fn cancel(&mut self, id: u32) -> bool {
         let before = self.reservations.len();
         self.reservations.retain(|r| r.id != id);
         before != self.reservations.len()
@@ -125,7 +125,7 @@ impl ReservationBook {
     ///
     /// # Panics
     /// Panics on zero width or on widening (repair only ever shrinks).
-    pub fn downgrade(&mut self, id: u32, new_width: u32) -> bool {
+    pub(crate) fn downgrade(&mut self, id: u32, new_width: u32) -> bool {
         assert!(new_width > 0, "reservation needs processors");
         match self.reservations.iter_mut().find(|r| r.id == id) {
             Some(r) => {
@@ -146,7 +146,7 @@ impl ReservationBook {
     }
 
     /// Reservations still active at `now`.
-    pub fn active(&self, now: SimTime) -> impl Iterator<Item = &Reservation> {
+    pub(crate) fn active(&self, now: SimTime) -> impl Iterator<Item = &Reservation> {
         self.reservations.iter().filter(move |r| r.active_at(now))
     }
 
@@ -160,13 +160,13 @@ impl ReservationBook {
     /// windows (cancelled ids are never reused), so it must be persisted
     /// for a restored book to keep assigning the ids the uninterrupted
     /// run would have.
-    pub fn encode_into(&self, w: &mut ByteWriter) {
+    pub(crate) fn encode_into(&self, w: &mut ByteWriter) {
         w.u32(self.next_id);
         w.list(&self.reservations, Reservation::encode_into);
     }
 
     /// Decodes a book written by [`ReservationBook::encode_into`].
-    pub fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
+    pub(crate) fn decode_from(r: &mut ByteReader<'_>) -> Result<Self, CodecError> {
         Ok(ReservationBook {
             next_id: r.u32()?,
             reservations: r.list(Reservation::decode_from)?,

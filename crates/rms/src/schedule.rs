@@ -75,7 +75,7 @@ impl Schedule {
     ///
     /// Used by tests and debug assertions — O(n²) in the number of
     /// entries.
-    pub fn validate(
+    pub(crate) fn validate(
         &self,
         machine_size: u32,
         running: &[RunningJob],

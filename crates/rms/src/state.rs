@@ -269,7 +269,8 @@ impl RmsState {
     }
 
     /// Number of jobs ever submitted.
-    pub fn submitted(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn submitted(&self) -> usize {
         self.submitted
     }
 
@@ -526,8 +527,8 @@ impl RmsState {
 
     /// Requeues a previously failed job for another attempt. The job
     /// keeps its original submission time, so waiting metrics measure
-    /// from the first submission. Does *not* count towards
-    /// [`RmsState::submitted`] — conservation counts jobs, not attempts.
+    /// from the first submission. Does *not* count as a new submission —
+    /// conservation counts jobs, not attempts.
     pub fn resubmit(&mut self, job: Job) {
         assert!(
             job.width <= self.machine_size,

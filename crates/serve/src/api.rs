@@ -44,7 +44,7 @@ pub enum OverloadReason {
 
 impl OverloadReason {
     /// Stable wire label.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             OverloadReason::QueueFull => "queue_full",
             OverloadReason::ShuttingDown => "shutting_down",
@@ -156,7 +156,7 @@ impl QuotaConfig {
     }
 
     /// True when quota enforcement is active.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.rate_mtok_per_sec > 0
     }
 }

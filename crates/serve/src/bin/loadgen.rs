@@ -339,17 +339,17 @@ impl Row {
             s.timeouts,
             self.completed,
             self.lost,
-            h.p50(),
-            h.p99(),
-            h.p999(),
+            h.quantile(0.50),
+            h.quantile(0.99),
+            h.quantile(0.999),
             h.max(),
             h.mean(),
             s.head.accepted,
             s.head.rejected,
-            s.head.hist.p99(),
+            s.head.hist.quantile(0.99),
             s.tail.accepted,
             s.tail.rejected,
-            s.tail.hist.p99(),
+            s.tail.hist.quantile(0.99),
             self.achieved_eps / self.target_eps,
         )
     }
@@ -581,11 +581,11 @@ fn main() {
             s.timeouts,
             row.completed,
             row.lost,
-            s.hist.p50(),
-            s.hist.p99(),
-            s.hist.p999(),
-            s.head.hist.p99(),
-            s.tail.hist.p99(),
+            s.hist.quantile(0.50),
+            s.hist.quantile(0.99),
+            s.hist.quantile(0.999),
+            s.head.hist.quantile(0.99),
+            s.tail.hist.quantile(0.99),
         );
     }
     let report = render_report(&args, machine, &rows);

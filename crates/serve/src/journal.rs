@@ -19,8 +19,8 @@
 //! `Always`, a record is on disk before the client sees `accepted`, so
 //! a `SIGKILL` at *any* point loses no acknowledged work. Writers
 //! rotate to a fresh segment once the current one exceeds
-//! `rotate_bytes`; [`JournalWriter::compact`] deletes rotated segments
-//! whose records a checkpoint has made redundant.
+//! `rotate_bytes`; with compaction on, the daemon deletes rotated
+//! segments whose records a checkpoint has made redundant.
 //!
 //! ## Torn tails vs. corruption
 //!
@@ -84,7 +84,7 @@ pub enum FsyncPolicy {
 
 impl FsyncPolicy {
     /// Parses the command-line spelling.
-    pub fn parse(s: &str) -> Option<FsyncPolicy> {
+    pub(crate) fn parse(s: &str) -> Option<FsyncPolicy> {
         match s {
             "always" => Some(FsyncPolicy::Always),
             "rotate" | "on-rotate" => Some(FsyncPolicy::OnRotate),
@@ -130,7 +130,7 @@ pub enum JournalRecord {
 
 impl JournalRecord {
     /// The record's global sequence number.
-    pub fn seq(&self) -> u64 {
+    pub(crate) fn seq(&self) -> u64 {
         match *self {
             JournalRecord::Submit { seq, .. } | JournalRecord::Cancel { seq, .. } => seq,
         }
@@ -498,7 +498,7 @@ impl JournalWriter {
             file,
             run: header.run,
             segment: header.segment,
-            segment_bytes: w.len() as u64,
+            segment_bytes: w.as_bytes().len() as u64,
             next_seq: header.base_seq,
             rotate_bytes: rotate_bytes.max(1),
             fsync,
@@ -512,7 +512,7 @@ impl JournalWriter {
     }
 
     /// The live segment's index.
-    pub fn segment(&self) -> u32 {
+    pub(crate) fn segment(&self) -> u32 {
         self.segment
     }
 
@@ -597,7 +597,7 @@ impl JournalWriter {
     /// Deletes rotated segments every record of which is ≤ `covered_seq`
     /// (the journal seq a durable checkpoint covers). The live segment
     /// is never deleted. Returns the deleted segment indices.
-    pub fn compact(&mut self, covered_seq: u64) -> Result<Vec<u32>, JournalError> {
+    pub(crate) fn compact(&mut self, covered_seq: u64) -> Result<Vec<u32>, JournalError> {
         let mut deleted = Vec::new();
         // A segment's records span [base_seq, next segment's base_seq);
         // it is redundant iff that whole range is checkpointed.
@@ -1014,6 +1014,7 @@ impl ServiceCheckpoint {
             buckets: p.list(|p| Ok((p.u32()?, p.u64()?, SimTime::from_millis(p.u64()?))))?,
         };
         p.finish()?;
+        ckpt.core.check_time_weights(&ckpt.engine, false)?;
         Ok(ckpt)
     }
 }

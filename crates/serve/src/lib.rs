@@ -5,21 +5,21 @@
 //! serving live traffic, making the simulator a digital twin of the
 //! service (and vice versa):
 //!
-//! * [`daemon`] — the daemon: the batch driver's `ShardCore` and
-//!   scheduler on a [`dynp_des::WallClockSource`] (the DES engine under a
-//!   wall clock, so recovery replays the journal on the very source that
-//!   then goes live) behind one lock, a typed submission/query/cancel
-//!   API whose calls run on the caller's thread, with bounded-queue
-//!   backpressure and per-user quotas, a timer thread that fires
-//!   completions on time, graceful drain on shutdown;
-//! * [`api`] — the request/reply types shared by the in-process API and
-//!   the wire protocol;
-//! * [`proto`] — the newline-delimited JSON codec (Unix socket or
-//!   stdin transport, see the `daemon` bin);
+//! * [`spawn`] / [`recover`] — the daemon: the batch driver's
+//!   `ShardCore` and scheduler on a [`dynp_des::WallClockSource`] (the
+//!   DES engine under a wall clock, so recovery replays the journal on
+//!   the very source that then goes live) behind one lock, a typed
+//!   submission/query/cancel API whose calls run on the caller's thread,
+//!   with bounded-queue backpressure and per-user quotas, a timer thread
+//!   that fires completions on time, graceful drain on shutdown;
+//! * [`ServiceHandle`], [`SubmitSpec`], [`Reply`] — the request/reply
+//!   types shared by the in-process API and the wire protocol;
+//! * [`parse_request`] / [`render_reply`] — the newline-delimited JSON
+//!   codec (Unix socket or stdin transport, see the `daemon` bin);
 //! * [`journal`] — the durable write-ahead log of accepted commands and
 //!   the checkpoint store: typed, checksummed, rotated, compactable
 //!   (see DESIGN.md §14);
-//! * [`session`] — journal replay: a recorded session replays
+//! * [`replay_session`] — journal replay: a recorded session replays
 //!   bit-identically through the batch DES driver, cancellations
 //!   included (the record/replay guarantee; see DESIGN.md §12 for why
 //!   the stamp discipline makes this exact).
@@ -28,10 +28,10 @@
 //! journal. Every accepted command is journaled (fsynced, by default)
 //! before it changes anything or the client sees the acknowledgement,
 //! then applied by the one function recovery applies it with;
-//! [`daemon::recover`] rebuilds a killed daemon from the newest valid
+//! [`recover`] rebuilds a killed daemon from the newest valid
 //! checkpoint plus the journal suffix on the caller's thread, before the
 //! timer thread starts, bit-identical to a daemon that was never killed.
-//! [`session::replay_records`] is the independent oracle: the same
+//! [`replay_records`] is the independent oracle: the same
 //! records through the batch driver, not through the daemon's apply.
 //!
 //! The `loadgen` bin drives a running daemon over its socket with an
@@ -41,13 +41,14 @@
 //! The `replay` bin re-derives a daemon summary from a journal alone
 //! (the CI crash-recovery job diffs the two).
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
-pub mod api;
+mod api;
 pub mod cli;
-pub mod daemon;
+mod daemon;
 pub mod journal;
-pub mod proto;
-pub mod session;
+mod proto;
+mod session;
 
 pub use api::{
     OverloadReason, QuotaConfig, Reply, ServiceConfig, ServiceReport, ServiceStatus, SubmitError,

@@ -13,8 +13,8 @@ use dynp_des::{SimDuration, SimTime};
 use dynp_metrics::OutcomeDistributions;
 use dynp_rms::{AdmissionConfig, Policy};
 use dynp_sim::cli::{usage, CommonArgs, Flags, TRACING};
-use dynp_sim::{simulate_traced, SchedulerSpec};
-use dynp_workload::transform;
+use dynp_sim::{simulate_chaos, SchedulerSpec};
+use dynp_workload::{transform, FaultPlan};
 
 fn main() {
     let accepts = [
@@ -55,11 +55,12 @@ fn main() {
 
     let mut scheduler = SelfTuningScheduler::new(DynPConfig::paper(decider));
     let tracer = args.tracer();
-    let detail = simulate_traced(
+    let detail = simulate_chaos(
         &set,
         &mut scheduler,
         &[],
         AdmissionConfig::default(),
+        &FaultPlan::none(),
         tracer.clone(),
     );
     let m = &detail.result.metrics;

@@ -12,10 +12,11 @@
 //! from the same inputs reproduces the run bit-identically, fingerprint
 //! included (pinned by the round-trip tests below).
 //!
-//! Every encoder here is exact: integers are stored verbatim and `f64`
-//! statistics travel as IEEE-754 bit patterns, because recovery is
-//! defined as *bit* identity with the never-killed run, not approximate
-//! equality.
+//! Every encoder here is exact: the state holds no floats, only
+//! integers, and they are stored verbatim, because recovery is defined
+//! as *bit* identity with the never-killed run, not approximate
+//! equality. The decoders also refuse time weights the run's next
+//! update would have to go back from ([`CoreSnapshot::check_time_weights`]).
 
 use crate::feed::FeedCursors;
 use crate::runner::{ReservationReport, SimSnapshot};
@@ -192,6 +193,34 @@ impl CoreSnapshot {
             migrated_in: r.u64()?,
         })
     }
+
+    /// Refuses a core whose time weights could not take the run's next
+    /// update. Every later update comes at or after the clock, so each
+    /// weight's last update must lie in `[start, engine.now]`. A `root`
+    /// snapshot of the batch driver (nothing dispatched yet) is the
+    /// exception: its clock is still 0 while the weights start at the
+    /// first exogenous instant, so there the weights must be untouched
+    /// and no pending event may come before their start.
+    pub fn check_time_weights(
+        &self,
+        engine: &EngineSnapshot<Event>,
+        root: bool,
+    ) -> Result<(), CodecError> {
+        for tw in [&self.queue_tw, &self.busy_tw] {
+            let (start, last) = (tw.start(), tw.last_update());
+            let fits = if root {
+                last == start && engine.entries.first().is_none_or(|e| e.0 >= start)
+            } else {
+                start <= last && last <= engine.now
+            };
+            if !fits {
+                return Err(CodecError::Invalid {
+                    what: "time weight past the clock",
+                });
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Serializes a [`SimSnapshot`] into the framed, versioned, checksummed
@@ -233,6 +262,8 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
         scheduler: SchedulerSnapshot::decode_from(&mut p)?,
     };
     p.finish()?;
+    snap.core
+        .check_time_weights(&snap.engine, snap.engine.processed == 0)?;
     Ok(snap)
 }
 
@@ -247,13 +278,18 @@ mod tests {
     use dynp_workload::{FaultPlan, Job, JobSet, ReservationRequest};
 
     fn mid_run_snapshot() -> SimSnapshot {
-        // A real mid-run state with waiting, running, and completed jobs,
-        // admitted + rejected reservations, and pending events.
+        snapshot_after(80)
+    }
+
+    /// A real run state after `steps` events — 80 give waiting, running,
+    /// and completed jobs, admitted + rejected reservations, and pending
+    /// events. The first job arrives at 30 s, after the first request.
+    fn snapshot_after(steps: usize) -> SimSnapshot {
         let jobs: Vec<Job> = (0..60u32)
             .map(|i| {
                 Job::new(
                     JobId(i),
-                    SimTime::from_secs(i as u64 * 30),
+                    SimTime::from_secs(30 + i as u64 * 30),
                     (i % 11) + 1,
                     SimDuration::from_secs(300 + (i as u64 * 97) % 1_800),
                     SimDuration::from_secs(120 + (i as u64 * 53) % 900),
@@ -290,7 +326,7 @@ mod tests {
             &faults,
             dynp_obs::Tracer::disabled(),
         );
-        for _ in 0..80 {
+        for _ in 0..steps {
             if driver.step().is_none() {
                 break;
             }
@@ -305,6 +341,34 @@ mod tests {
         let restored = decode_snapshot(&bytes).unwrap();
         assert_eq!(restored, snap);
         assert_eq!(restored.fingerprint(), snap.fingerprint());
+    }
+
+    #[test]
+    fn a_time_weight_past_the_clock_is_refused() {
+        let with_weight_at = |snap: &SimSnapshot, t: SimTime| {
+            let mut snap = snap.clone();
+            snap.core.queue_tw = TimeWeightedCount::new(t, 0);
+            decode_snapshot(&encode_snapshot(&snap))
+        };
+        let refused = Err(CodecError::Invalid {
+            what: "time weight past the clock",
+        });
+        let mid = mid_run_snapshot();
+        assert!(with_weight_at(&mid, mid.engine.now).is_ok());
+        let past = mid.engine.now + SimDuration::from_millis(1);
+        assert_eq!(with_weight_at(&mid, past), refused);
+
+        // Nothing dispatched: the clock is still 0, the weights start at
+        // the first request (5 s), and so does the first pending event.
+        let root = snapshot_after(0);
+        assert_eq!(root.engine.now, SimTime::ZERO);
+        assert_eq!(decode_snapshot(&encode_snapshot(&root)).unwrap(), root);
+        let first = SimTime::from_secs(5);
+        assert!(with_weight_at(&root, first).is_ok());
+        assert_eq!(
+            with_weight_at(&root, first + SimDuration::from_millis(1)),
+            refused
+        );
     }
 
     #[test]

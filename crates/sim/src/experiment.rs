@@ -63,7 +63,7 @@ pub struct ExperimentResult {
 
 impl ExperimentResult {
     /// Wraps a finished cell list.
-    pub fn new(cells: Vec<CellResult>) -> Self {
+    pub(crate) fn new(cells: Vec<CellResult>) -> Self {
         ExperimentResult {
             cells,
             index: OnceLock::new(),
@@ -83,7 +83,7 @@ impl ExperimentResult {
     /// Looks a cell up by coordinates in O(1) after a one-time index
     /// build (the previous implementation scanned all cells per lookup,
     /// which made table rendering over big sweeps quadratic).
-    pub fn get(&self, trace: &str, factor: f64, scheduler: &str) -> Option<&CellResult> {
+    pub(crate) fn get(&self, trace: &str, factor: f64, scheduler: &str) -> Option<&CellResult> {
         let index = self.index.get_or_init(|| {
             let mut map = HashMap::with_capacity(self.cells.len());
             // Reverse order so the first occurrence wins on (impossible
@@ -151,7 +151,7 @@ pub struct FaultLoad {
 
 impl FaultLoad {
     /// The seeded fault-trace generator this load selects.
-    pub fn model(&self) -> FaultModel {
+    pub(crate) fn model(&self) -> FaultModel {
         FaultModel::typical(self.mtbf_secs, self.mttr_secs, self.crash_prob)
     }
 }
@@ -211,7 +211,10 @@ impl Experiment {
     }
 
     /// Runs the sweep, invoking `progress(done, total)` as runs finish.
-    pub fn run_with_progress(&self, progress: impl Fn(usize, usize) + Sync) -> ExperimentResult {
+    pub(crate) fn run_with_progress(
+        &self,
+        progress: impl Fn(usize, usize) + Sync,
+    ) -> ExperimentResult {
         // Pre-generate the base (factor 1.0) job sets once per
         // (trace, set); shrinking is cheap and done per task.
         let base_sets: Vec<Vec<JobSet>> = self

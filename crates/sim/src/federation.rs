@@ -737,7 +737,7 @@ pub fn run_federation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::simulate_detailed;
+    use crate::runner::simulate;
     use dynp_core::DeciderKind;
     use dynp_workload::{traces, JobId, JobSet};
 
@@ -749,7 +749,7 @@ mod tests {
     fn one_cluster_federation_is_bit_identical_to_the_driver() {
         let set = traces::ctc().generate(200, 5);
         let mut scheduler = SchedulerSpec::dynp(DeciderKind::Advanced).build();
-        let plain = simulate_detailed(&set, &mut *scheduler);
+        let plain = simulate(&set, &mut *scheduler);
         let workload = MultiClusterWorkload::single(&set);
         let fed = run_federation(
             &workload,

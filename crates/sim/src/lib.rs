@@ -2,13 +2,16 @@
 //!
 //! Binds the substrates together and regenerates the paper's evaluation:
 //!
-//! * [`runner`] — runs one job set through one scheduler on the discrete
-//!   event engine and measures the result;
-//! * [`spec`] — serializable scheduler specifications (static policies,
-//!   dynP with any decider) so experiments are data;
-//! * [`experiment`] — parameter sweeps over traces × shrinking factors ×
+//! * [`simulate`] and [`simulate_chaos`] — run one job set through one
+//!   scheduler on the discrete event engine and measure the result; the
+//!   second adds reservation requests, faults and a tracer;
+//! * [`SchedulerSpec`] — serializable scheduler specifications (static
+//!   policies, dynP with any decider) so experiments are data;
+//! * [`Experiment`] — parameter sweeps over traces × shrinking factors ×
 //!   schedulers with multi-set replication, worker-thread execution and
 //!   the paper's drop-min/max combination;
+//! * [`run_federation`] — multi-cluster runs: routing, migration and
+//!   per-cluster [`shard`]s stepped in epochs;
 //! * [`study`] — the paper's tables and the ablations as values, and the
 //!   one renderer of their tables;
 //! * [`report`] — text/CSV/gnuplot rendering of result tables;
@@ -23,17 +26,18 @@
 //! `history_report`, `trace_report`, `federation` and `gen_workload` are
 //! tools around single runs.
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod cli;
 mod codec;
-pub mod experiment;
-pub mod federation;
+mod experiment;
+mod federation;
 mod feed;
 pub mod paper_ref;
 pub mod report;
-pub mod runner;
+mod runner;
 pub mod shard;
-pub mod spec;
+mod spec;
 pub mod study;
 pub mod svg;
 
@@ -44,8 +48,8 @@ pub use federation::{
 };
 pub use feed::FeedCursors;
 pub use runner::{
-    simulate, simulate_chaos, simulate_detailed, simulate_traced, simulate_with_reservations,
-    ChaosDriver, DetailedRun, ReservationReport, RunObservations, RunResult, SimSnapshot,
+    simulate, simulate_chaos, ChaosDriver, DetailedRun, ReservationReport, RunObservations,
+    RunResult, SimSnapshot,
 };
 pub use shard::{CoreSnapshot, Event, ShardCore};
 pub use spec::{parse_scheduler, render_scheduler, SchedulerSpec};

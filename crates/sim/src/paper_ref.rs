@@ -385,14 +385,14 @@ pub const TABLE3: [Table3Ref; 4] = [
 ];
 
 /// Table 4 lookup.
-pub fn table4(trace: &str, factor: f64) -> Option<&'static Table4Ref> {
+pub(crate) fn table4(trace: &str, factor: f64) -> Option<&'static Table4Ref> {
     TABLE4
         .iter()
         .find(|r| r.trace == trace && (r.factor - factor).abs() < 1e-9)
 }
 
 /// Table 5 lookup.
-pub fn table5(trace: &str, factor: f64) -> Option<&'static Table5Ref> {
+pub(crate) fn table5(trace: &str, factor: f64) -> Option<&'static Table5Ref> {
     TABLE5
         .iter()
         .find(|r| r.trace == trace && (r.factor - factor).abs() < 1e-9)

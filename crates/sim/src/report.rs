@@ -19,7 +19,7 @@ pub(crate) struct Table {
 
 impl Table {
     /// Creates an empty table.
-    pub fn new(title: impl Into<String>, headers: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, headers: &[&str]) -> Self {
         Table {
             title: title.into(),
             headers: headers.iter().map(|s| s.to_string()).collect(),
@@ -28,12 +28,12 @@ impl Table {
     }
 
     /// Appends a row.
-    pub fn push_row(&mut self, cells: Vec<String>) {
+    pub(crate) fn push_row(&mut self, cells: Vec<String>) {
         self.rows.push(cells);
     }
 
     /// Renders as an aligned plain-text table.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         let ncols = self
             .rows
             .iter()
@@ -108,7 +108,7 @@ impl Table {
     }
 
     /// Writes the CSV form to `dir/<name>.csv`.
-    pub fn write_csv(&self, dir: &Path, name: &str) -> io::Result<()> {
+    pub(crate) fn write_csv(&self, dir: &Path, name: &str) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join(format!("{name}.csv")), self.to_csv())
     }
@@ -128,7 +128,7 @@ pub struct FigureData {
 
 impl FigureData {
     /// Creates an empty figure.
-    pub fn new(title: impl Into<String>, series: &[&str]) -> Self {
+    pub(crate) fn new(title: impl Into<String>, series: &[&str]) -> Self {
         FigureData {
             title: title.into(),
             series: series.iter().map(|s| s.to_string()).collect(),
@@ -137,7 +137,7 @@ impl FigureData {
     }
 
     /// Appends a data row.
-    pub fn push(&mut self, x: f64, ys: Vec<f64>) {
+    pub(crate) fn push(&mut self, x: f64, ys: Vec<f64>) {
         debug_assert_eq!(ys.len(), self.series.len());
         self.rows.push((x, ys));
     }
@@ -158,7 +158,7 @@ impl FigureData {
     }
 
     /// Writes the data block to `dir/<name>.dat`.
-    pub fn write_dat(&self, dir: &Path, name: &str) -> io::Result<()> {
+    pub(crate) fn write_dat(&self, dir: &Path, name: &str) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join(format!("{name}.dat")), self.to_dat())
     }

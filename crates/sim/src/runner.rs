@@ -8,28 +8,22 @@
 //! whose planned start is due is started and its completion event
 //! scheduled.
 //!
-//! [`simulate_with_reservations`] adds the advance-reservation traffic:
-//! reservation requests are feasibility-checked at their submission
-//! instant (admit iff the window fits the free capacity *and* no
-//! already-promised job start slips past its guarantee), admitted windows
-//! enter the book of the [`RmsState`](dynp_rms::RmsState) so every later
-//! plan routes around them, and window start/end/cancel become events of
-//! their own. With an empty request stream the event sequence — and
-//! therefore every schedule and metric — is bit-identical to
-//! [`simulate_detailed`].
+//! [`simulate_chaos`] adds the other exogenous streams. Reservation
+//! requests are feasibility-checked at their submission instant (admit
+//! iff the window fits the free capacity *and* no already-promised job
+//! start slips past its guarantee), admitted windows enter the book of
+//! the [`RmsState`](dynp_rms::RmsState) so every later plan routes around
+//! them, and window start/end/cancel become events of their own. A
+//! deterministic [`FaultPlan`] injects node outages and per-job
+//! first-attempt failures. A node loss shrinks the plannable capacity,
+//! evicts the node's occupant, and triggers schedule repair of the
+//! reservation book (downgrade or revoke windows that no longer fit the
+//! degraded machine); failed attempts are retried with exponential
+//! backoff until the retry budget is spent and the job becomes `Lost`.
+//! Job conservation generalizes to `completed + lost == submitted`.
 //!
-//! [`simulate_chaos`] finally adds the fault axis: a deterministic
-//! [`FaultPlan`] injects node outages and per-job first-attempt failures.
-//! A node loss shrinks the plannable capacity, evicts the node's
-//! occupant, and triggers schedule repair of the reservation book
-//! (downgrade or revoke windows that no longer fit the degraded
-//! machine); failed attempts are retried with exponential backoff until
-//! the retry budget is spent and the job becomes `Lost`. Job conservation
-//! generalizes to `completed + lost == submitted`. With the empty
-//! [`FaultPlan::none`] the run is bit-identical to [`simulate_traced`] —
-//! all five entry points ([`simulate`], [`simulate_detailed`],
-//! [`simulate_with_reservations`], [`simulate_traced`] and
-//! [`simulate_chaos`]) are the same driver loop.
+//! [`simulate`] is [`simulate_chaos`] with every other stream empty and
+//! tracing off: the two entry points are the same driver loop.
 
 use crate::feed::{ExoFeed, FeedCursors, Streams};
 use crate::shard::{CoreSnapshot, Event, ShardCore};
@@ -92,7 +86,7 @@ pub struct ReservationReport {
 /// observations — for timelines, histograms and debugging.
 #[derive(Clone, Debug)]
 pub struct DetailedRun {
-    /// The aggregate result (same as [`simulate`]).
+    /// The aggregate result.
     pub result: RunResult,
     /// Completed-job records in completion order.
     pub completed: Vec<CompletedJob>,
@@ -105,24 +99,28 @@ pub struct DetailedRun {
     pub faults: FaultStats,
 }
 
-/// Simulates `set` under `scheduler` until every job has completed.
+/// Simulates `set` under `scheduler` until every job has completed: no
+/// reservation requests, no faults, no tracing.
 ///
 /// # Panics
 /// Panics if the run ends with unfinished jobs — that would be a
 /// scheduler or driver bug, not a data condition (FCFS fallback ordering
 /// makes every policy starvation-free in a drained system).
-pub fn simulate(set: &JobSet, scheduler: &mut dyn Scheduler) -> RunResult {
-    simulate_detailed(set, scheduler).result
-}
-
-/// Like [`simulate`], but also returns the completed-job records and
-/// in-run queue/occupancy observations.
-pub fn simulate_detailed(set: &JobSet, scheduler: &mut dyn Scheduler) -> DetailedRun {
-    simulate_with_reservations(set, scheduler, &[], AdmissionConfig::default())
+pub fn simulate(set: &JobSet, scheduler: &mut dyn Scheduler) -> DetailedRun {
+    simulate_chaos(
+        set,
+        scheduler,
+        &[],
+        AdmissionConfig::default(),
+        &FaultPlan::none(),
+        Tracer::disabled(),
+    )
 }
 
 /// Simulates `set` under `scheduler` with an advance-reservation request
-/// stream interleaved with the job submissions.
+/// stream and a deterministic fault trace interleaved with the job
+/// submissions, observed by `tracer`. This is the single driver loop
+/// behind [`simulate`].
 ///
 /// Each request is decided at its submission instant by the
 /// [`AdmissionController`](dynp_rms::AdmissionController): the window
@@ -132,57 +130,18 @@ pub fn simulate_detailed(set: &JobSet, scheduler: &mut dyn Scheduler) -> Detaile
 /// windows enter the state's reservation book, so every subsequent plan —
 /// incremental, reference or EASY — routes the batch jobs around them;
 /// they leave the book when they end or are cancelled, and the book is
-/// pruned of expired windows before every admission decision.
+/// pruned of expired windows before every admission decision. With
+/// `requests` empty the run has the same events in the same order as
+/// without reservations: bit-identical schedules and metrics.
 ///
-/// With `requests` empty this is exactly [`simulate_detailed`]: the same
-/// events in the same order, bit-identical schedules and metrics.
-///
-/// # Panics
-/// Panics if the run ends with unfinished jobs or a non-empty reservation
-/// book — either would be a driver bug.
-pub fn simulate_with_reservations(
-    set: &JobSet,
-    scheduler: &mut dyn Scheduler,
-    requests: &[ReservationRequest],
-    admission: AdmissionConfig,
-) -> DetailedRun {
-    simulate_traced(set, scheduler, requests, admission, Tracer::disabled())
-}
-
-/// [`simulate_with_reservations`] with an observability [`Tracer`]
-/// threaded through the whole stack: the driver records event dispatches
-/// and backfill moves (at [`dynp_obs::TraceLevel::All`]) and admission
-/// verdicts; the scheduler and admission controller receive tracer
-/// clones for their own decision and span events.
-///
-/// The tracer only observes — a run with any tracer produces schedules,
-/// metrics and switch statistics bit-identical to a run with
-/// [`Tracer::disabled`] (pinned by a property test in the umbrella
-/// crate).
-pub fn simulate_traced(
-    set: &JobSet,
-    scheduler: &mut dyn Scheduler,
-    requests: &[ReservationRequest],
-    admission: AdmissionConfig,
-    tracer: Tracer,
-) -> DetailedRun {
-    simulate_chaos(
-        set,
-        scheduler,
-        requests,
-        admission,
-        &FaultPlan::none(),
-        tracer,
-    )
-}
-
-/// [`simulate_traced`] with a deterministic fault trace injected: node
-/// outages from `faults.outages` become `NodeDown`/`NodeUp` events, and
-/// each job's planned first-attempt failure (crash or walltime overrun)
-/// kills that attempt mid-run. This is the single driver loop behind
-/// every `simulate*` entry point — with [`FaultPlan::none`] the event
-/// sequence, schedules, metrics and traces are bit-identical to
-/// [`simulate_traced`].
+/// The tracer is threaded through the whole stack: the driver records
+/// event dispatches and backfill moves (at
+/// [`dynp_obs::TraceLevel::All`]) and admission verdicts; the scheduler
+/// and admission controller receive tracer clones for their own decision
+/// and span events. The tracer only observes — a run with any tracer
+/// produces schedules, metrics and switch statistics bit-identical to a
+/// run with [`Tracer::disabled`] (pinned by a property test in the
+/// umbrella crate).
 ///
 /// Fault semantics:
 ///
@@ -532,7 +491,7 @@ mod tests {
     fn single_job_runs_immediately() {
         let set = JobSet::new("t", 4, vec![j(0, 10, 2, 100, 60)]);
         let mut s = StaticScheduler::new(Policy::Fcfs);
-        let r = simulate(&set, &mut s);
+        let r = simulate(&set, &mut s).result;
         assert_eq!(r.metrics.jobs, 1);
         assert_eq!(r.metrics.avg_wait_secs, 0.0);
         assert_eq!(r.metrics.sldwa, 1.0);
@@ -548,7 +507,7 @@ mod tests {
         // replanning pulls it forward.
         let set = JobSet::new("t", 2, vec![j(0, 0, 2, 100, 30), j(1, 0, 2, 50, 50)]);
         let mut s = StaticScheduler::new(Policy::Fcfs);
-        let r = simulate(&set, &mut s);
+        let r = simulate(&set, &mut s).result;
         // Job 1: wait 30, run 50 → response 80, slowdown 80/50 = 1.6.
         assert!((r.metrics.avg_wait_secs - 15.0).abs() < 1e-9);
         let expected_sldwa = (30.0 * 2.0 * 1.0 + 50.0 * 2.0 * 1.6) / (30.0 * 2.0 + 50.0 * 2.0);
@@ -562,7 +521,7 @@ mod tests {
         // processor.
         let set = JobSet::new("t", 2, vec![j(0, 0, 2, 1_000, 1_000), j(1, 10, 2, 10, 10)]);
         let mut s = StaticScheduler::new(Policy::Sjf);
-        let r = simulate(&set, &mut s);
+        let r = simulate(&set, &mut s).result;
         // Short job waits 990 s.
         assert!((r.metrics.avg_wait_secs - 495.0).abs() < 1e-9);
     }
@@ -581,7 +540,7 @@ mod tests {
             ],
         );
         let mut s = StaticScheduler::new(Policy::Fcfs);
-        let r = simulate(&set, &mut s);
+        let r = simulate(&set, &mut s).result;
         // Job 2 backfills at t=2 (1 proc free), finishing at 52 — before
         // job 1 starts at 100. Its wait is 0.
         let done_job2 = r.metrics.jobs == 3;
@@ -596,7 +555,7 @@ mod tests {
         // must start at job 0's ACTUAL end.
         let set = JobSet::new("t", 2, vec![j(0, 0, 2, 1_000, 100), j(1, 5, 2, 10, 10)]);
         let mut s = StaticScheduler::new(Policy::Fcfs);
-        let r = simulate(&set, &mut s);
+        let r = simulate(&set, &mut s).result;
         // Job 1 waits 95 (from submit 5 to start 100), not 995.
         assert!((r.metrics.avg_wait_secs - 47.5).abs() < 1e-9);
     }
@@ -616,7 +575,7 @@ mod tests {
             .collect();
         let set = JobSet::new("t", 8, jobs);
         let mut s = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-        let r = simulate(&set, &mut s);
+        let r = simulate(&set, &mut s).result;
         assert_eq!(r.metrics.jobs, 50);
         assert_eq!(s.stats.decisions, 100); // one per event
         assert!(r.metrics.utilization > 0.0 && r.metrics.utilization <= 1.0);
@@ -628,27 +587,20 @@ mod tests {
         // [100, 200).
         let set = JobSet::new("t", 2, vec![j(0, 0, 2, 100, 100), j(1, 0, 2, 100, 100)]);
         let mut s = StaticScheduler::new(Policy::Fcfs);
-        let d = simulate_detailed(&set, &mut s);
+        let d = simulate(&set, &mut s);
         assert_eq!(d.completed.len(), 2);
         assert_eq!(d.observations.peak_queue, 1);
         // Queue is 1 over [0, 100) of a 200 s run → mean 0.5.
         assert!((d.observations.mean_queue - 0.5).abs() < 1e-9);
         // 2 processors busy the whole time.
         assert!((d.observations.mean_busy - 2.0).abs() < 1e-9);
-        // The aggregate half matches the plain API.
-        let mut s2 = StaticScheduler::new(Policy::Fcfs);
-        let plain = simulate(&set, &mut s2);
-        assert_eq!(
-            plain.metrics.sldwa.to_bits(),
-            d.result.metrics.sldwa.to_bits()
-        );
     }
 
     #[test]
     fn completed_records_cover_every_job() {
         let set = dynp_workload::traces::ctc().generate(150, 9);
         let mut s = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-        let d = simulate_detailed(&set, &mut s);
+        let d = simulate(&set, &mut s);
         let mut ids: Vec<u32> = d.completed.iter().map(|c| c.job.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, (0..150).collect::<Vec<_>>());
@@ -674,24 +626,29 @@ mod tests {
         }
     }
 
+    fn with_requests(
+        set: &JobSet,
+        scheduler: &mut dyn Scheduler,
+        requests: &[ReservationRequest],
+    ) -> DetailedRun {
+        simulate_chaos(
+            set,
+            scheduler,
+            requests,
+            AdmissionConfig::default(),
+            &FaultPlan::none(),
+            Tracer::disabled(),
+        )
+    }
+
     #[test]
-    fn empty_request_stream_is_bit_identical_to_plain_run() {
+    fn a_plain_run_reports_no_reservations_and_no_faults() {
         let set = dynp_workload::traces::ctc().generate(200, 5);
-        let mut a = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-        let mut b = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-        let plain = simulate_detailed(&set, &mut a);
-        let with = simulate_with_reservations(&set, &mut b, &[], AdmissionConfig::default());
-        assert_eq!(
-            plain.result.metrics.sldwa.to_bits(),
-            with.result.metrics.sldwa.to_bits()
-        );
-        assert_eq!(
-            plain.result.metrics.utilization.to_bits(),
-            with.result.metrics.utilization.to_bits()
-        );
-        assert_eq!(plain.result.events, with.result.events);
-        assert_eq!(with.reservations.stats, ReservationStats::default());
-        assert!(with.reservations.honored.is_empty());
+        let mut s = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
+        let d = simulate(&set, &mut s);
+        assert_eq!(d.reservations.stats, ReservationStats::default());
+        assert!(d.reservations.honored.is_empty());
+        assert!(d.faults.is_empty());
     }
 
     #[test]
@@ -702,7 +659,7 @@ mod tests {
         let set = JobSet::new("t", 2, vec![j(0, 50, 2, 100, 100)]);
         let mut s = StaticScheduler::new(Policy::Fcfs);
         let reqs = [req(0, 0, 100, 100, 2, None)];
-        let d = simulate_with_reservations(&set, &mut s, &reqs, AdmissionConfig::default());
+        let d = with_requests(&set, &mut s, &reqs);
         assert_eq!(d.reservations.stats.admitted, 1);
         assert_eq!(d.reservations.stats.honored, 1);
         assert_eq!(d.reservations.honored.len(), 1);
@@ -717,7 +674,7 @@ mod tests {
         let set = JobSet::new("t", 2, vec![j(0, 70, 2, 100, 100)]);
         let mut s = StaticScheduler::new(Policy::Fcfs);
         let reqs = [req(0, 0, 100, 100, 2, Some(60))];
-        let d = simulate_with_reservations(&set, &mut s, &reqs, AdmissionConfig::default());
+        let d = with_requests(&set, &mut s, &reqs);
         assert_eq!(d.reservations.stats.admitted, 1);
         assert_eq!(d.reservations.stats.cancelled, 1);
         assert_eq!(d.reservations.stats.honored, 0);
@@ -731,7 +688,7 @@ mod tests {
         let set = JobSet::new("t", 2, vec![j(0, 500, 1, 10, 10)]);
         let mut s = StaticScheduler::new(Policy::Fcfs);
         let reqs = [req(0, 0, 100, 100, 2, None), req(1, 10, 150, 100, 2, None)];
-        let d = simulate_with_reservations(&set, &mut s, &reqs, AdmissionConfig::default());
+        let d = with_requests(&set, &mut s, &reqs);
         assert_eq!(d.reservations.stats.admitted, 1);
         assert_eq!(d.reservations.stats.rejected_capacity, 1);
         assert_eq!(d.reservations.rejected, vec![(1, RejectReason::NoCapacity)]);
@@ -750,7 +707,7 @@ mod tests {
             req(0, 10, 120, 50, 2, None),  // overlaps promised [100, 200)
             req(1, 20, 1000, 50, 2, None), // after both jobs' estimates
         ];
-        let d = simulate_with_reservations(&set, &mut s, &reqs, AdmissionConfig::default());
+        let d = with_requests(&set, &mut s, &reqs);
         assert_eq!(d.reservations.stats.rejected_guarantee, 1);
         assert_eq!(d.reservations.stats.admitted, 1);
         assert_eq!(
@@ -766,7 +723,7 @@ mod tests {
         let reqs = model.generate(&set, 17);
         let run = |policy| {
             let mut s = StaticScheduler::new(policy);
-            simulate_with_reservations(&set, &mut s, &reqs, AdmissionConfig::default())
+            with_requests(&set, &mut s, &reqs)
         };
         let a = run(Policy::Fcfs);
         let b = run(Policy::Fcfs);
@@ -785,7 +742,7 @@ mod tests {
         let reqs = model.generate(&set, 4);
         assert!(!reqs.is_empty());
         let mut s = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-        let d = simulate_with_reservations(&set, &mut s, &reqs, AdmissionConfig::default());
+        let d = with_requests(&set, &mut s, &reqs);
         assert_eq!(d.result.metrics.jobs, 250);
         let st = &d.reservations.stats;
         assert_eq!(st.requests, reqs.len() as u64);
@@ -800,8 +757,8 @@ mod tests {
         let set = model.generate(300, 7);
         let mut a = StaticScheduler::new(Policy::Sjf);
         let mut b = StaticScheduler::new(Policy::Sjf);
-        let ra = simulate(&set, &mut a);
-        let rb = simulate(&set, &mut b);
+        let ra = simulate(&set, &mut a).result;
+        let rb = simulate(&set, &mut b).result;
         assert_eq!(ra.metrics.sldwa, rb.metrics.sldwa);
         assert_eq!(ra.metrics.utilization, rb.metrics.utilization);
         assert_eq!(ra.events, rb.events);
@@ -816,21 +773,6 @@ mod tests {
             faults,
             Tracer::disabled(),
         )
-    }
-
-    #[test]
-    fn empty_fault_plan_is_bit_identical_to_plain_run() {
-        let set = dynp_workload::traces::ctc().generate(200, 5);
-        let mut a = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-        let mut b = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-        let plain = simulate_detailed(&set, &mut a);
-        let with = chaos(&set, &mut b, &FaultPlan::none());
-        assert_eq!(
-            plain.result.metrics.sldwa.to_bits(),
-            with.result.metrics.sldwa.to_bits()
-        );
-        assert_eq!(plain.result.events, with.result.events);
-        assert!(with.faults.is_empty());
     }
 
     #[test]
@@ -999,7 +941,7 @@ mod tests {
         let set = model.generate(200, 3);
         for policy in Policy::BASIC {
             let mut s = StaticScheduler::new(policy);
-            let r = simulate(&set, &mut s);
+            let r = simulate(&set, &mut s).result;
             assert_eq!(r.metrics.jobs, 200, "{policy} lost jobs");
             assert!(r.metrics.sldwa >= 1.0 - 1e-9);
             assert!(r.metrics.utilization <= 1.0 + 1e-9);

@@ -8,9 +8,10 @@
 //!   is honored once, never double-counted, and nothing panics.
 
 use dynp_des::{SimDuration, SimTime};
+use dynp_obs::Tracer;
 use dynp_rms::{AdmissionConfig, Policy, StaticScheduler};
-use dynp_sim::simulate_with_reservations;
-use dynp_workload::{Job, JobId, JobSet, ReservationRequest};
+use dynp_sim::{simulate_chaos, DetailedRun};
+use dynp_workload::{FaultPlan, Job, JobId, JobSet, ReservationRequest};
 
 fn j(id: u32, submit_s: u64, width: u32, est_s: u64, act_s: u64) -> Job {
     Job::new(
@@ -33,6 +34,21 @@ fn req(id: u32, submit_s: u64, start_s: u64, dur_s: u64, width: u32) -> Reservat
     }
 }
 
+fn with_requests(
+    set: &JobSet,
+    scheduler: &mut StaticScheduler,
+    requests: &[ReservationRequest],
+) -> DetailedRun {
+    simulate_chaos(
+        set,
+        scheduler,
+        requests,
+        AdmissionConfig::default(),
+        &FaultPlan::none(),
+        Tracer::disabled(),
+    )
+}
+
 #[test]
 fn window_expiring_exactly_at_job_arrival_frees_capacity_at_that_instant() {
     // Machine 2 fully held by a window over [100, 200); a width-2 job
@@ -42,7 +58,7 @@ fn window_expiring_exactly_at_job_arrival_frees_capacity_at_that_instant() {
     let set = JobSet::new("t", 2, vec![j(0, 200, 2, 100, 60)]);
     let requests = vec![req(0, 0, 100, 100, 2)];
     let mut s = StaticScheduler::new(Policy::Fcfs);
-    let d = simulate_with_reservations(&set, &mut s, &requests, AdmissionConfig::default());
+    let d = with_requests(&set, &mut s, &requests);
 
     assert_eq!(d.reservations.stats.admitted, 1);
     assert_eq!(d.reservations.stats.honored, 1);
@@ -60,7 +76,7 @@ fn job_submitted_before_expiry_waits_for_the_window_not_longer() {
     let set = JobSet::new("t", 2, vec![j(0, 150, 2, 100, 60)]);
     let requests = vec![req(0, 0, 100, 100, 2)];
     let mut s = StaticScheduler::new(Policy::Fcfs);
-    let d = simulate_with_reservations(&set, &mut s, &requests, AdmissionConfig::default());
+    let d = with_requests(&set, &mut s, &requests);
 
     assert_eq!(d.reservations.stats.honored, 1);
     assert_eq!(d.completed[0].start, SimTime::from_secs(200));
@@ -76,7 +92,7 @@ fn cancel_timestamped_after_expiry_is_ignored() {
     r.cancel_at = Some(SimTime::from_secs(250));
     let set = JobSet::new("t", 2, vec![j(0, 0, 1, 400, 400)]);
     let mut s = StaticScheduler::new(Policy::Fcfs);
-    let d = simulate_with_reservations(&set, &mut s, &[r], AdmissionConfig::default());
+    let d = with_requests(&set, &mut s, &[r]);
 
     assert_eq!(d.reservations.stats.admitted, 1);
     assert_eq!(d.reservations.stats.honored, 1);
@@ -93,7 +109,7 @@ fn cancel_timestamped_exactly_at_window_start_is_too_late() {
     r.cancel_at = Some(SimTime::from_secs(100));
     let set = JobSet::new("t", 2, vec![j(0, 0, 1, 400, 400)]);
     let mut s = StaticScheduler::new(Policy::Fcfs);
-    let d = simulate_with_reservations(&set, &mut s, &[r], AdmissionConfig::default());
+    let d = with_requests(&set, &mut s, &[r]);
 
     assert_eq!(d.reservations.stats.admitted, 1);
     assert_eq!(d.reservations.stats.honored, 1);
@@ -109,7 +125,7 @@ fn back_to_back_windows_meet_exactly_at_the_boundary() {
     let set = JobSet::new("t", 2, vec![j(0, 300, 2, 50, 50)]);
     let requests = vec![req(0, 0, 100, 100, 2), req(1, 0, 200, 100, 2)];
     let mut s = StaticScheduler::new(Policy::Fcfs);
-    let d = simulate_with_reservations(&set, &mut s, &requests, AdmissionConfig::default());
+    let d = with_requests(&set, &mut s, &requests);
 
     assert_eq!(d.reservations.stats.admitted, 2);
     assert_eq!(d.reservations.stats.honored, 2);

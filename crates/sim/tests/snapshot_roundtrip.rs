@@ -427,9 +427,10 @@ fn restore_with_every_cursor_mid_stream_resumes_bit_identically() {
 
 // A cursor that claims more unfed events than its stream holds — a
 // snapshot of some other run, or a tampered file with a fresh checksum —
-// another scheduler's snapshot, or a dynP snapshot whose active policy
-// is not one of this scheduler's candidates, is refused with a typed
-// error before any state is touched.
+// another scheduler's snapshot, a dynP snapshot whose active policy is
+// not one of this scheduler's candidates, or a core whose time weights
+// were last updated after its clock, is refused with a typed error
+// before any state is touched.
 #[test]
 fn cursor_outside_its_stream_is_a_typed_error() {
     let (set, requests, plan) = inputs(7, 80, 20_000.0, true);
@@ -446,6 +447,11 @@ fn cursor_outside_its_stream_is_a_typed_error() {
         driver.step();
     }
     let good = driver.snapshot();
+    for _ in 0..10 {
+        driver.step();
+    }
+    let later = driver.snapshot();
+    driver.try_restore(&good).expect("the untampered snapshot");
     let before = driver.fingerprint();
     let one_too_many = |len: usize| len as u32 + 1;
     let feed = |feed| dynp_sim::SimSnapshot {
@@ -491,13 +497,19 @@ fn cursor_outside_its_stream_is_a_typed_error() {
                 ..good.clone()
             },
         ),
+        (
+            "time weight past the clock",
+            dynp_sim::SimSnapshot {
+                core: later.core.clone(),
+                ..good.clone()
+            },
+        ),
     ] {
-        // The bytes alone cannot tell: the streams are not in them.
-        let decoded = decode_snapshot(&encode_snapshot(&bad)).expect("well-formed bytes");
-        assert_eq!(
-            driver.try_restore(&decoded),
-            Err(CodecError::Invalid { what })
-        );
+        // Only the time weights are refused by the bytes alone; the
+        // streams and the scheduler are not in them.
+        let restored =
+            decode_snapshot(&encode_snapshot(&bad)).and_then(|snap| driver.try_restore(&snap));
+        assert_eq!(restored, Err(CodecError::Invalid { what }));
         assert_eq!(driver.fingerprint(), before, "{what}: state was touched");
     }
     driver.try_restore(&good).expect("the untampered snapshot");

@@ -10,14 +10,14 @@
 use dynp_core::{DeciderKind, DynPConfig, PolicyHistory, SelfTuningScheduler};
 use dynp_des::SimTime;
 use dynp_rms::Policy;
-use dynp_sim::simulate_detailed;
+use dynp_sim::simulate;
 use dynp_workload::{kth, transform};
 
 #[test]
 fn switched_to_counters_are_pinned_on_the_seeded_run() {
     let set = transform::shrink(&kth().generate(1_000, 0x5EED), 0.8);
     let mut scheduler = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-    let detail = simulate_detailed(&set, &mut scheduler);
+    let detail = simulate(&set, &mut scheduler);
 
     let stats = &scheduler.stats;
     // Pinned on the seeded run: KTH, 1000 jobs, seed 0x5EED, f = 0.8,

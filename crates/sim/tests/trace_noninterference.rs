@@ -13,8 +13,8 @@
 use dynp_core::{DeciderKind, DynPConfig, SelfTuningScheduler};
 use dynp_obs::{TraceEvent, TraceLevel, Tracer};
 use dynp_rms::{AdmissionConfig, PlanCounters, Policy, RETAIN_MIN_DEPTH};
-use dynp_sim::simulate_traced;
-use dynp_workload::{kth, transform, ReservationModel};
+use dynp_sim::simulate_chaos;
+use dynp_workload::{kth, transform, FaultPlan, ReservationModel};
 use proptest::prelude::*;
 
 /// What a run left behind: its results, and which paths the planner's
@@ -56,11 +56,12 @@ fn run_at(
         Vec::new()
     };
     let mut scheduler = SelfTuningScheduler::new(DynPConfig::paper(decider));
-    let detail = simulate_traced(
+    let detail = simulate_chaos(
         &set,
         &mut scheduler,
         &requests,
         AdmissionConfig::default(),
+        &FaultPlan::none(),
         tracer,
     );
     let fingerprint = Fingerprint {

@@ -60,7 +60,7 @@ pub enum DurationDist {
 
 impl DurationDist {
     /// Draws one value (seconds).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match self {
             DurationDist::Constant(v) => *v,
             DurationDist::Exponential { mean } => {
@@ -145,7 +145,7 @@ pub enum WidthDist {
 
 impl WidthDist {
     /// Draws one width, clamped into `[1, machine_size]`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R, machine_size: u32) -> u32 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R, machine_size: u32) -> u32 {
         let w = match self {
             WidthDist::Constant(w) => *w,
             WidthDist::Weighted(items) => {
@@ -236,7 +236,7 @@ impl AccuracyModel {
     }
 
     /// Draws one ratio `r ∈ (0, 1]`.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         if rng.gen::<f64>() < self.exact_prob {
             1.0
         } else {
@@ -245,13 +245,8 @@ impl AccuracyModel {
     }
 
     /// Exact mean of `r`.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.exact_prob + (1.0 - self.exact_prob) * (self.low + self.high) / 2.0
-    }
-
-    /// The overestimation factor this model produces on average.
-    pub fn overestimation_factor(&self) -> f64 {
-        1.0 / self.mean()
     }
 }
 
@@ -417,9 +412,9 @@ mod tests {
         for &(factor, exact) in &[(2.22, 0.1), (1.544, 0.3), (2.36, 0.1), (1.1, 0.5)] {
             let m = AccuracyModel::from_overestimation(factor, exact);
             assert!(
-                (m.overestimation_factor() - factor).abs() / factor < 1e-9,
+                (1.0 / m.mean() - factor).abs() / factor < 1e-9,
                 "factor {factor}: model gives {}",
-                m.overestimation_factor()
+                1.0 / m.mean()
             );
             assert!(m.low > 0.0 && m.high <= 1.0, "bounds {m:?}");
         }

@@ -14,7 +14,7 @@ pub struct JobId(pub u32);
 
 impl JobId {
     /// The id as a vector index.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         self.0 as usize
     }
 }
@@ -162,11 +162,6 @@ impl Job {
     /// what the planner reserves.
     pub fn estimated_area(&self) -> f64 {
         self.estimate.as_secs_f64() * self.width as f64
-    }
-
-    /// Ratio estimate/actual for this job (≥ 1 by the invariant).
-    pub fn overestimation(&self) -> f64 {
-        self.estimate.as_secs_f64() / self.actual.as_secs_f64()
     }
 
     /// Appends the job's exact field values to a checkpoint buffer.
@@ -335,7 +330,6 @@ mod tests {
         let job = j(0, 0, 8, 100, 50);
         assert_eq!(job.area(), 400.0);
         assert_eq!(job.estimated_area(), 800.0);
-        assert_eq!(job.overestimation(), 2.0);
     }
 
     #[test]

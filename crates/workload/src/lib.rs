@@ -14,35 +14,38 @@
 //! * [`regime`] — regime-switching user-session model: the temporal
 //!   non-uniformity (interactive bursts, batch phases, parameter studies)
 //!   that policy switching exploits;
-//! * [`model`] — the synthetic generator assembling regimes into job sets
-//!   with a calibrated mean interarrival time;
+//! * [`TraceModel`] — the synthetic generator assembling regimes into job
+//!   sets with a calibrated mean interarrival time;
 //! * [`lublin`] — a Lublin–Feitelson-style parametric model with a
 //!   sinusoidal daily arrival cycle, as an alternative input family;
 //! * [`traces`] — models calibrated to the published Table 2 statistics of
 //!   the four traces;
-//! * [`multi`] — multi-cluster workload streams: merges per-cluster job
-//!   sets into one global arrival order with an origin map, the input of
-//!   the federation routing layer;
-//! * [`reservation`] — advance-reservation request streams: a synthetic
-//!   Poisson generator calibrated to a target booked-area fraction, plus
-//!   SWF `;RESERVATION` directive support in [`swf`];
-//! * [`fault`] — deterministic fault-injection traces: seeded node
-//!   outage renewal processes plus per-job crash/overrun draws and the
-//!   retry/backoff policy the RMS applies to failed attempts;
+//! * [`MultiClusterWorkload`] — multi-cluster workload streams: merges
+//!   per-cluster job sets into one global arrival order with an origin
+//!   map, the input of the federation routing layer;
+//! * [`ReservationModel`] — advance-reservation request streams
+//!   ([`ReservationRequest`]): a synthetic Poisson generator calibrated to
+//!   a target booked-area fraction, plus SWF `;RESERVATION` directive
+//!   support in [`swf`];
+//! * [`FaultModel`] — deterministic fault-injection traces ([`FaultPlan`]):
+//!   seeded node outage renewal processes plus per-job crash/overrun
+//!   draws and the [`RetryPolicy`] the RMS applies to failed attempts;
 //! * [`transform`] — the shrinking-factor workload scaling of §4.2 plus
 //!   job-set utilities;
-//! * [`stats`] — trace statistics (regenerates Table 2 for our inputs).
+//! * [`TraceStats`] — trace statistics (regenerates Table 2 for our
+//!   inputs).
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub mod dist;
-pub mod fault;
+mod fault;
 pub mod job;
 pub mod lublin;
-pub mod model;
-pub mod multi;
+mod model;
+mod multi;
 pub mod regime;
-pub mod reservation;
-pub mod stats;
+mod reservation;
+mod stats;
 pub mod swf;
 pub mod traces;
 pub mod transform;

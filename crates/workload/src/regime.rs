@@ -48,21 +48,21 @@ impl<'a> RegimeChain<'a> {
     ///
     /// # Panics
     /// Panics if `regimes` is empty or the total weight is not positive.
-    pub fn start<R: Rng + ?Sized>(regimes: &'a [Regime], rng: &mut R) -> Self {
+    pub(crate) fn start<R: Rng + ?Sized>(regimes: &'a [Regime], rng: &mut R) -> Self {
         assert!(!regimes.is_empty(), "at least one regime is required");
         let current = pick_weighted(regimes, rng);
         RegimeChain { regimes, current }
     }
 
     /// The regime the next job is drawn from.
-    pub fn current(&self) -> &Regime {
+    pub(crate) fn current(&self) -> &Regime {
         &self.regimes[self.current]
     }
 
     /// Advances the chain by one job: with probability
     /// `1 / mean_session_jobs` the session ends and a fresh regime is
     /// sampled from the entry weights (possibly the same one).
-    pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    pub(crate) fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         let stay = 1.0 - 1.0 / self.current().mean_session_jobs.max(1.0);
         if rng.gen::<f64>() >= stay {
             self.current = pick_weighted(self.regimes, rng);

@@ -44,11 +44,6 @@ pub struct ReservationRequest {
 }
 
 impl ReservationRequest {
-    /// Requested processor-seconds.
-    pub fn area(&self) -> f64 {
-        self.duration.as_secs_f64() * self.width as f64
-    }
-
     /// Requested processor-milliseconds, exact — the unit the driver's
     /// snapshotable area counters accumulate in.
     pub fn area_pms(&self) -> u64 {
@@ -226,7 +221,7 @@ mod tests {
         for &frac in &[0.05, 0.2] {
             let m = ReservationModel::typical(frac);
             let reqs = m.generate(&s, 5);
-            let offered: f64 = reqs.iter().map(|r| r.area()).sum();
+            let offered = reqs.iter().map(|r| r.area_pms()).sum::<u64>() as f64 / 1_000.0;
             let capacity = s.machine_size as f64 * span;
             let got = offered / capacity;
             // The last sampled window overshoots the target by at most

@@ -34,13 +34,13 @@ fn main() {
     let run = simulate(&set, &mut scheduler);
     println!(
         "dynP[advanced]: SLDwA {:.2}, utilization {:.1} % ({} switches)\n",
-        run.metrics.sldwa,
-        run.metrics.utilization * 100.0,
+        run.result.metrics.sldwa,
+        run.result.metrics.utilization * 100.0,
         scheduler.stats.switches
     );
 
     // Reconstruct the policy timeline and fold it onto the 24 h cycle.
-    let end = SimTime::from_secs_f64(run.metrics.last_end_secs);
+    let end = SimTime::from_secs_f64(run.result.metrics.last_end_secs);
     let history = PolicyHistory::reconstruct(Policy::Fcfs, &scheduler.stats, SimTime::ZERO, end);
     println!("time share per policy over the whole run:");
     for (name, share) in history.shares() {
@@ -85,9 +85,7 @@ fn main() {
     // Utilization over the first three days, bucketed hourly.
     let buckets = timeline::bucketed_utilization(
         set.machine_size,
-        // Completed jobs are not exposed by RunResult; re-simulate with a
-        // fresh scheduler to collect them through the rms API.
-        &replay_completed(&set),
+        &run.completed,
         SimTime::ZERO,
         SimTime::from_secs_f64(DAY_SECS * 3.0),
         3_600.0,
@@ -97,32 +95,4 @@ fn main() {
         let bar = "=".repeat((u * 40.0) as usize);
         println!("  d{} {:>2}h {:>5.1}% {bar}", i / 24, i % 24, u * 100.0);
     }
-}
-
-/// Runs the workload once more through a static scheduler to collect the
-/// completed-job records for the timeline plots.
-fn replay_completed(set: &JobSet) -> Vec<dynp_suite::rms::CompletedJob> {
-    let mut state = RmsState::new(set.machine_size);
-    let mut engine: dynp_suite::des::Engine<(bool, JobId)> = dynp_suite::des::Engine::new();
-    for job in set.jobs() {
-        engine.schedule_at(job.submit, (true, job.id));
-    }
-    let mut scheduler = StaticScheduler::new(Policy::Fcfs);
-    engine.run(|eng, (arrive, id)| {
-        let now = eng.now();
-        let reason = if arrive {
-            state.submit(*set.job(id));
-            ReplanReason::Submission
-        } else {
-            state.complete(id, now);
-            ReplanReason::Completion
-        };
-        let schedule = scheduler.replan(&state, now, reason);
-        let due: Vec<JobId> = schedule.due(now).map(|e| e.job.id).collect();
-        for jid in due {
-            let run = state.start(jid, now);
-            eng.schedule_at(run.actual_end(), (false, jid));
-        }
-    });
-    state.into_completed()
 }

@@ -38,7 +38,7 @@ fn main() {
         }),
     ] {
         let mut scheduler = spec.build();
-        let detail = dynp_suite::sim::simulate_detailed(&set, scheduler.as_mut());
+        let detail = dynp_suite::sim::simulate(&set, scheduler.as_mut());
         let name = spec
             .name()
             .to_lowercase()

@@ -79,8 +79,8 @@ fn main() {
 
     println!(
         "dynP[advanced]: SLDwA {:.2}, utilization {:.1} %",
-        run.metrics.sldwa,
-        run.metrics.utilization * 100.0
+        run.result.metrics.sldwa,
+        run.result.metrics.utilization * 100.0
     );
     println!(
         "decisions: {}   switches: {}",
@@ -110,8 +110,8 @@ fn main() {
         println!(
             "static {:<5} SLDwA {:>7.2}, utilization {:>5.1} %",
             policy.name(),
-            r.metrics.sldwa,
-            r.metrics.utilization * 100.0
+            r.result.metrics.sldwa,
+            r.result.metrics.utilization * 100.0
         );
     }
 }

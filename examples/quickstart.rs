@@ -29,9 +29,9 @@ fn main() {
         let run = simulate(&set, &mut scheduler);
         println!(
             "{:<24} {:>8.2} {:>8.2}",
-            run.scheduler,
-            run.metrics.sldwa,
-            run.metrics.utilization * 100.0
+            run.result.scheduler,
+            run.result.metrics.sldwa,
+            run.result.metrics.utilization * 100.0
         );
     }
 
@@ -48,9 +48,9 @@ fn main() {
         let run = simulate(&set, &mut scheduler);
         println!(
             "{:<24} {:>8.2} {:>8.2}   ({} policy switches over {} decisions)",
-            run.scheduler,
-            run.metrics.sldwa,
-            run.metrics.utilization * 100.0,
+            run.result.scheduler,
+            run.result.metrics.sldwa,
+            run.result.metrics.utilization * 100.0,
             scheduler.stats.switches,
             scheduler.stats.decisions,
         );

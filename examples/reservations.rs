@@ -113,7 +113,14 @@ fn main() {
     let baseline = simulate(&set, &mut plain);
 
     let mut sched = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-    let d = simulate_with_reservations(&set, &mut sched, &requests, AdmissionConfig::default());
+    let d = simulate_chaos(
+        &set,
+        &mut sched,
+        &requests,
+        AdmissionConfig::default(),
+        &FaultPlan::none(),
+        Tracer::disabled(),
+    );
     let st = &d.reservations.stats;
     println!(
         "admitted {}/{} ({:.0}% acceptance), {} honored, {} cancelled",
@@ -129,6 +136,6 @@ fn main() {
     );
     println!(
         "batch SLDwA {:.2} → {:.2} — the price the batch queue pays for guarantees",
-        baseline.metrics.sldwa, d.result.metrics.sldwa
+        baseline.result.metrics.sldwa, d.result.metrics.sldwa
     );
 }

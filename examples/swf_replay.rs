@@ -64,10 +64,10 @@ fn main() {
         let run = simulate(&set, scheduler.as_mut());
         println!(
             "{:<24} {:>8.2} {:>9.0}s {:>8.2} {:>10}",
-            run.scheduler,
-            run.metrics.sldwa,
-            run.metrics.avg_wait_secs,
-            run.metrics.utilization * 100.0,
+            run.result.scheduler,
+            run.result.metrics.sldwa,
+            run.result.metrics.avg_wait_secs,
+            run.result.metrics.utilization * 100.0,
             "-",
         );
     }

@@ -31,10 +31,11 @@
 //! ));
 //! let dynp_result = simulate(&set, &mut dynp);
 //!
-//! assert_eq!(sjf_result.metrics.jobs, 200);
-//! assert_eq!(dynp_result.metrics.jobs, 200);
+//! assert_eq!(sjf_result.result.metrics.jobs, 200);
+//! assert_eq!(dynp_result.result.metrics.jobs, 200);
 //! ```
 #![forbid(unsafe_code)]
+#![warn(unreachable_pub)]
 
 pub use dynp_core as core;
 pub use dynp_des as des;
@@ -50,15 +51,17 @@ pub mod prelude {
     pub use dynp_core::{DecideOn, DeciderKind, DynPConfig, SelfTuningScheduler};
     pub use dynp_des::{SimDuration, SimTime};
     pub use dynp_metrics::{Objective, ReservationStats, SimMetrics};
+    pub use dynp_obs::Tracer;
     pub use dynp_rms::{
         AdmissionConfig, AdmissionController, Policy, RejectReason, ReplanReason, Reservation,
         RmsState, Scheduler, StaticScheduler,
     };
     pub use dynp_sim::{
-        run_federation, simulate, simulate_with_reservations, ClusterSpec, Experiment,
+        run_federation, simulate, simulate_chaos, ClusterSpec, DetailedRun, Experiment,
         FederationConfig, LinkModel, ReservationLoad, RoutePolicy, SchedulerSpec,
     };
     pub use dynp_workload::{
-        Job, JobId, JobSet, MultiClusterWorkload, ReservationModel, ReservationRequest, TraceModel,
+        FaultPlan, Job, JobId, JobSet, MultiClusterWorkload, ReservationModel, ReservationRequest,
+        TraceModel,
     };
 }

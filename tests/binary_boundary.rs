@@ -211,16 +211,23 @@ fn hit(tag: &str, f: &Fixture, bytes: &[u8]) -> Result<(), TestCaseError> {
 /// machine size and free count, then its node table, down flags and
 /// down count.
 fn node_accounting(f: &Fixture) -> [Range<usize>; 2] {
+    let (start, mut r) = core_reader(f);
+    let core = start + r.position();
+    let machine = RmsState::decode_from(&mut r).unwrap().machine_size() as usize;
+    let end = start + r.position();
+    // count | one u32 slot and one flag per node | down count
+    [core..core + 8, end - (8 + 5 * machine)..end]
+}
+
+/// A reader at the core of checkpoint fixture `f`, and the payload's
+/// offset in the file.
+fn core_reader(f: &Fixture) -> (usize, ByteReader<'_>) {
     let p = f.payloads[0].clone();
     let mut r = ByteReader::new(&f.bytes[p.clone()]);
     r.u32().unwrap(); // the daemon's machine size
     EngineSnapshot::decode_from(&mut r, Event::decode_from).unwrap();
     r.u64().unwrap(); // the external floor
-    let core = p.start + r.position();
-    let machine = RmsState::decode_from(&mut r).unwrap().machine_size() as usize;
-    let end = p.start + r.position();
-    // count | one u32 slot and one flag per node | down count
-    [core..core + 8, end - (8 + 5 * machine)..end]
+    (p.start, r)
 }
 
 /// Recovers the journal and checkpoints in `dir` on the daemon that
@@ -249,6 +256,23 @@ fn recover_to_replay(dir: &Path) -> Vec<u64> {
             _ => None,
         })
         .collect()
+}
+
+/// Puts `bytes` in place of checkpoint `f` beside the other fixtures and
+/// asserts that recovery skips it for the older checkpoint, replays the
+/// seven records behind that one and drains to the journal's replay.
+fn assert_falls_back(f: &Fixture, bytes: Vec<u8>, label: &str) {
+    let dir = temp_dir(label);
+    for g in &fixtures()[2..] {
+        std::fs::write(dir.join(g.name), &g.bytes).unwrap();
+    }
+    std::fs::write(dir.join(f.name), bytes).unwrap();
+    let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
+    assert_eq!(latest.map(|c| c.journal_seq), Some(4));
+    assert_eq!(skipped.len(), 1, "{skipped:?}");
+    let next_seq = read_journal(&dir).unwrap().next_seq;
+    assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Overwrites `width` bytes at `at` (an anchor, or any offset) with
@@ -398,17 +422,7 @@ fn a_checkpoint_naming_no_policy_falls_back_to_the_older_one() {
     let tag = f.bytes.windows(8).position(|w| w == b"\x04\0\0\0dynp");
     // The tag, the word count, then the low byte of the active word.
     let bytes = mutate_and_reseal(f, &[(false, tag.unwrap() + 12, 1, 99)]);
-    let dir = temp_dir("active_99");
-    for g in &fixtures()[2..] {
-        std::fs::write(dir.join(g.name), &g.bytes).unwrap();
-    }
-    std::fs::write(dir.join(f.name), bytes).unwrap();
-    let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
-    assert_eq!(latest.map(|c| c.journal_seq), Some(4));
-    assert_eq!(skipped.len(), 1, "{skipped:?}");
-    let next_seq = read_journal(&dir).unwrap().next_seq;
-    assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_falls_back(f, bytes, "active_99");
 }
 
 /// A checkpoint whose checksum holds but whose engine holds a timer
@@ -432,17 +446,7 @@ fn a_checkpoint_whose_engine_holds_a_past_timer_falls_back_to_the_older_one() {
     // The first timer's instant becomes 0.
     let at = f.payloads[0].start + r.position();
     let bytes = mutate_and_reseal(f, &[(false, at, 8, 0)]);
-    let dir = temp_dir("past_timer");
-    for g in &fixtures()[2..] {
-        std::fs::write(dir.join(g.name), &g.bytes).unwrap();
-    }
-    std::fs::write(dir.join(f.name), bytes).unwrap();
-    let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
-    assert_eq!(latest.map(|c| c.journal_seq), Some(4));
-    assert_eq!(skipped.len(), 1, "{skipped:?}");
-    let next_seq = read_journal(&dir).unwrap().next_seq;
-    assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_falls_back(f, bytes, "past_timer");
 }
 
 /// A checkpoint whose checksum holds but whose core miscounts its nodes
@@ -460,18 +464,29 @@ fn a_checkpoint_whose_core_miscounts_its_nodes_falls_back_to_the_older_one() {
     let one_processor = [(false, core, 4, 0), (false, core, 1, 1)];
     for ops in [&all_free[..], &one_processor[..]] {
         let bytes = mutate_and_reseal(f, ops);
-        let dir = temp_dir("core_miscount");
-        for g in &fixtures()[2..] {
-            std::fs::write(dir.join(g.name), &g.bytes).unwrap();
-        }
-        std::fs::write(dir.join(f.name), bytes).unwrap();
-        let (latest, skipped) = load_latest_checkpoint(&dir).unwrap();
-        assert_eq!(latest.map(|c| c.journal_seq), Some(4));
-        assert_eq!(skipped.len(), 1, "{skipped:?}");
-        let next_seq = read_journal(&dir).unwrap().next_seq;
-        assert_eq!(recover_to_replay(&dir), [next_seq - 4]);
-        std::fs::remove_dir_all(&dir).unwrap();
+        assert_falls_back(f, bytes, "core_miscount");
     }
+}
+
+/// A checkpoint whose checksum holds but whose queue-length time weight
+/// was last updated after its clock would, restored, panic the next
+/// event's update in a debug build and run on from the bad state in a
+/// release build: the decoder refuses it, and recovery falls back to the
+/// older checkpoint and drains to the journal's replay.
+#[test]
+fn a_checkpoint_whose_time_weight_lies_past_its_clock_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    // After the node table: the attempt counters and nine fault
+    // counters, then the queue weight, its last update first.
+    let (start, mut r) = core_reader(f);
+    RmsState::decode_from(&mut r).unwrap();
+    r.list(|r| r.u32()).unwrap();
+    for _ in 0..9 {
+        r.u64().unwrap();
+    }
+    let last_update = start + r.position();
+    let bytes = mutate_and_reseal(f, &[(false, last_update + 5, 1, 0x7F)]);
+    assert_falls_back(f, bytes, "weight_past_clock");
 }
 
 /// A checkpoint whose checksum holds and whose dynP `active` word names

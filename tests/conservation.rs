@@ -147,8 +147,8 @@ proptest! {
         for spec in SchedulerSpec::paper_lineup() {
             let mut s = spec.build();
             let run = simulate(&set, s.as_mut());
-            prop_assert_eq!(run.metrics.avg_wait_secs, 0.0);
-            prop_assert_eq!(run.metrics.sldwa, 1.0);
+            prop_assert_eq!(run.result.metrics.avg_wait_secs, 0.0);
+            prop_assert_eq!(run.result.metrics.sldwa, 1.0);
         }
     }
 }

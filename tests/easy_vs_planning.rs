@@ -22,19 +22,19 @@ fn compare(trace: &str, factor: f64, tolerance: f64, util_tolerance: f64) {
     let a = simulate(&set, &mut planning);
     let b = simulate(&set, &mut easy);
 
-    assert_eq!(a.metrics.jobs, b.metrics.jobs);
-    let rel = (a.metrics.sldwa - b.metrics.sldwa).abs() / a.metrics.sldwa;
+    assert_eq!(a.result.metrics.jobs, b.result.metrics.jobs);
+    let rel = (a.result.metrics.sldwa - b.result.metrics.sldwa).abs() / a.result.metrics.sldwa;
     assert!(
         rel < tolerance,
         "{trace}@{factor}: planning FCFS sldwa {} vs EASY {} (rel {rel:.3})",
-        a.metrics.sldwa,
-        b.metrics.sldwa
+        a.result.metrics.sldwa,
+        b.result.metrics.sldwa
     );
     assert!(
-        (a.metrics.utilization - b.metrics.utilization).abs() < util_tolerance,
+        (a.result.metrics.utilization - b.result.metrics.utilization).abs() < util_tolerance,
         "{trace}@{factor}: util {} vs {}",
-        a.metrics.utilization,
-        b.metrics.utilization
+        a.result.metrics.utilization,
+        b.result.metrics.utilization
     );
 }
 
@@ -70,8 +70,14 @@ fn identical_on_trivial_workloads() {
     let mut easy = dynp_suite::rms::EasyBackfillScheduler::fcfs();
     let a = simulate(&set, &mut planning);
     let b = simulate(&set, &mut easy);
-    assert_eq!(a.metrics.sldwa.to_bits(), b.metrics.sldwa.to_bits());
-    assert_eq!(a.metrics.last_end_secs, b.metrics.last_end_secs);
+    assert_eq!(
+        a.result.metrics.sldwa.to_bits(),
+        b.result.metrics.sldwa.to_bits()
+    );
+    assert_eq!(
+        a.result.metrics.last_end_secs,
+        b.result.metrics.last_end_secs
+    );
 }
 
 /// The canonical divergence case, pinned down: the planner may backfill
@@ -124,7 +130,7 @@ fn divergence_never_delays_the_queue_head() {
         // In both worlds the head (job 1) starts exactly at t=100:
         // wait 99 s. Job 2 runs after it (150 or after 100+50) —
         // total span identical.
-        assert_eq!(result.metrics.jobs, 3, "{label}");
-        assert_eq!(result.metrics.last_end_secs, 300.0, "{label}");
+        assert_eq!(result.result.metrics.jobs, 3, "{label}");
+        assert_eq!(result.result.metrics.last_end_secs, 300.0, "{label}");
     }
 }

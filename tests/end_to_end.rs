@@ -13,24 +13,33 @@ fn full_lineup_runs_every_trace() {
         for spec in SchedulerSpec::paper_lineup() {
             let mut scheduler = spec.build();
             let run = simulate(&set, scheduler.as_mut());
-            assert_eq!(run.metrics.jobs, 250, "{}/{}", model.name, spec.name());
+            assert_eq!(
+                run.result.metrics.jobs,
+                250,
+                "{}/{}",
+                model.name,
+                spec.name()
+            );
             assert!(
-                run.metrics.sldwa >= 1.0 - 1e-9,
+                run.result.metrics.sldwa >= 1.0 - 1e-9,
                 "{}/{}: SLDwA {} < 1",
                 model.name,
                 spec.name(),
-                run.metrics.sldwa
+                run.result.metrics.sldwa
             );
             assert!(
-                run.metrics.utilization > 0.0 && run.metrics.utilization <= 1.0 + 1e-9,
+                run.result.metrics.utilization > 0.0
+                    && run.result.metrics.utilization <= 1.0 + 1e-9,
                 "{}/{}: utilization {}",
                 model.name,
                 spec.name(),
-                run.metrics.utilization
+                run.result.metrics.utilization
             );
-            assert!(run.metrics.avg_slowdown >= run.metrics.avg_bounded_slowdown - 1e-9);
+            assert!(
+                run.result.metrics.avg_slowdown >= run.result.metrics.avg_bounded_slowdown - 1e-9
+            );
             // Arrival + completion per job.
-            assert_eq!(run.events, 2 * 250);
+            assert_eq!(run.result.events, 2 * 250);
         }
     }
 }
@@ -50,12 +59,18 @@ fn pipeline_is_deterministic() {
         let mut s = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
         simulate(&set, &mut s)
     };
-    assert_eq!(a.metrics.sldwa.to_bits(), b.metrics.sldwa.to_bits());
     assert_eq!(
-        a.metrics.utilization.to_bits(),
-        b.metrics.utilization.to_bits()
+        a.result.metrics.sldwa.to_bits(),
+        b.result.metrics.sldwa.to_bits()
     );
-    assert_eq!(a.metrics.artww.to_bits(), b.metrics.artww.to_bits());
+    assert_eq!(
+        a.result.metrics.utilization.to_bits(),
+        b.result.metrics.utilization.to_bits()
+    );
+    assert_eq!(
+        a.result.metrics.artww.to_bits(),
+        b.result.metrics.artww.to_bits()
+    );
 }
 
 /// Shrinking the workload (more load) must not decrease utilization on a
@@ -68,7 +83,7 @@ fn shrinking_increases_pressure() {
     for factor in [1.0, 0.8, 0.6] {
         let set = transform::shrink(&base, factor);
         let mut s = StaticScheduler::new(Policy::Fcfs);
-        results.push(simulate(&set, &mut s).metrics);
+        results.push(simulate(&set, &mut s).result.metrics);
     }
     assert!(
         results[2].sldwa >= results[0].sldwa * 0.8,
@@ -99,11 +114,14 @@ fn dynp_with_one_policy_is_static() {
         let a = simulate(&set, &mut dynp);
         let b = simulate(&set, &mut stat);
         assert_eq!(
-            a.metrics.sldwa.to_bits(),
-            b.metrics.sldwa.to_bits(),
+            a.result.metrics.sldwa.to_bits(),
+            b.result.metrics.sldwa.to_bits(),
             "{policy}"
         );
-        assert_eq!(a.metrics.last_end_secs, b.metrics.last_end_secs, "{policy}");
+        assert_eq!(
+            a.result.metrics.last_end_secs, b.result.metrics.last_end_secs,
+            "{policy}"
+        );
     }
 }
 
@@ -116,7 +134,7 @@ fn deciders_land_in_the_same_ballpark() {
     let set = transform::shrink(&model.generate(600, 3), 0.8);
     let run = |decider| {
         let mut s = SelfTuningScheduler::new(DynPConfig::paper(decider));
-        simulate(&set, &mut s).metrics
+        simulate(&set, &mut s).result.metrics
     };
     let adv = run(DeciderKind::Advanced);
     let pref = run(DeciderKind::Preferred {
@@ -158,7 +176,7 @@ fn extreme_overload_is_stable() {
     let set = transform::shrink(&model.generate(400, 29), 0.2);
     let mut s = StaticScheduler::new(Policy::Ljf);
     let run = simulate(&set, &mut s);
-    assert_eq!(run.metrics.jobs, 400);
-    assert!(run.metrics.utilization <= 1.0 + 1e-9);
-    assert!(run.metrics.sldwa >= 1.0);
+    assert_eq!(run.result.metrics.jobs, 400);
+    assert!(run.result.metrics.utilization <= 1.0 + 1e-9);
+    assert!(run.result.metrics.sldwa >= 1.0);
 }

@@ -19,12 +19,12 @@ fn dynp_spec(machine: u32) -> ClusterSpec {
     ClusterSpec::new(machine, SchedulerSpec::dynp(DeciderKind::Advanced))
 }
 
-/// One-cluster federation ≡ the plain detailed driver, bit for bit.
+/// One-cluster federation ≡ the plain driver, bit for bit.
 #[test]
-fn one_cluster_federation_matches_simulate_detailed() {
+fn one_cluster_federation_matches_simulate() {
     let set = traces::ctc().generate(200, 5);
     let mut scheduler = SchedulerSpec::dynp(DeciderKind::Advanced).build();
-    let plain = dynp_suite::sim::simulate_detailed(&set, &mut *scheduler);
+    let plain = simulate(&set, &mut *scheduler);
     let workload = MultiClusterWorkload::single(&set);
     let fed = run_federation(
         &workload,

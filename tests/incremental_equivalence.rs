@@ -9,7 +9,6 @@
 
 use dynp_suite::prelude::*;
 use dynp_suite::rms::{PlanCounters, Schedule, RETAIN_MIN_DEPTH};
-use dynp_suite::sim::simulate_with_reservations;
 use dynp_suite::workload::{traces, transform, FaultModel, FaultPlan};
 use proptest::prelude::*;
 
@@ -62,7 +61,14 @@ fn run_with(
     PlanCounters,
 ) {
     let mut s = scheduler_with(config, reference, threads);
-    let d = simulate_with_reservations(set, &mut s, reqs, AdmissionConfig::default());
+    let d = simulate_chaos(
+        set,
+        &mut s,
+        reqs,
+        AdmissionConfig::default(),
+        &FaultPlan::none(),
+        Tracer::disabled(),
+    );
     (
         d.result.metrics,
         s.stats.clone(),
@@ -238,7 +244,6 @@ fn incremental_equals_reference_on_trace_models_with_reservations() {
 /// the fault replans go through the same batched planning path.
 #[test]
 fn incremental_equals_reference_under_faults() {
-    use dynp_suite::sim::simulate_chaos;
     for model in traces::standard_models() {
         let set = transform::shrink(&model.generate(150, 23), 0.8);
         let plan = FaultModel::typical(20_000.0, 3_600.0, 0.05).generate(&set, 13);
@@ -252,7 +257,7 @@ fn incremental_equals_reference_under_faults() {
                 &[],
                 AdmissionConfig::default(),
                 &plan,
-                dynp_suite::obs::Tracer::disabled(),
+                Tracer::disabled(),
             );
             (d.result.metrics, s.stats.clone(), s.active_policy())
         };
@@ -387,7 +392,7 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
         stretch: jobs / 4..jobs / 2,
         suffix_at_resume: 0,
     };
-    let d = simulate_with_reservations(&set, &mut switched, &[], AdmissionConfig::default());
+    let d = simulate(&set, &mut switched);
     assert_eq!(d.result.metrics.sldwa.to_bits(), m.sldwa.to_bits());
     assert_eq!(d.result.metrics.artww.to_bits(), m.artww.to_bits());
     assert_eq!(switched.inner.stats, stats);

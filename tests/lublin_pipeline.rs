@@ -28,9 +28,9 @@ fn lublin_workload_runs_under_every_scheduler() {
     ] {
         let mut s = spec.build();
         let r = simulate(&set, s.as_mut());
-        assert_eq!(r.metrics.jobs, 400, "{}", spec.name());
-        assert!(r.metrics.utilization > 0.0 && r.metrics.utilization <= 1.0);
-        assert!(r.metrics.sldwa >= 1.0 - 1e-9);
+        assert_eq!(r.result.metrics.jobs, 400, "{}", spec.name());
+        assert!(r.result.metrics.utilization > 0.0 && r.result.metrics.utilization <= 1.0);
+        assert!(r.result.metrics.sldwa >= 1.0 - 1e-9);
     }
 }
 
@@ -43,14 +43,14 @@ fn lublin_swf_export_is_simulatable() {
     assert_eq!(back.len(), set.len());
     let mut s = StaticScheduler::new(Policy::Sjf);
     let r = simulate(&back, &mut s);
-    assert_eq!(r.metrics.jobs, 300);
+    assert_eq!(r.result.metrics.jobs, 300);
 }
 
 #[test]
 fn dynp_history_reconstructs_over_lublin_run() {
     let set = small_model().generate(600, 5);
     let mut scheduler = SelfTuningScheduler::new(DynPConfig::paper(DeciderKind::Advanced));
-    let detail = dynp_suite::sim::simulate_detailed(&set, &mut scheduler);
+    let detail = simulate(&set, &mut scheduler);
     let end = SimTime::from_secs_f64(detail.result.metrics.last_end_secs);
     let history = PolicyHistory::reconstruct(Policy::Fcfs, &scheduler.stats, SimTime::ZERO, end);
     // Shares sum to 1 over the policies that occurred.
@@ -81,12 +81,15 @@ fn diurnal_amplitude_changes_the_execution() {
     let mut b = StaticScheduler::new(Policy::Fcfs);
     let ra = simulate(&calm, &mut a);
     let rb = simulate(&cyclic, &mut b);
-    assert_ne!(ra.metrics.sldwa.to_bits(), rb.metrics.sldwa.to_bits());
+    assert_ne!(
+        ra.result.metrics.sldwa.to_bits(),
+        rb.result.metrics.sldwa.to_bits()
+    );
     // Bursty day-time arrivals should queue more than smooth arrivals.
     assert!(
-        rb.metrics.avg_wait_secs > ra.metrics.avg_wait_secs * 0.5,
+        rb.result.metrics.avg_wait_secs > ra.result.metrics.avg_wait_secs * 0.5,
         "cyclic {} vs calm {}",
-        rb.metrics.avg_wait_secs,
-        ra.metrics.avg_wait_secs
+        rb.result.metrics.avg_wait_secs,
+        ra.result.metrics.avg_wait_secs
     );
 }

@@ -15,7 +15,6 @@
 
 use dynp_suite::prelude::*;
 use dynp_suite::rms::{CompletedJob, NaiveProfile, RepairAction};
-use dynp_suite::sim::{simulate_detailed, DetailedRun};
 use dynp_suite::workload::traces;
 use proptest::prelude::*;
 
@@ -79,7 +78,14 @@ fn detailed_with(
     scheduler: &mut dyn Scheduler,
     reqs: &[ReservationRequest],
 ) -> DetailedRun {
-    simulate_with_reservations(set, scheduler, reqs, AdmissionConfig::default())
+    simulate_chaos(
+        set,
+        scheduler,
+        reqs,
+        AdmissionConfig::default(),
+        &FaultPlan::none(),
+        Tracer::disabled(),
+    )
 }
 
 proptest! {
@@ -292,9 +298,9 @@ fn full_width_window_excludes_all_jobs() {
     assert_eq!(j1.start, SimTime::from_secs(900));
 }
 
-/// The empty stream changes nothing: `simulate_with_reservations` with no
-/// requests is bit-identical to `simulate_detailed` for every scheduler
-/// in the line-up.
+/// The empty stream changes nothing: two fresh schedulers of each kind
+/// in the line-up, one run by `simulate` and one by `simulate_chaos` with
+/// no requests, give bit-identical results.
 #[test]
 fn empty_stream_is_bit_identical_for_every_scheduler() {
     let set = traces::ctc().generate(120, 23);
@@ -313,7 +319,7 @@ fn empty_stream_is_bit_identical_for_every_scheduler() {
     for make in &build {
         let mut a = make();
         let mut b = make();
-        let plain = simulate_detailed(&set, a.as_mut());
+        let plain = simulate(&set, a.as_mut());
         let with = detailed_with(&set, b.as_mut(), &[]);
         assert_eq!(
             plain.result.metrics.sldwa.to_bits(),

@@ -33,18 +33,19 @@ fn swf_round_trip_preserves_simulation_results() {
         // times derived from f64 seconds, so allow the second-rounding to
         // shift metrics marginally.
         assert!(
-            (ra.metrics.sldwa - rb.metrics.sldwa).abs() / ra.metrics.sldwa < 0.02,
+            (ra.result.metrics.sldwa - rb.result.metrics.sldwa).abs() / ra.result.metrics.sldwa
+                < 0.02,
             "{}: {} vs {}",
             spec.name(),
-            ra.metrics.sldwa,
-            rb.metrics.sldwa
+            ra.result.metrics.sldwa,
+            rb.result.metrics.sldwa
         );
         assert!(
-            (ra.metrics.utilization - rb.metrics.utilization).abs() < 0.01,
+            (ra.result.metrics.utilization - rb.result.metrics.utilization).abs() < 0.01,
             "{}: {} vs {}",
             spec.name(),
-            ra.metrics.utilization,
-            rb.metrics.utilization
+            ra.result.metrics.utilization,
+            rb.result.metrics.utilization
         );
     }
 }
@@ -78,5 +79,8 @@ fn swf_jobs_survive_with_exact_fields_when_times_are_whole_seconds() {
     let mut sb = StaticScheduler::new(Policy::Sjf);
     let ra = simulate(&set, &mut sa);
     let rb = simulate(&back, &mut sb);
-    assert_eq!(ra.metrics.sldwa.to_bits(), rb.metrics.sldwa.to_bits());
+    assert_eq!(
+        ra.result.metrics.sldwa.to_bits(),
+        rb.result.metrics.sldwa.to_bits()
+    );
 }
