@@ -6,8 +6,8 @@ use dynp_des::SimTime;
 use dynp_metrics::Objective;
 use dynp_obs::{TraceClass, TraceEvent, Tracer};
 use dynp_rms::{
-    PlanCounters, PlanTiming, Planner, Policy, Prune, QueueChange, ReferencePlanner, ReplanReason,
-    RmsState, Schedule, Scheduler, SchedulerSnapshot, SwitchStats, RETAIN_MIN_DEPTH,
+    Backlog, PlanCounters, PlanTiming, Planner, Policy, Prune, QueueChange, ReferencePlanner,
+    ReplanReason, RmsState, Schedule, Scheduler, SchedulerSnapshot, SwitchStats, RETAIN_MIN_DEPTH,
 };
 use dynp_workload::Job;
 use serde::{Deserialize, Serialize};
@@ -94,6 +94,12 @@ pub struct SelfTuningScheduler {
     /// The jobs that left the queue in the changes the last
     /// `sync_orders` replayed, in log order.
     departed: Vec<Job>,
+    /// The waiting jobs summed for the rest bound of a [`Prune`], kept
+    /// by `sync_orders` beside the orders. `None` until the first
+    /// retained pass that may stop: its 8 KB, allocated by every
+    /// scheduler up front, move `chaos`'s peak RSS (DESIGN §10), and
+    /// `chaos` never retains a plan.
+    backlog: Option<Backlog>,
     /// Per-policy schedule of the current step (parallel to
     /// `config.policies`); reused across steps. Unused while the queue
     /// is deep enough for the planner to retain the schedules itself.
@@ -138,6 +144,7 @@ impl SelfTuningScheduler {
             log_cursor: None,
             first_changed: vec![0; n],
             departed: Vec::new(),
+            backlog: None,
             plan_schedules: vec![Schedule::default(); n],
             plan_scores: vec![0.0; n],
             plan_timings: vec![PlanTiming::default(); n],
@@ -190,7 +197,8 @@ impl SelfTuningScheduler {
     /// O(changes × policies × queue) per event instead of a full
     /// O(policies × queue log queue) copy-and-re-sort. Leaves in
     /// `departed` the jobs that left, and in `first_changed` the length
-    /// of each order's prefix that is the old order without them.
+    /// of each order's prefix that is the old order without them. The
+    /// backlog, once there is one, follows the same changes.
     ///
     /// When the changes since the last sync are no longer all in the log
     /// — a new or restored scheduler, or one whose state was cleared
@@ -210,6 +218,9 @@ impl SelfTuningScheduler {
                 order.extend_from_slice(state.waiting());
                 policy.sort_queue(order);
             }
+            if let Some(backlog) = &mut self.backlog {
+                backlog.rebuild(state.waiting());
+            }
             self.first_changed.fill(0);
             self.log_cursor = Some(log.end());
             return;
@@ -226,6 +237,9 @@ impl SelfTuningScheduler {
                 .zip(&mut self.first_changed);
             match change {
                 QueueChange::Entered(job) => {
+                    if let Some(backlog) = &mut self.backlog {
+                        backlog.add(job);
+                    }
                     for ((policy, order), first) in slots {
                         let pos = order
                             .binary_search_by(|probe| policy.cmp_jobs(probe, job))
@@ -235,6 +249,9 @@ impl SelfTuningScheduler {
                     }
                 }
                 QueueChange::Left(job) => {
+                    if let Some(backlog) = &mut self.backlog {
+                        backlog.remove(job);
+                    }
                     self.departed.push(*job);
                     for ((policy, order), first) in slots {
                         let pos = order
@@ -517,15 +534,18 @@ impl SelfTuningScheduler {
             // larger of the score and 1; so is the margin.
             best_excess + margin * best.max(1.0) * den
         };
+        let orders = &self.orders;
+        let prune = weight.map(|weight| Prune {
+            weight,
+            backlog: self.backlog.get_or_insert_with(|| Backlog::new(&orders[0])),
+            first: &first,
+            limit: &mut limit,
+        });
         let used = self.planner.plan_retained_batch(
-            &self.orders,
+            orders,
             &self.first_changed,
             &self.departed,
-            weight.map(|weight| Prune {
-                weight,
-                first: &first,
-                limit: &mut limit,
-            }),
+            prune,
             &mut self.plan_timings,
             workers,
         );
@@ -639,6 +659,7 @@ mod tests {
     use super::*;
     use dynp_des::SimDuration;
     use dynp_workload::JobId;
+    use proptest::prelude::*;
 
     fn j(id: u32, submit_s: u64, width: u32, est_s: u64) -> Job {
         Job::new(
@@ -898,6 +919,66 @@ mod tests {
                         e.job.width,
                         e.start
                     );
+                }
+            }
+        }
+    }
+
+    proptest! {
+        /// The backlog `sync_orders` keeps beside the orders is the one
+        /// rebuilt from the waiting queue, after any stream of
+        /// submissions, starts and cancels — through restores and spells
+        /// in reference mode, with the queue log cleared after every
+        /// replan as the simulator clears it (a spell then ends in a
+        /// rebuild) or left to grow (it ends in a replay).
+        #[test]
+        fn the_kept_backlog_is_the_waiting_queue_s(
+            ops in proptest::collection::vec((0u8..8, 1u32..9, 1u64..500), 1..80),
+            clear_log in 0u8..2,
+        ) {
+            let mut state = RmsState::new(256);
+            let depth = RETAIN_MIN_DEPTH as u32;
+            for i in 0..depth {
+                state.submit(j(i, 0, 1 + i % 8, 10 + (i as u64 * 37) % 400));
+            }
+            let mut s = dynp(DeciderKind::Advanced);
+            let (mut now, mut next, mut reference) = (0, depth, false);
+            let _ = s.replan(&state, SimTime::ZERO, ReplanReason::Submission);
+            prop_assert!(s.backlog.is_some(), "the first retained pass builds it");
+            for (kind, width, n) in ops {
+                let waiting = state.waiting().len();
+                match kind {
+                    0..=2 => {
+                        state.submit(j(next, now, width, n));
+                        next += 1;
+                    }
+                    3 if waiting > 0 => {
+                        let job = state.waiting()[n as usize % waiting];
+                        if job.width <= state.free_processors() {
+                            state.start(job.id, SimTime::from_secs(now));
+                        }
+                    }
+                    4 if waiting > 0 => {
+                        let id = state.waiting()[n as usize % waiting].id;
+                        state.withdraw(id);
+                    }
+                    5 => {
+                        let snap = s.snapshot().expect("dynP snapshots");
+                        s.restore(&snap);
+                    }
+                    6 => {
+                        reference = !reference;
+                        s.set_reference_mode(reference);
+                    }
+                    _ => now += n,
+                }
+                let _ = s.replan(&state, SimTime::from_secs(now), ReplanReason::Submission);
+                if clear_log == 1 {
+                    state.clear_queue_log();
+                }
+                if !reference {
+                    let backlog = s.backlog.as_ref().expect("never dropped");
+                    prop_assert!(backlog.is_of(state.waiting()));
                 }
             }
         }

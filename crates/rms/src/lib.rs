@@ -49,8 +49,8 @@ pub use admission::{AdmissionConfig, AdmissionController, RejectReason};
 pub use easy::EasyBackfillScheduler;
 pub use naive::NaiveProfile;
 pub use planner::{
-    DelayWeight, PlanCounters, PlanTiming, Planner, Prune, ReferencePlanner, PARALLEL_MIN_DEPTH,
-    RETAIN_MIN_DEPTH,
+    Backlog, DelayWeight, PlanCounters, PlanTiming, Planner, Prune, ReferencePlanner,
+    PARALLEL_MIN_DEPTH, RETAIN_MIN_DEPTH,
 };
 pub use policy::Policy;
 pub use profile::Profile;

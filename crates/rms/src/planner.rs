@@ -282,6 +282,8 @@ impl DelayWeight {
 pub struct Prune<'a> {
     /// How a job's delay counts.
     pub weight: DelayWeight,
+    /// The jobs every queue of the batch holds, summed for that bound.
+    pub backlog: &'a Backlog,
     /// Whether to plan queue `i` first, and completely.
     pub first: &'a (dyn Fn(usize) -> bool + Sync),
     /// Called once, when the `first` queues are planned and their
@@ -293,9 +295,10 @@ pub struct Prune<'a> {
 
 /// The stop rule of one pass under [`Prune`], and the excess it has run
 /// up so far.
-struct Tally {
+struct Tally<'a> {
     weight: DelayWeight,
     limit: f64,
+    backlog: &'a Backlog,
     /// Of the jobs placed.
     excess: f64,
     /// What [`rest_bound`] added for the jobs not placed, when that is
@@ -462,8 +465,149 @@ fn class_edge(c: usize) -> f64 {
     (9 + (c & 7)) as f64 * (1u64 << ((c >> 3) - 1)) as f64
 }
 
-/// A lower bound on the [`DelayWeight::Width`] excess the jobs of `rest`
-/// add to any plan that places them on `profile` from `now` on.
+/// Area in width · ms, per duration class of [`rest_bound`] and in all.
+/// Integers, so that adding and taking away jobs in any order, or
+/// summing the same jobs another way, gives the same bits; below 2⁵³
+/// each converts to `f64` exactly.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Areas {
+    class: [u128; CLASSES],
+    total: u128,
+}
+
+impl Areas {
+    const ZERO: Areas = Areas {
+        class: [0; CLASSES],
+        total: 0,
+    };
+
+    /// `job`'s class, and its area.
+    fn part(job: &Job) -> (usize, u128) {
+        let ms = job.estimate.as_millis();
+        (class_of(ms), job.width as u128 * ms as u128)
+    }
+
+    fn add(&mut self, job: &Job) {
+        let (c, area) = Areas::part(job);
+        self.class[c] += area;
+        self.total += area;
+    }
+
+    fn remove(&mut self, job: &Job) {
+        let (c, area) = Areas::part(job);
+        self.class[c] -= area;
+        self.total -= area;
+    }
+}
+
+/// The jobs every queue of a batch holds, summed once for the bound a
+/// [`Prune`] puts on the jobs a pass has not placed: their area per
+/// duration class and in all, the widest of them and the latest
+/// submission. The first two are exact; the last two only bound the
+/// jobs from above, because a job leaving lowers neither. Its caller
+/// keeps it beside the queues — adding each job that enters, removing
+/// each that leaves, rebuilding when it rebuilds them — so that a pass
+/// asking what its unplaced jobs owe sums the few it has placed, not the
+/// many it has not.
+#[derive(Debug)]
+pub struct Backlog {
+    areas: Box<Areas>,
+    widest: u32,
+    latest: SimTime,
+}
+
+impl Backlog {
+    /// The backlog of `jobs`.
+    pub fn new(jobs: &[Job]) -> Self {
+        let mut backlog = Backlog {
+            areas: Box::new(Areas::ZERO),
+            widest: 0,
+            latest: SimTime::ZERO,
+        };
+        backlog.rebuild(jobs);
+        backlog
+    }
+
+    /// Makes this the backlog of `jobs`, reusing the allocation.
+    pub fn rebuild(&mut self, jobs: &[Job]) {
+        *self.areas = Areas::ZERO;
+        (self.widest, self.latest) = (0, SimTime::ZERO);
+        for job in jobs {
+            self.add(job);
+        }
+    }
+
+    /// Counts a job that entered the queues.
+    pub fn add(&mut self, job: &Job) {
+        self.areas.add(job);
+        self.widest = self.widest.max(job.width);
+        self.latest = self.latest.max(job.submit);
+    }
+
+    /// Takes out a job that left the queues; it must have been added.
+    pub fn remove(&mut self, job: &Job) {
+        self.areas.remove(job);
+    }
+
+    /// Whether this is a backlog of `jobs`: their areas exactly, bounds
+    /// no tighter than theirs. For callers checking what they keep.
+    #[doc(hidden)]
+    pub fn is_of(&self, jobs: &[Job]) -> bool {
+        let exact = Backlog::new(jobs);
+        *self.areas == *exact.areas && self.widest >= exact.widest && self.latest >= exact.latest
+    }
+
+    /// The areas of the jobs held less those of `placed`, where that is
+    /// what the rest bound pours: when no job held is wider than
+    /// `capacity` or submitted after `now`.
+    fn less(&self, placed: &[Job], capacity: u32, now: SimTime) -> Option<Areas> {
+        if self.widest > capacity || self.latest > now {
+            return None;
+        }
+        let mut areas = *self.areas;
+        for job in placed {
+            areas.remove(job);
+        }
+        Some(areas)
+    }
+}
+
+/// What [`rest_bound`] pours for the jobs of `rest`, summed one by one:
+/// the areas of those `capacity` can hold, and beside them the delays
+/// that are nobody's fault, `Σ width · (submit − now)` in width · ms
+/// over the jobs not yet submitted.
+fn walk_rest(capacity: u32, now: SimTime, rest: &[Job]) -> (Areas, u128) {
+    let (mut areas, mut floors) = (Areas::ZERO, 0);
+    for job in rest.iter().filter(|job| job.width <= capacity) {
+        areas.add(job);
+        floors += job.width as u128 * job.submit.saturating_since(now).as_millis() as u128;
+    }
+    (areas, floors)
+}
+
+/// [`walk_rest`] of `queue[from..]`, read off the `backlog` of all of
+/// `queue` less `queue[..from]` where that side is the shorter one and
+/// the backlog may stand for the rest. Both give the same integers.
+fn rest_areas(
+    capacity: u32,
+    now: SimTime,
+    queue: &[Job],
+    from: usize,
+    backlog: &Backlog,
+) -> (Areas, u128) {
+    debug_assert!(backlog.is_of(queue), "the backlog is not of the queue");
+    let (placed, rest) = queue.split_at(from);
+    if placed.len() < rest.len() {
+        if let Some(areas) = backlog.less(placed, capacity, now) {
+            return (areas, 0);
+        }
+    }
+    walk_rest(capacity, now, rest)
+}
+
+/// A lower bound on the [`DelayWeight::Width`] excess the jobs of
+/// `queue[from..]` add to any plan that places them on `profile` from
+/// `now` on, with `backlog` the [`Backlog`] of all of `queue`.
 ///
 /// A job placed at `start` is busy around `start + estimate / 2`, so
 /// `width · (start − now + estimate / 2)` is `1 / estimate` times the
@@ -479,31 +623,31 @@ fn class_edge(c: usize) -> f64 {
 /// `submit`, not at `now`, and what is left bounds `Σ width · (start −
 /// max(now, submit))` from below. A job wider than the machine is in no
 /// plan and in no bound.
-fn rest_bound(profile: &Profile, now: SimTime, rest: &[Job]) -> f64 {
+fn rest_bound(
+    profile: &Profile,
+    now: SimTime,
+    queue: &[Job],
+    from: usize,
+    backlog: &Backlog,
+) -> f64 {
+    let (areas, floors) = rest_areas(profile.capacity(), now, queue, from, backlog);
+    pour(profile, now, &areas, floors)
+}
+
+/// The walk of [`rest_bound`]: pours `areas` into the free capacity of
+/// `profile` from `now` on, shortest class first, and takes the
+/// half-areas and the `floors` from the moment.
+fn pour(profile: &Profile, now: SimTime, areas: &Areas, floors: u128) -> f64 {
     let (times, frees) = profile.segments_from(now);
     let ms = |d: SimDuration| d.as_millis() as i64 as f64;
-    // Area in width · ms, per class and in all, and the delays that are
-    // nobody's fault.
-    let mut class_area = [0.0f64; CLASSES];
-    let (mut area, mut floors) = (0.0, 0.0);
-    for job in rest {
-        if job.width > profile.capacity() {
-            continue;
-        }
-        let width = job.width as f64;
-        let job_area = width * ms(job.estimate);
-        class_area[class_of(job.estimate.as_millis())] += job_area;
-        area += job_area;
-        floors += width * ms(job.submit.saturating_since(now)); // 0 once submitted
-    }
     let mut moment = 0.0;
     // The capacity is used up to `at` ms past `now`, inside segment `k`.
     let (mut k, mut at) = (0, 0.0);
-    for (c, &poured) in class_area.iter().enumerate() {
-        let mut left = poured;
-        if left == 0.0 {
+    for (c, &poured) in areas.class.iter().enumerate() {
+        if poured == 0 {
             continue;
         }
+        let mut left = poured as f64;
         let per_ms = 1.0 / class_edge(c);
         loop {
             let free = frees[k] as f64;
@@ -521,30 +665,32 @@ fn rest_bound(profile: &Profile, now: SimTime, rest: &[Job]) -> f64 {
             (k, at) = (k + 1, end);
         }
     }
-    (moment - 0.5 * area - floors).max(0.0) * 1e-3
+    (moment - 0.5 * areas.total as f64 - floors as f64).max(0.0) * 1e-3
 }
 
-/// [`place`] under a `tally` that also asks [`rest_bound`] whether what
-/// is placed and what is not are together past the limit: before placing
-/// anything if `ask`, and, when the bound stopped the queue's last pass,
-/// again between stretches of the queue that end at 8, 32, 128, … jobs.
-/// `place`'s loop is the shallow path's too, and even a branch never
-/// taken costs it (DESIGN §10), hence a wrapper.
+/// [`place`] of `queue[kept..]` under a `tally` that also asks
+/// [`rest_bound`] whether what is placed and what is not are together
+/// past the limit: before placing anything if `ask`, and, when the bound
+/// stopped the queue's last pass, again between stretches of the queue
+/// that end at 8, 32, 128, … jobs past `kept`. `place`'s loop is the
+/// shallow path's too, and even a branch never taken costs it (DESIGN
+/// §10), hence a wrapper.
 fn place_bounded(
     profile: &mut Profile,
     now: SimTime,
     queue: &[Job],
+    kept: usize,
     out: &mut Schedule,
     tally: &mut Tally,
     mut ask: bool,
 ) -> usize {
-    let (mut from, mut to) = (0, 8);
+    let (mut from, mut to) = (kept, kept + 8);
     loop {
         // The answer can save no more than placing the rest, and the
         // walk reads all of the profile.
         let unplaced = queue.len() - from;
         if ask && tally.excess <= tally.limit && unplaced > profile.segments_from(now).0.len() {
-            let rest = rest_bound(profile, now, &queue[from..]);
+            let rest = rest_bound(profile, now, queue, from, tally.backlog);
             if tally.excess + rest > tally.limit {
                 tally.rest = rest;
                 return unplaced;
@@ -557,7 +703,7 @@ fn place_bounded(
         if left > 0 || from == queue.len() {
             return queue.len() - from + left;
         }
-        (ask, to) = (true, 4 * to);
+        (ask, to) = (true, kept + 4 * (to - kept));
     }
 }
 
@@ -625,7 +771,8 @@ impl Slot {
             self.profile.restore_from(base);
             self.schedule.entries.clear();
         }
-        let (profile, rest, out) = (&mut self.profile, &queue[kept..], &mut self.schedule);
+        let (profile, out) = (&mut self.profile, &mut self.schedule);
+        let rest = &queue[kept..];
         let left = match tally {
             // Whether the jobs a pass leaves unplaced put it past the
             // limit is worth asking where the answer has been yes: the
@@ -642,7 +789,7 @@ impl Slot {
             Some(tally) if tally.weight == DelayWeight::Width => {
                 let resumes = kept > 0 && tally.last.excess.is_some();
                 if resumes || tally.last.by_rest {
-                    place_bounded(profile, now, rest, out, tally, resumes)
+                    place_bounded(profile, now, queue, kept, out, tally, resumes)
                 } else {
                     place(profile, now, rest, out, Some(tally))
                 }
@@ -878,7 +1025,7 @@ impl Planner {
         &mut self,
         queues: &[Vec<Job>],
         keep: Option<&[usize]>,
-        bound: Option<(DelayWeight, f64)>,
+        bound: Option<(DelayWeight, f64, &Backlog)>,
         select: &(dyn Fn(usize) -> bool + Sync),
         hands: &[Hand],
         timings: &mut [PlanTiming],
@@ -894,9 +1041,10 @@ impl Planner {
                     donor: Option<&Slot>,
                     timing: &mut PlanTiming,
                     stopped: &mut Stopped| {
-            let mut tally = bound.map(|(weight, limit)| Tally {
+            let mut tally = bound.map(|(weight, limit, backlog)| Tally {
                 weight,
                 limit,
+                backlog,
                 excess: 0.0,
                 rest: 0.0,
                 last: *stopped,
@@ -1080,11 +1228,12 @@ impl Planner {
             None => self.run_passes(queues, keep, None, all, &hands, timings, workers),
             Some(Prune {
                 weight,
+                backlog,
                 first,
                 limit,
             }) => {
                 let before = self.run_passes(queues, keep, None, first, &hands, timings, workers);
-                let bound = Some((weight, limit(self)));
+                let bound = Some((weight, limit(self), backlog));
                 let rest = &|i| !first(i);
                 let after = self.run_passes(queues, keep, bound, rest, &hands, timings, workers);
                 before.max(after)
@@ -1606,6 +1755,7 @@ mod tests {
         let mut limit = f64::INFINITY;
         let (first, share) = bound.unwrap_or((usize::MAX, 0.0));
         let is_first = |i| i == first;
+        let backlog = Backlog::new(&orders[0]);
         let mut take_limit = |p: &Planner| {
             assert!(p.retained_excess(first).is_none());
             limit = share * DelayWeight::Width.excess(p.retained_schedule(first), now);
@@ -1617,6 +1767,7 @@ mod tests {
             departed,
             bound.map(|_| Prune {
                 weight: DelayWeight::Width,
+                backlog: &backlog,
                 first: &is_first,
                 limit: &mut take_limit,
             }),
@@ -2086,16 +2237,26 @@ mod tests {
             })
             .collect();
         let mut profile = Profile::new(1, t(10));
-        let bound = rest_bound(&profile, t(10), &queue);
+        let backlog = Backlog::new(&queue);
+        let bound = rest_bound(&profile, t(10), &queue, 0, &backlog);
         assert!((bound - 0.150).abs() < 1e-12, "{bound}");
         // With two of them placed the other three wait 30, 45 and 60 ms.
         let mut plan = Schedule::default();
         place(&mut profile, t(10), &queue[..2], &mut plan, None);
-        let bound = rest_bound(&profile, t(10), &queue[2..]);
+        let bound = rest_bound(&profile, t(10), &queue, 2, &backlog);
         assert!((bound - 0.135).abs() < 1e-12, "{bound}");
         // Not yet submitted, a job's delay counts from its submission.
-        let later = Job::new(JobId(9), t(11), 1, queue[0].estimate, queue[0].estimate);
-        assert_eq!(rest_bound(&profile, t(10), &[later]), 0.0);
+        let later = [Job::new(
+            JobId(9),
+            t(11),
+            1,
+            queue[0].estimate,
+            queue[0].estimate,
+        )];
+        assert_eq!(
+            rest_bound(&profile, t(10), &later, 0, &Backlog::new(&later)),
+            0.0
+        );
     }
 
     /// Sixty jobs behind a full machine, SJF planned first: what stops
@@ -2408,8 +2569,9 @@ mod tests {
             let mut profile = p.base.clone();
             let mut plan = Schedule::default();
             let mut bounds = Vec::new();
+            let backlog = Backlog::new(&queue);
             for (i, job) in queue.iter().enumerate() {
-                bounds.push((plan.len(), rest_bound(&profile, now, &queue[i..]), &queue[i..]));
+                bounds.push((plan.len(), rest_bound(&profile, now, &queue, i, &backlog), &queue[i..]));
                 place(&mut profile, now, std::slice::from_ref(job), &mut plan, None);
             }
             prop_assert_eq!(&plan.entries, &p.plan_prepared(&queue).entries);
@@ -2420,6 +2582,58 @@ mod tests {
                 prop_assert!(bound >= 0.0 && bound <= truth + 1e-9 * sums,
                              "{} jobs placed: {} > {}", placed, bound, truth);
             }
+        }
+
+        /// The rest bound read off a backlog is the one the direct walk
+        /// gives, bit for bit: for every `from` of random queues, on a
+        /// machine that may be narrower than the widest job, with jobs
+        /// submitted after `now` or not, and with widths and estimates
+        /// large enough that the areas pass 2⁵³, where `f64` sums would
+        /// round. Whenever the backlog may stand for the rest, the
+        /// integers it leaves are the walk's.
+        #[test]
+        fn the_rest_bound_from_a_backlog_is_the_direct_walk(
+            raw in proptest::collection::vec((1u32..1 << 22, 1u64..1 << 35, 0u64..2, 0u64..1_000), 1..60),
+            narrow in 0u32..3,
+            spans in proptest::collection::vec((0u64..1 << 36, 1u64..1 << 36, 0u32..1 << 20), 0..8),
+        ) {
+            let now = t(1_000);
+            let ms = SimDuration::from_millis;
+            // Every job submitted by `now`, or some after it.
+            let late = raw.iter().any(|&(_, _, after, _)| after == 1);
+            let queue: Vec<Job> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &(width, est, after, at))| {
+                    let submit = if after == 1 { now + ms(at + 1) } else { t(at) };
+                    Job::new(JobId(i as u32), submit, width, ms(est), ms(est))
+                })
+                .collect();
+            let widest = queue.iter().map(|job| job.width).max().expect("a job");
+            // As wide as the widest job, or narrower than it.
+            let capacity = widest.saturating_sub(narrow * (widest / 3)).max(1);
+            let mut profile = Profile::new(capacity, now);
+            for &(start, len, width) in &spans {
+                let width = width % capacity + 1;
+                let at = profile.earliest_fit(now + ms(start), ms(len), width);
+                profile.allocate(at, ms(len), width);
+            }
+            let backlog = Backlog::new(&queue);
+            let mut read_off = 0;
+            for from in 0..=queue.len() {
+                let walked = walk_rest(capacity, now, &queue[from..]);
+                if let Some(areas) = backlog.less(&queue[..from], capacity, now) {
+                    prop_assert_eq!((areas, 0), walked);
+                    read_off += 1;
+                }
+                prop_assert_eq!(rest_areas(capacity, now, &queue, from, &backlog), walked);
+                let (areas, floors) = walked;
+                prop_assert_eq!(
+                    rest_bound(&profile, now, &queue, from, &backlog).to_bits(),
+                    pour(&profile, now, &areas, floors).to_bits()
+                );
+            }
+            prop_assert_eq!(read_off > 0, !late && capacity >= widest);
         }
 
         /// The retained entry against from-scratch plans over a random

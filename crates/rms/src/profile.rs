@@ -14,19 +14,22 @@
 //! and because `Profile::restore_from`, once per policy per event, is
 //! then two flat `memcpy`s.
 //!
-//! [`Profile::earliest_fit`] is one binary search for the segment
-//! containing `after`, then a single forward sweep that alternates
-//! *verifying* the candidate start (scanning its window for a segment
-//! with `free < width`; if the window closes first, the candidate
-//! settles) and *seeking* the next segment with `free >= width` behind a
-//! blocker (the next candidate). On planner workloads those runs are a
-//! handful of points long — the profile alternates tight and free
-//! segments at exactly the widths being placed — so a tree or a paged
-//! index has nothing to skip: a 64-point chunk index with min/max
-//! summaries used to sit here, and every smaller page size measured
-//! faster than the last, down to none (DESIGN §10 has the sweep). What
-//! does go sublinear is the query *stream*, through the dominance memo
-//! of `Profile::allocate_earliest`.
+//! [`Profile::earliest_fit`] finds the segment containing `after`, then
+//! runs a single forward sweep that alternates *verifying* the candidate
+//! start (scanning its window for a segment with `free < width`; if the
+//! window closes first, the candidate settles) and *seeking* the next
+//! segment with `free >= width` behind a blocker (the next candidate).
+//! On planner workloads those runs are a handful of points long — the
+//! profile alternates tight and free segments at exactly the widths
+//! being placed — so a tree or a paged index has nothing to skip: a
+//! 64-point chunk index with min/max summaries used to sit here, and
+//! every smaller page size measured faster than the last, down to none
+//! (DESIGN §10 has the sweep). What does go sublinear is the query
+//! *stream*, through the dominance memo of `Profile::allocate_earliest`:
+//! most placements start the sweep at a memoised answer, and the memo
+//! keeps where that answer's break point lay, so finding the segment is
+//! a gallop of a few points from there rather than a binary search over
+//! the whole profile. A query without a memo hit binary-searches.
 //!
 //! Updates reuse the fit's indices and `Vec::insert` the missing break
 //! points. List scheduling places most jobs at the frontier of the plan,
@@ -62,10 +65,16 @@ pub(crate) struct ProfilePoint {
 /// One entry of the per-width-class dominance memo (see
 /// [`Profile::allocate_earliest`]): the last query answered for the
 /// class, as the lower bound it proves for later, harder queries.
-/// `width == 0` marks an empty slot.
+/// `width == 0` marks an empty slot. 32 bytes: the memo is part of every
+/// profile, and profile size is part of the RSS budget (DESIGN §10).
 #[derive(Clone, Copy, Debug)]
 struct MemoSlot {
     width: u32,
+    /// At most the position of the break point at `answer`, or
+    /// [`UNKNOWN_INDEX`]. Break points are only inserted while the memo
+    /// is live — everything that removes one clears it first — so the
+    /// point at `answer` can only have moved right of where it was.
+    index: u32,
     duration: SimDuration,
     /// The slot only says "no fit in `[after, answer)`", so it bounds
     /// later queries constrained to start at or after `after`, not
@@ -74,8 +83,13 @@ struct MemoSlot {
     answer: SimTime,
 }
 
+/// [`MemoSlot::index`] of a slot that does not know where its answer
+/// lies: one seeded by [`Profile::remember_fit`].
+const UNKNOWN_INDEX: u32 = u32::MAX;
+
 const MEMO_EMPTY: MemoSlot = MemoSlot {
     width: 0,
+    index: UNKNOWN_INDEX,
     duration: SimDuration::ZERO,
     after: SimTime::ZERO,
     answer: SimTime::ZERO,
@@ -236,6 +250,24 @@ impl Profile {
             .saturating_sub(1)
     }
 
+    /// [`Profile::seg_index`] for a `t` whose segment is point `i` or
+    /// one after it: gallops right from `i`, so it costs the logarithm
+    /// of how far the segment lies past `i`, not of the profile's size.
+    fn seg_index_from(&self, i: usize, t: SimTime) -> usize {
+        let times = &self.times[i..];
+        debug_assert!(times[0] <= t, "the hint lies past {t:?}");
+        // `times[lo] <= t`; `hi` is the point count or a point past `t`.
+        let (mut lo, mut step) = (0, 1);
+        let hi = loop {
+            let probe = lo + step;
+            if probe >= times.len() || times[probe] > t {
+                break probe.min(times.len());
+            }
+            (lo, step) = (probe, 2 * step);
+        };
+        i + lo + times[lo + 1..hi].partition_point(|&time| time <= t)
+    }
+
     /// The function on `[t, ∞)` as its two vectors, from the segment
     /// containing `t` on: read-only, for walks that fill the free
     /// capacity without reserving it. The final segment never ends and
@@ -256,12 +288,15 @@ impl Profile {
     /// containing `start` and `e` the first point at or past the end of
     /// the window (the point count if it runs past the horizon) — they
     /// seed [`Profile::carve`], so [`Profile::allocate_earliest`] never
-    /// searches for either end of its rectangle again.
+    /// searches for either end of its rectangle again. With a `hint`,
+    /// the caller vouches that the segment containing `after` is that
+    /// point or one after it, and the search gallops from there.
     fn fit_pos(
         &self,
         after: SimTime,
         duration: SimDuration,
         width: u32,
+        hint: Option<usize>,
     ) -> (usize, usize, SimTime) {
         assert!(
             width <= self.capacity,
@@ -275,7 +310,14 @@ impl Profile {
         }
         let times = self.times.as_slice();
         let frees = &self.frees[..times.len()];
-        let mut s = self.seg_index(start);
+        let mut s = match hint {
+            Some(i) => {
+                let hinted = self.seg_index_from(i, start);
+                debug_assert_eq!(hinted, self.seg_index(start), "hint past the segment");
+                hinted
+            }
+            None => self.seg_index(start),
+        };
         let mut end = start + duration;
         let mut k = s;
         loop {
@@ -309,7 +351,7 @@ impl Profile {
         duration: SimDuration,
         width: u32,
     ) -> SimTime {
-        self.fit_pos(after, duration, width).2
+        self.fit_pos(after, duration, width, None).2
     }
 
     /// The profile as a step function on `[t, ∞)`: its value at `t`, then
@@ -335,8 +377,16 @@ impl Profile {
     /// Carves `width` processors out of `[start, end)`, given the index
     /// `s` of the segment containing `start` and the index `e` of the
     /// first point at or past `end` (the point count if there is none).
-    /// Panics if any covered segment has fewer than `width` free.
-    fn carve(&mut self, mut s: usize, mut e: usize, start: SimTime, end: SimTime, width: u32) {
+    /// Returns the index of the point at `start`. Panics if any covered
+    /// segment has fewer than `width` free.
+    fn carve(
+        &mut self,
+        mut s: usize,
+        mut e: usize,
+        start: SimTime,
+        end: SimTime,
+        width: u32,
+    ) -> usize {
         debug_assert!(self.times[s] <= start && s < e, "s does not contain start");
         // A new point continues the segment it splits. `end` first, so
         // `s` still indexes the segment containing `start`.
@@ -356,6 +406,7 @@ impl Profile {
             );
             *f -= width;
         }
+        s
     }
 
     /// Ensures a break point exists exactly at `t >= origin` (splitting
@@ -460,24 +511,26 @@ impl Profile {
         width: u32,
     ) -> SimTime {
         if duration.is_zero() || width == 0 {
-            return self.fit_pos(after, duration, width).2;
+            return self.fit_pos(after, duration, width, None).2;
         }
-        let class = (31 - width.leading_zeros()) as usize;
-        let mut from = after;
-        let slot = self.memo[class];
+        let slot = self.memo[(31 - width.leading_zeros()) as usize];
+        let (mut from, mut hint) = (after, None);
         if slot.width != 0
             && width >= slot.width
             && duration >= slot.duration
             && after >= slot.after
+            && slot.answer >= after
         {
-            from = from.max(slot.answer);
+            from = slot.answer;
+            hint = Some(slot.index as usize).filter(|_| slot.index != UNKNOWN_INDEX);
         }
-        let (s, e, start) = self.fit_pos(from, duration, width);
+        let (s, e, start) = self.fit_pos(from, duration, width, hint);
+        let at = self.carve(s, e, start, start + duration, width);
         // The slot records `after`, not `from`: on a hit the old slot
         // already proved `[after, from)` fit-free for this (dominating)
         // query, and the scan just proved `[from, start)`.
-        self.remember_fit(after, duration, width, start);
-        self.carve(s, e, start, start + duration, width);
+        let index = u32::try_from(at).unwrap_or(UNKNOWN_INDEX);
+        self.remember(after, duration, width, start, index);
         self.assert_invariants();
         start
     }
@@ -487,7 +540,8 @@ impl Profile {
     /// cleared the memo, replaying the placements still held, in their
     /// original order, leaves it as a fresh pass over them would have.
     /// The caller vouches that no `width × duration` fit starts in
-    /// `[after, answer)` on the profile as it is now.
+    /// `[after, answer)` on the profile as it is now. The slot does not
+    /// learn where `answer` lies: the next hit searches for it.
     pub(crate) fn remember_fit(
         &mut self,
         after: SimTime,
@@ -498,8 +552,20 @@ impl Profile {
         if duration.is_zero() || width == 0 {
             return;
         }
+        self.remember(after, duration, width, answer, UNKNOWN_INDEX);
+    }
+
+    fn remember(
+        &mut self,
+        after: SimTime,
+        duration: SimDuration,
+        width: u32,
+        answer: SimTime,
+        index: u32,
+    ) {
         self.memo[(31 - width.leading_zeros()) as usize] = MemoSlot {
             width,
+            index,
             duration,
             after,
             answer,
@@ -745,6 +811,112 @@ mod tests {
                 "fit differs for after={after} dur={dur} w={w}"
             );
             assert_eq!(p.free_at(t(after)), oracle.free_at(t(after)));
+        }
+    }
+
+    #[test]
+    fn memo_slot_is_four_words() {
+        // Every profile holds 32 of them; slot size is part of the RSS
+        // budget (DESIGN §10).
+        assert_eq!(std::mem::size_of::<MemoSlot>(), 32);
+    }
+
+    /// `allocate_earliest` on both profiles, answer for answer, then
+    /// point for point.
+    fn place_both(p: &mut Profile, oracle: &mut NaiveProfile, after: u64, dur: u64, w: u32) {
+        let got = p.allocate_earliest(t(after), d(dur), w);
+        let want = oracle.allocate_earliest(t(after), d(dur), w);
+        assert_eq!(got, want, "after={after} dur={dur} w={w}");
+        assert_eq!(p.to_points(), oracle.points());
+    }
+
+    /// The memo slot of `width`'s class.
+    fn slot_of(p: &Profile, width: u32) -> MemoSlot {
+        p.memo[(31 - width.leading_zeros()) as usize]
+    }
+
+    #[test]
+    fn a_hint_left_behind_by_earlier_break_points_still_finds_the_answer() {
+        // Full but for a 10 s hole at [50, 60), then free from 100.
+        let mut p = Profile::new(16, t(0));
+        let mut oracle = NaiveProfile::new(16, t(0));
+        for (start, dur) in [(0, 50), (60, 40)] {
+            p.allocate(t(start), d(dur), 16);
+            oracle.allocate(t(start), d(dur), 16);
+        }
+        // Width 1 for 20 s misses the hole: answer 100, remembered at
+        // its point.
+        place_both(&mut p, &mut oracle, 0, 20, 1);
+        let remembered = slot_of(&p, 1);
+        assert_eq!(p.times[remembered.index as usize], t(100));
+        // Three other classes fill the hole and carve four points ahead
+        // of it (53, 52, then 51 and 57): the remembered index now lies
+        // four short of 100.
+        place_both(&mut p, &mut oracle, 0, 3, 8);
+        place_both(&mut p, &mut oracle, 0, 2, 4);
+        place_both(&mut p, &mut oracle, 51, 6, 2);
+        assert_eq!(
+            slot_of(&p, 1).index,
+            remembered.index,
+            "another class kept it"
+        );
+        let moved = p
+            .times
+            .iter()
+            .position(|&time| time == t(100))
+            .expect("point at 100");
+        assert_eq!(moved, remembered.index as usize + 4);
+        // The first class hits again, from the stale index, and again.
+        place_both(&mut p, &mut oracle, 0, 20, 1);
+        place_both(&mut p, &mut oracle, 10, 25, 1);
+        place_both(&mut p, &mut oracle, 10, 25, 1);
+        let hit = slot_of(&p, 1);
+        assert_eq!(p.times[hit.index as usize], hit.answer);
+    }
+
+    #[test]
+    fn a_replayed_memo_knows_no_index_and_a_cleared_one_holds_nothing() {
+        let mut p = Profile::new(8, t(0));
+        let mut oracle = NaiveProfile::new(8, t(0));
+        let jobs = [
+            (0, 30, 3),
+            (0, 20, 5),
+            (5, 40, 2),
+            (5, 10, 6),
+            (0, 30, 3),
+            (20, 15, 1),
+        ];
+        let starts: Vec<SimTime> = jobs
+            .iter()
+            .map(|&(after, dur, w)| p.allocate_earliest(t(after), d(dur), w))
+            .collect();
+        // Release the last three: the memo is cleared before any point
+        // goes.
+        for (&(_, dur, w), &start) in jobs[3..].iter().zip(&starts[3..]).rev() {
+            p.release(start, d(dur), w);
+            assert!(!p.memo_live && p.memo.iter().all(|slot| slot.width == 0));
+        }
+        // Replaying the kept three re-seeds the memo without positions.
+        for (&(after, dur, w), &start) in jobs[..3].iter().zip(&starts) {
+            assert_eq!(oracle.allocate_earliest(t(after), d(dur), w), start);
+            p.remember_fit(t(after), d(dur), w, start);
+            assert_eq!(slot_of(&p, w).index, UNKNOWN_INDEX);
+        }
+        // Hits on those slots search from the origin, and learn where
+        // their answers lie.
+        for &(after, dur, w) in &[(0, 30, 3), (5, 40, 2), (0, 20, 5), (0, 35, 3)] {
+            place_both(&mut p, &mut oracle, after, dur, w);
+            let slot = slot_of(&p, w);
+            assert_eq!(p.times[slot.index as usize], slot.answer);
+        }
+        // A restore clears the memo too; what follows matches the oracle
+        // restored the same way.
+        let (base, oracle_base) = (Profile::new(8, t(0)), NaiveProfile::new(8, t(0)));
+        p.restore_from(&base);
+        oracle.restore_from(&oracle_base);
+        assert!(!p.memo_live && p.memo.iter().all(|slot| slot.width == 0));
+        for &(after, dur, w) in &jobs {
+            place_both(&mut p, &mut oracle, after, dur, w);
         }
     }
 
