@@ -447,27 +447,7 @@ impl SelfTuningScheduler {
                 );
             }
         }
-        self.scores.clear();
-        self.scores.extend(
-            self.config
-                .policies
-                .iter()
-                .zip(&self.plan_scores)
-                .map(|(&p, &v)| (p, v)),
-        );
-        let (next, rule) = self
-            .config
-            .decider
-            .decide_explained(&self.scores, self.active, EPSILON);
-        self.trace_decision(now, next, rule);
-        self.record_decision(now, next);
-
-        let idx = self
-            .config
-            .policies
-            .iter()
-            .position(|&p| p == next)
-            .expect("decider returned a non-candidate policy");
+        let (next, idx) = self.decide(now);
         if retain {
             assert!(
                 self.planner.retained_excess(idx).is_none(),
@@ -561,15 +541,10 @@ impl SelfTuningScheduler {
         used
     }
 
-    /// The pre-incremental step: re-sort every queue, rebuild every
-    /// profile, score, decide. Kept verbatim as the correctness oracle.
-    fn self_tuning_step_reference(&mut self, state: &RmsState, now: SimTime) -> Schedule {
-        let policies = self.config.policies.clone();
-        for (i, policy) in policies.into_iter().enumerate() {
-            let schedule = self.plan_policy_reference(policy, state, now);
-            self.plan_scores[i] = self.config.objective.evaluate(&schedule, now);
-            self.plan_schedules[i] = schedule;
-        }
+    /// Hands the scores in `plan_scores` to the decider, traces and
+    /// records its verdict, and returns the chosen policy with its index
+    /// among the candidates.
+    fn decide(&mut self, now: SimTime) -> (Policy, usize) {
         self.scores.clear();
         self.scores.extend(
             self.config
@@ -584,13 +559,25 @@ impl SelfTuningScheduler {
             .decide_explained(&self.scores, self.active, EPSILON);
         self.trace_decision(now, next, rule);
         self.record_decision(now, next);
-
         let idx = self
             .config
             .policies
             .iter()
             .position(|&p| p == next)
             .expect("decider returned a non-candidate policy");
+        (next, idx)
+    }
+
+    /// The pre-incremental step: re-sort every queue, rebuild every
+    /// profile, score, decide. Kept verbatim as the correctness oracle.
+    fn self_tuning_step_reference(&mut self, state: &RmsState, now: SimTime) -> Schedule {
+        let policies = self.config.policies.clone();
+        for (i, policy) in policies.into_iter().enumerate() {
+            let schedule = self.plan_policy_reference(policy, state, now);
+            self.plan_scores[i] = self.config.objective.evaluate(&schedule, now);
+            self.plan_schedules[i] = schedule;
+        }
+        let (_, idx) = self.decide(now);
         std::mem::take(&mut self.plan_schedules[idx])
     }
 }

@@ -1,7 +1,7 @@
 //! Command-line model checker for the chaos + reservation protocols.
 //!
 //! Explores every reachable same-instant interleaving of a small
-//! scenario, checking the standard invariant battery at each state.
+//! scenario, checking each state with `dynp_sim::check_state`.
 //! On violation: shrinks the scenario to a 1-minimal counterexample,
 //! writes a replayable report (and a `dynp-obs` trace next to it when
 //! `--counterexample` is given), and exits non-zero.
@@ -13,7 +13,7 @@
 //! ```
 
 use dynp_mc::{
-    explore, replay, scheduler_factory, shrink, standard, ExploreConfig, Scenario, ScenarioConfig,
+    explore, replay, scheduler_factory, shrink, ExploreConfig, Scenario, ScenarioConfig,
     SchedulerFactory, Strategy,
 };
 use dynp_obs::{write_jsonl, TraceLevel, Tracer};
@@ -82,7 +82,6 @@ fn parse_args() -> Args {
 fn main() -> ExitCode {
     let args = parse_args();
     let make = &args.make;
-    let invariants = standard();
     let scenario = Scenario::build(&args.cfg);
 
     println!(
@@ -93,7 +92,7 @@ fn main() -> ExitCode {
         args.explore.max_depth,
         args.explore.max_states
     );
-    let result = explore(&scenario, make.as_ref(), &invariants, &args.explore);
+    let result = explore(&scenario, make.as_ref(), &args.explore);
     let s = result.stats;
     println!(
         "explored {} states ({} deduplicated, {} terminal, {} truncated, peak frontier {})",
@@ -110,13 +109,7 @@ fn main() -> ExitCode {
         violation.invariant, violation.schedule, violation.detail
     );
     println!("shrinking...");
-    let shrunk = shrink(
-        &scenario,
-        &violation,
-        make.as_ref(),
-        &invariants,
-        &args.explore,
-    );
+    let shrunk = shrink(&scenario, &violation, make.as_ref(), &args.explore);
     println!(
         "shrunk: removed {} element(s) in {} exploration(s); minimal scenario has {} element(s)",
         shrunk.removed.len(),

@@ -8,19 +8,19 @@
 //! 128-bit fingerprint set, so the reachable state *graph* is walked, not
 //! the (exponentially larger) schedule tree.
 //!
-//! Every popped state runs the full invariant battery; drained leaves
+//! Every popped state runs [`dynp_sim::check_state`], the check a
+//! decoded snapshot or checkpoint must pass too; drained leaves
 //! additionally run the driver's own terminal asserts (job conservation,
 //! empty book) via [`ChaosDriver::finish_detached`]. Panics anywhere in
 //! the driver — including seeded mutants — are caught and reported as
 //! violations with the event schedule that reached them.
 
 use crate::deps::branch_choices;
-use crate::invariants::Invariant;
 use crate::scenario::Scenario;
 use dynp_des::SimTime;
 use dynp_obs::{TraceSnapshot, Tracer};
 use dynp_rms::Scheduler;
-use dynp_sim::{ChaosDriver, Event, SimSnapshot};
+use dynp_sim::{check_state, ChaosDriver, Event, SimSnapshot};
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -85,10 +85,12 @@ pub struct ExploreStats {
 /// reproduces it from the initial state.
 #[derive(Clone, Debug)]
 pub struct Violation {
-    /// Name of the violated invariant, or `"panic"`/`"terminal"` for
-    /// driver asserts tripped mid-step or at the drain check.
+    /// The refusal of [`dynp_sim::check_state`] (e.g. `"invalid job
+    /// conservation"`), or `"panic"`/`"terminal"` for driver asserts
+    /// tripped mid-step or at the drain check.
     pub invariant: String,
-    /// Human-readable detail (invariant message or panic payload).
+    /// Human-readable detail (the refused state's clock, or the panic
+    /// payload).
     pub detail: String,
     /// Tie-rank choices from the initial state: replaying
     /// `step_nth_tied(schedule[i])` for each `i` deterministically
@@ -151,15 +153,14 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Exhaustively explores every reachable interleaving of `scenario`
-/// under the given exploration bounds, checking `invariants` at every
-/// state. Stops at the first violation.
+/// under the given exploration bounds, checking every state with
+/// [`dynp_sim::check_state`]. Stops at the first violation.
 ///
 /// `make_scheduler` is called once per exploration; the scheduler must
 /// support snapshot/restore (every scheduler in this workspace does).
 pub fn explore(
     scenario: &Scenario,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
-    invariants: &[Invariant],
     cfg: &ExploreConfig,
 ) -> Exploration {
     let set = scenario.job_set();
@@ -191,20 +192,17 @@ pub fn explore(
             break;
         }
         stats.explored += 1;
-        driver.restore(&snap);
-
-        for inv in invariants {
-            if let Err(detail) = (inv.check)(&driver, scenario) {
-                return Exploration {
-                    stats,
-                    violation: Some(Violation {
-                        invariant: inv.name.to_string(),
-                        detail,
-                        schedule: path,
-                    }),
-                };
-            }
+        if let Err(e) = check_state(&snap.core, &snap.engine, snap.feed.arrivals.into(), None) {
+            return Exploration {
+                stats,
+                violation: Some(Violation {
+                    invariant: e.to_string(),
+                    detail: format!("state at {:?}", snap.engine.now),
+                    schedule: path,
+                }),
+            };
         }
+        driver.restore(&snap);
 
         let tied = driver.tied_events();
         if tied.is_empty() {

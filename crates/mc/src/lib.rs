@@ -19,9 +19,9 @@
 //!   most tied events commute (stale attempt tags, dead windows,
 //!   reservation starts) so the branching factor stays near 1 except at
 //!   genuine races.
-//! * [`standard`] — the pluggable safety battery of [`Invariant`]s checked
-//!   at every state, plus the driver's own terminal asserts at drained
-//!   leaves.
+//! * [`dynp_sim::check_state`] — the one state check, the same a decoded
+//!   snapshot or checkpoint must pass, run on every explored state, plus
+//!   the driver's own terminal asserts at drained leaves.
 //! * [`shrink()`] — greedy delta-debugging: deletes scenario elements one
 //!   at a time while the violation persists, yielding a 1-minimal
 //!   counterexample with a deterministic replay schedule.
@@ -34,12 +34,10 @@
 
 mod deps;
 mod explore;
-mod invariants;
 mod scenario;
 mod shrink;
 
 pub use explore::{explore, replay, Exploration, ExploreConfig, ExploreStats, Strategy, Violation};
-pub use invariants::{standard, Invariant};
 pub use scenario::{Scenario, ScenarioConfig};
 pub use shrink::{shrink, ShrinkResult};
 

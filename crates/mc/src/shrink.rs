@@ -8,7 +8,6 @@
 //! single remaining element makes the violation disappear.
 
 use crate::explore::{explore, ExploreConfig, Violation};
-use crate::invariants::Invariant;
 use crate::scenario::Scenario;
 use dynp_rms::Scheduler;
 
@@ -32,7 +31,6 @@ pub fn shrink(
     scenario: &Scenario,
     violation: &Violation,
     make_scheduler: &dyn Fn() -> Box<dyn Scheduler>,
-    invariants: &[Invariant],
     cfg: &ExploreConfig,
 ) -> ShrinkResult {
     let mut current = scenario.clone();
@@ -73,7 +71,7 @@ pub fn shrink(
 
         for (label, candidate) in candidates {
             attempts += 1;
-            let result = explore(&candidate, make_scheduler, invariants, cfg);
+            let result = explore(&candidate, make_scheduler, cfg);
             if let Some(v) = result.violation {
                 if v.invariant == best.invariant {
                     current = candidate;

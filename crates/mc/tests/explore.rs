@@ -1,11 +1,9 @@
 //! Exploration of the CI configurations: the chaos + reservation
-//! protocols uphold the standard invariant battery on every reachable
+//! protocols pass `dynp_sim::check_state` on every reachable
 //! interleaving, and the search itself is deterministic and
 //! strategy-independent.
 
-use dynp_mc::{
-    explore, scheduler_factory, standard, ExploreConfig, Scenario, ScenarioConfig, Strategy,
-};
+use dynp_mc::{explore, scheduler_factory, ExploreConfig, Scenario, ScenarioConfig, Strategy};
 
 const CI_CONFIG: ScenarioConfig = ScenarioConfig {
     nodes: 2,
@@ -17,14 +15,12 @@ const CI_CONFIG: ScenarioConfig = ScenarioConfig {
 #[test]
 fn ci_config_has_no_violations_under_any_interleaving() {
     let scenario = Scenario::build(&CI_CONFIG);
-    let invariants = standard();
     for scheduler in ["fcfs", "dynp"] {
         let make = scheduler_factory(scheduler).unwrap();
         for strategy in [Strategy::Dfs, Strategy::Bfs] {
             let result = explore(
                 &scenario,
                 make.as_ref(),
-                &invariants,
                 &ExploreConfig {
                     strategy,
                     ..ExploreConfig::default()
@@ -51,13 +47,11 @@ fn dfs_and_bfs_explore_the_same_state_graph() {
     // frontier discipline; only the visit order (and peak frontier)
     // differs.
     let scenario = Scenario::build(&CI_CONFIG);
-    let invariants = standard();
     let make = scheduler_factory("dynp").unwrap();
     let run = |strategy| {
         explore(
             &scenario,
             make.as_ref(),
-            &invariants,
             &ExploreConfig {
                 strategy,
                 ..ExploreConfig::default()
@@ -75,23 +69,20 @@ fn dfs_and_bfs_explore_the_same_state_graph() {
 #[test]
 fn exploration_is_deterministic() {
     let scenario = Scenario::build(&CI_CONFIG);
-    let invariants = standard();
     let make = scheduler_factory("fcfs").unwrap();
     let cfg = ExploreConfig::default();
-    let a = explore(&scenario, make.as_ref(), &invariants, &cfg).stats;
-    let b = explore(&scenario, make.as_ref(), &invariants, &cfg).stats;
+    let a = explore(&scenario, make.as_ref(), &cfg).stats;
+    let b = explore(&scenario, make.as_ref(), &cfg).stats;
     assert_eq!(a, b);
 }
 
 #[test]
 fn state_cap_truncates_instead_of_diverging() {
     let scenario = Scenario::build(&CI_CONFIG);
-    let invariants = standard();
     let make = scheduler_factory("fcfs").unwrap();
     let result = explore(
         &scenario,
         make.as_ref(),
-        &invariants,
         &ExploreConfig {
             max_states: 10,
             ..ExploreConfig::default()

@@ -9,7 +9,7 @@
 #![cfg(feature = "mutants")]
 
 use dynp_des::{SimDuration, SimTime};
-use dynp_mc::{explore, replay, scheduler_factory, shrink, standard, ExploreConfig, Scenario};
+use dynp_mc::{explore, replay, scheduler_factory, shrink, ExploreConfig, Scenario};
 use dynp_obs::{TraceLevel, Tracer};
 use dynp_rms::AdmissionConfig;
 use dynp_sim::simulate_chaos;
@@ -73,11 +73,10 @@ fn mutant_bait() -> Scenario {
 #[test]
 fn checker_finds_and_shrinks_the_seeded_stale_finish_bug() {
     let scenario = mutant_bait();
-    let invariants = standard();
     let make = scheduler_factory("fcfs").unwrap();
     let cfg = ExploreConfig::default();
 
-    let result = explore(&scenario, make.as_ref(), &invariants, &cfg);
+    let result = explore(&scenario, make.as_ref(), &cfg);
     let violation = result
         .violation
         .expect("the mutant must be caught by exploration");
@@ -88,7 +87,7 @@ fn checker_finds_and_shrinks_the_seeded_stale_finish_bug() {
         violation.detail
     );
 
-    let shrunk = shrink(&scenario, &violation, make.as_ref(), &invariants, &cfg);
+    let shrunk = shrink(&scenario, &violation, make.as_ref(), &cfg);
     // The late job and the far-future reservation are deleted; the
     // evicted job and the outage that evicts it are both load-bearing.
     assert_eq!(shrunk.removed.len(), 2, "removed: {:?}", shrunk.removed);

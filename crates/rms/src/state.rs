@@ -20,7 +20,6 @@ use crate::planner::RUNNING_PAD;
 use crate::reservation::{RepairAction, Reservation, ReservationBook};
 use dynp_des::{ByteReader, ByteWriter, CodecError, SimDuration, SimTime};
 use dynp_workload::{Job, JobId};
-use std::collections::HashMap;
 
 /// A job currently executing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -240,7 +239,8 @@ impl RmsState {
     }
 
     /// The nodes currently assigned to a running job, in index order.
-    pub fn nodes_of(&self, id: JobId) -> Vec<u32> {
+    #[cfg(test)]
+    pub(crate) fn nodes_of(&self, id: JobId) -> Vec<u32> {
         self.nodes
             .iter()
             .enumerate()
@@ -723,45 +723,14 @@ impl RmsState {
             down,
             down_count: r.u32()?,
         };
-        state.check_accounting()?;
+        // The node table's length is the one count the bytes fix; the
+        // rest of the accounting is `dynp_sim::check_state`'s.
+        if machine_size == 0 || state.nodes.len() != machine_size as usize {
+            return Err(CodecError::Invalid {
+                what: "machine size",
+            });
+        }
         Ok(state)
-    }
-
-    /// Refuses a decoded state whose counters disagree with its node
-    /// table: the accounting `start`, `complete`, `fail`, `node_down`
-    /// and `node_up` assume. Restored, such a state would overflow a
-    /// counter at the next transition, or plan on a machine it
-    /// miscounts.
-    fn check_accounting(&self) -> Result<(), CodecError> {
-        let invalid = |what| Err(CodecError::Invalid { what });
-        if self.machine_size == 0 || self.nodes.len() != self.machine_size as usize {
-            return invalid("machine size");
-        }
-        let down = self.down.iter().filter(|&&d| d).count();
-        if down != self.down_count as usize || self.down_count >= self.machine_size {
-            return invalid("down-node count");
-        }
-        let free = (self.nodes.iter().zip(&self.down))
-            .filter(|&(slot, &d)| slot.is_none() && !d)
-            .count();
-        if free != self.free as usize {
-            return invalid("free-node count");
-        }
-        let mut held: HashMap<JobId, u32> = self.running.iter().map(|r| (r.job.id, 0)).collect();
-        if held.len() != self.running.len() {
-            return invalid("running job twice");
-        }
-        for (slot, &d) in self.nodes.iter().zip(&self.down) {
-            let Some(id) = slot else { continue };
-            match held.get_mut(id) {
-                Some(count) if !d => *count += 1,
-                _ => return invalid("node holder"),
-            }
-        }
-        if self.running.iter().any(|r| held[&r.job.id] != r.job.width) {
-            return invalid("running job's nodes");
-        }
-        Ok(())
     }
 }
 

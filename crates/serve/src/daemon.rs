@@ -296,7 +296,6 @@ pub fn recover(
         c.machine_size == daemon.config.machine_size
             && c.journal_seq <= journal.next_seq
             && c.journal_seq >= first_base_seq
-            && c.jobs.len() == c.users.len()
             && daemon.scheduler.accepts(&c.scheduler)
     })?;
     if checkpoint.is_none() && first_base_seq > 0 {
@@ -491,7 +490,6 @@ impl Daemon {
     fn restore(&mut self, ckpt: ServiceCheckpoint) -> u64 {
         self.core.restore(&ckpt.core);
         self.scheduler.restore(&ckpt.scheduler);
-        self.core.ensure_jobs(ckpt.jobs.len());
         self.jobs = ckpt.jobs;
         self.users = ckpt.users;
         self.counters = ckpt.counters;

@@ -46,7 +46,7 @@
 
 use dynp_des::{ByteReader, ByteWriter, CodecError, EngineSnapshot, SimDuration, SimTime};
 use dynp_rms::SchedulerSnapshot;
-use dynp_sim::{CoreSnapshot, Event};
+use dynp_sim::{check_state, CoreSnapshot, Event};
 use dynp_workload::{Job, JobId};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -988,7 +988,9 @@ impl ServiceCheckpoint {
     }
 
     /// Decodes a checkpoint, verifying magic, version, and checksum
-    /// before touching the payload.
+    /// before touching the payload, then the decoded state with
+    /// [`check_state`]: its job table is the run's, and the cancelled
+    /// jobs are the ones it may lack.
     fn decode(bytes: &[u8]) -> Result<ServiceCheckpoint, CodecError> {
         let mut r = ByteReader::new(bytes);
         r.magic(CHECKPOINT_MAGIC, CHECKPOINT_VERSION..=CHECKPOINT_VERSION)?;
@@ -1014,7 +1016,18 @@ impl ServiceCheckpoint {
             buckets: p.list(|p| Ok((p.u32()?, p.u64()?, SimTime::from_millis(p.u64()?))))?,
         };
         p.finish()?;
-        ckpt.core.check_time_weights(&ckpt.engine, false)?;
+        let jobs = ckpt.jobs.len();
+        if ckpt.users.len() != jobs || ckpt.counters.accepted != jobs as u64 {
+            return Err(CodecError::Invalid {
+                what: "job table length",
+            });
+        }
+        check_state(
+            &ckpt.core,
+            &ckpt.engine,
+            ckpt.counters.cancelled,
+            Some(&ckpt.jobs),
+        )?;
         Ok(ckpt)
     }
 }
@@ -1022,6 +1035,14 @@ impl ServiceCheckpoint {
 /// Writes a checkpoint durably: temp file, fsync, atomic rename.
 /// Returns the byte size written.
 pub fn write_checkpoint(dir: &Path, ckpt: &ServiceCheckpoint) -> Result<u64, JournalError> {
+    #[cfg(debug_assertions)]
+    check_state(
+        &ckpt.core,
+        &ckpt.engine,
+        ckpt.counters.cancelled,
+        Some(&ckpt.jobs),
+    )
+    .expect("the daemon checkpoints only states its decoder accepts");
     let bytes = ckpt.encode();
     let final_path = checkpoint_path(dir, ckpt.journal_seq);
     let tmp_path = final_path.with_extension("ckpt.tmp");

@@ -15,9 +15,11 @@
 //! Every encoder here is exact: the state holds no floats, only
 //! integers, and they are stored verbatim, because recovery is defined
 //! as *bit* identity with the never-killed run, not approximate
-//! equality. The decoders also refuse time weights the run's next
-//! update would have to go back from ([`CoreSnapshot::check_time_weights`]).
+//! equality. The decoders refuse what the bytes alone tell — tags,
+//! counts, lengths — and [`decode_snapshot`] hands the decoded state to
+//! [`check_state`].
 
+use crate::check::check_state;
 use crate::feed::FeedCursors;
 use crate::runner::{ReservationReport, SimSnapshot};
 use crate::shard::{CoreSnapshot, Event};
@@ -193,34 +195,6 @@ impl CoreSnapshot {
             migrated_in: r.u64()?,
         })
     }
-
-    /// Refuses a core whose time weights could not take the run's next
-    /// update. Every later update comes at or after the clock, so each
-    /// weight's last update must lie in `[start, engine.now]`. A `root`
-    /// snapshot of the batch driver (nothing dispatched yet) is the
-    /// exception: its clock is still 0 while the weights start at the
-    /// first exogenous instant, so there the weights must be untouched
-    /// and no pending event may come before their start.
-    pub fn check_time_weights(
-        &self,
-        engine: &EngineSnapshot<Event>,
-        root: bool,
-    ) -> Result<(), CodecError> {
-        for tw in [&self.queue_tw, &self.busy_tw] {
-            let (start, last) = (tw.start(), tw.last_update());
-            let fits = if root {
-                last == start && engine.entries.first().is_none_or(|e| e.0 >= start)
-            } else {
-                start <= last && last <= engine.now
-            };
-            if !fits {
-                return Err(CodecError::Invalid {
-                    what: "time weight past the clock",
-                });
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Serializes a [`SimSnapshot`] into the framed, versioned, checksummed
@@ -240,8 +214,10 @@ pub fn encode_snapshot(snap: &SimSnapshot) -> Vec<u8> {
 }
 
 /// Deserializes a snapshot written by [`encode_snapshot`], verifying the
-/// magic, version, and checksum before touching the payload. Whether the
-/// feed cursors fit the streams of the run they are restored into is
+/// magic, version, and checksum before touching the payload, and the
+/// decoded state with [`check_state`]: the feed's unfed arrivals are the
+/// jobs it may lack. Whether the feed cursors fit the streams of the run
+/// they are restored into is
 /// [`ChaosDriver::try_restore`](crate::ChaosDriver::try_restore)'s check:
 /// the streams are the driver's inputs, not part of the snapshot.
 pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
@@ -262,8 +238,7 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<SimSnapshot, CodecError> {
         scheduler: SchedulerSnapshot::decode_from(&mut p)?,
     };
     p.finish()?;
-    snap.core
-        .check_time_weights(&snap.engine, snap.engine.processed == 0)?;
+    check_state(&snap.core, &snap.engine, snap.feed.arrivals.into(), None)?;
     Ok(snap)
 }
 

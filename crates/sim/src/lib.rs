@@ -28,6 +28,7 @@
 #![forbid(unsafe_code)]
 #![warn(unreachable_pub)]
 
+mod check;
 pub mod cli;
 mod codec;
 mod experiment;
@@ -41,6 +42,7 @@ mod spec;
 pub mod study;
 pub mod svg;
 
+pub use check::check_state;
 pub use codec::{decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};
 pub use experiment::{Cell, CellResult, Experiment, ExperimentResult, FaultLoad, ReservationLoad};
 pub use federation::{

@@ -374,8 +374,7 @@ impl<'a> ChaosDriver<'a> {
 
     /// Every event the run still has to dispatch, as `(time, seq, event)`
     /// in canonical dispatch order: the heap's entries merged with the
-    /// exogenous events not fed yet. The model checker's conservation and
-    /// attempt-tag invariants scan these.
+    /// exogenous events not fed yet.
     pub fn pending_events(&self) -> Vec<(SimTime, u64, Event)> {
         let mut entries = self.engine.snapshot().entries;
         entries.extend(self.feed.unfed(self.streams()));

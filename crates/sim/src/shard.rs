@@ -259,11 +259,6 @@ impl ShardCore {
         &self.state
     }
 
-    /// Fault statistics accumulated so far.
-    pub fn fault_stats(&self) -> &FaultStats {
-        &self.fstats
-    }
-
     /// Admitted windows by book id, each flagged `true` once cancelled or
     /// revoked.
     pub fn admitted_windows(&self) -> &[(Reservation, bool)] {

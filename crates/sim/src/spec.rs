@@ -190,8 +190,8 @@ mod tests {
 
     #[test]
     fn names_identify_specs_uniquely() {
-        // Names are the stable textual form of a spec (results tables,
-        // BENCH_*.json); the line-up must not alias.
+        // Names are the stable textual form of a spec (the rows of the
+        // results tables); the line-up must not alias.
         let lineup = SchedulerSpec::paper_lineup();
         let names: Vec<String> = lineup.iter().map(SchedulerSpec::name).collect();
         let mut deduped = names.clone();

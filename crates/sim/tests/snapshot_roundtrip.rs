@@ -426,8 +426,9 @@ fn restore_with_every_cursor_mid_stream_resumes_bit_identically() {
 }
 
 // A cursor that claims more unfed events than its stream holds — a
-// snapshot of some other run, or a tampered file with a fresh checksum —
-// another scheduler's snapshot, a dynP snapshot whose active policy is
+// snapshot of some other run, or a tampered file with a fresh checksum
+// (more unfed arrivals than the run has jobs already fails
+// `check_state`) — another scheduler's snapshot, a dynP snapshot whose active policy is
 // not one of this scheduler's candidates, or a core whose time weights
 // were last updated after its clock, is refused with a typed error
 // before any state is touched.
@@ -458,14 +459,14 @@ fn cursor_outside_its_stream_is_a_typed_error() {
         feed,
         ..good.clone()
     };
+    let arrivals_past_the_set = feed(FeedCursors {
+        arrivals: one_too_many(set.len()),
+        ..good.feed
+    });
     for (what, bad) in [
-        (
-            "arrival cursor",
-            feed(FeedCursors {
-                arrivals: one_too_many(set.len()),
-                ..good.feed
-            }),
-        ),
+        // More unfed arrivals than jobs: the state's own values already
+        // contradict its attempt table, so `check_state` refuses it.
+        ("job conservation", arrivals_past_the_set.clone()),
         (
             "request cursor",
             feed(FeedCursors {
@@ -505,12 +506,21 @@ fn cursor_outside_its_stream_is_a_typed_error() {
             },
         ),
     ] {
-        // Only the time weights are refused by the bytes alone; the
-        // streams and the scheduler are not in them.
+        // Only the job count and the time weights are refused by the
+        // bytes alone; the streams and the scheduler are not in them.
         let restored =
             decode_snapshot(&encode_snapshot(&bad)).and_then(|snap| driver.try_restore(&snap));
         assert_eq!(restored, Err(CodecError::Invalid { what }));
         assert_eq!(driver.fingerprint(), before, "{what}: state was touched");
     }
+    // Restored in memory, with no decoder before it, the same cursor is
+    // refused by the feed.
+    assert_eq!(
+        driver.try_restore(&arrivals_past_the_set),
+        Err(CodecError::Invalid {
+            what: "arrival cursor"
+        })
+    );
+    assert_eq!(driver.fingerprint(), before);
     driver.try_restore(&good).expect("the untampered snapshot");
 }

@@ -19,14 +19,11 @@
 //! A checkpoint the loader accepts has its dynP scheduler snapshot
 //! restored: the decoder refused every word a `restore` could not take.
 //!
-//! The engine decoder refuses a pending timer before the clock, out of
-//! order or past the sequence counter, and the core decoder a machine
-//! whose counters disagree with its node table: a checkpoint resealed
-//! with its node accounting overwritten recovers and drains, or
-//! recovery refuses it typed. Out of scope: whether the rest of a
-//! checkpoint whose checksum holds but whose state is inconsistent can
-//! be *restored*; the threat model is torn writes and bit rot, not an
-//! adversary (DESIGN §14).
+//! A checkpoint or snapshot that decodes is handed to the one state
+//! check, `dynp_sim::check_state`: a checkpoint resealed with any run of
+//! its payload overwritten recovers and drains, is skipped for the older
+//! checkpoint, or recovery refuses it typed — it never panics recovery or
+//! the drain (DESIGN §14).
 
 use dynp_core::DeciderKind;
 use dynp_des::{ByteReader, ByteWriter, EngineSnapshot};
@@ -207,18 +204,6 @@ fn hit(tag: &str, f: &Fixture, bytes: &[u8]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Where a checkpoint fixture keeps its node accounting: the core's
-/// machine size and free count, then its node table, down flags and
-/// down count.
-fn node_accounting(f: &Fixture) -> [Range<usize>; 2] {
-    let (start, mut r) = core_reader(f);
-    let core = start + r.position();
-    let machine = RmsState::decode_from(&mut r).unwrap().machine_size() as usize;
-    let end = start + r.position();
-    // count | one u32 slot and one flag per node | down count
-    [core..core + 8, end - (8 + 5 * machine)..end]
-}
-
 /// A reader at the core of checkpoint fixture `f`, and the payload's
 /// offset in the file.
 fn core_reader(f: &Fixture) -> (usize, ByteReader<'_>) {
@@ -343,35 +328,25 @@ proptest! {
     #[test]
     fn a_resealed_node_accounting_recovers_or_is_refused(
         which in 2usize..4,
-        ops in collection::vec(
-            (
-                0usize..2,
-                0usize..4096,
-                1usize..9,
-                prop_oneof![Just(0xFFu8), Just(0u8), 0u8..255],
-            ),
-            1..4,
-        ),
+        at in 0usize..1 << 20,
+        width in 1usize..9,
+        fill in prop_oneof![Just(0xFFu8), Just(0u8), 0u8..255],
     ) {
+        // One run anywhere in the payload — the node words among them —
+        // beside the other checkpoint and both segments.
         let f = &fixtures()[which];
-        let words = node_accounting(f);
-        let ops: Vec<_> = ops
-            .into_iter()
-            .map(|(range, at, width, fill)| {
-                let range = &words[range];
-                let at = range.start + at % range.len();
-                (false, at, width.min(range.end - at), fill)
-            })
-            .collect();
-        let dir = temp_dir("node_accounting");
-        for g in &fixtures()[4..] {
+        let p = &f.payloads[0];
+        let at = p.start + at % p.len();
+        let bytes = mutate_and_reseal(f, &[(false, at, width.min(p.end - at), fill)]);
+        let dir = temp_dir("resealed_checkpoint");
+        for g in &fixtures()[2..] {
             std::fs::write(dir.join(g.name), &g.bytes).unwrap();
         }
-        std::fs::write(dir.join(f.name), mutate_and_reseal(f, &ops)).unwrap();
+        std::fs::write(dir.join(f.name), bytes).unwrap();
         let loaded = load_latest_checkpoint(&dir);
         prop_assert!(loaded.is_ok(), "a bad checkpoint is skipped: {loaded:?}");
-        // Beside the journal it was cut from, the checkpoint recovers and
-        // drains, or recovery refuses it typed.
+        // The checkpoint recovers and drains, or recovery refuses it
+        // typed.
         let drained = std::panic::catch_unwind(|| {
             let journal = read_journal(&dir).unwrap();
             let spec = parse_scheduler(&journal.scheduler).unwrap();
@@ -458,7 +433,8 @@ fn a_checkpoint_whose_engine_holds_a_past_timer_falls_back_to_the_older_one() {
 #[test]
 fn a_checkpoint_whose_core_miscounts_its_nodes_falls_back_to_the_older_one() {
     let f = &fixtures()[3];
-    let core = node_accounting(f)[0].start;
+    let (start, r) = core_reader(f);
+    let core = start + r.position();
     // The core opens with the machine size, then the free count.
     let all_free = [(false, core + 4, 4, 0xFF)];
     let one_processor = [(false, core, 4, 0), (false, core, 1, 1)];
@@ -487,6 +463,103 @@ fn a_checkpoint_whose_time_weight_lies_past_its_clock_falls_back_to_the_older_on
     let last_update = start + r.position();
     let bytes = mutate_and_reseal(f, &[(false, last_update + 5, 1, 0x7F)]);
     assert_falls_back(f, bytes, "weight_past_clock");
+}
+
+/// A checkpoint whose checksum holds but whose first waiting job is 17
+/// processors wide, on a 16-processor machine, would, restored, hand the
+/// planner a job no plan fits: `check_state` passes every job word
+/// through `Job::check`, and recovery falls back to the older checkpoint
+/// and drains to the journal's replay.
+#[test]
+fn a_checkpoint_holding_a_job_wider_than_the_machine_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    let (start, r) = core_reader(f);
+    // machine | free | waiting count | id u32 | submit u64 | width
+    let width = start + r.position() + 24;
+    assert_eq!(f.bytes[width], 8, "the first waiting job is 8 wide");
+    let bytes = mutate_and_reseal(f, &[(false, width, 1, 17)]);
+    assert_falls_back(f, bytes, "too_wide");
+}
+
+/// A checkpoint whose checksum holds but whose attempt table lacks its
+/// first entry — nine counters for ten jobs — would, restored, count the
+/// running job 0 as never started, so its `Finish` would be stale and
+/// the drain would end with the job still running: `check_state` takes
+/// the attempt table's length as the job count, and recovery falls back
+/// to the older checkpoint and drains to the journal's replay.
+#[test]
+fn a_checkpoint_whose_attempt_table_is_shorter_than_its_job_table_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    let p = f.payloads[0].clone();
+    let (start, mut r) = core_reader(f);
+    RmsState::decode_from(&mut r).unwrap();
+    // count u32 | one u32 per job, the first job 0's one attempt
+    let table = start + r.position() - p.start;
+    let count = r.u32().unwrap();
+    assert_eq!((count, r.u32().unwrap()), (10, 1));
+    let mut payload = f.bytes[p.clone()].to_vec();
+    payload.splice(table..table + 8, (count - 1).to_le_bytes());
+    let mut w = ByteWriter::new();
+    w.raw(&f.bytes[..p.start - 4]);
+    w.sealed(|w| w.raw(&payload));
+    assert_falls_back(f, w.into_bytes(), "short_attempts");
+}
+
+/// A checkpoint whose checksum holds but whose one pending timer, the
+/// running job 0's `Finish`, is tagged with attempt 0 would, restored,
+/// ignore that timer as stale and drain with the job still running; one
+/// whose timer is a `Kill` instead would panic at its instant, a daemon
+/// having no planned fault to kill with: `check_state` wants one live
+/// end per running job and no daemon timer but a `Finish`, and recovery
+/// falls back to the older checkpoint and drains to the journal's
+/// replay.
+#[test]
+fn a_checkpoint_whose_running_job_has_no_live_finish_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    // machine | clock | dispatch count | sequence counter | timer count,
+    // then the timer: instant u64 | seq u64 | tag u8 | job u32 | attempt
+    let mut r = ByteReader::new(&f.bytes[f.payloads[0].clone()]);
+    r.u32().unwrap();
+    for _ in 0..3 {
+        r.u64().unwrap();
+    }
+    assert_eq!(r.u32().unwrap(), 1, "one pending timer");
+    let timer = f.payloads[0].start + r.position();
+    assert_eq!(f.bytes[timer + 16], 2, "the timer is a Finish");
+    for op in [(false, timer + 21, 4, 0), (false, timer + 16, 1, 9)] {
+        assert_falls_back(f, mutate_and_reseal(f, &[op]), "no_live_finish");
+    }
+}
+
+/// A checkpoint whose checksum holds and whose node accounting adds up —
+/// node 15 down and free of job 0, which now runs 15 wide — but which
+/// holds no `NodeUp` for node 15, would, restored, never bring the node
+/// back, so the 16-wide job 7 would never start and the drain would end
+/// with it waiting: `check_state` wants a pending `NodeUp` for every
+/// down node, and recovery falls back to the older checkpoint and drains
+/// to the journal's replay.
+#[test]
+fn a_checkpoint_whose_down_node_never_comes_back_falls_back_to_the_older_one() {
+    let f = &fixtures()[3];
+    let (start, mut r) = core_reader(f);
+    // machine | free | the waiting jobs
+    r.u32().unwrap();
+    r.u32().unwrap();
+    r.list(dynp_workload::Job::decode_from).unwrap();
+    // running count | id u32 | submit u64 | width
+    let width = start + r.position() + 16;
+    let mut r = core_reader(f).1;
+    RmsState::decode_from(&mut r).unwrap();
+    // ... | 16 node slots | 16 down flags | down count
+    let end = start + r.position();
+    assert_eq!(f.bytes[width], 16, "job 0 runs on the whole machine");
+    let ops = [
+        (false, width, 1, 15),
+        (false, end - 24, 4, 0xFF),
+        (false, end - 5, 1, 1),
+        (false, end - 4, 1, 1),
+    ];
+    assert_falls_back(f, mutate_and_reseal(f, &ops), "down_for_good");
 }
 
 /// A checkpoint whose checksum holds and whose dynP `active` word names
