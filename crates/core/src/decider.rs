@@ -3,65 +3,38 @@
 //!
 //! A decider receives one score per candidate policy (lower = better; see
 //! [`dynp_metrics::Objective`]) plus the currently active ("old") policy,
-//! and returns the policy to use next.
+//! and returns the policy to use next together with the rule that fired
+//! (the decision audit trail's label).
 //!
 //! Conventions shared by all deciders:
 //! * scores arrive in the canonical candidate order (FCFS, SJF, LJF for
 //!   the paper's setup) — ties that must break *somewhere* break towards
 //!   the earlier candidate, which reproduces the FCFS/SJF preferences in
 //!   the paper's Table 1;
-//! * score equality is ε-tolerant ([`crate::compare`]).
+//! * a candidate ties for best when its score is within ε of the best
+//!   one, the one relation of `compare.rs`.
 
-use crate::compare::{approx_le, approx_lt};
+use crate::compare::{approx_le, approx_lt, tied_for_best, EPSILON};
 use dynp_rms::Policy;
 use serde::{Deserialize, Serialize};
 
-/// Index of the minimum score (first of the argmin set under ε).
-fn argmin(scores: &[(Policy, f64)], eps: f64) -> usize {
-    debug_assert!(!scores.is_empty());
-    let best = min_score(scores);
-    scores
-        .iter()
-        .position(|&(_, v)| approx_le(v, best, eps))
-        .expect("argmin set cannot be empty")
-}
-
-fn score_of(scores: &[(Policy, f64)], p: Policy) -> Option<f64> {
-    scores.iter().find(|&&(q, _)| q == p).map(|&(_, v)| v)
-}
-
-fn min_score(scores: &[(Policy, f64)]) -> f64 {
-    scores.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min)
-}
-
-/// Number of policies tied for the best score under ε.
-fn argmin_set_size(scores: &[(Policy, f64)], eps: f64) -> usize {
-    let best = min_score(scores);
-    scores
-        .iter()
-        .filter(|&&(_, v)| approx_le(v, best, eps))
-        .count()
+fn position(scores: &[(Policy, f64)], p: Policy) -> Option<usize> {
+    scores.iter().position(|&(q, _)| q == p)
 }
 
 /// The **simple decider** of the earlier dynP work: pure argmin with
 /// candidate-order tie-break, ignoring the old policy. Equivalent to the
 /// paper's three if-then-else constructs
 /// (`FCFS if vF ≤ vS ∧ vF ≤ vL, else SJF if vS ≤ vL, else LJF`) —
-/// and therefore wrong in the four tie cases of Table 1.
-pub(crate) fn simple_decide(scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
-    simple_decide_explained(scores, old, eps).0
-}
-
-/// [`simple_decide`] plus the tie-break rule that fired — `"argmin"` for
-/// a unique minimum, `"tie-first-candidate"` when the candidate-order
-/// tie-break (the flaw Table 1 documents) picked among equals.
-pub(crate) fn simple_decide_explained(
-    scores: &[(Policy, f64)],
-    _old: Policy,
-    eps: f64,
-) -> (Policy, &'static str) {
-    let chosen = scores[argmin(scores, eps)].0;
-    if argmin_set_size(scores, eps) > 1 {
+/// and therefore wrong in the four tie cases of Table 1. The rule is
+/// `"argmin"` for a unique minimum, `"tie-first-candidate"` when the
+/// candidate-order tie-break (the flaw Table 1 documents) picked among
+/// equals.
+fn simple(scores: &[(Policy, f64)], tied: u32) -> (Policy, &'static str) {
+    let (chosen, _) = *scores
+        .get(tied.trailing_zeros() as usize)
+        .expect("a candidate scored other than NaN ties for best");
+    if tied.count_ones() > 1 {
         (chosen, "tie-first-candidate")
     } else {
         (chosen, "argmin")
@@ -70,33 +43,17 @@ pub(crate) fn simple_decide_explained(
 
 /// The **advanced decider**: the "correct decision" column of Table 1.
 /// Stays with the old policy whenever it ties for best; otherwise picks
-/// the best policy (candidate-order tie-break among equals).
-pub(crate) fn advanced_decide(scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
-    advanced_decide_explained(scores, old, eps).0
-}
-
-/// [`advanced_decide`] plus the rule that fired: `"argmin"` (unique
-/// best, incumbent or not), `"stay-incumbent-tied"` (the incumbent tied
-/// for best and was kept — the Table 1 correction), or
-/// `"tie-first-candidate"` (incumbent out of the argmin set, which has a
-/// tie among the others).
-pub(crate) fn advanced_decide_explained(
-    scores: &[(Policy, f64)],
-    old: Policy,
-    eps: f64,
-) -> (Policy, &'static str) {
-    let best = min_score(scores);
-    if let Some(v_old) = score_of(scores, old) {
-        if approx_le(v_old, best, eps) {
-            let rule = if argmin_set_size(scores, eps) > 1 {
-                "stay-incumbent-tied"
-            } else {
-                "argmin"
-            };
-            return (old, rule);
-        }
+/// the best policy (candidate-order tie-break among equals). The rule is
+/// `"argmin"` (unique best, incumbent or not), `"stay-incumbent-tied"`
+/// (the incumbent tied for best and was kept — the Table 1 correction),
+/// or `"tie-first-candidate"` (incumbent out of the argmin set, which has
+/// a tie among the others).
+fn advanced(scores: &[(Policy, f64)], old: Policy, tied: u32) -> (Policy, &'static str) {
+    match position(scores, old) {
+        Some(i) if tied & 1 << i != 0 && tied.count_ones() > 1 => (old, "stay-incumbent-tied"),
+        Some(i) if tied & 1 << i != 0 => (old, "argmin"),
+        _ => simple(scores, tied),
     }
-    simple_decide_explained(scores, old, eps)
 }
 
 /// The **preferred decider** — the paper's contribution. "The new
@@ -110,63 +67,44 @@ pub(crate) fn advanced_decide_explained(
 /// undercuts the preferred score by more than `threshold` (relative).
 /// The paper does not quantify the margin; `threshold = 0` makes
 /// "clearly better" mean "strictly better", which is the setting used for
-/// the headline experiments (an ablation sweeps it). The unit tests'
-/// entry; the scheduler asks [`preferred_decide_explained`].
-#[cfg(test)]
-pub(crate) fn preferred_decide(
+/// the headline experiments (an ablation sweeps it).
+///
+/// The rule is `"preferred-best"` (the preferred policy ties for best),
+/// `"preferred-holds"` (it is active and no other policy is clearly
+/// better), `"clearly-better"` (another policy beat it past the
+/// threshold), `"switch-back-parity"` (a non-preferred policy was active
+/// and the preferred one matched it), `"advanced-fallback"` (preferred
+/// policy not among the candidates), or an advanced-decider rule when
+/// none of the unfair rules applied.
+fn preferred(
     scores: &[(Policy, f64)],
     old: Policy,
+    tied: u32,
     preferred: Policy,
     threshold: f64,
-    eps: f64,
-) -> Policy {
-    preferred_decide_explained(scores, old, preferred, threshold, eps).0
-}
-
-/// The preferred decider's verdict plus the rule that fired: `"preferred-best"`
-/// (the preferred policy ties for best), `"preferred-holds"` (it is
-/// active and no other policy is clearly better), `"clearly-better"`
-/// (another policy beat it past the threshold), `"switch-back-parity"`
-/// (a non-preferred policy was active and the preferred one matched it),
-/// `"advanced-fallback"` (preferred policy not among the candidates), or
-/// an advanced-decider rule when none of the unfair rules applied.
-pub(crate) fn preferred_decide_explained(
-    scores: &[(Policy, f64)],
-    old: Policy,
-    preferred: Policy,
-    threshold: f64,
-    eps: f64,
 ) -> (Policy, &'static str) {
-    let best = min_score(scores);
-    let v_pref = match score_of(scores, preferred) {
-        Some(v) => v,
-        // Preferred policy not among the candidates: degenerate to the
-        // advanced decider.
-        None => return (advanced_decide(scores, old, eps), "advanced-fallback"),
+    let Some(p) = position(scores, preferred) else {
+        return (advanced(scores, old, tied).0, "advanced-fallback");
     };
-
     // Preferred ties for best → use it (covers both "stay" and "switch
     // back on equal performance").
-    if approx_le(v_pref, best, eps) {
+    if tied & 1 << p != 0 {
         return (preferred, "preferred-best");
     }
-
+    let v_pref = scores[p].1;
     if old == preferred {
         // Leave the preferred policy only for a CLEARLY better one.
-        let margin = v_pref - v_pref.abs() * threshold;
-        if approx_lt(best, margin, eps) {
-            return (advanced_decide(scores, old, eps), "clearly-better");
+        let best = scores.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
+        if approx_lt(best, v_pref - v_pref.abs() * threshold) {
+            return (advanced(scores, old, tied).0, "clearly-better");
         }
-        (preferred, "preferred-holds")
-    } else {
-        // A non-preferred policy is active. Switching back needs only
-        // equal performance *against the active policy*.
-        if let Some(v_old) = score_of(scores, old) {
-            if approx_le(v_pref, v_old, eps) {
-                return (preferred, "switch-back-parity");
-            }
-        }
-        advanced_decide_explained(scores, old, eps)
+        return (preferred, "preferred-holds");
+    }
+    // A non-preferred policy is active. Switching back needs only equal
+    // performance *against the active policy*.
+    match position(scores, old) {
+        Some(i) if approx_le(v_pref, scores[i].1) => (preferred, "switch-back-parity"),
+        _ => advanced(scores, old, tied),
     }
 }
 
@@ -189,27 +127,27 @@ pub enum DeciderKind {
 }
 
 impl DeciderKind {
-    /// Applies the decider.
-    pub fn decide(self, scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
-        self.decide_explained(scores, old, eps).0
-    }
-
-    /// Applies the decider and also names the rule that produced the
-    /// verdict (for the decision audit trail; the label set is documented
-    /// on the `*_decide_explained` functions).
-    pub(crate) fn decide_explained(
-        self,
-        scores: &[(Policy, f64)],
-        old: Policy,
-        eps: f64,
-    ) -> (Policy, &'static str) {
+    /// Applies the decider: its verdict, and the rule that produced it
+    /// (for the decision audit trail; the labels are listed on the
+    /// private `simple`, `advanced` and `preferred`).
+    pub(crate) fn verdict(self, scores: &[(Policy, f64)], old: Policy) -> (Policy, &'static str) {
+        let tied = tied_for_best(scores);
         match self {
-            DeciderKind::Simple => simple_decide_explained(scores, old, eps),
-            DeciderKind::Advanced => advanced_decide_explained(scores, old, eps),
+            DeciderKind::Simple => simple(scores, tied),
+            DeciderKind::Advanced => advanced(scores, old, tied),
             DeciderKind::Preferred { policy, threshold } => {
-                preferred_decide_explained(scores, old, policy, threshold, eps)
+                preferred(scores, old, tied, policy, threshold)
             }
         }
+    }
+
+    /// The verdict alone. `eps` must be 1e-9: the tie tolerance is not a
+    /// setting, and a debug build checks that the caller passes the one
+    /// every decision uses. The parameter stays for the benchmark's
+    /// `core.decide_ns` measure, which passes it.
+    pub fn decide(self, scores: &[(Policy, f64)], old: Policy, eps: f64) -> Policy {
+        debug_assert_eq!(eps, EPSILON, "the tie tolerance is not a setting");
+        self.verdict(scores, old).0
     }
 
     /// Display name, e.g. `"advanced"` or `"SJF-preferred"`.
@@ -231,34 +169,49 @@ impl DeciderKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compare::EPSILON;
     use Policy::{Fcfs, Ljf, Sjf};
 
     fn scores(f: f64, s: f64, l: f64) -> Vec<(Policy, f64)> {
         vec![(Fcfs, f), (Sjf, s), (Ljf, l)]
     }
 
+    fn preferred_of(policy: Policy, threshold: f64) -> DeciderKind {
+        DeciderKind::Preferred { policy, threshold }
+    }
+
+    fn simple_decide(scores: &[(Policy, f64)], old: Policy) -> Policy {
+        DeciderKind::Simple.verdict(scores, old).0
+    }
+
+    fn advanced_decide(scores: &[(Policy, f64)], old: Policy) -> Policy {
+        DeciderKind::Advanced.verdict(scores, old).0
+    }
+
+    fn preferred_decide(s: &[(Policy, f64)], old: Policy, p: Policy, threshold: f64) -> Policy {
+        preferred_of(p, threshold).verdict(s, old).0
+    }
+
     #[test]
     fn simple_picks_strict_minimum() {
-        assert_eq!(simple_decide(&scores(3.0, 1.0, 2.0), Fcfs, EPSILON), Sjf);
-        assert_eq!(simple_decide(&scores(1.0, 3.0, 2.0), Ljf, EPSILON), Fcfs);
-        assert_eq!(simple_decide(&scores(3.0, 2.0, 1.0), Sjf, EPSILON), Ljf);
+        assert_eq!(simple_decide(&scores(3.0, 1.0, 2.0), Fcfs), Sjf);
+        assert_eq!(simple_decide(&scores(1.0, 3.0, 2.0), Ljf), Fcfs);
+        assert_eq!(simple_decide(&scores(3.0, 2.0, 1.0), Sjf), Ljf);
     }
 
     #[test]
     fn simple_breaks_ties_towards_fcfs_then_sjf() {
         // All equal → FCFS regardless of old (the Table 1 case-1 flaw).
-        assert_eq!(simple_decide(&scores(2.0, 2.0, 2.0), Ljf, EPSILON), Fcfs);
+        assert_eq!(simple_decide(&scores(2.0, 2.0, 2.0), Ljf), Fcfs);
         // SJF = LJF < FCFS → SJF.
-        assert_eq!(simple_decide(&scores(3.0, 2.0, 2.0), Ljf, EPSILON), Sjf);
+        assert_eq!(simple_decide(&scores(3.0, 2.0, 2.0), Ljf), Sjf);
     }
 
     #[test]
     fn advanced_stays_with_old_on_ties() {
-        assert_eq!(advanced_decide(&scores(2.0, 2.0, 2.0), Ljf, EPSILON), Ljf);
-        assert_eq!(advanced_decide(&scores(2.0, 2.0, 3.0), Sjf, EPSILON), Sjf);
+        assert_eq!(advanced_decide(&scores(2.0, 2.0, 2.0), Ljf), Ljf);
+        assert_eq!(advanced_decide(&scores(2.0, 2.0, 3.0), Sjf), Sjf);
         // Old not in the argmin → best wins.
-        assert_eq!(advanced_decide(&scores(2.0, 1.0, 3.0), Fcfs, EPSILON), Sjf);
+        assert_eq!(advanced_decide(&scores(2.0, 1.0, 3.0), Fcfs), Sjf);
     }
 
     #[test]
@@ -267,24 +220,21 @@ mod tests {
         // simple/advanced deciders would both leave for FCFS here only if
         // FCFS were better; with a tie advanced also stays — the
         // difference shows when SJF is slightly WORSE).
-        assert_eq!(
-            preferred_decide(&scores(2.0, 2.0, 3.0), Sjf, Sjf, 0.0, EPSILON),
-            Sjf
-        );
+        assert_eq!(preferred_decide(&scores(2.0, 2.0, 3.0), Sjf, Sjf, 0.0), Sjf);
         // FCFS strictly better → with threshold 0 that is "clearly
         // better": leave.
         assert_eq!(
-            preferred_decide(&scores(1.9, 2.0, 3.0), Sjf, Sjf, 0.0, EPSILON),
+            preferred_decide(&scores(1.9, 2.0, 3.0), Sjf, Sjf, 0.0),
             Fcfs
         );
         // With a 10% threshold a 5% advantage is not clear enough.
         assert_eq!(
-            preferred_decide(&scores(1.9, 2.0, 3.0), Sjf, Sjf, 0.10, EPSILON),
+            preferred_decide(&scores(1.9, 2.0, 3.0), Sjf, Sjf, 0.10),
             Sjf
         );
         // A 20% advantage is.
         assert_eq!(
-            preferred_decide(&scores(1.6, 2.0, 3.0), Sjf, Sjf, 0.10, EPSILON),
+            preferred_decide(&scores(1.6, 2.0, 3.0), Sjf, Sjf, 0.10),
             Fcfs
         );
     }
@@ -293,41 +243,38 @@ mod tests {
     fn preferred_switches_back_on_equal_performance() {
         // FCFS active; SJF merely EQUAL to FCFS → switch back to SJF.
         assert_eq!(
-            preferred_decide(&scores(2.0, 2.0, 3.0), Fcfs, Sjf, 0.0, EPSILON),
+            preferred_decide(&scores(2.0, 2.0, 3.0), Fcfs, Sjf, 0.0),
             Sjf
         );
         // SJF even slightly worse than the active FCFS → no switch;
         // advanced semantics keep FCFS (it is the argmin).
         assert_eq!(
-            preferred_decide(&scores(2.0, 2.1, 3.0), Fcfs, Sjf, 0.0, EPSILON),
+            preferred_decide(&scores(2.0, 2.1, 3.0), Fcfs, Sjf, 0.0),
             Fcfs
         );
         // SJF worse than active FCFS but LJF best → go to LJF.
         assert_eq!(
-            preferred_decide(&scores(2.0, 2.5, 1.0), Fcfs, Sjf, 0.0, EPSILON),
+            preferred_decide(&scores(2.0, 2.5, 1.0), Fcfs, Sjf, 0.0),
             Ljf
         );
         // SJF beats the ACTIVE policy but a third policy is even better:
         // the paper's rule only requires parity with the active policy,
         // so the preferred policy wins.
         assert_eq!(
-            preferred_decide(&scores(2.5, 2.0, 1.8), Fcfs, Sjf, 0.0, EPSILON),
+            preferred_decide(&scores(2.5, 2.0, 1.8), Fcfs, Sjf, 0.0),
             Sjf
         );
     }
 
     #[test]
     fn preferred_is_argmin_when_it_ties_the_best() {
-        assert_eq!(
-            preferred_decide(&scores(2.0, 2.0, 2.0), Ljf, Sjf, 0.0, EPSILON),
-            Sjf
-        );
+        assert_eq!(preferred_decide(&scores(2.0, 2.0, 2.0), Ljf, Sjf, 0.0), Sjf);
     }
 
     #[test]
     fn preferred_without_candidate_falls_back_to_advanced() {
         let two = vec![(Fcfs, 2.0), (Ljf, 1.0)];
-        assert_eq!(preferred_decide(&two, Fcfs, Sjf, 0.0, EPSILON), Ljf);
+        assert_eq!(preferred_decide(&two, Fcfs, Sjf, 0.0), Ljf);
     }
 
     #[test]
@@ -353,60 +300,57 @@ mod tests {
     }
 
     #[test]
-    fn explained_rules_name_the_branch_taken() {
+    fn each_verdict_names_the_branch_taken() {
         // Unique minimum: plain argmin for everyone.
         let s = scores(3.0, 1.0, 2.0);
-        assert_eq!(simple_decide_explained(&s, Fcfs, EPSILON), (Sjf, "argmin"));
-        assert_eq!(
-            advanced_decide_explained(&s, Fcfs, EPSILON),
-            (Sjf, "argmin")
-        );
+        assert_eq!(DeciderKind::Simple.verdict(&s, Fcfs), (Sjf, "argmin"));
+        assert_eq!(DeciderKind::Advanced.verdict(&s, Fcfs), (Sjf, "argmin"));
 
         // Three-way tie: the simple decider's flawed tie-break vs the
         // advanced decider's stay rule (Table 1 case 1).
         let tie = scores(2.0, 2.0, 2.0);
         assert_eq!(
-            simple_decide_explained(&tie, Ljf, EPSILON),
+            DeciderKind::Simple.verdict(&tie, Ljf),
             (Fcfs, "tie-first-candidate")
         );
         assert_eq!(
-            advanced_decide_explained(&tie, Ljf, EPSILON),
+            DeciderKind::Advanced.verdict(&tie, Ljf),
             (Ljf, "stay-incumbent-tied")
         );
         // Incumbent out of a tied argmin set → the tie-break fires.
         let pair = scores(2.0, 2.0, 3.0);
         assert_eq!(
-            advanced_decide_explained(&pair, Ljf, EPSILON),
+            DeciderKind::Advanced.verdict(&pair, Ljf),
             (Fcfs, "tie-first-candidate")
         );
 
         // Preferred-decider rules.
         assert_eq!(
-            preferred_decide_explained(&tie, Ljf, Sjf, 0.0, EPSILON),
+            preferred_of(Sjf, 0.0).verdict(&tie, Ljf),
             (Sjf, "preferred-best")
         );
         assert_eq!(
-            preferred_decide_explained(&scores(1.9, 2.0, 3.0), Sjf, Sjf, 0.10, EPSILON),
+            preferred_of(Sjf, 0.10).verdict(&scores(1.9, 2.0, 3.0), Sjf),
             (Sjf, "preferred-holds")
         );
         assert_eq!(
-            preferred_decide_explained(&scores(1.6, 2.0, 3.0), Sjf, Sjf, 0.10, EPSILON),
+            preferred_of(Sjf, 0.10).verdict(&scores(1.6, 2.0, 3.0), Sjf),
             (Fcfs, "clearly-better")
         );
         assert_eq!(
-            preferred_decide_explained(&scores(2.5, 2.0, 1.8), Fcfs, Sjf, 0.0, EPSILON),
+            preferred_of(Sjf, 0.0).verdict(&scores(2.5, 2.0, 1.8), Fcfs),
             (Sjf, "switch-back-parity")
         );
         let two = vec![(Fcfs, 2.0), (Ljf, 1.0)];
         assert_eq!(
-            preferred_decide_explained(&two, Fcfs, Sjf, 0.0, EPSILON),
+            preferred_of(Sjf, 0.0).verdict(&two, Fcfs),
             (Ljf, "advanced-fallback")
         );
     }
 
     mod properties {
         use super::*;
-        use crate::compare::EPSILON;
+        use crate::compare::LOST_MARGIN;
         use proptest::prelude::*;
 
         fn score_of(scores: &[(Policy, f64)], p: Policy) -> f64 {
@@ -436,11 +380,11 @@ mod tests {
             ) {
                 let v_old = score_of(&scores, old);
                 for (label, chosen) in [
-                    ("simple", simple_decide(&scores, old, EPSILON)),
-                    ("advanced", advanced_decide(&scores, old, EPSILON)),
+                    ("simple", simple_decide(&scores, old)),
+                    ("advanced", advanced_decide(&scores, old)),
                     (
                         "preferred",
-                        preferred_decide(&scores, old, Sjf, threshold, EPSILON),
+                        preferred_decide(&scores, old, Sjf, threshold),
                     ),
                 ] {
                     let v_new = score_of(&scores, chosen);
@@ -460,8 +404,8 @@ mod tests {
             ) {
                 let best = scores.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
                 for chosen in [
-                    simple_decide(&scores, old, EPSILON),
-                    advanced_decide(&scores, old, EPSILON),
+                    simple_decide(&scores, old),
+                    advanced_decide(&scores, old),
                 ] {
                     prop_assert!(score_of(&scores, chosen) <= best + 1e-9);
                 }
@@ -475,7 +419,7 @@ mod tests {
                 old in arb_old(),
             ) {
                 let best = scores.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
-                let chosen = preferred_decide(&scores, old, Sjf, 0.0, EPSILON);
+                let chosen = preferred_decide(&scores, old, Sjf, 0.0);
                 if (score_of(&scores, Sjf) - best).abs() < 1e-12 {
                     prop_assert_eq!(chosen, Sjf);
                 }
@@ -485,8 +429,8 @@ mod tests {
             /// lost: a decider reads a score only through how it compares
             /// with the best one, the incumbent's and the preferred
             /// policy's. With those two exact, a score past the best by
-            /// the scheduler's margin (1e3 · ε, relative to the larger of
-            /// the best score and 1) can be replaced by any larger one —
+            /// the scheduler's margin (`LOST_MARGIN`, relative to the
+            /// larger of the best score and 1) can be replaced by any larger one —
             /// the lower bound by the true score — without changing the
             /// verdict or the rule that gave it.
             #[test]
@@ -497,7 +441,7 @@ mod tests {
                 by_sum in prop_oneof![Just(false), Just(true)],
             ) {
                 let best = scores.iter().map(|&(_, v)| v).fold(f64::INFINITY, f64::min);
-                let lost = best + 1e3 * EPSILON * best.max(1.0);
+                let lost = best + LOST_MARGIN * best.max(1.0);
                 for kind in [
                     DeciderKind::Simple,
                     DeciderKind::Advanced,
@@ -514,8 +458,8 @@ mod tests {
                         }
                     }
                     prop_assert_eq!(
-                        kind.decide_explained(&scores, old, EPSILON),
-                        kind.decide_explained(&raised, old, EPSILON),
+                        kind.verdict(&scores, old),
+                        kind.verdict(&raised, old),
                         "{:?}: {:?} -> {:?}", kind, scores, raised
                     );
                 }
@@ -532,8 +476,8 @@ mod tests {
                     DeciderKind::Advanced,
                     DeciderKind::Preferred { policy: Sjf, threshold: 0.1 },
                 ] {
-                    let a = kind.decide(&scores, old, EPSILON);
-                    let b = kind.decide(&scores, old, EPSILON);
+                    let a = kind.verdict(&scores, old).0;
+                    let b = kind.verdict(&scores, old).0;
                     prop_assert_eq!(a, b);
                     prop_assert!(scores.iter().any(|&(p, _)| p == a));
                 }
@@ -545,7 +489,7 @@ mod tests {
     fn epsilon_ties_are_respected() {
         // Scores differing by round-off count as equal: advanced stays.
         let s = vec![(Fcfs, 0.1 + 0.2), (Sjf, 0.3), (Ljf, 0.5)];
-        assert_eq!(advanced_decide(&s, Sjf, EPSILON), Sjf);
-        assert_eq!(simple_decide(&s, Sjf, EPSILON), Fcfs);
+        assert_eq!(advanced_decide(&s, Sjf), Sjf);
+        assert_eq!(simple_decide(&s, Sjf), Fcfs);
     }
 }

@@ -33,7 +33,6 @@ mod history;
 mod self_tuning;
 pub mod table1;
 
-pub use compare::EPSILON;
 pub use decider::DeciderKind;
 pub use dynp_rms::SwitchStats;
 pub use history::{PolicyHistory, PolicySegment};

@@ -1,6 +1,6 @@
 //! The self-tuning dynP scheduler: plan per policy → score → decide.
 
-use crate::compare::EPSILON;
+use crate::compare::LOST_MARGIN;
 use crate::decider::DeciderKind;
 use dynp_des::SimTime;
 use dynp_metrics::Objective;
@@ -367,15 +367,8 @@ impl SelfTuningScheduler {
         // scores — identical to the general path, without planning.
         if state.waiting().is_empty() {
             self.planner.drop_retained();
-            self.scores.clear();
-            self.scores
-                .extend(self.config.policies.iter().map(|&p| (p, 0.0)));
-            let (next, rule) =
-                self.config
-                    .decider
-                    .decide_explained(&self.scores, self.active, EPSILON);
-            self.trace_decision(now, next, rule);
-            self.record_decision(now, next);
+            self.plan_scores.fill(0.0);
+            self.decide(now);
             return Schedule::default();
         }
 
@@ -467,15 +460,12 @@ impl SelfTuningScheduler {
     /// the best one, the active policy's and (preferred decider) the
     /// preferred policy's. So those two policies are planned first and
     /// completely, and every other pass stops once its plan cannot come
-    /// within `1e3 · EPSILON` of the better of them: a weighted-mean
+    /// within `LOST_MARGIN` of the better of them: a weighted-mean
     /// objective scores a plan `(floor + excess) / den` with `floor` and
     /// `den` the same for every policy, and the excess of a partial plan
     /// is a lower bound on the finished plan's (see [`Prune`]). A stopped
-    /// policy is scored with that lower bound — past the best score by
-    /// more than any decider's tolerance, which is all they ask of a
-    /// loser. The margin is three orders above `EPSILON` and six above
-    /// what rounding adds: `den` is summed in the best plan's order, not
-    /// the stopped one's, and the excess in closed form.
+    /// policy is scored with that lower bound — not tied for best, which
+    /// is all a decider asks of a loser.
     ///
     /// Every pass is complete, and every score exact, when the scores are
     /// recorded (a `Decision` trace record lists them all) and under
@@ -492,7 +482,6 @@ impl SelfTuningScheduler {
         let (active, policies) = (self.active, &self.config.policies);
         let first = |i: usize| policies[i] == active || Some(policies[i]) == preferred;
         let scores = &mut self.plan_scores;
-        let margin = 1e3 * EPSILON;
         // Of the best plan among the first: score, excess, denominator.
         let (mut best, mut best_excess, mut den) = (f64::INFINITY, 0.0, 0.0);
         let mut limit = |planner: &Planner| {
@@ -510,9 +499,9 @@ impl SelfTuningScheduler {
                     (best, best_excess, den) = (scores[i], excess, plan_den);
                 }
             }
-            // The tolerance of `compare::approx_eq` is relative to the
-            // larger of the score and 1; so is the margin.
-            best_excess + margin * best.max(1.0) * den
+            // The tie tolerance is relative to the larger of the score
+            // and 1; so is the margin.
+            best_excess + LOST_MARGIN * best.max(1.0) * den
         };
         let orders = &self.orders;
         let prune = weight.map(|weight| Prune {
@@ -553,10 +542,7 @@ impl SelfTuningScheduler {
                 .zip(&self.plan_scores)
                 .map(|(&p, &v)| (p, v)),
         );
-        let (next, rule) = self
-            .config
-            .decider
-            .decide_explained(&self.scores, self.active, EPSILON);
+        let (next, rule) = self.config.decider.verdict(&self.scores, self.active);
         self.trace_decision(now, next, rule);
         self.record_decision(now, next);
         let idx = self

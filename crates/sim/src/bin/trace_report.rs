@@ -36,7 +36,6 @@
 //! switch-timeline panel in the shared SVG.
 
 use dynp_core::table1;
-use dynp_core::EPSILON;
 use dynp_metrics::LatencyHistogram;
 use dynp_obs::{parse_jsonl, ParsedEvent, ParsedRecord};
 use dynp_sim::cli::Flags;
@@ -332,7 +331,7 @@ fn classify_decision(old: &str, scores: &[(String, f64)]) -> Option<&'static str
         score_of(Policy::Sjf)?,
         score_of(Policy::Ljf)?,
     );
-    table1::classify(values, old, EPSILON)
+    table1::classify(values, old)
 }
 
 /// Fault attribution: splits what the trace says about chaos into the

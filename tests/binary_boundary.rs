@@ -333,13 +333,15 @@ proptest! {
         fill in prop_oneof![Just(0xFFu8), Just(0u8), 0u8..255],
     ) {
         // One run anywhere in the payload — the node words among them —
-        // beside the other checkpoint and both segments.
+        // beside both segments. Checkpoint 11 keeps checkpoint 4 beside
+        // it to fall back to; a mutated checkpoint 4 goes alone, since
+        // recovery would load an intact checkpoint 11 and never decode it.
         let f = &fixtures()[which];
         let p = &f.payloads[0];
         let at = p.start + at % p.len();
         let bytes = mutate_and_reseal(f, &[(false, at, width.min(p.end - at), fill)]);
         let dir = temp_dir("resealed_checkpoint");
-        for g in &fixtures()[2..] {
+        for g in fixtures()[2..which].iter().chain(&fixtures()[4..]) {
             std::fs::write(dir.join(g.name), &g.bytes).unwrap();
         }
         std::fs::write(dir.join(f.name), bytes).unwrap();
