@@ -384,19 +384,6 @@ impl SelfTuningScheduler {
             state.reservation_slice(),
         );
 
-        // Fast path: with a single candidate every decider returns it
-        // regardless of score (argmin of one; the advanced/preferred
-        // variants degenerate likewise), so skip scoring and plan once.
-        if let [policy] = self.config.policies[..] {
-            if self.tracer.wants(TraceClass::Decision) {
-                self.scores.clear();
-                self.scores.push((policy, 0.0));
-                self.trace_decision(now, policy, "single-candidate");
-            }
-            self.record_decision(now, policy);
-            return self.planner.plan_prepared(&self.orders[0]);
-        }
-
         // Fan the independent per-policy planning passes across workers
         // once the queue is deep enough to amortize thread hand-off.
         // Schedules land in policy order regardless of worker count, and
@@ -759,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn single_candidate_fast_path_counts_stats() {
+    fn single_candidate_counts_stats() {
         let mut config = DynPConfig::paper(DeciderKind::Advanced);
         config.policies = vec![Policy::Sjf];
         config.initial_policy = Policy::Sjf;

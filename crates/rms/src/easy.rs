@@ -33,18 +33,18 @@ use dynp_workload::Job;
 /// FCFS, but any total order works — an SJF-ordered EASY is the queueing
 /// analogue of the planning SJF baseline).
 ///
-/// When the RMS state carries admitted reservation windows, EASY treats
-/// them as *shadow constraints*: a job may only start now if its whole
-/// estimated run fits the free-capacity profile alongside the running
-/// jobs, the head job's shadow reservation *and* every admitted window —
-/// so queueing-vs-planning ablations stay comparable on mixed batch +
-/// guaranteed-start traffic. Reservation-free states take the classic
-/// EASY code path unchanged.
+/// "Fits" is read off one free-capacity profile: a job may start now only
+/// if its whole estimated run fits alongside the running jobs, the head
+/// job's shadow reservation *and* every admitted reservation window, so
+/// queueing-vs-planning ablations stay comparable on mixed batch +
+/// guaranteed-start traffic. Without windows this is the classic
+/// algorithm, whose extra processors count every job that ends at the
+/// shadow time.
 #[derive(Debug)]
 pub struct EasyBackfillScheduler {
     policy: Policy,
     queue_buf: Vec<Job>,
-    /// Free-capacity profile for the reservation-aware path.
+    /// Free capacity after the running jobs and admitted windows.
     profile: Profile,
     /// Scratch span list for the profile sweep.
     spans: Vec<(SimTime, SimTime, u32)>,
@@ -71,12 +71,14 @@ impl EasyBackfillScheduler {
     pub fn fcfs() -> Self {
         Self::new(Policy::Fcfs)
     }
+}
 
-    /// EASY over a free-capacity profile that blocks out admitted
-    /// reservation windows (and the running jobs, padded exactly as the
-    /// planner pads them). Same three phases as the classic algorithm,
-    /// with "fits" generalized from "enough processors free this instant"
-    /// to "the whole estimated run fits the profile starting now":
+impl Scheduler for EasyBackfillScheduler {
+    /// Returns a schedule containing exactly the jobs to start *now*
+    /// (queueing systems assign no future start times; the driver keeps
+    /// the rest waiting). The running jobs are padded exactly as the
+    /// planner pads them, and a job fits when its whole estimated run
+    /// fits the profile starting now:
     ///
     /// 1. start head jobs whose full run fits now;
     /// 2. give the first stuck head a shadow reservation at its earliest
@@ -84,11 +86,11 @@ impl EasyBackfillScheduler {
     /// 3. backfill any later job whose full run still fits now — by
     ///    construction it delays neither the shadow reservation nor any
     ///    admitted window.
-    ///
-    /// On states without reservations the generalized fit test agrees
-    /// with the classic one (free capacity only grows as running jobs
-    /// drain), but the classic path is kept verbatim for them anyway.
-    fn replan_with_windows(&mut self, state: &RmsState, now: SimTime) -> Schedule {
+    fn replan(&mut self, state: &RmsState, now: SimTime, _reason: ReplanReason) -> Schedule {
+        self.queue_buf.clear();
+        self.queue_buf.extend_from_slice(state.waiting());
+        self.policy.sort_queue(&mut self.queue_buf);
+
         let capacity = state.plan_capacity();
         self.spans.clear();
         for r in state.running() {
@@ -139,92 +141,6 @@ impl EasyBackfillScheduler {
                 && self.profile.earliest_fit(now, job.estimate, job.width) == now
             {
                 self.profile.allocate(now, job.estimate, job.width);
-                entries.push(PlannedJob {
-                    job: *job,
-                    start: now,
-                });
-                self.backfilled += 1;
-            }
-        }
-        Schedule { entries }
-    }
-}
-
-impl Scheduler for EasyBackfillScheduler {
-    /// Returns a schedule containing exactly the jobs to start *now*
-    /// (queueing systems assign no future start times; the driver keeps
-    /// the rest waiting).
-    fn replan(&mut self, state: &RmsState, now: SimTime, _reason: ReplanReason) -> Schedule {
-        self.queue_buf.clear();
-        self.queue_buf.extend_from_slice(state.waiting());
-        self.policy.sort_queue(&mut self.queue_buf);
-
-        if state.reservations().active(now).next().is_some() {
-            return self.replan_with_windows(state, now);
-        }
-
-        let mut free = state.free_processors();
-        let mut entries: Vec<PlannedJob> = Vec::new();
-        let mut idx = 0;
-
-        // Phase 1: start head jobs while they fit.
-        while idx < self.queue_buf.len() && self.queue_buf[idx].width <= free {
-            let job = self.queue_buf[idx];
-            free -= job.width;
-            entries.push(PlannedJob { job, start: now });
-            idx += 1;
-        }
-        if idx >= self.queue_buf.len() {
-            return Schedule { entries };
-        }
-
-        // Phase 2: reservation for the non-fitting head job. Walk the
-        // running jobs (and the jobs just started above) by estimated
-        // end; the shadow time is when enough processors accumulate. A
-        // head wider than the degraded machine never fits, so it imposes
-        // no shadow constraint (it waits for node repair regardless).
-        let head = self.queue_buf[idx];
-        let mut shadow = SimTime::MAX;
-        let mut extra = 0u32;
-        if head.width <= state.plan_capacity() {
-            let mut ends: Vec<(SimTime, u32)> = state
-                .running()
-                .iter()
-                .map(|r| (r.estimated_end(), r.job.width))
-                .chain(entries.iter().map(|e| (e.planned_end(), e.job.width)))
-                .collect();
-            ends.sort_by_key(|&(t, _)| t);
-            let mut avail = free;
-            for (end, width) in ends {
-                avail += width;
-                if avail >= head.width {
-                    shadow = end;
-                    extra = avail - head.width;
-                    break;
-                }
-            }
-            debug_assert!(
-                shadow != SimTime::MAX,
-                "head job must fit once everything drains"
-            );
-        }
-
-        // Phase 3: backfill the remaining queue in order.
-        for job in &self.queue_buf[idx + 1..] {
-            if job.width > free {
-                continue;
-            }
-            let ends_before_shadow = now + job.estimate <= shadow;
-            if ends_before_shadow {
-                free -= job.width;
-                entries.push(PlannedJob {
-                    job: *job,
-                    start: now,
-                });
-                self.backfilled += 1;
-            } else if job.width <= extra {
-                free -= job.width;
-                extra -= job.width;
                 entries.push(PlannedJob {
                     job: *job,
                     start: now,
@@ -335,6 +251,25 @@ mod tests {
     }
 
     #[test]
+    fn extra_counts_every_job_ending_at_the_shadow() {
+        // Machine 4; two width-1 jobs run until t=100. The width-3 head
+        // is blocked until both end, so extra = 4 - 3 = 1 and a long
+        // width-1 job may run past the shadow.
+        let mut state = RmsState::new(4);
+        state.submit(j(8, 0, 1, 100));
+        state.submit(j(9, 0, 1, 100));
+        let mut easy = EasyBackfillScheduler::fcfs();
+        let s0 = easy.replan(&state, SimTime::ZERO, ReplanReason::Submission);
+        for e in s0.due(SimTime::ZERO) {
+            state.start(e.job.id, SimTime::ZERO);
+        }
+        state.submit(j(0, 1, 3, 50)); // head, blocked until t=100
+        state.submit(j(1, 1, 1, 10_000)); // fits the one extra processor
+        let s = easy.replan(&state, SimTime::from_secs(1), ReplanReason::Submission);
+        assert_eq!(started(&s), vec![1]);
+    }
+
+    #[test]
     fn backfill_never_delays_the_head_reservation() {
         // End-to-end: the head job must start no later than the shadow
         // time computed when it got stuck (running estimates are upper
@@ -396,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn expired_windows_restore_the_classic_path() {
+    fn expired_windows_stop_blocking() {
         let mut state = RmsState::new(4);
         state.admit_reservation(SimTime::ZERO, SimDuration::from_secs(10), 4);
         state.submit(j(0, 0, 4, 100));
@@ -404,7 +339,7 @@ mod tests {
         // While the window holds, the job waits.
         let s = easy.replan(&state, SimTime::from_secs(1), ReplanReason::Submission);
         assert!(s.is_empty());
-        // Once it ends, the classic path runs and the job starts.
+        // Once it ends, the job starts.
         let s = easy.replan(&state, SimTime::from_secs(10), ReplanReason::Reservation);
         assert_eq!(started(&s), vec![0]);
     }

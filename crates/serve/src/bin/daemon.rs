@@ -28,7 +28,6 @@
 //! virtual time, fsyncs the journal, prints a summary JSON line to
 //! stdout and exits 0.
 
-use dynp_serve::cli::{fsync, quota};
 use dynp_serve::{
     parse_request, parse_scheduler, read_journal_header, read_request_line, recover, render_reply,
     render_summary, spawn, FsyncPolicy, JournalError, OverloadReason, QuotaConfig, Reply, Request,
@@ -98,10 +97,24 @@ fn parse_args() -> Args {
             "--journal" => journal = Some(PathBuf::from(flags.value(&flag))),
             "--recover" => recover = true,
             "--drain" => drain = true,
-            "--fsync" => fsync_policy = fsync(&mut flags, &flag),
+            "--fsync" => {
+                let raw = flags.value(&flag);
+                fsync_policy = FsyncPolicy::parse(&raw).unwrap_or_else(|| {
+                    flags.bail(&format!("--fsync: unknown fsync policy {raw:?}"))
+                });
+            }
             "--checkpoint-every" => checkpoint_every = flags.num(&flag),
             "--compact" => compact = true,
-            "--quota" => quota_config = quota(&mut flags),
+            "--quota" => {
+                let raw = flags.value(&flag);
+                let Some((rate, burst)) = raw.split_once(':') else {
+                    flags.bail(&format!("--quota needs RATE:BURST, got {raw:?}"));
+                };
+                quota_config = QuotaConfig {
+                    rate_mtok_per_sec: flags.parse(rate, "--quota RATE"),
+                    burst_mtok: flags.parse(burst, "--quota BURST"),
+                };
+            }
             "--socket" => socket = Some(PathBuf::from(flags.value(&flag))),
             other => flags.unknown(other),
         }

@@ -83,14 +83,15 @@ pub enum FsyncPolicy {
 }
 
 impl FsyncPolicy {
-    /// Parses the command-line spelling.
-    pub(crate) fn parse(s: &str) -> Option<FsyncPolicy> {
-        match s {
-            "always" => Some(FsyncPolicy::Always),
-            "rotate" | "on-rotate" => Some(FsyncPolicy::OnRotate),
-            "never" => Some(FsyncPolicy::Never),
-            _ => None,
-        }
+    /// The policy whose [`label`](FsyncPolicy::label) is `s`.
+    pub fn parse(s: &str) -> Option<FsyncPolicy> {
+        [
+            FsyncPolicy::Always,
+            FsyncPolicy::OnRotate,
+            FsyncPolicy::Never,
+        ]
+        .into_iter()
+        .find(|p| p.label() == s)
     }
 
     /// The canonical spelling.
@@ -1113,6 +1114,18 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn fsync_spellings_are_the_labels() {
+        for policy in [
+            FsyncPolicy::Always,
+            FsyncPolicy::OnRotate,
+            FsyncPolicy::Never,
+        ] {
+            assert_eq!(FsyncPolicy::parse(policy.label()), Some(policy));
+        }
+        assert_eq!(FsyncPolicy::parse("on-rotate"), None);
     }
 
     fn submit(seq: u64, ms: u64) -> JournalRecord {

@@ -44,7 +44,6 @@
 #![warn(unreachable_pub)]
 
 mod api;
-pub mod cli;
 mod daemon;
 pub mod journal;
 mod proto;

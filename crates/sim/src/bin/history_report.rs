@@ -14,28 +14,40 @@ use dynp_metrics::OutcomeDistributions;
 use dynp_rms::{AdmissionConfig, Policy};
 use dynp_sim::cli::{usage, CommonArgs, Flags, TRACING};
 use dynp_sim::{simulate_chaos, SchedulerSpec};
-use dynp_workload::{transform, FaultPlan};
+use dynp_workload::{traces, transform, FaultPlan};
 
 fn main() {
-    let accepts = [
-        &["--jobs", "--trace", "--seed", "--out", "--scheduler"][..],
-        &TRACING,
-    ]
-    .concat();
+    let accepts = [&["--jobs", "--seed", "--out"][..], &TRACING].concat();
     let mut flags = Flags::from_env(usage(
-        "usage: history_report [--shrink F] [flags]  (--scheduler: a dynP spec)\n  \
+        "usage: history_report [--trace NAME] [--scheduler SPEC] [--shrink F] [flags]\n  \
+         --trace NAME         CTC|KTH|LANL|SDSC, given at most once (default CTC)\n  \
+         --scheduler SPEC     a dynP spec, given at most once (default dynp:advanced)\n  \
          --shrink F           shrinking factor of the workload (default 0.8)",
         &accepts,
     ));
     let mut shrink_factor = 0.8f64;
+    let mut model = None;
+    let mut spec = None;
     let args = CommonArgs::read(&mut flags, &accepts, |flags, flag| {
-        let ours = flag == "--shrink";
-        if ours {
-            shrink_factor = flags.positive(flag);
+        let twice = match flag {
+            "--shrink" => {
+                shrink_factor = flags.positive(flag);
+                false
+            }
+            "--trace" => {
+                let name = flags.value(flag);
+                let m = traces::by_name(&name)
+                    .unwrap_or_else(|| flags.bail(&format!("--trace: unknown trace {name:?}")));
+                model.replace(m).is_some()
+            }
+            "--scheduler" => spec.replace(flags.scheduler(flag)).is_some(),
+            _ => return false,
+        };
+        if twice {
+            flags.bail(&format!("{flag} given twice"));
         }
-        ours
+        true
     });
-    let spec = args.schedulers.last().cloned();
     let spec = spec.unwrap_or(SchedulerSpec::dynp(DeciderKind::Advanced));
     let SchedulerSpec::DynP { decider, .. } = spec else {
         flags.bail(&format!(
@@ -44,7 +56,7 @@ fn main() {
         ));
     };
 
-    let model = &args.traces[0];
+    let model = model.unwrap_or_else(traces::ctc);
     let set = transform::shrink(&model.generate(args.jobs, args.seed), shrink_factor);
     println!(
         "workload: {} ({} jobs, machine {}, shrinking factor {shrink_factor})",

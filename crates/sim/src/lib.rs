@@ -13,8 +13,8 @@
 //! * [`run_federation`] — multi-cluster runs: routing, migration and
 //!   per-cluster [`shard`]s stepped in epochs;
 //! * [`study`] — the paper's tables and the ablations as values, and the
-//!   one renderer of their tables;
-//! * [`report`] — text/CSV/gnuplot rendering of result tables;
+//!   one writer of their tables and figures (text, CSV, gnuplot data and
+//!   [`svg`] charts);
 //! * [`cli`] — the one command-line reader of every bin.
 //!
 //! The bins in `src/bin/` (DESIGN.md §3): `experiment NAME` runs one
@@ -22,7 +22,7 @@
 //! Figures 3–4), the ablations `ablation_preferred`,
 //! `ablation_threshold`, `ablation_step`, `ablation_queue_vs_planning`,
 //! `ablation_reservations`, `ablation_faults`, and `sweep` over any
-//! line-up; `figures` draws their `fig*.dat` files as SVG;
+//! line-up, and draws each figure beside its `fig*.dat` file;
 //! `history_report`, `trace_report`, `federation` and `gen_workload` are
 //! tools around single runs.
 #![forbid(unsafe_code)]
@@ -35,7 +35,7 @@ mod experiment;
 mod federation;
 mod feed;
 pub mod paper_ref;
-pub mod report;
+mod report;
 mod runner;
 pub mod shard;
 mod spec;

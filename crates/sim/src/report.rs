@@ -1,13 +1,12 @@
 //! Result rendering: aligned text tables, CSV, and gnuplot-ready data
-//! files for the figures.
+//! files for the figures, which `svg` draws from the same values.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
 /// A simple rectangular table with a title and column headers.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub(crate) struct Table {
     /// Caption printed above the table.
     pub title: String,
@@ -116,8 +115,8 @@ impl Table {
 
 /// A figure data series: x values (shrinking factors) and one y column
 /// per labeled series — written as whitespace-separated gnuplot data.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct FigureData {
+#[derive(Clone, Debug)]
+pub(crate) struct FigureData {
     /// Figure caption.
     pub title: String,
     /// Series labels (column names after `x`).
@@ -161,52 +160,6 @@ impl FigureData {
     pub(crate) fn write_dat(&self, dir: &Path, name: &str) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join(format!("{name}.dat")), self.to_dat())
-    }
-
-    /// Parses a data block produced by `FigureData::to_dat` (used by
-    /// the `figures` binary to re-render stored results as SVG).
-    pub fn from_dat(text: &str) -> Result<FigureData, String> {
-        let mut lines = text.lines();
-        let title = lines
-            .next()
-            .and_then(|l| l.strip_prefix("# "))
-            .ok_or("missing title line")?
-            .to_string();
-        let header = lines
-            .next()
-            .and_then(|l| l.strip_prefix("# x "))
-            .ok_or("missing series header line")?;
-        let series: Vec<String> = header.split_whitespace().map(str::to_string).collect();
-        if series.is_empty() {
-            return Err("no series in header".into());
-        }
-        let mut fig = FigureData {
-            title,
-            series,
-            rows: Vec::new(),
-        };
-        for (i, line) in lines.enumerate() {
-            if line.trim().is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let mut nums = line.split_whitespace().map(|t| {
-                t.parse::<f64>()
-                    .map_err(|_| format!("line {}: bad number {t:?}", i + 3))
-            });
-            let x = nums.next().ok_or(format!("line {}: empty", i + 3))??;
-            let ys: Result<Vec<f64>, String> = nums.collect();
-            let ys = ys?;
-            if ys.len() != fig.series.len() {
-                return Err(format!(
-                    "line {}: {} values for {} series",
-                    i + 3,
-                    ys.len(),
-                    fig.series.len()
-                ));
-            }
-            fig.rows.push((x, ys));
-        }
-        Ok(fig)
     }
 }
 
@@ -284,25 +237,6 @@ mod tests {
             .unwrap()
             .contains("0.5"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dat_round_trips() {
-        let mut f = FigureData::new("Fig 1 CTC", &["FCFS", "SJF"]);
-        f.push(1.0, vec![2.61, 2.78]);
-        f.push(0.9, vec![3.99, 4.80]);
-        let back = FigureData::from_dat(&f.to_dat()).unwrap();
-        assert_eq!(back.title, f.title);
-        assert_eq!(back.series, f.series);
-        assert_eq!(back.rows.len(), 2);
-        assert!((back.rows[1].1[1] - 4.80).abs() < 1e-9);
-    }
-
-    #[test]
-    fn from_dat_rejects_malformed_input() {
-        assert!(FigureData::from_dat("").is_err());
-        assert!(FigureData::from_dat("# t\n# x a\n1 x\n").is_err());
-        assert!(FigureData::from_dat("# t\n# x a b\n1 2\n").is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::experiment::{CellResult, Experiment, ExperimentResult, FaultLoad, Res
 use crate::paper_ref;
 use crate::report::{num, signed, FigureData, Table};
 use crate::spec::SchedulerSpec;
-use crate::svg::ChartOptions;
+use crate::svg::{write_chart, ChartOptions};
 use dynp_core::DecideOn::{self, AllEvents, SubmissionsOnly};
 use dynp_core::DeciderKind;
 use dynp_metrics::Objective::{
@@ -575,31 +575,30 @@ impl Axis {
     }
 }
 
-/// How `figures` draws `STEM.dat`: the axes of the figure kind its
-/// name starts with, declared once for every kind a study writes
-/// (`KIND_trace.dat`); `None` for any other kind.
-pub fn chart(stem: &str) -> Option<ChartOptions> {
+/// The axes of a figure kind. Every kind is a literal in this file.
+fn axes(kind: &str) -> ChartOptions {
     let factor = "shrinking factor";
-    let (x_label, y_label, log_y) = match stem.split('_').next()? {
+    let (x_label, y_label, log_y) = match kind {
         "fig1" | "fig3" => (factor, "SLDwA (log scale)", true),
         "fig2" | "fig4" => (factor, "utilization [%]", false),
         "figR" => ("offered booked-area fraction", "acceptance rate [%]", false),
         "figF" => ("machine unavailability [%]", "SLDwA (log scale)", true),
-        _ => return None,
+        _ => unreachable!("no axes for figure kind {kind}"),
     };
-    Some(ChartOptions {
+    ChartOptions {
         log_y,
-        y_label: y_label.into(),
-        x_label: x_label.into(),
-        ..ChartOptions::default()
-    })
+        y_label,
+        x_label,
+    }
 }
 
-/// Writes `KIND_trace.dat` when there is an output directory.
+/// Writes `KIND_trace.dat` and draws it as `KIND_trace.svg` when there
+/// is an output directory.
 fn write_figure(out: Option<&Path>, kind: &str, trace: &str, fig: &FigureData) {
     if let Some(dir) = out {
         let name = format!("{kind}_{}", trace.to_lowercase());
         written(&name, fig.write_dat(dir, &name));
+        written(&name, write_chart(fig, &axes(kind), dir, &name));
     }
 }
 
@@ -760,7 +759,7 @@ fn table4(exp: &Experiment, result: &ExperimentResult, out: Option<&Path>) {
     if let Some(dir) = out {
         written("table4", table.write_csv(dir, "table4"));
         eprintln!(
-            "wrote table4.csv and fig1_*/fig2_*.dat to {}",
+            "wrote table4.csv and fig1_*/fig2_*.{{dat,svg}} to {}",
             dir.display()
         );
     }
@@ -860,7 +859,7 @@ fn table5(exp: &Experiment, result: &ExperimentResult, out: Option<&Path>) {
         written("table5", table.write_csv(dir, "table5"));
         written("table3", table3.write_csv(dir, "table3"));
         eprintln!(
-            "wrote table5.csv, table3.csv and fig3_*/fig4_*.dat to {}",
+            "wrote table5.csv, table3.csv and fig3_*/fig4_*.{{dat,svg}} to {}",
             dir.display()
         );
     }
@@ -1011,15 +1010,17 @@ mod tests {
     }
 
     #[test]
-    fn every_figure_kind_has_axes_and_no_other_does() {
+    fn every_figure_kind_is_drawn_beside_its_data() {
+        let dir = std::env::temp_dir().join(format!("dynp_study_figures_{}", std::process::id()));
+        let mut fig = FigureData::new("t", &["a"]);
+        fig.push(1.0, vec![2.0]);
         for kind in ["fig1", "fig2", "fig3", "fig4", "figR", "figF"] {
-            assert!(chart(&format!("{kind}_ctc")).is_some(), "{kind}");
+            write_figure(Some(&dir), kind, "CTC", &fig);
+            let svg = std::fs::read_to_string(dir.join(format!("{kind}_ctc.svg"))).unwrap();
+            assert!(svg.contains(axes(kind).x_label), "{kind}");
+            assert!(dir.join(format!("{kind}_ctc.dat")).exists(), "{kind}");
         }
-        let f = chart("figF_kth").unwrap();
-        assert_eq!(f.x_label, "machine unavailability [%]");
-        assert!(f.log_y);
-        assert!(chart("figX_ctc").is_none());
-        assert!(chart("fig12_ctc").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A small self-contained SVG line-chart renderer.
 //!
 //! The paper's Figures 1–4 are line charts of SLDwA/utilization against
-//! the shrinking factor. This module renders [`FigureData`] series as
-//! standalone SVG files so the reproduction regenerates the *figures*,
+//! the shrinking factor. The study that computes a figure draws it here,
+//! beside its `.dat` file, so the reproduction regenerates the *figures*,
 //! not just their data, without any external plotting dependency.
 //!
 //! The renderer is deliberately minimal: linear axes, automatic range,
@@ -15,31 +15,19 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// Chart geometry and scale options.
-#[derive(Clone, Debug)]
-pub struct ChartOptions {
-    /// Total width in pixels.
-    pub width: f64,
-    /// Total height in pixels.
-    pub height: f64,
+/// Chart canvas size in pixels.
+const WIDTH: f64 = 640.0;
+const HEIGHT: f64 = 420.0;
+
+/// The scale and axis labels of one figure kind.
+#[derive(Debug)]
+pub(crate) struct ChartOptions {
     /// Use a log₁₀ y-axis (for slowdown plots).
     pub log_y: bool,
     /// Y-axis label.
-    pub y_label: String,
+    pub y_label: &'static str,
     /// X-axis label.
-    pub x_label: String,
-}
-
-impl Default for ChartOptions {
-    fn default() -> Self {
-        ChartOptions {
-            width: 640.0,
-            height: 420.0,
-            log_y: false,
-            y_label: String::new(),
-            x_label: "shrinking factor".into(),
-        }
-    }
+    pub x_label: &'static str,
 }
 
 const MARGIN_L: f64 = 64.0;
@@ -59,8 +47,8 @@ const COLORS: [&str; 6] = [
 /// color rotation, visually pairing each measured line with its
 /// published counterpart.
 pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
-    let plot_w = opts.width - MARGIN_L - MARGIN_R;
-    let plot_h = opts.height - MARGIN_T - MARGIN_B;
+    let plot_w = WIDTH - MARGIN_L - MARGIN_R;
+    let plot_h = HEIGHT - MARGIN_T - MARGIN_B;
 
     // Data ranges.
     let xs: Vec<f64> = fig.rows.iter().map(|(x, _)| *x).collect();
@@ -73,7 +61,7 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
     if xs.is_empty() || ys.is_empty() {
         return format!(
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{}\" height=\"{}\"><text x=\"10\" y=\"20\">no data</text></svg>",
-            opts.width, opts.height
+            WIDTH, HEIGHT
         );
     }
     let (x_min, x_max) = (
@@ -107,7 +95,7 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
         svg,
         "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{}\" height=\"{}\" \
          font-family=\"sans-serif\" font-size=\"12\">",
-        opts.width, opts.height
+        WIDTH, HEIGHT
     );
     // Background and frame.
     let _ = writeln!(
@@ -119,7 +107,7 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
     let _ = writeln!(
         svg,
         "<text x=\"{}\" y=\"20\" text-anchor=\"middle\" font-size=\"14\">{}</text>",
-        opts.width / 2.0,
+        WIDTH / 2.0,
         escape(&fig.title)
     );
 
@@ -132,7 +120,7 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
         let y0 = MARGIN_T + plot_h;
         let _ = writeln!(
             svg,
-            "<line x1=\"{px}\" y1=\"{y0}\" x2=\"{px}\" y2=\"{}\" stroke=\"#444\"/>",
+            "<line x1=\"{px:.1}\" y1=\"{y0}\" x2=\"{px:.1}\" y2=\"{}\" stroke=\"#444\"/>",
             y0 + 4.0
         );
         // At most two decimals: an unavailability in % is not round.
@@ -140,7 +128,7 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
         let label = label.trim_end_matches('0').trim_end_matches('.');
         let _ = writeln!(
             svg,
-            "<text x=\"{px}\" y=\"{}\" text-anchor=\"middle\">{label}</text>",
+            "<text x=\"{px:.1}\" y=\"{}\" text-anchor=\"middle\">{label}</text>",
             y0 + 18.0
         );
     }
@@ -148,8 +136,8 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
         svg,
         "<text x=\"{}\" y=\"{}\" text-anchor=\"middle\">{}</text>",
         MARGIN_L + plot_w / 2.0,
-        opts.height - 10.0,
-        escape(&opts.x_label)
+        HEIGHT - 10.0,
+        escape(opts.x_label)
     );
 
     // Y ticks: 5 linear ticks, or decade ticks on log scale.
@@ -160,12 +148,12 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
             let (_, py) = to_px(x_min, y_val);
             let _ = writeln!(
                 svg,
-                "<line x1=\"{}\" y1=\"{py}\" x2=\"{MARGIN_L}\" y2=\"{py}\" stroke=\"#444\"/>",
+                "<line x1=\"{}\" y1=\"{py:.1}\" x2=\"{MARGIN_L}\" y2=\"{py:.1}\" stroke=\"#444\"/>",
                 MARGIN_L - 4.0
             );
             let _ = writeln!(
                 svg,
-                "<text x=\"{}\" y=\"{}\" text-anchor=\"end\">{}</text>",
+                "<text x=\"{}\" y=\"{:.1}\" text-anchor=\"end\">{}</text>",
                 MARGIN_L - 8.0,
                 py + 4.0,
                 format_tick(y_val)
@@ -178,12 +166,12 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
             let (_, py) = to_px(x_min, y_val);
             let _ = writeln!(
                 svg,
-                "<line x1=\"{}\" y1=\"{py}\" x2=\"{MARGIN_L}\" y2=\"{py}\" stroke=\"#444\"/>",
+                "<line x1=\"{}\" y1=\"{py:.1}\" x2=\"{MARGIN_L}\" y2=\"{py:.1}\" stroke=\"#444\"/>",
                 MARGIN_L - 4.0
             );
             let _ = writeln!(
                 svg,
-                "<text x=\"{}\" y=\"{}\" text-anchor=\"end\">{}</text>",
+                "<text x=\"{}\" y=\"{:.1}\" text-anchor=\"end\">{}</text>",
                 MARGIN_L - 8.0,
                 py + 4.0,
                 format_tick(y_val)
@@ -195,7 +183,7 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
         "<text x=\"14\" y=\"{}\" text-anchor=\"middle\" transform=\"rotate(-90 14 {})\">{}</text>",
         MARGIN_T + plot_h / 2.0,
         MARGIN_T + plot_h / 2.0,
-        escape(&opts.y_label)
+        escape(opts.y_label)
     );
 
     // Series polylines + legend.
@@ -256,7 +244,7 @@ pub(crate) fn render_chart(fig: &FigureData, opts: &ChartOptions) -> String {
 }
 
 /// Renders and writes the chart to `dir/<name>.svg`.
-pub fn write_chart(
+pub(crate) fn write_chart(
     fig: &FigureData,
     opts: &ChartOptions,
     dir: &Path,
@@ -596,9 +584,17 @@ mod tests {
         f
     }
 
+    fn linear() -> ChartOptions {
+        ChartOptions {
+            log_y: false,
+            y_label: "",
+            x_label: "shrinking factor",
+        }
+    }
+
     #[test]
     fn renders_valid_svg_with_all_series() {
-        let svg = render_chart(&sample(), &ChartOptions::default());
+        let svg = render_chart(&sample(), &linear());
         assert!(svg.starts_with("<svg"));
         assert!(svg.ends_with("</svg>\n"));
         assert_eq!(svg.matches("<polyline").count(), 3);
@@ -613,8 +609,8 @@ mod tests {
     fn log_scale_uses_decade_ticks() {
         let opts = ChartOptions {
             log_y: true,
-            y_label: "SLDwA".into(),
-            ..ChartOptions::default()
+            y_label: "SLDwA",
+            ..linear()
         };
         let svg = render_chart(&sample(), &opts);
         // Range 2.61..19.61 → decades 1 and 10 and 100.
@@ -624,18 +620,17 @@ mod tests {
 
     #[test]
     fn coordinates_stay_inside_the_canvas() {
-        let opts = ChartOptions::default();
-        let svg = render_chart(&sample(), &opts);
+        let svg = render_chart(&sample(), &linear());
         for cap in svg.split("cx=\"").skip(1) {
             let x: f64 = cap.split('"').next().unwrap().parse().unwrap();
-            assert!(x >= 0.0 && x <= opts.width, "x {x} outside");
+            assert!((0.0..=WIDTH).contains(&x), "x {x} outside");
         }
     }
 
     #[test]
     fn empty_data_renders_placeholder() {
         let f = FigureData::new("empty", &["a"]);
-        let svg = render_chart(&f, &ChartOptions::default());
+        let svg = render_chart(&f, &linear());
         assert!(svg.contains("no data"));
     }
 
@@ -751,7 +746,7 @@ mod tests {
     #[test]
     fn file_output_works() {
         let dir = std::env::temp_dir().join("dynp_svg_test");
-        write_chart(&sample(), &ChartOptions::default(), &dir, "fig").unwrap();
+        write_chart(&sample(), &linear(), &dir, "fig").unwrap();
         let content = std::fs::read_to_string(dir.join("fig.svg")).unwrap();
         assert!(content.contains("<svg"));
         let _ = std::fs::remove_dir_all(&dir);

@@ -9,7 +9,6 @@ const EXPERIMENT: &str = env!("CARGO_BIN_EXE_experiment");
 const HISTORY: &str = env!("CARGO_BIN_EXE_history_report");
 const GEN: &str = env!("CARGO_BIN_EXE_gen_workload");
 const FEDERATION: &str = env!("CARGO_BIN_EXE_federation");
-const FIGURES: &str = env!("CARGO_BIN_EXE_figures");
 const TRACE_REPORT: &str = env!("CARGO_BIN_EXE_trace_report");
 
 fn run(bin: &str, args: &[&str]) -> Output {
@@ -33,6 +32,23 @@ const REJECTED: &[(&str, &[&str], &str)] = &[
     (HISTORY, &["--sets", "3"], "--sets"),
     (HISTORY, &["--trace-ring", "0"], "--trace-ring"),
     (HISTORY, &["--trace-level", "verbose"], "--trace-level"),
+    (
+        HISTORY,
+        &["--jobs", "50", "--trace", "CTC", "--trace", "KTH"],
+        "given twice",
+    ),
+    (
+        HISTORY,
+        &[
+            "--jobs",
+            "50",
+            "--scheduler",
+            "dynp",
+            "--scheduler",
+            "dynp:simple",
+        ],
+        "given twice",
+    ),
     (GEN, &["--shrink", "0"], "--shrink"),
     (GEN, &["--shrink", "inf"], "--shrink"),
     (GEN, &["--out-dir", "w"], "--out-dir"),
@@ -104,8 +120,6 @@ const REJECTED: &[(&str, &[&str], &str)] = &[
         &["--shard-threads", "2", "--clusters", "0"],
         "unknown flag \"--shard-threads\"",
     ),
-    (FIGURES, &["--bogus"], "--bogus"),
-    (FIGURES, &["a", "b"], "directory"),
     (TRACE_REPORT, &[], "trace file"),
     (TRACE_REPORT, &["--bogus", "t.jsonl"], "--bogus"),
 ];
@@ -133,7 +147,6 @@ fn help_prints_the_usage_and_runs_nothing() {
         (HISTORY, &["--help"]),
         (GEN, &["--help"]),
         (FEDERATION, &["--help"]),
-        (FIGURES, &["--help"]),
         (TRACE_REPORT, &["--help"]),
     ];
     for (bin, args) in cases {

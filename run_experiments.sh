@@ -20,5 +20,4 @@ $experiment ablation_step --jobs 3000 --sets 5 --trace CTC --trace SDSC --out re
 $experiment ablation_queue_vs_planning --jobs 3000 --sets 5 --trace CTC --trace SDSC --out results > results/ablation_queue_vs_planning.log 2>&1
 $experiment ablation_reservations --jobs 3000 --sets 5 --out results > results/ablation_reservations.log 2>&1
 $experiment ablation_faults --jobs 3000 --sets 5 --crash-prob 0.05 --out results > results/ablation_faults.log 2>&1
-./target/release/figures results > results/figures.log 2>&1
 echo ALL_EXPERIMENTS_DONE
