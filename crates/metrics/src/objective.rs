@@ -21,8 +21,6 @@ pub enum Objective {
     /// Planned slowdown weighted by estimated job area (default — matches
     /// the paper's SLDwA evaluation metric).
     SlowdownWeightedByArea,
-    /// Plain average planned slowdown.
-    AvgSlowdown,
     /// Average planned response time (seconds).
     AvgResponseTime,
     /// Planned response time weighted by width (ARTwW on the plan).
@@ -34,9 +32,8 @@ pub enum Objective {
 
 impl Objective {
     /// All implemented objectives.
-    pub const ALL: [Objective; 5] = [
+    pub const ALL: [Objective; 4] = [
         Objective::SlowdownWeightedByArea,
-        Objective::AvgSlowdown,
         Objective::AvgResponseTime,
         Objective::ResponseTimeWeightedByWidth,
         Objective::Utilization,
@@ -46,7 +43,6 @@ impl Objective {
     pub fn name(self) -> &'static str {
         match self {
             Objective::SlowdownWeightedByArea => "SLDwA",
-            Objective::AvgSlowdown => "AvgSLD",
             Objective::AvgResponseTime => "ART",
             Objective::ResponseTimeWeightedByWidth => "ARTwW",
             Objective::Utilization => "UTIL",
@@ -66,7 +62,6 @@ impl Objective {
             Objective::SlowdownWeightedByArea | Objective::ResponseTimeWeightedByWidth => {
                 Some(DelayWeight::Width)
             }
-            Objective::AvgSlowdown => Some(DelayWeight::PerEstimate),
             Objective::AvgResponseTime => Some(DelayWeight::Unit),
             Objective::Utilization => None,
         }
@@ -83,7 +78,6 @@ impl Objective {
         let response = (start - job.submit).as_secs_f64() + est;
         match self {
             Objective::SlowdownWeightedByArea => job.estimated_area() * (response / est),
-            Objective::AvgSlowdown => response / est,
             Objective::AvgResponseTime => response,
             Objective::ResponseTimeWeightedByWidth => job.width as f64 * response,
             Objective::Utilization => panic!("utilization has no per-job terms"),
@@ -98,7 +92,7 @@ impl Objective {
     pub(crate) fn weight(self, job: &Job) -> f64 {
         match self {
             Objective::SlowdownWeightedByArea => job.estimated_area(),
-            Objective::AvgSlowdown | Objective::AvgResponseTime => 1.0,
+            Objective::AvgResponseTime => 1.0,
             Objective::ResponseTimeWeightedByWidth => job.width as f64,
             Objective::Utilization => panic!("utilization has no per-job weights"),
         }
@@ -196,9 +190,6 @@ mod tests {
             entries: vec![entry(0, 0, 2, 100, 0), entry(1, 0, 1, 50, 100)],
         };
         assert!(
-            (Objective::AvgSlowdown.evaluate(&s, SimTime::ZERO) - (1.0 + 3.0) / 2.0).abs() < 1e-12
-        );
-        assert!(
             (Objective::AvgResponseTime.evaluate(&s, SimTime::ZERO) - (100.0 + 150.0) / 2.0).abs()
                 < 1e-12
         );
@@ -239,7 +230,7 @@ mod tests {
                 checked += 1;
             }
         }
-        assert_eq!(checked, 16);
+        assert_eq!(checked, 12);
     }
 
     #[test]

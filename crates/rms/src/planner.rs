@@ -228,8 +228,6 @@ pub enum DelayWeight {
     Width,
     /// Every job alike: seconds of waiting.
     Unit,
-    /// By the reciprocal of the job's estimate: waiting in run times.
-    PerEstimate,
 }
 
 impl DelayWeight {
@@ -243,7 +241,6 @@ impl DelayWeight {
         match self {
             DelayWeight::Width => job.width as f64 * ms * 1e-3,
             DelayWeight::Unit => ms * 1e-3,
-            DelayWeight::PerEstimate => ms / job.estimate.as_millis() as i64 as f64,
         }
     }
 
@@ -780,12 +777,10 @@ impl Slot {
             // next (DESIGN §10 has the table). A stopped plan picked up
             // from its prefix asks once, at once — that is how a queue
             // gets its first yes — and a queue the bound stopped last
-            // time keeps asking as it places. `Unit` and `PerEstimate`
-            // stop on the excess of the jobs placed alone: the fluid
-            // problem pours their jobs by `width · estimate` and
-            // `width · estimate²`, keys of up to 110 bits where an
-            // estimate has 40, and no workload or experiment plans deep
-            // queues under them.
+            // time keeps asking as it places. `Unit` stops on the
+            // excess of the jobs placed alone: the fluid problem would
+            // pour its jobs by `width · estimate`, and no workload or
+            // experiment plans deep queues under it.
             Some(tally) if tally.weight == DelayWeight::Width => {
                 let resumes = kept > 0 && tally.last.excess.is_some();
                 if resumes || tally.last.by_rest {

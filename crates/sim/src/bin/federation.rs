@@ -20,27 +20,37 @@ use dynp_sim::cli::{usage, CommonArgs, Flags, TRACING};
 use dynp_sim::{
     run_federation, ClusterSpec, FederationConfig, LinkModel, RoutePolicy, SchedulerSpec,
 };
-use dynp_workload::{JobSet, MultiClusterWorkload};
+use dynp_workload::{traces, JobSet, MultiClusterWorkload};
 
 fn main() {
-    let accepts = [&["--jobs", "--trace", "--seed"][..], &TRACING].concat();
+    let accepts = [&["--jobs", "--seed"][..], &TRACING].concat();
     let mut flags = Flags::from_env(usage(
         "usage: federation [flags]\n  \
+         --trace NAME         CTC|KTH|LANL|SDSC, given at most once (default CTC):\n  \
+         \x20                    each cluster runs one workload of this model\n  \
          --clusters N         clusters in the federation (default 4)\n  \
          --route-policy P     least-loaded|locality|random[:SEED]\n  \
          --migration-factor F migrate a waiting job when the busiest/idlest relative\n  \
          \x20                    backlog ratio exceeds F (default: off)\n  \
          --link-latency S     inter-cluster link latency in seconds, also the epoch\n  \
-         \x20                    width (default 30)\n  \
-         (one workload per cluster from the first --trace)",
+         \x20                    width (default 30)",
         &accepts,
     ));
     let mut clusters = 4usize;
     let mut route = RoutePolicy::LeastLoaded;
     let mut migration_factor: Option<u64> = None;
     let mut link_latency_secs = 30u64;
+    let mut model = None;
     let args = CommonArgs::read(&mut flags, &accepts, |flags, flag| {
         match flag {
+            "--trace" => {
+                let name = flags.value(flag);
+                let m = traces::by_name(&name)
+                    .unwrap_or_else(|| flags.bail(&format!("--trace: unknown trace {name:?}")));
+                if model.replace(m).is_some() {
+                    flags.bail(&format!("{flag} given twice"));
+                }
+            }
             "--clusters" => clusters = flags.positive(flag),
             "--route-policy" => {
                 let name = flags.value(flag);
@@ -57,7 +67,7 @@ fn main() {
         true
     });
 
-    let model = &args.traces[0];
+    let model = model.unwrap_or_else(traces::ctc);
     let sets: Vec<JobSet> = (0..clusters)
         .map(|c| model.generate(args.jobs, args.seed + c as u64))
         .collect();

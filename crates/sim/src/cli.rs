@@ -10,10 +10,10 @@
 //! lists them with their help lines). Each bin names the shared flags it
 //! reads and rejects the rest, so no flag is parsed and then dropped.
 
-use crate::experiment::{FaultLoad, ReservationLoad};
+use crate::experiment::ReservationLoad;
 use crate::spec::{parse_scheduler, SchedulerSpec};
 use dynp_obs::TraceLevel;
-use dynp_workload::{traces, TraceModel};
+use dynp_workload::{traces, FaultModel, TraceModel};
 use std::fmt::Debug;
 use std::ops::RangeBounds;
 use std::path::PathBuf;
@@ -333,12 +333,9 @@ impl CommonArgs {
     }
 
     /// The fault-injection load the flags select, if any.
-    pub(crate) fn fault_load(&self) -> Option<FaultLoad> {
-        (self.mtbf_secs > 0.0 || self.crash_prob > 0.0).then_some(FaultLoad {
-            mtbf_secs: self.mtbf_secs,
-            mttr_secs: self.mttr_secs,
-            crash_prob: self.crash_prob,
-        })
+    pub(crate) fn fault_load(&self) -> Option<FaultModel> {
+        let model = FaultModel::typical(self.mtbf_secs, self.mttr_secs, self.crash_prob);
+        (!model.is_disabled()).then_some(model)
     }
 }
 
@@ -496,7 +493,6 @@ mod tests {
         assert_eq!(load.mtbf_secs, 50_000.0);
         assert_eq!(load.mttr_secs, 1_800.0);
         assert_eq!(load.crash_prob, 0.05);
-        assert!(!load.model().is_disabled());
 
         // Either knob alone enables the load.
         assert!(parse(&["--crash-prob", "0.1"]).fault_load().is_some());

@@ -134,28 +134,6 @@ impl ReservationLoad {
     }
 }
 
-/// A fault-injection load riding on every run of a sweep (see
-/// [`FaultModel::typical`] for the distribution mix the three knobs
-/// select).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultLoad {
-    /// Mean time between per-node failures, in seconds (`<= 0` disables
-    /// node outages).
-    pub mtbf_secs: f64,
-    /// Mean node repair time in seconds.
-    pub mttr_secs: f64,
-    /// Probability a job crashes or overruns on its first attempt (the
-    /// typical mix: crash at this rate, overrun at half of it).
-    pub crash_prob: f64,
-}
-
-impl FaultLoad {
-    /// The seeded fault-trace generator this load selects.
-    pub(crate) fn model(&self) -> FaultModel {
-        FaultModel::typical(self.mtbf_secs, self.mttr_secs, self.crash_prob)
-    }
-}
-
 /// A sweep definition.
 #[derive(Clone, Debug)]
 pub struct Experiment {
@@ -180,7 +158,7 @@ pub struct Experiment {
     pub reservations: Option<ReservationLoad>,
     /// Optional fault-injection load applied to every run. `None` keeps
     /// every run fault-free (bit-identical to the pre-fault harness).
-    pub faults: Option<FaultLoad>,
+    pub faults: Option<FaultModel>,
 }
 
 impl Experiment {
@@ -283,7 +261,7 @@ impl Experiment {
                         };
                     let plan = match &self.faults {
                         None => FaultPlan::none(),
-                        Some(load) => load.model().generate(&set, run_seed),
+                        Some(model) => model.generate(&set, run_seed),
                     };
                     let d = simulate_chaos(
                         &set,
@@ -441,11 +419,7 @@ mod tests {
     #[test]
     fn fault_load_rides_on_every_run() {
         let mut e = tiny_experiment(2);
-        e.faults = Some(FaultLoad {
-            mtbf_secs: 20_000.0,
-            mttr_secs: 3_600.0,
-            crash_prob: 0.05,
-        });
+        e.faults = Some(FaultModel::typical(20_000.0, 3_600.0, 0.05));
         let r = e.run();
         for c in &r.cells {
             assert!(

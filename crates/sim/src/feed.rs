@@ -30,8 +30,8 @@
 //! the same heap/cursor split — the model checker's visited set sees the
 //! states it saw when everything was preloaded.
 //!
-//! A stream that is *not* sorted (a hand-built [`dynp_workload::FaultPlan`],
-//! SWF `;RESERVATION` directives in file order) is walked through a
+//! A stream that is *not* sorted (a hand-built [`dynp_workload::FaultPlan`]
+//! or request list) is walked through a
 //! stable-sorted index instead; ranks stay the seeding indices, so ties
 //! break exactly as the heap used to break them.
 

@@ -44,7 +44,7 @@ pub mod svg;
 
 pub use check::check_state;
 pub use codec::{decode_snapshot, encode_snapshot, SNAPSHOT_VERSION};
-pub use experiment::{Cell, CellResult, Experiment, ExperimentResult, FaultLoad, ReservationLoad};
+pub use experiment::{Cell, CellResult, Experiment, ExperimentResult, ReservationLoad};
 pub use federation::{
     run_federation, ClusterSpec, FederationConfig, FederationResult, LinkModel, RoutePolicy,
 };

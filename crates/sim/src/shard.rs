@@ -321,9 +321,9 @@ impl ShardCore {
     /// cluster `to`. The caller must schedule the [`Event::Depart`]
     /// marker on this shard's engine and the [`Event::MigrateIn`] on the
     /// destination's.
-    pub(crate) fn withdraw_for_migration(&mut self, id: JobId) -> Job {
+    pub(crate) fn withdraw_for_migration(&mut self, id: JobId) {
         self.migrated_out += 1;
-        self.state.withdraw(id)
+        self.state.withdraw(id);
     }
 
     /// Handles one event: updates the cluster state, replans, and starts

@@ -12,7 +12,7 @@
 //! a display name (A3's five `dynP[advanced]` variants).
 
 use crate::cli::CommonArgs;
-use crate::experiment::{CellResult, Experiment, ExperimentResult, FaultLoad, ReservationLoad};
+use crate::experiment::{CellResult, Experiment, ExperimentResult, ReservationLoad};
 use crate::paper_ref;
 use crate::report::{num, signed, FigureData, Table};
 use crate::spec::SchedulerSpec;
@@ -24,7 +24,7 @@ use dynp_metrics::Objective::{
 };
 use dynp_rms::Policy;
 use dynp_workload::traces::SHRINKING_FACTORS;
-use dynp_workload::TraceStats;
+use dynp_workload::{FaultModel, TraceStats};
 use std::path::Path;
 
 /// A sweep and what it measured.
@@ -523,14 +523,13 @@ impl Axis {
                 .collect(),
             Axis::Mtbf(steps) => steps
                 .iter()
-                .map(|&mtbf_secs| Experiment {
-                    factors: vec![1.0],
-                    faults: (mtbf_secs > 0.0 || args.crash_prob > 0.0).then_some(FaultLoad {
-                        mtbf_secs,
-                        mttr_secs: args.mttr_secs,
-                        crash_prob: args.crash_prob,
-                    }),
-                    ..base.clone()
+                .map(|&mtbf_secs| {
+                    let model = FaultModel::typical(mtbf_secs, args.mttr_secs, args.crash_prob);
+                    Experiment {
+                        factors: vec![1.0],
+                        faults: (!model.is_disabled()).then_some(model),
+                        ..base.clone()
+                    }
                 })
                 .collect(),
         }

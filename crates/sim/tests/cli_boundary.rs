@@ -107,6 +107,12 @@ const REJECTED: &[(&str, &[&str], &str)] = &[
     ),
     (FEDERATION, &["--route-policy", "nearest"], "--route-policy"),
     (FEDERATION, &["--out", "r"], "--out"),
+    (FEDERATION, &["--trace", "nope"], "--trace"),
+    (
+        FEDERATION,
+        &["--jobs", "50", "--trace", "KTH", "--trace", "SDSC"],
+        "given twice",
+    ),
     // Thread counts are not settings: a sweep plans on one thread per
     // run, a federation runs its shards in turn. (The trailing bad value
     // ends a build that still takes the flag before it runs anything.)

@@ -1,16 +1,12 @@
 //! Distribution toolbox for synthetic workload generation.
 //!
-//! `rand_distr` supplies the primitive samplers (exponential, lognormal,
-//! uniform); this module adds the workload-specific composites the
-//! generator needs: clamped/log-uniform variants, hyperexponential
-//! interarrivals (bursty sessions have strongly bimodal gaps — see the
-//! huge max interarrival times in the paper's Table 2), weighted discrete
-//! choices (users request *round* run-time estimates and power-of-two
-//! widths), and the run-time accuracy model linking actual run times to
-//! estimates via the published overestimation factor.
+//! The workload-specific samplers the generators need: log-uniform
+//! durations, weighted discrete choices (users request *round* run-time
+//! estimates and power-of-two widths), and the run-time accuracy model
+//! linking actual run times to estimates via the published
+//! overestimation factor.
 
 use rand::Rng;
-use rand_distr::{Distribution, Exp, LogNormal};
 use serde::{Deserialize, Serialize};
 
 /// A distribution over positive durations (seconds).
@@ -18,39 +14,11 @@ use serde::{Deserialize, Serialize};
 pub enum DurationDist {
     /// Always the same value.
     Constant(f64),
-    /// Exponential with the given mean.
-    Exponential {
-        /// Mean in seconds.
-        mean: f64,
-    },
-    /// Two-phase hyperexponential: with probability `p_short` draw from an
-    /// exponential of mean `mean_short`, otherwise of mean `mean_long`.
-    /// Produces the bursty, heavy-tailed gaps seen in arrival traces.
-    Hyperexponential {
-        /// Probability of the short phase.
-        p_short: f64,
-        /// Mean of the short phase (seconds).
-        mean_short: f64,
-        /// Mean of the long phase (seconds).
-        mean_long: f64,
-    },
     /// `exp(U(ln min, ln max))` — every order of magnitude equally likely.
     LogUniform {
         /// Lower bound (seconds), > 0.
         min: f64,
         /// Upper bound (seconds), > min.
-        max: f64,
-    },
-    /// Lognormal specified by its median and shape, clamped into
-    /// `[min, max]`.
-    ClampedLogNormal {
-        /// Median of the unclamped distribution (seconds).
-        median: f64,
-        /// Shape parameter σ of ln X.
-        sigma: f64,
-        /// Lower clamp (seconds).
-        min: f64,
-        /// Upper clamp (seconds).
         max: f64,
     },
     /// Weighted choice among fixed values — models users picking round
@@ -63,57 +31,20 @@ impl DurationDist {
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         match self {
             DurationDist::Constant(v) => *v,
-            DurationDist::Exponential { mean } => {
-                let e = Exp::new(1.0 / mean).expect("mean must be positive");
-                e.sample(rng)
-            }
-            DurationDist::Hyperexponential {
-                p_short,
-                mean_short,
-                mean_long,
-            } => {
-                let mean = if rng.gen::<f64>() < *p_short {
-                    *mean_short
-                } else {
-                    *mean_long
-                };
-                Exp::new(1.0 / mean)
-                    .expect("mean must be positive")
-                    .sample(rng)
-            }
             DurationDist::LogUniform { min, max } => {
                 let (lo, hi) = (min.ln(), max.ln());
                 (rng.gen::<f64>() * (hi - lo) + lo).exp()
-            }
-            DurationDist::ClampedLogNormal {
-                median,
-                sigma,
-                min,
-                max,
-            } => {
-                let d = LogNormal::new(median.ln(), *sigma).expect("bad lognormal");
-                d.sample(rng).clamp(*min, *max)
             }
             DurationDist::Weighted(items) => weighted_choice(items, rng),
         }
     }
 
-    /// The exact or approximate mean of the distribution (clamping
-    /// effects ignored for the lognormal). Used only for calibration
+    /// The exact mean of the distribution. Used only for calibration
     /// reporting, never inside the generator.
     pub(crate) fn mean_hint(&self) -> f64 {
         match self {
             DurationDist::Constant(v) => *v,
-            DurationDist::Exponential { mean } => *mean,
-            DurationDist::Hyperexponential {
-                p_short,
-                mean_short,
-                mean_long,
-            } => p_short * mean_short + (1.0 - p_short) * mean_long,
             DurationDist::LogUniform { min, max } => (max - min) / (max / min).ln(),
-            DurationDist::ClampedLogNormal { median, sigma, .. } => {
-                median * (sigma * sigma / 2.0).exp()
-            }
             DurationDist::Weighted(items) => {
                 let total: f64 = items.iter().map(|(_, w)| w).sum();
                 items.iter().map(|(v, w)| v * w).sum::<f64>() / total
@@ -131,16 +62,6 @@ pub enum WidthDist {
     /// natural model: production traces are dominated by a handful of
     /// power-of-two sizes.
     Weighted(Vec<(u32, f64)>),
-    /// Log-uniform integer in `[min, max]`, optionally snapped to the
-    /// nearest power of two with probability `pow2_snap`.
-    LogUniform {
-        /// Smallest width, ≥ 1.
-        min: u32,
-        /// Largest width, ≥ min.
-        max: u32,
-        /// Probability of snapping the draw to the nearest power of two.
-        pow2_snap: f64,
-    },
 }
 
 impl WidthDist {
@@ -151,19 +72,6 @@ impl WidthDist {
             WidthDist::Weighted(items) => {
                 let items_f: Vec<(f64, f64)> = items.iter().map(|&(v, w)| (v as f64, w)).collect();
                 weighted_choice(&items_f, rng).round() as u32
-            }
-            WidthDist::LogUniform {
-                min,
-                max,
-                pow2_snap,
-            } => {
-                let (lo, hi) = ((*min as f64).ln(), (*max as f64 + 1.0).ln());
-                let raw = (rng.gen::<f64>() * (hi - lo) + lo).exp();
-                let mut w = raw.floor() as u32;
-                if rng.gen::<f64>() < *pow2_snap {
-                    w = nearest_power_of_two(w);
-                }
-                w.clamp(*min, *max)
             }
         };
         w.clamp(1, machine_size)
@@ -176,14 +84,6 @@ impl WidthDist {
             WidthDist::Weighted(items) => {
                 let total: f64 = items.iter().map(|(_, w)| w).sum();
                 items.iter().map(|(v, w)| *v as f64 * w).sum::<f64>() / total
-            }
-            WidthDist::LogUniform { min, max, .. } => {
-                let (a, b) = (*min as f64, *max as f64);
-                if a >= b {
-                    a
-                } else {
-                    (b - a) / (b / a).ln()
-                }
             }
         }
     }
@@ -299,26 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_mean_converges() {
-        let d = DurationDist::Exponential { mean: 100.0 };
-        let m = sample_mean(&d, 50_000);
-        assert!((m - 100.0).abs() / 100.0 < 0.05, "mean {m}");
-    }
-
-    #[test]
-    fn hyperexponential_mean_matches_hint() {
-        let d = DurationDist::Hyperexponential {
-            p_short: 0.8,
-            mean_short: 10.0,
-            mean_long: 1000.0,
-        };
-        let hint = d.mean_hint();
-        assert!((hint - 208.0).abs() < 1e-9);
-        let m = sample_mean(&d, 100_000);
-        assert!((m - hint).abs() / hint < 0.08, "mean {m} vs hint {hint}");
-    }
-
-    #[test]
     fn log_uniform_stays_in_bounds() {
         let d = DurationDist::LogUniform {
             min: 10.0,
@@ -332,21 +212,6 @@ mod tests {
         let m = sample_mean(&d, 50_000);
         let hint = d.mean_hint(); // (1000-10)/ln(100) ≈ 215
         assert!((m - hint).abs() / hint < 0.08, "mean {m} vs {hint}");
-    }
-
-    #[test]
-    fn clamped_lognormal_respects_clamps() {
-        let d = DurationDist::ClampedLogNormal {
-            median: 100.0,
-            sigma: 2.0,
-            min: 5.0,
-            max: 5000.0,
-        };
-        let mut r = rng();
-        for _ in 0..10_000 {
-            let x = d.sample(&mut r);
-            assert!((5.0..=5000.0).contains(&x));
-        }
     }
 
     #[test]
@@ -377,23 +242,6 @@ mod tests {
         let d = WidthDist::Constant(512);
         let mut r = rng();
         assert_eq!(d.sample(&mut r, 128), 128);
-    }
-
-    #[test]
-    fn log_uniform_width_in_bounds_and_snappable() {
-        let d = WidthDist::LogUniform {
-            min: 1,
-            max: 300,
-            pow2_snap: 1.0,
-        };
-        let mut r = rng();
-        for _ in 0..5_000 {
-            let w = d.sample(&mut r, 1024);
-            assert!((1..=300).contains(&w));
-            // with snap=1 every unclamped draw is a power of two unless
-            // the clamp moved it; 256 is the largest pow2 ≤ 300
-            assert!(w.is_power_of_two() || w == 300);
-        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!   resubmission instant; a job whose retry budget is exhausted ends in
 //!   the typed `Lost` terminal state (tracked by the RMS state);
 //! * [`FaultModel`] — the seeded generator: per-node alternating renewal
-//!   processes (Weibull/exponential up-times, exponential repair times)
+//!   processes (exponential up-times and repair times)
 //!   plus independent per-job crash/overrun draws;
 //! * [`FaultPlan`] — the generated, fully deterministic fault trace the
 //!   simulation driver replays.
@@ -178,22 +178,16 @@ impl FaultPlan {
 }
 
 /// Seeded fault-trace generator, calibrated against a job set.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultModel {
-    /// Mean (shape 1) or scale (shape ≠ 1) of the per-node up-time
-    /// distribution in seconds; `<= 0` disables node outages.
+    /// Mean per-node up-time in seconds (exponential); `<= 0` disables
+    /// node outages.
     pub mtbf_secs: f64,
     /// Mean repair time in seconds (exponential).
     pub mttr_secs: f64,
-    /// Weibull shape of the up-time distribution; `1.0` is exponential,
-    /// `< 1` models infant-mortality-heavy failure processes.
-    pub weibull_shape: f64,
-    /// Probability a job crashes mid-run on its first attempt.
+    /// Probability a job crashes mid-run on its first attempt; it
+    /// overruns its estimate at half this rate.
     pub crash_prob: f64,
-    /// Probability a job overruns its estimate on its first attempt.
-    pub overrun_prob: f64,
-    /// Retry/backoff policy for failed attempts.
-    pub retry: RetryPolicy,
 }
 
 impl FaultModel {
@@ -203,27 +197,17 @@ impl FaultModel {
         FaultModel {
             mtbf_secs,
             mttr_secs,
-            weibull_shape: 1.0,
             crash_prob,
-            overrun_prob: crash_prob / 2.0,
-            retry: RetryPolicy::default(),
         }
     }
 
     /// True when the model can never inject a fault.
     pub fn is_disabled(&self) -> bool {
-        self.mtbf_secs <= 0.0 && self.crash_prob <= 0.0 && self.overrun_prob <= 0.0
+        self.mtbf_secs <= 0.0 && self.crash_prob <= 0.0
     }
 
     fn sample_uptime(&self, rng: &mut StdRng) -> f64 {
-        // Inverse-transform Weibull: scale × (−ln(1−u))^(1/shape);
-        // shape 1 degenerates to the exponential.
-        let e = -(1.0 - rng.gen::<f64>()).ln();
-        if (self.weibull_shape - 1.0).abs() < 1e-9 {
-            self.mtbf_secs * e
-        } else {
-            self.mtbf_secs * e.powf(1.0 / self.weibull_shape)
-        }
+        self.mtbf_secs * -(1.0 - rng.gen::<f64>()).ln()
     }
 
     fn sample_repair(&self, rng: &mut StdRng) -> f64 {
@@ -237,10 +221,7 @@ impl FaultModel {
     /// crash/overrun draws. Deterministic in `(model, set, seed)`.
     pub fn generate(&self, set: &JobSet, seed: u64) -> FaultPlan {
         if self.is_disabled() || set.is_empty() {
-            return FaultPlan {
-                retry: self.retry,
-                ..FaultPlan::none()
-            };
+            return FaultPlan::none();
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x4E6F_6465_4C6F_7373); // "NodeLoss"
         let machine = set.machine_size;
@@ -275,7 +256,7 @@ impl FaultModel {
             if u < self.crash_prob {
                 let fraction = 0.05 + 0.90 * rng.gen::<f64>();
                 job_faults.push((job.id.0, FaultKind::Crash { fraction }));
-            } else if u < self.crash_prob + self.overrun_prob {
+            } else if u < self.crash_prob + self.crash_prob / 2.0 {
                 job_faults.push((job.id.0, FaultKind::Overrun));
             }
         }
@@ -283,7 +264,7 @@ impl FaultModel {
         FaultPlan {
             outages,
             job_faults,
-            retry: self.retry,
+            retry: RetryPolicy::default(),
         }
     }
 }

@@ -3,7 +3,6 @@
 //! (= length). … Additionally, for the simulation the actual run time is
 //! required."
 
-use crate::reservation::ReservationRequest;
 use dynp_des::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -35,9 +34,11 @@ impl std::fmt::Display for JobId {
 /// jobs in one plan, and debug builds' overflow checks stand in for the
 /// asserts. (Saturating once hid a bug: two planned ends collapsed onto
 /// `SimTime::MAX` and a job was placed on a full machine.) Every boundary
-/// builds its jobs and windows through [`Job::try_new`], [`Job::check`]
-/// or [`ReservationRequest::check`] (DESIGN §12 lists them), and
-/// [`JobSet::new`] checks every generated set.
+/// builds its jobs through [`Job::try_new`] or [`Job::check`] (DESIGN §12
+/// lists them), and [`JobSet::new`] checks every generated set. Windows
+/// come only from [`crate::ReservationModel`], whose windows last at
+/// most four hours and start at most a day after their request, which
+/// falls within its job set's span.
 pub const MAX_JOB_MS: u64 = 1 << 35;
 
 /// The latest submit time of a job, or start of a window, in ms: 2^13 ×
@@ -45,8 +46,7 @@ pub const MAX_JOB_MS: u64 = 1 << 35;
 /// and far enough below `SimTime::MAX` for [`MAX_JOB_MS`]'s argument.
 pub const MAX_SUBMIT_MS: u64 = MAX_JOB_MS << 13;
 
-/// Why a job or a reservation window was refused: one field outside its
-/// bounds. Fields are named as the daemon's wire protocol names them.
+/// Why a job was refused: one field outside its bounds. Fields are named as the daemon's wire protocol names them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct JobError {
     /// The field, e.g. `"width"` or `"estimate_ms"`.
@@ -184,19 +184,6 @@ impl Job {
             estimate: SimDuration::from_millis(r.u64()?),
             actual: SimDuration::from_millis(r.u64()?),
         })
-    }
-}
-
-impl ReservationRequest {
-    /// The one definition of a valid window on a machine of `machine`
-    /// processors: `1 <= width <= machine`, `1 ms <= duration <=
-    /// MAX_JOB_MS` and `submit <= start <= MAX_SUBMIT_MS`.
-    pub fn check(&self, machine: u32) -> Result<(), JobError> {
-        let submit = self.submit.as_millis();
-        within("width", self.width.into(), 1, machine.into())?;
-        within("duration_ms", self.duration.as_millis(), 1, MAX_JOB_MS)?;
-        within("submit_ms", submit, 0, MAX_SUBMIT_MS)?;
-        within("start_ms", self.start.as_millis(), submit, MAX_SUBMIT_MS)
     }
 }
 
@@ -413,34 +400,6 @@ mod tests {
             edge.check(8).unwrap_err().to_string(),
             "width 16 is outside 1..=8"
         );
-
-        // Windows: the same bounds, and no start before the request.
-        let window = |submit: u64, start: u64, duration: u64, width: u32| {
-            let request = ReservationRequest {
-                id: 0,
-                submit: SimTime::from_millis(submit),
-                start: SimTime::from_millis(start),
-                duration: ms(duration),
-                width,
-                cancel_at: None,
-            };
-            request.check(16).map_err(|e| e.field)
-        };
-        assert_eq!(window(MAX_SUBMIT_MS, MAX_SUBMIT_MS, MAX_JOB_MS, 16), Ok(()));
-        for (request, field) in [
-            (window(0, 10, 60, 0), "width"),
-            (window(0, 10, 60, 17), "width"),
-            (window(0, 10, 0, 4), "duration_ms"),
-            (window(0, 10, MAX_JOB_MS + 1, 4), "duration_ms"),
-            (
-                window(MAX_SUBMIT_MS + 1, MAX_SUBMIT_MS + 1, 60, 4),
-                "submit_ms",
-            ),
-            (window(0, MAX_SUBMIT_MS + 1, 60, 4), "start_ms"),
-            (window(20, 10, 60, 4), "start_ms"),
-        ] {
-            assert_eq!(request, Err(field));
-        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   needed by the simulation, exactly as defined in §4.2 of the paper;
 //! * [`swf`] — reader/writer for the Standard Workload Format used by the
 //!   Parallel Workload Archive, so real traces can be dropped in;
-//! * [`dist`] — distribution toolbox (clamped lognormal, hyperexponential,
-//!   log-uniform, weighted discrete, user-estimate accuracy mixtures);
+//! * [`dist`] — distribution toolbox (log-uniform, weighted discrete,
+//!   user-estimate accuracy mixtures);
 //! * [`regime`] — regime-switching user-session model: the temporal
 //!   non-uniformity (interactive bursts, batch phases, parameter studies)
 //!   that policy switching exploits;
@@ -25,8 +25,7 @@
 //!   map, the input of the federation routing layer;
 //! * [`ReservationModel`] — advance-reservation request streams
 //!   ([`ReservationRequest`]): a synthetic Poisson generator calibrated to
-//!   a target booked-area fraction, plus SWF `;RESERVATION` directive
-//!   support in [`swf`];
+//!   a target booked-area fraction;
 //! * [`FaultModel`] — deterministic fault-injection traces ([`FaultPlan`]):
 //!   seeded node outage renewal processes plus per-job crash/overrun
 //!   draws and the [`RetryPolicy`] the RMS applies to failed attempts;

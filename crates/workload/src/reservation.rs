@@ -9,9 +9,9 @@
 //!   submission instant, requested window, optional cancellation;
 //! * [`ReservationModel`] — a synthetic generator producing a request
 //!   stream calibrated against a job set: Poisson request arrivals over
-//!   the job-set span, configurable width/duration/lead-time
-//!   distributions, and a target *booked-area fraction* (requested
-//!   processor-seconds relative to the machine's capacity over the span).
+//!   the job-set span, log-uniform widths, lengths and lead times, and a
+//!   target *booked-area fraction* (requested processor-seconds relative
+//!   to the machine's capacity over the span).
 //!
 //! Whether a request is *admitted* is not decided here — that is the
 //! admission controller's feasibility check (`dynp-rms`); the generator
@@ -51,8 +51,29 @@ impl ReservationRequest {
     }
 }
 
-/// Synthetic reservation-request generator, calibrated against a job set.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// Window width as a fraction of the machine (clamped into `(0, 1]` and
+/// scaled to processors): quarter-machine-ish.
+const WIDTH_FRACTION: DurationDist = DurationDist::LogUniform {
+    min: 0.05,
+    max: 0.5,
+};
+/// Window length in seconds: one to a few hours.
+const DURATION: DurationDist = DurationDist::LogUniform {
+    min: 1_800.0,
+    max: 14_400.0,
+};
+/// Lead time in seconds (how far ahead of its submission a window
+/// starts): one hour to a day.
+const LEAD: DurationDist = DurationDist::LogUniform {
+    min: 3_600.0,
+    max: 86_400.0,
+};
+/// Probability an admitted window is cancelled before it starts.
+const CANCEL_PROB: f64 = 0.05;
+
+/// Synthetic reservation-request generator, calibrated against a job set:
+/// the maintenance-window / interactive-session mix planning RMSs see.
+#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
 pub struct ReservationModel {
     /// Target requested area as a fraction of the machine's total
     /// capacity over the job-set span (0 disables the stream). The
@@ -60,48 +81,22 @@ pub struct ReservationModel {
     /// target — the *offered* booking pressure; the acceptance rate then
     /// falls out of admission.
     pub booked_fraction: f64,
-    /// Window width as a fraction of the machine (samples are clamped
-    /// into `(0, 1]` and scaled to processors).
-    pub width_fraction: DurationDist,
-    /// Window length in seconds.
-    pub duration: DurationDist,
-    /// Lead time in seconds: how far ahead of its submission a request's
-    /// window starts.
-    pub lead: DurationDist,
-    /// Probability an admitted window is cancelled before it starts.
-    pub cancel_prob: f64,
 }
 
 impl ReservationModel {
-    /// A representative mixed stream for the given booking pressure:
-    /// quarter-machine-ish windows of one to a few hours, asked for half
-    /// a day ahead, with a small cancellation rate — the
-    /// maintenance-window / interactive-session mix planning RMSs see.
+    /// The stream at the given booking pressure: quarter-machine-ish
+    /// windows of one to a few hours, asked for half a day ahead, with a
+    /// small cancellation rate.
     pub fn typical(booked_fraction: f64) -> Self {
-        ReservationModel {
-            booked_fraction,
-            width_fraction: DurationDist::LogUniform {
-                min: 0.05,
-                max: 0.5,
-            },
-            duration: DurationDist::LogUniform {
-                min: 1_800.0,
-                max: 14_400.0,
-            },
-            lead: DurationDist::LogUniform {
-                min: 3_600.0,
-                max: 86_400.0,
-            },
-            cancel_prob: 0.05,
-        }
+        ReservationModel { booked_fraction }
     }
 
     /// Generates the request stream for `set`: Poisson (exponential-gap)
     /// arrivals spread over the job-set's submission span, windows sampled
-    /// from the configured distributions, total requested area pinned to
-    /// `booked_fraction × machine × span` (the same rescaling idiom the
-    /// job generator uses for interarrival calibration). Deterministic in
-    /// `(model, set, seed)`.
+    /// from the fixed width, length and lead distributions above, total
+    /// requested area pinned to `booked_fraction × machine × span` (the
+    /// same rescaling idiom the job generator uses for interarrival
+    /// calibration). Deterministic in `(model, set, seed)`.
     pub fn generate(&self, set: &JobSet, seed: u64) -> Vec<ReservationRequest> {
         if self.booked_fraction <= 0.0 || set.is_empty() {
             return Vec::new();
@@ -116,11 +111,11 @@ impl ReservationModel {
         let mut shapes: Vec<(u32, f64, f64, Option<f64>)> = Vec::new();
         let mut area = 0.0;
         while area < target_area {
-            let frac = self.width_fraction.sample(&mut rng).clamp(1e-6, 1.0);
+            let frac = WIDTH_FRACTION.sample(&mut rng).clamp(1e-6, 1.0);
             let width = ((frac * set.machine_size as f64).ceil() as u32).clamp(1, set.machine_size);
-            let duration = self.duration.sample(&mut rng).max(60.0);
-            let lead = self.lead.sample(&mut rng).max(1.0);
-            let cancel = if rng.gen::<f64>() < self.cancel_prob {
+            let duration = DURATION.sample(&mut rng).max(60.0);
+            let lead = LEAD.sample(&mut rng).max(1.0);
+            let cancel = if rng.gen::<f64>() < CANCEL_PROB {
                 // Withdrawn somewhere strictly inside (submit, start).
                 Some(rng.gen::<f64>().clamp(0.01, 0.99))
             } else {

@@ -22,42 +22,21 @@
 //! unknown the actual run time is used as the estimate (a perfect
 //! estimate), matching common simulator practice.
 //!
-//! ## Reservation directives
+//! ## Fractional seconds
 //!
-//! SWF has no reservation record, so this module carries advance
-//! reservations in comment lines (standard SWF readers ignore them):
-//!
-//! ```text
-//! ;RESERVATION <submit> <start> <duration> <width> [cancel_at]
-//! ```
-//!
-//! All times are integer seconds. [`read_swf_with_reservations`] parses
-//! these into a [`ReservationRequest`] stream interleaved with the jobs;
-//! the plain [`read_swf`] skips them like any other comment.
-//!
-//! ## Fractional seconds (session logs)
-//!
-//! Archive traces carry integer seconds, but the service daemon's
-//! session logs record live submissions whose instants land between
-//! second boundaries. Job time fields are therefore read as (possibly
+//! Archive traces carry integer seconds, but the synthetic generators
+//! draw their instants and run times as `f64` seconds and keep them at
+//! millisecond resolution, so a generated set lands between second
+//! boundaries. Job time fields are therefore read as (possibly
 //! fractional) seconds and kept at millisecond resolution, and the
 //! writer emits a fractional field (3 decimals) exactly when the value
-//! is not a whole second — so files written from integer-second data are
-//! byte-identical to before, while session logs round-trip at full
-//! `SimTime` fidelity.
+//! is not a whole second — so files written from integer-second data
+//! stay in the archive's integer form, while a generated set (what
+//! `gen_workload` writes) reads back job for job, to the millisecond.
 
 use crate::job::{Job, JobId, JobSet};
-use crate::reservation::ReservationRequest;
 use dynp_des::{SimDuration, SimTime};
 use std::io::{self, BufRead, Write};
-
-/// Prefix marking a reservation directive comment line.
-const RESERVATION_TAG: &str = ";RESERVATION";
-
-/// Largest seconds value that survives the scale to millisecond ticks.
-/// Anything beyond is a corrupt field, not a real timestamp — accepting
-/// it would overflow the `SimTime` multiply.
-const MAX_SECS: u64 = u64::MAX / 1000;
 
 /// Formats `ms` as SWF seconds: a plain integer when whole (the archive
 /// format, byte-identical to the previous writer), otherwise with
@@ -127,97 +106,11 @@ pub fn read_swf(
     name: impl Into<String>,
     machine_size: u32,
 ) -> Result<JobSet, SwfError> {
-    read_swf_impl(reader, name, machine_size, None)
-}
-
-/// Like [`read_swf`], but also parses `;RESERVATION` directive lines into
-/// an advance-reservation request stream (sorted by submission time, ids
-/// re-assigned densely in that order).
-pub fn read_swf_with_reservations(
-    reader: impl BufRead,
-    name: impl Into<String>,
-    machine_size: u32,
-) -> Result<(JobSet, Vec<ReservationRequest>), SwfError> {
-    let mut reservations = Vec::new();
-    let set = read_swf_impl(reader, name, machine_size, Some(&mut reservations))?;
-    Ok((set, reservations))
-}
-
-fn parse_reservation(
-    trimmed: &str,
-    machine_size: u32,
-    lineno: usize,
-) -> Result<ReservationRequest, SwfError> {
-    let fields: Vec<&str> = trimmed[RESERVATION_TAG.len()..]
-        .split_whitespace()
-        .collect();
-    let n = fields.len();
-    if !(4..=5).contains(&n) {
-        let reason = format!("reservation directive needs 4-5 fields, got {n}");
-        return Err(malformed(lineno, reason));
-    }
-    let parse = |idx: usize| -> Result<u64, SwfError> {
-        fields[idx].parse::<u64>().map_err(|_| {
-            let field = fields[idx];
-            let reason = format!(
-                "reservation field {} is not a non-negative integer: {field:?}",
-                idx + 1
-            );
-            malformed(lineno, reason)
-        })
-    };
-    let secs = |idx: usize| -> Result<u64, SwfError> {
-        let v = parse(idx)?;
-        if v > MAX_SECS {
-            let reason = format!("reservation field {} out of range: {v}", idx + 1);
-            return Err(malformed(lineno, reason));
-        }
-        Ok(v)
-    };
-    let submit = secs(0)?;
-    let start = secs(1)?;
-    let duration = secs(2)?;
-    let width = u32::try_from(parse(3)?).map_err(|_| {
-        malformed(
-            lineno,
-            format!("reservation width out of range: {:?}", fields[3]),
-        )
-    })?;
-    let cancel_at = if fields.len() == 5 {
-        Some(SimTime::from_secs(secs(4)?))
-    } else {
-        None
-    };
-    let request = ReservationRequest {
-        id: 0, // re-assigned after the submit-order sort
-        submit: SimTime::from_secs(submit),
-        start: SimTime::from_secs(start),
-        duration: SimDuration::from_secs(duration),
-        width,
-        cancel_at,
-    };
-    request
-        .check(machine_size)
-        .map_err(|e| malformed(lineno, format!("reservation {e}")))?;
-    Ok(request)
-}
-
-fn read_swf_impl(
-    reader: impl BufRead,
-    name: impl Into<String>,
-    machine_size: u32,
-    mut reservations: Option<&mut Vec<ReservationRequest>>,
-) -> Result<JobSet, SwfError> {
     let mut jobs = Vec::new();
     for (lineno, line) in reader.lines().enumerate() {
         let line = line?;
         let trimmed = line.trim();
         if trimmed.is_empty() || trimmed.starts_with(';') {
-            if let Some(out) = reservations.as_deref_mut() {
-                if trimmed.starts_with(RESERVATION_TAG) {
-                    out.push(parse_reservation(trimmed, machine_size, lineno)?);
-                }
-            }
             continue;
         }
         let fields: Vec<&str> = trimmed.split_whitespace().collect();
@@ -244,7 +137,7 @@ fn read_swf_impl(
             continue; // unusable record, skip like the archive tools do
         }
         // Times keep millisecond resolution: archive traces only ever
-        // carry whole seconds, session logs carry live instants.
+        // carry whole seconds, generated sets carry millisecond instants.
         let ms = |what: &str, secs: f64| {
             secs_to_ms(secs)
                 .ok_or_else(|| malformed(lineno, format!("{what} out of range: {secs}")))
@@ -264,69 +157,30 @@ fn read_swf_impl(
             .map_err(|e| malformed(lineno, e.to_string()))?;
         jobs.push(job);
     }
-    if let Some(out) = reservations {
-        out.sort_by_key(|r| r.submit);
-        for (i, r) in out.iter_mut().enumerate() {
-            r.id = i as u32;
-        }
-    }
     Ok(JobSet::new(name, machine_size, jobs))
 }
 
 /// Writes a job set as SWF. Fields this model does not carry (user, group,
 /// queue, …) are emitted as `-1`, as the format prescribes.
 pub fn write_swf(set: &JobSet, mut writer: impl Write) -> io::Result<()> {
-    write_swf_with_reservations(set, &[], &mut writer)
-}
-
-/// Writes a job set as SWF with the reservation stream as `;RESERVATION`
-/// directive lines in the header (ignored by plain SWF readers).
-pub(crate) fn write_swf_with_reservations(
-    set: &JobSet,
-    reservations: &[ReservationRequest],
-    mut writer: impl Write,
-) -> io::Result<()> {
     writeln!(writer, "; generated by dynp-workload")?;
     writeln!(writer, "; MaxProcs: {}", set.machine_size)?;
     writeln!(writer, "; Jobs: {}", set.len())?;
-    for r in reservations {
-        write!(
-            writer,
-            "{RESERVATION_TAG} {} {} {} {}",
-            r.submit.as_millis() / 1000,
-            r.start.as_millis() / 1000,
-            r.duration.as_millis() / 1000,
-            r.width,
-        )?;
-        match r.cancel_at {
-            Some(c) => writeln!(writer, " {}", c.as_millis() / 1000)?,
-            None => writeln!(writer)?,
-        }
-    }
     for job in set.jobs() {
-        writeln!(writer, "{}", swf_job_line(job))?;
+        // job, submit, wait, run, alloc, cpu, mem, reqproc, reqtime,
+        // reqmem, status, uid, gid, exe, queue, partition, prec, think
+        writeln!(
+            writer,
+            "{} {} -1 {} {} -1 -1 {} {} -1 1 -1 -1 -1 -1 -1 -1 -1",
+            job.id.0 + 1,
+            fmt_secs(job.submit.as_millis()),
+            fmt_secs(job.actual.as_millis()),
+            job.width,
+            job.width,
+            fmt_secs(job.estimate.as_millis()),
+        )?;
     }
     Ok(())
-}
-
-/// Renders one job as an SWF record line (no trailing newline): the
-/// 18-field layout `write_swf` emits, with fractional seconds exactly
-/// where the millisecond value demands them. Exposed so incremental
-/// writers — the service daemon's session log appends one line per
-/// accepted submission — produce files byte-identical to a
-/// [`write_swf`] of the same jobs.
-pub(crate) fn swf_job_line(job: &Job) -> String {
-    // job, submit, wait, run, alloc, cpu, mem, reqproc, reqtime,
-    // reqmem, status, uid, gid, exe, queue, partition, prec, think
-    format!(
-        "{} {} -1 {} {} -1 -1 {} {} -1 1 -1 -1 -1 -1 -1 -1 -1",
-        job.id.0 + 1,
-        fmt_secs(job.submit.as_millis()),
-        fmt_secs(job.actual.as_millis()),
-        job.width,
-        job.width,
-        fmt_secs(job.estimate.as_millis()),
-    )
 }
 
 #[cfg(test)]
@@ -389,72 +243,6 @@ mod tests {
     fn non_numeric_field_is_an_error() {
         let bad = "1 abc 0 10 4 -1 -1 4 10 -1 1 -1 -1 -1 -1 -1 -1 -1\n";
         assert!(read_swf(BufReader::new(bad.as_bytes()), "t", 4).is_err());
-    }
-
-    const SAMPLE_WITH_RES: &str = "\
-; Sample SWF header
-;RESERVATION 100 4000 1800 16
-;RESERVATION 40 7200 3600 8 1000
-1 0 10 100 4 -1 -1 4 200 -1 1 5 5 -1 1 -1 -1 -1
-";
-
-    #[test]
-    fn reservation_directives_parse_and_sort_by_submit() {
-        let (set, res) =
-            read_swf_with_reservations(BufReader::new(SAMPLE_WITH_RES.as_bytes()), "r", 128)
-                .unwrap();
-        assert_eq!(set.len(), 1);
-        assert_eq!(res.len(), 2);
-        // sorted by submit, ids re-assigned densely
-        assert_eq!(res[0].id, 0);
-        assert_eq!(res[0].submit, SimTime::from_secs(40));
-        assert_eq!(res[0].width, 8);
-        assert_eq!(res[0].cancel_at, Some(SimTime::from_secs(1000)));
-        assert_eq!(res[1].submit, SimTime::from_secs(100));
-        assert_eq!(res[1].start, SimTime::from_secs(4000));
-        assert_eq!(res[1].duration, SimDuration::from_secs(1800));
-        assert_eq!(res[1].cancel_at, None);
-    }
-
-    #[test]
-    fn plain_reader_ignores_reservation_directives() {
-        let set = read_swf(BufReader::new(SAMPLE_WITH_RES.as_bytes()), "r", 128).unwrap();
-        assert_eq!(set.len(), 1);
-        // even a malformed directive is just a comment to the plain reader
-        let bad = ";RESERVATION nonsense\n1 0 10 100 4 -1 -1 4 200 -1 1 5 5 -1 1 -1 -1 -1\n";
-        assert!(read_swf(BufReader::new(bad.as_bytes()), "r", 128).is_ok());
-        assert!(read_swf_with_reservations(BufReader::new(bad.as_bytes()), "r", 128).is_err());
-    }
-
-    #[test]
-    fn bad_reservation_directive_is_an_error() {
-        for bad in [
-            ";RESERVATION 10 5 60 4\n",            // starts before submission
-            ";RESERVATION 10 20 0 4\n",            // zero duration
-            ";RESERVATION 10 20 60 0\n",           // zero width
-            ";RESERVATION 10 20 60 999\n",         // wider than the machine
-            ";RESERVATION 10 20 34359739 4\n",     // longer than a job may run
-            ";RESERVATION 10 281474976711 60 4\n", // starts past MAX_SUBMIT_MS
-            ";RESERVATION 10 20 60\n",             // too few fields
-        ] {
-            assert!(
-                read_swf_with_reservations(BufReader::new(bad.as_bytes()), "r", 128).is_err(),
-                "accepted {bad:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn reservations_round_trip() {
-        let (set, res) =
-            read_swf_with_reservations(BufReader::new(SAMPLE_WITH_RES.as_bytes()), "r", 128)
-                .unwrap();
-        let mut buf = Vec::new();
-        write_swf_with_reservations(&set, &res, &mut buf).unwrap();
-        let (set2, res2) =
-            read_swf_with_reservations(BufReader::new(buf.as_slice()), "r", 128).unwrap();
-        assert_eq!(set.len(), set2.len());
-        assert_eq!(res, res2);
     }
 
     #[test]

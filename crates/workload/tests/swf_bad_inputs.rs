@@ -3,7 +3,7 @@
 //! with a typed [`SwfError`] (carrying the offending line number) or a
 //! documented skip — never a panic, wrap, or silent mis-parse.
 
-use dynp_workload::swf::{read_swf, read_swf_with_reservations, SwfError};
+use dynp_workload::swf::{read_swf, SwfError};
 use std::fs::File;
 use std::io::BufReader;
 use std::path::PathBuf;
@@ -66,26 +66,6 @@ fn job_times_are_held_to_the_bound() {
             }
             other => panic!("{field}: expected Malformed, got {other:?}"),
         }
-    }
-}
-
-#[test]
-fn reservation_directive_corpus_is_rejected_with_line_numbers() {
-    for name in [
-        "reservation_width_overflow.swf",
-        "reservation_huge_time.swf",
-        // Survives the scale to ms, then overflowed the window's area.
-        "reservation_huge_duration.swf",
-        "reservation_too_few_fields.swf",
-        "reservation_non_numeric.swf",
-    ] {
-        match read_swf_with_reservations(fixture(name), name, 128) {
-            Err(SwfError::Malformed { line, .. }) => assert_eq!(line, 1, "{name}"),
-            other => panic!("{name}: expected Malformed, got {other:?}"),
-        }
-        // The plain reader treats directives as comments: same file, no
-        // reservations requested, no error.
-        assert!(read_swf(fixture(name), name, 128).is_ok(), "{name}");
     }
 }
 

@@ -404,14 +404,10 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
         "{resumed} suffix passes after the rebuild"
     );
 
-    // The objectives that weigh a delay otherwise than SLDwA does, and
-    // the one that cannot be bounded.
+    // The objective that weighs a delay otherwise than by width, and the
+    // one that cannot be bounded.
     let set = transform::shrink(&traces::kth().generate(jobs / 2, 53), 0.005);
-    for objective in [
-        Objective::AvgSlowdown,
-        Objective::AvgResponseTime,
-        Objective::Utilization,
-    ] {
+    for objective in [Objective::AvgResponseTime, Objective::Utilization] {
         let mut config = DynPConfig::paper(DeciderKind::Advanced);
         config.objective = objective;
         let counts = assert_equivalent(&set, &config);
