@@ -338,6 +338,13 @@ impl SelfTuningScheduler {
             return self.plan_policy_reference(self.active, state, now);
         }
         self.sync_orders(state);
+        // No job fits: the plan is empty. The orders moved on without
+        // the planner, so its retained plans go, as the scratch pass
+        // below would drop them.
+        if state.nothing_fits() {
+            self.planner.drop_retained();
+            return Schedule::default();
+        }
         self.planner.prepare(
             state.plan_capacity(),
             now,
@@ -361,11 +368,13 @@ impl SelfTuningScheduler {
         }
         self.sync_orders(state);
 
-        // Fast path: an empty queue plans to the empty schedule under
-        // every policy, so every score is the objective's empty value
-        // (0.0) and the decision is whatever the decider does on uniform
-        // scores — identical to the general path, without planning.
-        if state.waiting().is_empty() {
+        // Fast path: a queue of which no job fits the up machine (an
+        // empty one, or one whose jobs are all wider than the nodes left
+        // up) plans to the empty schedule under every policy, so every
+        // score is the objective's empty value (0.0) and the decision is
+        // whatever the decider does on uniform scores — identical to the
+        // general path, without planning.
+        if state.nothing_fits() {
             self.planner.drop_retained();
             self.plan_scores.fill(0.0);
             self.decide(now);
@@ -743,6 +752,45 @@ mod tests {
         assert_eq!(s.stats.decisions, 1);
         assert_eq!(s.stats.switches, 1);
         assert_eq!(s.stats.log, vec![(SimTime::ZERO, Policy::Sjf)]);
+    }
+
+    #[test]
+    fn a_step_in_which_no_waiting_job_fits_builds_no_plan() {
+        // Two of four nodes down: neither waiting job, three and four
+        // wide, has a start. Both ways into planning (a decision, and the
+        // active policy alone) answer the empty schedule without a base
+        // profile or a per-policy pass.
+        let mut state = RmsState::new(4);
+        state.submit(j(0, 0, 3, 100));
+        state.submit(j(1, 0, 4, 50));
+        assert_eq!(state.node_down(0), None);
+        assert_eq!(state.node_down(1), None);
+        let planned = |tracer: &Tracer| {
+            tracer.snapshot().records.iter().any(|r| {
+                matches!(
+                    r.event,
+                    TraceEvent::Span {
+                        name: "prepare",
+                        ..
+                    } | TraceEvent::PlanBuilt { .. }
+                )
+            })
+        };
+        let mut config = DynPConfig::paper(DeciderKind::Advanced);
+        config.decide_on = DecideOn::SubmissionsOnly;
+        let mut s = SelfTuningScheduler::new(config);
+        let tracer = Tracer::enabled(dynp_obs::TraceLevel::Spans);
+        s.set_tracer(tracer.clone());
+        for reason in [ReplanReason::Submission, ReplanReason::Fault] {
+            assert!(s.replan(&state, SimTime::ZERO, reason).is_empty());
+        }
+        assert!(!planned(&tracer), "{:?}", tracer.snapshot().records);
+        assert_eq!(s.stats.decisions, 1);
+        // One node back: the three-wide job fits, and is planned.
+        state.node_up(0);
+        let schedule = s.replan(&state, SimTime::ZERO, ReplanReason::Fault);
+        assert_eq!(schedule.len(), 1);
+        assert!(planned(&tracer));
     }
 
     #[test]

@@ -87,6 +87,9 @@ impl Scheduler for EasyBackfillScheduler {
     ///    construction it delays neither the shadow reservation nor any
     ///    admitted window.
     fn replan(&mut self, state: &RmsState, now: SimTime, _reason: ReplanReason) -> Schedule {
+        if state.nothing_fits() {
+            return Schedule::default();
+        }
         self.queue_buf.clear();
         self.queue_buf.extend_from_slice(state.waiting());
         self.policy.sort_queue(&mut self.queue_buf);

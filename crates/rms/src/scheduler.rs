@@ -230,6 +230,9 @@ impl StaticScheduler {
 
 impl Scheduler for StaticScheduler {
     fn replan(&mut self, state: &RmsState, now: SimTime, _reason: ReplanReason) -> Schedule {
+        if state.nothing_fits() {
+            return Schedule::default();
+        }
         self.queue_buf.clear();
         self.queue_buf.extend_from_slice(state.waiting());
         self.policy.sort_queue(&mut self.queue_buf);
@@ -397,5 +400,21 @@ mod tests {
         let a = sched.replan(&state, now, ReplanReason::Submission);
         let b = sched.replan(&state, now, ReplanReason::Completion);
         assert_eq!(a.entries, b.entries);
+    }
+
+    #[test]
+    fn a_queue_wider_than_the_up_machine_is_not_planned() {
+        let mut state = RmsState::new(4);
+        state.submit(j(0, 0, 4, 100));
+        assert_eq!(state.node_down(3), None);
+        let tracer = Tracer::enabled(dynp_obs::TraceLevel::Spans);
+        let mut sched = StaticScheduler::new(Policy::Fcfs);
+        sched.set_tracer(tracer.clone());
+        let now = SimTime::from_secs(1);
+        assert!(sched.replan(&state, now, ReplanReason::Fault).is_empty());
+        assert!(tracer.snapshot().records.is_empty(), "no prepare span");
+        state.node_up(3);
+        assert_eq!(sched.replan(&state, now, ReplanReason::Fault).len(), 1);
+        assert_eq!(tracer.snapshot().records.len(), 1, "one prepare span");
     }
 }

@@ -223,6 +223,17 @@ impl RmsState {
         self.machine_size - self.down_count
     }
 
+    /// True when no waiting job fits the up machine: every one is wider
+    /// than [`RmsState::plan_capacity`], or none waits. Every planner
+    /// leaves such jobs out of its plan, so a scheduler may answer the
+    /// empty schedule without building a profile. With no node down only
+    /// an empty queue qualifies ([`RmsState::submit`] bounds widths by
+    /// the machine), and the scan stops at the first job.
+    pub fn nothing_fits(&self) -> bool {
+        let capacity = self.plan_capacity();
+        self.waiting.iter().all(|job| job.width > capacity)
+    }
+
     /// Number of currently down nodes.
     pub fn down_nodes(&self) -> u32 {
         self.down_count

@@ -16,25 +16,29 @@
 
 use dynp_core::DeciderKind;
 use dynp_des::SimDuration;
-use dynp_sim::cli::{usage, CommonArgs, Flags, TRACING};
+use dynp_sim::cli::{usage, CommonArgs, Flags};
 use dynp_sim::{
     run_federation, ClusterSpec, FederationConfig, LinkModel, RoutePolicy, SchedulerSpec,
 };
 use dynp_workload::{traces, JobSet, MultiClusterWorkload};
 
 fn main() {
-    let accepts = [&["--jobs", "--seed"][..], &TRACING].concat();
+    // `--trace-out` writes one file per cluster, so its help line is
+    // the bin's own, not the shared one.
+    let listed = ["--jobs", "--seed", "--trace-level", "--trace-ring"];
+    let accepts = [&listed[..], &["--trace-out"]].concat();
     let mut flags = Flags::from_env(usage(
         "usage: federation [flags]\n  \
          --trace NAME         CTC|KTH|LANL|SDSC, given at most once (default CTC):\n  \
          \x20                    each cluster runs one workload of this model\n  \
+         --trace-out BASE     write cluster i's structured trace to BASE.cluster{i}.jsonl\n  \
          --clusters N         clusters in the federation (default 4)\n  \
          --route-policy P     least-loaded|locality|random[:SEED]\n  \
          --migration-factor F migrate a waiting job when the busiest/idlest relative\n  \
          \x20                    backlog ratio exceeds F (default: off)\n  \
          --link-latency S     inter-cluster link latency in seconds, also the epoch\n  \
          \x20                    width (default 30)",
-        &accepts,
+        &listed,
     ));
     let mut clusters = 4usize;
     let mut route = RoutePolicy::LeastLoaded;

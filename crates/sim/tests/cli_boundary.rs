@@ -169,6 +169,33 @@ fn help_prints_the_usage_and_runs_nothing() {
     assert!(!String::from_utf8_lossy(&table1.stdout).contains("--jobs"));
 }
 
+/// `federation --trace-out BASE` writes `BASE.cluster{i}.jsonl`, one per
+/// cluster, and no `BASE.jsonl` or Chrome trace: its help says so.
+#[test]
+fn federation_help_names_the_files_its_trace_out_writes() {
+    let out = run(FEDERATION, &["--help"]);
+    let usage = String::from_utf8_lossy(&out.stdout);
+    let line = usage
+        .lines()
+        .find(|l| l.trim_start().starts_with("--trace-out"))
+        .expect("a --trace-out line");
+    assert!(line.contains("BASE.cluster{i}.jsonl"), "{line}");
+    assert!(!usage.contains("BASE.trace.json"), "{usage}");
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("federation_trace_out");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the trace directory");
+    let base = dir.join("fed").to_str().expect("a UTF-8 path").to_string();
+    let ran = run(
+        FEDERATION,
+        &["--jobs", "20", "--clusters", "2", "--trace-out", &base],
+    );
+    assert_eq!(ran.status.code(), Some(0), "{ran:?}");
+    for i in 0..2 {
+        assert!(dir.join(format!("fed.cluster{i}.jsonl")).is_file());
+    }
+    assert!(!dir.join("fed.jsonl").exists() && !dir.join("fed.trace.json").exists());
+}
+
 #[test]
 fn a_study_runs_at_the_scale_its_flags_select() {
     let out = run(

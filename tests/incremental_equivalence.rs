@@ -516,6 +516,19 @@ impl SideBySide {
     /// second from t = 1 s: a standing queue above `RETAIN_MIN_DEPTH`
     /// on a base that does not change.
     fn with_standing_queue(config: &DynPConfig, blocker_secs: u64, depth: u32) -> Self {
+        let mut s = Self::with_blocker(config, blocker_secs);
+        for i in 1..=depth {
+            // Three estimates only: SJF and LJF insert into runs of
+            // equal-estimate jobs, ordered by their (submit, id) tail.
+            s.submit(i as u64, 5 + i % 12, 100 * (1 + i as u64 % 3));
+        }
+        assert!(s.state.waiting().len() >= RETAIN_MIN_DEPTH);
+        s
+    }
+
+    /// A machine with the 12-wide job running over `[0, blocker_secs)`
+    /// and nothing waiting.
+    fn with_blocker(config: &DynPConfig, blocker_secs: u64) -> Self {
         let mut s = SideBySide {
             state: RmsState::new(MACHINE),
             reference: scheduler_with(config, true, 1),
@@ -528,12 +541,6 @@ impl SideBySide {
         s.submit(0, BLOCKER, blocker_secs);
         s.state.start(JobId(0), SimTime::ZERO);
         s.replan(0, ReplanReason::Submission);
-        for i in 1..=depth {
-            // Three estimates only: SJF and LJF insert into runs of
-            // equal-estimate jobs, ordered by their (submit, id) tail.
-            s.submit(i as u64, 5 + i % 12, 100 * (1 + i as u64 % 3));
-        }
-        assert!(s.state.waiting().len() >= RETAIN_MIN_DEPTH);
         s
     }
 
@@ -757,4 +764,69 @@ fn suffix_path_under_submissions_only_decisions() {
     assert_eq!(s.suffix_passes() - before, 3);
     s.submit(93, 7, 300);
     assert_eq!(s.suffix_passes() - before, 6);
+}
+
+/// Nodes go down until only jobs wider than the up machine wait, then
+/// they come back and the wide jobs fit and start. The steps in which
+/// nothing fits plan nothing, and every step equals reference mode —
+/// at a shallow queue, and at one deep enough for retained plans, where
+/// the first step after one that planned nothing plans in full. Under
+/// submissions-only decisions the fault steps plan the active policy
+/// alone, and skip that too.
+#[test]
+fn steps_in_which_no_waiting_job_fits_equal_the_reference() {
+    let mut config = paper_config();
+    for (decide_on, depth) in [DecideOn::AllEvents, DecideOn::SubmissionsOnly]
+        .into_iter()
+        .flat_map(|d| [(d, 8), (d, RETAIN_MIN_DEPTH as u32 + 16)])
+    {
+        config.decide_on = decide_on;
+        let deep = depth as usize >= RETAIN_MIN_DEPTH;
+        let ctx = format!("{decide_on:?}, {depth} jobs");
+        let mut s = SideBySide::with_blocker(&config, 10_000);
+        // 13 to 16 wide: none starts beside the 12-wide blocker.
+        for i in 1..=depth {
+            s.submit(i as u64, BLOCKER + 1 + i % 4, 100 * (1 + i as u64 % 3));
+        }
+        assert_eq!(s.suffix_passes() > 0, deep, "{ctx}");
+        // The idle nodes go down: 12 stay up, all of them the blocker's.
+        for (k, node) in (BLOCKER..MACHINE).enumerate() {
+            assert_eq!(s.state.node_down(node), None);
+            let plan = s.replan(100 + k as u64, ReplanReason::Fault);
+            assert_eq!(plan.is_empty(), node + 1 == MACHINE, "{ctx}");
+        }
+        assert!(s.state.nothing_fits());
+        let passes = s.fewest(|c| c.passes);
+        assert!(s.submit(110, MACHINE, 300).is_empty());
+        // A job that fits is planned; once it is cancelled, nothing fits
+        // again, and the next job that fits is planned in full.
+        assert_eq!(s.submit(120, 4, 100).len(), 1);
+        let narrow = JobId(s.next_id - 1);
+        s.state.withdraw(narrow);
+        assert!(s.replan(121, ReplanReason::Submission).is_empty());
+        // Of these three steps only the one with a job that fits
+        // planned: at depth, one retained pass per policy.
+        let planned = if deep { 3 } else { 0 };
+        assert_eq!(s.fewest(|c| c.passes) - passes, planned, "{ctx}");
+        let passes = s.suffix_passes();
+        assert_eq!(s.submit(122, 4, 100).len(), 1);
+        assert_eq!(s.suffix_passes(), passes, "{ctx}");
+        // The nodes come back; once the blocker ends, wide jobs start.
+        for (k, node) in (BLOCKER..MACHINE).enumerate() {
+            s.state.node_up(node);
+            let plan = s.replan(200 + k as u64, ReplanReason::Fault);
+            let up = s.state.plan_capacity();
+            let fit = s.state.waiting().iter().filter(|j| j.width <= up);
+            assert_eq!(plan.len(), fit.count(), "{ctx}");
+        }
+        let end = SimTime::from_secs(10_000);
+        s.state.complete(JobId(0), end);
+        let plan = s.replan(10_000, ReplanReason::Completion);
+        let due: Vec<Job> = plan.due(end).map(|e| e.job).collect();
+        assert!(due.iter().any(|j| j.width > BLOCKER), "{due:?}");
+        for job in &due {
+            s.state.start(job.id, end);
+        }
+        s.replan(10_000, ReplanReason::Completion);
+    }
 }
