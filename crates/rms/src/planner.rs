@@ -114,6 +114,32 @@ use dynp_workload::Job;
 /// and only on one thread: below `RETAIN_MIN_DEPTH` even comparing the
 /// orders costs more than it saves (DESIGN §10).
 ///
+/// # Rejoining the old plan
+///
+/// A complete pass — one without a [`Prune`] tally, not handed a donor's
+/// plan — whose slot holds a complete plan on the same capacity, folded
+/// under guard 3 (at a changed base too, when every departed rectangle
+/// folded), may stop placing where its plan rejoins the old one. It
+/// aligns each placement by job with the old entry of the same job and
+/// keeps Δ, the free processors of its partial profile `P_new` less
+/// those of the old plan's partial profile `P_old` (the folded base plus
+/// the aligned old entries): the base difference, then the signed
+/// rectangles of every pair that differs and of every job the old plan
+/// does not hold. Let `w` and `d` be the least width and estimate among
+/// the jobs still to place. Where, at every instant Δ is not 0, each of
+/// `P_new` and `P_old` has fewer than `w` processors free, or a run of at
+/// least `w` free around the instant, clipped at `now`, that is finite
+/// and shorter than `d`, no job still to place can be placed over such
+/// an instant in either profile: it sees the same windows in both, its
+/// placement narrows both alike, and the condition holds for the next
+/// one. The old entries left, all at or past `now` (so their old answers
+/// stand with `after = now`, as under comparison 2), are then what the
+/// pass would place, and the pass keeps them: its profile becomes the
+/// old final profile plus Δ. Under guard 3 the departed jobs' rectangles
+/// move no old placement, as in the fold, so `P_old` may hold them all
+/// from the start. The splice changes where the loop stops, never what
+/// a job is given; a debug build re-places every spliced tail to check.
+///
 /// [`Planner::plan_with_reservations`] keeps the original one-shot
 /// signature (prepare + plan in one call) and produces bit-identical
 /// schedules to [`ReferencePlanner`], the retained from-scratch
@@ -163,6 +189,12 @@ pub struct Planner {
     hands: Vec<Hand>,
     /// Queue jobs passes took from a donor's plan instead of placing.
     shared: u64,
+    /// Per slot, what lets its complete pass rejoin its old plan; sized
+    /// by the first retained call.
+    rejoins: Vec<Rejoin>,
+    /// This call's Δ between the prepared base and the folded one, when
+    /// every departed rectangle folded and they differ at few instants.
+    base_diff: Vec<(SimTime, i64)>,
     /// Observability tracer (disabled by default); [`Planner::prepare`]
     /// is measured as a `"prepare"` wall-clock span.
     tracer: dynp_obs::Tracer,
@@ -176,6 +208,61 @@ struct Slot {
     schedule: Schedule,
     counts: SlotCounts,
 }
+
+/// What lets a complete pass rejoin the complete plan it replaces (type
+/// docs, "Rejoining the old plan"). One per slot, beside the slots
+/// rather than in them, and created by the first retained call: runs
+/// that never retain a plan allocate none.
+#[derive(Debug)]
+struct Rejoin {
+    /// Whether this call's pass of the slot may rejoin its plan.
+    armed: bool,
+    /// While the pass runs, the old plan's final profile; scratch
+    /// between passes.
+    old: Profile,
+    /// Δ: free processors of the pass's partial profile less those of
+    /// the old plan's, as endpoint events `(instant, change)` in the
+    /// order they came: Δ at `t` sums the changes at or before `t`.
+    events: Vec<(SimTime, i64)>,
+    /// The old start of each entry the pass wrote, from the kept prefix
+    /// on; `SimTime::MAX` for one the old plan does not hold.
+    olds: Vec<SimTime>,
+    /// Δ as a step function, sorted out of `events` for each test
+    /// ([`step_function`]).
+    steps: Vec<(SimTime, i64)>,
+    /// Scratch for [`Profile::add_steps`].
+    points: Vec<(SimTime, u32)>,
+    /// The least width and estimate of the queue from each position on
+    /// ([`fill_mins`]); filled by a pass's first test.
+    mins: Vec<(u32, SimDuration)>,
+    /// Queue jobs passes took from the old plan instead of placing.
+    spliced: u64,
+}
+
+/// Past this many endpoint events in Δ a pass stops testing whether it
+/// can rejoin the old plan: it has parted from it too far to come back
+/// cheaply.
+const DIFF_LIMIT: usize = 512;
+
+/// Nor does it insert more than this many entries the old plan does
+/// not hold: each shifts the old entries behind it.
+const INSERT_LIMIT: usize = 4;
+
+/// A pass tests whether it can rejoin the old plan only after this many
+/// agreeing placements in a row: while placements still part from the
+/// old ones, a test seldom passes, and it costs dozens of placements
+/// (DESIGN §10 has the measurements).
+const STREAK: usize = 32;
+
+/// After a test that fails, the next waits for as many more agreeing
+/// placements as the last wait, twice over, up to this many.
+const GAP_CAP: usize = 64;
+
+/// A pass that keeps more entries than it releases copies the old
+/// profile aside only when the old tail holds at least a
+/// `1 / COPY_SHARE` part of as many entries as the profile has points:
+/// the copy must be cheaper than what a splice can save.
+const COPY_SHARE: usize = 32;
 
 /// The [`PlanCounters`] one queue's passes write. Per slot, because
 /// fan-out workers plan their slots in parallel.
@@ -218,6 +305,10 @@ pub struct PlanCounters {
     /// queue: each departed job had started where the plan put it, and
     /// its rectangle moved into the base.
     pub folded: u64,
+    /// Queue jobs complete passes took from the tail of the plan they
+    /// replaced, once no job left to place could tell the two apart,
+    /// instead of placing them.
+    pub spliced: u64,
 }
 
 /// How a pass under [`Prune`] weighs the time a job waits beyond the
@@ -730,6 +821,21 @@ fn timed<T>(tracer: &dynp_obs::Tracer, pass: impl FnOnce() -> T) -> (PlanTiming,
     (PlanTiming { start_ns, dur_ns }, out)
 }
 
+impl Rejoin {
+    fn new() -> Self {
+        Rejoin {
+            armed: false,
+            old: Profile::new(1, SimTime::ZERO),
+            events: Vec::new(),
+            olds: Vec::new(),
+            steps: Vec::new(),
+            points: Vec::new(),
+            mins: Vec::new(),
+            spliced: 0,
+        }
+    }
+}
+
 impl Slot {
     fn new() -> Self {
         Slot {
@@ -752,6 +858,12 @@ impl Slot {
     /// queue)` and where they stop on those and the tally's limit, which
     /// is what makes the fan-out deterministic regardless of worker
     /// assignment.
+    ///
+    /// With a `rejoin` a complete pass may stop where no job left to
+    /// place can tell its plan from the slot's old one, and take the old
+    /// tail: the caller vouches that the slot holds a complete plan that
+    /// is valid on the folded base and that `base_diff` is Δ between
+    /// the two bases.
     fn plan(
         &mut self,
         base: &Profile,
@@ -759,7 +871,13 @@ impl Slot {
         queue: &[Job],
         keep: usize,
         mut tally: Option<&mut Tally>,
+        rejoin: Option<(&mut Rejoin, &[(SimTime, i64)])>,
     ) -> (usize, usize) {
+        if let Some((rejoin, base_diff)) = rejoin.filter(|_| tally.is_none()) {
+            if let Some(kept) = self.plan_rejoining(base, now, queue, keep, rejoin, base_diff) {
+                return (kept, 0);
+            }
+        }
         let kept = self.keep_prefix(base, now, queue, keep, tally.as_deref_mut());
         if kept == 0 {
             if let Some(tally) = &mut tally {
@@ -809,19 +927,12 @@ impl Slot {
         keep: usize,
         mut tally: Option<&mut Tally>,
     ) -> usize {
+        let keep = self.matching_prefix(now, queue, keep);
+        if keep == 0 {
+            return 0;
+        }
         let entries = &mut self.schedule.entries;
-        let keep = keep.min(entries.len());
-        if keep == 0 || keep > queue.len() {
-            return 0;
-        }
         let (kept, rest) = entries.split_at(keep);
-        if kept
-            .iter()
-            .zip(queue)
-            .any(|(e, job)| e.job.id != job.id || e.start < now)
-        {
-            return 0;
-        }
         cut_back(&mut self.profile, base, kept, rest, kept.len() < rest.len());
         for e in kept {
             let earliest = now.max(e.job.submit);
@@ -833,6 +944,235 @@ impl Slot {
         }
         entries.truncate(keep);
         keep
+    }
+
+    /// Comparison 2 of the type docs: how many of the first `keep`
+    /// entries the slot may keep — all of them, cut to what it holds,
+    /// when each is the job at its position of `queue` and starts at or
+    /// past `now`, else none.
+    fn matching_prefix(&self, now: SimTime, queue: &[Job], keep: usize) -> usize {
+        let entries = &self.schedule.entries;
+        let keep = keep.min(entries.len());
+        if keep > queue.len() {
+            return 0;
+        }
+        let kept = &entries[..keep];
+        let matches = kept.iter().zip(queue);
+        if matches
+            .into_iter()
+            .any(|(e, job)| e.job.id != job.id || e.start < now)
+        {
+            return 0;
+        }
+        keep
+    }
+
+    /// [`Slot::plan`] of a complete pass that may rejoin the slot's old
+    /// plan: keeps the prefix [`Slot::keep_prefix`] would, puts the old
+    /// final profile aside in `rejoin`, and places the rest of `queue`
+    /// while it tracks Δ from `base_diff` on ([`Slot::place_rejoining`]).
+    /// Returns how many entries it kept, or `None`, with nothing
+    /// touched, where copying the profile aside would cost more than
+    /// a splice can save.
+    fn plan_rejoining(
+        &mut self,
+        base: &Profile,
+        now: SimTime,
+        queue: &[Job],
+        keep: usize,
+        rejoin: &mut Rejoin,
+        base_diff: &[(SimTime, i64)],
+    ) -> Option<usize> {
+        let kept = self.matching_prefix(now, queue, keep);
+        let entries = &self.schedule.entries;
+        let (prefix, tail) = entries.split_at(kept);
+        if prefix.len() < tail.len() {
+            // `cut_back`'s rebuild, on a profile swapped in for the old.
+            std::mem::swap(&mut self.profile, &mut rejoin.old);
+            self.profile.restore_from(base);
+            for e in prefix {
+                self.profile.allocate(e.start, e.job.estimate, e.job.width);
+            }
+        } else if tail.len() * COPY_SHARE >= self.profile.len() && !tail.is_empty() {
+            rejoin.old.restore_from(&self.profile);
+            cut_back(&mut self.profile, base, prefix, tail, false);
+        } else {
+            return None;
+        }
+        for e in prefix {
+            let earliest = now.max(e.job.submit);
+            self.profile
+                .remember_fit(earliest, e.job.estimate, e.job.width, e.start);
+        }
+        rejoin.events.clear();
+        rejoin.events.extend(changes(base_diff));
+        self.place_rejoining(now, queue, kept, rejoin);
+        Some(kept)
+    }
+
+    /// Places `queue[kept..]` as [`place`] does, over the old plan's
+    /// entries from `kept` on, and aligns each placement by job with
+    /// the old entry of the same job, keeping the old start. After a
+    /// stretch of agreeing placements, with back-off, it brings Δ up to
+    /// date — the signed rectangles of each pair that differs, and of
+    /// each job the old plan does not hold — and asks [`unreachable`]
+    /// whether a job left to place could be placed over an instant of Δ,
+    /// unless the witness of the last no still stands. Where none can,
+    /// and the old entries left are the jobs left, at or past `now`, it
+    /// keeps those entries and makes the profile the old final one plus
+    /// Δ.
+    fn place_rejoining(&mut self, now: SimTime, queue: &[Job], kept: usize, rejoin: &mut Rejoin) {
+        let (profile, entries) = (&mut self.profile, &mut self.schedule.entries);
+        let capacity = profile.capacity();
+        let (events, olds) = (&mut rejoin.events, &mut rejoin.olds);
+        olds.clear();
+        // Entries `..written` are the pass's, `olds` the old starts of
+        // those from `kept` on (`SimTime::MAX`: none); the old entries
+        // not yet aligned are `read..`. Δ holds the pairs up to `scanned`.
+        let (mut written, mut read, mut scanned) = (kept, kept, kept);
+        let (mut tracking, mut inserted) = (true, 0);
+        // How many more old entries must be aligned before the tail can
+        // match the queue.
+        let mut hold = 0;
+        // The last no's witness span (none: an empty one), and the least
+        // width and estimate it was found for.
+        const NONE: (SimTime, SimTime) = (SimTime::MAX, SimTime::ZERO);
+        let (mut witness, mut found_for) = (NONE, (0, SimDuration::ZERO));
+        let meets = |e: &PlannedJob, (from, to): (SimTime, SimTime)| {
+            (e.start < to) & (e.start + e.job.estimate > from)
+        };
+        // Agreeing placements so far and in a row, the count at which to
+        // test next, and the back-off.
+        let (mut agreed, mut streak, mut next_test, mut gap) = (0, 0, 1, 1);
+        let mut mins_filled = false;
+        for (at, job) in queue.iter().enumerate().skip(kept) {
+            if job.width > capacity {
+                continue;
+            }
+            let earliest = now.max(job.submit);
+            let start = profile.allocate_earliest(earliest, job.estimate, job.width);
+            let new = PlannedJob { job: *job, start };
+            let mut agrees = false;
+            match entries.get(read).filter(|_| tracking) {
+                // Nothing here branches on whether the two agree: the
+                // next placement would wait for it.
+                Some(old) if old.job.id == job.id => {
+                    agrees = old.start == start;
+                    olds.push(old.start);
+                    read += 1;
+                    hold -= (hold > 0) as usize;
+                    // Δ counts rectangles: the old one must be the job's.
+                    tracking = old.job.width == job.width && old.job.estimate == job.estimate;
+                }
+                // A job the old plan does not hold here: its entry goes
+                // in front of the old ones.
+                Some(_) if written == read && inserted < INSERT_LIMIT => {
+                    entries.insert(written, new);
+                    olds.push(SimTime::MAX);
+                    (written, read, inserted) = (written + 1, read + 1, inserted + 1);
+                    continue;
+                }
+                _ => tracking = false,
+            }
+            if written < entries.len() {
+                entries[written] = new;
+            } else {
+                entries.push(new);
+            }
+            written += 1;
+            agreed += agrees as usize;
+            streak = (streak + 1) * agrees as usize;
+            if agreed < next_test || hold > 0 || streak < STREAK || !tracking {
+                continue;
+            }
+            // Δ and the witness, up to date.
+            let fresh = entries[scanned..written]
+                .iter()
+                .zip(&olds[scanned - kept..]);
+            for (e, &old_start) in fresh {
+                let old = PlannedJob {
+                    job: e.job,
+                    start: old_start,
+                };
+                let differs = old_start != e.start;
+                let held = differs && old_start != SimTime::MAX;
+                if held {
+                    push_rect(events, now, &old, 1);
+                }
+                if differs {
+                    push_rect(events, now, e, -1);
+                }
+                if meets(e, witness) || (held && meets(&old, witness)) {
+                    witness = NONE;
+                }
+            }
+            scanned = written;
+            if events.len() > DIFF_LIMIT {
+                tracking = false;
+                continue;
+            }
+            if !mins_filled {
+                fill_mins(&mut rejoin.mins, queue, capacity);
+                mins_filled = true;
+            }
+            let least = rejoin.mins[queue.len() - (at + 1)];
+            if least.0 == u32::MAX || (witness != NONE && found_for == least) {
+                continue;
+            }
+            step_function(events, &mut rejoin.steps);
+            // What the test sorted, the next one need not sort again.
+            events.clear();
+            events.extend(changes(&rejoin.steps));
+            if let Err(span) = unreachable(profile, now, &rejoin.steps, least.0, least.1) {
+                (witness, found_for) = (span, least);
+                (next_test, gap) = (agreed + gap, (2 * gap).min(GAP_CAP));
+                continue;
+            }
+            // The old entries left must be the jobs left, at or past
+            // `now`; where they part, no test passes before that entry is
+            // aligned.
+            let mut old_tail = entries[read..].iter();
+            let mut jobs_left = queue[at + 1..].iter().filter(|job| job.width <= capacity);
+            let mut taken = 0;
+            let matched = loop {
+                match (old_tail.next(), jobs_left.next()) {
+                    (None, None) => break true,
+                    (Some(e), Some(job)) if e.job == *job && e.start >= now => taken += 1,
+                    _ => break false,
+                }
+            };
+            if !matched {
+                hold = taken + 1;
+                continue;
+            }
+            // The splice: while the pass tracks, the two cursors meet.
+            debug_assert_eq!(
+                written, read,
+                "the old tail is not behind the pass's entries"
+            );
+            #[cfg(debug_assertions)]
+            let at_splice = profile.clone();
+            rejoin.old.add_steps(&rejoin.steps, &mut rejoin.points);
+            std::mem::swap(profile, &mut rejoin.old);
+            rejoin.spliced += taken as u64;
+            #[cfg(debug_assertions)]
+            {
+                let mut fresh = at_splice;
+                let mut tail = Schedule::default();
+                place(&mut fresh, now, &queue[at + 1..], &mut tail, None);
+                assert_eq!(
+                    tail.entries,
+                    entries[written..],
+                    "a spliced tail is not the pass's"
+                );
+                assert!(
+                    fresh.same_from(profile, now),
+                    "a spliced profile is not the pass's"
+                );
+            }
+            return;
+        }
+        entries.truncate(written);
     }
 
     /// Guard 3 of the type docs: takes out of the schedule the entries
@@ -848,7 +1188,190 @@ impl Slot {
     }
 }
 
-/// Cuts a retained `profile` — `base` plus the rectangles of `kept` and
+/// Adds to Δ, kept as endpoint events in `events`, the rectangle of
+/// `entry` on `[now, ∞)` with the sign `sign`: +1 for the old plan's,
+/// which Δ counts free in the pass's profile, −1 for the pass's own.
+fn push_rect(events: &mut Vec<(SimTime, i64)>, now: SimTime, entry: &PlannedJob, sign: i64) {
+    let end = entry.start + entry.job.estimate;
+    if end > now {
+        let width = sign * entry.job.width as i64;
+        events.push((entry.start.max(now), width));
+        events.push((end, -width));
+    }
+}
+
+/// The endpoint events of the step function `steps`: `(instant, change)`.
+fn changes(steps: &[(SimTime, i64)]) -> impl Iterator<Item = (SimTime, i64)> + '_ {
+    steps.iter().scan(0, |last, &(t, value)| {
+        Some((t, value - std::mem::replace(last, value)))
+    })
+}
+
+/// Leaves in `steps` the step function of the endpoint events `events`,
+/// all at or past one instant: `(from, value)` in time order, each value
+/// different from the one before it, the first from 0, and the last 0.
+fn step_function(events: &[(SimTime, i64)], steps: &mut Vec<(SimTime, i64)>) {
+    steps.clear();
+    steps.extend_from_slice(events);
+    steps.sort_unstable_by_key(|&(t, _)| t);
+    // Sum the changes at each instant into the value from it on.
+    let (mut value, mut len) = (0, 0);
+    for i in 0..steps.len() {
+        let (t, change) = steps[i];
+        value += change;
+        if len > 0 && steps[len - 1].0 == t {
+            steps[len - 1].1 = value;
+        } else {
+            steps[len] = (t, value);
+            len += 1;
+        }
+    }
+    steps.truncate(len);
+    let mut last = 0;
+    steps.retain(|&(_, value)| std::mem::replace(&mut last, value) != value);
+}
+
+/// Whether no job at least `width` wide and `duration` long can be
+/// placed over an instant where Δ, as `steps`, is not 0, in `profile`
+/// (the pass's) or in `profile` less Δ (the old plan's): at each such
+/// instant each of them has fewer than `width` processors free, or a
+/// run of at least `width` free around it, clipped at `now`, that is
+/// finite and shorter than `duration`. Δ's nonzero stretches less than
+/// two durations apart are looked at together ([`window_clear`]). Where
+/// the answer is no, the error is a witness: a span of at least
+/// `duration`, holding an instant of Δ, over which one of the profiles
+/// has `width` free. Until a rectangle placed in either profile meets
+/// it, or the least width or estimate grows, the answer stays no.
+fn unreachable(
+    profile: &Profile,
+    now: SimTime,
+    steps: &[(SimTime, i64)],
+    width: u32,
+    duration: SimDuration,
+) -> Result<(), (SimTime, SimTime)> {
+    let reach = duration.as_millis();
+    // Latest first: that is where the frontier of the plan, and with it
+    // most of the runs that never end, lies.
+    let mut close = steps.len();
+    while close > 0 {
+        // `steps[end]` is the 0 that ends a stretch; `steps[open]` opens
+        // the first stretch joined to it.
+        let end = close - 1;
+        let mut k = end;
+        let open = loop {
+            k -= 1;
+            while k > 0 && steps[k - 1].1 != 0 {
+                k -= 1;
+            }
+            match k.checked_sub(1) {
+                Some(before)
+                    if steps[k].0.as_millis() - steps[before].0.as_millis()
+                        < reach.saturating_mul(2) =>
+                {
+                    k = before
+                }
+                _ => break k,
+            }
+        };
+        let lo = SimTime::from_millis(steps[open].0.as_millis().saturating_sub(reach)).max(now);
+        let hi = steps[end].0.saturating_add(duration);
+        window_clear(profile, now, steps, lo, hi, width, duration)?;
+        close = open;
+    }
+    Ok(())
+}
+
+/// [`unreachable`] over the window `[lo, hi)` around a group of Δ's
+/// stretches, which lies at least `duration` past `lo` — or `lo` is
+/// `now` — and ends `duration` before `hi`. One walk over the break
+/// points of `profile` and of Δ follows, in each of the two profiles,
+/// the run of `free >= width` the walk is in and whether it holds an
+/// instant of Δ; such a run fails the test once it is `duration` long.
+/// A run open at `lo > now` began before it, so at least `duration`
+/// before any instant of Δ in the window; one open at `hi` runs on for
+/// at least `duration` past any.
+fn window_clear(
+    profile: &Profile,
+    now: SimTime,
+    steps: &[(SimTime, i64)],
+    lo: SimTime,
+    hi: SimTime,
+    width: u32,
+    duration: SimDuration,
+) -> Result<(), (SimTime, SimTime)> {
+    let (times, frees) = profile.segments_from(lo);
+    let (mut k, mut free) = (1, frees[0] as i64);
+    let mut s = steps.partition_point(|&(t, _)| t <= lo);
+    let mut diff = s.checked_sub(1).map_or(0, |last| steps[last].1);
+    // Per profile, the pass's and the old plan's: where the run holding
+    // `t` started, and whether it holds an instant of Δ.
+    let mut runs: [Option<(SimTime, bool)>; 2] = [None; 2];
+    let mut t = lo;
+    // A run open at `lo > now` counts from the beginning of time, and
+    // its witness from `lo`.
+    let witness = |start: SimTime, end: SimTime| Err((start.max(lo), end));
+    loop {
+        for (run, free) in runs.iter_mut().zip([free, free - diff]) {
+            if free >= width as i64 {
+                let began = if t == lo && lo > now {
+                    SimTime::ZERO
+                } else {
+                    t
+                };
+                let (start, touched) = run.get_or_insert((began, false));
+                *touched |= diff != 0;
+                if *touched && t.saturating_since(*start) >= duration {
+                    // The run holds `t` too.
+                    return witness(*start, t + SimDuration::from_millis(1));
+                }
+            } else if let Some((start, touched)) = run.take() {
+                if touched && t.saturating_since(start) >= duration {
+                    return witness(start, t);
+                }
+            }
+        }
+        let next_point = times.get(k).copied();
+        let next_step = steps.get(s).map(|&(t, _)| t);
+        t = match (next_point, next_step) {
+            (Some(a), Some(b)) => a.min(b),
+            (Some(a), None) => a,
+            (None, Some(b)) => b,
+            (None, None) => break,
+        };
+        if t >= hi {
+            break;
+        }
+        if next_point == Some(t) {
+            free = frees[k] as i64;
+            k += 1;
+        }
+        if next_step == Some(t) {
+            diff = steps[s].1;
+            s += 1;
+        }
+    }
+    match runs.iter().flatten().find(|(_, touched)| *touched) {
+        Some(&(start, _)) => witness(start, hi),
+        None => Ok(()),
+    }
+}
+
+/// Fills `mins` with the least width and estimate of the jobs a machine
+/// of `capacity` can hold among `queue[i..]`, at `mins[queue.len() −
+/// i]`; `(u32::MAX, SimDuration::MAX)` where there are none.
+fn fill_mins(mins: &mut Vec<(u32, SimDuration)>, queue: &[Job], capacity: u32) {
+    mins.clear();
+    let none = (u32::MAX, SimDuration::MAX);
+    mins.push(none);
+    let least = queue.iter().rev().scan(none, |(width, estimate), job| {
+        if job.width <= capacity {
+            (*width, *estimate) = ((*width).min(job.width), (*estimate).min(job.estimate));
+        }
+        Some((*width, *estimate))
+    });
+    mins.extend(least);
+}
+
 /// of `rest`, as a function on `[now, ∞)` — back to `base` plus those of
 /// `kept`: with `rebuild`, by restoring `base` and allocating `kept` at
 /// their starts (at or past `now`), else by releasing `rest` in reverse.
@@ -891,6 +1414,8 @@ impl Planner {
             stopped: Vec::new(),
             hands: Vec::new(),
             shared: 0,
+            rejoins: Vec::new(),
+            base_diff: Vec::new(),
             tracer: dynp_obs::Tracer::disabled(),
         }
     }
@@ -998,6 +1523,9 @@ impl Planner {
     fn claim_scratch(&mut self, n: usize) {
         self.grow_slots(n);
         self.retained = 0;
+        for rejoin in &mut self.rejoins {
+            rejoin.armed = false;
+        }
     }
 
     fn grow_slots(&mut self, n: usize) {
@@ -1029,13 +1557,19 @@ impl Planner {
         let n = queues.len();
         self.stopped.resize(n, Stopped::default());
         let (base, now, tracer) = (&self.base, self.prepared_at, &self.tracer);
+        let base_diff = &self.base_diff[..];
         // Returns how many jobs the pass took from the `donor`.
         let pass = |i: usize,
                     keep: usize,
                     slot: &mut Slot,
                     donor: Option<&Slot>,
+                    rejoin: Option<&mut Rejoin>,
                     timing: &mut PlanTiming,
                     stopped: &mut Stopped| {
+            // A complete pass of its own plan, armed for this call.
+            let rejoin = rejoin
+                .filter(|r| r.armed && bound.is_none() && donor.is_none())
+                .map(|r| (r, base_diff));
             let mut tally = bound.map(|(weight, limit, backlog)| Tally {
                 weight,
                 limit,
@@ -1050,7 +1584,7 @@ impl Planner {
                     slot.profile.restore_from(&donor.profile);
                     slot.schedule.entries.clone_from(&donor.schedule.entries);
                 }
-                slot.plan(base, now, &queues[i], keep, tally.as_mut())
+                slot.plan(base, now, &queues[i], keep, tally.as_mut(), rejoin)
             });
             slot.counts.pruned += left as u64;
             let tally = tally.filter(|_| left > 0);
@@ -1069,18 +1603,22 @@ impl Planner {
         let keep = |i: usize| keep.map_or(0, |k| k[i]);
         let selected = (0..n).filter(|&i| select(i)).count();
         let workers = workers.clamp(1, selected.max(1));
+        // Only retained calls create them.
+        let rejoins = self.rejoins.get_mut(..n).unwrap_or_default();
         if workers <= 1 {
             for i in (0..n).filter(|&i| select(i)) {
                 let hand = hands.iter().find(|h| h.to == i);
                 let (from, keep) = hand.map_or((i, keep(i)), |h| (h.from, h.cut));
                 let (slot, donor) = slot_and_donor(&mut self.slots[..n], i, from);
-                self.shared += pass(i, keep, slot, donor, &mut timings[i], &mut self.stopped[i]);
+                let (rejoin, timing) = (rejoins.get_mut(i), &mut timings[i]);
+                self.shared += pass(i, keep, slot, donor, rejoin, timing, &mut self.stopped[i]);
             }
             return 1;
         }
         let per = n.div_ceil(workers);
         let slots = &mut self.slots[..n];
         let stopped = &mut self.stopped[..n];
+        let mut rejoins = rejoins.chunks_mut(per);
         std::thread::scope(|s| {
             let runs = slots
                 .chunks_mut(per)
@@ -1088,12 +1626,14 @@ impl Planner {
                 .zip(stopped.chunks_mut(per));
             for (run, ((slots, timings), stopped)) in runs.enumerate() {
                 let (pass, keep) = (&pass, &keep);
+                let mut rejoins = rejoins.next().unwrap_or_default().iter_mut();
                 s.spawn(move || {
                     let passes = slots.iter_mut().zip(timings).zip(stopped);
                     for (j, ((slot, timing), stopped)) in passes.enumerate() {
                         let i = run * per + j;
+                        let rejoin = rejoins.next();
                         if select(i) {
-                            pass(i, keep(i), slot, None, timing, stopped);
+                            pass(i, keep(i), slot, None, rejoin, timing, stopped);
                         }
                     }
                 });
@@ -1180,24 +1720,46 @@ impl Planner {
         assert_eq!(n, first_changed.len(), "one kept-prefix length per queue");
         assert_eq!(n, timings.len(), "one timing slot per queue");
         self.grow_slots(n);
+        while self.rejoins.len() < n {
+            self.rejoins.push(Rejoin::new());
+        }
         let now = self.prepared_at;
         // Comparison 1 of the type docs, once for all slots, then guard 3
         // per slot.
-        let same_base = self.retained == n && self.fold_departed(departed, now);
+        let fold = (self.retained == n)
+            .then(|| self.fold_departed(departed, now))
+            .flatten();
+        let same_base = fold == Some(true);
+        // Δ between the bases, where complete passes may rejoin.
+        self.base_diff.clear();
+        let rejoin = match (fold, &self.retained_base) {
+            (Some(true), _) => true,
+            (Some(false), Some(folded)) => {
+                folded.diff_into(&self.base, now, DIFF_LIMIT, &mut self.base_diff)
+            }
+            _ => false,
+        };
         let mut keeps = std::mem::take(&mut self.keeps);
         keeps.clear();
         if same_base {
             keeps.extend_from_slice(first_changed);
-            if !departed.is_empty() {
-                let at = self.retained_at;
-                for (keep, slot) in keeps.iter_mut().zip(&mut self.slots) {
-                    if slot.fold_started(departed, at) {
-                        self.folded += 1;
-                    } else {
-                        *keep = 0;
-                    }
+        }
+        for (i, slot) in self.slots[..n].iter_mut().enumerate() {
+            let complete = rejoin && self.stopped[i].excess.is_none();
+            self.rejoins[i].armed = false;
+            if !same_base && !complete {
+                continue;
+            }
+            // Guard 3, which keeping a prefix and rejoining both need.
+            let held = departed.is_empty() || slot.fold_started(departed, self.retained_at);
+            if same_base && !departed.is_empty() {
+                if held {
+                    self.folded += 1;
+                } else {
+                    keeps[i] = 0;
                 }
             }
+            self.rejoins[i].armed = complete && held;
         }
         self.retained_at = now;
         let keep = same_base.then_some(&keeps[..]);
@@ -1250,24 +1812,22 @@ impl Planner {
 
     /// Comparison 1 of the type docs: folds into the retained base the
     /// rectangle of each `departed` job, as started at the last call's
-    /// instant, and compares the result with the prepared base from
-    /// `now` on; a rectangle that does not fit refuses the fold. Where
-    /// they differ, the caller replaces the retained base with the
-    /// prepared one.
-    fn fold_departed(&mut self, departed: &[Job], now: SimTime) -> bool {
-        let Some(planned_on) = &mut self.retained_base else {
-            return false;
-        };
+    /// instant, and says whether the result is the prepared base from
+    /// `now` on; `None` when there is no retained base or a rectangle
+    /// does not fit, which refuses the fold. Where they differ, the
+    /// caller replaces the retained base with the prepared one.
+    fn fold_departed(&mut self, departed: &[Job], now: SimTime) -> Option<bool> {
+        let planned_on = self.retained_base.as_mut()?;
         let at = self.retained_at;
         for job in departed {
             let fits = job.width <= planned_on.capacity()
                 && planned_on.earliest_fit(at, job.estimate, job.width) == at;
             if !fits {
-                return false;
+                return None;
             }
             planned_on.allocate(at, job.estimate, job.width);
         }
-        planned_on.same_from(&self.base, now)
+        Some(planned_on.same_from(&self.base, now))
     }
 
     /// The schedule [`Planner::plan_retained_batch`] last planned for
@@ -1304,6 +1864,7 @@ impl Planner {
             rest_stops: self.stopped.iter().map(|s| s.rest_stops).sum(),
             shared: self.shared,
             folded: self.folded,
+            spliced: self.rejoins.iter().map(|r| r.spliced).sum(),
             ..PlanCounters::default()
         };
         for slot in &self.slots {
@@ -1891,7 +2452,7 @@ mod tests {
         p.prepare(4, t(12), &running, &[]);
         let base = &p.base;
         let mut slot = Slot::new();
-        slot.plan(base, t(12), &jobs, 0, None);
+        slot.plan(base, t(12), &jobs, 0, None, None);
         let entries = &slot.schedule.entries;
         for keep in 0..=entries.len() {
             let (kept, rest) = entries.split_at(keep);
@@ -1904,7 +2465,7 @@ mod tests {
             assert!(rebuilt.same_from(&released, t(12)), "keep {keep}");
             // Both are the base narrowed by a fresh plan of the kept jobs.
             let mut fresh = Slot::new();
-            fresh.plan(base, t(12), &jobs[..keep], 0, None);
+            fresh.plan(base, t(12), &jobs[..keep], 0, None, None);
             assert_eq!(fresh.schedule.entries, kept);
             assert!(fresh.profile.same_from(&rebuilt, t(12)), "keep {keep}");
         }
@@ -2195,6 +2756,230 @@ mod tests {
         assert_retained_matches_fresh(&mut p, &orders, &[0; 3], 1);
         assert_eq!(p.counters().shared, 3 + 5);
         assert_eq!(p.counters().suffix_passes, 0);
+    }
+
+    /// Plans `orders` at `now` on `machine` around `running` through the
+    /// retained entry, complete passes on one thread, checks every
+    /// schedule against the [`ReferencePlanner`], and returns how many
+    /// jobs the passes took from the plans they replaced.
+    fn spliced_by(
+        p: &mut Planner,
+        (machine, now, running): (u32, SimTime, &[RunningJob]),
+        orders: &[Vec<Job>],
+        first_changed: &[usize],
+    ) -> u64 {
+        let before = p.counters().spliced;
+        p.prepare(machine, now, running, &[]);
+        assert_retained_matches_fresh(p, orders, first_changed, 1);
+        let mut reference = ReferencePlanner::new();
+        for (i, order) in orders.iter().enumerate() {
+            let want = reference.plan(machine, now, running, order);
+            assert_eq!(p.retained_schedule(i).entries, want.entries, "queue {i}");
+        }
+        p.counters().spliced - before
+    }
+
+    /// The machine of four held by two jobs of two processors until 100
+    /// and until `second`, and `jobs` waiting behind them, planned once
+    /// at 0; then the first running job finishes at 90, ten seconds
+    /// early. Returns how many jobs the pass at 90 spliced.
+    fn after_an_early_completion(second: u64, jobs: &[Job]) -> u64 {
+        let running = |both: bool| {
+            let ends = if both {
+                &[100, second][..]
+            } else {
+                &[second][..]
+            };
+            let jobs = ends.iter().enumerate();
+            jobs.map(|(i, &end)| RunningJob {
+                job: j(900 + i as u32, 0, 2, end),
+                start: t(0),
+            })
+            .collect::<Vec<_>>()
+        };
+        let orders = vec![jobs.to_vec()];
+        let mut p = Planner::new();
+        assert_eq!(
+            spliced_by(&mut p, (4, t(0), &running(true)), &orders, &[0]),
+            0
+        );
+        let mut second_only = running(false);
+        second_only[0].job.id = JobId(901);
+        spliced_by(&mut p, (4, t(90), &second_only), &orders, &[0])
+    }
+
+    #[test]
+    fn a_difference_narrower_than_every_job_left_is_spliced() {
+        // Two processors come free over [90, 100), while two more stay
+        // held until 200: no job of three fits beside them, so every
+        // placement agrees, and the first test splices what is left.
+        let jobs: Vec<Job> = (0..40).map(|i| j(i, 0, 3 + i % 2, 30)).collect();
+        let spliced = after_an_early_completion(200, &jobs);
+        assert_eq!(spliced as usize, jobs.len() - STREAK);
+    }
+
+    #[test]
+    fn an_early_completion_shorter_than_every_estimate_is_spliced() {
+        // The whole machine is planned from 100 on, first for a job of
+        // four: the ten seconds two processors come free are shorter
+        // than any job of two, which therefore all stay where they were.
+        let mut jobs = vec![j(0, 0, 4, 50)];
+        jobs.extend((1..41).map(|i| j(i, 0, 2, 20 + i as u64 % 3)));
+        let spliced = after_an_early_completion(100, &jobs);
+        assert_eq!(spliced as usize, jobs.len() - STREAK);
+    }
+
+    /// Forty jobs of `width` and 10 s, one after the other on a machine
+    /// of `machine` beside a running job of `machine − width`, planned
+    /// at 0; then a job of `width` and 100 s, submitted for 500 and put
+    /// first. It lands where the old plan has `width` free from 400 to
+    /// `held` (the running job's end): every placement agrees, and the
+    /// pass must not splice, because in the old profile the new job's
+    /// instants lie in a run a job left could take.
+    fn a_job_where_the_old_plan_has_room(machine: u32, width: u32, held: u64) -> u64 {
+        let running = [RunningJob {
+            job: j(900, 0, machine - width, held),
+            start: t(0),
+        }];
+        let jobs: Vec<Job> = (0..40).map(|i| j(i, 0, width, 10)).collect();
+        let mut p = Planner::new();
+        assert_eq!(
+            spliced_by(
+                &mut p,
+                (machine, t(0), &running),
+                std::slice::from_ref(&jobs),
+                &[0]
+            ),
+            0
+        );
+        let mut order = vec![j(40, 500, width, 100)];
+        order.extend(jobs);
+        spliced_by(&mut p, (machine, t(0), &running), &[order], &[0])
+    }
+
+    #[test]
+    fn a_difference_the_old_profile_leaves_room_around_is_not_spliced() {
+        // Only the old profile has a long run there: [400, 1000).
+        assert_eq!(a_job_where_the_old_plan_has_room(4, 2, 1_000), 0);
+    }
+
+    #[test]
+    fn a_run_into_the_final_segment_is_not_spliced() {
+        // Forty jobs of four and 10 s end at 400, then the plan holds
+        // one more, L, from 400. A job of 5 s put first but submitted for
+        // 400 takes [400, 405): where the old profile is free for ever,
+        // though for less than any estimate left before the new job's
+        // instants end — and L must move to 405.
+        let late = |id, est| j(id, 400, 4, est);
+        let mut jobs: Vec<Job> = (0..40).map(|i| j(i, 0, 4, 10)).collect();
+        jobs.push(late(40, 10));
+        let mut p = Planner::new();
+        let first = spliced_by(&mut p, (4, t(0), &[]), std::slice::from_ref(&jobs), &[0]);
+        assert_eq!(first, 0);
+        let mut order = vec![late(41, 5)];
+        order.extend(jobs);
+        assert_eq!(spliced_by(&mut p, (4, t(0), &[]), &[order], &[0]), 0);
+    }
+
+    /// Complete passes over packed machines against the reference, event
+    /// after event: submissions (most of them, from four estimates, so
+    /// placements often agree with the old ones), cancels, starts where
+    /// a plan put them, early completions, capacity drops and reservation
+    /// windows. A debug build re-places every spliced tail as well. Run
+    /// as a plain test over `PROPTEST_CASES` cases (64 by default) so
+    /// that it can ask, at the end, that the cases spliced at all.
+    #[test]
+    fn spliced_tails_are_what_the_pass_would_place() {
+        use crate::reservation::ReservationBook;
+        use proptest::test_runner::TestRng;
+        let cases = ProptestConfig::default().cases;
+        let mut rng = TestRng::from_name("spliced_tails_are_what_the_pass_would_place");
+        let events = proptest::collection::vec((0u8..14, 1u32..5, 0usize..4, 0u64..30), 40..140);
+        let mut spliced = 0;
+        for case in 0..cases {
+            let mut now = 100u64;
+            let mut capacity = 8u32;
+            let mut running: Vec<RunningJob> = Vec::new();
+            let mut book = ReservationBook::new();
+            let mut orders = policy_orders(&[]);
+            let mut next_id = 0u32;
+            let mut p = Planner::new();
+            for (kind, width, est, dt) in events.new_value(&mut rng) {
+                let mut first: Vec<usize> = orders.iter().map(Vec::len).collect();
+                let mut departed = Vec::new();
+                let used: u32 = running.iter().map(|r| r.job.width).sum();
+                match kind {
+                    0..=6 => {
+                        let est = [40, 90, 300, 1_000][est];
+                        submit(
+                            &mut orders,
+                            &mut first,
+                            j(next_id, now - dt.min(now), width, est),
+                        );
+                        next_id += 1;
+                    }
+                    7 => now += dt,
+                    8 if !orders[0].is_empty() => {
+                        let gone = orders[0][dt as usize % orders[0].len()];
+                        leave(&mut orders, &mut first, gone);
+                        departed.push(gone);
+                    }
+                    // Starts as the active plan has them, while the
+                    // running jobs hold at most four processors.
+                    9 | 10 if p.retained == orders.len() => {
+                        let plan = &p.retained_schedule(dt as usize % orders.len()).entries;
+                        let mut used = used;
+                        for e in plan.iter().filter(|e| e.start == t(now)) {
+                            if used + e.job.width <= 4 {
+                                used += e.job.width;
+                                departed.push(e.job);
+                                running.push(RunningJob {
+                                    job: e.job,
+                                    start: t(now),
+                                });
+                            }
+                        }
+                        for &gone in &departed {
+                            leave(&mut orders, &mut first, gone);
+                        }
+                    }
+                    // A running job ends, at or before its estimate.
+                    11 if !running.is_empty() => {
+                        running.remove(dt as usize % running.len());
+                    }
+                    12 => capacity = if capacity == 8 { 6 } else { 8 },
+                    // One window of one or two processors at a time.
+                    13 if book.all().iter().all(|r| r.end() <= t(now)) => {
+                        let width = 1 + width % 2;
+                        book.add(
+                            t(now + dt),
+                            SimDuration::from_secs(est as u64 * 50 + 20),
+                            width,
+                        );
+                    }
+                    _ => {}
+                }
+                p.prepare(capacity, t(now), &running, book.all());
+                assert_departed_matches_fresh(&mut p, &orders, &first, &departed, None, 1);
+                let mut reference = ReferencePlanner::new();
+                for (i, order) in orders.iter().enumerate() {
+                    let want = reference.plan_with_reservations(
+                        capacity,
+                        t(now),
+                        &running,
+                        book.all(),
+                        order,
+                    );
+                    assert_eq!(
+                        p.retained_schedule(i).entries,
+                        want.entries,
+                        "case {case}, queue {i}"
+                    );
+                }
+            }
+            spliced += p.counters().spliced;
+        }
+        assert!(spliced > 0, "{cases} cases spliced nothing");
     }
 
     #[test]

@@ -277,7 +277,8 @@ impl Profile {
         (&self.times[i..], &self.frees[i..])
     }
 
-    fn clear_memo(&mut self) {
+    /// Empties the dominance memo of [`Profile::allocate_earliest`].
+    pub(crate) fn clear_memo(&mut self) {
         if self.memo_live {
             self.memo = [MEMO_EMPTY; 32];
             self.memo_live = false;
@@ -372,6 +373,113 @@ impl Profile {
     /// representations and whatever they hold before `t`.
     pub(crate) fn same_from(&self, other: &Profile, t: SimTime) -> bool {
         self.capacity == other.capacity && self.steps_from(t).eq(other.steps_from(t))
+    }
+
+    /// Appends to `out` the difference `other − self` in free processors
+    /// on `[t, ∞)` as a step function, `(instant, difference from it
+    /// on)`: each value differs from the one before it, the first from
+    /// 0, and the last is 0. One merged walk, as [`Profile::same_from`]
+    /// makes. Returns `false` when the capacities differ, or when the
+    /// difference changes at more than `limit` instants, leaving `out`
+    /// holding a part.
+    pub(crate) fn diff_into(
+        &self,
+        other: &Profile,
+        t: SimTime,
+        limit: usize,
+        out: &mut Vec<(SimTime, i64)>,
+    ) -> bool {
+        if self.capacity != other.capacity {
+            return false;
+        }
+        let (mut mine, mut theirs) = (
+            self.steps_from(t).peekable(),
+            other.steps_from(t).peekable(),
+        );
+        let (mut free, mut other_free, mut last) = (0i64, 0i64, 0i64);
+        loop {
+            let at = match (mine.peek(), theirs.peek()) {
+                (None, None) => return true,
+                (Some(a), Some(b)) => a.time.min(b.time),
+                (Some(a), None) => a.time,
+                (None, Some(b)) => b.time,
+            };
+            if let Some(p) = mine.next_if(|p| p.time == at) {
+                free = p.free as i64;
+            }
+            if let Some(p) = theirs.next_if(|p| p.time == at) {
+                other_free = p.free as i64;
+            }
+            if other_free - free != last {
+                if out.len() == limit {
+                    return false;
+                }
+                last = other_free - free;
+                out.push((at, last));
+            }
+        }
+    }
+
+    /// Adds to the free processors the step function `steps`, in the
+    /// form [`Profile::diff_into`] gives, whose first instant is at or
+    /// past the origin. One merged walk over the break points the steps
+    /// span, written back with one splice per vector: a rectangle at a
+    /// time would shift the points behind it once per edge. `scratch`
+    /// holds the merged points. Clears the dominance memo.
+    ///
+    /// # Panics
+    /// Panics if the sum is negative or past the capacity anywhere.
+    pub(crate) fn add_steps(
+        &mut self,
+        steps: &[(SimTime, i64)],
+        scratch: &mut Vec<(SimTime, u32)>,
+    ) {
+        let (Some(&(first, _)), Some(&(last, _))) = (steps.first(), steps.last()) else {
+            return;
+        };
+        assert!(first >= self.origin(), "steps before profile origin");
+        self.clear_memo();
+        let from = self.seg_index(first);
+        let to = self.times.partition_point(|&time| time <= last);
+        scratch.clear();
+        let (mut k, mut s) = (from, 0);
+        let (mut free, mut diff) = (self.frees[from] as i64, 0);
+        let mut at = self.times[from];
+        if first == at {
+            (diff, s) = (steps[0].1, 1);
+        }
+        loop {
+            let sum = free + diff;
+            assert!(
+                (0..=self.capacity as i64).contains(&sum),
+                "steps take the free processors at {at:?} to {sum} of {}",
+                self.capacity
+            );
+            if scratch.last().is_none_or(|&(_, last)| last as i64 != sum) {
+                scratch.push((at, sum as u32));
+            }
+            let next_point = self.times[..to].get(k + 1).copied();
+            let next_step = steps.get(s).map(|&(t, _)| t);
+            at = match (next_point, next_step) {
+                (Some(a), Some(b)) => a.min(b),
+                (Some(a), None) => a,
+                (None, Some(b)) => b,
+                (None, None) => break,
+            };
+            if next_point == Some(at) {
+                k += 1;
+                free = self.frees[k] as i64;
+            }
+            if next_step == Some(at) {
+                diff = steps[s].1;
+                s += 1;
+            }
+        }
+        self.times
+            .splice(from..to, scratch.iter().map(|&(time, _)| time));
+        self.frees
+            .splice(from..to, scratch.iter().map(|&(_, free)| free));
+        self.assert_invariants();
     }
 
     /// Carves `width` processors out of `[start, end)`, given the index

@@ -338,7 +338,9 @@ fn incremental_run_is_deterministic() {
 /// the run bit-identical to the from-scratch reference, which plans and
 /// scores every policy completely. So must the other objectives, each
 /// with its own weighting of a job's delay — and `Utilization`, which a
-/// partial plan does not bound, must stop no pass at all.
+/// partial plan does not bound, must stop no pass at all. The active
+/// policy's complete passes take the tails of the plans they replace
+/// once no job left can tell the two apart (`PlanCounters::spliced`).
 ///
 /// 1 200 jobs in release builds (the CI equivalence legs). Under debug
 /// assertions every profile update re-checks the whole profile, which
@@ -346,10 +348,10 @@ fn incremental_run_is_deterministic() {
 /// builds run a 400-job burst, still well across the cutoff.
 #[test]
 fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
-    let (jobs, expect_suffix_passes) = if cfg!(debug_assertions) {
-        (400, 300)
+    let (jobs, expect_suffix_passes, expect_spliced) = if cfg!(debug_assertions) {
+        (400, 300, 10_000)
     } else {
-        (1_200, 1_000)
+        (1_200, 1_000, 120_000)
     };
     let set = transform::shrink(&traces::kth().generate(jobs, 53), 0.005);
     for decider in [
@@ -368,6 +370,12 @@ fn incremental_equals_reference_on_a_burst_across_the_retention_cutoff() {
             assert!(
                 planner.folded > 0,
                 "{decider:?} {path}: no plan kept its prefix across a start: {planner:?}"
+            );
+            // Measured 14 940 (400 jobs) and 181 046 (1 200): a weaker
+            // splice test shows up here as a count.
+            assert!(
+                planner.spliced > expect_spliced,
+                "{decider:?} {path}: complete passes spliced too little: {planner:?}"
             );
             assert!(
                 planner.pruned > planner.jobs / 2,
